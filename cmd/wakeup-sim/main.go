@@ -3,7 +3,8 @@
 // optionally with the channel transcript and the Figure 1/2 matrix
 // renderings. Any flag accepting a comma-separated list (or -trials > 1)
 // switches to grid mode: the cross product runs through the sweep
-// orchestrator — which routes eligible cells (oblivious algorithms on any
+// orchestrator — which routes eligible cells (oblivious algorithms with
+// seed-insensitive schedules, and the epoch-capable adaptive ones, on any
 // built-in channel, noisy/jam included) to the word-wide bitset slot kernel
 // with identical output — and renders as an aligned table, CSV, or JSON;
 // -dump-spec emits the grid as a spec document for wakeup-bench -spec /

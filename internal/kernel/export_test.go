@@ -1,5 +1,8 @@
 package kernel
 
+// ErrIneligible is the error Reset wraps when it refuses a pairing.
+var ErrIneligible = errIneligible
+
 // SetCacheLimits shrinks the memo cache's eviction thresholds so boundary
 // tests can drive a kernel past them without rendering 16 MiB of schedule
 // words. Production kernels always run with the package constants.

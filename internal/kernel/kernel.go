@@ -1,26 +1,27 @@
-// Package kernel executes wake-up trials of oblivious algorithms word-wide.
+// Package kernel executes wake-up trials word-wide.
 //
 // An oblivious algorithm's transmit schedule is a pure function of (params,
 // id, wake, slot, per-station stream) — never of channel feedback — so the
-// kernel renders each station's schedule once into a packed bitmap (bit t =
-// "transmits in slot t") and then steps the channel 64 slots at a time:
-// finding the first solo-transmission slot is an AND/OR scan over station
-// words, and the Result counters (transmissions, listens, collisions,
-// silences — energy derives from the first two) are popcounts. No
-// per-station virtual call per slot remains.
+// kernel renders each station's schedule into a packed bitmap (bit t =
+// "transmits in slot t") and then steps the channel blockWords 64-slot words
+// per station pass: finding the first solo-transmission slot is an AND/OR
+// scan over station words, and the Result counters (transmissions, listens,
+// collisions, silences — energy derives from the first two) are popcounts.
+// No per-station virtual call per slot remains.
 //
-// Schedules of seed-INsensitive algorithms (round-robin, the deterministic
-// Kautz–Singleton baseline) are additionally memoized across trials in a
-// bounded cache keyed by the algorithm's name + config fingerprint and the
-// schedule's (params, id, wake) inputs, so a cell's later trials skip even
-// the render; on those rosters the scan additionally steps blockWords words
-// per station pass, amortizing the per-station loop over 256 slots.
-// Seed-sensitive schedules (selective-family ladders, the Scenario C matrix,
-// RPD/BEB personal hashes) render once per (trial, id) into a trial-scoped
-// bucket that survives Reset: re-executions of the same trial — the same
-// (algorithm, config, params, seed) inputs on the same kernel, wherever in
-// the cell's worker batches they occur — reuse the rendered words and the
-// mid-stream schedule closures instead of re-rendering.
+// Rendering only pays when the words are reused, so the oblivious route takes
+// seed-INsensitive schedules (round-robin, the deterministic Kautz–Singleton
+// baseline, constant-shift wrappers over them) and memoizes them across
+// trials in a bounded cache keyed by the algorithm's name + config
+// fingerprint and the schedule's (params, id, wake) inputs: a cell's later
+// trials skip even the render. Seed-sensitive schedules (selective-family
+// ladders, the Scenario C matrix, RPD/BEB personal hashes, nonzero clock
+// skew) would render afresh every trial, and their trials end within a few
+// dozen slots, so the render costs more than the engine's per-slot loop:
+// classify reports them ineligible and they run on sim.Engine.
+//
+// Adaptive algorithms that declare model.EpochOblivious run on the
+// feedback-epoch executor instead (epoch.go).
 //
 // Perturbing channels (noisy:<p>, jam:<q>) execute word-wide too: the
 // channel advertises its perturbation shape through model.KernelPerturber
@@ -39,6 +40,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -59,11 +61,8 @@ const maxCacheWords = 1 << 21
 const maxCacheEntries = 1 << 16
 
 // blockWords is how many 64-slot words one station pass of the scan loop
-// covers on memoized rosters: the per-station overhead (pointer chase, wake
-// and render checks) amortizes over 256 slots instead of 64. Seed-sensitive
-// rosters keep single-word passes — their render cost is per-slot, and a
-// wider block would render up to blockWords*64 slots past an early success
-// that the engine never pays for.
+// covers: the per-station overhead (pointer chase, wake and render checks)
+// amortizes over 256 slots instead of 64.
 const blockWords = 4
 
 // sched is one station's rendered schedule: words[t>>6] bit t&63 is set iff
@@ -88,11 +87,7 @@ func (sc *sched) extendTo(limit int64) {
 		copy(grown, sc.words)
 		sc.words = grown
 	} else {
-		old := len(sc.words)
-		sc.words = sc.words[:need]
-		for i := old; i < need; i++ {
-			sc.words[i] = 0 // pooled scratch may hold stale bits past len
-		}
+		sc.words = sc.words[:need] // words only grow: capacity past len is still zero
 	}
 	t := sc.rendered
 	if t < sc.wake {
@@ -116,9 +111,6 @@ type bucketKey struct {
 	config uint64
 	n, k   int
 	s      int64
-	// seed scopes seed-sensitive buckets to their trial (the run seed); it is
-	// zero for cross-trial memo buckets, whose schedules are seed-invariant.
-	seed uint64
 }
 
 type entryKey struct {
@@ -169,27 +161,13 @@ type Kernel struct {
 	curOK        bool
 	cacheEntries int
 	cacheWords   int64
-	limitWords   int64    // eviction thresholds; the package consts, except in
-	limitEntries int      // boundary tests that shrink them via SetCacheLimits
-	free         []*sched // scratch scheds pooled across trials
-
-	// The trial bucket is the batch-scoped memo for seed-sensitive
-	// schedules: rendered once per (trial, id) and kept — closures mid-stream
-	// and all — until a DIFFERENT seed-sensitive trial arrives, so re-running
-	// the same (algorithm, config, params, seed) trial on this kernel (in a
-	// later worker batch, a differential re-check, a Step-after-Reset replay)
-	// reuses the renders instead of rebuilding. Bounded by one trial's
-	// station count.
-	trial    map[entryKey]*sched
-	trialKey bucketKey
-	trialOK  bool
+	limitWords   int64 // eviction thresholds; the package consts, except in
+	limitEntries int   // boundary tests that shrink them via SetCacheLimits
 
 	stations []stationRef
 	wbuf     []uint64 // per-station schedule words of the block being stepped
 	next     int      // index of the first station with wake > t (wake-ordered)
-	class    model.ScheduleClass
 	mode     execMode
-	memo     bool
 	local    bool // memoized in local time, shifted per station
 
 	// Feedback-epoch state (modeEpoch): the adaptive algorithm, the per-trial
@@ -228,7 +206,6 @@ type Kernel struct {
 func New() *Kernel {
 	return &Kernel{
 		cache:        make(map[bucketKey]map[entryKey]*sched),
-		trial:        make(map[entryKey]*sched),
 		limitWords:   maxCacheWords,
 		limitEntries: maxCacheEntries,
 	}
@@ -287,7 +264,9 @@ func classify(algo model.Algorithm, opt sim.Options) (execMode, model.ScheduleCl
 		}
 	}
 	cls, ok := model.AlgorithmClass(algo)
-	return modeOblivious, cls, ok
+	// A seed-sensitive schedule renders afresh every trial and the render
+	// outweighs the scan: such trials are cheaper on the engine.
+	return modeOblivious, cls, ok && !cls.SeedSensitive
 }
 
 // collisionSilent reports whether the model delivers a collision as silence
@@ -301,8 +280,11 @@ func collisionSilent(ch model.ChannelModel) bool {
 // execute under, reporting ok == false when the pairing must run on the
 // slot-by-slot engine: trace recording, a perturbing channel that does not
 // advertise a kernel-executable shape, an adaptive run of an algorithm
-// without the model.EpochOblivious capability, or an algorithm that does not
-// advertise obliviousness.
+// without the model.EpochOblivious capability, an algorithm that does not
+// advertise obliviousness, or an oblivious one whose schedule is
+// seed-sensitive. An eligible oblivious pairing is therefore never
+// SeedSensitive; an eligible epoch pairing always reports SeedSensitive,
+// since its renders come from live per-trial station state.
 func Class(algo model.Algorithm, opt sim.Options) (model.ScheduleClass, bool) {
 	_, cls, ok := classify(algo, opt)
 	return cls, ok
@@ -322,12 +304,10 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	}
 	mode, class, ok := classify(algo, opt)
 	if !ok {
-		return errIneligible(algo)
+		return fmt.Errorf("kernel: %s is %w", algo.Name(), errIneligible)
 	}
 	k.mode = mode
-	k.class = class
-	k.memo = mode == modeOblivious && !class.SeedSensitive
-	k.local = k.memo && class.WakeSensitive && class.LocalClock
+	k.local = mode == modeOblivious && class.WakeSensitive && class.LocalClock
 	k.algo, k.p, k.seed = algo, p, opt.Seed
 	k.epochAlgo = nil
 	if mode == modeEpoch {
@@ -365,10 +345,9 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 		k.cacheWords = 0
 		k.curOK = false
 	}
-	if k.mode == modeEpoch {
-		// Epoch trials cache nothing: station state IS the trial, so the
-		// arena below is rebuilt per Reset and only its capacity is reused.
-	} else if k.memo {
+	// Epoch trials cache nothing: station state IS the trial, so their arena
+	// below is rebuilt per Reset and only its capacity is reused.
+	if k.mode == modeOblivious {
 		bk := bucketKey{algo: algo.Name(), config: class.Config, n: p.N, k: p.K, s: p.S}
 		if !k.curOK || bk != k.curKey {
 			bucket, ok := k.cache[bk]
@@ -377,27 +356,6 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 				k.cache[bk] = bucket
 			}
 			k.cur, k.curKey, k.curOK = bucket, bk, true
-		}
-	} else {
-		// Seed-sensitive: the trial bucket memoizes renders for exactly one
-		// trial identity. A matching Reset reuses every rendered word (the
-		// schedule closures resume mid-stream, which is sound because
-		// rendering is strictly sequential in t); a different trial recycles
-		// the scheds — word capacity retained — into the free pool.
-		tk := bucketKey{algo: algo.Name(), config: class.Config, n: p.N, k: p.K, s: p.S, seed: opt.Seed}
-		if !k.trialOK || tk != k.trialKey {
-			// The free pool recycles capacity containers only: words are
-			// truncated and every sched is re-rendered under its next identity,
-			// so pool order never reaches output bytes.
-			//nsmac:nondeterminism-ok free-pool recycling order is capacity reuse only, not output
-			for _, sc := range k.trial {
-				sc.fn = nil
-				sc.words = sc.words[:0]
-				sc.rendered = 0
-				k.free = append(k.free, sc)
-			}
-			clear(k.trial)
-			k.trialKey, k.trialOK = tk, true
 		}
 	}
 
@@ -457,43 +415,25 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 			// listens inside the horizon.
 			continue
 		}
-		// Schedules are built lazily in stepWord (fn == nil until first use),
+		// Schedules are built lazily in stepBlock (fn == nil until first use),
 		// mirroring the engine's build-at-activation: stations that never get
 		// stepped — the trial succeeds before their wake — are never built.
-		var sc *sched
+		key := entryKey{id: id, wake: wake}
+		if !class.WakeSensitive || k.local {
+			// Local-clock schedules are one bitmap per station, cached in
+			// local time and shifted per wake — like wake-insensitive ones,
+			// the wake is not part of their identity.
+			key.wake = 0
+		}
 		var off int64
-		if k.memo {
-			key := entryKey{id: id, wake: wake}
-			if !class.WakeSensitive || k.local {
-				// Local-clock schedules are one bitmap per station, cached in
-				// local time and shifted per wake — like wake-insensitive
-				// ones, the wake is not part of their identity.
-				key.wake = 0
-			}
-			if k.local {
-				off = wake
-			}
-			if cached, hit := k.cur[key]; hit {
-				sc = cached
-			} else {
-				sc = &sched{wake: key.wake}
-				k.cur[key] = sc
-				k.cacheEntries++
-			}
-		} else {
-			key := entryKey{id: id, wake: wake}
-			if cached, hit := k.trial[key]; hit {
-				sc = cached
-			} else {
-				if m := len(k.free); m > 0 {
-					sc = k.free[m-1]
-					k.free = k.free[:m-1]
-				} else {
-					sc = &sched{}
-				}
-				sc.wake = wake
-				k.trial[key] = sc
-			}
+		if k.local {
+			off = wake
+		}
+		sc, hit := k.cur[key]
+		if !hit {
+			sc = &sched{wake: key.wake}
+			k.cur[key] = sc
+			k.cacheEntries++
 		}
 		k.stations = append(k.stations, stationRef{id: id, wake: wake, off: off, sc: sc})
 	}
@@ -504,9 +444,9 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	return nil
 }
 
-func errIneligible(algo model.Algorithm) error {
-	return fmt.Errorf("kernel: %s is not eligible for the bitset kernel with these options", algo.Name())
-}
+// errIneligible is the error Reset wraps for a pairing classify keeps on the
+// engine.
+var errIneligible = errors.New("not eligible for the bitset kernel with these options")
 
 // awakeMask returns the transmit-window mask of one word for a station:
 // bits for slots >= wake within [wordBase, wordBase+64).
@@ -627,9 +567,7 @@ func (k *Kernel) stepBlock(lo, hi int64) {
 			}
 			before := len(sc.words)
 			sc.extendTo(need)
-			if k.memo {
-				k.cacheWords += int64(len(sc.words) - before)
-			}
+			k.cacheWords += int64(len(sc.words) - before)
 		}
 		for j := 0; j < nw; j++ {
 			wb := base + int64(j)<<6
@@ -716,15 +654,8 @@ func (k *Kernel) RunTo(until int64) bool {
 	if limit > k.end {
 		limit = k.end
 	}
-	// Memoized rosters step blockWords words per station pass (renders are
-	// cache-amortized); seed-sensitive ones keep single-word passes so an
-	// early success never over-renders per-slot schedule closures.
-	span := int64(64)
-	if k.memo {
-		span = 64 * blockWords
-	}
 	for !k.done && k.t < limit {
-		hi := (k.t &^ 63) + span
+		hi := (k.t &^ 63) + 64*blockWords
 		if hi > limit {
 			hi = limit
 		}

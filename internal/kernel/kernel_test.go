@@ -1,7 +1,7 @@
 package kernel_test
 
 import (
-	"fmt"
+	"errors"
 	"testing"
 
 	"nsmac/internal/core"
@@ -104,10 +104,40 @@ func randomPattern(n, k int, spread int64, seed uint64) model.WakePattern {
 	return model.WakePattern{IDs: ids, Wakes: wakes}
 }
 
+// differential runs one workload on both executors. A seed-sensitive
+// pairing must be refused by kernel.Reset with the ineligibility error —
+// sweeps keep those cells on the engine — and any other must produce a
+// model.Result identical in every field to the slot-by-slot engine's.
+func differential(t *testing.T, round int, eng *sim.Engine, kn *kernel.Kernel,
+	algo model.Algorithm, p model.Params, w model.WakePattern, opt sim.Options) {
+	t.Helper()
+	if err := eng.Reset(algo, p, w, opt); err != nil {
+		t.Fatalf("round %d: engine reset: %v", round, err)
+	}
+	want := eng.Run()
+	err := kn.Reset(algo, p, w, opt)
+	if cls, _ := model.AlgorithmClass(algo); cls.SeedSensitive {
+		if !errors.Is(err, kernel.ErrIneligible) {
+			t.Fatalf("round %d: kernel.Reset of seed-sensitive %s returned %v, want the ineligibility error",
+				round, algo.Name(), err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("round %d: kernel reset: %v", round, err)
+	}
+	if got := kn.Run(); got != want {
+		t.Fatalf("round %d (n=%d k=%d seed=%#x):\nkernel %+v\nengine %+v",
+			round, p.N, w.K(), opt.Seed, got, want)
+	}
+}
+
 // TestKernelMatchesEngine is the core differential: for every roster
 // algorithm, random workloads must produce a model.Result identical in every
 // field to the slot-by-slot engine's — with the engine warm and the kernel
 // shared across trials, so memoized schedule reuse is on the tested path.
+// The seed-sensitive entries pin the other half of the routing contract:
+// the kernel refuses them.
 func TestKernelMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		t.Run(entry.name, func(t *testing.T) {
@@ -122,28 +152,45 @@ func TestKernelMatchesEngine(t *testing.T) {
 				}
 				seed := src.Uint64()
 				w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
-				if entry.name == "wakeup_with_s" {
-					// Scenario A: the algorithm is told the true first wake.
-				}
 				p := entry.params(n, k, seed, w.FirstWake())
-				algo := entry.algo(n, k)
 				opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed}
-
-				if err := eng.Reset(algo, p, w, opt); err != nil {
-					t.Fatalf("round %d: engine reset: %v", round, err)
-				}
-				want := eng.Run()
-				if err := kn.Reset(algo, p, w, opt); err != nil {
-					t.Fatalf("round %d: kernel reset: %v", round, err)
-				}
-				got := kn.Run()
-				if got != want {
-					t.Fatalf("round %d (n=%d k=%d seed=%#x):\nkernel %+v\nengine %+v",
-						round, n, k, seed, got, want)
-				}
+				differential(t, round, eng, kn, entry.algo(n, k), p, w, opt)
 			}
 		})
 	}
+}
+
+// midRunWorkload draws one RunTo-parity workload. Rounds alternate between
+// the local-clock localssf, whose staggered wakes exercise the shifted cache
+// reads, and roundrobin, whose trials on up to 300 ids span many words and
+// often outlast the horizon.
+func midRunWorkload(src *rng.Source, round int) (model.Algorithm, model.Params, model.WakePattern, int64) {
+	algo := model.Algorithm(core.NewLocalSSF())
+	if round%2 == 1 {
+		algo = core.NewRoundRobin()
+	}
+	n := 2 + src.Intn(300)
+	k := 1 + src.Intn(min(n, 16))
+	seed := src.Uint64()
+	return algo, model.Params{N: n, S: -1, Seed: seed}, randomPattern(n, k, 20, seed), int64(40 + src.Intn(400))
+}
+
+// runToParity steps two executors, Reset on the same workload, to the same
+// RunTo bounds from u until both are done, failing on the first divergence
+// of (done, Slot, Result), and returns the last bound. Steps mix short ones
+// that straddle word boundaries with long ones that cover whole 256-slot
+// station passes.
+func runToParity(t *testing.T, round int, src *rng.Source, eng *sim.Engine, kn *kernel.Kernel, u int64) int64 {
+	t.Helper()
+	for !eng.Done() || !kn.Done() {
+		u += 1 + int64(src.Intn(1+src.Intn(300)))
+		ed, kd := eng.RunTo(u), kn.RunTo(u)
+		if ed != kd || eng.Done() != kn.Done() || eng.Slot() != kn.Slot() || eng.Result() != kn.Result() {
+			t.Fatalf("round %d RunTo(%d):\nkernel done=%v slot=%d %+v\nengine done=%v slot=%d %+v",
+				round, u, kd, kn.Slot(), kn.Result(), ed, eng.Slot(), eng.Result())
+		}
+	}
+	return u
 }
 
 // TestKernelMidRunMatchesEngine locks the partial-horizon API: after
@@ -154,14 +201,8 @@ func TestKernelMidRunMatchesEngine(t *testing.T) {
 	eng := sim.NewEngine()
 	kn := kernel.New()
 	for round := 0; round < 40; round++ {
-		n := 2 + src.Intn(40)
-		k := 1 + src.Intn(n)
-		seed := src.Uint64()
-		w := randomPattern(n, k, 20, seed)
-		algo := core.NewRPD()
-		p := model.Params{N: n, S: -1, Seed: seed}
-		horizon := int64(40 + src.Intn(200))
-		opt := sim.Options{Horizon: horizon, Seed: seed}
+		algo, p, w, horizon := midRunWorkload(src, round)
+		opt := sim.Options{Horizon: horizon, Seed: p.Seed}
 
 		if err := eng.Reset(algo, p, w, opt); err != nil {
 			t.Fatal(err)
@@ -172,16 +213,7 @@ func TestKernelMidRunMatchesEngine(t *testing.T) {
 		if kn.Slot() != eng.Slot() {
 			t.Fatalf("round %d: initial slot %d != %d", round, kn.Slot(), eng.Slot())
 		}
-		u := w.FirstWake()
-		for !eng.Done() || !kn.Done() {
-			u += 1 + int64(src.Intn(70)) // steps that straddle word boundaries
-			ed := eng.RunTo(u)
-			kd := kn.RunTo(u)
-			if ed != kd || eng.Done() != kn.Done() || eng.Slot() != kn.Slot() || eng.Result() != kn.Result() {
-				t.Fatalf("round %d RunTo(%d):\nkernel done=%v slot=%d %+v\nengine done=%v slot=%d %+v",
-					round, u, kd, kn.Slot(), kn.Result(), ed, eng.Slot(), eng.Result())
-			}
-		}
+		u := runToParity(t, round, src, eng, kn, w.FirstWake())
 		// Past-the-end calls stay stable on both.
 		eng.RunTo(u + 100)
 		kn.RunTo(u + 100)
@@ -262,37 +294,35 @@ func (soloAt) ObliviousClass() (model.ScheduleClass, bool) {
 // countingAlgo counts Build invocations — the memoization observable.
 type countingAlgo struct {
 	builds *int
-	seeded bool // advertise as seed-sensitive
 }
 
-func (a countingAlgo) Name() string { return fmt.Sprintf("counting(seeded=%v)", a.seeded) }
+func (countingAlgo) Name() string { return "counting" }
 func (a countingAlgo) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
 	*a.builds++
 	n := int64(p.N)
 	slot := int64(id - 1)
 	return func(t int64) bool { return t%n == slot }
 }
-func (a countingAlgo) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{SeedSensitive: a.seeded, WakeSensitive: true}, true
+func (countingAlgo) ObliviousClass() (model.ScheduleClass, bool) {
+	return model.ScheduleClass{WakeSensitive: true}, true
 }
 
 // TestKernelMemoizesAcrossTrials: a seed-insensitive algorithm builds each
-// participating station's schedule once per kernel, however many trials run;
-// a seed-sensitive one rebuilds every trial. Builds are also lazy, like the
-// engine's build-at-activation: a station whose wake comes after the success
-// slot is never built at all.
+// participating station's schedule once per kernel, however many trials run.
+// Builds are also lazy, like the engine's build-at-activation: a station
+// whose wake comes after the success slot is never built at all.
 func TestKernelMemoizesAcrossTrials(t *testing.T) {
 	p := model.Params{N: 16, S: -1}
 	const trials = 5
 
-	run := func(w model.WakePattern, seeded bool) int {
+	run := func(w model.WakePattern) int {
 		builds := 0
 		kn := kernel.New()
 		for trial := 0; trial < trials; trial++ {
 			pp := p
 			pp.Seed = uint64(trial)
 			opt := sim.Options{Horizon: 64, Seed: uint64(trial)}
-			if err := kn.Reset(countingAlgo{builds: &builds, seeded: seeded}, pp, w, opt); err != nil {
+			if err := kn.Reset(countingAlgo{builds: &builds}, pp, w, opt); err != nil {
 				t.Fatal(err)
 			}
 			kn.Run()
@@ -304,24 +334,16 @@ func TestKernelMemoizesAcrossTrials(t *testing.T) {
 	// solo is station 7's slot 6 — after the last wake (5): every station
 	// participates in the trial and must be built.
 	all := model.WakePattern{IDs: []int{11, 7, 2}, Wakes: []int64{0, 2, 5}}
-	if got := run(all, false); got != 3 {
-		t.Errorf("seed-insensitive: %d builds over %d trials, want 3 (one per station)",
-			got, trials)
-	}
-	if got := run(all, true); got != 3*trials {
-		t.Errorf("seed-sensitive: %d builds, want %d (every station every trial)",
-			got, 3*trials)
+	if got := run(all); got != 3 {
+		t.Errorf("%d builds over %d trials, want 3 (one per station)", got, trials)
 	}
 
 	// Reversed IDs: station 2 (wake 0) wins at slot 1, before stations 7 and
 	// 11 ever wake — they must never be built, exactly as the engine never
 	// activates them.
 	early := model.WakePattern{IDs: []int{2, 7, 11}, Wakes: []int64{0, 2, 5}}
-	if got := run(early, false); got != 1 {
-		t.Errorf("seed-insensitive early success: %d builds, want 1 (sleepers never built)", got)
-	}
-	if got := run(early, true); got != trials {
-		t.Errorf("seed-sensitive early success: %d builds, want %d", got, trials)
+	if got := run(early); got != 1 {
+		t.Errorf("early success: %d builds, want 1 (sleepers never built)", got)
 	}
 }
 
@@ -413,20 +435,36 @@ func TestKernelEligibility(t *testing.T) {
 	if opt := (sim.Options{Horizon: 10, Adaptive: true}); !kernel.Eligible(core.NewTreeCD(), opt) {
 		t.Error("adaptive run of TreeCD (EpochOblivious) must route to the epoch executor")
 	}
-	// Interleaving propagates: both components oblivious → oblivious.
-	if !kernel.Eligible(core.NewWakeupWithS(), base) {
-		t.Error("wakeup_with_s (both components oblivious) must be eligible")
+	// Interleaving propagates the class: wakeup_with_s interleaves two
+	// oblivious components, but its selective ladders draw from the seed, so
+	// it renders afresh every trial and belongs on the engine.
+	if kernel.Eligible(core.NewWakeupWithS(), base) {
+		t.Error("wakeup_with_s (seed-sensitive) must be ineligible")
+	}
+	if !kernel.Eligible(schedule.NewInterleaved("rr+rr", core.NewRoundRobin(), core.NewRoundRobin()), base) {
+		t.Error("interleaving two seed-insensitive oblivious components must be eligible")
 	}
 	if kernel.Eligible(schedule.NewInterleaved("mix", core.NewRoundRobin(), core.NewTreeCD()), base) {
 		t.Error("interleaving with a non-oblivious component must be ineligible")
 	}
 
-	// Reset must reject an ineligible pairing with a kernel-specific error.
+	// Reset must reject an ineligible pairing with the kernel's
+	// ineligibility error: adaptive without epochs, and every seed-sensitive
+	// oblivious schedule, on every channel the oblivious route would take.
 	kn := kernel.New()
 	p := model.Params{N: 4, S: -1}
 	w := model.WakePattern{IDs: []int{1}, Wakes: []int64{0}}
-	if err := kn.Reset(adaptive, p, w, base); err == nil {
-		t.Error("kernel.Reset accepted an ineligible algorithm")
+	if err := kn.Reset(adaptive, p, w, base); !errors.Is(err, kernel.ErrIneligible) {
+		t.Errorf("kernel.Reset(tree_cd, non-adaptive options) = %v, want the ineligibility error", err)
+	}
+	for _, algo := range []model.Algorithm{core.NewRPD(), core.NewBEB(), core.NewWakeupC()} {
+		for _, ch := range []model.ChannelModel{model.None(), model.CD(), model.Noisy(0.1), model.Jam(2)} {
+			opt := base
+			opt.Channel = ch
+			if err := kn.Reset(algo, p, w, opt); !errors.Is(err, kernel.ErrIneligible) {
+				t.Errorf("kernel.Reset(%s, %s) = %v, want the ineligibility error", algo.Name(), ch.Name(), err)
+			}
+		}
 	}
 	// And it must validate inputs identically to the engine.
 	if err := kn.Reset(oblivious, p, w, sim.Options{Horizon: 0}); err == nil {
@@ -450,7 +488,8 @@ func perturbedChannels() []model.ChannelModel {
 // algorithm × every perturbed channel shape, random workloads, with both
 // executors warm so memo reuse under perturbation is on the tested path. The
 // comparison is full model.Result equality — termination, Slots, winner, and
-// the energy counters all fold the overlay in.
+// the energy counters all fold the overlay in. Seed-sensitive entries must
+// be refused on perturbing channels too.
 func TestKernelPerturbedMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		for _, ch := range perturbedChannels() {
@@ -467,21 +506,8 @@ func TestKernelPerturbedMatchesEngine(t *testing.T) {
 					seed := src.Uint64()
 					w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
 					p := entry.params(n, k, seed, w.FirstWake())
-					algo := entry.algo(n, k)
 					opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: ch}
-
-					if err := eng.Reset(algo, p, w, opt); err != nil {
-						t.Fatalf("round %d: engine reset: %v", round, err)
-					}
-					want := eng.Run()
-					if err := kn.Reset(algo, p, w, opt); err != nil {
-						t.Fatalf("round %d: kernel reset: %v", round, err)
-					}
-					got := kn.Run()
-					if got != want {
-						t.Fatalf("round %d (n=%d k=%d seed=%#x):\nkernel %+v\nengine %+v",
-							round, n, k, seed, got, want)
-					}
+					differential(t, round, eng, kn, entry.algo(n, k), p, w, opt)
 				}
 			})
 		}
@@ -499,13 +525,8 @@ func TestKernelPerturbedMidRun(t *testing.T) {
 			eng := sim.NewEngine()
 			kn := kernel.New()
 			for round := 0; round < 25; round++ {
-				n := 2 + src.Intn(40)
-				k := 1 + src.Intn(n)
-				seed := src.Uint64()
-				w := randomPattern(n, k, 20, seed)
-				algo := core.NewRPD()
-				p := model.Params{N: n, S: -1, Seed: seed}
-				opt := sim.Options{Horizon: int64(40 + src.Intn(200)), Seed: seed, Channel: ch}
+				algo, p, w, horizon := midRunWorkload(src, round)
+				opt := sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch}
 
 				if err := eng.Reset(algo, p, w, opt); err != nil {
 					t.Fatal(err)
@@ -513,68 +534,9 @@ func TestKernelPerturbedMidRun(t *testing.T) {
 				if err := kn.Reset(algo, p, w, opt); err != nil {
 					t.Fatal(err)
 				}
-				u := w.FirstWake()
-				for !eng.Done() || !kn.Done() {
-					u += 1 + int64(src.Intn(70))
-					ed := eng.RunTo(u)
-					kd := kn.RunTo(u)
-					if ed != kd || eng.Done() != kn.Done() || eng.Slot() != kn.Slot() || eng.Result() != kn.Result() {
-						t.Fatalf("round %d RunTo(%d):\nkernel done=%v slot=%d %+v\nengine done=%v slot=%d %+v",
-							round, u, kd, kn.Slot(), kn.Result(), ed, eng.Slot(), eng.Result())
-					}
-				}
+				runToParity(t, round, src, eng, kn, w.FirstWake())
 			}
 		})
-	}
-}
-
-// TestKernelTrialMemoization pins the batch-scoped memo for seed-sensitive
-// schedules: re-running the SAME trial identity (algorithm, params, seed) on
-// one kernel reuses the rendered schedules — zero extra builds — while any
-// change of identity recycles the bucket and rebuilds. Results must be
-// identical on the reused path.
-func TestKernelTrialMemoization(t *testing.T) {
-	p := model.Params{N: 16, S: -1, Seed: 7}
-	w := model.WakePattern{IDs: []int{11, 7, 2}, Wakes: []int64{0, 2, 5}}
-	opt := sim.Options{Horizon: 64, Seed: 7}
-
-	builds := 0
-	kn := kernel.New()
-	run := func() model.Result {
-		t.Helper()
-		if err := kn.Reset(countingAlgo{builds: &builds, seeded: true}, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		return kn.Run()
-	}
-
-	first := run()
-	if builds != 3 {
-		t.Fatalf("first trial built %d schedules, want 3", builds)
-	}
-	// Same trial identity again: served from the trial bucket.
-	for i := 0; i < 4; i++ {
-		if got := run(); got != first {
-			t.Fatalf("replay %d diverged: %+v != %+v", i, got, first)
-		}
-	}
-	if builds != 3 {
-		t.Errorf("replays of one trial identity built %d schedules total, want 3 (batch-scoped memo)", builds)
-	}
-	// A different seed is a different trial: the bucket turns over.
-	opt.Seed, p.Seed = 8, 8
-	run()
-	if builds != 6 {
-		t.Errorf("new trial identity: %d builds total, want 6", builds)
-	}
-	// And returning to the first identity re-renders — the bucket holds
-	// exactly one trial, by design.
-	opt.Seed, p.Seed = 7, 7
-	if got := run(); got != first {
-		t.Fatalf("re-rendered trial diverged: %+v != %+v", got, first)
-	}
-	if builds != 9 {
-		t.Errorf("returning identity: %d builds total, want 9 (single-trial bucket)", builds)
 	}
 }
 

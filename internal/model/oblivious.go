@@ -14,7 +14,8 @@ type ScheduleClass struct {
 	// bits drawn from the per-station stream (selective-family ladders, the
 	// Scenario C matrix, RPD/BEB personal hashes). Seed-sensitive schedules
 	// cannot be memoized across trials, because every trial runs under a
-	// fresh derived seed.
+	// fresh derived seed, so the kernel leaves them to the slot-by-slot
+	// engine.
 	SeedSensitive bool
 	// WakeSensitive is true when the schedule depends on the station's wake
 	// slot. A wake-INsensitive schedule must be queryable — and identical —

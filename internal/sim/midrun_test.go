@@ -59,13 +59,20 @@ func checkInvariants(t *testing.T, name string, x stepper, s int64) {
 
 // TestMidRunInvariants drives Engine and Kernel through identical randomized
 // workloads with arbitrary RunTo break points, asserting the counter
-// invariants at every stop — the satellite's partial-horizon coverage, on
-// both execution paths.
+// invariants at every stop — partial-horizon coverage on both execution
+// paths. The algorithms are kernel-eligible, unlike the seed-sensitive paper
+// algorithms: rounds alternate between the local-clock localssf under
+// staggered wakes and roundrobin, whose trials on up to 300 ids span many
+// words and often outlast the horizon.
 func TestMidRunInvariants(t *testing.T) {
 	src := rng.New(0x111)
 	for round := 0; round < 25; round++ {
-		n := 2 + src.Intn(40)
-		k := 1 + src.Intn(n)
+		algo := model.Algorithm(core.NewLocalSSF())
+		if round%2 == 1 {
+			algo = core.NewRoundRobin()
+		}
+		n := 2 + src.Intn(300)
+		k := 1 + src.Intn(min(n, 16))
 		seed := src.Uint64()
 		ids := rng.New(rng.Derive(seed, 2)).Sample(n, k)
 		wakes := make([]int64, k)
@@ -74,9 +81,8 @@ func TestMidRunInvariants(t *testing.T) {
 			wakes[i] = wsrc.Int63n(25)
 		}
 		w := model.WakePattern{IDs: ids, Wakes: wakes}
-		algo := core.NewRPD()
 		p := model.Params{N: n, S: -1, Seed: seed}
-		horizon := int64(30 + src.Intn(150))
+		horizon := int64(30 + src.Intn(400))
 		opt := sim.Options{Horizon: horizon, Seed: seed}
 
 		eng := sim.NewEngine()
@@ -94,7 +100,7 @@ func TestMidRunInvariants(t *testing.T) {
 		}{{"engine", eng}, {"kernel", kn}} {
 			u := s
 			for !x.st.Done() {
-				u += 1 + int64(src.Intn(40))
+				u += 1 + int64(src.Intn(120))
 				x.st.RunTo(u)
 				checkInvariants(t, x.name, x.st, s)
 				// RunTo must be idempotent at the same bound.

@@ -7,11 +7,13 @@ import (
 	"nsmac/internal/sweep"
 )
 
-// kernelDiffSpec builds a grid over kernel-eligible cells — oblivious
-// algorithms on the paper channel AND on the perturbing noisy/jam channels,
-// which route through the kernel's overlay since their models declare a
-// model.KernelPerturber shape — so the differential covers the word-wide
-// perturbation replay, not just the unperturbed scan.
+// kernelDiffSpec builds a grid that mixes kernel-routed cells (the
+// memoizable roundrobin and localssf) with engine-routed ones (the
+// seed-sensitive wakeupc, wakeup_with_k and rpd), so the differential covers
+// per-cell routing inside one grid. Channels may include the perturbing
+// noisy/jam models, which route through the kernel's overlay since they
+// declare a model.KernelPerturber shape: the word-wide perturbation replay
+// is covered, not just the unperturbed scan.
 func kernelDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
 	cases, err := sweep.CasesByName("roundrobin,wakeupc,wakeup_with_k,rpd,localssf")

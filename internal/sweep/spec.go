@@ -69,11 +69,13 @@ type Spec struct {
 	Batch int
 	// DisableKernel forces every cell onto the slot-by-slot engine. By
 	// default cells whose (algorithm, channel) pairing is kernel-eligible —
-	// oblivious algorithm, and a channel that either does not perturb slots
-	// or declares its perturbation shape via model.KernelPerturber (noisy,
-	// jam) — execute on the bitset slot kernel, which is byte-identical in
-	// output and much faster on memoizable rosters; this switch exists for
-	// differential testing and for benchmarking the engine path.
+	// an oblivious algorithm with a seed-insensitive (memoizable) schedule,
+	// or an adaptive one that declares feedback epochs, on a channel that
+	// either does not perturb slots or declares its perturbation shape via
+	// model.KernelPerturber (noisy, jam) — execute on the bitset slot
+	// kernel, which is byte-identical in output and much faster there; this
+	// switch exists for differential testing and for benchmarking the engine
+	// path.
 	DisableKernel bool
 }
 
@@ -192,14 +194,16 @@ func (s Spec) Compile() (Grid, []string, error) {
 	}
 
 	// Kernel routing is decided per cell at compile time via the channel's
-	// capability check: an oblivious algorithm runs word-wide whenever the
-	// cell's channel is non-perturbing or declares a kernel-executable
-	// perturbation shape (model.KernelPerturber: noisy, jam); an adaptive
-	// case routes onto the feedback-epoch executor when its algorithm
-	// declares model.EpochOblivious; everything else keeps the pooled
-	// engine. Eligibility depends only on the cell's (algorithm, channel,
-	// adaptive) pairing, never on a trial's seed or pattern, so the decision
-	// is safe to hoist out of the trial loop.
+	// capability check: an oblivious algorithm with a seed-insensitive
+	// schedule runs word-wide whenever the cell's channel is non-perturbing
+	// or declares a kernel-executable perturbation shape
+	// (model.KernelPerturber: noisy, jam); an adaptive case routes onto the
+	// feedback-epoch executor when its algorithm declares
+	// model.EpochOblivious; everything else — seed-sensitive schedules
+	// included, which would re-render every trial — keeps the pooled engine.
+	// Eligibility depends only on the cell's (algorithm, channel, adaptive)
+	// pairing, never on a trial's seed or pattern, so the decision is safe to
+	// hoist out of the trial loop.
 	useKernel := make([]bool, len(points))
 	anyKernel := false
 	if !s.DisableKernel {
