@@ -55,22 +55,6 @@ func (a *KGConflictResolution) BuildAdaptive(p model.Params, id int, wake int64,
 	}
 }
 
-// BuildEpoch implements model.EpochOblivious: a KG station is fully
-// silence-inert — the only feedback that moves its state is hearing its own
-// success, which retires it — so its silence-projected schedule is just its
-// oblivious interleaving, rendered word-wide: the even-slot round-robin by
-// direct residue arithmetic, the odd-slot ladder through a sequential
-// cursor that amortizes the family-boundary search across the word.
-func (a *KGConflictResolution) BuildEpoch(p model.Params, id int, wake int64, _ *rng.Source) model.EpochStation {
-	st := &kgStation{
-		id:  id,
-		n:   int64(p.N),
-		lad: a.ladder(p),
-	}
-	st.cur = st.lad.NewCursor()
-	return st
-}
-
 // Horizon implements Bounded: the even-slot round-robin alone retires one
 // station per n slots, so 2·n·k slots always complete; the ladder usually
 // finishes in O(k log(n/k)) long before.
@@ -82,7 +66,6 @@ type kgStation struct {
 	id      int
 	n       int64
 	lad     *selectors.Sequence
-	cur     *selectors.Cursor // sequential ladder cursor (epoch path only)
 	retired bool
 }
 
@@ -104,43 +87,4 @@ func (s *kgStation) Observe(t int64, fb model.Feedback, successID int) {
 	if fb == model.Success && successID == s.id {
 		s.retired = true
 	}
-}
-
-// RenderWord implements model.EpochStation. base is word-aligned (so even),
-// which makes the slot parity split exact: even slots t = base+2m carry the
-// round-robin on component index base/2+m — solved directly for the residue
-// instead of testing all 32 slots — and odd slots t = base+2m+1 walk 32
-// consecutive ladder components through the cursor.
-func (s *kgStation) RenderWord(base int64) uint64 {
-	if s.retired {
-		return 0
-	}
-	var w uint64
-	h := base / 2
-	m := (int64(s.id-1) - h) % s.n
-	if m < 0 {
-		m += s.n
-	}
-	for ; m < 32; m += s.n {
-		w |= 1 << uint(2*m)
-	}
-	for m := int64(0); m < 32; m++ {
-		if s.cur.Member(h+m, s.id) {
-			w |= 1 << uint(2*m+1)
-		}
-	}
-	return w
-}
-
-// AdvanceSilent implements model.EpochStation: silence never moves KG state.
-func (s *kgStation) AdvanceSilent(from, to int64) {}
-
-// ObserveEvent implements model.EpochStation: only an own success — which
-// ends a wake-up trial anyway — differs from the silence transition.
-func (s *kgStation) ObserveEvent(t int64, fb model.Feedback, successID int) bool {
-	if fb == model.Success && successID == s.id {
-		s.retired = true
-		return true
-	}
-	return false
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 )
@@ -37,21 +39,14 @@ func (TreeCD) Build(p model.Params, id int, wake int64, _ *rng.Source) model.Tra
 
 // BuildAdaptive implements model.Adaptive.
 func (TreeCD) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	st := &treeStation{id: id, n: p.N}
-	st.stack = append(st.stack, interval{1, p.N})
-	return st
+	return newTreeStation(p, id)
 }
 
 // BuildEpoch implements model.EpochOblivious: the tree station's reaction to
-// silence is a pure pop (every slot's observation pops the top interval, and
-// only a collision pushes), so its silence-projected schedule is a direct
-// read of the current stack — slot pos+i queries the interval i pops down,
-// and once the stack would empty it refills with [1, n], which contains
-// every ID, so all later bits transmit.
+// silence is a pure pop (only a collision pushes), so its silence projection
+// is a direct read of its stack — see RenderWord.
 func (TreeCD) BuildEpoch(p model.Params, id int, wake int64, _ *rng.Source) model.EpochStation {
-	st := &treeStation{id: id, n: p.N, pos: wake}
-	st.stack = append(st.stack, interval{1, p.N})
-	return st
+	return newTreeStation(p, id)
 }
 
 // Horizon implements Bounded: the traversal visits at most 2k-1 collision
@@ -65,14 +60,53 @@ func (TreeCD) Horizon(n, k int) int64 {
 	return 8*int64(k)*(logN+1) + 16
 }
 
-type interval struct{ lo, hi int }
+// run is count consecutive copies of the ID interval [lo, hi] on a tree
+// station's stack. Equal intervals pile up when a station keeps colliding on
+// its own singleton [x, x] — under sender_cd it pushes the empty [x+1, x]
+// every slot — so run-length encoding keeps the stack at O(log n) entries
+// however long the trial runs.
+type run struct{ lo, hi, count int32 }
 
 type treeStation struct {
 	id      int
-	n       int
-	stack   []interval
-	retired bool  // retire after own success so RunAll terminates
-	pos     int64 // epoch position: first slot not yet observed (epoch path only)
+	n       int32
+	stack   []run
+	retired bool // retire after own success so RunAll terminates
+}
+
+func newTreeStation(p model.Params, id int) *treeStation {
+	if p.N > math.MaxInt32 {
+		panic("core: tree_cd supports n up to 2^31-1")
+	}
+	st := &treeStation{id: id, n: int32(p.N)}
+	st.push(1, st.n)
+	return st
+}
+
+// push puts [lo, hi] on top of the stack.
+func (s *treeStation) push(lo, hi int32) {
+	if d := len(s.stack); d > 0 {
+		if top := &s.stack[d-1]; top.lo == lo && top.hi == hi && top.count < math.MaxInt32 {
+			top.count++
+			return
+		}
+	}
+	s.stack = append(s.stack, run{lo, hi, 1})
+}
+
+// pop removes the top interval and returns it.
+func (s *treeStation) pop() (lo, hi int32) {
+	top := &s.stack[len(s.stack)-1]
+	lo, hi = top.lo, top.hi
+	if top.count--; top.count == 0 {
+		s.stack = s.stack[:len(s.stack)-1]
+	}
+	return lo, hi
+}
+
+// holds reports whether the station's ID lies in r's interval.
+func (s *treeStation) holds(r run) bool {
+	return s.id >= int(r.lo) && s.id <= int(r.hi)
 }
 
 // WillTransmit implements model.AdaptiveStation.
@@ -80,8 +114,7 @@ func (s *treeStation) WillTransmit(t int64) bool {
 	if s.retired || len(s.stack) == 0 {
 		return false
 	}
-	top := s.stack[len(s.stack)-1]
-	return s.id >= top.lo && s.id <= top.hi
+	return s.holds(s.stack[len(s.stack)-1])
 }
 
 // Observe implements model.AdaptiveStation: identical transition on every
@@ -90,13 +123,13 @@ func (s *treeStation) Observe(t int64, fb model.Feedback, successID int) {
 	if len(s.stack) == 0 {
 		return
 	}
-	top := s.stack[len(s.stack)-1]
-	s.stack = s.stack[:len(s.stack)-1]
+	lo, hi := s.pop()
 	switch fb {
 	case model.Collision:
-		mid := (top.lo + top.hi) / 2
+		mid := int32((int64(lo) + int64(hi)) / 2)
 		// Push right half first so the left half is processed next.
-		s.stack = append(s.stack, interval{mid + 1, top.hi}, interval{top.lo, mid})
+		s.push(mid+1, hi)
+		s.push(lo, mid)
 	case model.Success:
 		if successID == s.id {
 			s.retired = true
@@ -107,58 +140,37 @@ func (s *treeStation) Observe(t int64, fb model.Feedback, successID int) {
 	// When the stack empties every awake station has been enumerated; the
 	// traversal restarts so late workloads (or RunAll re-runs) stay live.
 	if len(s.stack) == 0 {
-		s.stack = append(s.stack, interval{1, s.n})
+		s.push(1, s.n)
 	}
 }
 
-// RenderWord implements model.EpochStation: slot pos+i (i silent pops ahead)
-// is governed by stack[d-1-i]; past the stack depth the silent
-// self-simulation has emptied and refilled the stack with [1, n], which
-// contains every ID, so every remaining bit transmits.
-func (s *treeStation) RenderWord(base int64) uint64 {
+// RenderWord implements model.EpochStation. Counting from the next slot the
+// station observes (its wake slot, when freshly built), silent slot i pops
+// the i-th interval down the stack, so the render walks the runs from the
+// top, one slot per copy. Past the stack depth the silent self-simulation has
+// emptied and refilled the stack with [1, n], which contains every ID, so
+// every remaining bit transmits.
+func (s *treeStation) RenderWord(from int64) uint64 {
 	if s.retired {
 		return 0
 	}
-	lo := s.pos
-	if lo < base {
-		lo = base
+	end := from + 64
+	// bitsFor sets the bits of slots [a, b), from <= a < b <= end.
+	bitsFor := func(a, b int64) uint64 {
+		return (^uint64(0) << uint(a-from)) & (^uint64(0) >> uint(end-b))
 	}
 	var w uint64
-	d := int64(len(s.stack))
-	for t := lo; t < base+64; t++ {
-		i := t - s.pos
-		if i >= d {
-			w |= ^uint64(0) << uint(t-base)
-			break
+	l := int64(0) // slot of the current run's first pop
+	for i := len(s.stack) - 1; i >= 0 && l < end; i-- {
+		r := s.stack[i]
+		next := l + int64(r.count)
+		if next > from && s.holds(r) {
+			w |= bitsFor(max(l, from), min(next, end))
 		}
-		if iv := s.stack[d-1-i]; s.id >= iv.lo && s.id <= iv.hi {
-			w |= 1 << uint(t-base)
-		}
+		l = next
+	}
+	if l < end {
+		w |= bitsFor(max(l, from), end)
 	}
 	return w
-}
-
-// AdvanceSilent implements model.EpochStation: to-from silent observations
-// are to-from pops — and once the stack empties mid-span, every further pop
-// re-empties the refilled [1, n], so the state collapses to [1, n].
-func (s *treeStation) AdvanceSilent(from, to int64) {
-	cnt := to - from
-	if cnt <= 0 {
-		return
-	}
-	s.pos = to
-	if d := int64(len(s.stack)); cnt >= d {
-		s.stack = append(s.stack[:0], interval{1, s.n})
-		return
-	}
-	s.stack = s.stack[:int64(len(s.stack))-cnt]
-}
-
-// ObserveEvent implements model.EpochStation. A collision's pop-and-split
-// always differs from the silence pop; a foreign success pops exactly like
-// silence; an own success additionally retires the station.
-func (s *treeStation) ObserveEvent(t int64, fb model.Feedback, successID int) bool {
-	s.Observe(t, fb, successID)
-	s.pos = t + 1
-	return fb == model.Collision || (fb == model.Success && successID == s.id)
 }

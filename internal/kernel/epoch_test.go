@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"errors"
 	"testing"
 
 	"nsmac/internal/core"
@@ -10,9 +11,10 @@ import (
 	"nsmac/internal/sim"
 )
 
-// adaptiveEntry mirrors rosterEntry for the feedback-epoch roster: adaptive
-// algorithms that declare model.EpochOblivious and therefore route onto the
-// word scan when Options.Adaptive is set.
+// adaptiveEntry mirrors rosterEntry for the adaptive roster: tree_cd, which
+// declares model.EpochOblivious and routes onto the word scan on
+// collision-silent channels when Options.Adaptive is set, and kg, which
+// declares no epochs and stays on the engine.
 type adaptiveEntry struct {
 	name    string
 	algo    func(n, k int) model.Algorithm
@@ -37,9 +39,10 @@ func adaptiveRoster() []adaptiveEntry {
 	}
 }
 
-// epochChannels is the full channel-model spread the epoch executor must
-// match the engine on: the no-delivery regime (none, ack, and the perturbing
-// pair) and the collision-delivering regime (cd, sender_cd).
+// epochChannels is the full channel-model spread of the epoch tests: the
+// collision-silent models the epoch executor must match the engine on (none,
+// ack, and the perturbing pair) and the collision-delivering ones it must
+// refuse (cd, sender_cd).
 func epochChannels() []model.ChannelModel {
 	return []model.ChannelModel{
 		model.None(),
@@ -51,10 +54,41 @@ func epochChannels() []model.ChannelModel {
 	}
 }
 
-// TestEpochKernelMatchesEngine is the adaptive differential: for every
-// EpochOblivious algorithm × channel model, random workloads — simultaneous
-// and staggered wakes alike — must produce a model.Result identical in every
-// field to the slot-by-slot engine's, with both executors warm across trials.
+// epochRouted reports whether the kernel must accept an adaptive pairing:
+// tree_cd is the only algorithm that declares epochs, and only channels that
+// deliver a collision as silence to every role keep its renders valid.
+func epochRouted(name string, ch model.ChannelModel) bool {
+	switch ch.Name() {
+	case "cd", "sender_cd":
+		return false
+	}
+	return name == "tree_cd"
+}
+
+// resetEpoch resets the kernel on an adaptive pairing and reports whether the
+// pairing runs there. A pairing that must stay on the engine fails the test
+// unless Reset refuses it with the ineligibility error.
+func resetEpoch(t *testing.T, kn *kernel.Kernel, name string, algo model.Algorithm,
+	p model.Params, w model.WakePattern, opt sim.Options) bool {
+	t.Helper()
+	err := kn.Reset(algo, p, w, opt)
+	if !epochRouted(name, opt.Channel) {
+		if !errors.Is(err, kernel.ErrIneligible) || kernel.Eligible(algo, opt) {
+			t.Fatalf("kernel.Reset(%s, %s) = %v, want the ineligibility error", name, opt.Channel.Name(), err)
+		}
+		return false
+	}
+	if err != nil {
+		t.Fatalf("kernel reset: %v", err)
+	}
+	return true
+}
+
+// TestEpochKernelMatchesEngine is the adaptive differential: for tree_cd on
+// every collision-silent channel, random workloads — simultaneous and
+// staggered wakes alike — must produce a model.Result identical in every
+// field to the slot-by-slot engine's, with both executors warm across
+// trials. The kernel must refuse kg, and tree_cd on cd and sender_cd.
 func TestEpochKernelMatchesEngine(t *testing.T) {
 	for _, entry := range adaptiveRoster() {
 		for _, ch := range epochChannels() {
@@ -81,17 +115,13 @@ func TestEpochKernelMatchesEngine(t *testing.T) {
 						Channel:  ch,
 						Adaptive: true,
 					}
-					if !kernel.Eligible(entry.algo(n, k), opt) {
-						t.Fatalf("round %d: %s must be epoch-eligible on %s", round, entry.name, ch.Name())
+					if !resetEpoch(t, kn, entry.name, entry.algo(n, k), p, w, opt) {
+						return
 					}
-
 					if err := eng.Reset(entry.algo(n, k), p, w, opt); err != nil {
 						t.Fatalf("round %d: engine reset: %v", round, err)
 					}
 					want := eng.Run()
-					if err := kn.Reset(entry.algo(n, k), p, w, opt); err != nil {
-						t.Fatalf("round %d: kernel reset: %v", round, err)
-					}
 					got := kn.Run()
 					if got != want {
 						t.Fatalf("round %d (n=%d k=%d seed=%#x spread=%d):\nkernel %+v\nengine %+v",
@@ -105,8 +135,8 @@ func TestEpochKernelMatchesEngine(t *testing.T) {
 
 // TestEpochKernelMidRunMatchesEngine locks the partial-horizon API on the
 // epoch path: after RunTo(u) for arbitrary u, (Result, Slot, Done) must match
-// the engine's — mid-word stops force the eager silent-tail settlement and
-// the re-entrant renders.
+// the engine's — mid-word stops force re-entrant renders of the same word.
+// The pairings the kernel refuses must stay refused.
 func TestEpochKernelMidRunMatchesEngine(t *testing.T) {
 	for _, entry := range adaptiveRoster() {
 		for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD(), model.None()} {
@@ -122,10 +152,10 @@ func TestEpochKernelMidRunMatchesEngine(t *testing.T) {
 					p := entry.params(n, k, seed)
 					opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: ch, Adaptive: true}
 
-					if err := eng.Reset(entry.algo(n, k), p, w, opt); err != nil {
-						t.Fatal(err)
+					if !resetEpoch(t, kn, entry.name, entry.algo(n, k), p, w, opt) {
+						return
 					}
-					if err := kn.Reset(entry.algo(n, k), p, w, opt); err != nil {
+					if err := eng.Reset(entry.algo(n, k), p, w, opt); err != nil {
 						t.Fatal(err)
 					}
 					u := w.FirstWake()
@@ -151,7 +181,8 @@ func TestEpochKernelMidRunMatchesEngine(t *testing.T) {
 
 // TestEpochKernelStepMatchesEngine drives both executors one slot at a time —
 // the worst case for the epoch path, which re-renders the word on every
-// single-slot window.
+// single-slot window — on a noisy channel, so every step also runs the
+// overlay's per-slot draws. kg must be refused.
 func TestEpochKernelStepMatchesEngine(t *testing.T) {
 	for _, entry := range adaptiveRoster() {
 		t.Run(entry.name, func(t *testing.T) {
@@ -161,11 +192,11 @@ func TestEpochKernelStepMatchesEngine(t *testing.T) {
 			seed := uint64(0x57e9)
 			w := randomPattern(n, k, 9, seed)
 			p := entry.params(n, k, seed)
-			opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: model.CD(), Adaptive: true}
-			if err := eng.Reset(entry.algo(n, k), p, w, opt); err != nil {
-				t.Fatal(err)
+			opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: model.Noisy(0.15), Adaptive: true}
+			if !resetEpoch(t, kn, entry.name, entry.algo(n, k), p, w, opt) {
+				return
 			}
-			if err := kn.Reset(entry.algo(n, k), p, w, opt); err != nil {
+			if err := eng.Reset(entry.algo(n, k), p, w, opt); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 400 && (!eng.Done() || !kn.Done()); i++ {
@@ -198,12 +229,16 @@ func (silentStation) Observe(int64, model.Feedback, int) {}
 
 // TestEpochEligibilityGate pins the fallback edges of the epoch routing: an
 // adaptive algorithm without the epoch capability stays on the engine, and so
-// does an epoch algorithm when the channel perturbs without masking
-// collisions to silence (no such model ships today; the guard is the point).
+// does an epoch algorithm on a channel that delivers collisions to some role.
 func TestEpochEligibilityGate(t *testing.T) {
 	opt := sim.Options{Horizon: 10, Adaptive: true}
 	if kernel.Eligible(nonEpochAdaptive{}, opt) {
 		t.Error("Adaptive without EpochOblivious must stay on the engine")
+	}
+	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD()} {
+		if kernel.Eligible(core.NewTreeCD(), sim.Options{Horizon: 10, Adaptive: true, Channel: ch}) {
+			t.Errorf("tree_cd on %s hears collisions and must stay on the engine", ch.Name())
+		}
 	}
 	// The epoch class is seed-sensitive by fiat: live station state is the
 	// trial, so nothing may memoize across trials.
@@ -220,8 +255,8 @@ func TestEpochEligibilityGate(t *testing.T) {
 
 // FuzzEpochScan drives the epoch executor and the engine in lockstep Step
 // parity over fuzzer-chosen workloads, checking every counter at every slot —
-// the re-render points (collision deliveries) are exactly where the two can
-// diverge, and single-slot stepping visits all of them.
+// single-slot stepping visits every station activation and every overlay
+// draw. Pairings the kernel refuses must be refused for every workload.
 func FuzzEpochScan(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(3), uint8(0), uint8(5))
 	f.Add(uint64(2), uint8(16), uint8(7), uint8(1), uint8(0))
@@ -239,10 +274,10 @@ func FuzzEpochScan(f *testing.F) {
 			opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: ch, Adaptive: true}
 			eng := sim.NewEngine()
 			kn := kernel.New()
-			if err := eng.Reset(entry.algo(n, k), p, w, opt); err != nil {
-				t.Fatal(err)
+			if !resetEpoch(t, kn, entry.name, entry.algo(n, k), p, w, opt) {
+				continue
 			}
-			if err := kn.Reset(entry.algo(n, k), p, w, opt); err != nil {
+			if err := eng.Reset(entry.algo(n, k), p, w, opt); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; !eng.Done() || !kn.Done(); i++ {

@@ -21,7 +21,11 @@
 // classify reports them ineligible and they run on sim.Engine.
 //
 // Adaptive algorithms that declare model.EpochOblivious run on the
-// feedback-epoch executor instead (epoch.go).
+// feedback-epoch executor instead (epoch.go), on the channels that deliver a
+// collision as silence to every role (none, ack, noisy, jam). There a station
+// hears nothing but silence before the success that ends the trial, so its
+// schedule is fixed at its wake and renders like an oblivious one; on cd and
+// sender_cd collisions reach the stations and those cells run on sim.Engine.
 //
 // Perturbing channels (noisy:<p>, jam:<q>) execute word-wide too: the
 // channel advertises its perturbation shape through model.KernelPerturber
@@ -170,16 +174,11 @@ type Kernel struct {
 	mode     execMode
 	local    bool // memoized in local time, shifted per station
 
-	// Feedback-epoch state (modeEpoch): the adaptive algorithm, the per-trial
-	// station arena (reused across trials; stations themselves are rebuilt
-	// per trial since their state is the trial), and the trial-constant
-	// collision delivery table. deliver is true only when some role hears
-	// collisions (cd, sender_cd) — on every other model a collision is
-	// state-invisible and the word resolves in a single overlay pass.
+	// Feedback-epoch state (modeEpoch): the adaptive algorithm and the
+	// per-trial station arena (reused across trials; stations themselves are
+	// rebuilt per trial since their state is the trial).
 	epochAlgo model.EpochOblivious
 	epochs    []epochRef
-	roles     sim.Roles
-	deliver   bool
 
 	// Channel overlay state: the perturbation shape advertised by the cell's
 	// channel model (Kind == PerturbNone on inert channels) and the run's
@@ -212,8 +211,8 @@ func New() *Kernel {
 }
 
 // execMode selects which word-wide executor a pairing runs on: the rendered
-// oblivious scan, or the feedback-epoch event loop for adaptive algorithms
-// that declare model.EpochOblivious.
+// oblivious scan, or the feedback-epoch scan for adaptive algorithms that
+// declare model.EpochOblivious.
 type execMode int
 
 const (
@@ -233,7 +232,6 @@ func classify(algo model.Algorithm, opt sim.Options) (execMode, model.ScheduleCl
 		//nsmac:deprecated-ok the nil-Channel fallback is the enum's audited resolution site
 		ch = opt.Feedback.Model()
 	}
-	perturbing := false
 	if _, ok := ch.(model.SlotPerturber); ok {
 		// A perturbing channel rewrites slot outcomes from its own RNG
 		// stream. The kernel can overlay the shapes declared through
@@ -242,22 +240,17 @@ func classify(algo model.Algorithm, opt sim.Options) (execMode, model.ScheduleCl
 		if _, ok := ch.(model.KernelPerturber); !ok {
 			return modeOblivious, model.ScheduleClass{}, false
 		}
-		perturbing = true
 	}
 	if opt.Adaptive {
 		if _, ok := algo.(model.Adaptive); ok {
-			if _, ok := algo.(model.EpochOblivious); !ok {
+			// The epoch scan never delivers feedback, which is only sound
+			// when a collision reaches every role as silence. Where it does
+			// not (cd, sender_cd), each collision would re-render stations,
+			// and the engine measured faster.
+			if _, ok := algo.(model.EpochOblivious); !ok || !collisionSilent(ch) {
 				return modeOblivious, model.ScheduleClass{}, false
 			}
-			// The epoch overlay resolves a perturbed word in a single pass,
-			// which is only sound when a collision is delivered as silence to
-			// every role — true of the perturbing families (all built on the
-			// collision-masking paper channel), but guarded here so a future
-			// perturbing-and-collision-delivering model falls back safely.
-			if perturbing && !collisionSilent(ch) {
-				return modeOblivious, model.ScheduleClass{}, false
-			}
-			// Epoch trials render from live per-trial station state, so
+			// Epoch trials render stations built afresh every trial, so
 			// nothing is memoizable across trials: the class is reported
 			// seed-sensitive, and the epoch executor caches no schedules.
 			return modeEpoch, model.ScheduleClass{SeedSensitive: true}, true
@@ -280,11 +273,12 @@ func collisionSilent(ch model.ChannelModel) bool {
 // execute under, reporting ok == false when the pairing must run on the
 // slot-by-slot engine: trace recording, a perturbing channel that does not
 // advertise a kernel-executable shape, an adaptive run of an algorithm
-// without the model.EpochOblivious capability, an algorithm that does not
+// without the model.EpochOblivious capability or on a channel that delivers
+// collisions to some role (cd, sender_cd), an algorithm that does not
 // advertise obliviousness, or an oblivious one whose schedule is
 // seed-sensitive. An eligible oblivious pairing is therefore never
 // SeedSensitive; an eligible epoch pairing always reports SeedSensitive,
-// since its renders come from live per-trial station state.
+// since its renders come from stations built afresh every trial.
 func Class(algo model.Algorithm, opt sim.Options) (model.ScheduleClass, bool) {
 	_, cls, ok := classify(algo, opt)
 	return cls, ok
@@ -328,16 +322,6 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 		k.chSrc.Reseed(rng.Derive(opt.Seed, model.ChannelStream))
 	}
 	k.jamUsed = 0
-
-	// Epoch delivery table: collision roles are trial-constant (the only
-	// delivered event — a success ends the trial with delivery
-	// state-invisible), so resolve them once. classify guarantees that a
-	// perturbing channel never reaches the delivering branch.
-	k.deliver = false
-	if k.mode == modeEpoch {
-		k.roles = sim.ResolveRoles(ch, model.Collision, 0)
-		k.deliver = k.roles.Listen != model.Silence || k.roles.Sent != model.Silence
-	}
 
 	if k.cacheWords > k.limitWords || k.cacheEntries > k.limitEntries {
 		k.cache = make(map[bucketKey]map[entryKey]*sched)

@@ -429,11 +429,20 @@ func TestKernelEligibility(t *testing.T) {
 	if opt := (sim.Options{Horizon: 10, Adaptive: true}); kernel.Eligible(oblivious, opt) != true {
 		t.Error("Adaptive option on a non-adaptive algorithm is inert; must stay eligible")
 	}
-	if opt := (sim.Options{Horizon: 10, Adaptive: true}); !kernel.Eligible(core.NewKGConflictResolution(), opt) {
-		t.Error("adaptive run of an EpochOblivious algorithm must route to the epoch executor")
+	if opt := (sim.Options{Horizon: 10, Adaptive: true}); kernel.Eligible(core.NewKGConflictResolution(), opt) {
+		t.Error("kg declares no feedback epochs; its adaptive runs must stay on the engine")
 	}
-	if opt := (sim.Options{Horizon: 10, Adaptive: true}); !kernel.Eligible(core.NewTreeCD(), opt) {
-		t.Error("adaptive run of TreeCD (EpochOblivious) must route to the epoch executor")
+	// The epoch route requires a channel that delivers a collision as silence
+	// to every role.
+	for _, ch := range []model.ChannelModel{model.None(), model.Ack(), model.Noisy(0.1), model.Jam(2)} {
+		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); !kernel.Eligible(core.NewTreeCD(), opt) {
+			t.Errorf("adaptive run of TreeCD (EpochOblivious) on collision-silent %s must route to the epoch executor", ch.Name())
+		}
+	}
+	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD()} {
+		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); kernel.Eligible(core.NewTreeCD(), opt) {
+			t.Errorf("adaptive run of TreeCD on %s delivers collisions; must stay on the engine", ch.Name())
+		}
 	}
 	// Interleaving propagates the class: wakeup_with_s interleaves two
 	// oblivious components, but its selective ladders draw from the seed, so

@@ -26,11 +26,11 @@ distinct configurations share one kernel memo bucket, poisoning the cache
 across configs.
 
 The feedback-epoch analogue guards model.EpochStation implementations: every
-receiver field mutated by the station's feedback observers (Observe,
-ObserveEvent, AdvanceSilent — directly or through same-type helpers) must be
-consulted by RenderWord. A field that feedback moves but the render ignores
-makes the rendered epoch word silently stale: the kernel would keep scanning
-a schedule the station no longer follows.`,
+receiver field mutated by the station's feedback observer (Observe, directly
+or through same-type helpers) must be consulted by RenderWord. RenderWord is
+the silence projection of the state Observe evolves; a field that feedback
+moves but the render ignores shapes a schedule the render cannot follow, so
+the kernel would scan words the engine's station does not transmit.`,
 	Run: runScheduleClass,
 }
 
@@ -60,10 +60,6 @@ func buildMethodIndex(pkg *Package) methodIndex {
 	}
 	return idx
 }
-
-// epochObservers are the EpochStation methods whose receiver-field writes
-// RenderWord must account for.
-var epochObservers = []string{"Observe", "ObserveEvent", "AdvanceSilent"}
 
 func runScheduleClass(pass *Pass) error {
 	pkg := pass.Pkg
@@ -99,26 +95,16 @@ func checkObliviousClass(pass *Pass, pkg *Package, idx methodIndex, named *types
 }
 
 // checkEpochRender enforces the epoch-class invariant on every type shaped
-// like a model.EpochStation: the union of receiver fields written by its
-// feedback observers must be a subset of the fields RenderWord reads.
+// like a model.EpochStation: the receiver fields written by its feedback
+// observer must be a subset of the fields RenderWord reads.
 func checkEpochRender(pass *Pass, pkg *Package, idx methodIndex, named *types.Named, methods map[string]*ast.FuncDecl) {
 	render, hasRender := methods["RenderWord"]
-	if !hasRender {
+	observe, hasObserve := methods["Observe"]
+	if !hasRender || !hasObserve {
 		return
 	}
-	written := map[string]bool{}
-	observed := false
-	for _, name := range epochObservers {
-		fd, ok := methods[name]
-		if !ok {
-			continue
-		}
-		observed = true
-		for f := range fieldsWritten(pkg, idx, named, fd, map[string]bool{}) {
-			written[f] = true
-		}
-	}
-	if !observed || len(written) == 0 {
+	written := fieldsWritten(pkg, idx, named, observe, map[string]bool{})
+	if len(written) == 0 {
 		return
 	}
 	reads := fieldsRead(pkg, idx, named, render, map[string]bool{})
@@ -133,7 +119,7 @@ func checkEpochRender(pass *Pass, pkg *Package, idx methodIndex, named *types.Na
 	}
 	sort.Strings(missing)
 	pass.Reportf(render.Pos(),
-		"%s.RenderWord never consults field(s) %s mutated by its feedback observers (Observe/ObserveEvent/AdvanceSilent); the rendered epoch word goes silently stale when feedback moves state the render ignores",
+		"%s.RenderWord never consults field(s) %s mutated by its feedback observer (Observe); the rendered epoch word diverges from the station's schedule when feedback moves state the render ignores",
 		named.Obj().Name(), strings.Join(missing, ", "))
 }
 

@@ -14,7 +14,7 @@ func TestScheduleClass(t *testing.T) {
 }
 
 // TestScheduleClassEpoch is the stale-epoch-render regression: the
-// StaleRender fixture's feedback observers mutate a field RenderWord never
+// StaleRender fixture's feedback observer mutates a field RenderWord never
 // consults, and the analyzer must say so (and stay quiet on the delegating,
 // inert and non-station fixtures).
 func TestScheduleClassEpoch(t *testing.T) {

@@ -5,59 +5,40 @@ import "nsmac/internal/rng"
 // This file defines the feedback-epoch capability: the contract that lets an
 // ADAPTIVE algorithm execute on the bitset slot kernel's word-wide scan.
 //
-// The structural fact the contract captures — exploited by the deterministic
-// non-adaptive schedules of De Marco–Kowalski–Stachowiak and by the
-// collision-free protocols of the related energy-efficient line — is that an
-// adaptive station mutates state only at *feedback events*. In a wake-up run
-// almost every slot is silent, and on the paper's channel (and its noisy/jam
-// perturbations, and the ack regime) even a physical collision is DELIVERED
-// as silence to every role. A station whose reaction to silence is a pure,
-// feedback-free transition can therefore render its transmit schedule forward
-// from its current state under the all-silence assumption; the render stays
-// valid until the first slot whose delivered feedback differs from silence,
-// which is exactly where the kernel stops, delivers, and re-renders.
+// The structural fact the contract captures is that on some channels a
+// wake-up run delivers nothing but silence before the success that ends it:
+// the paper's channel, the ack regime and their noisy/jam perturbations all
+// deliver a physical collision as silence to every role. A station whose
+// reaction to silence is a pure, feedback-free transition then follows one
+// fixed schedule from its wake slot to the end of the trial — its silence
+// projection — which it can render word-wide up front, like an oblivious
+// schedule. The kernel routes epoch algorithms only onto such channels, so it
+// never delivers feedback to an epoch station: it builds one and reads its
+// renders.
 
 // EpochOblivious is the capability interface of adaptive algorithms whose
-// stations can render feedback epochs: the schedule they would follow if
-// every slot from their current state onward were observed as silence. An
-// adaptive algorithm without this capability stays on the slot-by-slot
-// engine.
+// stations can render their silence projection. An adaptive algorithm
+// without this capability stays on the slot-by-slot engine.
 type EpochOblivious interface {
 	Adaptive
-	// BuildEpoch returns a station whose epoch rendering obeys the
-	// EpochStation contract. It must produce exactly the protocol behaviour
-	// of BuildAdaptive for the same (params, id, wake, stream) inputs: the
-	// kernel's epoch path and the engine's per-slot path must be
-	// byte-identical in every Result counter.
+	// BuildEpoch returns a station whose rendering obeys the EpochStation
+	// contract. Its renders must be exactly the schedule BuildAdaptive's
+	// station follows for the same (params, id, wake, stream) inputs when
+	// every slot from its wake onward is observed as silence: the kernel's
+	// epoch path and the engine's per-slot path must be byte-identical in
+	// every Result counter.
 	BuildEpoch(p Params, id int, wake int64, src *rng.Source) EpochStation
 }
 
 // EpochStation is a stateful per-station protocol instance that additionally
-// renders its silence-projected schedule word-wide. The kernel drives it
-// through a strict slot discipline: starting at the station's wake slot,
-// every slot is covered exactly once, in order, either by an AdvanceSilent
-// span or by one ObserveEvent call, and RenderWord is only consulted for
-// slots at or beyond the station's current position.
+// renders its silence projection word-wide.
 type EpochStation interface {
 	AdaptiveStation
-	// RenderWord returns the station's transmit bits for global slots
-	// [base, base+64) (bit i = slot base+i) under the assumption that every
-	// slot from the station's current position onward is observed as
-	// silence. Bits below the current position (and below the wake slot)
-	// are unspecified — the caller masks them. RenderWord must not mutate
-	// protocol state visible to the other methods.
-	RenderWord(base int64) uint64
-	// AdvanceSilent applies the silence transition for every slot in
-	// [from, to): it must leave the station in exactly the state that
-	// Observe(t, Silence, 0) for t = from..to-1 would. from is the
-	// station's current position (first slot not yet observed).
-	AdvanceSilent(from, to int64)
-	// ObserveEvent applies one slot's delivered feedback — the same
-	// already-role-filtered feedback Observe receives — at the station's
-	// current position t, and reports whether the resulting state differs
-	// from the state the silence transition at t would have produced. A
-	// false return is a promise that every schedule bit rendered beyond t
-	// is still valid; a true return makes the kernel re-render. Observing
-	// Silence must be equivalent to AdvanceSilent(t, t+1) and return false.
-	ObserveEvent(t int64, fb Feedback, successID int) bool
+	// RenderWord returns the freshly built station's transmit bits for the 64
+	// slots starting from slots after its wake (bit i = local slot from+i,
+	// local slot 0 = the wake slot) under the assumption that every slot
+	// from the wake onward is observed as silence. from may be negative;
+	// bits for slots before the wake are unspecified — the caller masks
+	// them. RenderWord must not mutate protocol state.
+	RenderWord(from int64) uint64
 }

@@ -413,47 +413,6 @@ func (s *Sequence) MemberCyclic(t int64, id int) bool {
 	return s.Member(t%s.Length(), id)
 }
 
-// Cursor walks a Sequence's cyclic indexing sequentially, amortizing
-// Locate's per-query binary search: consecutive Member queries advance
-// through the concatenation (wrapping at the end) in O(1), and only a
-// non-sequential query index repositions via Locate. The word-wide epoch
-// render of KG-style interleavings queries 32 consecutive indices per
-// 64-slot word, which a cursor serves with a single boundary search per
-// family instead of one per slot.
-type Cursor struct {
-	seq   *Sequence
-	idx   int64 // next expected (uncyclic) query index; -1 before first use
-	fam   int
-	local int64
-}
-
-// NewCursor returns a cursor over the sequence, positioned lazily by its
-// first Member query.
-func (s *Sequence) NewCursor() *Cursor { return &Cursor{seq: s, idx: -1} }
-
-// Member reports MemberCyclic(t, id) and advances the cursor to t+1.
-// Sequential calls (t, t+1, t+2, …) never re-run the boundary search.
-func (c *Cursor) Member(t int64, id int) bool {
-	if t < 0 {
-		panic("selectors: negative cyclic index")
-	}
-	if t != c.idx {
-		c.idx = t
-		c.fam, c.local = c.seq.Locate(t % c.seq.Length())
-	}
-	in := c.seq.fams[c.fam].Member(c.local, id)
-	c.idx++
-	c.local++
-	if c.local == c.seq.fams[c.fam].Length() {
-		c.fam++
-		c.local = 0
-		if c.fam == len(c.seq.fams) {
-			c.fam = 0
-		}
-	}
-	return in
-}
-
 // NextBoundary returns the smallest σ ≥ t such that σ mod Length() is the
 // first set of one of the concatenated families. This is wait_and_go's
 // waiting rule: a station woken at t stays silent until NextBoundary(t).

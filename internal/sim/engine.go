@@ -230,11 +230,11 @@ func (e *Engine) step(onSuccess func(slot int64, winner int) bool) bool {
 	}
 
 	if e.useAdaptive {
-		// The role table (see Roles) is shared with the kernel's epoch path,
-		// so both execution paths deliver identical feedback by construction.
-		roles := ResolveRoles(e.ch.Model(), truth, winner)
+		// One role table per slot (see roles): the model is consulted once
+		// per role, not once per station.
+		r := resolveRoles(e.ch.Model(), truth, winner)
 		for _, st := range e.active {
-			fb, obsWinner := roles.For(st.sent, st.id)
+			fb, obsWinner := r.forStation(st.sent, st.id)
 			st.adaptive.Observe(t, fb, obsWinner)
 		}
 	}

@@ -8,10 +8,11 @@ import (
 	"nsmac/internal/sweep"
 )
 
-// epochDiffSpec builds a grid over the adaptive roster (tree_cd, kg), whose
-// cells route onto the kernel's feedback-epoch executor — across the full
-// channel spread: the collision-delivering models (cd, sender_cd), the
-// collision-masking ones (none, ack), and the perturbing pair.
+// epochDiffSpec builds a grid over the adaptive roster (tree_cd, kg) across
+// the full channel spread: the collision-delivering models (cd, sender_cd),
+// the collision-masking ones (none, ack), and the perturbing pair. tree_cd
+// cells on the collision-masking and perturbing channels route onto the
+// kernel's feedback-epoch executor; the rest run on the engine.
 func epochDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
 	cases, err := sweep.CasesByName("tree_cd,kg")

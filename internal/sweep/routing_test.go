@@ -17,14 +17,18 @@ const (
 )
 
 // expectedRoute derives a cell's route from its case's adaptivity and
-// schedule class alone, on a channel the kernel can execute: an adaptive
-// algorithm runs feedback epochs when it declares them, an oblivious one runs
-// the memoized word scan when its schedule is seed-insensitive, and
-// everything else — seed-sensitive schedules included — runs on the engine.
-func expectedRoute(c sweep.Case, n, k int) string {
+// schedule class and from the channel's collision delivery, on a channel the
+// kernel can execute: an adaptive algorithm runs feedback epochs when it
+// declares them and the channel delivers a collision as silence to every
+// role, an oblivious one runs the memoized word scan when its schedule is
+// seed-insensitive, and everything else — seed-sensitive schedules and
+// collision-hearing adaptive cells included — runs on the engine.
+func expectedRoute(c sweep.Case, ch model.ChannelModel, n, k int) string {
 	algo := c.Algo(n, k)
 	if _, adaptive := algo.(model.Adaptive); adaptive && c.Adaptive {
-		if _, ok := algo.(model.EpochOblivious); ok {
+		collisionSilent := ch.Deliver(model.Collision, false, false) == model.Silence &&
+			ch.Deliver(model.Collision, true, false) == model.Silence
+		if _, ok := algo.(model.EpochOblivious); ok && collisionSilent {
 			return routeEpoch
 		}
 		return routeEngine
@@ -79,10 +83,10 @@ func observedRoute(t *testing.T, c sweep.Case, ch model.ChannelModel, n, k int) 
 }
 
 // TestCellRoutingTable pins per-cell executor routing: every registered case
-// on the none, cd and noisy:0.1 channels runs on the route its schedule class
-// and adaptivity call for. Seed-sensitive oblivious schedules (the paper's
-// Scenario B/C algorithms, RPD, BEB) must stay on the engine, where they run
-// faster than a per-trial render on the kernel.
+// on the none, cd and noisy:0.1 channels runs on the route its schedule
+// class, adaptivity and channel call for. Seed-sensitive oblivious schedules
+// (the paper's Scenario B/C algorithms, RPD, BEB) and adaptive cells on cd
+// must stay on the engine, where they run faster than on the kernel.
 func TestCellRoutingTable(t *testing.T) {
 	const n, k = 16, 4
 	seen := map[string]int{}
@@ -96,7 +100,7 @@ func TestCellRoutingTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := expectedRoute(c, n, k)
+			want := expectedRoute(c, ch, n, k)
 			if got := observedRoute(t, c, ch, n, k); got != want {
 				t.Errorf("%s × %s runs on the %s, want the %s", name, chName, got, want)
 			}

@@ -68,14 +68,15 @@ type Spec struct {
 	// tunes scheduling overhead only and never changes output bytes.
 	Batch int
 	// DisableKernel forces every cell onto the slot-by-slot engine. By
-	// default cells whose (algorithm, channel) pairing is kernel-eligible —
-	// an oblivious algorithm with a seed-insensitive (memoizable) schedule,
-	// or an adaptive one that declares feedback epochs, on a channel that
-	// either does not perturb slots or declares its perturbation shape via
-	// model.KernelPerturber (noisy, jam) — execute on the bitset slot
-	// kernel, which is byte-identical in output and much faster there; this
-	// switch exists for differential testing and for benchmarking the engine
-	// path.
+	// default cells whose (algorithm, channel) pairing is kernel-eligible
+	// execute on the bitset slot kernel, which is byte-identical in output
+	// and much faster there: an oblivious algorithm with a seed-insensitive
+	// (memoizable) schedule, on a channel that either does not perturb slots
+	// or declares its perturbation shape via model.KernelPerturber (noisy,
+	// jam); or an adaptive one that declares feedback epochs, on a channel
+	// of those that also delivers a collision as silence to every role
+	// (none, ack, noisy, jam — not cd or sender_cd). This switch exists for
+	// differential testing and for benchmarking the engine path.
 	DisableKernel bool
 }
 
@@ -199,8 +200,10 @@ func (s Spec) Compile() (Grid, []string, error) {
 	// or declares a kernel-executable perturbation shape
 	// (model.KernelPerturber: noisy, jam); an adaptive case routes onto the
 	// feedback-epoch executor when its algorithm declares
-	// model.EpochOblivious; everything else — seed-sensitive schedules
-	// included, which would re-render every trial — keeps the pooled engine.
+	// model.EpochOblivious and the channel delivers a collision as silence to
+	// every role; everything else keeps the pooled engine — seed-sensitive
+	// schedules, which would re-render every trial, and adaptive cells on cd
+	// and sender_cd, whose collisions would re-render stations.
 	// Eligibility depends only on the cell's (algorithm, channel, adaptive)
 	// pairing, never on a trial's seed or pattern, so the decision is safe to
 	// hoist out of the trial loop.
