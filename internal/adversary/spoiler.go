@@ -81,6 +81,14 @@ func SpoilerVs(algo model.Algorithm, p model.Params, k int, horizon int64, first
 	build := func(id int, wake int64) model.TransmitFunc {
 		return algo.Build(p, id, wake, rng.New(rng.Derive(p.Seed, uint64(id))))
 	}
+	// A candidate probe builds on one reused stream: most probes are thrown
+	// away, and the spoiler that is kept is rebuilt on a stream of its own,
+	// since its schedule may hold on to the stream it was built with.
+	var probe rng.Source
+	transmitsAt := func(id int, t int64) bool {
+		probe.Reseed(rng.Derive(p.Seed, uint64(id)))
+		return algo.Build(p, id, t, &probe)(t)
+	}
 	first := act{id: firstID, f: build(firstID, 0)}
 	active := []act{first}
 	usedID := make([]bool, n+1)
@@ -121,10 +129,9 @@ func SpoilerVs(algo model.Algorithm, p model.Params, k int, horizon int64, first
 				if usedID[y] {
 					continue
 				}
-				fy := build(y, t)
-				if fy(t) {
+				if transmitsAt(y, t) {
 					usedID[y] = true
-					active = append(active, act{id: y, f: fy})
+					active = append(active, act{id: y, f: build(y, t)})
 					pattern.IDs = append(pattern.IDs, y)
 					pattern.Wakes = append(pattern.Wakes, t)
 					truth = model.Collision

@@ -93,7 +93,27 @@ func TestWorkersPullOverHTTPByteIdentical(t *testing.T) {
 			w.Run(ctx)
 		}()
 	}
+	completes := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, name := range []string{"w1", "w2"} {
+			for _, ev := range events[name] {
+				if ev.Event == "complete" {
+					n++
+				}
+			}
+		}
+		return n
+	}
 	waitDone(t, s, id, 30*time.Second)
+	// The server reports done once it has stored the last envelope, which
+	// can be before that worker's Complete call has returned; cancelling
+	// then cuts the call short and the worker logs "fail". Let the workers
+	// log their completions before stopping them.
+	for deadline := time.Now().Add(30 * time.Second); completes() < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
 	cancel()
 	wg.Wait()
 
@@ -109,18 +129,8 @@ func TestWorkersPullOverHTTPByteIdentical(t *testing.T) {
 
 	// Both workers saw leases (4 shards across 2 pullers is enough work for
 	// the 5ms poll to interleave); every completion was logged worker-tagged.
-	mu.Lock()
-	defer mu.Unlock()
-	completes := 0
-	for _, name := range []string{"w1", "w2"} {
-		for _, ev := range events[name] {
-			if ev.Event == "complete" {
-				completes++
-			}
-		}
-	}
-	if completes != 4 {
-		t.Fatalf("workers completed %d shards, want 4", completes)
+	if n := completes(); n != 4 {
+		t.Fatalf("workers completed %d shards, want 4", n)
 	}
 	plans, _, err := dispatch.PlanShards(doc, 4)
 	if err != nil {

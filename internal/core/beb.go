@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
@@ -53,29 +55,33 @@ func (a *BEB) Build(p model.Params, id int, wake int64, src *rng.Source) model.T
 	// transmits at one uniformly chosen slot inside each window. Windows
 	// are laid back to back from the wake slot; the offset inside window r
 	// is a pure hash so the whole schedule is a function of (id, wake, r).
+	// Every value the closure reads is fixed at build time, so it stays a
+	// single allocation and any query order sees the same schedule.
 	return func(t int64) bool {
 		if t < wake {
 			return false
 		}
 		off := t - wake
-		// Locate the window containing off.
-		var start int64
-		for r := 0; ; r++ {
-			e := r + 1
-			if e > capLog {
-				e = capLog
-			}
-			w := int64(1) << uint(e)
-			if off < start+w {
-				slot := int64(rng.Hash3(personal, uint64(r), uint64(w), uint64(id)) % uint64(w))
-				return off == start+slot
-			}
-			start += w
-			if start > off { // unreachable; guards int64 wrap paranoia
-				return false
-			}
-		}
+		r, start, w := bebWindow(off, capLog)
+		// w is a power of two: the mask is the hash mod w.
+		slot := int64(rng.Hash3(personal, uint64(r), uint64(w), uint64(id)) & uint64(w-1))
+		return off == start+slot
 	}
+}
+
+// bebWindow locates offset off (slots since wake) in BEB's window sequence
+// and returns the window index r, its first offset and its width. Windows
+// 0..capLog-1 double (widths 2, 4, …, 2^capLog, so window r starts at
+// 2^(r+1)-2); every later window is 2^capLog wide.
+func bebWindow(off int64, capLog int) (r int, start, w int64) {
+	capped := int64(1)<<uint(capLog) - 2 // first offset of window capLog-1
+	if off < capped {
+		r = bits.Len64(uint64(off)+2) - 2
+		return r, int64(1)<<uint(r+1) - 2, int64(1) << uint(r+1)
+	}
+	w = int64(1) << uint(capLog)
+	q := (off - capped) >> uint(capLog)
+	return capLog - 1 + int(q), capped + q<<uint(capLog), w
 }
 
 // ObliviousClass implements model.Oblivious: this BEB variant samples its

@@ -58,9 +58,10 @@ func (a *WakeupC) Spec(p model.Params) matrix.Spec {
 }
 
 // Build implements model.Algorithm. The returned schedule is logically the
-// pure function "id ∈ M_{row(t), t mod ℓ}"; internally it caches the row
-// cursor because the engine queries slots in increasing order, falling back
-// to a fresh RowAt computation on any non-monotone access so arbitrary
+// pure function "id ∈ M_{row(t), t mod ℓ}"; internally it keeps a cursor
+// because the engine queries slots in increasing order: a query for the
+// slot after the last one advances the row, the column t mod ℓ and ρ by
+// one step, and any other query re-seeks through RowAt, so arbitrary
 // callers still observe the pure semantics.
 func (a *WakeupC) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
 	spec := a.Spec(p)
@@ -68,30 +69,56 @@ func (a *WakeupC) Build(p model.Params, id int, wake int64, _ *rng.Source) model
 	if a.DisableWindowWait {
 		op = wake
 	}
-	curRow := 0      // 0 = cursor invalid
-	var rowEnd int64 // first slot after the current row's residence
-	var lastT int64 = -1
+	c := wakeupCursor{spec: spec, op: op, ell: spec.Length()}
 	return func(t int64) bool {
-		if t < op {
+		if t < c.op {
 			return false
 		}
-		if curRow == 0 || t <= lastT || t >= rowEnd {
-			if curRow != 0 && t == rowEnd && t > lastT {
-				// Common case: stepping straight into the next row.
-				curRow++
-				if curRow > spec.Rows {
-					curRow = 1
-				}
-				rowEnd = t + spec.RowResidence(curRow)
-			} else {
-				row, entered := spec.RowAt(op, t)
-				curRow = row
-				rowEnd = entered + spec.RowResidence(row)
-			}
-		}
-		lastT = t
-		return spec.Member(curRow, t, id)
+		return c.member(t, id)
 	}
+}
+
+// wakeupCursor is a WakeupC station's position in its row scan. It is one
+// struct so that the closure Build returns moves one object to the heap,
+// not one per cursor field.
+type wakeupCursor struct {
+	spec   matrix.Spec
+	op     int64 // operative slot µ(σ)
+	ell    int64 // ℓ, the column count
+	row    int   // row scanned at slot last; 0 = not positioned
+	rowEnd int64 // first slot after that row's residence
+	last   int64 // last slot queried
+	col    int64 // last mod ℓ
+	rho    int   // ρ(col)
+}
+
+// member reports whether id transmits at slot t >= op.
+func (c *wakeupCursor) member(t int64, id int) bool {
+	switch {
+	case c.row != 0 && t == c.last+1:
+		c.col++
+		if c.col == c.ell {
+			c.col = 0
+		}
+		c.rho++
+		if c.rho == c.spec.Window {
+			c.rho = 0
+		}
+		if t == c.rowEnd {
+			c.row++
+			if c.row > c.spec.Rows {
+				c.row = 1
+			}
+			c.rowEnd = t + c.spec.RowResidence(c.row)
+		}
+	case c.row == 0 || t != c.last:
+		row, entered := c.spec.RowAt(c.op, t)
+		c.row, c.rowEnd = row, entered+c.spec.RowResidence(row)
+		c.col = t % c.ell
+		c.rho = c.spec.Rho(c.col)
+	}
+	c.last = t
+	return c.spec.MemberColumn(c.row, c.col, c.rho, id)
 }
 
 // ObliviousClass implements model.Oblivious: the row-cursor closure is an

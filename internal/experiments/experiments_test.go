@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"testing"
@@ -270,6 +272,24 @@ func TestTablesBitReproducible(t *testing.T) {
 		if a != b {
 			t.Errorf("%s not bit-reproducible", id)
 		}
+	}
+}
+
+// quickTablesDigest is the SHA-256 of every quick table's Render, in All
+// order, at seed 20130527: the text `wakeup-bench -quick` prints, and the
+// digest the repository benchmark checks its paper_tables output against.
+const quickTablesDigest = "c065fc93d1b20970a33e46ffc447ed02ec763e3848115fcb0f67793d24012b02"
+
+// TestQuickTablesDigest pins T1–T12 byte for byte: any drift in a
+// schedule, a pattern generator or the engine shows up here first.
+func TestQuickTablesDigest(t *testing.T) {
+	cfg := Config{Quick: true, Seed: 20130527, Workers: 2}
+	sum := sha256.New()
+	for _, e := range All() {
+		sum.Write([]byte(e.Run(cfg).Render()))
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != quickTablesDigest {
+		t.Errorf("quick tables digest %s, want %s", got, quickTablesDigest)
 	}
 }
 

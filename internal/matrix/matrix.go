@@ -161,9 +161,16 @@ func (s Spec) Member(i int, t int64, id int) bool {
 		panic(fmt.Sprintf("matrix: station %d out of [1,%d]", id, s.N))
 	}
 	j := t % s.Length()
-	e := i + s.Rho(j)
+	return s.MemberColumn(i, j, s.Rho(j), id)
+}
+
+// MemberColumn is Member at column j = t mod ℓ with rho = ρ(j) supplied by
+// the caller, for a cursor that carries both from slot to slot instead of
+// dividing on every query. It checks nothing: the caller keeps i in
+// [1, Rows], j in [0, ℓ), rho == ρ(j) and id in [1, N].
+func (s Spec) MemberColumn(i int, j int64, rho int, id int) bool {
 	h := rng.Hash3(s.Seed, uint64(i), uint64(j), uint64(id))
-	return rng.Below(h, e)
+	return rng.Below(h, i+rho)
 }
 
 // Materialize builds the explicit sets M_{i,j} for j in [0, cols) as

@@ -167,7 +167,12 @@ func (w WakePattern) Validate(n int) error {
 	if len(w.IDs) != len(w.Wakes) {
 		return fmt.Errorf("model: %d ids but %d wake times", len(w.IDs), len(w.Wakes))
 	}
-	seen := make(map[int]bool, len(w.IDs))
+	// Strictly increasing IDs (what Sample-based generators emit) are
+	// distinct by construction; only other orders need the map.
+	var seen map[int]bool
+	if !strictlyIncreasing(w.IDs) {
+		seen = make(map[int]bool, len(w.IDs))
+	}
 	for i, id := range w.IDs {
 		if id < 1 || id > n {
 			return fmt.Errorf("model: station %d out of [1,%d]", id, n)
@@ -179,15 +184,26 @@ func (w WakePattern) Validate(n int) error {
 			// schedule with the noise/jam process.
 			return fmt.Errorf("model: station ID %#x collides with the channel RNG stream", id)
 		}
-		if seen[id] {
-			return fmt.Errorf("model: duplicate station %d", id)
+		if seen != nil {
+			if seen[id] {
+				return fmt.Errorf("model: duplicate station %d", id)
+			}
+			seen[id] = true
 		}
-		seen[id] = true
 		if w.Wakes[i] < 0 {
 			return fmt.Errorf("model: negative wake time %d", w.Wakes[i])
 		}
 	}
 	return nil
+}
+
+func strictlyIncreasing(ids []int) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // K returns the number of awake stations.

@@ -94,6 +94,7 @@ func TestWakePatternValidate(t *testing.T) {
 		{"plain", WakePattern{IDs: []int{1, 5, 10}, Wakes: []int64{3, 0, 3}}},
 		{"boundary ids", WakePattern{IDs: []int{1, 10}, Wakes: []int64{0, 0}}},
 		{"zero wake", WakePattern{IDs: []int{7}, Wakes: []int64{0}}},
+		{"unsorted ids", WakePattern{IDs: []int{10, 1, 5}, Wakes: []int64{0, 3, 3}}},
 	}
 	for _, tc := range good {
 		if err := tc.w.Validate(10); err != nil {
@@ -114,6 +115,8 @@ func TestWakePatternValidate(t *testing.T) {
 		{"id above range", WakePattern{IDs: []int{11}, Wakes: []int64{0}}, "out of [1,10]"},
 		{"duplicate id", WakePattern{IDs: []int{3, 3}, Wakes: []int64{0, 1}}, "duplicate station 3"},
 		{"duplicate id late", WakePattern{IDs: []int{1, 2, 2}, Wakes: []int64{0, 0, 5}}, "duplicate station 2"},
+		{"sorted adjacent duplicate", WakePattern{IDs: []int{2, 4, 4, 9}, Wakes: []int64{0, 0, 0, 0}}, "duplicate station 4"},
+		{"unsorted duplicate", WakePattern{IDs: []int{9, 3, 5, 3}, Wakes: []int64{0, 1, 2, 3}}, "duplicate station 3"},
 		{"negative wake", WakePattern{IDs: []int{1}, Wakes: []int64{-1}}, "negative wake time -1"},
 		{"negative wake late", WakePattern{IDs: []int{1, 2}, Wakes: []int64{0, -7}}, "negative wake time -7"},
 	}
@@ -126,6 +129,15 @@ func TestWakePatternValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not name its branch (want %q)", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestWakePatternValidateSortedAllocFree pins the fast path: strictly
+// increasing IDs are checked without building the duplicate map.
+func TestWakePatternValidateSortedAllocFree(t *testing.T) {
+	w := WakePattern{IDs: []int{2, 3, 8, 40}, Wakes: []int64{0, 4, 4, 9}}
+	if allocs := testing.AllocsPerRun(50, func() { _ = w.Validate(64) }); allocs != 0 {
+		t.Errorf("Validate of a sorted pattern allocates %.0f objects, want 0", allocs)
 	}
 }
 

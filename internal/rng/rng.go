@@ -10,6 +10,11 @@
 // instantiated by a fixed seed" substitution (see DESIGN.md §4) reproducible.
 package rng
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Mix64 is the splitmix64 finalizer: a bijective avalanche permutation on
 // 64-bit words (Steele, Lea, Flood 2014). It is the primitive from which
 // both stream seeding and the lazy membership hash are built.
@@ -166,25 +171,45 @@ func (s *Source) Sample(n, k int) []int {
 	if k > n || k < 0 {
 		panic("rng: Sample requires 0 <= k <= n")
 	}
-	// Floyd's algorithm: k iterations, O(k) extra space.
-	chosen := make(map[int]struct{}, k)
+	// Floyd's algorithm: k iterations, one allocation. A draw that repeats
+	// an earlier one is replaced by j, which no earlier draw can equal.
 	out := make([]int, 0, k)
+	if n < sampleBitsetCap {
+		// Deduplicate in a bitset on the stack, then read the set back out
+		// in increasing order.
+		var seen [sampleBitsetCap / 64]uint64
+		for j := n - k + 1; j <= n; j++ {
+			t := s.Intn(j) + 1
+			if seen[t>>6]&(1<<(t&63)) != 0 {
+				t = j
+			}
+			seen[t>>6] |= 1 << (t & 63)
+		}
+		for w, word := range seen[:n>>6+1] {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, w<<6+bits.TrailingZeros64(word))
+			}
+		}
+		return out
+	}
+	// Large universes keep out sorted and deduplicate by binary search in it.
+	// Every earlier draw is below j, so a replacement lands at the end.
 	for j := n - k + 1; j <= n; j++ {
 		t := s.Intn(j) + 1
-		if _, dup := chosen[t]; dup {
-			t = j
+		i, dup := slices.BinarySearch(out, t)
+		if dup {
+			out = append(out, j)
+			continue
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
-	}
-	// Insertion sort: k is small in every call site.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+		out = slices.Insert(out, i, t)
 	}
 	return out
 }
+
+// sampleBitsetCap bounds the universes Sample deduplicates in a stack
+// bitset (1 KiB); above it clearing the bitset would cost more than the
+// binary searches it saves.
+const sampleBitsetCap = 8192
 
 // mul64 returns the 128-bit product of a and b as (hi, lo) without
 // importing math/bits at every call site (kept local for inlining).

@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -281,6 +282,59 @@ func TestSampleFullRange(t *testing.T) {
 	}
 	if got := s.Sample(10, 0); len(got) != 0 {
 		t.Errorf("Sample(10,0) = %v, want empty", got)
+	}
+}
+
+// floydReference is the textbook Sample: Floyd's draws deduplicated
+// through a map, then sorted. Sample must consume the same draws and return
+// the same set.
+func floydReference(s *Source, n, k int) []int {
+	chosen := make(map[int]bool, k)
+	out := make([]int, 0, k)
+	for j := n - k + 1; j <= n; j++ {
+		t := s.Intn(j) + 1
+		if chosen[t] {
+			t = j
+		}
+		chosen[t] = true
+		out = append(out, t)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func TestSampleMatchesFloydReference(t *testing.T) {
+	// Both dedup paths: the stack bitset below sampleBitsetCap, binary
+	// search from it on.
+	for _, n := range []int{1, 2, 3, 7, 64, 257, 1024, sampleBitsetCap - 1, sampleBitsetCap, 20000} {
+		for _, k := range []int{0, 1, 2, n / 3, n / 2, n - 1, n} {
+			if k < 0 || k > n {
+				continue
+			}
+			for seed := uint64(1); seed <= 8; seed++ {
+				got, want := New(seed), New(seed)
+				g, w := got.Sample(n, k), floydReference(want, n, k)
+				if !slices.Equal(g, w) {
+					t.Fatalf("Sample(%d,%d) seed %d = %v, want %v", n, k, seed, g, w)
+				}
+				// Same draws consumed: the streams stay in step afterwards.
+				if a, b := got.Uint64(), want.Uint64(); a != b {
+					t.Fatalf("Sample(%d,%d) seed %d left the stream at %#x, reference %#x", n, k, seed, a, b)
+				}
+			}
+		}
+	}
+}
+
+func TestSampleAllocatesOnlyItsResult(t *testing.T) {
+	s := New(4)
+	for _, c := range []struct{ n, k int }{{64, 1}, {256, 16}, {1024, 64}, {64, 64}, {20000, 64}} {
+		if allocs := testing.AllocsPerRun(50, func() { _ = s.Sample(c.n, c.k) }); allocs != 1 {
+			t.Errorf("Sample(%d,%d) allocates %.0f objects, want 1", c.n, c.k, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _ = s.Sample(64, 0) }); allocs != 0 {
+		t.Errorf("Sample(64,0) allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -31,6 +31,7 @@ package selectors
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"nsmac/internal/bitset"
 	"nsmac/internal/mathx"
@@ -439,28 +440,88 @@ func (s *Sequence) NextBoundary(t int64) int64 {
 // families for i = 1..maxI (paper §3's "sequential composition of schedules
 // defined by the concatenation of (n,2^j)-selective families"). Each rung
 // derives an independent seed so rungs are uncorrelated.
+//
+// The result is shared: a repeated call with the same arguments may return
+// the same immutable *Sequence (see ladderCache).
 func RandomLadder(n, maxI int, seed uint64, mult float64) *Sequence {
 	if maxI < 1 {
 		panic("selectors: RandomLadder requires maxI >= 1")
+	}
+	key := ladderKey{n: n, maxI: maxI, seed: seed, mult: math.Float64bits(mult)}
+	if s := key.cached(); s != nil {
+		return s
 	}
 	fams := make([]Family, maxI)
 	for i := 1; i <= maxI; i++ {
 		fams[i-1] = NewRandomPow2Sized(n, i, rng.Derive(seed, uint64(i)), mult)
 	}
-	return NewSequence(fams...)
+	return key.store(NewSequence(fams...))
 }
 
 // KSLadder returns the concatenation of Kautz–Singleton strongly-selective
 // families for k = 2^1..2^maxI. Provably correct but quadratically longer;
 // used by T7 and as the LocalSSF baseline substrate.
+//
+// Like RandomLadder's, the result may be a shared cached *Sequence.
 func KSLadder(n, maxI int) *Sequence {
 	if maxI < 1 {
 		panic("selectors: KSLadder requires maxI >= 1")
+	}
+	key := ladderKey{kautz: true, n: n, maxI: maxI}
+	if s := key.cached(); s != nil {
+		return s
 	}
 	fams := make([]Family, maxI)
 	for i := 1; i <= maxI; i++ {
 		k := mathx.Min(int(mathx.Pow2(i)), n)
 		fams[i-1] = NewKautzSingleton(n, k)
 	}
-	return NewSequence(fams...)
+	return key.store(NewSequence(fams...))
+}
+
+// ladderCacheSlots is the ladder cache's size, a power of two. A trial
+// needs one or two ladder keys (an algorithm's Build and its Horizon), so a
+// small table holds every live key of a few concurrent workers.
+const ladderCacheSlots = 64
+
+// ladderCache memoizes RandomLadder and KSLadder. Both are pure in their
+// arguments and return an immutable *Sequence, yet every station of a trial
+// asks for the same ladder. The cache is direct-mapped and lock-free: a
+// slot holds the last entry stored under any key hashing to it, and a
+// lookup hits only on an exact key match, so a collision costs a rebuild,
+// never a wrong ladder.
+var ladderCache [ladderCacheSlots]atomic.Pointer[ladderEntry]
+
+// ladderKey is every argument of one ladder construction.
+type ladderKey struct {
+	kautz   bool // KSLadder; seed and mult are unused
+	n, maxI int
+	seed    uint64
+	mult    uint64 // math.Float64bits of RandomLadder's size multiplier
+}
+
+type ladderEntry struct {
+	key ladderKey
+	seq *Sequence
+}
+
+func (k ladderKey) slot() *atomic.Pointer[ladderEntry] {
+	// kautz stays out of the hash: the two kinds only share a slot when
+	// their other fields agree, and the key comparison tells them apart.
+	h := rng.Hash3(k.seed, uint64(k.n), uint64(k.maxI), k.mult)
+	return &ladderCache[h&(ladderCacheSlots-1)]
+}
+
+// cached returns the ladder stored under k, or nil.
+func (k ladderKey) cached() *Sequence {
+	if e := k.slot().Load(); e != nil && e.key == k {
+		return e.seq
+	}
+	return nil
+}
+
+// store publishes s under k and returns it.
+func (k ladderKey) store(s *Sequence) *Sequence {
+	k.slot().Store(&ladderEntry{key: k, seq: s})
+	return s
 }

@@ -192,7 +192,8 @@ func (e *Engine) step(onSuccess func(slot int64, winner int) bool) bool {
 	// Activate stations whose wake time has arrived.
 	for e.next < len(e.stations) && e.stations[e.next].wake <= t {
 		st := &e.stations[e.next]
-		src := rng.New(rng.Derive(e.opt.Seed, uint64(st.id)))
+		src := &st.src
+		src.Reseed(rng.Derive(e.opt.Seed, uint64(st.id)))
 		if e.useAdaptive {
 			st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, st.id, st.wake, src)
 		} else {

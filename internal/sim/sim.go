@@ -17,6 +17,7 @@ import (
 
 	"nsmac/internal/channel"
 	"nsmac/internal/model"
+	"nsmac/internal/rng"
 )
 
 // Options configures one simulation run.
@@ -57,6 +58,7 @@ type Options struct {
 type station struct {
 	id       int
 	wake     int64
+	src      rng.Source // the station's stream, reseeded in place at activation
 	transmit model.TransmitFunc
 	adaptive model.AdaptiveStation
 	sent     bool // did the station transmit in the current slot (per-slot scratch)
