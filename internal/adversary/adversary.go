@@ -170,13 +170,14 @@ func WorstOf(algo model.Algorithm, p model.Params, gens []Generator,
 
 	worst := int64(-1)
 	var worstPat model.WakePattern
+	eng := sim.NewEngine()
 	for _, g := range gens {
 		for sd := 0; sd < seeds; sd++ {
 			w := g.Pattern(algo, p, k, horizon, rng.Derive(p.Seed, uint64(sd)+uint64(len(g.Name))<<32), nil)
-			res, _, err := sim.Run(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed})
-			if err != nil {
+			if err := eng.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed}); err != nil {
 				continue // knowledge-inconsistent generator for these params
 			}
+			res := eng.Run()
 			rounds := res.Rounds
 			if !res.Succeeded {
 				rounds = horizon
@@ -248,10 +249,15 @@ func SwapVs(algo model.Algorithm, p model.Params, k int, horizon int64, greedy b
 	res := SwapResult{ForcedRounds: -1, TheoremBound: mathx.BoundLowerMinKN(n, k)}
 	roundsSeen := map[int64]bool{}
 
+	// One engine serves every probe: a Reset engine reproduces a fresh one.
+	eng := sim.NewEngine()
 	simulate := func(set []int) (int64, int, bool) {
 		w := model.Simultaneous(set, 0)
-		r, _, err := sim.Run(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch})
-		if err != nil || !r.Succeeded {
+		if err := eng.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch}); err != nil {
+			return horizon, 0, false
+		}
+		r := eng.Run()
+		if !r.Succeeded {
 			return horizon, 0, false
 		}
 		return r.Rounds, r.Winner, true

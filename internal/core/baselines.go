@@ -44,14 +44,16 @@ func (a *LocalSSF) maxI(p model.Params) int {
 }
 
 // Build implements model.Algorithm: position within the schedule is t-wake,
-// the station's local clock — the defining difference from WaitAndGo.
+// the station's local clock — the defining difference from WaitAndGo. A
+// KSCursor walks the ladder, so slot-by-slot queries evaluate the station's
+// codeword once per q-slot position block.
 func (a *LocalSSF) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
-	lad := selectors.KSLadder(p.N, a.maxI(p))
+	cur := selectors.KSLadder(p.N, a.maxI(p)).KSCursor(id)
 	return func(t int64) bool {
 		if t < wake {
 			return false
 		}
-		return lad.MemberCyclic(t-wake, id)
+		return cur.Member(t - wake)
 	}
 }
 

@@ -139,8 +139,9 @@ func TestWakeupCCursorMatchesReference(t *testing.T) {
 // TestBuildAllocs pins what one Build allocates. The spoiler adversary
 // builds a schedule for every candidate station on every success slot, so
 // an allocation added to Build multiplies in a white-box sweep. Each
-// schedule is one closure; wakeupc's cursor is one more object, and
-// wait_and_go takes its ladder from the ladder cache.
+// schedule is one closure; wakeupc's and localssf's cursors are one more
+// object each, and wait_and_go and localssf take their ladders from the
+// ladder cache.
 func TestBuildAllocs(t *testing.T) {
 	pC := model.Params{N: 256, S: -1, Seed: 5}
 	pB := model.Params{N: 256, K: 16, S: -1, Seed: 5}
@@ -154,6 +155,7 @@ func TestBuildAllocs(t *testing.T) {
 		{NewRPD(), pC, 1},
 		{NewRoundRobin(), pC, 1},
 		{NewWaitAndGo(), pB, 1},
+		{NewLocalSSF(), pB, 2},
 	} {
 		var src rng.Source
 		allocs := testing.AllocsPerRun(100, func() {

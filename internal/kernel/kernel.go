@@ -74,8 +74,10 @@ const blockWords = 4
 // renders [rendered, limit) on demand — because a trial usually succeeds
 // long before the horizon.
 type sched struct {
-	fn       model.TransmitFunc
-	wake     int64 // first slot fn is queried at (0 for wake-insensitive memos)
+	fn model.TransmitFunc
+	// wake is the wake fn is built for and the first slot it is queried
+	// at: 0 for wake-insensitive and local-clock memos.
+	wake     int64
 	words    []uint64
 	rendered int64 // slots [0, rendered) are rendered (below wake: zero)
 }
@@ -168,6 +170,7 @@ type Kernel struct {
 	limitWords   int64 // eviction thresholds; the package consts, except in
 	limitEntries int   // boundary tests that shrink them via SetCacheLimits
 
+	order    []model.WakeKey // activation keys, reused across trials
 	stations []stationRef
 	wbuf     []uint64 // per-station schedule words of the block being stepped
 	next     int      // index of the first station with wake > t (wake-ordered)
@@ -190,8 +193,7 @@ type Kernel struct {
 	// Trial inputs retained for lazy schedule builds: like the engine, which
 	// only builds a station when its wake slot arrives, the kernel defers
 	// algo.Build to the first word a station is awake in — a trial that
-	// succeeds early never pays for the schedules of still-sleeping stations
-	// (KS-ladder construction dwarfs the stepping for selector baselines).
+	// succeeds early never pays for the schedules of still-sleeping stations.
 	algo model.Algorithm
 	p    model.Params
 	seed uint64
@@ -344,25 +346,14 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	}
 
 	// Station table in wake order (ties by ID), mirroring the engine.
-	n := w.K()
+	k.order = w.WakeOrder(k.order)
+	n := len(k.order)
 	if cap(k.stations) < n {
 		k.stations = make([]stationRef, 0, n)
 	}
 	k.stations = k.stations[:0]
-	sw := model.WakePattern{IDs: w.IDs, Wakes: w.Wakes}
-	sorted := true
-	for i := 1; i < n; i++ {
-		if sw.Wakes[i] < sw.Wakes[i-1] ||
-			(sw.Wakes[i] == sw.Wakes[i-1] && sw.IDs[i] < sw.IDs[i-1]) {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		sw = w.Sorted()
-	}
 
-	k.s = sw.Wakes[0]
+	k.s = k.order[0].Wake
 	k.t = k.s
 	k.end = k.s + opt.Horizon
 	k.next = 0
@@ -378,12 +369,12 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 			k.epochs = make([]epochRef, 0, n)
 		}
 		k.epochs = k.epochs[:0]
-		for i := 0; i < n; i++ {
-			if sw.Wakes[i] >= k.end {
+		for _, key := range k.order {
+			if key.Wake >= k.end {
 				// Never activated by the engine either.
 				continue
 			}
-			k.epochs = append(k.epochs, epochRef{id: sw.IDs[i], wake: sw.Wakes[i]})
+			k.epochs = append(k.epochs, epochRef{id: key.ID, wake: key.Wake})
 		}
 		if cap(k.wbuf) < len(k.epochs) {
 			k.wbuf = make([]uint64, len(k.epochs))
@@ -392,8 +383,8 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 		return nil
 	}
 
-	for i := 0; i < n; i++ {
-		id, wake := sw.IDs[i], sw.Wakes[i]
+	for _, key := range k.order {
+		id, wake := key.ID, key.Wake
 		if wake >= k.end {
 			// Never activated by the engine either: it neither transmits nor
 			// listens inside the horizon.
@@ -539,15 +530,11 @@ func (k *Kernel) stepBlock(lo, hi int64) {
 		sc := st.sc
 		if need := hi - st.off; sc.rendered < need {
 			if sc.fn == nil {
-				fn := k.algo.Build(k.p, st.id, st.wake, rng.New(rng.Derive(k.seed, uint64(st.id))))
-				if k.local {
-					// Cache the schedule in local time: the build's own wake
-					// drops out by the LocalClock shift-invariance contract.
-					w0 := st.wake
-					sc.fn = func(l int64) bool { return fn(l + w0) }
-				} else {
-					sc.fn = fn
-				}
+				// Build at the wake the schedule is cached under: the
+				// station's own, or 0 for a wake-insensitive schedule and for
+				// a local-clock one, which the LocalClock shift-invariance
+				// contract lets the kernel render in local time directly.
+				sc.fn = k.algo.Build(k.p, st.id, sc.wake, rng.New(rng.Derive(k.seed, uint64(st.id))))
 			}
 			before := len(sc.words)
 			sc.extendTo(need)
@@ -646,8 +633,7 @@ func (k *Kernel) RunTo(until int64) bool {
 		// Never step across the wake of a station whose schedule would have
 		// to be BUILT for it: a trial that ends in [t, wake) must not pay
 		// for the schedules of stations that never woke — the engine's
-		// build-at-activation economy (KS-ladder construction dwarfs the
-		// stepping for selector baselines). Stations with an already-built
+		// build-at-activation economy. Stations with an already-built
 		// schedule (memo hits, earlier words) are free to enter mid-word:
 		// awakeMask silences their pre-wake slots.
 		for k.next < len(k.stations) && k.stations[k.next].wake <= k.t {

@@ -231,30 +231,54 @@ func (w WakePattern) LastWake() int64 {
 	return s
 }
 
-// Sorted returns a copy of the pattern with stations ordered by wake time,
-// ties broken by ID. The simulator relies on this order to activate
-// stations incrementally.
-func (w WakePattern) Sorted() WakePattern {
-	idx := make([]int, len(w.IDs))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if w.Wakes[a] != w.Wakes[b] {
-			if w.Wakes[a] < w.Wakes[b] {
-				return -1
-			}
-			return 1
+// WakeKey is one awake station's activation key: its wake slot and ID.
+type WakeKey struct {
+	Wake int64
+	ID   int
+}
+
+// compareWakeKeys is the activation order: by wake slot, ties by ID.
+func compareWakeKeys(a, b WakeKey) int {
+	if a.Wake != b.Wake {
+		if a.Wake < b.Wake {
+			return -1
 		}
-		return w.IDs[a] - w.IDs[b]
-	})
-	out := WakePattern{
-		IDs:   make([]int, len(w.IDs)),
-		Wakes: make([]int64, len(w.Wakes)),
+		return 1
 	}
-	for i, j := range idx {
-		out.IDs[i] = w.IDs[j]
-		out.Wakes[i] = w.Wakes[j]
+	return a.ID - b.ID
+}
+
+// WakeOrder fills dst (reusing its capacity) with the pattern's stations in
+// activation order — by wake time, ties broken by ID — and returns it. A
+// pattern already in that order, what most generators emit, is not sorted
+// again; with enough capacity in dst the call allocates nothing.
+func (w WakePattern) WakeOrder(dst []WakeKey) []WakeKey {
+	dst = dst[:0]
+	sorted := true
+	for i, id := range w.IDs {
+		dst = append(dst, WakeKey{Wake: w.Wakes[i], ID: id})
+		if i > 0 && compareWakeKeys(dst[i], dst[i-1]) < 0 {
+			sorted = false
+		}
+	}
+	if !sorted {
+		slices.SortFunc(dst, compareWakeKeys)
+	}
+	return dst
+}
+
+// Sorted returns a copy of the pattern with stations ordered by wake time,
+// ties broken by ID (the order of WakeOrder). The simulator relies on this
+// order to activate stations incrementally.
+func (w WakePattern) Sorted() WakePattern {
+	keys := w.WakeOrder(make([]WakeKey, 0, len(w.IDs)))
+	out := WakePattern{
+		IDs:   make([]int, len(keys)),
+		Wakes: make([]int64, len(keys)),
+	}
+	for i, key := range keys {
+		out.IDs[i] = key.ID
+		out.Wakes[i] = key.Wake
 	}
 	return out
 }

@@ -109,3 +109,32 @@ func FuzzKautzSingletonIsolation(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKSCursor drives a Kautz–Singleton ladder cursor over an arbitrary
+// stream of slot deltas (two bytes each, little-endian, signed; a step below
+// slot 0 reflects) and checks every answer against MemberCyclic.
+func FuzzKSCursor(f *testing.F) {
+	f.Add(uint8(10), uint8(1), uint16(3), []byte{1, 0, 1, 0, 1, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(100), uint8(3), uint16(57), []byte{0x10, 0x01, 0xf0, 0xfe, 0x7f, 0x00, 0x01, 0x80})
+	f.Add(uint8(1), uint8(2), uint16(0), []byte{2, 0, 3, 0, 5, 0, 7, 0})
+	f.Fuzz(func(t *testing.T, rawN, rawMaxI uint8, rawID uint16, deltas []byte) {
+		n := int(rawN)%120 + 1
+		maxI := int(rawMaxI)%4 + 1
+		id := int(rawID)%n + 1
+		seq := KSLadder(n, maxI)
+		c := seq.KSCursor(id)
+		var tt int64
+		for i := 0; ; i += 2 {
+			if got, want := c.Member(tt), seq.MemberCyclic(tt, id); got != want {
+				t.Fatalf("KSLadder(%d,%d) id=%d: Member(%d) = %v, MemberCyclic = %v", n, maxI, id, tt, got, want)
+			}
+			if i+1 >= len(deltas) {
+				break
+			}
+			tt += int64(int16(uint16(deltas[i]) | uint16(deltas[i+1])<<8))
+			if tt < 0 {
+				tt = -tt
+			}
+		}
+	})
+}

@@ -414,6 +414,61 @@ func (s *Sequence) MemberCyclic(t int64, id int) bool {
 	return s.Member(t%s.Length(), id)
 }
 
+// KSCursor reads one station's cyclic schedule on a Kautz–Singleton ladder
+// (a Sequence whose families are all *KautzSingleton, as KSLadder builds).
+// In such a family each q-slot position block [p·q, (p+1)·q) holds exactly
+// one of the station's member slots, p·q + f_id(p), so the cursor caches
+// the current block's absolute window and member slot: a query inside the
+// window is two compares, and any other query re-seeks with one Locate and
+// one code-symbol evaluation. Forward scans thus cost one evaluation per q
+// slots; backward and jumping queries stay exact. Member(t) equals
+// MemberCyclic(t, id), panics included. A cursor is not safe for
+// concurrent use.
+type KSCursor struct {
+	seq    *Sequence
+	id     int
+	lo, hi int64 // absolute window [lo, hi) of the cached position block
+	hit    int64 // the station's member slot in that window
+}
+
+// KSCursor returns a cursor over station id's cyclic schedule. It panics if
+// a family of s is not a *KautzSingleton.
+func (s *Sequence) KSCursor(id int) *KSCursor {
+	for _, f := range s.fams {
+		if _, ok := f.(*KautzSingleton); !ok {
+			panic(fmt.Sprintf("selectors: KSCursor over a %s family", f.Name()))
+		}
+	}
+	return &KSCursor{seq: s, id: id}
+}
+
+// Member reports whether the station belongs to set t mod Length(), for
+// t ≥ 0: MemberCyclic(t, id).
+func (c *KSCursor) Member(t int64) bool {
+	if t >= c.lo && t < c.hi {
+		return t == c.hit
+	}
+	return c.seek(t)
+}
+
+// seek moves the cached window to t's position block and answers for t.
+func (c *KSCursor) seek(t int64) bool {
+	if t < 0 {
+		panic("selectors: negative cyclic index")
+	}
+	fam, local := c.seq.Locate(t % c.seq.Length())
+	ks := c.seq.fams[fam].(*KautzSingleton)
+	if c.id < 1 || c.id > ks.n {
+		panic(fmt.Sprintf("selectors: station %d out of [1,%d]", c.id, ks.n))
+	}
+	q := int64(ks.q)
+	p := local / q
+	c.lo = t - local%q
+	c.hi = c.lo + q
+	c.hit = c.lo + int64(ks.codeSymbol(c.id, int(p)))
+	return t == c.hit
+}
+
 // NextBoundary returns the smallest σ ≥ t such that σ mod Length() is the
 // first set of one of the concatenated families. This is wait_and_go's
 // waiting rule: a station woken at t stays silent until NextBoundary(t).

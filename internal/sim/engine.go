@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"nsmac/internal/channel"
 	"nsmac/internal/model"
@@ -29,9 +28,10 @@ type Engine struct {
 	p            model.Params
 	opt          Options
 
-	stations     []station  // wake-ordered station table, reused across trials
-	active       []*station // activated stations, pointers into the table
-	transmitters []int      // per-slot transmit buffer (IDs)
+	order        []model.WakeKey // activation keys, reused across trials
+	stations     []station       // wake-ordered station table, reused across trials
+	active       []*station      // activated stations, pointers into the table
+	transmitters []int           // per-slot transmit buffer (IDs)
 
 	s      int64 // first wake slot
 	t      int64 // next slot to execute
@@ -90,32 +90,16 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	// stream index, independent of the per-station streams.
 	e.ch.Reset(chm, opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
 
-	// Rebuild the station table in wake order (ties by ID — the same total
-	// order as model.WakePattern.Sorted) inside the reused backing array.
-	k := w.K()
+	// Rebuild the station table in wake order (ties by ID) inside the reused
+	// backing array, from the pattern's sorted activation keys.
+	e.order = w.WakeOrder(e.order)
+	k := len(e.order)
 	if cap(e.stations) < k {
 		e.stations = make([]station, k)
 	}
 	e.stations = e.stations[:k]
-	sorted := true
-	for i := range e.stations {
-		e.stations[i] = station{id: w.IDs[i], wake: w.Wakes[i]}
-		if i > 0 && stationLess(e.stations[i], e.stations[i-1]) {
-			sorted = false
-		}
-	}
-	// Most generators emit patterns already in wake order; skipping the
-	// re-sort keeps a warm Reset allocation- and compare-free on that path.
-	if !sorted {
-		slices.SortFunc(e.stations, func(a, b station) int {
-			if a.wake != b.wake {
-				if a.wake < b.wake {
-					return -1
-				}
-				return 1
-			}
-			return a.id - b.id
-		})
+	for i, key := range e.order {
+		e.stations[i] = station{id: key.ID, wake: key.Wake}
 	}
 
 	if cap(e.active) < k {

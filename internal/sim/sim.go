@@ -64,15 +64,6 @@ type station struct {
 	sent     bool // did the station transmit in the current slot (per-slot scratch)
 }
 
-// stationLess is the engine's activation order: by wake slot, ties by ID —
-// the same total order as model.WakePattern.Sorted.
-func stationLess(a, b station) bool {
-	if a.wake != b.wake {
-		return a.wake < b.wake
-	}
-	return a.id < b.id
-}
-
 // Run simulates until the first solo transmission or until the horizon is
 // exhausted. It returns the run result plus the channel (for transcript
 // inspection); the error reports invalid inputs only — a timed-out run is a
