@@ -1,7 +1,7 @@
-// Command nsmacvet runs the repository's static-analysis suite — the five
+// Command nsmacvet runs the repository's static-analysis suite — the four
 // analyzers in nsmac/internal/lint that enforce the determinism, RNG-stream,
-// registry-Ref, ScheduleClass and deprecation invariants — over a set of
-// package patterns, like a purpose-built `go vet`.
+// registry-Ref and ScheduleClass invariants — over a set of package
+// patterns, like a purpose-built `go vet`.
 //
 // Usage:
 //
@@ -10,8 +10,7 @@
 // With no packages it analyzes ./... from the current directory. It prints
 // one line per diagnostic (file:line:col: [analyzer] message) and exits
 // non-zero if any survive their suppression comments. Test files are not
-// analyzed: the invariants govern shipped code, and the deprecation-pin
-// tests intentionally exercise the old API.
+// analyzed: the invariants govern shipped code.
 //
 // An audited violation is silenced with a comment on the offending line or
 // the line above it:

@@ -16,6 +16,7 @@
 //	wakeup-sim -algo wakeupc -n 1024 -k 8 -pattern staggered -gap 7
 //	wakeup-sim -algo wakeup_with_k -n 4096 -k 16 -pattern uniform -trace
 //	wakeup-sim -algo wakeupc -n 256 -k 3 -render
+//	wakeup-sim -algo tree_cd -n 64 -k 3 -channels cd
 //	wakeup-sim -algo wakeupc,rpd -n 256,1024 -k 2,8,32 -trials 5 -format csv
 //	wakeup-sim -patterns spoiler,swap            # white-box adversary cells
 //	wakeup-sim -channels none,noisy:0.05 -trials 10   # channel-model axis
@@ -37,7 +38,7 @@ import (
 
 func main() {
 	var (
-		algoList = flag.String("algo", "wakeupc", "algorithm entries, comma-separated: roundrobin | wakeup_with_s[:slot] | wakeup_with_k | wakeupc | rpd | rpdk | beb | localssf | all")
+		algoList = flag.String("algo", "wakeupc", "algorithm entries, comma-separated: roundrobin | wakeup_with_s[:slot] | wakeup_with_k | wakeupc | rpd | rpdk | beb | localssf | tree_cd | kg | all")
 		nList    = flag.String("n", "1024", "universe size(s), comma-separated (station IDs 1..n)")
 		kList    = flag.String("k", "8", "number(s) of stations the adversary wakes, comma-separated")
 		s        = flag.Int64("s", 0, "first wake-up slot")
@@ -196,39 +197,20 @@ func runSingle(algoName, pattern string, ch model.ChannelModel, n, k int, s, gap
 		fail("need 1 <= k <= n")
 	}
 
-	p := model.Params{N: n, S: -1, Seed: seed}
-	var algo model.Algorithm
-	var hor int64
-	switch algoName {
-	case "roundrobin":
-		a := core.NewRoundRobin()
-		algo, hor = a, a.Horizon(n, k)
-	case "wakeup_with_s":
-		p.S = s
-		algo, hor = core.NewWakeupWithS(), core.WakeupWithSHorizon(n, k)
-	case "wakeup_with_k":
-		p.K = k
-		algo, hor = core.NewWakeupWithK(), core.WakeupWithKHorizon(n, k)
-	case "wakeupc":
-		a := core.NewWakeupC()
-		algo, hor = a, a.Horizon(n, k)
-	case "rpd":
-		a := core.NewRPD()
-		algo, hor = a, a.Horizon(n, k)
-	case "rpdk":
-		p.K = k
-		a := core.NewRPDWithK()
-		algo, hor = a, a.Horizon(n, k)
-	case "beb":
-		a := core.NewBEB()
-		algo, hor = a, a.Horizon(n, k)
-	case "localssf":
-		p.K = k
-		a := core.NewLocalSSF()
-		algo, hor = a, a.Horizon(n, k)
-	default:
-		fail("unknown algorithm %q", algoName)
+	// The single run resolves its algorithm through the same registry as grid
+	// mode, so every registered case (the adaptive ones included) runs here
+	// with the knowledge and horizon its grid cells get.
+	entries := caseEntries([]string{algoName}, s)
+	if len(entries) != 1 {
+		fail("-algo %s needs grid mode; pass -trials > 1 or multiple axis values", algoName)
 	}
+	c, err := sweep.ResolveCase(entries[0])
+	if err != nil {
+		fail("%v", err)
+	}
+	algo := c.Algo(n, k)
+	p := c.Params(n, k, seed)
+	hor := c.Horizon(n, k)
 	if horizon > 0 {
 		hor = horizon
 	}
@@ -241,6 +223,9 @@ func runSingle(algoName, pattern string, ch model.ChannelModel, n, k int, s, gap
 		fail("%v", err)
 	}
 	gen := gens[0]
+	if c.Adaptive && gen.WhiteBox() {
+		fail("%s×%s: white-box pattern needs an oblivious schedule; %s is adaptive", c.Name, gen.Name, c.Name)
+	}
 	// White-box families (spoiler, swap) build their pattern against the
 	// selected algorithm and channel model; black-box families draw from
 	// (n, k, seed).
@@ -255,7 +240,7 @@ func runSingle(algoName, pattern string, ch model.ChannelModel, n, k int, s, gap
 	fmt.Printf("horizon   : %d slots\n", hor)
 
 	res, runCh, err := sim.Run(algo, p, w, sim.Options{
-		Horizon: hor, Seed: seed, RecordTrace: showTr, Channel: ch,
+		Horizon: hor, Seed: seed, RecordTrace: showTr, Channel: ch, Adaptive: c.Adaptive,
 	})
 	if err != nil {
 		fail("run: %v", err)

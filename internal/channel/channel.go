@@ -145,14 +145,6 @@ func (c *Channel) Deliver(truth model.Feedback, transmitted, won bool) model.Fee
 	return c.model.Deliver(truth, transmitted, won)
 }
 
-// Observed maps a slot outcome to what a pure listener hears.
-//
-// Deprecated: use Deliver, which carries the station's role — required for
-// the sender_cd and ack regimes.
-func (c *Channel) Observed(truth model.Feedback) model.Feedback {
-	return c.model.Deliver(truth, false, false)
-}
-
 // Trace returns the recorded transcript (empty unless recording was
 // enabled; nil if recording was never enabled on this channel).
 func (c *Channel) Trace() []Event { return c.trace }

@@ -33,11 +33,11 @@ func TestResolveOutcomes(t *testing.T) {
 
 func TestDeliverFollowsChannelModel(t *testing.T) {
 	noCD := New(model.None(), false)
-	if noCD.Observed(model.Collision) != model.Silence {
+	if noCD.Deliver(model.Collision, false, false) != model.Silence {
 		t.Error("no-CD channel leaked collision feedback")
 	}
 	cd := New(model.CD(), false)
-	if cd.Observed(model.Collision) != model.Collision {
+	if cd.Deliver(model.Collision, false, false) != model.Collision {
 		t.Error("CD channel suppressed collision feedback")
 	}
 	if noCD.Model().Name() != "none" || cd.Model().Name() != "cd" {
@@ -243,7 +243,7 @@ func TestResetRecyclesChannel(t *testing.T) {
 	if c.Model().Name() != "cd" {
 		t.Error("Reset did not switch the channel model")
 	}
-	if c.Observed(model.Collision) != model.Collision {
+	if c.Deliver(model.Collision, false, false) != model.Collision {
 		t.Error("feedback model not live after Reset")
 	}
 

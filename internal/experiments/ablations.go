@@ -72,7 +72,7 @@ func T8Ablations(cfg Config) *Table {
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 		Batch:   cfg.Batch,
-		Run: func(ci, _ int, _ uint64) sweep.Sample {
+		RunEngine: func(_ *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := spoilCells[ci]
 			r := adversary.Spoiler(c.mk(), c.p, k, c.horizon)
 			return sweep.Sample{OK: true, Rounds: r.Rounds, Aux: int64(r.Spoiled)}

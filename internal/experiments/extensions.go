@@ -51,7 +51,7 @@ func T9ConflictResolution(cfg Config) *Table {
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 		Batch:   cfg.Batch,
-		Run: func(ci, trial int, _ uint64) sweep.Sample {
+		RunEngine: func(_ *sim.Engine, ci, trial int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			seed := cfg.seed(uint64(c.n)<<16 | uint64(c.k))
 			a := core.NewKGConflictResolution()

@@ -5,6 +5,7 @@ import (
 
 	"nsmac/internal/mathx"
 	"nsmac/internal/selectors"
+	"nsmac/internal/sim"
 	"nsmac/internal/sweep"
 )
 
@@ -56,7 +57,7 @@ func T7FamilySizes(cfg Config) *Table {
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 		Batch:   cfg.Batch,
-		Run: func(ci, _ int, _ uint64) sweep.Sample {
+		RunEngine: func(_ *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			var length int64
 			if c.construction == 0 {

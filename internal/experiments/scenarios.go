@@ -57,7 +57,7 @@ func T1LowerBound(cfg Config) *Table {
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 		Batch:   cfg.Batch,
-		Run: func(ci, _ int, _ uint64) sweep.Sample {
+		RunEngine: func(_ *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			var forced int64
 			if c.algo == 0 {

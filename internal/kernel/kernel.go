@@ -229,11 +229,7 @@ func classify(algo model.Algorithm, opt sim.Options) (execMode, model.ScheduleCl
 		// The kernel never materializes per-slot events.
 		return modeOblivious, model.ScheduleClass{}, false
 	}
-	ch := opt.Channel
-	if ch == nil {
-		//nsmac:deprecated-ok the nil-Channel fallback is the enum's audited resolution site
-		ch = opt.Feedback.Model()
-	}
+	ch := opt.ChannelModel()
 	if _, ok := ch.(model.SlotPerturber); ok {
 		// A perturbing channel rewrites slot outcomes from its own RNG
 		// stream. The kernel can overlay the shapes declared through
@@ -313,13 +309,8 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	// Channel overlay: resolve the cell's model to its declared perturbation
 	// shape (PerturbNone on inert channels) and position the derived channel
 	// stream exactly where the engine's ChannelState starts.
-	ch := opt.Channel
-	if ch == nil {
-		//nsmac:deprecated-ok the nil-Channel fallback is the enum's audited resolution site
-		ch = opt.Feedback.Model()
-	}
 	k.perturb = model.PerturbSpec{}
-	if kp, ok := ch.(model.KernelPerturber); ok {
+	if kp, ok := opt.ChannelModel().(model.KernelPerturber); ok {
 		k.perturb = kp.PerturbSpec()
 		k.chSrc.Reseed(rng.Derive(opt.Seed, model.ChannelStream))
 	}

@@ -481,6 +481,66 @@ func TestKernelEligibility(t *testing.T) {
 	}
 }
 
+// TestNilChannelMatchesNone: a nil Options.Channel is model.None on the
+// kernel too. Class routes both spellings the same way, and where the
+// kernel runs them, its Result equals the engine's under either spelling.
+func TestNilChannelMatchesNone(t *testing.T) {
+	const n, k = 48, 5
+	cases := []struct {
+		name     string
+		algo     model.Algorithm
+		p        model.Params
+		horizon  int64
+		adaptive bool
+		routed   bool // the kernel runs the pairing
+	}{
+		{"roundrobin", core.NewRoundRobin(), model.Params{N: n, S: -1}, core.RoundRobin{}.Horizon(n, k), false, true},
+		{"localssf", core.NewLocalSSF(), model.Params{N: n, K: k, S: -1}, (&core.LocalSSF{}).Horizon(n, k), false, true},
+		{"wakeupc", core.NewWakeupC(), model.Params{N: n, S: -1}, (&core.WakeupC{}).Horizon(n, k), false, false},
+		{"tree_cd", core.NewTreeCD(), model.Params{N: n, S: -1}, core.TreeCD{}.Horizon(n, k), true, true},
+	}
+	eng := sim.NewEngine()
+	kn := kernel.New()
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 4; seed++ {
+			p := c.p
+			p.Seed = seed
+			w := randomPattern(n, k, 1+int64(seed)*20, seed)
+			nilOpt := sim.Options{Horizon: c.horizon, Seed: seed, Adaptive: c.adaptive}
+			noneOpt := nilOpt
+			noneOpt.Channel = model.None()
+
+			nilCls, nilOK := kernel.Class(c.algo, nilOpt)
+			noneCls, noneOK := kernel.Class(c.algo, noneOpt)
+			if nilCls != noneCls || nilOK != noneOK || nilOK != c.routed {
+				t.Fatalf("%s: Class(nil) = (%+v, %v), Class(none) = (%+v, %v), want routed %v",
+					c.name, nilCls, nilOK, noneCls, noneOK, c.routed)
+			}
+			if err := eng.Reset(c.algo, p, w, nilOpt); err != nil {
+				t.Fatal(err)
+			}
+			want := eng.Run()
+			if err := eng.Reset(c.algo, p, w, noneOpt); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Run(); got != want {
+				t.Fatalf("%s seed %d: engine none %+v, nil %+v", c.name, seed, got, want)
+			}
+			if !nilOK {
+				continue
+			}
+			for _, opt := range []sim.Options{nilOpt, noneOpt} {
+				if err := kn.Reset(c.algo, p, w, opt); err != nil {
+					t.Fatal(err)
+				}
+				if got := kn.Run(); got != want {
+					t.Fatalf("%s seed %d channel %v: kernel %+v, engine %+v", c.name, seed, opt.Channel, got, want)
+				}
+			}
+		}
+	}
+}
+
 // perturbedChannels are the overlay shapes under differential test, including
 // the degenerate parameters: noisy:0 must behave exactly like none, noisy:1
 // erases everything without drawing (the trial can never succeed), jam:0 is

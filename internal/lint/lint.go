@@ -1,10 +1,10 @@
 // Package lint is the repository's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the five analyzers that
+// vocabulary (Analyzer, Pass, Diagnostic) plus the four analyzers that
 // enforce the invariants every determinism guarantee in this tree rests on —
 // no wall clocks or global RNG in deterministic packages, derived RNG
-// streams only, canonical registry Refs, honest ScheduleClass Config
-// fingerprints, and no spread of the deprecated feedback-enum API.
+// streams only, canonical registry Refs, and honest ScheduleClass Config
+// fingerprints.
 //
 // The framework is stdlib-only (go/ast, go/types, go list) because the
 // toolchain image carries no module cache; the API mirrors go/analysis
@@ -195,7 +195,6 @@ func All() []*Analyzer {
 		RNGStream,
 		RegistryRef,
 		ScheduleClass,
-		Deprecated,
 	}
 }
 

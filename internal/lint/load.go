@@ -112,8 +112,7 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Pack
 // consumed as export data.
 //
 // Test files are deliberately out of scope: the analyzers enforce invariants
-// of shipped code (tests freely use raw seeds, wall clocks and the pinned
-// deprecated API).
+// of shipped code (tests freely use raw seeds and wall clocks).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

@@ -1,7 +1,5 @@
-// Package model is the fixture stub of nsmac/internal/model: the deprecated
-// feedback-enum surface (exercised by the deprecated fixtures, and exempt
-// here in its declaring package) and the ScheduleClass vocabulary the
-// scheduleclass fixtures build on.
+// Package model is the fixture stub of nsmac/internal/model: the Feedback
+// and ScheduleClass vocabulary the epoch and scheduleclass fixtures build on.
 package model
 
 type Feedback uint8
@@ -11,20 +9,6 @@ const (
 	Success
 	Collision
 )
-
-type FeedbackModel uint8
-
-const (
-	NoCollisionDetection FeedbackModel = iota
-	CollisionDetection
-)
-
-func (m FeedbackModel) Observe(truth Feedback) Feedback {
-	if m == NoCollisionDetection && truth == Collision {
-		return Silence
-	}
-	return truth
-}
 
 type ScheduleClass struct {
 	SeedSensitive bool

@@ -266,13 +266,3 @@ func Jam(q int64) ChannelModel {
 	}
 	return jamModel{q: q}
 }
-
-// Model resolves the deprecated feedback enum to its ChannelModel: None for
-// NoCollisionDetection, CD for CollisionDetection. Unknown enum values map
-// to None, matching the enum's historical Observe behaviour.
-func (m FeedbackModel) Model() ChannelModel {
-	if m == CollisionDetection {
-		return CD()
-	}
-	return None()
-}

@@ -20,8 +20,8 @@ import (
 type Feedback uint8
 
 const (
-	// Silence: no station transmitted. Under NoCollisionDetection this is
-	// also what a collision sounds like.
+	// Silence: no station transmitted. On the paper's channel (model.None)
+	// this is also what a collision sounds like.
 	Silence Feedback = iota
 	// Success: exactly one station transmitted; all stations receive the
 	// message (the successful transmitter included, per the paper).
@@ -43,34 +43,6 @@ func (f Feedback) String() string {
 	default:
 		return fmt.Sprintf("feedback(%d)", uint8(f))
 	}
-}
-
-// FeedbackModel selects how much channel feedback stations receive.
-//
-// Deprecated: the two enum values survive as aliases for the two original
-// channel regimes; the pluggable ChannelModel interface supersedes them
-// (use Model to resolve an enum value to its ChannelModel, or construct
-// models directly with None, CD, SenderCD, Ack, Noisy, Jam).
-type FeedbackModel uint8
-
-const (
-	// NoCollisionDetection is the paper's model: collisions are reported to
-	// stations as Silence. Deprecated: alias for the None channel model.
-	NoCollisionDetection FeedbackModel = iota
-	// CollisionDetection lets stations distinguish Collision from Silence.
-	// Used only by the TreeCD extension baseline. Deprecated: alias for the
-	// CD channel model.
-	CollisionDetection
-)
-
-// Observe maps ground truth to what a station hears under the model.
-//
-// Deprecated: use Model().Deliver, which also carries the station's role.
-func (m FeedbackModel) Observe(truth Feedback) Feedback {
-	if m == NoCollisionDetection && truth == Collision {
-		return Silence
-	}
-	return truth
 }
 
 // Params carries an algorithm's knowledge of the system, mirroring the

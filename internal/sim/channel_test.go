@@ -9,33 +9,39 @@ import (
 
 // This file drives the pluggable channel models through the engine: role-
 // dependent delivery (sender_cd, ack), perturbation determinism (noisy,
-// jam), energy accounting, and the Options.Channel / Options.Feedback
-// fallback contract.
+// jam), energy accounting, and the nil-Channel default.
 
-// TestOptionsChannelFallback: nil Channel resolves through the deprecated
-// enum, and an explicit Channel wins over the enum.
+// TestOptionsChannelFallback: a nil Channel is the paper's channel. The
+// engine runs Options{Channel: nil} exactly as Options{Channel: model.None()}
+// and a recording run reports the none model on its channel.
 func TestOptionsChannelFallback(t *testing.T) {
+	if got := (Options{}).ChannelModel().Name(); got != "none" {
+		t.Fatalf("nil Channel resolved to %q, want none", got)
+	}
+	if got := (Options{Channel: model.CD()}).ChannelModel().Name(); got != "cd" {
+		t.Fatalf("explicit Channel resolved to %q, want cd", got)
+	}
+
 	p := model.Params{N: 4, S: -1}
 	w := model.Simultaneous([]int{1, 2}, 0)
-
-	// parityAdaptive resolves only when collision feedback reaches it.
-	res, _, err := Run(parityAdaptive{}, p, w, Options{
-		Horizon: 20, Adaptive: true, Feedback: model.CollisionDetection,
-	})
-	if err != nil || !res.Succeeded {
-		t.Fatalf("enum fallback lost CD: %+v (%v)", res, err)
-	}
-	// Channel overrides the enum: the paper channel masks the collision
-	// even though the enum says CD.
-	res, _, err = Run(parityAdaptive{}, p, w, Options{
-		Horizon: 20, Adaptive: true, Feedback: model.CollisionDetection,
-		Channel: model.None(),
-	})
+	// parityAdaptive resolves only when collision feedback reaches it, so a
+	// nil Channel that leaked collisions would succeed here.
+	nilRes, nilCh, err := Run(parityAdaptive{}, p, w, Options{Horizon: 20, Adaptive: true, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Succeeded {
-		t.Fatalf("explicit Channel did not override the enum: %+v", res)
+	noneRes, _, err := Run(parityAdaptive{}, p, w, Options{Horizon: 20, Adaptive: true, RecordTrace: true, Channel: model.None()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nilRes != noneRes {
+		t.Fatalf("nil Channel %+v differs from model.None %+v", nilRes, noneRes)
+	}
+	if nilRes.Succeeded {
+		t.Fatalf("nil Channel delivered collision feedback: %+v", nilRes)
+	}
+	if got := nilCh.Model().Name(); got != "none" {
+		t.Fatalf("nil Channel ran on %q, want none", got)
 	}
 }
 

@@ -81,14 +81,9 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	e.algo, e.p, e.opt = algo, p, opt
 	e.adaptiveAlgo, _ = algo.(model.Adaptive)
 	e.useAdaptive = opt.Adaptive && e.adaptiveAlgo != nil
-	chm := opt.Channel
-	if chm == nil {
-		//nsmac:deprecated-ok the nil-Channel fallback is the enum's audited resolution site
-		chm = opt.Feedback.Model()
-	}
 	// The channel's perturbation stream derives from the run seed on its own
 	// stream index, independent of the per-station streams.
-	e.ch.Reset(chm, opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
+	e.ch.Reset(opt.ChannelModel(), opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
 
 	// Rebuild the station table in wake order (ties by ID) inside the reused
 	// backing array, from the pattern's sorted activation keys.

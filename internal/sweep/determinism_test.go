@@ -26,7 +26,7 @@ func simGridBatch(workers, batch int, seed uint64) sweep.Grid {
 		Seed:    seed,
 		Workers: workers,
 		Batch:   batch,
-		Run: func(cell, trial int, s uint64) sweep.Sample {
+		RunEngine: func(_ *sim.Engine, cell, trial int, s uint64) sweep.Sample {
 			dims := [][2]int{{8, 2}, {24, 5}, {40, 11}, {40, 40}}
 			n, k := dims[cell][0], dims[cell][1]
 			const horizon = 120

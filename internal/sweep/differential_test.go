@@ -102,7 +102,7 @@ func TestGridMatchesReferenceSimulator(t *testing.T) {
 		}
 		gridSeed := src.Uint64()
 
-		runTrial := func(cell, trial int, seed uint64) sweep.Sample {
+		runTrial := func(_ *sim.Engine, cell, trial int, seed uint64) sweep.Sample {
 			c := cfgs[cell]
 			algo := hashAlgo{density: c.density}
 			p := model.Params{N: c.n, S: -1, Seed: rng.Derive(seed, 1)}
@@ -122,14 +122,14 @@ func TestGridMatchesReferenceSimulator(t *testing.T) {
 		}
 
 		res, err := sweep.Grid{
-			Name:    "diff",
-			Axes:    []string{"cell"},
-			Cells:   labels,
-			Trials:  trials,
-			Seed:    gridSeed,
-			Workers: 1 + src.Intn(8),
-			Batch:   src.Intn(5), // 0 = auto; batching must not show in output
-			Run:     runTrial,
+			Name:      "diff",
+			Axes:      []string{"cell"},
+			Cells:     labels,
+			Trials:    trials,
+			Seed:      gridSeed,
+			Workers:   1 + src.Intn(8),
+			Batch:     src.Intn(5), // 0 = auto; batching must not show in output
+			RunEngine: runTrial,
 		}.Execute()
 		if err != nil {
 			t.Fatal(err)

@@ -55,18 +55,10 @@ func (g Grid) Shard(index, count int) (Grid, error) {
 	sg := g
 	sg.Trials = ShardTrials(g.Trials, index, count)
 	global := func(local int) int { return index + local*count }
-	switch {
-	case g.RunEngine != nil:
-		inner := g.RunEngine
+	if inner := g.RunEngine; inner != nil {
 		sg.RunEngine = func(e *sim.Engine, cell, local int, _ uint64) Sample {
 			t := global(local)
 			return inner(e, cell, t, TrialSeed(g.Seed, cell, t))
-		}
-	case g.Run != nil:
-		inner := g.Run
-		sg.Run = func(cell, local int, _ uint64) Sample {
-			t := global(local)
-			return inner(cell, t, TrialSeed(g.Seed, cell, t))
 		}
 	}
 	return sg, nil

@@ -162,8 +162,8 @@ func (s Spec) Skipped() []string {
 }
 
 // Grid compiles the spec's cross product into an executable Grid. The cell
-// order — cases outermost, then patterns, ns, ks — is part of the output
-// contract: it fixes both seeds and row order.
+// order — cases outermost, then patterns, channels, ns, ks — is part of the
+// output contract: it fixes both seeds and row order.
 func (s Spec) Grid() (Grid, error) {
 	g, _, err := s.Compile()
 	return g, err

@@ -18,8 +18,8 @@
 // plus a trial function, for drivers with bespoke per-cell logic (adversary
 // searches, conflict-resolution runs, ablations). Spec is the declarative
 // layer used by the experiment tables and the cmd/ tools: it enumerates
-// algorithm cases × pattern generators × {n, k} axes, compiles to a Grid, and
-// runs each cell through a pooled simulation engine.
+// algorithm cases × pattern generators × channel models × {n, k} axes,
+// compiles to a Grid, and runs each cell through a pooled simulation engine.
 //
 // # Batching and the engine pool
 //
@@ -31,11 +31,12 @@
 // trial's seed still derives from (Seed, cell, trial), never from the batch
 // geometry, so any batch size reproduces the same bytes.
 //
-// Each worker owns one reusable sim.Engine for the grid's lifetime. Grids
-// declared with RunEngine (the Spec layer and the hot experiment drivers)
-// run every trial through that engine's Reset/Run lifecycle, which recycles
-// the station table, transmit buffers and channel between trials — a trial
-// costs only the schedule closures the algorithm itself builds.
+// Each worker owns one reusable sim.Engine for the grid's lifetime and hands
+// it to every trial it runs. A trial that simulates runs through that
+// engine's Reset/Run lifecycle, which recycles the station table, transmit
+// buffers and channel between trials — a trial costs only the schedule
+// closures the algorithm itself builds. Trials that do not simulate on it
+// (family-size counts, adversary searches that own their engines) ignore it.
 package sweep
 
 import (
@@ -73,21 +74,20 @@ type Sample struct {
 	Aux int64
 }
 
-// TrialFunc runs trial `trial` of cell `cell` with its derived seed and
-// returns the outcome. Implementations must be deterministic in their
+// EngineTrialFunc runs trial `trial` of cell `cell` with its derived seed
+// and returns the outcome. Implementations must be deterministic in their
 // arguments and safe for concurrent invocation: the pool shards batches of
 // (cell, trial) work, so two trials of the same cell may run at once.
-type TrialFunc func(cell, trial int, seed uint64) Sample
-
-// EngineTrialFunc is TrialFunc for grids that run simulations: the trial
-// executes on the calling worker's pooled engine (Reset it, then Run it).
-// The engine is reused across every trial the worker executes, so the
-// implementation must not retain it — or anything reached through it, like
-// the channel transcript — past the call.
+//
+// e is the calling worker's pooled engine; a trial that simulates runs on it
+// (Reset it, then Run it), and any other trial ignores it. The engine is
+// reused across every trial the worker executes, so the implementation must
+// not retain it — or anything reached through it, like the channel
+// transcript — past the call.
 type EngineTrialFunc func(e *sim.Engine, cell, trial int, seed uint64) Sample
 
 // Grid is the low-level sweep unit: an explicit list of cells, each run for
-// Trials trials by Run or RunEngine.
+// Trials trials by RunEngine.
 type Grid struct {
 	// Name labels the grid in rendered output.
 	Name string
@@ -107,10 +107,7 @@ type Grid struct {
 	// overhead; it never changes results, because trial seeds derive from
 	// (Seed, cell, trial) regardless of batch geometry.
 	Batch int
-	// Run executes one trial. Exactly one of Run and RunEngine is set.
-	Run TrialFunc
-	// RunEngine executes one trial on the worker's pooled engine. Exactly
-	// one of Run and RunEngine is set.
+	// RunEngine executes one trial, handed the worker's pooled engine.
 	RunEngine EngineTrialFunc
 }
 
@@ -146,11 +143,8 @@ func TrialSeed(gridSeed uint64, cell, trial int) uint64 {
 
 // Validate checks the grid is runnable.
 func (g Grid) Validate() error {
-	if g.Run == nil && g.RunEngine == nil {
+	if g.RunEngine == nil {
 		return errors.New("sweep: nil trial function")
-	}
-	if g.Run != nil && g.RunEngine != nil {
-		return errors.New("sweep: both Run and RunEngine set; pick one")
 	}
 	if g.Trials < 1 {
 		return fmt.Errorf("sweep: %d trials, want >= 1", g.Trials)
@@ -241,10 +235,7 @@ func (g Grid) Execute() (*Result, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var eng *sim.Engine
-			if g.RunEngine != nil {
-				eng = sim.NewEngine()
-			}
+			eng := sim.NewEngine()
 			for {
 				item := int(cursor.Add(1)) - 1
 				if item >= items {
@@ -258,13 +249,7 @@ func (g Grid) Execute() (*Result, error) {
 				}
 				var succ, col, sil, tx, lis int64
 				for trial := lo; trial < hi; trial++ {
-					seed := TrialSeed(g.Seed, ci, trial)
-					var s Sample
-					if eng != nil {
-						s = g.RunEngine(eng, ci, trial, seed)
-					} else {
-						s = g.Run(ci, trial, seed)
-					}
+					s := g.RunEngine(eng, ci, trial, TrialSeed(g.Seed, ci, trial))
 					res.Cells[ci].Samples[trial] = s
 					rounds[ci*g.Trials+trial] = float64(s.Rounds)
 					if s.OK {

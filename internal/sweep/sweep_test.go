@@ -36,7 +36,7 @@ func countingGrid(workers int) sweep.Grid {
 		Trials:  4,
 		Seed:    42,
 		Workers: workers,
-		Run: func(cell, trial int, seed uint64) sweep.Sample {
+		RunEngine: func(_ *sim.Engine, cell, trial int, seed uint64) sweep.Sample {
 			return sweep.Sample{
 				OK:            true,
 				Rounds:        int64(cell*100 + trial),
@@ -75,7 +75,7 @@ func TestGridRoutesSamplesByCellAndTrial(t *testing.T) {
 
 func TestGridValidation(t *testing.T) {
 	if _, err := (sweep.Grid{Trials: 1}).Execute(); err == nil {
-		t.Error("nil Run accepted")
+		t.Error("nil RunEngine accepted")
 	}
 	g := countingGrid(1)
 	g.Trials = 0
@@ -86,13 +86,6 @@ func TestGridValidation(t *testing.T) {
 	g.Cells = [][]string{{"a", "extra"}}
 	if _, err := g.Execute(); err == nil {
 		t.Error("label/axes mismatch accepted")
-	}
-	g = countingGrid(1)
-	g.RunEngine = func(_ *sim.Engine, cell, trial int, seed uint64) sweep.Sample {
-		return sweep.Sample{}
-	}
-	if _, err := g.Execute(); err == nil {
-		t.Error("both Run and RunEngine accepted")
 	}
 }
 

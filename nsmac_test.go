@@ -117,18 +117,8 @@ func TestPublicAPISwapAdversary(t *testing.T) {
 }
 
 func TestPublicAPIFeedbackConstants(t *testing.T) {
-	if NoCollisionDetection.Observe(Collision) != Silence {
-		t.Error("no-CD mapping broken through the public API")
-	}
-	if CollisionDetection.Observe(Collision) != Collision {
-		t.Error("CD mapping broken through the public API")
-	}
-	if Success.String() != "success" {
+	if Silence.String() != "silence" || Success.String() != "success" || Collision.String() != "collision" {
 		t.Error("feedback stringer broken")
-	}
-	// The deprecated enum resolves to the built-in channel models.
-	if NoCollisionDetection.Model().Name() != "none" || CollisionDetection.Model().Name() != "cd" {
-		t.Error("enum → ChannelModel resolution broken through the public API")
 	}
 }
 
