@@ -102,7 +102,7 @@ func main() {
 		shardArg = flag.String("shard", "", "run only shard i of m of the grid, as \"i/m\", and emit a shard envelope (requires -spec or -algos)")
 		outFile  = flag.String("out", "", "write output to this file instead of stdout")
 		dumpSpec = flag.Bool("dump-spec", false, "emit the selected grid as a reusable spec document and exit (requires -spec or -algos)")
-		noKernel = flag.Bool("no-kernel", false, "force the slot-by-slot engine for every cell, bypassing the bitset slot kernel (which otherwise serves memoizable oblivious cells on every built-in channel, noisy/jam included, and epoch-capable adaptive ones on the channels that deliver a collision as silence: none, ack, noisy, jam; output is byte-identical either way — useful for differential checks and timing)")
+		noKernel = flag.Bool("no-kernel", false, "force the engine for every cell, bypassing the bitset slot kernel (which otherwise serves memoizable oblivious cells on every built-in channel, noisy/jam included, and epoch-capable adaptive ones on the channels that deliver a collision as silence: none, ack, noisy, jam; output is byte-identical either way — useful for differential checks and timing)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {

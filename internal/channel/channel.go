@@ -57,6 +57,10 @@ type Channel struct {
 	trace     []Event
 	truncated bool // recording hit maxTrace; the transcript is a prefix
 
+	// silentInert: resolving a silent slot neither draws nor changes the
+	// outcome — the model is inert, or a model.KernelPerturber.
+	silentInert bool
+
 	slots      int64
 	successes  int64
 	collisions int64
@@ -85,6 +89,8 @@ func (c *Channel) Reset(m model.ChannelModel, record bool, seed uint64) {
 	}
 	c.model = m
 	c.perturb, _ = m.(model.SlotPerturber)
+	_, kp := m.(model.KernelPerturber)
+	c.silentInert = c.perturb == nil || kp
 	c.state.Reset(seed)
 	c.record = record
 	c.trace = c.trace[:0]
@@ -136,6 +142,23 @@ func (c *Channel) Resolve(slot int64, transmitters []int) (model.Feedback, int) 
 		}
 	}
 	return truth, winner
+}
+
+// SkipsSilence reports whether SkipSilent may stand in for resolving
+// silent slots one by one: the model perturbs nothing, or is a
+// model.KernelPerturber, whose Perturb(Silence) returns Silence and draws
+// nothing; and no transcript is being recorded.
+func (c *Channel) SkipsSilence() bool { return c.silentInert && !c.record }
+
+// SkipSilent accounts n slots in which nobody transmits in closed form,
+// exactly as n calls of Resolve with no transmitters would count them. It
+// panics unless SkipsSilence.
+func (c *Channel) SkipSilent(n int64) {
+	if !c.SkipsSilence() {
+		panic("channel: SkipSilent on a channel that must resolve every slot")
+	}
+	c.slots += n
+	c.silences += n
 }
 
 // Deliver maps a slot's effective outcome to the feedback heard by one

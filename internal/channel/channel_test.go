@@ -277,3 +277,65 @@ func TestEventString(t *testing.T) {
 		}
 	}
 }
+
+// drawsOnSilence perturbs outside the model.KernelPerturber contract: it
+// draws from the channel stream on every slot.
+type drawsOnSilence struct{}
+
+func (drawsOnSilence) Name() string { return "draws_on_silence" }
+func (drawsOnSilence) Deliver(truth model.Feedback, _, _ bool) model.Feedback {
+	return truth
+}
+func (drawsOnSilence) Perturb(truth model.Feedback, st *model.ChannelState) model.Feedback {
+	st.Src.Uint64()
+	return truth
+}
+
+// TestSkipSilent checks that SkipSilent counts exactly what resolving the
+// same silent slots one by one counts, leaving the perturbation stream where
+// it was, and that it is refused on a recording channel and on a perturber
+// that may act on silence.
+func TestSkipSilent(t *testing.T) {
+	for _, m := range []model.ChannelModel{model.None(), model.CD(), model.Ack(), model.Noisy(0.3), model.Jam(1)} {
+		var skipped, resolved Channel
+		skipped.Reset(m, false, 42)
+		resolved.Reset(m, false, 42)
+		if !skipped.SkipsSilence() {
+			t.Fatalf("%s: SkipsSilence = false", m.Name())
+		}
+		skipped.Resolve(0, []int{1, 2})
+		resolved.Resolve(0, []int{1, 2})
+		skipped.SkipSilent(5)
+		for slot := int64(1); slot <= 5; slot++ {
+			resolved.Resolve(slot, nil)
+		}
+		// The next non-silent slot sees the same stream and budget.
+		a, wa := skipped.Resolve(6, []int{3})
+		b, wb := resolved.Resolve(6, []int{3})
+		if a != b || wa != wb {
+			t.Fatalf("%s: after the skip (%v,%d), after resolving (%v,%d)", m.Name(), a, wa, b, wb)
+		}
+		if skipped.Slots() != resolved.Slots() || skipped.Silences() != resolved.Silences() ||
+			skipped.Collisions() != resolved.Collisions() || skipped.Successes() != resolved.Successes() {
+			t.Fatalf("%s: skipped counters %d/%d/%d/%d, resolved %d/%d/%d/%d", m.Name(),
+				skipped.Slots(), skipped.Silences(), skipped.Collisions(), skipped.Successes(),
+				resolved.Slots(), resolved.Silences(), resolved.Collisions(), resolved.Successes())
+		}
+	}
+	for name, c := range map[string]*Channel{
+		"recording":        New(model.None(), true),
+		"draws on silence": New(drawsOnSilence{}, false),
+	} {
+		if c.SkipsSilence() {
+			t.Errorf("%s: SkipsSilence = true", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SkipSilent did not panic", name)
+				}
+			}()
+			c.SkipSilent(1)
+		}()
+	}
+}

@@ -57,6 +57,16 @@ func (a *LocalSSF) Build(p model.Params, id int, wake int64, _ *rng.Source) mode
 	}
 }
 
+// BuildNext implements model.Sparse: every q-slot position block of the
+// ladder holds one of the station's member slots, so the cursor names the
+// next one directly.
+func (a *LocalSSF) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) model.NextFunc {
+	cur := selectors.KSLadder(p.N, a.maxI(p)).KSCursor(id)
+	return func(from int64) int64 {
+		return wake + cur.Next(max(from-wake, 0))
+	}
+}
+
 // ObliviousClass implements model.Oblivious: the Kautz–Singleton ladder is
 // fully deterministic (no seed anywhere), and the schedule runs on the
 // station's local clock t - wake — the canonical LocalClock shape, so the

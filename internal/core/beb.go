@@ -44,12 +44,7 @@ func (a *BEB) capFor(p model.Params) int {
 // time (attempt slots drawn per window), making the returned function pure
 // and the run reproducible however the engine queries it.
 func (a *BEB) Build(p model.Params, id int, wake int64, src *rng.Source) model.TransmitFunc {
-	var personal uint64
-	if src != nil {
-		personal = src.Uint64()
-	} else {
-		personal = rng.Derive(p.Seed, uint64(id)*0xbeb)
-	}
+	personal := bebPersonal(p, id, src)
 	capLog := a.capFor(p)
 	// Attempt schedule: window w_r = 2^min(r+1, capLog); the station
 	// transmits at one uniformly chosen slot inside each window. Windows
@@ -63,10 +58,39 @@ func (a *BEB) Build(p model.Params, id int, wake int64, src *rng.Source) model.T
 		}
 		off := t - wake
 		r, start, w := bebWindow(off, capLog)
-		// w is a power of two: the mask is the hash mod w.
-		slot := int64(rng.Hash3(personal, uint64(r), uint64(w), uint64(id)) & uint64(w-1))
-		return off == start+slot
+		return off == start+bebAttempt(personal, r, w, id)
 	}
+}
+
+// BuildNext implements model.Sparse: the attempt in the window holding
+// from, or — when that attempt is already behind from — the next window's.
+func (a *BEB) BuildNext(p model.Params, id int, wake int64, src *rng.Source) model.NextFunc {
+	personal := bebPersonal(p, id, src)
+	capLog := a.capFor(p)
+	return func(from int64) int64 {
+		off := max(from-wake, 0)
+		r, start, w := bebWindow(off, capLog)
+		if at := start + bebAttempt(personal, r, w, id); at >= off {
+			return wake + at
+		}
+		r, start, w = bebWindow(start+w, capLog)
+		return wake + start + bebAttempt(personal, r, w, id)
+	}
+}
+
+// bebPersonal is the station's personal hash key: one draw from its
+// stream, or a derivation from the params seed when built without one.
+func bebPersonal(p model.Params, id int, src *rng.Source) uint64 {
+	if src != nil {
+		return src.Uint64()
+	}
+	return rng.Derive(p.Seed, uint64(id)*0xbeb)
+}
+
+// bebAttempt is the offset, inside window r of width w, of the station's
+// attempt in that window. w is a power of two: the mask is the hash mod w.
+func bebAttempt(personal uint64, r int, w int64, id int) int64 {
+	return int64(rng.Hash3(personal, uint64(r), uint64(w), uint64(id)) & uint64(w-1))
 }
 
 // bebWindow locates offset off (slots since wake) in BEB's window sequence

@@ -136,15 +136,21 @@ func TestWakeupCCursorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuildAllocs pins what one Build allocates. The spoiler adversary
-// builds a schedule for every candidate station on every success slot, so
-// an allocation added to Build multiplies in a white-box sweep. Each
-// schedule is one closure; wakeupc's and localssf's cursors are one more
-// object each, and wait_and_go and localssf take their ladders from the
-// ladder cache.
+// TestBuildAllocs pins what one Build allocates, and what one BuildNext
+// allocates for the sparse algorithms: the same count. The spoiler
+// adversary builds a schedule for every candidate station on every success
+// slot, so an allocation added to Build multiplies in a white-box sweep.
+// Each schedule is one closure; wakeupc's and localssf's cursors are one
+// more object each, and wait_and_go and localssf take their ladders from the
+// ladder cache. The interleaved algorithms add their two components'
+// schedules and one object holding both components' streams.
 func TestBuildAllocs(t *testing.T) {
 	pC := model.Params{N: 256, S: -1, Seed: 5}
 	pB := model.Params{N: 256, K: 16, S: -1, Seed: 5}
+	// Station 3 wakes at 7: after s = 0 it sits out select_among_the_first;
+	// at s = 7 it runs the ladder, one closure more.
+	pLate := model.Params{N: 256, S: 0, Seed: 5}
+	pFirst := model.Params{N: 256, S: 7, Seed: 5}
 	for _, c := range []struct {
 		algo model.Algorithm
 		p    model.Params
@@ -156,6 +162,9 @@ func TestBuildAllocs(t *testing.T) {
 		{NewRoundRobin(), pC, 1},
 		{NewWaitAndGo(), pB, 1},
 		{NewLocalSSF(), pB, 2},
+		{NewWakeupWithK(), pB, 4},
+		{NewWakeupWithS(), pLate, 3},
+		{NewWakeupWithS(), pFirst, 4},
 	} {
 		var src rng.Source
 		allocs := testing.AllocsPerRun(100, func() {
@@ -164,6 +173,17 @@ func TestBuildAllocs(t *testing.T) {
 		})
 		if allocs > c.max {
 			t.Errorf("%s: Build allocates %.0f objects, want at most %.0f", c.algo.Name(), allocs, c.max)
+		}
+		sp, ok := c.algo.(model.Sparse)
+		if !ok {
+			continue
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			src.Reseed(9)
+			_ = sp.BuildNext(c.p, 3, 7, &src)
+		})
+		if allocs > c.max {
+			t.Errorf("%s: BuildNext allocates %.0f objects, want at most %.0f", c.algo.Name(), allocs, c.max)
 		}
 	}
 }

@@ -35,6 +35,20 @@ func (RoundRobin) Build(p model.Params, id int, wake int64, _ *rng.Source) model
 	return func(t int64) bool { return t%n == slot }
 }
 
+// BuildNext implements model.Sparse: the first slot ≥ from in residue
+// id-1 mod n.
+func (RoundRobin) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) model.NextFunc {
+	n := int64(p.N)
+	slot := int64(id - 1)
+	return func(from int64) int64 {
+		t := from - from%n + slot
+		if t < from {
+			t += n
+		}
+		return t
+	}
+}
+
 // ObliviousClass implements model.Oblivious: the residue schedule is a pure
 // function of (N, id, t) — no seed, no wake — so one rendered bitmap serves
 // every trial and every wake pattern of a cell.

@@ -99,3 +99,31 @@ func ConfigString(s string) uint64 {
 	}
 	return rng.Mix64(h)
 }
+
+// Never is the NextFunc result of a station that transmits in no slot at or
+// after the queried one.
+const Never int64 = math.MaxInt64
+
+// NextFunc is a station's schedule in closed form: NextFunc(from) returns
+// the first slot t ≥ from in which the station transmits, or Never. It is
+// queried for from ≥ 0.
+type NextFunc func(from int64) int64
+
+// Sparse is the optional Algorithm extension of schedules that can name
+// their next transmission directly. The engine uses it to jump over slots
+// in which nobody transmits instead of asking every awake station about
+// every slot. BuildNext(p, id, wake, src) must satisfy, for every from ≥ 0:
+//
+//   - NextFunc(from) is the first t ≥ from at which Build(p, id, wake,
+//     src')(t) returns true, or Never when there is none, where src' is a
+//     source in the same state as src;
+//   - it draws from src exactly what Build draws, in the same order, so a
+//     station's stream — and every later draw from it — is the same on both
+//     paths;
+//   - the result depends only on state fixed when BuildNext returns: a
+//     closure may cache (a cursor, say) but never answers differently for
+//     the order in which it is queried.
+type Sparse interface {
+	Algorithm
+	BuildNext(p Params, id int, wake int64, src *rng.Source) NextFunc
+}

@@ -129,8 +129,12 @@ func (il *Interleaved) Build(p model.Params, id int, wake int64, src *rng.Source
 
 	var evenSrc, oddSrc *rng.Source
 	if src != nil {
-		evenSrc = rng.New(rng.Derive(src.Uint64(), 0xe0))
-		oddSrc = rng.New(rng.Derive(src.Uint64(), 0x0d))
+		// Both child streams live in one allocation; the even one draws
+		// first.
+		children := new([2]rng.Source)
+		children[0].Reseed(rng.Derive(src.Uint64(), 0xe0))
+		children[1].Reseed(rng.Derive(src.Uint64(), 0x0d))
+		evenSrc, oddSrc = &children[0], &children[1]
 	}
 	fe := il.even.Build(evenParams, id, evenWake, evenSrc)
 	fo := il.odd.Build(oddParams, id, oddWake, oddSrc)

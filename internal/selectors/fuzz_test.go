@@ -112,7 +112,8 @@ func FuzzKautzSingletonIsolation(f *testing.F) {
 
 // FuzzKSCursor drives a Kautz–Singleton ladder cursor over an arbitrary
 // stream of slot deltas (two bytes each, little-endian, signed; a step below
-// slot 0 reflects) and checks every answer against MemberCyclic.
+// slot 0 reflects) and checks every answer against MemberCyclic: Member at
+// each slot, and Next from it, the first member slot at or after it.
 func FuzzKSCursor(f *testing.F) {
 	f.Add(uint8(10), uint8(1), uint16(3), []byte{1, 0, 1, 0, 1, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(100), uint8(3), uint16(57), []byte{0x10, 0x01, 0xf0, 0xfe, 0x7f, 0x00, 0x01, 0x80})
@@ -127,6 +128,15 @@ func FuzzKSCursor(f *testing.F) {
 		for i := 0; ; i += 2 {
 			if got, want := c.Member(tt), seq.MemberCyclic(tt, id); got != want {
 				t.Fatalf("KSLadder(%d,%d) id=%d: Member(%d) = %v, MemberCyclic = %v", n, maxI, id, tt, got, want)
+			}
+			next := c.Next(tt)
+			if next < tt || !seq.MemberCyclic(next, id) {
+				t.Fatalf("KSLadder(%d,%d) id=%d: Next(%d) = %d, not a member slot at or after it", n, maxI, id, tt, next)
+			}
+			for s := tt; s < next; s++ {
+				if seq.MemberCyclic(s, id) {
+					t.Fatalf("KSLadder(%d,%d) id=%d: Next(%d) = %d skips member slot %d", n, maxI, id, tt, next, s)
+				}
 			}
 			if i+1 >= len(deltas) {
 				break

@@ -451,6 +451,18 @@ func (c *KSCursor) Member(t int64) bool {
 	return c.seek(t)
 }
 
+// Next returns the first member slot ≥ t, for t ≥ 0: the member slot of
+// t's position block, or of the block after it when that slot is behind t.
+func (c *KSCursor) Next(t int64) int64 {
+	if t < c.lo || t >= c.hi {
+		c.seek(t)
+	}
+	if c.hit < t {
+		c.seek(c.hi)
+	}
+	return c.hit
+}
+
 // seek moves the cached window to t's position block and answers for t.
 func (c *KSCursor) seek(t int64) bool {
 	if t < 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"nsmac/internal/channel"
 	"nsmac/internal/model"
@@ -25,6 +26,8 @@ type Engine struct {
 	algo         model.Algorithm
 	adaptiveAlgo model.Adaptive
 	useAdaptive  bool
+	sparseAlgo   model.Sparse
+	useSparse    bool
 	p            model.Params
 	opt          Options
 
@@ -32,6 +35,12 @@ type Engine struct {
 	stations     []station       // wake-ordered station table, reused across trials
 	active       []*station      // activated stations, pointers into the table
 	transmitters []int           // per-slot transmit buffer (IDs)
+
+	// Sparse stepping: active[i]'s next-attempt function and slot, reused
+	// across trials, and the earliest of those slots.
+	nexts []model.NextFunc
+	at    []int64
+	minAt int64
 
 	s      int64 // first wake slot
 	t      int64 // next slot to execute
@@ -84,6 +93,10 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	// The channel's perturbation stream derives from the run seed on its own
 	// stream index, independent of the per-station streams.
 	e.ch.Reset(opt.ChannelModel(), opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
+	// Jumping over silent slots needs every station's next attempt in
+	// closed form and a channel on which a silent slot is pure bookkeeping.
+	e.sparseAlgo, _ = algo.(model.Sparse)
+	e.useSparse = !e.useAdaptive && e.sparseAlgo != nil && e.ch.SkipsSilence()
 
 	// Rebuild the station table in wake order (ties by ID) inside the reused
 	// backing array, from the pattern's sorted activation keys.
@@ -105,6 +118,12 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 		e.transmitters = make([]int, 0, k)
 	}
 	e.transmitters = e.transmitters[:0]
+	if e.useSparse && cap(e.at) < k {
+		e.nexts = make([]model.NextFunc, 0, k)
+		e.at = make([]int64, 0, k)
+	}
+	e.nexts, e.at = e.nexts[:0], e.at[:0]
+	e.minAt = model.Never
 
 	e.s = e.stations[0].wake
 	e.t = e.s
@@ -132,13 +151,13 @@ func (e *Engine) Slot() int64 { return e.t }
 
 // Step executes one slot. It returns true once the trial has ended — at the
 // first solo transmission, or when the horizon is exhausted.
-func (e *Engine) Step() bool { return e.step(nil) }
+func (e *Engine) Step() bool { return e.step(e.t+1, nil) }
 
 // RunTo steps until global slot until (exclusive) or until the trial ends,
 // whichever comes first, and reports whether the trial has ended.
 func (e *Engine) RunTo(until int64) bool {
 	for !e.done && e.t < until {
-		if e.step(nil) {
+		if e.step(until, nil) {
 			break
 		}
 	}
@@ -149,20 +168,25 @@ func (e *Engine) RunTo(until int64) bool {
 func (e *Engine) Run() model.Result { return e.run(nil) }
 
 // run is the core loop. onSuccess, when non-nil, is called for every
-// successful slot and returns true to keep running (RunAll's hook).
+// successful slot and returns true to keep running (RunAll's hook, which
+// runs adaptive stations and so never steps sparsely).
 func (e *Engine) run(onSuccess func(slot int64, winner int) bool) model.Result {
-	for !e.step(onSuccess) {
+	for !e.step(math.MaxInt64, onSuccess) {
 	}
 	return e.result
 }
 
-// step executes the next slot; it returns true once the trial has ended.
-func (e *Engine) step(onSuccess func(slot int64, winner int) bool) bool {
+// step executes the next slot; it returns true once the trial has ended. A
+// sparse engine whose stations all stay silent in that slot instead skips
+// the whole silent run it starts, up to the next attempt, the next wake,
+// the horizon or limit, whichever comes first (limit > e.t).
+func (e *Engine) step(limit int64, onSuccess func(slot int64, winner int) bool) bool {
 	if e.done {
 		return true
 	}
 	t := e.t
-	if t >= e.s+e.opt.Horizon {
+	end := e.s + e.opt.Horizon
+	if t >= end {
 		// result.Slots is maintained per step and already equals Horizon.
 		e.done = true
 		return true
@@ -173,9 +197,16 @@ func (e *Engine) step(onSuccess func(slot int64, winner int) bool) bool {
 		st := &e.stations[e.next]
 		src := &st.src
 		src.Reseed(rng.Derive(e.opt.Seed, uint64(st.id)))
-		if e.useAdaptive {
+		switch {
+		case e.useAdaptive:
 			st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, st.id, st.wake, src)
-		} else {
+		case e.useSparse:
+			next := e.sparseAlgo.BuildNext(e.p, st.id, st.wake, src)
+			at := next(t)
+			e.nexts = append(e.nexts, next)
+			e.at = append(e.at, at)
+			e.minAt = min(e.minAt, at)
+		default:
 			st.transmit = e.algo.Build(e.p, st.id, st.wake, src)
 		}
 		e.active = append(e.active, st)
@@ -183,25 +214,34 @@ func (e *Engine) step(onSuccess func(slot int64, winner int) bool) bool {
 	}
 
 	e.transmitters = e.transmitters[:0]
-	listeners := int64(0)
-	for _, st := range e.active {
-		var tx bool
-		if e.useAdaptive {
-			tx = st.adaptive.WillTransmit(t)
-		} else {
-			tx = st.transmit(t)
+	if e.useSparse {
+		if e.minAt > t {
+			stop := min(e.minAt, end, limit)
+			if e.next < len(e.stations) {
+				stop = min(stop, e.stations[e.next].wake)
+			}
+			e.skipSilent(stop - t)
+			return false
 		}
-		st.sent = tx
-		if tx {
-			e.transmitters = append(e.transmitters, st.id)
-		} else {
-			listeners++
+		e.collectAttempts(t)
+	} else {
+		for _, st := range e.active {
+			var tx bool
+			if e.useAdaptive {
+				tx = st.adaptive.WillTransmit(t)
+			} else {
+				tx = st.transmit(t)
+			}
+			st.sent = tx
+			if tx {
+				e.transmitters = append(e.transmitters, st.id)
+			}
 		}
 	}
 
 	truth, winner := e.ch.Resolve(t, e.transmitters)
 	e.result.Transmissions += int64(len(e.transmitters))
-	e.result.Listens += listeners
+	e.result.Listens += int64(len(e.active) - len(e.transmitters))
 	switch truth {
 	case model.Collision:
 		e.result.Collisions++
@@ -230,4 +270,30 @@ func (e *Engine) step(onSuccess func(slot int64, winner int) bool) bool {
 		return true
 	}
 	return false
+}
+
+// collectAttempts gathers the stations whose next attempt is slot t into
+// the transmit buffer and moves each to its following attempt, keeping
+// minAt the earliest.
+func (e *Engine) collectAttempts(t int64) {
+	e.minAt = model.Never
+	for i, at := range e.at {
+		if at == t {
+			e.transmitters = append(e.transmitters, e.active[i].id)
+			at = e.nexts[i](t + 1)
+			e.at[i] = at
+		}
+		e.minAt = min(e.minAt, at)
+	}
+}
+
+// skipSilent accounts the next gap slots, in which no active station
+// transmits and none wakes, in closed form: each is a silence, and every
+// active station spends it listening.
+func (e *Engine) skipSilent(gap int64) {
+	e.ch.SkipSilent(gap)
+	e.result.Silences += gap
+	e.result.Listens += gap * int64(len(e.active))
+	e.t += gap
+	e.result.Slots = e.t - e.s
 }

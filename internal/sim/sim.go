@@ -3,13 +3,22 @@
 // transmission schedules slot by slot, and stops at the first successful
 // (solo) transmission — the wake-up problem's termination condition.
 //
-// The engine touches only awake stations, so a slot costs O(active) schedule
-// evaluations regardless of n, and every run is reproducible from
-// (algorithm, params, pattern, seed). Engine is the reusable core: Reset
-// recycles the station table, transmit buffers and channel between trials,
-// so a warm engine runs a trial with near-zero allocations of its own —
-// internal/sweep pools one engine per worker for exactly this reason. Run
-// and RunAll are thin wrappers over a fresh engine for one-shot callers.
+// The engine touches only awake stations, so a slot costs O(active) work
+// regardless of n, and every run is reproducible from (algorithm, params,
+// pattern, seed). A dense engine evaluates every awake station's schedule
+// in every slot. Reset picks sparse stepping instead when the run is not
+// adaptive, the algorithm implements model.Sparse, no transcript is
+// recorded and the channel is inert or a model.KernelPerturber: the engine
+// then keeps each awake station's next attempt and jumps over the silent
+// slots between attempts, wakes and the horizon, accounting them (slots,
+// silences, listens) in closed form. Both paths produce the same results
+// and channel counters.
+//
+// Engine is the reusable core: Reset recycles the station table, transmit
+// buffers and channel between trials, so a warm engine runs a trial with
+// near-zero allocations of its own — internal/sweep pools one engine per
+// worker for exactly this reason. Run and RunAll are thin wrappers over a
+// fresh engine for one-shot callers.
 package sim
 
 import (
