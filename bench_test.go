@@ -317,30 +317,28 @@ func BenchmarkQuickTables(b *testing.B) {
 }
 
 // BenchmarkSweepThroughput measures the sweep orchestrator's cell throughput
-// on two rosters × both execution paths × worker/batch shapes — the perf
+// on four rosters × both kernel settings × worker/batch shapes — the perf
 // baseline future scheduler/sharding changes are judged against.
 //
-// roster=paper is the historical mixed grid (wakeupc is seed-sensitive, so
-// its cells run on the engine under either setting: only the roundrobin
-// cells move to the kernel). roster=memoizable is all seed-insensitive
-// algorithms — round-robin's global residue schedule and the local-clock
-// Kautz–Singleton ladder — at high trial counts on long collision-heavy
-// cells, where cross-trial schedule memoization pays. At workers=1/batch=64
-// with GOMAXPROCS=1 on a 2-vCPU linux/amd64 VM (go1.24), kernel=on measured
-// ≈5 ms/op against ≈17 ms/op for kernel=off, about 3.5×: localssf's ladder
-// cursor made the engine's per-slot query cheap as well as the kernel's
-// render, so the engine gained more. roster=perturbed is the memoizable
-// roster under the noisy/jam channel axis, where the kernel overlays the
-// perturbation on its word scan (kernel=off is the engine's slot-by-slot
-// Perturb path): kernel=on must beat kernel=off by ≥2×, and measured ≈7
-// ms/op against ≈39 ms/op, about 5×, on the same host. roster=adaptive is
-// the feedback roster: tree_cd × none routes onto the kernel's epoch
-// executor, where no collision reaches a station, while tree_cd × cd and
-// every kg cell run on the engine under either setting (kernel=off is the
-// engine's per-slot adaptive delivery loop). At workers=1/batch=64 with
-// GOMAXPROCS=1 on a 2-vCPU linux/amd64 VM (go1.24), kernel=on measured
-// 4.9 ms/op against 69 ms/op for kernel=off, about 14×, all of it from the
-// tree_cd × none cells. allocs/op tracks both pools' allocation discipline.
+// roster=paper is the historical mixed grid of wakeupc and roundrobin.
+// roster=memoizable is round-robin's global residue schedule and the
+// local-clock Kautz–Singleton ladder at high trial counts on long
+// collision-heavy cells, and roster=perturbed is the same roster under the
+// noisy/jam channel axis. All three are oblivious, so they run on the engine
+// under either setting; roundrobin and localssf step sparsely there. These
+// cells were once served by a kernel route that memoized their rendered
+// schedules across trials. At workers=1/batch=64 with GOMAXPROCS=1 on a
+// 2-vCPU linux/amd64 VM (go1.24) that route measured 6.4–7.0 ms/op on
+// roster=memoizable against 17.6–19.0 ms/op on the engine, and 9.5–11.1
+// against 39–41 ms/op on roster=perturbed. It was deleted anyway because no
+// committed benchmark workload has this shape: on the whole sweep_oblivious
+// grid the engine was faster. roster=adaptive is the feedback roster:
+// tree_cd × none routes onto the kernel's epoch executor, where no collision
+// reaches a station, while tree_cd × cd and every kg cell run on the engine
+// under either setting (kernel=off is the engine's per-slot adaptive
+// delivery loop). On the same host, kernel=on measured 4.6–4.9 ms/op against
+// 101–110 ms/op for kernel=off, about 22×, all of it from the tree_cd × none
+// cells. allocs/op tracks both pools' allocation discipline.
 func BenchmarkSweepThroughput(b *testing.B) {
 	rosters := []struct {
 		name     string

@@ -1,6 +1,6 @@
 // Command nsmacvet runs the repository's static-analysis suite — the four
 // analyzers in nsmac/internal/lint that enforce the determinism, RNG-stream,
-// registry-Ref and ScheduleClass invariants — over a set of package
+// registry-Ref and epoch-render invariants — over a set of package
 // patterns, like a purpose-built `go vet`.
 //
 // Usage:

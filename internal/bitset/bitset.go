@@ -200,32 +200,6 @@ func (b *Bitset) Slice() []int {
 	return out
 }
 
-// Min returns the smallest element, or 0 if the set is empty.
-func (b *Bitset) Min() int {
-	return b.NextSet(1)
-}
-
-// NextSet returns the smallest element >= x, or 0 if there is none. x may be
-// n+1 (the scan past the last element), which always returns 0.
-func (b *Bitset) NextSet(x int) int {
-	if x < 1 || x > b.n+1 {
-		panic(fmt.Sprintf("bitset: scan start %d out of range [1,%d]", x, b.n+1))
-	}
-	i := x - 1
-	wi := i >> 6
-	if wi < len(b.words) {
-		if w := b.words[wi] >> uint(i&63); w != 0 {
-			return i + bits.TrailingZeros64(w) + 1
-		}
-		for wi++; wi < len(b.words); wi++ {
-			if w := b.words[wi]; w != 0 {
-				return wi<<6 + bits.TrailingZeros64(w) + 1
-			}
-		}
-	}
-	return 0
-}
-
 // WordMask returns the 64-bit mask with bits [lo, hi) set (word-local bit
 // indices, 0 <= lo <= hi <= 64) — the slot-window mask of the word-wide
 // kernel step.

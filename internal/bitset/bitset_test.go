@@ -58,9 +58,6 @@ func TestZeroCapacity(t *testing.T) {
 	if !b.Empty() || b.Count() != 0 {
 		t.Error("zero-capacity set should be empty")
 	}
-	if b.Min() != 0 {
-		t.Error("Min of empty set should be 0")
-	}
 }
 
 func TestFromSliceAndSlice(t *testing.T) {
@@ -224,21 +221,6 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 	})
 	if len(visited) != 2 || visited[0] != 3 || visited[1] != 64 {
 		t.Errorf("early-stop visit = %v, want [3 64]", visited)
-	}
-}
-
-func TestMin(t *testing.T) {
-	b := New(200)
-	if b.Min() != 0 {
-		t.Error("Min of empty set should be 0")
-	}
-	b.Set(150)
-	if b.Min() != 150 {
-		t.Errorf("Min = %d, want 150", b.Min())
-	}
-	b.Set(3)
-	if b.Min() != 3 {
-		t.Errorf("Min = %d, want 3", b.Min())
 	}
 }
 

@@ -7,61 +7,6 @@ import (
 	"nsmac/internal/rng"
 )
 
-func TestNextSet(t *testing.T) {
-	b := New(200)
-	for _, x := range []int{3, 64, 65, 130, 200} {
-		b.Set(x)
-	}
-	cases := []struct{ from, want int }{
-		{1, 3}, {3, 3}, {4, 64}, {64, 64}, {65, 65}, {66, 130},
-		{130, 130}, {131, 200}, {200, 200}, {201, 0},
-	}
-	for _, c := range cases {
-		if got := b.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	if Min := b.Min(); Min != 3 {
-		t.Errorf("Min = %d, want 3", Min)
-	}
-	if got := New(10).NextSet(1); got != 0 {
-		t.Errorf("NextSet on empty set = %d, want 0", got)
-	}
-	if got := New(0).NextSet(1); got != 0 {
-		t.Errorf("NextSet(1) on zero-capacity set = %d, want 0", got)
-	}
-}
-
-func TestNextSetAgainstForEach(t *testing.T) {
-	src := rng.New(0xb17)
-	for round := 0; round < 50; round++ {
-		n := 1 + src.Intn(300)
-		b := New(n)
-		for i := 0; i < src.Intn(40); i++ {
-			b.Set(1 + src.Intn(n))
-		}
-		// Walking via NextSet must enumerate exactly ForEach's order.
-		var want []int
-		b.ForEach(func(x int) bool { want = append(want, x); return true })
-		var got []int
-		for x := b.NextSet(1); x != 0; {
-			got = append(got, x)
-			if x == n {
-				break
-			}
-			x = b.NextSet(x + 1)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: NextSet walk found %d elements, ForEach %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d element %d: NextSet %d != ForEach %d", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestWordMask(t *testing.T) {
 	cases := []struct {
 		lo, hi uint

@@ -67,18 +67,6 @@ func (a *LocalSSF) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) 
 	}
 }
 
-// ObliviousClass implements model.Oblivious: the Kautz–Singleton ladder is
-// fully deterministic (no seed anywhere), and the schedule runs on the
-// station's local clock t - wake — the canonical LocalClock shape, so the
-// kernel renders the ladder once per station and shifts it per wake.
-func (a *LocalSSF) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{
-		WakeSensitive: true,
-		LocalClock:    true,
-		Config:        model.ConfigFields(uint64(a.MaxI)),
-	}, true
-}
-
 // Horizon implements Bounded: a generous empirical cap of several full
 // cycles (no theorem backs this baseline; the cap is for the simulator's
 // termination only).

@@ -108,17 +108,6 @@ func bebWindow(off int64, capLog int) (r int, start, w int64) {
 	return capLog - 1 + int(q), capped + q<<uint(capLog), w
 }
 
-// ObliviousClass implements model.Oblivious: this BEB variant samples its
-// whole attempt schedule at build time (stations infer failure rather than
-// hear it), so the schedule is pure given the personal seed.
-func (a *BEB) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{
-		SeedSensitive: true,
-		WakeSensitive: true,
-		Config:        model.ConfigFields(uint64(a.CapLog)),
-	}, true
-}
-
 // Horizon implements Bounded: no theorem backs BEB; the cap covers the
 // full doubling phase (≈ 2^(capLog+1) slots) plus several hundred capped
 // windows, which empirically suffices for small k.

@@ -40,26 +40,6 @@ func (a *ClockSkewed) Name() string {
 	return fmt.Sprintf("skewed(%s,±%d)", a.Inner.Name(), a.MaxSkew)
 }
 
-// ObliviousClass implements model.Oblivious by delegation: skew is a pure
-// per-station offset, so the wrapper is oblivious iff the inner algorithm
-// is. Nonzero skew derives from the params seed (seed-sensitive); the inner
-// schedule is queried at shifted slots but its wake dependence is unchanged.
-func (a *ClockSkewed) ObliviousClass() (model.ScheduleClass, bool) {
-	inner, ok := model.AlgorithmClass(a.Inner)
-	if !ok {
-		return model.ScheduleClass{}, false
-	}
-	return model.ScheduleClass{
-		SeedSensitive: inner.SeedSensitive || a.MaxSkew > 0,
-		WakeSensitive: inner.WakeSensitive,
-		// A fixed per-station offset composes with a local-clock shift into
-		// another shift: skewed local-clock schedules stay local-clock.
-		LocalClock: inner.LocalClock,
-		Config: model.ConfigFields(
-			model.ConfigString(a.Inner.Name()), inner.Config, uint64(a.MaxSkew)),
-	}, true
-}
-
 // Build implements model.Algorithm: station id's private clock reads
 // t + skew_id; it hands the inner algorithm its perceived wake time and
 // queries the inner schedule at perceived slots. Skew is derived from the

@@ -65,17 +65,6 @@ func (a *RPD) Build(p model.Params, id int, wake int64, src *rng.Source) model.T
 	}
 }
 
-// ObliviousClass implements model.Oblivious: the per-round coin is a pure
-// hash of the personal seed drawn once from the station stream at build
-// time — randomized, but never feedback-driven.
-func (a *RPD) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{
-		SeedSensitive: true,
-		WakeSensitive: true,
-		Config:        model.ConfigFields(model.ConfigBool(a.UseK)),
-	}, true
-}
-
 // Horizon implements Bounded: expectation is O(log n); each ℓ-cycle gives a
 // constant success probability, so a few hundred cycles push the failure
 // probability below any practical threshold.

@@ -49,13 +49,6 @@ func (RoundRobin) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) m
 	}
 }
 
-// ObliviousClass implements model.Oblivious: the residue schedule is a pure
-// function of (N, id, t) — no seed, no wake — so one rendered bitmap serves
-// every trial and every wake pattern of a cell.
-func (RoundRobin) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{}, true
-}
-
 // Horizon implements Bounded: success within n slots of the first wake-up,
 // plus slack.
 func (RoundRobin) Horizon(n, k int) int64 { return int64(n) + 2 }

@@ -57,17 +57,6 @@ func (a *SelectAmongFirst) Build(p model.Params, id int, wake int64, _ *rng.Sour
 	}
 }
 
-// ObliviousClass implements model.Oblivious: the schedule never reads
-// feedback, but the ladder derives from the params seed (seed-sensitive) and
-// a station woken after s stays silent (wake-sensitive).
-func (a *SelectAmongFirst) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{
-		SeedSensitive: true,
-		WakeSensitive: true,
-		Config:        model.ConfigFields(model.ConfigFloat(a.SizeMult)),
-	}, true
-}
-
 // Horizon implements Bounded: the first pass through the ladder ends within
 // O(k log(n/k) + k); a guarded multiple plus the full ladder length covers
 // unlucky seeds.

@@ -62,16 +62,6 @@ func (a *WaitAndGo) Build(p model.Params, id int, wake int64, _ *rng.Source) mod
 	}
 }
 
-// ObliviousClass implements model.Oblivious: feedback-free, but the ladder
-// derives from the params seed and the wait barrier depends on the wake slot.
-func (a *WaitAndGo) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{
-		SeedSensitive: true,
-		WakeSensitive: true,
-		Config:        model.ConfigFields(model.ConfigFloat(a.SizeMult), model.ConfigBool(a.DisableWait)),
-	}, true
-}
-
 // Horizon implements Bounded: worst case, a station waits almost a full
 // period z for the next boundary and then one full pass of the schedule
 // succeeds; 3z plus slack is a guarded cap.

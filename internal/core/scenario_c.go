@@ -121,17 +121,6 @@ func (c *wakeupCursor) member(t int64, id int) bool {
 	return c.spec.MemberColumn(c.row, c.col, c.rho, id)
 }
 
-// ObliviousClass implements model.Oblivious: the row-cursor closure is an
-// internal cache over the pure function "id ∈ M_{row(t), t mod ℓ}" — the
-// matrix derives from the params seed and row progress counts from µ(σ).
-func (a *WakeupC) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{
-		SeedSensitive: true,
-		WakeSensitive: true,
-		Config:        model.ConfigFields(uint64(a.C), model.ConfigBool(a.DisableWindowWait)),
-	}, true
-}
-
 // Horizon implements Bounded. Theorem 5.3 bounds the wake-up time by
 // 2c·k·log n·log log n plus the initial window wait; the guard allows 16×
 // that plus slack, so a failure within the horizon indicts the construction

@@ -8,57 +8,14 @@ import (
 	"nsmac/internal/rng"
 )
 
-// The feedback-epoch executor runs adaptive algorithms that declare
-// model.EpochOblivious on the word scan. classify routes them here only on
-// channels that deliver a collision as silence to every role (none, ack,
-// noisy:<p>, jam:<q>): there the only feedback that can differ from silence
-// is the success that ends the trial, so no observation moves station state
-// while the trial runs and each station follows its silence projection from
-// wake to end. The kernel builds every station at its wake, renders it
-// word by word and resolves each word in a single overlay pass, exactly like
-// the oblivious scan — and consuming the channel stream in the same slot
-// order, which keeps draw parity with the engine.
-//
-// On cd and sender_cd every collision would reach some station and force a
-// re-render; those cells measured slower here than on the engine and stay
-// there.
-
-// epochRef is one awake station of an epoch trial. st is nil until the
-// station's first word arrives (build-at-activation, like the engine).
+// epochRef is one awake station of a trial. st is nil until the station's
+// first word arrives (build-at-activation, like the engine); src is its
+// per-station stream, reseeded in place when it is built.
 type epochRef struct {
 	id   int
 	wake int64
 	st   model.EpochStation
-}
-
-// runToEpoch is RunTo for modeEpoch: word-at-a-time, clipped at the wake of
-// any station whose EpochStation would have to be built mid-word — a trial
-// that ends before a wake never pays for that station's construction.
-func (k *Kernel) runToEpoch(until int64) bool {
-	limit := until
-	if limit > k.end {
-		limit = k.end
-	}
-	for !k.done && k.t < limit {
-		hi := (k.t &^ 63) + 64
-		if hi > limit {
-			hi = limit
-		}
-		for k.next < len(k.epochs) && k.epochs[k.next].wake <= k.t {
-			k.next++
-		}
-		for j := k.next; j < len(k.epochs) && k.epochs[j].wake < hi; j++ {
-			if k.epochs[j].st == nil {
-				hi = k.epochs[j].wake
-				break
-			}
-		}
-		k.stepEpoch(k.t, hi)
-	}
-	if !k.done && k.t >= k.end && until > k.end {
-		k.done = true
-	}
-	return k.done
+	src  rng.Source
 }
 
 // stepEpoch executes slots [lo, hi), which lie within one 64-slot word and
@@ -78,7 +35,8 @@ func (k *Kernel) stepEpoch(lo, hi int64) {
 			break // wake-ordered: no later station is awake in this word
 		}
 		if er.st == nil {
-			er.st = k.epochAlgo.BuildEpoch(k.p, er.id, er.wake, rng.New(rng.Derive(k.seed, uint64(er.id))))
+			er.src.Reseed(rng.Derive(k.seed, uint64(er.id)))
+			er.st = k.algo.BuildEpoch(k.p, er.id, er.wake, &er.src)
 		}
 		w := er.st.RenderWord(base-er.wake) & awakeMask(er.wake, base)
 		k.wbuf[i] = w

@@ -93,7 +93,7 @@ func TestEpochKernelMatchesEngine(t *testing.T) {
 	for _, entry := range adaptiveRoster() {
 		for _, ch := range epochChannels() {
 			t.Run(entry.name+"/"+ch.Name(), func(t *testing.T) {
-				src := rng.New(rng.Derive(0xe90c, model.ConfigString(entry.name+ch.Name())))
+				src := rng.New(rng.Derive(0xe90c, nameStream(entry.name+ch.Name())))
 				eng := sim.NewEngine()
 				kn := kernel.New()
 				for round := 0; round < 30; round++ {
@@ -141,7 +141,7 @@ func TestEpochKernelMidRunMatchesEngine(t *testing.T) {
 	for _, entry := range adaptiveRoster() {
 		for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD(), model.None()} {
 			t.Run(entry.name+"/"+ch.Name(), func(t *testing.T) {
-				src := rng.New(rng.Derive(0x3a17, model.ConfigString(entry.name+ch.Name())))
+				src := rng.New(rng.Derive(0x3a17, nameStream(entry.name+ch.Name())))
 				eng := sim.NewEngine()
 				kn := kernel.New()
 				for round := 0; round < 20; round++ {
@@ -246,8 +246,8 @@ func TestEpochEligibilityGate(t *testing.T) {
 	if !ok || !cls.SeedSensitive {
 		t.Errorf("epoch class = %+v ok=%v, want seed-sensitive and eligible", cls, ok)
 	}
-	// Without Options.Adaptive the same algorithms advertise no oblivious
-	// schedule and must stay ineligible (pinned also in TestKernelEligibility).
+	// Without Options.Adaptive TreeCD runs no epochs and must stay
+	// ineligible (pinned also in TestKernelEligibility).
 	if kernel.Eligible(core.NewTreeCD(), sim.Options{Horizon: 10}) {
 		t.Error("non-adaptive TreeCD run must stay on the engine")
 	}

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"errors"
+	"hash/fnv"
 	"testing"
 
 	"nsmac/internal/core"
@@ -15,13 +16,16 @@ import (
 // rosterEntry pairs an algorithm constructor with its per-(n,k) knowledge —
 // a self-contained mirror of the sweep registry's scenarios, kept local so
 // the kernel package's tests do not depend on internal/sweep (which imports
-// this package).
+// this package). epoch marks the one entry the kernel runs: tree_cd, as an
+// adaptive run on a collision-silent channel. Every oblivious entry runs on
+// the engine, and the kernel must refuse it.
 type rosterEntry struct {
 	name    string
 	algo    func(n, k int) model.Algorithm
 	params  func(n, k int, seed uint64, firstWake int64) model.Params
 	horizon func(n, k int) int64
 	maxK    int
+	epoch   bool
 }
 
 func roster() []rosterEntry {
@@ -83,13 +87,21 @@ func roster() []rosterEntry {
 			horizon: func(n, k int) int64 { return 4 * core.RoundRobin{}.Horizon(n, k) },
 		},
 		{
-			name:    "delayed(localssf)",
-			algo:    func(n, k int) model.Algorithm { return schedule.NewDelayed(core.NewLocalSSF(), 3) },
+			name:    "tree_cd",
+			algo:    func(n, k int) model.Algorithm { return core.NewTreeCD() },
 			params:  scenC,
-			horizon: func(n, k int) int64 { return (&core.LocalSSF{}).Horizon(n, k) + 16 },
-			maxK:    16,
+			horizon: func(n, k int) int64 { return core.TreeCD{}.Horizon(n, k) },
+			epoch:   true,
 		},
 	}
+}
+
+// nameStream folds a subtest name into an RNG stream id (FNV-1a, then
+// mixed), so every subtest draws its own workloads.
+func nameStream(name string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return rng.Mix64(h.Sum64())
 }
 
 // randomPattern draws a wake pattern of k stations in [1, n] with wakes in
@@ -104,21 +116,23 @@ func randomPattern(n, k int, spread int64, seed uint64) model.WakePattern {
 	return model.WakePattern{IDs: ids, Wakes: wakes}
 }
 
-// differential runs one workload on both executors. A seed-sensitive
-// pairing must be refused by kernel.Reset with the ineligibility error —
-// sweeps keep those cells on the engine — and any other must produce a
-// model.Result identical in every field to the slot-by-slot engine's.
-func differential(t *testing.T, round int, eng *sim.Engine, kn *kernel.Kernel,
-	algo model.Algorithm, p model.Params, w model.WakePattern, opt sim.Options) {
+// differential runs one workload of a roster entry on both executors. An
+// oblivious pairing must be refused by kernel.Reset with the ineligibility
+// error — sweeps keep those cells on the engine — and the epoch entry must
+// produce a model.Result identical in every field to the engine's.
+func differential(t *testing.T, round int, eng *sim.Engine, kn *kernel.Kernel, entry rosterEntry,
+	p model.Params, w model.WakePattern, opt sim.Options) {
 	t.Helper()
+	opt.Adaptive = entry.epoch
+	algo := entry.algo(p.N, w.K())
 	if err := eng.Reset(algo, p, w, opt); err != nil {
 		t.Fatalf("round %d: engine reset: %v", round, err)
 	}
 	want := eng.Run()
 	err := kn.Reset(algo, p, w, opt)
-	if cls, _ := model.AlgorithmClass(algo); cls.SeedSensitive {
+	if !entry.epoch {
 		if !errors.Is(err, kernel.ErrIneligible) {
-			t.Fatalf("round %d: kernel.Reset of seed-sensitive %s returned %v, want the ineligibility error",
+			t.Fatalf("round %d: kernel.Reset of oblivious %s returned %v, want the ineligibility error",
 				round, algo.Name(), err)
 		}
 		return
@@ -132,16 +146,14 @@ func differential(t *testing.T, round int, eng *sim.Engine, kn *kernel.Kernel,
 	}
 }
 
-// TestKernelMatchesEngine is the core differential: for every roster
-// algorithm, random workloads must produce a model.Result identical in every
-// field to the slot-by-slot engine's — with the engine warm and the kernel
-// shared across trials, so memoized schedule reuse is on the tested path.
-// The seed-sensitive entries pin the other half of the routing contract:
-// the kernel refuses them.
+// TestKernelMatchesEngine is the core differential over the whole roster on
+// the default channel: random workloads of the epoch entry must produce a
+// model.Result identical in every field to the engine's, with both executors
+// warm across trials, and the kernel must refuse every oblivious entry.
 func TestKernelMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		t.Run(entry.name, func(t *testing.T) {
-			src := rng.New(rng.Derive(0xd1ff, model.ConfigString(entry.name)))
+			src := rng.New(rng.Derive(0xd1ff, nameStream(entry.name)))
 			eng := sim.NewEngine()
 			kn := kernel.New()
 			for round := 0; round < 30; round++ {
@@ -154,32 +166,31 @@ func TestKernelMatchesEngine(t *testing.T) {
 				w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
 				p := entry.params(n, k, seed, w.FirstWake())
 				opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed}
-				differential(t, round, eng, kn, entry.algo(n, k), p, w, opt)
+				differential(t, round, eng, kn, entry, p, w, opt)
 			}
 		})
 	}
 }
 
-// midRunWorkload draws one RunTo-parity workload. Rounds alternate between
-// the local-clock localssf, whose staggered wakes exercise the shifted cache
-// reads, and roundrobin, whose trials on up to 300 ids span many words and
-// often outlast the horizon.
+// midRunWorkload draws one RunTo-parity workload of tree_cd on up to 300
+// ids under a short random horizon. Rounds alternate between simultaneous
+// wakes, where two stations collide until the horizon, and staggered ones,
+// which activate stations mid-word.
 func midRunWorkload(src *rng.Source, round int) (model.Algorithm, model.Params, model.WakePattern, int64) {
-	algo := model.Algorithm(core.NewLocalSSF())
-	if round%2 == 1 {
-		algo = core.NewRoundRobin()
-	}
 	n := 2 + src.Intn(300)
 	k := 1 + src.Intn(min(n, 16))
 	seed := src.Uint64()
-	return algo, model.Params{N: n, S: -1, Seed: seed}, randomPattern(n, k, 20, seed), int64(40 + src.Intn(400))
+	spread := int64(1)
+	if round%2 == 1 {
+		spread = 20
+	}
+	return core.NewTreeCD(), model.Params{N: n, S: -1, Seed: seed}, randomPattern(n, k, spread, seed), int64(40 + src.Intn(400))
 }
 
 // runToParity steps two executors, Reset on the same workload, to the same
 // RunTo bounds from u until both are done, failing on the first divergence
 // of (done, Slot, Result), and returns the last bound. Steps mix short ones
-// that straddle word boundaries with long ones that cover whole 256-slot
-// station passes.
+// that straddle word boundaries with long ones that cover many words.
 func runToParity(t *testing.T, round int, src *rng.Source, eng *sim.Engine, kn *kernel.Kernel, u int64) int64 {
 	t.Helper()
 	for !eng.Done() || !kn.Done() {
@@ -202,7 +213,7 @@ func TestKernelMidRunMatchesEngine(t *testing.T) {
 	kn := kernel.New()
 	for round := 0; round < 40; round++ {
 		algo, p, w, horizon := midRunWorkload(src, round)
-		opt := sim.Options{Horizon: horizon, Seed: p.Seed}
+		opt := sim.Options{Horizon: horizon, Seed: p.Seed, Adaptive: true}
 
 		if err := eng.Reset(algo, p, w, opt); err != nil {
 			t.Fatal(err)
@@ -223,24 +234,24 @@ func TestKernelMidRunMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestKernelStepMatchesEngine drives both executors one slot at a time.
+// TestKernelStepMatchesEngine drives both executors one slot at a time on
+// the default channel: two tree_cd stations that wake together collide in
+// every slot, and a third joins mid-way through the second word, until the
+// horizon ends the trial.
 func TestKernelStepMatchesEngine(t *testing.T) {
 	eng := sim.NewEngine()
 	kn := kernel.New()
-	algo := core.NewRoundRobin()
-	// Two stations on a collision course for a while: IDs chosen so the
-	// success lands mid-word, plus a simultaneous pattern landing it at the
-	// word edge (slots 63 and 64 checked in TestKernelWordBoundaries).
+	algo := core.NewTreeCD()
 	p := model.Params{N: 8, S: -1}
-	w := model.WakePattern{IDs: []int{3, 5}, Wakes: []int64{1, 6}}
-	opt := sim.Options{Horizon: 20, Seed: 1}
+	w := model.WakePattern{IDs: []int{3, 5, 7}, Wakes: []int64{1, 1, 70}}
+	opt := sim.Options{Horizon: 100, Seed: 1, Adaptive: true}
 	if err := eng.Reset(algo, p, w, opt); err != nil {
 		t.Fatal(err)
 	}
 	if err := kn.Reset(algo, p, w, opt); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 25; i++ {
+	for i := 0; i < 110; i++ {
 		ed, kd := eng.Step(), kn.Step()
 		if ed != kd || eng.Slot() != kn.Slot() || eng.Result() != kn.Result() {
 			t.Fatalf("step %d: kernel (done=%v slot=%d %+v) != engine (done=%v slot=%d %+v)",
@@ -252,14 +263,13 @@ func TestKernelStepMatchesEngine(t *testing.T) {
 // TestKernelWordBoundaries pins success slots at and around the 64-slot word
 // edges, where the masking logic earns its keep.
 func TestKernelWordBoundaries(t *testing.T) {
-	// fixedSlot transmits exactly at one global slot.
 	for _, slot := range []int64{62, 63, 64, 65, 127, 128} {
 		eng := sim.NewEngine()
 		kn := kernel.New()
 		algo := soloAt{slot: slot}
 		p := model.Params{N: 4, S: -1}
 		w := model.WakePattern{IDs: []int{1, 2}, Wakes: []int64{0, 3}}
-		opt := sim.Options{Horizon: 200, Seed: 1}
+		opt := sim.Options{Horizon: 200, Seed: 1, Adaptive: true}
 		if err := eng.Reset(algo, p, w, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -276,105 +286,34 @@ func TestKernelWordBoundaries(t *testing.T) {
 	}
 }
 
-// soloAt makes station 1 transmit exactly at the configured slot (everyone
-// else stays silent) — a scalpel for word-edge tests.
+// soloAt is an epoch algorithm whose station 1 transmits exactly at the
+// configured global slot (everyone else stays silent) — a scalpel for
+// word-edge tests.
 type soloAt struct{ slot int64 }
 
 func (soloAt) Name() string { return "solo_at" }
-func (a soloAt) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
-	if id != 1 {
-		return func(int64) bool { return false }
-	}
-	return func(t int64) bool { return t == a.slot }
+func (soloAt) Build(model.Params, int, int64, *rng.Source) model.TransmitFunc {
+	panic("adaptive only")
 }
-func (soloAt) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{WakeSensitive: true}, true
+func (a soloAt) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
+	return soloStation{slot: a.slot, wake: wake, on: id == 1}
 }
-
-// countingAlgo counts Build invocations — the memoization observable.
-type countingAlgo struct {
-	builds *int
+func (a soloAt) BuildEpoch(p model.Params, id int, wake int64, _ *rng.Source) model.EpochStation {
+	return soloStation{slot: a.slot, wake: wake, on: id == 1}
 }
 
-func (countingAlgo) Name() string { return "counting" }
-func (a countingAlgo) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
-	*a.builds++
-	n := int64(p.N)
-	slot := int64(id - 1)
-	return func(t int64) bool { return t%n == slot }
-}
-func (countingAlgo) ObliviousClass() (model.ScheduleClass, bool) {
-	return model.ScheduleClass{WakeSensitive: true}, true
+type soloStation struct {
+	slot, wake int64
+	on         bool
 }
 
-// TestKernelMemoizesAcrossTrials: a seed-insensitive algorithm builds each
-// participating station's schedule once per kernel, however many trials run.
-// Builds are also lazy, like the engine's build-at-activation: a station
-// whose wake comes after the success slot is never built at all.
-func TestKernelMemoizesAcrossTrials(t *testing.T) {
-	p := model.Params{N: 16, S: -1}
-	const trials = 5
-
-	run := func(w model.WakePattern) int {
-		builds := 0
-		kn := kernel.New()
-		for trial := 0; trial < trials; trial++ {
-			pp := p
-			pp.Seed = uint64(trial)
-			opt := sim.Options{Horizon: 64, Seed: uint64(trial)}
-			if err := kn.Reset(countingAlgo{builds: &builds}, pp, w, opt); err != nil {
-				t.Fatal(err)
-			}
-			kn.Run()
-		}
-		return builds
+func (s soloStation) WillTransmit(t int64) bool        { return s.on && t == s.slot }
+func (soloStation) Observe(int64, model.Feedback, int) {}
+func (s soloStation) RenderWord(from int64) uint64 {
+	if i := s.slot - s.wake - from; s.on && i >= 0 && i < 64 {
+		return 1 << uint(i)
 	}
-
-	// Station id transmits at t%16 == id-1, so with this ordering the first
-	// solo is station 7's slot 6 — after the last wake (5): every station
-	// participates in the trial and must be built.
-	all := model.WakePattern{IDs: []int{11, 7, 2}, Wakes: []int64{0, 2, 5}}
-	if got := run(all); got != 3 {
-		t.Errorf("%d builds over %d trials, want 3 (one per station)", got, trials)
-	}
-
-	// Reversed IDs: station 2 (wake 0) wins at slot 1, before stations 7 and
-	// 11 ever wake — they must never be built, exactly as the engine never
-	// activates them.
-	early := model.WakePattern{IDs: []int{2, 7, 11}, Wakes: []int64{0, 2, 5}}
-	if got := run(early); got != 1 {
-		t.Errorf("early success: %d builds, want 1 (sleepers never built)", got)
-	}
-}
-
-// TestKernelLocalClockSchedules: local-clock schedules (localssf) are cached
-// once per station in local time and served to every wake slot by shifting
-// the bitmap. The differential against the engine across wake variations is
-// the correctness check on the shifted-word extraction; the cache-size bound
-// pins that re-wakes share entries instead of multiplying them.
-func TestKernelLocalClockSchedules(t *testing.T) {
-	kn := kernel.New()
-	eng := sim.NewEngine()
-	algo := core.NewLocalSSF() // seed-insensitive, wake-sensitive, local-clock
-	p := model.Params{N: 24, S: -1}
-	opt := sim.Options{Horizon: (&core.LocalSSF{}).Horizon(24, 3), Seed: 7}
-	for _, wakes := range [][]int64{{0, 0, 0}, {0, 3, 9}, {2, 2, 17}, {0, 3, 9}, {5, 64, 130}} {
-		w := model.WakePattern{IDs: []int{4, 9, 20}, Wakes: wakes}
-		if err := kn.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		got, want := kn.Run(), eng.Run()
-		if got != want {
-			t.Fatalf("wakes %v: kernel %+v != engine %+v", wakes, got, want)
-		}
-	}
-	// 3 stations, any number of wake variations: at most one entry each.
-	if got := kn.CachedSchedules(); got > 3 {
-		t.Errorf("local-clock cache holds %d entries for 3 stations — wakes are leaking into the key", got)
-	}
+	return 0
 }
 
 // opaquePerturber perturbs slots but does not declare a kernel-executable
@@ -392,91 +331,65 @@ func (opaquePerturber) Perturb(truth model.Feedback, st *model.ChannelState) mod
 	return truth
 }
 
-// TestKernelEligibility pins the fast-path gate.
+// TestKernelEligibility pins the fast-path gate: only an adaptive run of an
+// epoch algorithm on a collision-silent channel with a kernel-executable
+// perturbation (if any) reaches the kernel, and Reset refuses the rest with
+// the ineligibility error.
 func TestKernelEligibility(t *testing.T) {
-	oblivious := core.NewRoundRobin()
-	adaptive := core.NewTreeCD()
-	base := sim.Options{Horizon: 10}
+	epoch := core.NewTreeCD()
+	adaptive := sim.Options{Horizon: 10, Adaptive: true}
 
-	if !kernel.Eligible(oblivious, base) {
-		t.Error("roundrobin on the default channel must be eligible")
-	}
-	if kernel.Eligible(adaptive, base) {
-		t.Error("TreeCD advertises no oblivious schedule; must be ineligible")
-	}
-	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD(), model.Ack()} {
-		opt := base
-		opt.Channel = ch
-		if !kernel.Eligible(oblivious, opt) {
-			t.Errorf("non-perturbing channel %s must stay eligible", ch.Name())
+	for _, ch := range []model.ChannelModel{model.None(), model.Ack(), model.Noisy(0.1), model.Jam(2)} {
+		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); !kernel.Eligible(epoch, opt) {
+			t.Errorf("adaptive run of TreeCD (EpochOblivious) on collision-silent %s must route to the kernel", ch.Name())
 		}
 	}
-	for _, ch := range []model.ChannelModel{model.Noisy(0.1), model.Jam(2)} {
-		opt := base
-		opt.Channel = ch
-		if !kernel.Eligible(oblivious, opt) {
-			t.Errorf("perturbing channel %s declares a kernel overlay shape; must be eligible", ch.Name())
+	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD()} {
+		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); kernel.Eligible(epoch, opt) {
+			t.Errorf("adaptive run of TreeCD on %s delivers collisions; must stay on the engine", ch.Name())
 		}
 	}
 	// A perturbing model that does NOT advertise a kernel-executable shape
 	// must keep its cells on the engine.
-	if opt := (sim.Options{Horizon: 10, Channel: opaquePerturber{}}); kernel.Eligible(oblivious, opt) {
+	if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: opaquePerturber{}}); kernel.Eligible(epoch, opt) {
 		t.Error("a SlotPerturber without model.KernelPerturber must be ineligible")
 	}
-	if opt := (sim.Options{Horizon: 10, RecordTrace: true}); kernel.Eligible(oblivious, opt) {
+	if opt := (sim.Options{Horizon: 10, Adaptive: true, RecordTrace: true}); kernel.Eligible(epoch, opt) {
 		t.Error("trace recording must be ineligible (the kernel keeps no transcript)")
 	}
-	if opt := (sim.Options{Horizon: 10, Adaptive: true}); kernel.Eligible(oblivious, opt) != true {
-		t.Error("Adaptive option on a non-adaptive algorithm is inert; must stay eligible")
-	}
-	if opt := (sim.Options{Horizon: 10, Adaptive: true}); kernel.Eligible(core.NewKGConflictResolution(), opt) {
+	if kernel.Eligible(core.NewKGConflictResolution(), adaptive) {
 		t.Error("kg declares no feedback epochs; its adaptive runs must stay on the engine")
-	}
-	// The epoch route requires a channel that delivers a collision as silence
-	// to every role.
-	for _, ch := range []model.ChannelModel{model.None(), model.Ack(), model.Noisy(0.1), model.Jam(2)} {
-		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); !kernel.Eligible(core.NewTreeCD(), opt) {
-			t.Errorf("adaptive run of TreeCD (EpochOblivious) on collision-silent %s must route to the epoch executor", ch.Name())
-		}
-	}
-	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD()} {
-		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); kernel.Eligible(core.NewTreeCD(), opt) {
-			t.Errorf("adaptive run of TreeCD on %s delivers collisions; must stay on the engine", ch.Name())
-		}
-	}
-	// Interleaving propagates the class: wakeup_with_s interleaves two
-	// oblivious components, but its selective ladders draw from the seed, so
-	// it renders afresh every trial and belongs on the engine.
-	if kernel.Eligible(core.NewWakeupWithS(), base) {
-		t.Error("wakeup_with_s (seed-sensitive) must be ineligible")
-	}
-	if !kernel.Eligible(schedule.NewInterleaved("rr+rr", core.NewRoundRobin(), core.NewRoundRobin()), base) {
-		t.Error("interleaving two seed-insensitive oblivious components must be eligible")
-	}
-	if kernel.Eligible(schedule.NewInterleaved("mix", core.NewRoundRobin(), core.NewTreeCD()), base) {
-		t.Error("interleaving with a non-oblivious component must be ineligible")
 	}
 
 	// Reset must reject an ineligible pairing with the kernel's
-	// ineligibility error: adaptive without epochs, and every seed-sensitive
-	// oblivious schedule, on every channel the oblivious route would take.
+	// ineligibility error: TreeCD without Options.Adaptive, and every
+	// oblivious schedule — seed-insensitive and seed-sensitive alike, with or
+	// without Options.Adaptive — on every channel.
 	kn := kernel.New()
 	p := model.Params{N: 4, S: -1}
 	w := model.WakePattern{IDs: []int{1}, Wakes: []int64{0}}
-	if err := kn.Reset(adaptive, p, w, base); !errors.Is(err, kernel.ErrIneligible) {
+	if err := kn.Reset(epoch, p, w, sim.Options{Horizon: 10}); !errors.Is(err, kernel.ErrIneligible) {
 		t.Errorf("kernel.Reset(tree_cd, non-adaptive options) = %v, want the ineligibility error", err)
 	}
-	for _, algo := range []model.Algorithm{core.NewRPD(), core.NewBEB(), core.NewWakeupC()} {
-		for _, ch := range []model.ChannelModel{model.None(), model.CD(), model.Noisy(0.1), model.Jam(2)} {
-			opt := base
-			opt.Channel = ch
-			if err := kn.Reset(algo, p, w, opt); !errors.Is(err, kernel.ErrIneligible) {
-				t.Errorf("kernel.Reset(%s, %s) = %v, want the ineligibility error", algo.Name(), ch.Name(), err)
+	oblivious := []model.Algorithm{
+		core.NewRoundRobin(), core.NewLocalSSF(), core.NewRPD(), core.NewBEB(), core.NewWakeupC(),
+		core.NewWakeupWithS(), schedule.NewInterleaved("rr+rr", core.NewRoundRobin(), core.NewRoundRobin()),
+	}
+	for _, algo := range oblivious {
+		for _, ch := range []model.ChannelModel{model.None(), model.CD(), model.SenderCD(), model.Ack(), model.Noisy(0.1), model.Jam(2)} {
+			for _, ad := range []bool{false, true} {
+				opt := sim.Options{Horizon: 10, Channel: ch, Adaptive: ad}
+				if _, ok := kernel.Class(algo, opt); ok {
+					t.Errorf("Class(%s, %s, adaptive=%v) ok, want the engine", algo.Name(), ch.Name(), ad)
+				}
+				if err := kn.Reset(algo, p, w, opt); !errors.Is(err, kernel.ErrIneligible) {
+					t.Errorf("kernel.Reset(%s, %s, adaptive=%v) = %v, want the ineligibility error", algo.Name(), ch.Name(), ad, err)
+				}
 			}
 		}
 	}
 	// And it must validate inputs identically to the engine.
-	if err := kn.Reset(oblivious, p, w, sim.Options{Horizon: 0}); err == nil {
+	if err := kn.Reset(epoch, p, w, sim.Options{Horizon: 0, Adaptive: true}); err == nil {
 		t.Error("kernel.Reset accepted a zero horizon")
 	}
 }
@@ -494,8 +407,8 @@ func TestNilChannelMatchesNone(t *testing.T) {
 		adaptive bool
 		routed   bool // the kernel runs the pairing
 	}{
-		{"roundrobin", core.NewRoundRobin(), model.Params{N: n, S: -1}, core.RoundRobin{}.Horizon(n, k), false, true},
-		{"localssf", core.NewLocalSSF(), model.Params{N: n, K: k, S: -1}, (&core.LocalSSF{}).Horizon(n, k), false, true},
+		{"roundrobin", core.NewRoundRobin(), model.Params{N: n, S: -1}, core.RoundRobin{}.Horizon(n, k), false, false},
+		{"localssf", core.NewLocalSSF(), model.Params{N: n, K: k, S: -1}, (&core.LocalSSF{}).Horizon(n, k), false, false},
 		{"wakeupc", core.NewWakeupC(), model.Params{N: n, S: -1}, (&core.WakeupC{}).Horizon(n, k), false, false},
 		{"tree_cd", core.NewTreeCD(), model.Params{N: n, S: -1}, core.TreeCD{}.Horizon(n, k), true, true},
 	}
@@ -526,11 +439,15 @@ func TestNilChannelMatchesNone(t *testing.T) {
 			if got := eng.Run(); got != want {
 				t.Fatalf("%s seed %d: engine none %+v, nil %+v", c.name, seed, got, want)
 			}
-			if !nilOK {
-				continue
-			}
 			for _, opt := range []sim.Options{nilOpt, noneOpt} {
-				if err := kn.Reset(c.algo, p, w, opt); err != nil {
+				err := kn.Reset(c.algo, p, w, opt)
+				if !c.routed {
+					if !errors.Is(err, kernel.ErrIneligible) {
+						t.Fatalf("%s channel %v: kernel.Reset = %v, want the ineligibility error", c.name, opt.Channel, err)
+					}
+					continue
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				if got := kn.Run(); got != want {
@@ -555,15 +472,15 @@ func perturbedChannels() []model.ChannelModel {
 
 // TestKernelPerturbedMatchesEngine is the overlay differential: every roster
 // algorithm × every perturbed channel shape, random workloads, with both
-// executors warm so memo reuse under perturbation is on the tested path. The
-// comparison is full model.Result equality — termination, Slots, winner, and
-// the energy counters all fold the overlay in. Seed-sensitive entries must
-// be refused on perturbing channels too.
+// executors warm. For the epoch entry the comparison is full model.Result
+// equality — termination, Slots, winner, and the energy counters all fold
+// the overlay in. Oblivious entries must be refused on perturbing channels
+// too.
 func TestKernelPerturbedMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		for _, ch := range perturbedChannels() {
 			t.Run(entry.name+"/"+ch.Name(), func(t *testing.T) {
-				src := rng.New(rng.Derive(0xbadc0de, model.ConfigString(entry.name+ch.Name())))
+				src := rng.New(rng.Derive(0xbadc0de, nameStream(entry.name+ch.Name())))
 				eng := sim.NewEngine()
 				kn := kernel.New()
 				for round := 0; round < 12; round++ {
@@ -576,7 +493,7 @@ func TestKernelPerturbedMatchesEngine(t *testing.T) {
 					w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
 					p := entry.params(n, k, seed, w.FirstWake())
 					opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: ch}
-					differential(t, round, eng, kn, entry.algo(n, k), p, w, opt)
+					differential(t, round, eng, kn, entry, p, w, opt)
 				}
 			})
 		}
@@ -590,12 +507,12 @@ func TestKernelPerturbedMatchesEngine(t *testing.T) {
 func TestKernelPerturbedMidRun(t *testing.T) {
 	for _, ch := range []model.ChannelModel{model.Noisy(0.2), model.Jam(3)} {
 		t.Run(ch.Name(), func(t *testing.T) {
-			src := rng.New(rng.Derive(0x517ead, model.ConfigString(ch.Name())))
+			src := rng.New(rng.Derive(0x517ead, nameStream(ch.Name())))
 			eng := sim.NewEngine()
 			kn := kernel.New()
 			for round := 0; round < 25; round++ {
 				algo, p, w, horizon := midRunWorkload(src, round)
-				opt := sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch}
+				opt := sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch, Adaptive: true}
 
 				if err := eng.Reset(algo, p, w, opt); err != nil {
 					t.Fatal(err)
@@ -609,93 +526,45 @@ func TestKernelPerturbedMidRun(t *testing.T) {
 	}
 }
 
-// TestKernelCacheEviction drives a kernel past its (test-shrunk) cache
-// limits and asserts the wholesale clear fires — counters reset — and that
-// the trials after eviction stay byte-identical to a fresh kernel's.
-func TestKernelCacheEviction(t *testing.T) {
-	algo := core.NewRoundRobin() // seed-insensitive, wake-sensitive: one entry per (id, wake)
-	p := model.Params{N: 64, S: -1}
-	trial := func(kn *kernel.Kernel, i int) model.Result {
-		t.Helper()
-		// Distinct (id, wake) pairs every trial so the cache must grow.
-		w := model.WakePattern{IDs: []int{1 + i%60, 62, 63}, Wakes: []int64{int64(i), int64(i) + 3, int64(i) + 9}}
-		opt := sim.Options{Horizon: 256, Seed: uint64(i)}
-		if err := kn.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		return kn.Run()
-	}
-
-	for name, limits := range map[string][2]int64{
-		"entries": {1 << 20, 8}, // words effectively unbounded, 8 entries
-		"words":   {25, 1 << 20},
-	} {
-		t.Run(name, func(t *testing.T) {
-			kn := kernel.New()
-			kn.SetCacheLimits(limits[0], int(limits[1]))
-			evicted := false
-			prevEntries := 0
-			for i := 0; i < 40; i++ {
-				got := trial(kn, i)
-				if want := trial(kernel.New(), i); got != want {
-					t.Fatalf("trial %d: evicting kernel %+v != fresh kernel %+v", i, got, want)
-				}
-				if e := kn.CachedSchedules(); e < prevEntries {
-					evicted = true
-					if w := kn.CachedWords(); int64(e) > limits[1] || w > limits[0] {
-						t.Fatalf("trial %d: post-eviction counters entries=%d words=%d exceed limits %v", i, e, w, limits)
-					}
-				}
-				prevEntries = kn.CachedSchedules()
-			}
-			if !evicted {
-				t.Fatalf("40 trials never tripped the %s limit (entries=%d words=%d)",
-					name, kn.CachedSchedules(), kn.CachedWords())
-			}
-		})
-	}
-}
-
 // TestKernelPathAllocsNoWorseThanEngine: on a warm executor, a kernel trial
 // must not allocate more than the same trial on a warm engine (the CI bench
-// smoke asserts the same property end to end).
+// smoke asserts the same property end to end). The kernel reseeds each
+// station's stream in place, as the engine does, so what is left is the
+// station itself.
 func TestKernelPathAllocsNoWorseThanEngine(t *testing.T) {
-	algo := core.NewRoundRobin()
+	algo := core.NewTreeCD()
 	p := model.Params{N: 32, S: -1}
 	w := model.WakePattern{IDs: []int{5, 9, 23}, Wakes: []int64{0, 1, 4}}
-	opt := sim.Options{Horizon: 40, Seed: 3}
-
-	eng := sim.NewEngine()
-	kn := kernel.New()
-	// Warm both.
-	for i := 0; i < 3; i++ {
-		if err := eng.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
+	for _, ch := range []model.ChannelModel{model.None(), model.Ack()} {
+		opt := sim.Options{Horizon: core.TreeCD{}.Horizon(32, 3), Seed: 3, Channel: ch, Adaptive: true}
+		eng := sim.NewEngine()
+		kn := kernel.New()
+		// Warm both.
+		for i := 0; i < 3; i++ {
+			if err := eng.Reset(algo, p, w, opt); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if err := kn.Reset(algo, p, w, opt); err != nil {
+				t.Fatal(err)
+			}
+			kn.Run()
 		}
-		eng.Run()
-		if err := kn.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
+		engAllocs := testing.AllocsPerRun(100, func() {
+			if err := eng.Reset(algo, p, w, opt); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+		})
+		knAllocs := testing.AllocsPerRun(100, func() {
+			if err := kn.Reset(algo, p, w, opt); err != nil {
+				t.Fatal(err)
+			}
+			kn.Run()
+		})
+		if knAllocs > engAllocs {
+			t.Errorf("%s: warm kernel trial allocates %.1f, engine %.1f — kernel must not allocate more",
+				ch.Name(), knAllocs, engAllocs)
 		}
-		kn.Run()
-	}
-	engAllocs := testing.AllocsPerRun(100, func() {
-		if err := eng.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run()
-	})
-	knAllocs := testing.AllocsPerRun(100, func() {
-		if err := kn.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		kn.Run()
-	})
-	if knAllocs > engAllocs {
-		t.Errorf("warm kernel trial allocates %.1f, engine %.1f — kernel must not allocate more",
-			knAllocs, engAllocs)
-	}
-	// The memoized warm path should be literally allocation-free.
-	if knAllocs > 0 {
-		t.Errorf("warm memoized kernel trial allocates %.1f, want 0", knAllocs)
 	}
 }

@@ -3,8 +3,8 @@
 // vocabulary (Analyzer, Pass, Diagnostic) plus the four analyzers that
 // enforce the invariants every determinism guarantee in this tree rests on —
 // no wall clocks or global RNG in deterministic packages, derived RNG
-// streams only, canonical registry Refs, and honest ScheduleClass Config
-// fingerprints.
+// streams only, canonical registry Refs, and feedback-epoch renders that
+// read every field feedback moves.
 //
 // The framework is stdlib-only (go/ast, go/types, go list) because the
 // toolchain image carries no module cache; the API mirrors go/analysis

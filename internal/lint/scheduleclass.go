@@ -7,30 +7,22 @@ import (
 	"strings"
 )
 
-// ScheduleClass guards the kernel memo cache against the silent-poisoning
-// bug class: an Oblivious algorithm whose ScheduleClass Config fingerprint
-// omits a constructor knob makes two differently-configured values
-// indistinguishable to the cache, so the second configuration is served the
-// first one's rendered schedules — byte-wrong output with no error.
+// ScheduleClass guards the bitset slot kernel's feedback-epoch route
+// against stale renders: a model.EpochStation whose feedback observer moves
+// state that RenderWord never reads renders words the engine's station does
+// not transmit — byte-wrong output with no error.
 var ScheduleClass = &Analyzer{
 	Name:     "scheduleclass",
 	Suppress: "scheduleclass",
-	Doc: `ScheduleClass Config must mention every knob Build reads
+	Doc: `EpochStation.RenderWord must consult every field Observe mutates
 
-For every type implementing model.Oblivious (declares both Build and
-ObliviousClass), each receiver struct field that Build reads — directly or
-through same-type helper methods — must also be mentioned by ObliviousClass
-(folded into ConfigFields, or consulted for the class flags). A field read
-during schedule generation but absent from the Config fingerprint lets two
-distinct configurations share one kernel memo bucket, poisoning the cache
-across configs.
-
-The feedback-epoch analogue guards model.EpochStation implementations: every
-receiver field mutated by the station's feedback observer (Observe, directly
-or through same-type helpers) must be consulted by RenderWord. RenderWord is
-the silence projection of the state Observe evolves; a field that feedback
-moves but the render ignores shapes a schedule the render cannot follow, so
-the kernel would scan words the engine's station does not transmit.`,
+For every type shaped like a model.EpochStation (declares both RenderWord
+and Observe), each receiver struct field that the station's feedback
+observer writes — directly or through same-type helper methods — must also
+be read by RenderWord. RenderWord is the silence projection of the state
+Observe evolves; a field that feedback moves but the render ignores shapes a
+schedule the render cannot follow, so the kernel would scan words the
+engine's station does not transmit.`,
 	Run: runScheduleClass,
 }
 
@@ -65,33 +57,9 @@ func runScheduleClass(pass *Pass) error {
 	pkg := pass.Pkg
 	idx := buildMethodIndex(pkg)
 	for named, methods := range idx {
-		checkObliviousClass(pass, pkg, idx, named, methods)
 		checkEpochRender(pass, pkg, idx, named, methods)
 	}
 	return nil
-}
-
-func checkObliviousClass(pass *Pass, pkg *Package, idx methodIndex, named *types.Named, methods map[string]*ast.FuncDecl) {
-	build, hasBuild := methods["Build"]
-	class, hasClass := methods["ObliviousClass"]
-	if !hasBuild || !hasClass {
-		return
-	}
-	buildFields := fieldsRead(pkg, idx, named, build, map[string]bool{})
-	classFields := fieldsRead(pkg, idx, named, class, map[string]bool{})
-	var missing []string
-	for name := range buildFields {
-		if !classFields[name] {
-			missing = append(missing, name)
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	sort.Strings(missing)
-	pass.Reportf(class.Pos(),
-		"%s.ObliviousClass never consults field(s) %s read by Build; fold every schedule-shaping knob into ConfigFields or two configs will share one kernel memo bucket (cache poisoning)",
-		named.Obj().Name(), strings.Join(missing, ", "))
 }
 
 // checkEpochRender enforces the epoch-class invariant on every type shaped

@@ -7,12 +7,6 @@ import (
 	"nsmac/internal/lint/linttest"
 )
 
-// TestScheduleClass is the memo-poisoning regression: the TwoKnob fixture's
-// ConfigFields omits a knob its Build reads, and the analyzer must say so.
-func TestScheduleClass(t *testing.T) {
-	linttest.Run(t, linttest.TestData(), lint.ScheduleClass, "nsmac/schedfix")
-}
-
 // TestScheduleClassEpoch is the stale-epoch-render regression: the
 // StaleRender fixture's feedback observer mutates a field RenderWord never
 // consults, and the analyzer must say so (and stay quiet on the delegating,

@@ -35,63 +35,3 @@ func TestValidateRejectsChannelStreamID(t *testing.T) {
 		}
 	}
 }
-
-type obliviousStub struct {
-	class ScheduleClass
-	ok    bool
-}
-
-func (obliviousStub) Name() string { return "stub" }
-func (obliviousStub) Build(Params, int, int64, *rng.Source) TransmitFunc {
-	return func(int64) bool { return false }
-}
-func (s obliviousStub) ObliviousClass() (ScheduleClass, bool) { return s.class, s.ok }
-
-type plainStub struct{}
-
-func (plainStub) Name() string { return "plain" }
-func (plainStub) Build(Params, int, int64, *rng.Source) TransmitFunc {
-	return func(int64) bool { return false }
-}
-
-func TestAlgorithmClass(t *testing.T) {
-	want := ScheduleClass{SeedSensitive: true, WakeSensitive: true, Config: 42}
-	if got, ok := AlgorithmClass(obliviousStub{class: want, ok: true}); !ok || got != want {
-		t.Errorf("AlgorithmClass(oblivious) = %+v, %v; want %+v, true", got, ok, want)
-	}
-	// Conditional opt-out: the interface is implemented but reports false.
-	if _, ok := AlgorithmClass(obliviousStub{ok: false}); ok {
-		t.Error("AlgorithmClass honoured a declined ObliviousClass")
-	}
-	if _, ok := AlgorithmClass(plainStub{}); ok {
-		t.Error("AlgorithmClass invented a class for a non-oblivious algorithm")
-	}
-}
-
-func TestConfigFingerprints(t *testing.T) {
-	// Order and arity must matter: the fingerprint separates knob tuples.
-	fps := []uint64{
-		ConfigFields(),
-		ConfigFields(0),
-		ConfigFields(1),
-		ConfigFields(0, 1),
-		ConfigFields(1, 0),
-		ConfigFields(ConfigFloat(1.5)),
-		ConfigFields(ConfigFloat(2.5)),
-		ConfigFields(ConfigBool(true), ConfigString("even")),
-		ConfigFields(ConfigBool(true), ConfigString("odd")),
-	}
-	seen := make(map[uint64]int)
-	for i, fp := range fps {
-		if j, dup := seen[fp]; dup {
-			t.Errorf("fingerprints %d and %d collide (%#x)", i, j, fp)
-		}
-		seen[fp] = i
-	}
-	if ConfigBool(false) != 0 || ConfigBool(true) != 1 {
-		t.Error("ConfigBool mapping changed")
-	}
-	if ConfigString("abc") != ConfigString("abc") || ConfigString("abc") == ConfigString("abd") {
-		t.Error("ConfigString is not a stable injective-ish hash")
-	}
-}

@@ -95,29 +95,6 @@ func (il *Interleaved) Even() model.Algorithm { return il.even }
 // Odd returns the odd-slot component.
 func (il *Interleaved) Odd() model.Algorithm { return il.odd }
 
-// ObliviousClass implements model.Oblivious: parity dispatch adds no
-// feedback dependence, so the combinator is oblivious iff both components
-// are. It is always wake-sensitive — slots before a station's component
-// wake are silenced by the dispatch guards regardless of the components'
-// own wake dependence.
-func (il *Interleaved) ObliviousClass() (model.ScheduleClass, bool) {
-	ec, ok := model.AlgorithmClass(il.even)
-	if !ok {
-		return model.ScheduleClass{}, false
-	}
-	oc, ok := model.AlgorithmClass(il.odd)
-	if !ok {
-		return model.ScheduleClass{}, false
-	}
-	return model.ScheduleClass{
-		SeedSensitive: ec.SeedSensitive || oc.SeedSensitive,
-		WakeSensitive: true,
-		Config: model.ConfigFields(
-			model.ConfigString(il.even.Name()), ec.Config,
-			model.ConfigString(il.odd.Name()), oc.Config),
-	}, true
-}
-
 // Build implements model.Algorithm by building both component schedules on
 // their component clocks and dispatching on slot parity.
 func (il *Interleaved) Build(p model.Params, id int, wake int64, src *rng.Source) model.TransmitFunc {
@@ -152,55 +129,5 @@ func (il *Interleaved) Build(p model.Params, id int, wake int64, src *rng.Source
 			return false
 		}
 		return fo(c)
-	}
-}
-
-// Delayed wraps an algorithm so that its stations ignore the first `delay`
-// global slots after their wake (used by ablation tests to misalign
-// components deliberately).
-type Delayed struct {
-	inner model.Algorithm
-	delay int64
-}
-
-// NewDelayed builds the wrapper.
-func NewDelayed(inner model.Algorithm, delay int64) *Delayed {
-	if delay < 0 {
-		panic("schedule: negative delay")
-	}
-	return &Delayed{inner: inner, delay: delay}
-}
-
-// Name implements model.Algorithm.
-func (d *Delayed) Name() string { return fmt.Sprintf("delayed(%s,+%d)", d.inner.Name(), d.delay) }
-
-// ObliviousClass implements model.Oblivious by delegation. The delay guard
-// compares against the wake slot, so the wrapper is always wake-sensitive.
-func (d *Delayed) ObliviousClass() (model.ScheduleClass, bool) {
-	inner, ok := model.AlgorithmClass(d.inner)
-	if !ok {
-		return model.ScheduleClass{}, false
-	}
-	return model.ScheduleClass{
-		SeedSensitive: inner.SeedSensitive,
-		WakeSensitive: true,
-		// Over a local-clock inner the delay is a constant extra shift, so
-		// the wrapped schedule is still a pure function of t - wake. Over a
-		// wake-insensitive inner the delay is a wake-dependent cutoff on a
-		// global schedule — not a shift — so LocalClock must not be claimed.
-		LocalClock: inner.LocalClock,
-		Config: model.ConfigFields(
-			model.ConfigString(d.inner.Name()), inner.Config, uint64(d.delay)),
-	}, true
-}
-
-// Build implements model.Algorithm.
-func (d *Delayed) Build(p model.Params, id int, wake int64, src *rng.Source) model.TransmitFunc {
-	f := d.inner.Build(p, id, wake+d.delay, src)
-	return func(t int64) bool {
-		if t < wake+d.delay {
-			return false
-		}
-		return f(t)
 	}
 }

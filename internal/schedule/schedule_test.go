@@ -232,31 +232,3 @@ func (a algoFunc) Name() string { return a.name }
 func (a algoFunc) Build(p model.Params, id int, wake int64, src *rng.Source) model.TransmitFunc {
 	return a.build(p, id, wake, src)
 }
-
-func TestDelayed(t *testing.T) {
-	imm := algoFunc{"imm", func(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
-		return func(t int64) bool { return t >= wake }
-	}}
-	d := NewDelayed(imm, 5)
-	f := d.Build(model.Params{N: 2, S: -1}, 1, 10, nil)
-	for tt := int64(10); tt < 15; tt++ {
-		if f(tt) {
-			t.Errorf("delayed algorithm transmitted at %d", tt)
-		}
-	}
-	if !f(15) {
-		t.Error("delayed algorithm silent at wake+delay")
-	}
-	if d.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
-func TestDelayedNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewDelayed(algoFunc{"x", nil}, -1)
-}

@@ -57,15 +57,54 @@ func checkInvariants(t *testing.T, name string, x stepper, s int64) {
 	}
 }
 
-// TestMidRunInvariants drives Engine and Kernel through identical randomized
-// workloads with arbitrary RunTo break points, asserting the counter
-// invariants at every stop — partial-horizon coverage on both execution
-// paths. The algorithms are kernel-eligible, unlike the seed-sensitive paper
-// algorithms: rounds alternate between the local-clock localssf under
-// staggered wakes and roundrobin, whose trials on up to 300 ids span many
-// words and often outlast the horizon.
+// runInvariants steps x from the first wake s to the end of its trial at
+// random RunTo bounds, asserting the counter invariants at every stop and
+// that RunTo is idempotent at the same bound.
+func runInvariants(t *testing.T, name string, x stepper, s, horizon int64, src *rng.Source) {
+	t.Helper()
+	u := s
+	for !x.Done() {
+		u += 1 + int64(src.Intn(120))
+		x.RunTo(u)
+		checkInvariants(t, name, x, s)
+		before := x.Result()
+		x.RunTo(u)
+		if x.Result() != before {
+			t.Fatalf("%s: second RunTo(%d) changed the result", name, u)
+		}
+	}
+	// Done at the horizon without success still reports Slots == horizon
+	// (failures are priced at the full horizon upstream).
+	if r := x.Result(); !r.Succeeded && r.Slots != horizon {
+		t.Fatalf("%s: failed run stepped %d slots, horizon %d", name, r.Slots, horizon)
+	}
+}
+
+// midRunPattern draws k distinct stations in [1, n] with wakes in
+// [0, spread).
+func midRunPattern(n, k int, spread int64, seed uint64) model.WakePattern {
+	ids := rng.New(rng.Derive(seed, 2)).Sample(n, k)
+	wakes := make([]int64, k)
+	wsrc := rng.New(rng.Derive(seed, 3))
+	for i := range wakes {
+		wakes[i] = wsrc.Int63n(spread)
+	}
+	return model.WakePattern{IDs: ids, Wakes: wakes}
+}
+
+// TestMidRunInvariants drives both executors through randomized workloads
+// with arbitrary RunTo break points, asserting the counter invariants at
+// every stop — partial-horizon coverage on both execution paths. The engine
+// leg alternates between the local-clock localssf under staggered wakes and
+// roundrobin, whose trials on up to 300 ids span many words and often
+// outlast the horizon; both step sparsely. The kernel leg runs adaptive
+// tree_cd, alternating between the none and noisy:0.1 channels, on both
+// executors, with wakes so close that the first ones often collide until
+// the horizon, and requires equal results.
 func TestMidRunInvariants(t *testing.T) {
 	src := rng.New(0x111)
+	eng := sim.NewEngine()
+	kn := kernel.New()
 	for round := 0; round < 25; round++ {
 		algo := model.Algorithm(core.NewLocalSSF())
 		if round%2 == 1 {
@@ -74,48 +113,29 @@ func TestMidRunInvariants(t *testing.T) {
 		n := 2 + src.Intn(300)
 		k := 1 + src.Intn(min(n, 16))
 		seed := src.Uint64()
-		ids := rng.New(rng.Derive(seed, 2)).Sample(n, k)
-		wakes := make([]int64, k)
-		wsrc := rng.New(rng.Derive(seed, 3))
-		for i := range wakes {
-			wakes[i] = wsrc.Int63n(25)
-		}
-		w := model.WakePattern{IDs: ids, Wakes: wakes}
 		p := model.Params{N: n, S: -1, Seed: seed}
 		horizon := int64(30 + src.Intn(400))
-		opt := sim.Options{Horizon: horizon, Seed: seed}
 
-		eng := sim.NewEngine()
-		if err := eng.Reset(algo, p, w, opt); err != nil {
+		w := midRunPattern(n, k, 25, seed)
+		if err := eng.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
-		kn := kernel.New()
-		if err := kn.Reset(algo, p, w, opt); err != nil {
+		runInvariants(t, "engine/"+algo.Name(), eng, w.FirstWake(), horizon, src)
+
+		ch := model.None()
+		if round%2 == 1 {
+			ch = model.Noisy(0.1)
+		}
+		w = midRunPattern(n, k, 3, seed)
+		opt := sim.Options{Horizon: horizon, Seed: seed, Channel: ch, Adaptive: true}
+		if err := eng.Reset(core.NewTreeCD(), p, w, opt); err != nil {
 			t.Fatal(err)
 		}
-		s := w.FirstWake()
-		for _, x := range []struct {
-			name string
-			st   stepper
-		}{{"engine", eng}, {"kernel", kn}} {
-			u := s
-			for !x.st.Done() {
-				u += 1 + int64(src.Intn(120))
-				x.st.RunTo(u)
-				checkInvariants(t, x.name, x.st, s)
-				// RunTo must be idempotent at the same bound.
-				before := x.st.Result()
-				x.st.RunTo(u)
-				if x.st.Result() != before {
-					t.Fatalf("%s: second RunTo(%d) changed the result", x.name, u)
-				}
-			}
-			// Done at the horizon without success still reports Slots ==
-			// horizon (failures are priced at the full horizon upstream).
-			if r := x.st.Result(); !r.Succeeded && r.Slots != horizon {
-				t.Fatalf("%s: failed run stepped %d slots, horizon %d", x.name, r.Slots, horizon)
-			}
+		if err := kn.Reset(core.NewTreeCD(), p, w, opt); err != nil {
+			t.Fatal(err)
 		}
+		runInvariants(t, "engine/tree_cd", eng, w.FirstWake(), horizon, src)
+		runInvariants(t, "kernel/tree_cd", kn, w.FirstWake(), horizon, src)
 		if eng.Result() != kn.Result() {
 			t.Fatalf("round %d: engine %+v != kernel %+v", round, eng.Result(), kn.Result())
 		}
@@ -126,27 +146,36 @@ func TestMidRunInvariants(t *testing.T) {
 // exactly at the horizon boundary leaves done false (no step past the end
 // was attempted); only a RunTo beyond it flips done.
 func TestRunToHorizonEdge(t *testing.T) {
-	algo := core.NewRoundRobin()
 	p := model.Params{N: 6, S: -1}
-	// Two stations sharing residues collide forever: n=6 with IDs 1 and 1+3?
-	// Round-robin never collides, so instead keep k=1 silent long enough by
-	// picking a horizon that ends before the station's residue slot.
-	w := model.WakePattern{IDs: []int{5}, Wakes: []int64{0}}
-	opt := sim.Options{Horizon: 3, Seed: 1} // station 5 transmits at slot 4
+	// Round-robin never collides, so keep k=1 silent long enough by picking
+	// a horizon that ends before the station's residue slot: station 5
+	// transmits at slot 4.
+	rr := sim.Options{Horizon: 3, Seed: 1}
+	rrWake := model.WakePattern{IDs: []int{5}, Wakes: []int64{0}}
+	// Two tree_cd stations that wake together collide in every slot.
+	tree := sim.Options{Horizon: 3, Seed: 1, Adaptive: true}
+	treeWake := model.WakePattern{IDs: []int{2, 5}, Wakes: []int64{0, 0}}
 	for _, build := range []struct {
 		name string
 		mk   func() stepper
 	}{
-		{"engine", func() stepper {
+		{"engine/roundrobin", func() stepper {
 			e := sim.NewEngine()
-			if err := e.Reset(algo, p, w, opt); err != nil {
+			if err := e.Reset(core.NewRoundRobin(), p, rrWake, rr); err != nil {
 				t.Fatal(err)
 			}
 			return e
 		}},
-		{"kernel", func() stepper {
+		{"engine/tree_cd", func() stepper {
+			e := sim.NewEngine()
+			if err := e.Reset(core.NewTreeCD(), p, treeWake, tree); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+		{"kernel/tree_cd", func() stepper {
 			k := kernel.New()
-			if err := k.Reset(algo, p, w, opt); err != nil {
+			if err := k.Reset(core.NewTreeCD(), p, treeWake, tree); err != nil {
 				t.Fatal(err)
 			}
 			return k

@@ -7,16 +7,17 @@ import (
 	"nsmac/internal/sweep"
 )
 
-// kernelDiffSpec builds a grid that mixes kernel-routed cells (the
-// memoizable roundrobin and localssf) with engine-routed ones (the
-// seed-sensitive wakeupc, wakeup_with_k and rpd), so the differential covers
-// per-cell routing inside one grid. Channels may include the perturbing
-// noisy/jam models, which route through the kernel's overlay since they
-// declare a model.KernelPerturber shape: the word-wide perturbation replay
-// is covered, not just the unperturbed scan.
+// kernelDiffSpec builds a grid that mixes kernel-routed cells (tree_cd's
+// feedback epochs on collision-silent channels) with engine-routed ones (the
+// oblivious roundrobin, localssf, wakeupc, wakeup_with_k and rpd, and
+// tree_cd on cd and sender_cd), so the differential covers per-cell routing
+// inside one grid. Channels may include the perturbing noisy/jam models,
+// which route through the kernel's overlay since they declare a
+// model.KernelPerturber shape: the word-wide perturbation replay is
+// covered, not just the unperturbed scan.
 func kernelDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
-	cases, err := sweep.CasesByName("roundrobin,wakeupc,wakeup_with_k,rpd,localssf")
+	cases, err := sweep.CasesByName("roundrobin,wakeupc,wakeup_with_k,rpd,localssf,tree_cd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,17 +12,14 @@ import (
 // The executors a cell's trials can run on.
 const (
 	routeEngine = "engine"
-	routeMemo   = "kernel memo"
 	routeEpoch  = "kernel epoch"
 )
 
-// expectedRoute derives a cell's route from its case's adaptivity and
-// schedule class and from the channel's collision delivery, on a channel the
-// kernel can execute: an adaptive algorithm runs feedback epochs when it
-// declares them and the channel delivers a collision as silence to every
-// role, an oblivious one runs the memoized word scan when its schedule is
-// seed-insensitive, and everything else — seed-sensitive schedules and
-// collision-hearing adaptive cells included — runs on the engine.
+// expectedRoute derives a cell's route from its case's adaptivity and from
+// the channel's collision delivery: an adaptive algorithm runs feedback
+// epochs on the kernel when it declares them and the channel delivers a
+// collision as silence to every role; everything else — every oblivious
+// schedule and the collision-hearing adaptive cells — runs on the engine.
 func expectedRoute(c sweep.Case, ch model.ChannelModel, n, k int) string {
 	algo := c.Algo(n, k)
 	if _, adaptive := algo.(model.Adaptive); adaptive && c.Adaptive {
@@ -31,20 +28,14 @@ func expectedRoute(c sweep.Case, ch model.ChannelModel, n, k int) string {
 		if _, ok := algo.(model.EpochOblivious); ok && collisionSilent {
 			return routeEpoch
 		}
-		return routeEngine
-	}
-	if cls, ok := model.AlgorithmClass(algo); ok && !cls.SeedSensitive {
-		return routeMemo
 	}
 	return routeEngine
 }
 
 // observedRoute runs the one trial of a one-cell spec through its compiled
 // grid and reports where it ran. A grid trial routed to the engine runs on
-// the engine it is handed; a kernel trial leaves that engine untouched.
-// Replaying the trial on a fresh kernel then tells the kernel's routes
-// apart: the memoized oblivious scan caches every station's schedule, the
-// epoch executor caches nothing.
+// the engine it is handed; a kernel trial leaves that engine untouched, and
+// the kernel must then accept the trial.
 func observedRoute(t *testing.T, c sweep.Case, ch model.ChannelModel, n, k int) string {
 	t.Helper()
 	gens, err := sweep.ParsePatterns("simultaneous")
@@ -68,25 +59,17 @@ func observedRoute(t *testing.T, c sweep.Case, ch model.ChannelModel, n, k int) 
 
 	algo, p, horizon := c.Algo(n, k), c.Params(n, k, seed), c.Horizon(n, k)
 	w := gens[0].Pattern(algo, p, k, horizon, sweep.PatternSeed(seed), ch)
-	kn := kernel.New()
-	if err := kn.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: seed, Channel: ch, Adaptive: c.Adaptive}); err != nil {
+	if err := kernel.New().Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: seed, Channel: ch, Adaptive: c.Adaptive}); err != nil {
 		t.Fatalf("%s × %s left the engine, but the kernel refuses it: %v", c.Name, ch.Name(), err)
 	}
-	kn.Run()
-	switch {
-	case kn.CachedSchedules() > 0:
-		return routeMemo
-	case c.Adaptive: // only adaptive runs reach the epoch executor
-		return routeEpoch
-	}
-	return "kernel, rendered per trial"
+	return routeEpoch
 }
 
 // TestCellRoutingTable pins per-cell executor routing: every registered case
-// on the none, cd and noisy:0.1 channels runs on the route its schedule
-// class, adaptivity and channel call for. Seed-sensitive oblivious schedules
-// (the paper's Scenario B/C algorithms, RPD, BEB) and adaptive cells on cd
-// must stay on the engine, where they run faster than on the kernel.
+// on every built-in channel runs on the route its adaptivity and channel call
+// for. Every oblivious case runs on the engine, which steps the schedules
+// that name their next attempt sparsely, and so do adaptive cells on cd and
+// sender_cd.
 func TestCellRoutingTable(t *testing.T) {
 	const n, k = 16, 4
 	seen := map[string]int{}
@@ -95,7 +78,7 @@ func TestCellRoutingTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, chName := range []string{"none", "cd", "noisy:0.1"} {
+		for _, chName := range []string{"none", "cd", "sender_cd", "ack", "noisy:0.1", "jam:2"} {
 			ch, err := sweep.ResolveChannel(chName)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +90,7 @@ func TestCellRoutingTable(t *testing.T) {
 			seen[want]++
 		}
 	}
-	for _, r := range []string{routeEngine, routeMemo, routeEpoch} {
+	for _, r := range []string{routeEngine, routeEpoch} {
 		if seen[r] == 0 {
 			t.Errorf("no registered case routes to the %s: the table has lost a row", r)
 		}

@@ -68,15 +68,14 @@ type Spec struct {
 	// tunes scheduling overhead only and never changes output bytes.
 	Batch int
 	// DisableKernel forces every cell onto the slot-by-slot engine. By
-	// default cells whose (algorithm, channel) pairing is kernel-eligible
-	// execute on the bitset slot kernel, which is byte-identical in output
-	// and much faster there: an oblivious algorithm with a seed-insensitive
-	// (memoizable) schedule, on a channel that either does not perturb slots
-	// or declares its perturbation shape via model.KernelPerturber (noisy,
-	// jam); or an adaptive one that declares feedback epochs, on a channel
-	// of those that also delivers a collision as silence to every role
-	// (none, ack, noisy, jam — not cd or sender_cd). This switch exists for
-	// differential testing and for benchmarking the engine path.
+	// default an adaptive case whose algorithm declares feedback epochs
+	// (model.EpochOblivious, i.e. tree_cd) runs on the bitset slot kernel's
+	// epoch scan, which is byte-identical in output and much faster there,
+	// on a channel that delivers a collision as silence to every role and
+	// either does not perturb slots or declares its perturbation shape via
+	// model.KernelPerturber: none, ack, noisy, jam — not cd or sender_cd.
+	// This switch exists for differential testing and for benchmarking the
+	// engine path.
 	DisableKernel bool
 }
 
@@ -194,15 +193,13 @@ func (s Spec) Compile() (Grid, []string, error) {
 		axes = []string{"algo", "pattern", "channel", "n", "k"}
 	}
 
-	// Kernel routing is decided per cell at compile time via the channel's
-	// capability check: an oblivious algorithm with a seed-insensitive
-	// schedule runs word-wide whenever the cell's channel is non-perturbing
-	// or declares a kernel-executable perturbation shape
-	// (model.KernelPerturber: noisy, jam); an adaptive case routes onto the
-	// feedback-epoch executor when its algorithm declares
-	// model.EpochOblivious and the channel delivers a collision as silence to
-	// every role; everything else keeps the pooled engine — seed-sensitive
-	// schedules, which would re-render every trial, and adaptive cells on cd
+	// Kernel routing is decided per cell at compile time: an adaptive case
+	// runs on the kernel's feedback-epoch scan when its algorithm declares
+	// model.EpochOblivious and the cell's channel delivers a collision as
+	// silence to every role, with any perturbation declared through
+	// model.KernelPerturber (noisy, jam). Every other cell keeps the
+	// worker's engine: oblivious cases, which the engine steps sparsely
+	// where their schedules name the next attempt, and adaptive cells on cd
 	// and sender_cd, whose collisions would re-render stations.
 	// Eligibility depends only on the cell's (algorithm, channel, adaptive)
 	// pairing, never on a trial's seed or pattern, so the decision is safe to
@@ -218,9 +215,9 @@ func (s Spec) Compile() (Grid, []string, error) {
 	}
 	// Kernels are pooled per worker goroutine (like engines), but via
 	// sync.Pool so the Grid API stays engine-shaped: a worker that never
-	// touches a kernel cell never pays for one, and a long-lived worker
-	// reuses one kernel — and its cross-trial schedule cache — for every
-	// kernel cell it claims.
+	// touches an epoch cell never pays for a kernel, and a long-lived worker
+	// reuses one kernel's station buffers for every epoch cell it claims.
+	// A kernel carries nothing else from one trial to the next.
 	var kernels *sync.Pool
 	if anyKernel {
 		kernels = &sync.Pool{New: func() any { return kernel.New() }}
