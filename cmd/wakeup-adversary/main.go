@@ -36,6 +36,9 @@ func main() {
 	if *k < 1 || *k > *n {
 		fail("need 1 <= k <= n")
 	}
+	if *attack == "spoiler" && (*first < 1 || *first > *n) {
+		fail("need 1 <= first <= n")
+	}
 
 	p := model.Params{N: *n, S: -1, Seed: *seed}
 	var algo model.Algorithm

@@ -21,7 +21,9 @@ func SpoilerPattern() Generator {
 		Name: "spoiler",
 		Ref:  "spoiler",
 		VsAlgo: func(algo model.Algorithm, p model.Params, k int, horizon int64, seed uint64, ch model.ChannelModel) model.WakePattern {
-			firstID := 1 + rng.New(seed).Intn(p.N)
+			var src rng.Source
+			src.Reseed(seed)
+			firstID := 1 + src.Intn(p.N)
 			return SpoilerVs(algo, p, k, horizon, firstID, ch).Pattern
 		},
 	}

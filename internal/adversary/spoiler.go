@@ -81,12 +81,17 @@ func SpoilerVs(algo model.Algorithm, p model.Params, k int, horizon int64, first
 	build := func(id int, wake int64) model.TransmitFunc {
 		return algo.Build(p, id, wake, rng.New(rng.Derive(p.Seed, uint64(id))))
 	}
-	// A candidate probe builds on one reused stream: most probes are thrown
+	// A candidate probe runs on one reused stream: most probes are thrown
 	// away, and the spoiler that is kept is rebuilt on a stream of its own,
-	// since its schedule may hold on to the stream it was built with.
+	// since its schedule may hold on to the stream it was built with. An
+	// algorithm that answers the probe in closed form builds no schedule.
 	var probe rng.Source
+	prober, _ := algo.(model.WakeProber)
 	transmitsAt := func(id int, t int64) bool {
 		probe.Reseed(rng.Derive(p.Seed, uint64(id)))
+		if prober != nil {
+			return prober.TransmitsAtWake(p, id, t, &probe)
+		}
 		return algo.Build(p, id, t, &probe)(t)
 	}
 	first := act{id: firstID, f: build(firstID, 0)}

@@ -1,0 +1,80 @@
+package adversary
+
+import (
+	"reflect"
+	"testing"
+
+	"nsmac/internal/core"
+	"nsmac/internal/model"
+)
+
+// buildOnly hides every optional extension of the algorithm it wraps,
+// model.WakeProber included, so the spoiler probes candidates through Build.
+type buildOnly struct{ model.Algorithm }
+
+// horizoned is an algorithm with its own safe simulation horizon.
+type horizoned interface {
+	model.Algorithm
+	Horizon(n, k int) int64
+}
+
+// TestSpoilerProbeMatchesBuildPath: the spoiler's closed-form probes choose
+// exactly the spoilers that building each candidate's schedule chooses, so
+// the attack's pattern, rounds and verdict are the same on both paths.
+func TestSpoilerProbeMatchesBuildPath(t *testing.T) {
+	for _, e := range []struct {
+		algo   horizoned
+		knowsK bool
+	}{
+		{core.NewRoundRobin(), false},
+		{core.NewRPD(), false},
+		{core.NewRPDWithK(), true},
+		{core.NewWakeupC(), false},
+		{&core.WakeupC{DisableWindowWait: true}, false},
+		{core.NewWaitAndGo(), true},
+		{&core.WaitAndGo{DisableWait: true}, true},
+	} {
+		if _, ok := e.algo.(model.WakeProber); !ok {
+			t.Fatalf("%s: not a model.WakeProber", e.algo.Name())
+		}
+		for _, ch := range []model.ChannelModel{model.None(), model.Noisy(0.1), model.Jam(2)} {
+			for _, c := range []struct{ n, k, first int }{
+				{2, 2, 2}, {16, 4, 1}, {64, 8, 33}, {256, 16, 200}, {1024, 8, 1024},
+			} {
+				p := model.Params{N: c.n, S: -1, Seed: uint64(7 * c.n)}
+				if e.knowsK {
+					p.K = c.k
+				}
+				h := e.algo.Horizon(c.n, c.k)
+				got := SpoilerVs(e.algo, p, c.k, h, c.first, ch)
+				want := SpoilerVs(buildOnly{e.algo}, p, c.k, h, c.first, ch)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s n=%d k=%d first=%d: probed %+v, built %+v",
+						e.algo.Name(), ch.Name(), c.n, c.k, c.first, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSpoilerAllocsDoNotGrowWithN: a spoil scans up to n candidates, and a
+// closed-form probe allocates nothing, so the attack's allocations depend
+// on the spoilers it keeps, not on the universe size. Measured at k = 64: 7
+// allocations for round-robin and 14 for wakeupc at both sizes; building a
+// schedule per probe took 262 and 524 at n = 256, 1030 and 2061 at n = 1024.
+func TestSpoilerAllocsDoNotGrowWithN(t *testing.T) {
+	const k = 64
+	for _, algo := range []horizoned{core.NewRoundRobin(), core.NewWakeupC()} {
+		allocs := func(n int) float64 {
+			p := model.Params{N: n, S: -1, Seed: 3}
+			h := algo.Horizon(n, k)
+			return testing.AllocsPerRun(3, func() { SpoilerVs(algo, p, k, h, 1, nil) })
+		}
+		small, large := allocs(256), allocs(1024)
+		t.Logf("%s: %.0f allocs at n=256, %.0f at n=1024", algo.Name(), small, large)
+		if large > small || large > k {
+			t.Errorf("%s: %.0f allocs at n=1024 against %.0f at n=256; want at most %d and no growth with n",
+				algo.Name(), large, small, k)
+		}
+	}
+}

@@ -65,6 +65,19 @@ func (a *RPD) Build(p model.Params, id int, wake int64, src *rng.Source) model.T
 	}
 }
 
+// TransmitsAtWake implements model.WakeProber: round σ = 0 is the e = 1
+// coin, keyed by the personal seed Build would draw.
+func (a *RPD) TransmitsAtWake(p model.Params, id int, wake int64, src *rng.Source) bool {
+	a.Ell(p) // Build's check that the params fit the variant
+	var personal uint64
+	if src != nil {
+		personal = src.Uint64()
+	} else {
+		personal = rng.Derive(p.Seed, uint64(id))
+	}
+	return rng.Below(rng.Hash3(personal, 0, 1, uint64(id)), 1)
+}
+
 // Horizon implements Bounded: expectation is O(log n); each ℓ-cycle gives a
 // constant success probability, so a few hundred cycles push the failure
 // probability below any practical threshold.

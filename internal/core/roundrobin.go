@@ -49,6 +49,12 @@ func (RoundRobin) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) m
 	}
 }
 
+// TransmitsAtWake implements model.WakeProber: the wake slot's residue is
+// id-1.
+func (RoundRobin) TransmitsAtWake(p model.Params, id int, wake int64, _ *rng.Source) bool {
+	return wake%int64(p.N) == int64(id-1)
+}
+
 // Horizon implements Bounded: success within n slots of the first wake-up,
 // plus slack.
 func (RoundRobin) Horizon(n, k int) int64 { return int64(n) + 2 }

@@ -62,6 +62,20 @@ func (a *WaitAndGo) Build(p model.Params, id int, wake int64, _ *rng.Source) mod
 	}
 }
 
+// TransmitsAtWake implements model.WakeProber: a station woken off a family
+// boundary is silent until the next one; one woken on it (or with the wait
+// disabled) transmits by the ladder's set at its wake slot.
+func (a *WaitAndGo) TransmitsAtWake(p model.Params, id int, wake int64, _ *rng.Source) bool {
+	if !p.KnowsK() {
+		panic("core: wait_and_go requires known k (Scenario B)")
+	}
+	lad := a.ladder(p)
+	if !a.DisableWait && lad.NextBoundary(wake) != wake {
+		return false
+	}
+	return lad.MemberCyclic(wake, id)
+}
+
 // Horizon implements Bounded: worst case, a station waits almost a full
 // period z for the next boundary and then one full pass of the schedule
 // succeeds; 3z plus slack is a guarded cap.

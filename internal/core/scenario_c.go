@@ -78,6 +78,18 @@ func (a *WakeupC) Build(p model.Params, id int, wake int64, _ *rng.Source) model
 	}
 }
 
+// TransmitsAtWake implements model.WakeProber: a station woken off a window
+// boundary is silent until µ(σ); one woken on it (or with the wait
+// disabled) scans row 1 from its wake slot.
+func (a *WakeupC) TransmitsAtWake(p model.Params, id int, wake int64, _ *rng.Source) bool {
+	spec := a.Spec(p)
+	if !a.DisableWindowWait && spec.Mu(wake) != wake {
+		return false
+	}
+	col := wake % spec.Length()
+	return spec.MemberColumn(1, col, spec.Rho(col), id)
+}
+
 // wakeupCursor is a WakeupC station's position in its row scan. It is one
 // struct so that the closure Build returns moves one object to the heap,
 // not one per cursor field.

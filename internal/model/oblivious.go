@@ -45,3 +45,19 @@ type Sparse interface {
 	Algorithm
 	BuildNext(p Params, id int, wake int64, src *rng.Source) NextFunc
 }
+
+// WakeProber is the optional Algorithm extension of schedules that can say,
+// without building one, whether a station woken at a slot transmits in that
+// very slot. The white-box spoiler asks this of every candidate station at
+// every would-be success, so a schedule built only to be asked about one
+// slot is the cost it removes. TransmitsAtWake(p, id, wake, src) must
+// satisfy:
+//
+//   - it returns Build(p, id, wake, src')(wake), where src' is a source in
+//     the same state as src;
+//   - it may draw from src, and need not draw what Build draws: the caller
+//     throws the source away, so a probe never feeds a station's stream.
+type WakeProber interface {
+	Algorithm
+	TransmitsAtWake(p Params, id int, wake int64, src *rng.Source) bool
+}
