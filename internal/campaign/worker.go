@@ -57,12 +57,26 @@ type Worker struct {
 	Hold time.Duration
 	// OnEvent, when non-nil, receives progress records synchronously.
 	OnEvent func(WorkerEvent)
+
+	// plans memoizes the shard plans of the last grid leased, under
+	// planKey: consecutive leases mostly come from one grid, and planning
+	// resolves and compiles the whole spec document. Run handles one lease
+	// at a time, so the memo needs no lock.
+	planKey planKey
+	plans   []dispatch.ShardPlan
+}
+
+// planKey identifies the grid a lease's plans were made for.
+type planKey struct {
+	campaign, grid, fingerprint string
+	shards                      int
 }
 
 // Run pulls and executes leases until ctx is cancelled or MaxLeases is
 // reached. An empty queue is not an error: the worker polls. The error is
 // nil on a clean MaxLeases exit, ctx.Err() on cancellation, and the
-// transport error if the server becomes unreachable.
+// transport error if the server becomes unreachable. A Worker runs one
+// lease at a time: Run must not be called on it concurrently.
 func (w *Worker) Run(ctx context.Context) error {
 	exec := w.Exec
 	if exec == nil {
@@ -211,12 +225,19 @@ func (w *Worker) runLease(ctx context.Context, exec dispatch.Executor, grant *Le
 }
 
 // planFor reconstructs the dispatch.ShardPlan for a grant from its spec
-// document and cross-checks the server's fingerprint — a mismatch means
-// server and worker disagree on planning and nothing should run.
+// document, reusing the previous lease's plans when the grant is for the
+// same grid, and cross-checks the server's fingerprint on every lease — a
+// mismatch means server and worker disagree on planning and nothing should
+// run.
 func (w *Worker) planFor(grant *LeaseGrant) (dispatch.ShardPlan, error) {
-	plans, _, err := dispatch.PlanShards(grant.Doc, grant.Shards)
-	if err != nil {
-		return dispatch.ShardPlan{}, fmt.Errorf("campaign: worker cannot plan leased grid: %w", err)
+	key := planKey{grant.Campaign, grant.Grid, grant.Fingerprint, grant.Shards}
+	plans := w.plans
+	if plans == nil || key != w.planKey {
+		var err error
+		plans, _, err = dispatch.PlanShards(grant.Doc, grant.Shards)
+		if err != nil {
+			return dispatch.ShardPlan{}, fmt.Errorf("campaign: worker cannot plan leased grid: %w", err)
+		}
 	}
 	if grant.Shard < 0 || grant.Shard >= len(plans) {
 		return dispatch.ShardPlan{}, fmt.Errorf("campaign: leased shard %d outside plan of %d", grant.Shard, len(plans))
@@ -226,6 +247,7 @@ func (w *Worker) planFor(grant *LeaseGrant) (dispatch.ShardPlan, error) {
 		return dispatch.ShardPlan{}, fmt.Errorf("campaign: fingerprint mismatch: server %s, worker %s (version skew?)",
 			grant.Fingerprint, plan.Fingerprint)
 	}
+	w.planKey, w.plans = key, plans
 	return plan, nil
 }
 

@@ -1,12 +1,12 @@
 package sweep
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"nsmac/internal/sim"
 	"nsmac/internal/stats"
@@ -71,18 +71,42 @@ func (g Grid) Shard(index, count int) (Grid, error) {
 // closures and cannot be hashed; the fingerprint is a guard against mixing
 // grids, not a proof the closures match.
 func (g Grid) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%q %d %d %d %d\n", g.Name, len(g.Axes), len(g.Cells), g.Trials, g.Seed)
+	// The hashed stream is fixed: the quoted name, then the axis count,
+	// cell count, trial count and seed, each after a space, and a newline;
+	// every quoted axis; and per cell a newline, its label count and its
+	// quoted labels. Quoting is strconv.Quote (fmt's %q). Run stores name
+	// their directories by the digest, so TestFingerprintGolden pins it.
+	n := 64 + len(g.Name)
 	for _, a := range g.Axes {
-		fmt.Fprintf(h, "%q", a)
+		n += len(a) + 2
 	}
 	for _, cell := range g.Cells {
-		fmt.Fprintf(h, "\n%d", len(cell))
+		n += 4
 		for _, label := range cell {
-			fmt.Fprintf(h, "%q", label)
+			n += len(label) + 2
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+	b := make([]byte, 0, n)
+	b = strconv.AppendQuote(b, g.Name)
+	for _, v := range []int{len(g.Axes), len(g.Cells), g.Trials} {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, g.Seed, 10)
+	b = append(b, '\n')
+	for _, a := range g.Axes {
+		b = strconv.AppendQuote(b, a)
+	}
+	for _, cell := range g.Cells {
+		b = append(b, '\n')
+		b = strconv.AppendInt(b, int64(len(cell)), 10)
+		for _, label := range cell {
+			b = strconv.AppendQuote(b, label)
+		}
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:16])
 }
 
 // ShardCell is one cell's contribution from one shard: its coordinates plus
@@ -109,36 +133,6 @@ type ShardResult struct {
 	// Merge checks the reassembled cells reach exactly this many trials.
 	Trials int         `json:"trials"`
 	Cells  []ShardCell `json:"cells"`
-}
-
-// Encode renders the envelope as deterministic indented JSON with a trailing
-// newline — the on-disk form `wakeup-bench -shard i/m -out f.json` writes.
-func (r *ShardResult) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// DecodeShardResult decodes one envelope strictly (unknown fields and
-// trailing data are errors) and validates its internal consistency, so a
-// truncated, hand-edited or partially-written shard file is rejected at the
-// boundary rather than poisoning a merge or a resumed run.
-func DecodeShardResult(data []byte) (*ShardResult, error) {
-	var r ShardResult
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("sweep: bad shard file: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("sweep: trailing data after shard envelope")
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // Validate checks the envelope's internal consistency: legal plan

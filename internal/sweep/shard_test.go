@@ -278,37 +278,6 @@ func TestMergeValidation(t *testing.T) {
 	}
 }
 
-// TestDecodeShardResultErrors covers the envelope decode error paths,
-// including the hardening pass: an envelope that parses as JSON but is
-// internally inconsistent — illegal plan coordinates, aggregates that
-// disagree with the striped plan — is rejected at decode, before it can
-// reach a merge or satisfy a resume.
-func TestDecodeShardResultErrors(t *testing.T) {
-	for _, bad := range []string{
-		`{"fingerprint":`,
-		`{"fingerprint":"x","bogus":1}`,
-		`{"fingerprint":"x"}{"fingerprint":"y"}`,
-		// Hardening: syntactically fine, semantically broken.
-		`{"fingerprint":"x","name":"g","axes":[],"shard":0,"shards":0,"trials":4,"cells":[]}`,
-		`{"fingerprint":"x","name":"g","axes":[],"shard":3,"shards":3,"trials":4,"cells":[]}`,
-		`{"fingerprint":"x","name":"g","axes":[],"shard":-1,"shards":3,"trials":4,"cells":[]}`,
-		`{"fingerprint":"x","name":"g","axes":[],"shard":0,"shards":3,"trials":-4,"cells":[]}`,
-		`{"fingerprint":"","name":"g","axes":[],"shard":0,"shards":3,"trials":4,"cells":[]}`,
-		// A cell carrying more trials than the striped plan assigns shard 1
-		// of 3 out of 4 (namely 1).
-		`{"fingerprint":"x","name":"g","axes":["k"],"shard":1,"shards":3,"trials":4,"cells":[
-			{"cell":["2"],"agg":{"trials":2,"successes":2,"rounds":[1,2],"collisions":0,"silences":0,"transmissions":2,"listens":0}}]}`,
-		// A cell whose sample count disagrees with its own trial counter
-		// (the stats wire integrity check).
-		`{"fingerprint":"x","name":"g","axes":["k"],"shard":1,"shards":3,"trials":4,"cells":[
-			{"cell":["2"],"agg":{"trials":1,"successes":1,"rounds":[],"collisions":0,"silences":0,"transmissions":1,"listens":0}}]}`,
-	} {
-		if _, err := sweep.DecodeShardResult([]byte(bad)); err == nil {
-			t.Errorf("decoded %q", bad)
-		}
-	}
-}
-
 // TestShardTrialsWiderPlans pins the striped plan's edge arithmetic when the
 // plan is wider than the trial count: exactly the first `trials` shards get
 // one trial, the rest get zero, and the zero-trial envelopes still validate.
