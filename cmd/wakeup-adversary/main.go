@@ -19,6 +19,7 @@ import (
 	"nsmac/internal/core"
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
+	"nsmac/internal/sim"
 )
 
 func main() {
@@ -85,7 +86,10 @@ func main() {
 			os.Exit(2)
 		}
 	case "spoiler":
-		res := adversary.SpoilerFrom(algo, p, *k, horizon, *first)
+		res, _, err := adversary.Spoiler(sim.NewEngine(), algo, p, *k, *first, sim.Options{Horizon: horizon, Seed: p.Seed})
+		if err != nil {
+			fail("%v", err)
+		}
 		fmt.Printf("spoiler attack (first station %d):\n", *first)
 		fmt.Printf("  rounds under attack : %d\n", res.Rounds)
 		fmt.Printf("  successes spoiled   : %d (budget %d)\n", res.Spoiled, *k-1)

@@ -225,10 +225,21 @@ func runSingle(algoName, pattern string, ch model.ChannelModel, n, k int, s, gap
 	if c.Adaptive && gen.WhiteBox() {
 		fail("%s×%s: white-box pattern needs an oblivious schedule; %s is adaptive", c.Name, gen.Name, c.Name)
 	}
-	// White-box families (spoiler, swap) build their pattern against the
-	// selected algorithm and channel model; black-box families draw from
-	// (n, k, seed).
-	w := gen.Pattern(algo, p, k, hor, seed, ch)
+	// White-box families (spoiler, swap) run their attack inside the engine
+	// against the selected algorithm and channel model; black-box families
+	// draw from (n, k, seed).
+	e := sim.NewEngine()
+	opt := sim.Options{Horizon: hor, Seed: seed, RecordTrace: showTr, Channel: ch, Adaptive: c.Adaptive}
+	var w model.WakePattern
+	var res model.Result
+	if gen.WhiteBox() {
+		w, res, err = gen.VsAlgo(e, algo, p, k, seed, opt)
+	} else {
+		w = gen.Generate(n, k, seed)
+		if err = e.Reset(algo, p, w, opt); err == nil {
+			res = e.Run()
+		}
+	}
 
 	fmt.Printf("algorithm : %s\n", algo.Name())
 	fmt.Printf("universe  : n=%d, k=%d awake\n", n, k)
@@ -238,9 +249,6 @@ func runSingle(algoName, pattern string, ch model.ChannelModel, n, k int, s, gap
 	}
 	fmt.Printf("horizon   : %d slots\n", hor)
 
-	res, runCh, err := sim.Run(algo, p, w, sim.Options{
-		Horizon: hor, Seed: seed, RecordTrace: showTr, Channel: ch, Adaptive: c.Adaptive,
-	})
 	if err != nil {
 		fail("run: %v", err)
 	}
@@ -254,7 +262,7 @@ func runSingle(algoName, pattern string, ch model.ChannelModel, n, k int, s, gap
 	if showTr {
 		fmt.Println("\ntranscript:")
 		fmt.Println(trace.Legend())
-		fmt.Println(trace.TimelineOf(runCh, 100))
+		fmt.Println(trace.TimelineOf(e.Channel(), 100))
 	}
 
 	if render {

@@ -102,3 +102,23 @@ func TestSingleRunAdaptiveCases(t *testing.T) {
 		t.Fatalf("single and grid mode disagree on the skip reason:\nsingle: %sgrid: %s", single, grid)
 	}
 }
+
+// TestSpoilerTranscriptGolden pins a single spoiler run on a noisy channel:
+// its first spoil lands at slot 0 with an injected station whose ID is below
+// the first station's, so the report's pattern, counters and transcript pin
+// how a spoiled slot is resolved and recorded.
+func TestSpoilerTranscriptGolden(t *testing.T) {
+	bin := buildSim(t)
+	got, stderr, code := runSim(t, bin,
+		"-algo", "wakeupc", "-pattern", "spoiler", "-n", "32", "-k", "4", "-channels", "noisy:0.1", "-trace")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "spoiler_noisy.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("report differs from its golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+}

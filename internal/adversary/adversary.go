@@ -14,14 +14,13 @@ import (
 	"nsmac/internal/sim"
 )
 
-// Generator names a reproducible wake-pattern family. Generate draws the
-// pattern for a given (n, k, seed); implementations must be deterministic
-// in their arguments.
+// Generator names a reproducible wake-pattern family; implementations must
+// be deterministic in their arguments.
 //
 // A family is either black-box (Generate set: the pattern depends only on
-// (n, k, seed)) or white-box (VsAlgo set: the pattern is constructed against
-// the concrete algorithm under test, like the Spoiler and Swap adversaries).
-// Exactly one of the two is non-nil; Pattern dispatches.
+// (n, k, seed)) or white-box (VsAlgo set: the attack runs against the
+// concrete algorithm under test, like the Spoiler and Swap adversaries).
+// Exactly one of the two is non-nil.
 type Generator struct {
 	// Name identifies the pattern family in experiment tables.
 	Name string
@@ -36,14 +35,15 @@ type Generator struct {
 	// Generate draws a wake pattern with exactly k distinct stations.
 	// Nil for white-box families.
 	Generate func(n, k int, seed uint64) model.WakePattern
-	// VsAlgo draws a wake pattern against the algorithm under test (with
-	// the knowledge p it will be granted, the horizon it will be given, and
-	// the channel model ch the run will use — nil means the paper default).
-	// White-box adversaries predict the run through the channel model: a
-	// slot the model erases or jams is not worth attacking. The pattern
-	// wakes at most k stations — white-box adversaries may spend less than
-	// their budget. Nil for black-box families.
-	VsAlgo func(algo model.Algorithm, p model.Params, k int, horizon int64, seed uint64, ch model.ChannelModel) model.WakePattern
+	// VsAlgo runs one white-box trial on engine e: the adversary attacks
+	// the algorithm under test (with the knowledge p it is granted) under
+	// the run options opt — horizon, channel, seed, transcript — and returns
+	// the pattern it woke and the Result of the run, or the engine's
+	// rejection of the inputs. The attack runs inside the engine; a slot the
+	// channel erases or jams never reaches the hook. The pattern wakes at
+	// most k stations — white-box adversaries may spend less than their
+	// budget. seed is the trial's pattern seed. Nil for black-box families.
+	VsAlgo func(e *sim.Engine, algo model.Algorithm, p model.Params, k int, seed uint64, opt sim.Options) (model.WakePattern, model.Result, error)
 }
 
 // ref builds the canonical wire name for a family configuration: the family
@@ -62,17 +62,6 @@ func ref(name string, arg int64, hasArg bool, start int64) string {
 
 // WhiteBox reports whether the family needs the algorithm under test.
 func (g Generator) WhiteBox() bool { return g.VsAlgo != nil }
-
-// Pattern draws the family's pattern for one trial, dispatching between the
-// black-box and white-box constructors. ch is the channel model the run will
-// use (nil for the paper default); black-box families ignore it, white-box
-// families predict through it.
-func (g Generator) Pattern(algo model.Algorithm, p model.Params, k int, horizon int64, seed uint64, ch model.ChannelModel) model.WakePattern {
-	if g.VsAlgo != nil {
-		return g.VsAlgo(algo, p, k, horizon, seed, ch)
-	}
-	return g.Generate(p.N, k, seed)
-}
 
 // Simultaneous wakes k random stations at slot s.
 func Simultaneous(s int64) Generator {
@@ -162,35 +151,6 @@ func Suite() []Generator {
 	}
 }
 
-// WorstOf evaluates the algorithm across generators × seeds and returns the
-// worst observed rounds plus the pattern achieving it. Failed runs count as
-// horizon rounds (worse than any success).
-func WorstOf(algo model.Algorithm, p model.Params, gens []Generator,
-	k int, seeds int, horizon int64) (int64, model.WakePattern) {
-
-	worst := int64(-1)
-	var worstPat model.WakePattern
-	eng := sim.NewEngine()
-	for _, g := range gens {
-		for sd := 0; sd < seeds; sd++ {
-			w := g.Pattern(algo, p, k, horizon, rng.Derive(p.Seed, uint64(sd)+uint64(len(g.Name))<<32), nil)
-			if err := eng.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed}); err != nil {
-				continue // knowledge-inconsistent generator for these params
-			}
-			res := eng.Run()
-			rounds := res.Rounds
-			if !res.Succeeded {
-				rounds = horizon
-			}
-			if rounds > worst {
-				worst = rounds
-				worstPat = w
-			}
-		}
-	}
-	return worst, worstPat
-}
-
 // SwapResult reports a Theorem 2.1 adversary search.
 type SwapResult struct {
 	// ForcedRounds is the largest first-success round the adversary forced
@@ -220,14 +180,15 @@ type SwapResult struct {
 // When greedy is true, each step tries every available y and keeps the one
 // maximizing the next first-success round (a stronger but slower probe).
 func Swap(algo model.Algorithm, p model.Params, k int, horizon int64, greedy bool) SwapResult {
-	return SwapVs(algo, p, k, horizon, greedy, nil)
+	return SwapVs(sim.NewEngine(), algo, p, k, horizon, greedy, nil)
 }
 
-// SwapVs is Swap against an explicit channel model (nil selects the paper
-// default): every probe simulation runs under ch, so the witness search
-// maximizes the first-success round of the channel the pattern will actually
-// be replayed on — under jamming or noise the worst witness set can differ.
-func SwapVs(algo model.Algorithm, p model.Params, k int, horizon int64, greedy bool, ch model.ChannelModel) SwapResult {
+// SwapVs is Swap on engine e against an explicit channel model (nil selects
+// the paper default): every probe simulation runs on e under ch, so the
+// witness search maximizes the first-success round of the channel the
+// pattern will actually be replayed on — under jamming or noise the worst
+// witness set can differ.
+func SwapVs(e *sim.Engine, algo model.Algorithm, p model.Params, k int, horizon int64, greedy bool, ch model.ChannelModel) SwapResult {
 	n := p.N
 	if k < 1 || k > n {
 		panic("adversary: Swap requires 1 <= k <= n")
@@ -250,13 +211,12 @@ func SwapVs(algo model.Algorithm, p model.Params, k int, horizon int64, greedy b
 	roundsSeen := map[int64]bool{}
 
 	// One engine serves every probe: a Reset engine reproduces a fresh one.
-	eng := sim.NewEngine()
 	simulate := func(set []int) (int64, int, bool) {
 		w := model.Simultaneous(set, 0)
-		if err := eng.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch}); err != nil {
+		if err := e.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch}); err != nil {
 			return horizon, 0, false
 		}
-		r := eng.Run()
+		r := e.Run()
 		if !r.Succeeded {
 			return horizon, 0, false
 		}

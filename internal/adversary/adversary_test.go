@@ -97,21 +97,6 @@ func TestGeneratorPanics(t *testing.T) {
 	}
 }
 
-func TestWorstOfFindsAWorstCase(t *testing.T) {
-	p := model.Params{N: 32, S: -1, Seed: 4}
-	rr := core.NewRoundRobin()
-	worst, pat := WorstOf(rr, p, Suite(), 4, 3, rr.Horizon(32, 4))
-	if worst < 0 {
-		t.Fatal("WorstOf found nothing")
-	}
-	if err := pat.Validate(32); err != nil {
-		t.Fatalf("worst pattern invalid: %v", err)
-	}
-	if worst >= rr.Horizon(32, 4) {
-		t.Error("round-robin should never hit its horizon")
-	}
-}
-
 func TestSwapAgainstRoundRobin(t *testing.T) {
 	// Theorem 2.1: every algorithm can be forced to min{k, n-k+1} rounds.
 	// Against round-robin the swap adversary should reach at least that.

@@ -3,6 +3,7 @@ package adversary
 import (
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
+	"nsmac/internal/sim"
 )
 
 // This file promotes the white-box adversaries to first-class pattern-axis
@@ -11,27 +12,24 @@ import (
 // black-box families.
 
 // SpoilerPattern returns the Spoiler attack as a pattern generator: each
-// trial mounts the strongest wake-time attack the model allows against the
-// cell's algorithm (wake a colliding fresh station at every would-be success
-// slot, budget k−1 spoilers) and plays the resulting wake pattern back. The
-// seed picks the initial station, probing different round-robin residues
-// across trials.
+// trial runs the strongest wake-time attack the model allows inside the
+// engine, against the cell's algorithm and channel (wake a colliding fresh
+// station at every success slot, budget k−1 spoilers). The seed picks the
+// initial station, probing different round-robin residues across trials.
 func SpoilerPattern() Generator {
 	return Generator{
 		Name: "spoiler",
 		Ref:  "spoiler",
-		VsAlgo: func(algo model.Algorithm, p model.Params, k int, horizon int64, seed uint64, ch model.ChannelModel) model.WakePattern {
-			var src rng.Source
-			src.Reseed(seed)
-			firstID := 1 + src.Intn(p.N)
-			return SpoilerVs(algo, p, k, horizon, firstID, ch).Pattern
+		VsAlgo: func(e *sim.Engine, algo model.Algorithm, p model.Params, k int, seed uint64, opt sim.Options) (model.WakePattern, model.Result, error) {
+			sp, res, err := Spoiler(e, algo, p, k, 1+rng.New(seed).Intn(p.N), opt)
+			return sp.Pattern, res, err
 		},
 	}
 }
 
 // SwapPattern returns the Theorem 2.1 swap adversary as a pattern generator:
 // each trial runs the full swap search against the cell's algorithm and
-// plays back the worst witness set it found (simultaneous wake at slot 0).
+// then runs the worst witness set it found (simultaneous wake at slot 0).
 // The greedy variant probes every candidate replacement per swap — a much
 // stronger and much slower search; reserve it for small n.
 func SwapPattern(greedy bool) Generator {
@@ -42,12 +40,15 @@ func SwapPattern(greedy bool) Generator {
 	return Generator{
 		Name: name,
 		Ref:  wire,
-		VsAlgo: func(algo model.Algorithm, p model.Params, k int, horizon int64, seed uint64, ch model.ChannelModel) model.WakePattern {
-			// The search keys its initial set and its replayed simulations
+		VsAlgo: func(e *sim.Engine, algo model.Algorithm, p model.Params, k int, seed uint64, opt sim.Options) (model.WakePattern, model.Result, error) {
+			// The search keys its initial set and its probe simulations
 			// off p.Seed, which the sweep derives per trial — the extra seed
 			// diversifies nothing further here.
-			res := SwapVs(algo, p, k, horizon, greedy, ch)
-			return model.Simultaneous(res.Witness, 0)
+			w := model.Simultaneous(SwapVs(e, algo, p, k, opt.Horizon, greedy, opt.Channel).Witness, 0)
+			if err := e.Reset(algo, p, w, opt); err != nil {
+				return w, model.Result{}, err
+			}
+			return w, e.Run(), nil
 		},
 	}
 }

@@ -6,7 +6,18 @@ import (
 	"nsmac/internal/core"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
+	"nsmac/internal/sim"
 )
+
+// whiteBox runs one trial of a white-box generator on a fresh engine over
+// the paper channel and returns the pattern it woke.
+func whiteBox(g Generator, algo model.Algorithm, p model.Params, k int, horizon int64, seed uint64) model.WakePattern {
+	w, _, err := g.VsAlgo(sim.NewEngine(), algo, p, k, seed, sim.Options{Horizon: horizon, Seed: p.Seed})
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
 
 func TestSpoilerPatternGenerator(t *testing.T) {
 	n, k := 64, 6
@@ -18,7 +29,7 @@ func TestSpoilerPatternGenerator(t *testing.T) {
 	if !g.WhiteBox() || g.Generate != nil {
 		t.Fatal("spoiler generator must be white-box only")
 	}
-	w := g.Pattern(abl, p, k, horizon, 42, nil)
+	w := whiteBox(g, abl, p, k, horizon, 42)
 	if err := w.Validate(n); err != nil {
 		t.Fatalf("spoiler pattern invalid: %v", err)
 	}
@@ -26,16 +37,16 @@ func TestSpoilerPatternGenerator(t *testing.T) {
 		t.Fatalf("spoiler woke %d stations, budget %d", w.K(), k)
 	}
 	// Determinism in (algo, p, k, horizon, seed).
-	w2 := g.Pattern(abl, p, k, horizon, 42, nil)
+	w2 := whiteBox(g, abl, p, k, horizon, 42)
 	for i := range w.IDs {
 		if w.IDs[i] != w2.IDs[i] || w.Wakes[i] != w2.Wakes[i] {
 			t.Fatal("spoiler generator not deterministic")
 		}
 	}
 	// Different seeds probe different initial stations (almost surely).
-	w3 := g.Pattern(abl, p, k, horizon, 43, nil)
+	w3 := whiteBox(g, abl, p, k, horizon, 43)
 	if w3.IDs[0] == w.IDs[0] {
-		w3 = g.Pattern(abl, p, k, horizon, 44, nil)
+		w3 = whiteBox(g, abl, p, k, horizon, 44)
 		if w3.IDs[0] == w.IDs[0] {
 			t.Error("seed does not move the spoiler's initial station")
 		}
@@ -43,14 +54,14 @@ func TestSpoilerPatternGenerator(t *testing.T) {
 }
 
 func TestSpoilerPredictsRandomizedSchedules(t *testing.T) {
-	// The spoiler predicts schedules with the same derived streams the
+	// The spoiler probes schedules with the same derived streams the
 	// engine uses, so replaying its pattern with Options.Seed == p.Seed
 	// reproduces the attack exactly even against a randomized algorithm.
 	n, k := 48, 5
 	p := model.Params{N: n, S: -1, Seed: 77}
 	a := core.NewRPD()
 	horizon := a.Horizon(n, k)
-	res := SpoilerFrom(a, p, k, horizon, 7)
+	res := spoil(a, p, k, horizon, 7)
 	if err := res.Pattern.Validate(n); err != nil {
 		t.Fatalf("pattern invalid: %v", err)
 	}
@@ -73,7 +84,7 @@ func TestSwapPatternGenerator(t *testing.T) {
 	if !g.WhiteBox() {
 		t.Fatal("swap generator must be white-box")
 	}
-	w := g.Pattern(rr, p, k, horizon, 0, nil)
+	w := whiteBox(g, rr, p, k, horizon, 0)
 	if err := w.Validate(n); err != nil {
 		t.Fatalf("swap witness pattern invalid: %v", err)
 	}
@@ -102,7 +113,7 @@ func TestSwapPatternSurvivesInstantWinners(t *testing.T) {
 	// valid pattern. k = n pins the explored set to the full universe.
 	n := 4
 	p := model.Params{N: n, S: -1, Seed: 1}
-	w := SwapPattern(false).Pattern(onlyOne{}, p, n, 10, 0, nil)
+	w := whiteBox(SwapPattern(false), onlyOne{}, p, n, 10, 0)
 	if err := w.Validate(n); err != nil {
 		t.Fatalf("instant-winner witness invalid: %v", err)
 	}

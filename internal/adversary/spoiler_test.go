@@ -5,7 +5,18 @@ import (
 
 	"nsmac/internal/core"
 	"nsmac/internal/model"
+	"nsmac/internal/sim"
 )
+
+// spoil mounts the spoiler from firstID on a fresh engine over the paper
+// channel, seeded like the algorithm's params.
+func spoil(algo model.Algorithm, p model.Params, k int, horizon int64, firstID int) SpoilerResult {
+	res, _, err := Spoiler(sim.NewEngine(), algo, p, k, firstID, sim.Options{Horizon: horizon, Seed: p.Seed})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 func TestSpoilerDelaysAblatedWaitAndGo(t *testing.T) {
 	n, k := 256, 8
@@ -14,8 +25,8 @@ func TestSpoilerDelaysAblatedWaitAndGo(t *testing.T) {
 	abl := &core.WaitAndGo{DisableWait: true}
 	horizon := std.Horizon(n, k)
 
-	resStd := Spoiler(std, p, k, horizon)
-	resAbl := Spoiler(abl, p, k, horizon)
+	resStd := spoil(std, p, k, horizon, 1)
+	resAbl := spoil(abl, p, k, horizon, 1)
 
 	if !resStd.Succeeded {
 		t.Fatalf("standard wait_and_go failed under spoiler: %+v", resStd)
@@ -43,8 +54,8 @@ func TestSpoilerDelaysAblatedWakeupC(t *testing.T) {
 	abl := &core.WakeupC{DisableWindowWait: true}
 	horizon := std.Horizon(n, k)
 
-	resStd := Spoiler(std, p, k, horizon)
-	resAbl := Spoiler(abl, p, k, horizon)
+	resStd := spoil(std, p, k, horizon, 1)
+	resAbl := spoil(abl, p, k, horizon, 1)
 	if !resStd.Succeeded || !resAbl.Succeeded {
 		t.Fatalf("spoiler runs failed: std=%+v abl=%+v", resStd, resAbl)
 	}
@@ -57,7 +68,7 @@ func TestSpoilerPatternIsValidAndReplayable(t *testing.T) {
 	n, k := 64, 6
 	p := model.Params{N: n, K: k, S: -1, Seed: 9}
 	abl := &core.WaitAndGo{DisableWait: true}
-	res := Spoiler(abl, p, k, abl.Horizon(n, k))
+	res := spoil(abl, p, k, abl.Horizon(n, k), 1)
 	if err := res.Pattern.Validate(n); err != nil {
 		t.Fatalf("spoiler pattern invalid: %v", err)
 	}
@@ -82,7 +93,7 @@ func TestSpoilerAgainstRoundRobinIsHarmless(t *testing.T) {
 	n, k := 32, 4
 	p := model.Params{N: n, S: -1, Seed: 2}
 	rr := core.NewRoundRobin()
-	res := Spoiler(rr, p, k, rr.Horizon(n, k))
+	res := spoil(rr, p, k, rr.Horizon(n, k), 1)
 	if !res.Succeeded {
 		t.Fatalf("round robin failed under spoiler: %+v", res)
 	}
@@ -98,7 +109,7 @@ func TestSpoilerBudgetRespected(t *testing.T) {
 	n := 128
 	p := model.Params{N: n, K: 3, S: -1, Seed: 5}
 	abl := &core.WaitAndGo{DisableWait: true}
-	res := Spoiler(abl, p, 3, abl.Horizon(n, 3))
+	res := spoil(abl, p, 3, abl.Horizon(n, 3), 1)
 	if res.Spoiled > 2 {
 		t.Errorf("budget k-1=2 exceeded: %d spoils", res.Spoiled)
 	}
@@ -110,5 +121,5 @@ func TestSpoilerPanicsOnBadK(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Spoiler(core.NewRoundRobin(), model.Params{N: 4, S: -1}, 0, 10)
+	spoil(core.NewRoundRobin(), model.Params{N: 4, S: -1}, 0, 10, 1)
 }

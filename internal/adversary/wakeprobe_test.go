@@ -6,6 +6,7 @@ import (
 
 	"nsmac/internal/core"
 	"nsmac/internal/model"
+	"nsmac/internal/sim"
 )
 
 // buildOnly hides every optional extension of the algorithm it wraps,
@@ -20,7 +21,9 @@ type horizoned interface {
 
 // TestSpoilerProbeMatchesBuildPath: the spoiler's closed-form probes choose
 // exactly the spoilers that building each candidate's schedule chooses, so
-// the attack's pattern, rounds and verdict are the same on both paths.
+// the attack's pattern, rounds and verdict, and the run's Result, are the
+// same on both paths. The wrapped algorithm hides model.Sparse too, so the
+// Results also pin sparse injection against dense.
 func TestSpoilerProbeMatchesBuildPath(t *testing.T) {
 	for _, e := range []struct {
 		algo   horizoned
@@ -46,11 +49,15 @@ func TestSpoilerProbeMatchesBuildPath(t *testing.T) {
 					p.K = c.k
 				}
 				h := e.algo.Horizon(c.n, c.k)
-				got := SpoilerVs(e.algo, p, c.k, h, c.first, ch)
-				want := SpoilerVs(buildOnly{e.algo}, p, c.k, h, c.first, ch)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %s n=%d k=%d first=%d: probed %+v, built %+v",
-						e.algo.Name(), ch.Name(), c.n, c.k, c.first, got, want)
+				opt := sim.Options{Horizon: h, Seed: p.Seed, Channel: ch}
+				got, gotRes, err := Spoiler(sim.NewEngine(), e.algo, p, c.k, c.first, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantRes, _ := Spoiler(sim.NewEngine(), buildOnly{e.algo}, p, c.k, c.first, opt)
+				if !reflect.DeepEqual(got, want) || gotRes != wantRes {
+					t.Errorf("%s %s n=%d k=%d first=%d: probed %+v %+v, built %+v %+v",
+						e.algo.Name(), ch.Name(), c.n, c.k, c.first, got, gotRes, want, wantRes)
 				}
 			}
 		}
@@ -58,9 +65,10 @@ func TestSpoilerProbeMatchesBuildPath(t *testing.T) {
 }
 
 // TestSpoilerAllocsDoNotGrowWithN: a spoil scans up to n candidates, and a
-// closed-form probe allocates nothing, so the attack's allocations depend
-// on the spoilers it keeps, not on the universe size. Measured at k = 64: 7
-// allocations for round-robin and 14 for wakeupc at both sizes; building a
+// closed-form probe allocates nothing, so the attack's allocations on a
+// warm engine depend on the spoilers it keeps, not on the universe size.
+// Measured at k = 64: 5 allocations for round-robin and 10 for wakeupc at
+// both sizes; building a
 // schedule per probe took 262 and 524 at n = 256, 1030 and 2061 at n = 1024.
 func TestSpoilerAllocsDoNotGrowWithN(t *testing.T) {
 	const k = 64
@@ -68,7 +76,9 @@ func TestSpoilerAllocsDoNotGrowWithN(t *testing.T) {
 		allocs := func(n int) float64 {
 			p := model.Params{N: n, S: -1, Seed: 3}
 			h := algo.Horizon(n, k)
-			return testing.AllocsPerRun(3, func() { SpoilerVs(algo, p, k, h, 1, nil) })
+			e := sim.NewEngine()
+			opt := sim.Options{Horizon: h, Seed: p.Seed}
+			return testing.AllocsPerRun(3, func() { Spoiler(e, algo, p, k, 1, opt) })
 		}
 		small, large := allocs(256), allocs(1024)
 		t.Logf("%s: %.0f allocs at n=256, %.0f at n=1024", algo.Name(), small, large)

@@ -144,6 +144,18 @@ func (c *Channel) Resolve(slot int64, transmitters []int) (model.Feedback, int) 
 	return truth, winner
 }
 
+// Spoil turns the last resolved slot, a success, into a collision of
+// transmitters in the counters and the transcript: the engine's injection
+// hook adds a transmitter after the ruling. It makes no second draw, which
+// the model.SlotPerturber contract makes exact.
+func (c *Channel) Spoil(slot int64, transmitters []int) {
+	c.successes--
+	c.collisions++
+	if n := len(c.trace); c.record && n > 0 && c.trace[n-1].Slot == slot {
+		c.trace[n-1] = Event{Slot: slot, Transmitters: append([]int(nil), transmitters...), Truth: model.Collision}
+	}
+}
+
 // SkipsSilence reports whether SkipSilent may stand in for resolving
 // silent slots one by one: the model perturbs nothing, or is a
 // model.KernelPerturber, whose Perturb(Silence) returns Silence and draws

@@ -339,3 +339,33 @@ func TestSkipSilent(t *testing.T) {
 		}()
 	}
 }
+
+// TestSpoil: spoiling the last resolved slot moves it from successes to
+// collisions and rewrites its transcript event, leaving earlier events
+// alone; past the transcript bound only the counters move.
+func TestSpoil(t *testing.T) {
+	c := New(model.None(), true)
+	c.Resolve(0, []int{4})
+	c.Resolve(1, []int{9})
+	c.Spoil(1, []int{2, 9})
+	if c.Successes() != 1 || c.Collisions() != 1 || c.Slots() != 2 {
+		t.Fatalf("counters: %d successes, %d collisions, %d slots", c.Successes(), c.Collisions(), c.Slots())
+	}
+	tr := c.Trace()
+	if tr[0].Truth != model.Success || tr[0].Winner != 4 {
+		t.Errorf("earlier event rewritten: %+v", tr[0])
+	}
+	if ev := tr[1]; ev.Slot != 1 || ev.Truth != model.Collision || ev.Winner != 0 || len(ev.Transmitters) != 2 || ev.Transmitters[0] != 2 {
+		t.Errorf("spoiled event: %+v", ev)
+	}
+
+	full := New(model.None(), true)
+	for s := int64(0); s < int64(TraceCap()); s++ {
+		full.Resolve(s, nil)
+	}
+	full.Resolve(int64(TraceCap()), []int{3})
+	full.Spoil(int64(TraceCap()), []int{3, 5})
+	if last := full.Trace()[TraceCap()-1]; last.Truth != model.Silence || full.Collisions() != 1 || full.Successes() != 0 {
+		t.Errorf("spoil past the bound: last event %+v, %d collisions, %d successes", last, full.Collisions(), full.Successes())
+	}
+}

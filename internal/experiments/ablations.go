@@ -72,9 +72,12 @@ func T8Ablations(cfg Config) *Table {
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 		Batch:   cfg.Batch,
-		RunEngine: func(_ *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
+		RunEngine: func(e *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := spoilCells[ci]
-			r := adversary.Spoiler(c.mk(), c.p, k, c.horizon)
+			r, _, err := adversary.Spoiler(e, c.mk(), c.p, k, 1, sim.Options{Horizon: c.horizon, Seed: c.p.Seed})
+			if err != nil {
+				panic(fmt.Sprintf("experiments: T8 %s: %v", c.label, err))
+			}
 			return sweep.Sample{OK: true, Rounds: r.Rounds, Aux: int64(r.Spoiled)}
 		},
 	}.Execute()

@@ -20,8 +20,8 @@ import (
 
 // ChannelStream is the derived-stream index of the channel's per-run
 // perturbation RNG: a run seeded with Options.Seed perturbs slots from
-// rng.Derive(Options.Seed, ChannelStream). It is exported so white-box
-// adversaries (and tests) can replay the channel's randomness exactly; like
+// rng.Derive(Options.Seed, ChannelStream). It is exported so the kernel
+// (and tests) can replay the channel's randomness exactly; like
 // the sweep's pattern stream, the constant merely offsets the channel away
 // from the per-station streams (which use the station IDs as indices).
 const ChannelStream uint64 = 0xc11a44e1
@@ -80,8 +80,9 @@ type SlotPerturber interface {
 	// Perturb maps the physical outcome to the effective one, drawing any
 	// randomness from st.Src and tracking budgets in st.Used. It must be
 	// deterministic given (truth, *st) and must draw from st.Src the same
-	// number of times for a given truth regardless of st.Used, so white-box
-	// replays stay aligned with live runs.
+	// number of times for a given truth regardless of st.Used, and let a
+	// collision through, with st as it leaves it, exactly when it lets a
+	// success through: the engine's injection hook spoils such a success.
 	Perturb(truth Feedback, st *ChannelState) Feedback
 }
 
@@ -191,9 +192,8 @@ func (m noisyModel) Deliver(truth Feedback, transmitted, won bool) Feedback {
 
 // Perturb implements SlotPerturber: any non-silent slot is erased — flipped
 // to silence — with probability p. Note Bernoulli draws from the stream only
-// for 0 < p < 1, identically for success and collision slots, which keeps
-// spoiler replays aligned (a spoiled slot changes success into collision but
-// consumes the same single draw).
+// for 0 < p < 1, identically for success and collision slots, so a slot the
+// spoiler turns from success into collision consumes the same single draw.
 func (m noisyModel) Perturb(truth Feedback, st *ChannelState) Feedback {
 	if truth != Silence && st.Src.Bernoulli(m.p) {
 		return Silence

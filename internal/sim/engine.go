@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nsmac/internal/channel"
 	"nsmac/internal/model"
@@ -31,8 +32,8 @@ type Engine struct {
 	p            model.Params
 	opt          Options
 
-	order        []model.WakeKey // activation keys, reused across trials
-	stations     []station       // wake-ordered station table, reused across trials
+	order        []model.WakeKey // the pattern's activation keys, reused across trials
+	stations     []station       // wake-ordered pattern stations, then injected ones
 	active       []*station      // activated stations, pointers into the table
 	transmitters []int           // per-slot transmit buffer (IDs)
 
@@ -102,27 +103,17 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	// backing array, from the pattern's sorted activation keys.
 	e.order = w.WakeOrder(e.order)
 	k := len(e.order)
-	if cap(e.stations) < k {
-		e.stations = make([]station, k)
-	}
-	e.stations = e.stations[:k]
+	e.stations = slices.Grow(e.stations[:0], k)[:k]
 	for i, key := range e.order {
 		e.stations[i] = station{id: key.ID, wake: key.Wake}
 	}
 
-	if cap(e.active) < k {
-		e.active = make([]*station, 0, k)
-	}
-	e.active = e.active[:0]
-	if cap(e.transmitters) < k {
-		e.transmitters = make([]int, 0, k)
-	}
-	e.transmitters = e.transmitters[:0]
-	if e.useSparse && cap(e.at) < k {
-		e.nexts = make([]model.NextFunc, 0, k)
-		e.at = make([]int64, 0, k)
-	}
+	e.active = slices.Grow(e.active[:0], k)
+	e.transmitters = slices.Grow(e.transmitters[:0], k)
 	e.nexts, e.at = e.nexts[:0], e.at[:0]
+	if e.useSparse {
+		e.nexts, e.at = slices.Grow(e.nexts, k), slices.Grow(e.at, k)
+	}
 	e.minAt = model.Never
 
 	e.s = e.stations[0].wake
@@ -165,13 +156,26 @@ func (e *Engine) RunTo(until int64) bool {
 }
 
 // Run steps the trial to completion and returns the result.
-func (e *Engine) Run() model.Result { return e.run(nil) }
+func (e *Engine) Run() model.Result { return e.RunHooked(0, nil) }
 
-// run is the core loop. onSuccess, when non-nil, is called for every
-// successful slot and returns true to keep running (RunAll's hook, which
-// runs adaptive stations and so never steps sparsely).
-func (e *Engine) run(onSuccess func(slot int64, winner int) bool) model.Result {
-	for !e.step(math.MaxInt64, onSuccess) {
+// A SuccessHook is called at every slot the channel rules a success, after
+// noise or jamming. It may name a station to inject: one not yet in the run
+// that, woken at that slot, transmits in it. The engine then wakes it there
+// on its own stream and rules the slot a collision of it and the winner on
+// the same channel draw, and the run goes on. With no injection (inject ==
+// 0) the success ends the run unless more is true.
+type SuccessHook func(slot int64, winner int) (inject int, more bool)
+
+// RunHooked steps the trial to completion, calling hook (if non-nil) at
+// every successful slot, and returns the result. spare is the most stations
+// the hook injects. Before any station wakes, the station table grows to
+// hold them, so an injection never moves a station whose schedule holds on
+// to its stream; an injection past that room panics.
+func (e *Engine) RunHooked(spare int, hook SuccessHook) model.Result {
+	if e.next == 0 {
+		e.stations = slices.Grow(e.stations, spare)
+	}
+	for !e.step(math.MaxInt64, hook) {
 	}
 	return e.result
 }
@@ -180,7 +184,7 @@ func (e *Engine) run(onSuccess func(slot int64, winner int) bool) model.Result {
 // sparse engine whose stations all stay silent in that slot instead skips
 // the whole silent run it starts, up to the next attempt, the next wake,
 // the horizon or limit, whichever comes first (limit > e.t).
-func (e *Engine) step(limit int64, onSuccess func(slot int64, winner int) bool) bool {
+func (e *Engine) step(limit int64, hook SuccessHook) bool {
 	if e.done {
 		return true
 	}
@@ -193,23 +197,8 @@ func (e *Engine) step(limit int64, onSuccess func(slot int64, winner int) bool) 
 	}
 
 	// Activate stations whose wake time has arrived.
-	for e.next < len(e.stations) && e.stations[e.next].wake <= t {
-		st := &e.stations[e.next]
-		src := &st.src
-		src.Reseed(rng.Derive(e.opt.Seed, uint64(st.id)))
-		switch {
-		case e.useAdaptive:
-			st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, st.id, st.wake, src)
-		case e.useSparse:
-			next := e.sparseAlgo.BuildNext(e.p, st.id, st.wake, src)
-			at := next(t)
-			e.nexts = append(e.nexts, next)
-			e.at = append(e.at, at)
-			e.minAt = min(e.minAt, at)
-		default:
-			st.transmit = e.algo.Build(e.p, st.id, st.wake, src)
-		}
-		e.active = append(e.active, st)
+	for e.next < len(e.order) && e.stations[e.next].wake <= t {
+		e.activate(&e.stations[e.next], t)
 		e.next++
 	}
 
@@ -217,7 +206,7 @@ func (e *Engine) step(limit int64, onSuccess func(slot int64, winner int) bool) 
 	if e.useSparse {
 		if e.minAt > t {
 			stop := min(e.minAt, end, limit)
-			if e.next < len(e.stations) {
+			if e.next < len(e.order) {
 				stop = min(stop, e.stations[e.next].wake)
 			}
 			e.skipSilent(stop - t)
@@ -240,6 +229,14 @@ func (e *Engine) step(limit int64, onSuccess func(slot int64, winner int) bool) 
 	}
 
 	truth, winner := e.ch.Resolve(t, e.transmitters)
+	more := false
+	if truth == model.Success && hook != nil {
+		var id int
+		if id, more = hook(t, winner); id != 0 {
+			e.inject(id, t)
+			truth, winner = model.Collision, 0
+		}
+	}
 	e.result.Transmissions += int64(len(e.transmitters))
 	e.result.Listens += int64(len(e.active) - len(e.transmitters))
 	switch truth {
@@ -261,7 +258,7 @@ func (e *Engine) step(limit int64, onSuccess func(slot int64, winner int) bool) 
 
 	e.t = t + 1
 	e.result.Slots = e.t - e.s
-	if truth == model.Success && (onSuccess == nil || !onSuccess(t, winner)) {
+	if truth == model.Success && !more {
 		e.result.Succeeded = true
 		e.result.Winner = winner
 		e.result.SuccessSlot = t
@@ -270,6 +267,70 @@ func (e *Engine) step(limit int64, onSuccess func(slot int64, winner int) bool) 
 		return true
 	}
 	return false
+}
+
+// activate wakes station st at slot t, reseeding its stream and building
+// its schedule, and appends it to the active stations.
+func (e *Engine) activate(st *station, t int64) {
+	src := &st.src
+	src.Reseed(rng.Derive(e.opt.Seed, uint64(st.id)))
+	switch {
+	case e.useAdaptive:
+		st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, st.id, st.wake, src)
+	case e.useSparse:
+		next := e.sparseAlgo.BuildNext(e.p, st.id, st.wake, src)
+		at := next(t)
+		e.nexts = append(e.nexts, next)
+		e.at = append(e.at, at)
+		e.minAt = min(e.minAt, at)
+	default:
+		st.transmit = e.algo.Build(e.p, st.id, st.wake, src)
+	}
+	e.active = append(e.active, st)
+}
+
+// inject wakes station id at slot t, whose transmitters are collected, as a
+// replay of the final pattern would. A replay activates stations by wake
+// slot, then ID, so the station moves ahead of those woken at t with a
+// larger ID, and so does its ID among the slot's transmitters.
+func (e *Engine) inject(id int, t int64) {
+	if id < 1 || id > e.p.N || len(e.stations) == cap(e.stations) ||
+		slices.ContainsFunc(e.stations, func(st station) bool { return st.id == id }) {
+		panic(fmt.Sprintf("sim: cannot inject station %d: out of range, already in the run or past the room RunHooked reserved", id))
+	}
+	e.stations = append(e.stations, station{id: id, wake: t})
+	st := &e.stations[len(e.stations)-1]
+	e.activate(st, t)
+	last := len(e.active) - 1
+	switch {
+	case e.useAdaptive:
+		st.sent = st.adaptive.WillTransmit(t)
+	case e.useSparse:
+		st.sent = e.at[last] == t
+		e.at[last] = e.nexts[last](t + 1)
+		e.minAt = slices.Min(e.at)
+	default:
+		st.sent = st.transmit(t)
+	}
+	if !st.sent {
+		panic(fmt.Sprintf("sim: injected station %d does not transmit at its wake slot %d", id, t))
+	}
+
+	i := last
+	for i > 0 && e.active[i-1].wake == t && e.active[i-1].id > id {
+		i--
+	}
+	j := len(e.transmitters)
+	for j > 0 && slices.ContainsFunc(e.active[i:last], func(a *station) bool { return a.id == e.transmitters[j-1] }) {
+		j--
+	}
+	e.transmitters = slices.Insert(e.transmitters, j, id)
+	e.active = slices.Insert(e.active[:last], i, st)
+	if e.useSparse {
+		e.nexts = slices.Insert(e.nexts[:last], i, e.nexts[last])
+		e.at = slices.Insert(e.at[:last], i, e.at[last])
+	}
+	e.ch.Spoil(t, e.transmitters)
 }
 
 // collectAttempts gathers the stations whose next attempt is slot t into

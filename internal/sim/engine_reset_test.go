@@ -111,9 +111,9 @@ func TestRetirementIsProtocolBehaviour(t *testing.T) {
 	// conflict-resolution hook keeps the run going until station 2 wins
 	// slot 1.
 	var successes []int
-	res := e.run(func(slot int64, winner int) bool {
+	res := e.RunHooked(0, func(slot int64, winner int) (int, bool) {
 		successes = append(successes, winner)
-		return len(successes) < 2
+		return 0, len(successes) < 2
 	})
 	if len(successes) != 2 || successes[0] != 1 || successes[1] != 2 {
 		t.Fatalf("successes = %v, want [1 2]", successes)

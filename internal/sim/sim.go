@@ -14,6 +14,10 @@
 // silences, listens) in closed form. Both paths produce the same results
 // and channel counters.
 //
+// Engine.RunHooked calls a SuccessHook at every slot the channel rules a
+// success: RunAll's hook runs on past it, and the white-box spoiler
+// adversary's injects a station that collides with the winner.
+//
 // Engine is the reusable core: Reset recycles the station table, transmit
 // buffers and channel between trials, so a warm engine runs a trial with
 // near-zero allocations of its own — internal/sweep pools one engine per
@@ -123,12 +127,12 @@ func RunAll(algo model.Algorithm, p model.Params, w model.WakePattern, opt Optio
 
 	all := AllResult{FirstSuccess: make(map[int]int64, w.K())}
 	remaining := w.K()
-	res := e.run(func(slot int64, winner int) bool {
+	res := e.RunHooked(0, func(slot int64, winner int) (int, bool) {
 		if _, seen := all.FirstSuccess[winner]; !seen {
 			all.FirstSuccess[winner] = slot
 			remaining--
 		}
-		return remaining > 0
+		return 0, remaining > 0
 	})
 	all.Succeeded = remaining == 0
 	// Result.Slots semantics in both arms: the slots the engine actually

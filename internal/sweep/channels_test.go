@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nsmac/internal/adversary"
 	"nsmac/internal/model"
 	"nsmac/internal/sim"
 	"nsmac/internal/sweep"
@@ -496,18 +497,18 @@ func TestWhiteBoxPredictsThroughChannel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Exactness probe: under the same channel the spoiled run's success
-		// slot equals what the white-box search predicted, which shows up
-		// as a well-formed (non-negative rounds ≤ horizon) sample set; a
-		// misaligned perturbation stream would leave successes the spoiler
-		// "prevented" and trip the differential below.
+		// Exactness probe: the attack runs inside the engine, so every trial
+		// yields a well-formed sample; a spoiled slot resolved on a second
+		// perturbation draw would misalign the channel stream and trip the
+		// differential below.
 		spoiled := res.Cells[0].Agg
 		if spoiled.Trials != 4 {
 			t.Fatalf("%s: %+v", entry, spoiled)
 		}
 
-		// Differential: replay each trial by hand with the same derived
-		// seeds and channel; the sweep sample must match exactly.
+		// Differential: replay each trial's hosted pattern by hand with the
+		// same derived seeds and channel; the sweep sample must match
+		// exactly.
 		c := spec.Cases[0]
 		g := spec.Patterns[0]
 		ch := chs[0]
@@ -516,13 +517,25 @@ func TestWhiteBoxPredictsThroughChannel(t *testing.T) {
 			algo := c.Algo(24, 4)
 			p := c.Params(24, 4, seed)
 			horizon := c.Horizon(24, 4)
-			w := g.Pattern(algo, p, 4, horizon, sweep.PatternSeed(seed), ch)
+			w := hostedPattern(t, g, algo, p, 4, horizon, seed, ch)
 			res2 := refSample(refRunChannel(t, algo, p, w, horizon, seed, ch), horizon)
 			if got := res.Cells[0].Samples[trial]; got != res2 {
 				t.Fatalf("%s trial %d: sweep %+v != reference %+v", entry, trial, got, res2)
 			}
 		}
 	}
+}
+
+// hostedPattern runs one white-box trial the way the sweep does, on a fresh
+// engine, and returns the pattern the attack woke.
+func hostedPattern(t *testing.T, g adversary.Generator, algo model.Algorithm, p model.Params, k int,
+	horizon int64, seed uint64, ch model.ChannelModel) model.WakePattern {
+	t.Helper()
+	w, _, err := g.VsAlgo(sim.NewEngine(), algo, p, k, sweep.PatternSeed(seed), sim.Options{Horizon: horizon, Seed: seed, Channel: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // refRunChannel replays one trial through a fresh engine under ch — the

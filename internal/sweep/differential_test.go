@@ -259,7 +259,7 @@ func TestSpecWhiteBoxPatternsMatchDirectAdversary(t *testing.T) {
 						seed := sweep.TrialSeed(spec.Seed, ci, trial)
 						algo := c.Algo(n, k)
 						p := c.Params(n, k, seed)
-						w := gen.Pattern(algo, p, k, horizon, sweep.PatternSeed(seed), nil)
+						w := hostedPattern(t, gen, algo, p, k, horizon, seed, nil)
 						if err := w.Validate(n); err != nil {
 							t.Fatalf("cell %d: white-box pattern invalid: %v", ci, err)
 						}

@@ -58,7 +58,7 @@ func observedRoute(t *testing.T, c sweep.Case, ch model.ChannelModel, n, k int) 
 	}
 
 	algo, p, horizon := c.Algo(n, k), c.Params(n, k, seed), c.Horizon(n, k)
-	w := gens[0].Pattern(algo, p, k, horizon, sweep.PatternSeed(seed), ch)
+	w := gens[0].Generate(n, k, sweep.PatternSeed(seed))
 	if err := kernel.New().Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: seed, Channel: ch, Adaptive: c.Adaptive}); err != nil {
 		t.Fatalf("%s × %s left the engine, but the kernel refuses it: %v", c.Name, ch.Name(), err)
 	}

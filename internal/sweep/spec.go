@@ -119,9 +119,9 @@ func (s Spec) enumerate() (points []cellPoint, labels [][]string, skipped []stri
 					at = fmt.Sprintf("%s×%s", at, ch.Name())
 				}
 				if c.Adaptive && gen.WhiteBox() {
-					// The white-box families construct their pattern through
-					// the algorithm's oblivious Build, which an adaptive-only
-					// algorithm does not implement.
+					// The white-box families probe the algorithm through its
+					// oblivious Build, which an adaptive-only algorithm does
+					// not implement.
 					skipped = append(skipped,
 						fmt.Sprintf("%s (white-box pattern needs an oblivious schedule; %s is adaptive)", at, c.Name))
 					continue
@@ -236,26 +236,29 @@ func (s Spec) Compile() (Grid, []string, error) {
 			algo := pt.c.Algo(pt.n, pt.k)
 			p := pt.c.Params(pt.n, pt.k, seed)
 			horizon := pt.c.Horizon(pt.n, pt.k)
-			// White-box families (spoiler, swap) construct their pattern
-			// against the cell's algorithm and channel model; black-box
-			// families draw from (n, k, pattern stream) alone.
-			w := pt.gen.Pattern(algo, p, pt.k, horizon, PatternSeed(seed), pt.ch)
 			opt := sim.Options{Horizon: horizon, Seed: seed, Channel: pt.ch, Adaptive: pt.c.Adaptive}
 			var res model.Result
-			if useKernel[cell] {
+			var err error
+			switch {
+			case pt.gen.WhiteBox():
+				// White-box families (spoiler, swap) run their attack on the
+				// worker's engine against the cell's algorithm and channel.
+				_, res, err = pt.gen.VsAlgo(e, algo, p, pt.k, PatternSeed(seed), opt)
+			case useKernel[cell]:
 				kn := kernels.Get().(*kernel.Kernel)
-				if err := kn.Reset(algo, p, w, opt); err != nil {
-					// A knowledge-inconsistent (case, pattern) pairing is a spec
-					// bug; surface it loudly rather than skewing aggregates.
-					panic(fmt.Sprintf("sweep: %s × %s rejected input: %v", pt.c.Name, pt.gen.Name, err))
+				if err = kn.Reset(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt); err == nil {
+					res = kn.Run()
 				}
-				res = kn.Run()
 				kernels.Put(kn)
-			} else {
-				if err := e.Reset(algo, p, w, opt); err != nil {
-					panic(fmt.Sprintf("sweep: %s × %s rejected input: %v", pt.c.Name, pt.gen.Name, err))
+			default:
+				if err = e.Reset(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt); err == nil {
+					res = e.Run()
 				}
-				res = e.Run()
+			}
+			if err != nil {
+				// A knowledge-inconsistent (case, pattern) pairing is a spec
+				// bug; surface it loudly rather than skewing aggregates.
+				panic(fmt.Sprintf("sweep: %s × %s rejected input: %v", pt.c.Name, pt.gen.Name, err))
 			}
 			if !res.Succeeded {
 				res.Rounds = horizon

@@ -246,11 +246,15 @@ func SwapAdversary(algo Algorithm, p Params, k int, horizon int64, greedy bool) 
 // extra stations is spent. The §4/§5 wait barriers neutralize it; ablated
 // variants do not (experiment T8).
 func SpoilerAdversary(algo Algorithm, p Params, k int, horizon int64) SpoilerResult {
-	return adversary.Spoiler(algo, p, k, horizon)
+	return SpoilerAdversaryFrom(algo, p, k, horizon, 1)
 }
 
 // SpoilerAdversaryFrom is SpoilerAdversary with an explicit initial station
-// (wakes at slot 0, defines s).
+// (wakes at slot 0, defines s); it panics on inputs the engine rejects.
 func SpoilerAdversaryFrom(algo Algorithm, p Params, k int, horizon int64, firstID int) SpoilerResult {
-	return adversary.SpoilerFrom(algo, p, k, horizon, firstID)
+	res, _, err := adversary.Spoiler(sim.NewEngine(), algo, p, k, firstID, sim.Options{Horizon: horizon, Seed: p.Seed})
+	if err != nil {
+		panic("nsmac: SpoilerAdversary: " + err.Error())
+	}
+	return res
 }
