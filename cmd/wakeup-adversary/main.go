@@ -34,6 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *attack != "swap" && *attack != "spoiler" {
+		fail("unknown attack %q (have swap, spoiler)", *attack)
+	}
 	if *k < 1 || *k > *n {
 		fail("need 1 <= k <= n")
 	}
@@ -98,8 +101,6 @@ func main() {
 			fmt.Println("  verdict             : success fully suppressed within horizon")
 			os.Exit(2)
 		}
-	default:
-		fail("unknown attack %q", *attack)
 	}
 }
 

@@ -55,6 +55,16 @@ func TestSpoilerFirstOutOfRange(t *testing.T) {
 	}
 }
 
+// TestUnknownAttack: an unknown -attack is rejected before anything is
+// printed, with exit 1 and the attack named on stderr.
+func TestUnknownAttack(t *testing.T) {
+	bin := buildAdversary(t)
+	out, stderr, code := runAdversary(t, bin, "-attack", "bogus", "-n", "64", "-k", "4")
+	if code != 1 || out != "" || !strings.Contains(stderr, "bogus") {
+		t.Errorf("-attack bogus: exit %d, stdout %q, stderr %q; want exit 1, no stdout and a named error", code, out, stderr)
+	}
+}
+
 // TestSpoilerReport pins one in-range spoiler attack's report: the ablated
 // wait_and_go hands the adversary its whole budget.
 func TestSpoilerReport(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"nsmac/internal/adversary"
@@ -15,7 +13,7 @@ import (
 	"nsmac/internal/sweep"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/spoiler_golden.txt from the current code")
+var update = flag.Bool("update", false, "rewrite the spoiler goldens under testdata from the current code")
 
 // goldenChannels is the channel axis of the spoiler golden table.
 var goldenChannels = []string{"none", "cd", "ack", "noisy:0.1", "jam:2"}
@@ -105,31 +103,12 @@ func (r goldenRow) line() string {
 // and the engine Result of its run, for every row of the golden table.
 func TestSpoilerGolden(t *testing.T) {
 	rows := goldenInputs(t)
-	var got strings.Builder
+	lines := make([]string, len(rows))
+	results := make([]string, len(rows))
 	for i := range rows {
 		runGolden(t, &rows[i])
-		got.WriteString(rows[i].line())
-		got.WriteByte('\n')
+		lines[i] = rows[i].line()
+		results[i] = fmt.Sprintf("result %+v", rows[i].res)
 	}
-	path := filepath.Join("testdata", "spoiler_golden.txt")
-	if *update {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	have := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
-	if len(want) != len(have) {
-		t.Fatalf("golden has %d rows, the table %d", len(want), len(have))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Errorf("row %d:\n got %s\nwant %s\nresult %+v", i, have[i], want[i], rows[i].res)
-		}
-	}
+	compareGolden(t, filepath.Join("testdata", "spoiler_golden.txt"), lines, results)
 }

@@ -31,13 +31,17 @@ type SpoilerResult struct {
 // The attack runs inside engine e (reset here) under opt — horizon,
 // channel, seed, transcript — through the engine's sim.SuccessHook, so a
 // slot the channel erases or jams never reaches the hook and costs no
-// budget. Candidates are probed with the per-station streams the engine
-// derives from opt.Seed, so the lookup is exact even for randomized
-// algorithms (the adversary reads the coin flips — the strongest version of
-// the attack). It returns the attack's verdict and the Result of the run,
-// which a replay of the pattern reproduces, or the engine's rejection of the
-// inputs (a firstID outside [1, n] among them). The run ignores
-// opt.Adaptive: the adversary probes oblivious schedules.
+// budget. At each success while budget remains it asks the algorithm's
+// model.WakeProber once for the first unused station that transmits at
+// its wake slot; an algorithm without one has each unused candidate's
+// schedule built in ID order instead. Either way candidates are judged on
+// the per-station streams the engine derives from opt.Seed, so the lookup
+// is exact even for randomized algorithms (the adversary reads the coin
+// flips — the strongest version of the attack). It returns the attack's
+// verdict and the Result of the run, which a replay of the pattern
+// reproduces, or the engine's rejection of the inputs (a firstID outside
+// [1, n] among them). The run ignores opt.Adaptive: the adversary probes
+// oblivious schedules.
 //
 // This is exactly the adversary the §4 wait barrier and the §5 µ(σ) window
 // alignment neutralize: a station woken mid-family (mid-window) stays
@@ -58,34 +62,26 @@ func Spoiler(e *sim.Engine, algo model.Algorithm, p model.Params, k, firstID int
 		return sp, model.Result{}, err
 	}
 
-	// A candidate probe runs on one reused stream: most probes are thrown
-	// away, and the engine builds the spoiler that is kept on a stream of
-	// its own, since its schedule may hold on to the stream it was built
-	// with. An algorithm that answers the probe in closed form builds no
-	// schedule.
-	var probe rng.Source
-	prober, _ := algo.(model.WakeProber)
-	transmitsAt := func(id int, t int64) bool {
-		probe.Reseed(rng.Derive(opt.Seed, uint64(id)))
-		if prober != nil {
-			return prober.TransmitsAtWake(p, id, t, &probe)
-		}
-		return algo.Build(p, id, t, &probe)(t)
+	prober, ok := algo.(model.WakeProber)
+	if !ok {
+		prober = &buildProber{Algorithm: algo}
 	}
 	used := make([]bool, n+1)
 	used[firstID] = true
 	budget := k - 1
 	res := e.RunHooked(budget, func(t int64, _ int) (int, bool) {
-		for y := 1; y <= n && sp.Spoiled < budget; y++ {
-			if !used[y] && transmitsAt(y, t) {
-				used[y] = true
-				sp.Pattern.IDs = append(sp.Pattern.IDs, y)
-				sp.Pattern.Wakes = append(sp.Pattern.Wakes, t)
-				sp.Spoiled++
-				return y, false
-			}
+		if sp.Spoiled == budget {
+			return 0, false
 		}
-		return 0, false
+		y := prober.FirstWaker(p, t, opt.Seed, used)
+		if y == 0 {
+			return 0, false
+		}
+		used[y] = true
+		sp.Pattern.IDs = append(sp.Pattern.IDs, y)
+		sp.Pattern.Wakes = append(sp.Pattern.Wakes, t)
+		sp.Spoiled++
+		return y, false
 	})
 	sp.Succeeded = res.Succeeded
 	sp.Rounds = opt.Horizon
@@ -93,4 +89,27 @@ func Spoiler(e *sim.Engine, algo model.Algorithm, p model.Params, k, firstID int
 		sp.Rounds = res.Rounds
 	}
 	return sp, res, nil
+}
+
+// buildProber answers model.WakeProber for an algorithm that does not, by
+// building each untaken candidate's schedule on one reused stream: most
+// candidates are thrown away, and the engine builds the spoiler that is
+// kept on a stream of its own, since its schedule may hold on to the
+// stream it was built with.
+type buildProber struct {
+	model.Algorithm
+	src rng.Source
+}
+
+func (b *buildProber) FirstWaker(p model.Params, wake int64, seed uint64, taken []bool) int {
+	for id := 1; id <= p.N; id++ {
+		if taken[id] {
+			continue
+		}
+		b.src.Reseed(rng.Derive(seed, uint64(id)))
+		if b.Build(p, id, wake, &b.src)(wake) {
+			return id
+		}
+	}
+	return 0
 }

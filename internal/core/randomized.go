@@ -65,17 +65,20 @@ func (a *RPD) Build(p model.Params, id int, wake int64, src *rng.Source) model.T
 	}
 }
 
-// TransmitsAtWake implements model.WakeProber: round σ = 0 is the e = 1
-// coin, keyed by the personal seed Build would draw.
-func (a *RPD) TransmitsAtWake(p model.Params, id int, wake int64, src *rng.Source) bool {
+// FirstWaker implements model.WakeProber: round σ = 0 is the e = 1 coin,
+// keyed by the personal seed Build draws first from the station's stream.
+func (a *RPD) FirstWaker(p model.Params, wake int64, seed uint64, taken []bool) int {
 	a.Ell(p) // Build's check that the params fit the variant
-	var personal uint64
-	if src != nil {
-		personal = src.Uint64()
-	} else {
-		personal = rng.Derive(p.Seed, uint64(id))
+	for id := 1; id <= p.N; id++ {
+		if taken[id] {
+			continue
+		}
+		personal := rng.FirstUint64(rng.Derive(seed, uint64(id)))
+		if rng.Below(rng.Hash3(personal, 0, 1, uint64(id)), 1) {
+			return id
+		}
 	}
-	return rng.Below(rng.Hash3(personal, 0, 1, uint64(id)), 1)
+	return 0
 }
 
 // Horizon implements Bounded: expectation is O(log n); each ℓ-cycle gives a

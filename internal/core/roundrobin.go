@@ -49,10 +49,14 @@ func (RoundRobin) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) m
 	}
 }
 
-// TransmitsAtWake implements model.WakeProber: the wake slot's residue is
-// id-1.
-func (RoundRobin) TransmitsAtWake(p model.Params, id int, wake int64, _ *rng.Source) bool {
-	return wake%int64(p.N) == int64(id-1)
+// FirstWaker implements model.WakeProber: the only station that transmits
+// at its wake slot is the one whose residue the slot is.
+func (RoundRobin) FirstWaker(p model.Params, wake int64, _ uint64, taken []bool) int {
+	id := int(wake%int64(p.N)) + 1
+	if taken[id] {
+		return 0
+	}
+	return id
 }
 
 // Horizon implements Bounded: success within n slots of the first wake-up,

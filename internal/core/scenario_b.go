@@ -62,18 +62,24 @@ func (a *WaitAndGo) Build(p model.Params, id int, wake int64, _ *rng.Source) mod
 	}
 }
 
-// TransmitsAtWake implements model.WakeProber: a station woken off a family
-// boundary is silent until the next one; one woken on it (or with the wait
-// disabled) transmits by the ladder's set at its wake slot.
-func (a *WaitAndGo) TransmitsAtWake(p model.Params, id int, wake int64, _ *rng.Source) bool {
+// FirstWaker implements model.WakeProber: off a family boundary every
+// station woken there is silent until the next one, so nobody qualifies;
+// on it (or with the wait disabled) the answer is the first untaken member
+// of the ladder's set at the wake slot.
+func (a *WaitAndGo) FirstWaker(p model.Params, wake int64, _ uint64, taken []bool) int {
 	if !p.KnowsK() {
 		panic("core: wait_and_go requires known k (Scenario B)")
 	}
 	lad := a.ladder(p)
 	if !a.DisableWait && lad.NextBoundary(wake) != wake {
-		return false
+		return 0
 	}
-	return lad.MemberCyclic(wake, id)
+	for id := 1; id <= p.N; id++ {
+		if !taken[id] && lad.MemberCyclic(wake, id) {
+			return id
+		}
+	}
+	return 0
 }
 
 // Horizon implements Bounded: worst case, a station waits almost a full

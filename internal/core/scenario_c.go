@@ -78,16 +78,23 @@ func (a *WakeupC) Build(p model.Params, id int, wake int64, _ *rng.Source) model
 	}
 }
 
-// TransmitsAtWake implements model.WakeProber: a station woken off a window
-// boundary is silent until µ(σ); one woken on it (or with the wait
-// disabled) scans row 1 from its wake slot.
-func (a *WakeupC) TransmitsAtWake(p model.Params, id int, wake int64, _ *rng.Source) bool {
+// FirstWaker implements model.WakeProber: off a window boundary every
+// station woken there is silent until µ(σ), so nobody qualifies; on it (or
+// with the wait disabled) a station scans row 1 from its wake slot, so the
+// answer is the first untaken member of that column.
+func (a *WakeupC) FirstWaker(p model.Params, wake int64, _ uint64, taken []bool) int {
 	spec := a.Spec(p)
 	if !a.DisableWindowWait && spec.Mu(wake) != wake {
-		return false
+		return 0
 	}
 	col := wake % spec.Length()
-	return spec.MemberColumn(1, col, spec.Rho(col), id)
+	rho := spec.Rho(col)
+	for id := 1; id <= p.N; id++ {
+		if !taken[id] && spec.MemberColumn(1, col, rho, id) {
+			return id
+		}
+	}
+	return 0
 }
 
 // wakeupCursor is a WakeupC station's position in its row scan. It is one

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"nsmac/internal/model"
@@ -60,68 +61,117 @@ func probeBoundaries(a model.WakeProber, p model.Params) []int64 {
 	panic(fmt.Sprintf("probeBoundaries: unexpected %T", a))
 }
 
-// TestWakeProbeMatchesBuild checks every wake prober's TransmitsAtWake
-// against its Build: for a station woken at 0, on each boundary and one slot
-// either side of it, the probe answers what the built schedule says about
-// the wake slot, with a nil source and with a live one. Each algorithm must
-// answer both ways somewhere, so a probe stuck at one answer cannot pass.
+// bruteFirstWaker is FirstWaker by definition: the smallest untaken ID
+// whose schedule, built on its own stream Derive(seed, id), transmits at
+// its wake slot.
+func bruteFirstWaker(a model.WakeProber, p model.Params, wake int64, seed uint64, taken []bool) int {
+	for id := 1; id <= p.N; id++ {
+		if !taken[id] && a.Build(p, id, wake, rng.New(rng.Derive(seed, uint64(id))))(wake) {
+			return id
+		}
+	}
+	return 0
+}
+
+// randomTaken marks each ID taken with probability num/256, drawn from src.
+func randomTaken(n int, num int, src *rng.Source) []bool {
+	taken := make([]bool, n+1)
+	for id := 1; id <= n; id++ {
+		taken[id] = src.Intn(256) < num
+	}
+	return taken
+}
+
+// checkFirstWaker compares a's FirstWaker with the brute force on taken,
+// then takes each answer in turn and asks again, up to four times, so the
+// answer's own ID being taken is checked wherever there is an answer. It
+// returns the first answer.
+func checkFirstWaker(t *testing.T, a model.WakeProber, p model.Params, wake int64, seed uint64, taken []bool) int {
+	t.Helper()
+	taken = slices.Clone(taken)
+	first := -1
+	for range 5 {
+		got, want := a.FirstWaker(p, wake, seed, taken), bruteFirstWaker(a, p, wake, seed, taken)
+		if got != want {
+			t.Fatalf("%s %+v wake=%d seed=%d taken=%v: FirstWaker %d, built schedules %d",
+				a.Name(), p, wake, seed, takenIDs(taken), got, want)
+		}
+		if first < 0 {
+			first = got
+		}
+		if got == 0 {
+			break
+		}
+		taken[got] = true
+	}
+	return first
+}
+
+// takenIDs lists the taken IDs, for failure messages.
+func takenIDs(taken []bool) []int {
+	var ids []int
+	for id, x := range taken {
+		if x {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestWakeProbeMatchesBuild checks every wake prober's FirstWaker against
+// the brute force over built schedules: at slots 0–2 and on each boundary
+// and one slot either side of it, with no ID taken, random quarter and
+// three-quarter taken sets, every ID taken, and each answer's own ID taken
+// in turn. Each algorithm must name a station somewhere and name none
+// somewhere else, so a probe stuck at one answer cannot pass.
 func TestWakeProbeMatchesBuild(t *testing.T) {
+	src := rng.New(5)
 	for sel := uint8(0); sel < 8; sel++ {
 		var answers [2]int
 		for _, n := range []int{2, 3, 256, 1024} {
 			a, p := probeAlgo(sel, n, 11)
-			ids := []int{1, 2, n / 2, n - 1, n}
-			if n <= 256 {
-				ids = ids[:0]
-				for id := 1; id <= n; id++ {
-					ids = append(ids, id)
-				}
-			}
 			wakes := []int64{0, 1, 2}
 			for _, b := range probeBoundaries(a, p) {
 				wakes = append(wakes, b-1, b, b+1)
 			}
-			for _, id := range ids {
-				for _, wake := range wakes {
-					name := fmt.Sprintf("%s %+v id=%d wake=%d", a.Name(), p, id, wake)
-					got, want := a.TransmitsAtWake(p, id, wake, nil), a.Build(p, id, wake, nil)(wake)
-					if got != want {
-						t.Fatalf("%s, nil source: probe %v, schedule %v", name, got, want)
-					}
-					if got {
+			all := make([]bool, n+1)
+			for id := range all {
+				all[id] = true
+			}
+			for _, wake := range wakes {
+				seed := rng.Derive(uint64(n), uint64(wake))
+				for _, taken := range [][]bool{make([]bool, n+1), randomTaken(n, 64, src), randomTaken(n, 192, src), all} {
+					if checkFirstWaker(t, a, p, wake, seed, taken) != 0 {
 						answers[1]++
 					} else {
 						answers[0]++
-					}
-					seed := rng.Derive(uint64(n), uint64(id))
-					if got, want := a.TransmitsAtWake(p, id, wake, rng.New(seed)), a.Build(p, id, wake, rng.New(seed))(wake); got != want {
-						t.Fatalf("%s, live source: probe %v, schedule %v", name, got, want)
 					}
 				}
 			}
 		}
 		if answers[0] == 0 || answers[1] == 0 {
 			a, _ := probeAlgo(sel, 2, 11)
-			t.Errorf("%s: the probe answered false %d times and true %d times", a.Name(), answers[0], answers[1])
+			t.Errorf("%s: no station %d times, a station %d times", a.Name(), answers[0], answers[1])
 		}
 	}
 }
 
-// FuzzWakeProbe checks TransmitsAtWake against Build's schedule at arbitrary
-// (algorithm, n, id, wake, seed), both at the wake slot drawn and at the
-// next boundary at or after it, where a waiting station first transmits.
+// FuzzWakeProbe checks FirstWaker against the brute force over built
+// schedules at arbitrary (algorithm, n, wake, seed) and a random taken set
+// of arbitrary density, both at the wake slot drawn and at the next
+// boundary at or after it, where a waiting station first transmits; each
+// answer's own ID is then taken and the question asked again.
 func FuzzWakeProbe(f *testing.F) {
-	f.Add(uint8(0), uint16(256), uint16(3), uint32(7), uint64(1))
-	f.Add(uint8(1), uint16(2), uint16(2), uint32(0), uint64(2))
-	f.Add(uint8(2), uint16(1024), uint16(1024), uint32(100), uint64(3))
-	f.Add(uint8(3), uint16(3), uint16(1), uint32(4), uint64(4))
-	f.Add(uint8(4), uint16(300), uint16(17), uint32(11), uint64(5))
-	f.Add(uint8(5), uint16(64), uint16(64), uint32(3), uint64(6))
-	f.Add(uint8(6), uint16(500), uint16(250), uint32(9999), uint64(7))
-	f.Add(uint8(7), uint16(17), uint16(5), uint32(12345), uint64(8))
-	f.Fuzz(func(t *testing.T, sel uint8, rawN, rawID uint16, rawWake uint32, seed uint64) {
+	f.Add(uint8(0), uint16(256), uint32(7), uint64(1), uint64(1), uint8(0))
+	f.Add(uint8(1), uint16(2), uint32(0), uint64(2), uint64(2), uint8(128))
+	f.Add(uint8(2), uint16(1024), uint32(100), uint64(3), uint64(3), uint8(255))
+	f.Add(uint8(3), uint16(3), uint32(4), uint64(4), uint64(4), uint8(64))
+	f.Add(uint8(4), uint16(300), uint32(11), uint64(5), uint64(5), uint8(200))
+	f.Add(uint8(5), uint16(64), uint32(3), uint64(6), uint64(6), uint8(32))
+	f.Add(uint8(6), uint16(500), uint32(9999), uint64(7), uint64(7), uint8(16))
+	f.Add(uint8(7), uint16(17), uint32(12345), uint64(8), uint64(8), uint8(250))
+	f.Fuzz(func(t *testing.T, sel uint8, rawN uint16, rawWake uint32, seed, takenSeed uint64, density uint8) {
 		n := int(rawN)%1100 + 2
-		id := int(rawID)%n + 1
 		a, p := probeAlgo(sel, n, seed)
 		wakes := []int64{int64(rawWake)}
 		switch a := a.(type) {
@@ -130,11 +180,9 @@ func FuzzWakeProbe(f *testing.F) {
 		case *WaitAndGo:
 			wakes = append(wakes, a.ladder(p).NextBoundary(wakes[0]))
 		}
+		taken := randomTaken(n, int(density), rng.New(takenSeed))
 		for _, wake := range wakes {
-			got := a.TransmitsAtWake(p, id, wake, rng.New(seed))
-			if want := a.Build(p, id, wake, rng.New(seed))(wake); got != want {
-				t.Fatalf("%s n=%d id=%d wake=%d seed=%d: probe %v, schedule %v", a.Name(), n, id, wake, seed, got, want)
-			}
+			checkFirstWaker(t, a, p, wake, seed, taken)
 		}
 	})
 }

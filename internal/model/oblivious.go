@@ -46,18 +46,18 @@ type Sparse interface {
 	BuildNext(p Params, id int, wake int64, src *rng.Source) NextFunc
 }
 
-// WakeProber is the optional Algorithm extension of schedules that can say,
-// without building one, whether a station woken at a slot transmits in that
-// very slot. The white-box spoiler asks this of every candidate station at
-// every would-be success, so a schedule built only to be asked about one
-// slot is the cost it removes. TransmitsAtWake(p, id, wake, src) must
-// satisfy:
-//
-//   - it returns Build(p, id, wake, src')(wake), where src' is a source in
-//     the same state as src;
-//   - it may draw from src, and need not draw what Build draws: the caller
-//     throws the source away, so a probe never feeds a station's stream.
+// WakeProber is the optional Algorithm extension of schedules that can
+// name, without building any, the first station that would transmit in the
+// very slot it wakes. The white-box spoiler asks this once at every
+// would-be success, so the per-slot work (a window or boundary gate, a
+// column's geometry) is done once for the whole universe instead of once
+// per candidate station, and no schedule is built only to be asked about
+// one slot. FirstWaker(p, wake, seed, taken) must return the smallest id in
+// [1, p.N] with !taken[id] such that Build(p, id, wake,
+// rng.New(rng.Derive(seed, id)))(wake) is true — station id's own stream, as
+// the engine derives it from the run seed — or 0 when there is none. taken
+// has length p.N+1 and is only read.
 type WakeProber interface {
 	Algorithm
-	TransmitsAtWake(p Params, id int, wake int64, src *rng.Source) bool
+	FirstWaker(p Params, wake int64, seed uint64, taken []bool) int
 }

@@ -92,6 +92,11 @@ func Derive(parent uint64, stream uint64) uint64 {
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
+// FirstUint64 returns the first Uint64 of a source seeded with seed — what
+// Reseed(seed) followed by Uint64() returns — without building the source:
+// the first output depends on the second state word alone.
+func FirstUint64(seed uint64) uint64 { return rotl(Mix64(seed+1)*5, 7) * 9 }
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *Source) Uint64() uint64 {
 	result := rotl(s.s1*5, 7) * 9

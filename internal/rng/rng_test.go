@@ -131,6 +131,22 @@ func TestReseedResets(t *testing.T) {
 	}
 }
 
+// TestFirstUint64MatchesSource: FirstUint64 is the first output of a
+// source reseeded with the same seed.
+func TestFirstUint64MatchesSource(t *testing.T) {
+	seeds := []uint64{0, 1, 2, 42, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	for i := uint64(0); i < 1000; i++ {
+		seeds = append(seeds, Derive(7, i))
+	}
+	var s Source
+	for _, seed := range seeds {
+		s.Reseed(seed)
+		if got, want := FirstUint64(seed), s.Uint64(); got != want {
+			t.Fatalf("FirstUint64(%#x) = %#x, Reseed+Uint64 = %#x", seed, got, want)
+		}
+	}
+}
+
 func TestDeriveIndependence(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 1000; i++ {
