@@ -1,7 +1,7 @@
-// Command nsmacvet runs the repository's static-analysis suite — the four
-// analyzers in nsmac/internal/lint that enforce the determinism, RNG-stream,
-// registry-Ref and epoch-render invariants — over a set of package
-// patterns, like a purpose-built `go vet`.
+// Command nsmacvet runs the repository's static-analysis suite — the three
+// analyzers in nsmac/internal/lint that enforce the determinism, RNG-stream
+// and registry-Ref invariants — over a set of package patterns, like a
+// purpose-built `go vet`.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -202,6 +203,26 @@ func TestRunSubcommandProfiles(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Errorf("leftover temp file %s after a clean exit", e.Name())
+		}
+	}
+}
+
+// TestGridFlagsNeedAGrid: the flags that act only on a grid run (-shard,
+// -dump-spec, -no-kernel) are refused next to the experiment tables, with
+// exit status 1 and nothing on stdout, instead of being silently ignored.
+func TestGridFlagsNeedAGrid(t *testing.T) {
+	bin := buildBench(t)
+	for _, flags := range [][]string{{"-no-kernel"}, {"-shard", "0/2"}, {"-dump-spec"}} {
+		cmd := exec.Command(bin, append(flags, "-only", "T1", "-quick")...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: exit %v, want status 1", flags, err)
+		}
+		if !strings.Contains(stderr.String(), "need a grid: pass -spec or -algos") || stdout.Len() != 0 {
+			t.Errorf("%v: stdout %q, stderr %q; want only the need-a-grid error", flags, stdout.String(), stderr.String())
 		}
 	}
 }

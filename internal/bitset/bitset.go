@@ -200,39 +200,6 @@ func (b *Bitset) Slice() []int {
 	return out
 }
 
-// WordMask returns the 64-bit mask with bits [lo, hi) set (word-local bit
-// indices, 0 <= lo <= hi <= 64) — the slot-window mask of the word-wide
-// kernel step.
-func WordMask(lo, hi uint) uint64 {
-	if lo > hi || hi > 64 {
-		panic(fmt.Sprintf("bitset: bad word mask [%d,%d)", lo, hi))
-	}
-	if lo == hi {
-		return 0
-	}
-	return (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-}
-
-// SoloScan accumulates per-slot transmitter multiplicity word-wide: feed it
-// one transmit word per station (bit t set = that station transmits in slot
-// t) and it tracks, per bit, whether at least one (Any) and more than one
-// (Multi) station transmits — so Solo() is exactly the slots with a single
-// transmitter. This is the kernel's first-success primitive: 2 bitwise ops
-// per station-word instead of a per-station virtual call per slot.
-type SoloScan struct {
-	Any   uint64
-	Multi uint64
-}
-
-// Add accumulates one station's transmit word.
-func (s *SoloScan) Add(w uint64) {
-	s.Multi |= s.Any & w
-	s.Any |= w
-}
-
-// Solo returns the bits where exactly one accumulated word was set.
-func (s *SoloScan) Solo() uint64 { return s.Any &^ s.Multi }
-
 // String renders the set in {1,5,9} notation, for test failure messages.
 func (b *Bitset) String() string {
 	var sb strings.Builder

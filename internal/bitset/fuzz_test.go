@@ -1,10 +1,6 @@
 package bitset
 
-import (
-	"encoding/binary"
-	"math/bits"
-	"testing"
-)
+import "testing"
 
 // FuzzSetOperations feeds arbitrary byte strings interpreted as element
 // streams into two bitsets and checks the algebraic invariants that the
@@ -50,100 +46,6 @@ func FuzzSetOperations(f *testing.F) {
 		r := FromSlice(n, a.Slice())
 		if !r.Equal(a) {
 			t.Fatal("Slice/FromSlice round-trip failed")
-		}
-	})
-}
-
-// FuzzSoloScan feeds arbitrary byte strings interpreted as station transmit
-// words into a SoloScan and checks the invariants the bitset slot kernel's
-// correctness rests on, against a per-bit multiplicity reference: Solo and
-// Multi partition Any (Solo ∩ Multi = ∅, Solo ∪ Multi = Any), Solo is
-// exactly multiplicity 1, Multi exactly multiplicity ≥ 2, and accumulation
-// order is irrelevant.
-func FuzzSoloScan(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 1, 1})
-	f.Add([]byte{0xff, 0x0f, 0xf0, 0xff, 0xff, 0xff, 0xff, 0xff, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode into at most 64 little-endian station words.
-		var words []uint64
-		for len(data) > 0 && len(words) < 64 {
-			var buf [8]byte
-			n := copy(buf[:], data)
-			data = data[n:]
-			words = append(words, binary.LittleEndian.Uint64(buf[:]))
-		}
-
-		var s SoloScan
-		var count [64]int // per-bit transmitter multiplicity, the reference
-		for _, w := range words {
-			s.Add(w)
-			for b := 0; b < 64; b++ {
-				if w&(1<<uint(b)) != 0 {
-					count[b]++
-				}
-			}
-		}
-
-		solo := s.Solo()
-		if solo&s.Multi != 0 {
-			t.Fatalf("Solo ∩ Multi = %#x, want ∅", solo&s.Multi)
-		}
-		if solo|s.Multi != s.Any {
-			t.Fatalf("Solo ∪ Multi = %#x, Any = %#x — must partition", solo|s.Multi, s.Any)
-		}
-		for b := 0; b < 64; b++ {
-			bit := uint64(1) << uint(b)
-			if got, want := s.Any&bit != 0, count[b] >= 1; got != want {
-				t.Fatalf("bit %d: Any=%v, multiplicity %d", b, got, count[b])
-			}
-			if got, want := solo&bit != 0, count[b] == 1; got != want {
-				t.Fatalf("bit %d: Solo=%v, multiplicity %d", b, got, count[b])
-			}
-			if got, want := s.Multi&bit != 0, count[b] >= 2; got != want {
-				t.Fatalf("bit %d: Multi=%v, multiplicity %d", b, got, count[b])
-			}
-		}
-
-		// Accumulation is order-independent: reversed feed, same masks.
-		var rev SoloScan
-		for i := len(words) - 1; i >= 0; i-- {
-			rev.Add(words[i])
-		}
-		if rev != s {
-			t.Fatalf("reversed accumulation %+v != forward %+v", rev, s)
-		}
-	})
-}
-
-// FuzzWordMask checks WordMask against a per-bit reference over its whole
-// domain: bits [lo, hi) set and nothing else, the empty and full edges
-// included, and out-of-domain arguments must panic rather than return a
-// silent wrong window.
-func FuzzWordMask(f *testing.F) {
-	f.Add(uint(0), uint(64))
-	f.Add(uint(63), uint(63))
-	f.Add(uint(65), uint(2))
-	f.Fuzz(func(t *testing.T, lo, hi uint) {
-		lo %= 130
-		hi %= 130
-		if lo > hi || hi > 64 {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("WordMask(%d, %d) out of domain, must panic", lo, hi)
-				}
-			}()
-			WordMask(lo, hi)
-			return
-		}
-		m := WordMask(lo, hi)
-		if got, want := bits.OnesCount64(m), int(hi-lo); got != want {
-			t.Fatalf("WordMask(%d, %d) has %d bits, want %d", lo, hi, got, want)
-		}
-		for b := uint(0); b < 64; b++ {
-			if got, want := m&(1<<b) != 0, b >= lo && b < hi; got != want {
-				t.Fatalf("WordMask(%d, %d) bit %d = %v, want %v", lo, hi, b, got, want)
-			}
 		}
 	})
 }

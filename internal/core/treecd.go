@@ -42,12 +42,11 @@ func (TreeCD) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) m
 	return newTreeStation(p, id)
 }
 
-// BuildEpoch implements model.EpochOblivious: the tree station's reaction to
-// silence is a pure pop (only a collision pushes), so its silence projection
-// is a direct read of its stack — see RenderWord.
-func (TreeCD) BuildEpoch(p model.Params, id int, wake int64, _ *rng.Source) model.EpochStation {
-	return newTreeStation(p, id)
-}
+// Persistent implements model.Persistent: a fresh station's stack is
+// [1, n], which holds every ID, and silence only pops it, refilling it with
+// [1, n] once empty, so a station that hears only silence transmits in every
+// slot.
+func (TreeCD) Persistent() {}
 
 // Horizon implements Bounded: the traversal visits at most 2k-1 collision
 // nodes and at most 2k(log n + 1) + 1 total nodes; 4× covers the
@@ -142,35 +141,4 @@ func (s *treeStation) Observe(t int64, fb model.Feedback, successID int) {
 	if len(s.stack) == 0 {
 		s.push(1, s.n)
 	}
-}
-
-// RenderWord implements model.EpochStation. Counting from the next slot the
-// station observes (its wake slot, when freshly built), silent slot i pops
-// the i-th interval down the stack, so the render walks the runs from the
-// top, one slot per copy. Past the stack depth the silent self-simulation has
-// emptied and refilled the stack with [1, n], which contains every ID, so
-// every remaining bit transmits.
-func (s *treeStation) RenderWord(from int64) uint64 {
-	if s.retired {
-		return 0
-	}
-	end := from + 64
-	// bitsFor sets the bits of slots [a, b), from <= a < b <= end.
-	bitsFor := func(a, b int64) uint64 {
-		return (^uint64(0) << uint(a-from)) & (^uint64(0) >> uint(end-b))
-	}
-	var w uint64
-	l := int64(0) // slot of the current run's first pop
-	for i := len(s.stack) - 1; i >= 0 && l < end; i-- {
-		r := s.stack[i]
-		next := l + int64(r.count)
-		if next > from && s.holds(r) {
-			w |= bitsFor(max(l, from), min(next, end))
-		}
-		l = next
-	}
-	if l < end {
-		w |= bitsFor(max(l, from), end)
-	}
-	return w
 }

@@ -42,27 +42,10 @@ func (s *sliceTree) observe(fb model.Feedback, successID int) {
 	}
 }
 
-// silenceWord renders the reference's next 64 slots from local slot from
-// (slot 0 = the next slot it observes) by observing silence on a copy.
-func (s *sliceTree) silenceWord(from int64) uint64 {
-	cp := *s
-	cp.stack = append([][2]int(nil), s.stack...)
-	var w uint64
-	for l := int64(0); l < from+64; l++ {
-		if l >= from && cp.willTransmit() {
-			w |= 1 << uint(l-from)
-		}
-		cp.observe(model.Silence, 0)
-	}
-	return w
-}
-
 // TestTreeStationRunStackMatchesSlice drives run-length tree stations and
 // plain-slice references through random per-slot feedback — collisions,
 // silences and successes, delivered per role as cd or sender_cd would — and
-// requires WillTransmit to agree at every slot. Every few slots it also
-// checks RenderWord against the reference's silence projection, so the run
-// walk is exercised on deep, many-run stacks, not just fresh ones.
+// requires WillTransmit to agree at every slot.
 func TestTreeStationRunStackMatchesSlice(t *testing.T) {
 	src := rng.New(0x7ee5)
 	for round := 0; round < 120; round++ {
@@ -84,16 +67,6 @@ func TestTreeStationRunStackMatchesSlice(t *testing.T) {
 				if got, want := sts[i].WillTransmit(slot), refs[i].willTransmit(); got != want {
 					t.Fatalf("round %d (%s, n=%d) slot %d station %d: WillTransmit %v, reference %v",
 						round, ch.Name(), n, slot, ids[i], got, want)
-				}
-				if slot%7 == 0 && !refs[i].retired {
-					for _, from := range []int64{-9, 0, 5, 64} {
-						// Bits before local slot 0 are unspecified.
-						mask := ^uint64(0) << uint(max(0, -from))
-						if got, want := sts[i].RenderWord(from), refs[i].silenceWord(from); got&mask != want&mask {
-							t.Fatalf("round %d slot %d station %d: RenderWord(%d) = %#x, silence projection %#x",
-								round, slot, ids[i], from, got, want)
-						}
-					}
 				}
 			}
 			// Collisions dominate so the stacks grow deep.
@@ -154,5 +127,44 @@ func TestTreeStationSingletonCollisionsStayLogarithmic(t *testing.T) {
 	}
 	if bound := 2 * bits.Len(n); len(st.stack) > bound {
 		t.Errorf("after %d singleton collisions the stack holds %d runs, want at most %d", singleton, len(st.stack), bound)
+	}
+}
+
+// TestPersistentTransmitsThroughSilence checks the model.Persistent promise
+// that kernel.Run rests on: for every algorithm declaring it, a station
+// built with BuildAdaptive and told silence after every slot transmits in
+// every slot of the horizon, from its wake on.
+func TestPersistentTransmitsThroughSilence(t *testing.T) {
+	algos := []model.Algorithm{
+		NewRoundRobin(), NewSelectAmongFirst(), NewWaitAndGo(), NewWakeupWithS(),
+		NewWakeupWithK(), NewWakeupC(), NewRPD(), NewRPDWithK(), NewLocalSSF(),
+		NewBEB(), NewClockSkewed(NewTreeCD(), 3), NewTreeCD(), NewKGConflictResolution(),
+	}
+	persistent := 0
+	for _, algo := range algos {
+		pa, ok := algo.(model.Persistent)
+		if !ok {
+			continue
+		}
+		persistent++
+		for _, n := range []int{1, 2, 7, 256, 1024} {
+			p := model.Params{N: n, S: -1, Seed: 9}
+			horizon := pa.(Bounded).Horizon(n, n)
+			for _, id := range []int{1, (n + 1) / 2, max(1, n-1), n} {
+				for _, wake := range []int64{0, 37} {
+					st := pa.BuildAdaptive(p, id, wake, rng.New(rng.Derive(p.Seed, uint64(id))))
+					for t0 := wake; t0 < wake+horizon; t0++ {
+						if !st.WillTransmit(t0) {
+							t.Fatalf("%s n=%d id=%d wake=%d: silent at slot %d after hearing only silence",
+								algo.Name(), n, id, wake, t0)
+						}
+						st.Observe(t0, model.Silence, 0)
+					}
+				}
+			}
+		}
+	}
+	if persistent == 0 {
+		t.Fatal("no algorithm declares model.Persistent: the check has lost its subject")
 	}
 }

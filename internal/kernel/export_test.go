@@ -1,4 +1,4 @@
 package kernel
 
-// ErrIneligible is the error Reset wraps when it refuses a pairing.
+// ErrIneligible is the error Run wraps when it refuses a pairing.
 var ErrIneligible = errIneligible

@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"errors"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"nsmac/internal/core"
@@ -18,7 +19,7 @@ import (
 // the kernel package's tests do not depend on internal/sweep (which imports
 // this package). epoch marks the one entry the kernel runs: tree_cd, as an
 // adaptive run on a collision-silent channel. Every oblivious entry runs on
-// the engine, and the kernel must refuse it.
+// the engine, and kernel.Run must refuse it.
 type rosterEntry struct {
 	name    string
 	algo    func(n, k int) model.Algorithm
@@ -116,46 +117,63 @@ func randomPattern(n, k int, spread int64, seed uint64) model.WakePattern {
 	return model.WakePattern{IDs: ids, Wakes: wakes}
 }
 
+// cutMatches requires kernel.Run, at the horizon that ends at global slot
+// u (capped at opt.Horizon), to return the Result the engine — Reset on the
+// same workload with opt — holds after RunTo(u).
+func cutMatches(t *testing.T, round int, eng *sim.Engine, algo model.Algorithm,
+	p model.Params, w model.WakePattern, opt sim.Options, u int64) {
+	t.Helper()
+	eng.RunTo(u)
+	cut := opt
+	cut.Horizon = min(u-w.FirstWake(), opt.Horizon)
+	got, err := kernel.Run(algo, p, w, cut)
+	if err != nil {
+		t.Fatalf("round %d: kernel.Run: %v", round, err)
+	}
+	if want := eng.Result(); got != want {
+		t.Fatalf("round %d (n=%d k=%d seed=%#x) cut at slot %d:\nkernel %#v\nengine %#v",
+			round, p.N, w.K(), opt.Seed, u, got, want)
+	}
+}
+
+// refused requires kernel.Run to refuse a pairing with the ineligibility
+// error, and Eligible to agree.
+func refused(t *testing.T, algo model.Algorithm, p model.Params, w model.WakePattern, opt sim.Options) {
+	t.Helper()
+	if _, err := kernel.Run(algo, p, w, opt); !errors.Is(err, kernel.ErrIneligible) || kernel.Eligible(algo, opt) {
+		t.Fatalf("kernel.Run(%s, %v, adaptive=%v) = %v, want the ineligibility error",
+			algo.Name(), opt.Channel, opt.Adaptive, err)
+	}
+}
+
 // differential runs one workload of a roster entry on both executors. An
-// oblivious pairing must be refused by kernel.Reset with the ineligibility
+// oblivious pairing must be refused by kernel.Run with the ineligibility
 // error — sweeps keep those cells on the engine — and the epoch entry must
 // produce a model.Result identical in every field to the engine's.
-func differential(t *testing.T, round int, eng *sim.Engine, kn *kernel.Kernel, entry rosterEntry,
+func differential(t *testing.T, round int, eng *sim.Engine, entry rosterEntry,
 	p model.Params, w model.WakePattern, opt sim.Options) {
 	t.Helper()
 	opt.Adaptive = entry.epoch
 	algo := entry.algo(p.N, w.K())
+	if !entry.epoch {
+		refused(t, algo, p, w, opt)
+		return
+	}
 	if err := eng.Reset(algo, p, w, opt); err != nil {
 		t.Fatalf("round %d: engine reset: %v", round, err)
 	}
-	want := eng.Run()
-	err := kn.Reset(algo, p, w, opt)
-	if !entry.epoch {
-		if !errors.Is(err, kernel.ErrIneligible) {
-			t.Fatalf("round %d: kernel.Reset of oblivious %s returned %v, want the ineligibility error",
-				round, algo.Name(), err)
-		}
-		return
-	}
-	if err != nil {
-		t.Fatalf("round %d: kernel reset: %v", round, err)
-	}
-	if got := kn.Run(); got != want {
-		t.Fatalf("round %d (n=%d k=%d seed=%#x):\nkernel %+v\nengine %+v",
-			round, p.N, w.K(), opt.Seed, got, want)
-	}
+	cutMatches(t, round, eng, algo, p, w, opt, math.MaxInt64)
 }
 
 // TestKernelMatchesEngine is the core differential over the whole roster on
 // the default channel: random workloads of the epoch entry must produce a
-// model.Result identical in every field to the engine's, with both executors
-// warm across trials, and the kernel must refuse every oblivious entry.
+// model.Result identical in every field to the engine's, with the engine
+// warm across trials, and kernel.Run must refuse every oblivious entry.
 func TestKernelMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		t.Run(entry.name, func(t *testing.T) {
 			src := rng.New(rng.Derive(0xd1ff, nameStream(entry.name)))
 			eng := sim.NewEngine()
-			kn := kernel.New()
 			for round := 0; round < 30; round++ {
 				n := 2 + src.Intn(60)
 				k := 1 + src.Intn(n)
@@ -166,16 +184,16 @@ func TestKernelMatchesEngine(t *testing.T) {
 				w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
 				p := entry.params(n, k, seed, w.FirstWake())
 				opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed}
-				differential(t, round, eng, kn, entry, p, w, opt)
+				differential(t, round, eng, entry, p, w, opt)
 			}
 		})
 	}
 }
 
-// midRunWorkload draws one RunTo-parity workload of tree_cd on up to 300
+// midRunWorkload draws one cut-horizon workload of tree_cd on up to 300
 // ids under a short random horizon. Rounds alternate between simultaneous
 // wakes, where two stations collide until the horizon, and staggered ones,
-// which activate stations mid-word.
+// in which the solo window runs until the second wake.
 func midRunWorkload(src *rng.Source, round int) (model.Algorithm, model.Params, model.WakePattern, int64) {
 	n := 2 + src.Intn(300)
 	k := 1 + src.Intn(min(n, 16))
@@ -187,60 +205,42 @@ func midRunWorkload(src *rng.Source, round int) (model.Algorithm, model.Params, 
 	return core.NewTreeCD(), model.Params{N: n, S: -1, Seed: seed}, randomPattern(n, k, spread, seed), int64(40 + src.Intn(400))
 }
 
-// runToParity steps two executors, Reset on the same workload, to the same
-// RunTo bounds from u until both are done, failing on the first divergence
-// of (done, Slot, Result), and returns the last bound. Steps mix short ones
-// that straddle word boundaries with long ones that cover many words.
-func runToParity(t *testing.T, round int, src *rng.Source, eng *sim.Engine, kn *kernel.Kernel, u int64) int64 {
+// cutParity steps the engine, Reset on the workload, to random RunTo bounds
+// from u until it is done, requiring kernel.Run at each bound's horizon to
+// match it (see cutMatches), and returns the last bound. Short steps mix
+// with long ones.
+func cutParity(t *testing.T, round int, src *rng.Source, eng *sim.Engine, algo model.Algorithm,
+	p model.Params, w model.WakePattern, opt sim.Options, u int64) int64 {
 	t.Helper()
-	for !eng.Done() || !kn.Done() {
+	for !eng.Done() {
 		u += 1 + int64(src.Intn(1+src.Intn(300)))
-		ed, kd := eng.RunTo(u), kn.RunTo(u)
-		if ed != kd || eng.Done() != kn.Done() || eng.Slot() != kn.Slot() || eng.Result() != kn.Result() {
-			t.Fatalf("round %d RunTo(%d):\nkernel done=%v slot=%d %+v\nengine done=%v slot=%d %+v",
-				round, u, kd, kn.Slot(), kn.Result(), ed, eng.Slot(), eng.Result())
-		}
+		cutMatches(t, round, eng, algo, p, w, opt, u)
 	}
 	return u
 }
 
-// TestKernelMidRunMatchesEngine locks the partial-horizon API: after
-// RunTo(u) for arbitrary u, (Result, Slot, Done) must match the engine's at
-// the same u — including the edge where u exceeds the horizon.
+// TestKernelMidRunMatchesEngine locks the cut horizons: kernel.Run with the
+// horizon ending at u must return the engine's Result after RunTo(u) for
+// arbitrary u, including u past the horizon.
 func TestKernelMidRunMatchesEngine(t *testing.T) {
 	src := rng.New(0xa1d)
 	eng := sim.NewEngine()
-	kn := kernel.New()
 	for round := 0; round < 40; round++ {
 		algo, p, w, horizon := midRunWorkload(src, round)
 		opt := sim.Options{Horizon: horizon, Seed: p.Seed, Adaptive: true}
-
 		if err := eng.Reset(algo, p, w, opt); err != nil {
 			t.Fatal(err)
 		}
-		if err := kn.Reset(algo, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		if kn.Slot() != eng.Slot() {
-			t.Fatalf("round %d: initial slot %d != %d", round, kn.Slot(), eng.Slot())
-		}
-		u := runToParity(t, round, src, eng, kn, w.FirstWake())
-		// Past-the-end calls stay stable on both.
-		eng.RunTo(u + 100)
-		kn.RunTo(u + 100)
-		if eng.Result() != kn.Result() || eng.Slot() != kn.Slot() {
-			t.Fatalf("round %d: post-done divergence", round)
-		}
+		u := cutParity(t, round, src, eng, algo, p, w, opt, w.FirstWake())
+		cutMatches(t, round, eng, algo, p, w, opt, u+100)
 	}
 }
 
-// TestKernelStepMatchesEngine drives both executors one slot at a time on
-// the default channel: two tree_cd stations that wake together collide in
-// every slot, and a third joins mid-way through the second word, until the
-// horizon ends the trial.
+// TestKernelStepMatchesEngine cuts the horizon at every slot on the default
+// channel: two tree_cd stations that wake together collide in every slot,
+// and a third joins mid-way, until the horizon ends the trial.
 func TestKernelStepMatchesEngine(t *testing.T) {
 	eng := sim.NewEngine()
-	kn := kernel.New()
 	algo := core.NewTreeCD()
 	p := model.Params{N: 8, S: -1}
 	w := model.WakePattern{IDs: []int{3, 5, 7}, Wakes: []int64{1, 1, 70}}
@@ -248,72 +248,57 @@ func TestKernelStepMatchesEngine(t *testing.T) {
 	if err := eng.Reset(algo, p, w, opt); err != nil {
 		t.Fatal(err)
 	}
-	if err := kn.Reset(algo, p, w, opt); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 110; i++ {
-		ed, kd := eng.Step(), kn.Step()
-		if ed != kd || eng.Slot() != kn.Slot() || eng.Result() != kn.Result() {
-			t.Fatalf("step %d: kernel (done=%v slot=%d %+v) != engine (done=%v slot=%d %+v)",
-				i, kd, kn.Slot(), kn.Result(), ed, eng.Slot(), eng.Result())
-		}
+	for u := int64(2); u < 112; u++ {
+		cutMatches(t, int(u), eng, algo, p, w, opt, u)
 	}
 }
 
-// TestKernelWordBoundaries pins success slots at and around the 64-slot word
-// edges, where the masking logic earns its keep.
+// TestKernelWordBoundaries pins the closed form's edges, each against the
+// engine and against its expected success slot: a tie at the first wake
+// empties the solo window; a jam budget of q jams a window of exactly q
+// slots and lets the (q+1)-th succeed; and first wakes at 63, 64 and 65,
+// the word edges of the word scan Run replaced, change nothing.
 func TestKernelWordBoundaries(t *testing.T) {
-	for _, slot := range []int64{62, 63, 64, 65, 127, 128} {
+	cases := []struct {
+		name  string
+		wakes []int64
+		ch    model.ChannelModel
+		succ  int64 // expected success slot, -1 for none
+	}{
+		{"tie at s", []int64{5, 5, 9}, model.None(), -1},
+		{"tie at s, ack", []int64{0, 0}, model.Ack(), -1},
+		{"single station", []int64{7}, model.None(), 7},
+		{"w2 = s+1", []int64{3, 4}, model.None(), 3},
+		{"w2 = s+q", []int64{10, 13}, model.Jam(3), -1},
+		{"w2 = s+q+1", []int64{10, 14}, model.Jam(3), 13},
+		{"w2 = s+q, q = 0", []int64{10, 10}, model.Jam(0), -1},
+		{"jam past the horizon", []int64{0}, model.Jam(1 << 40), -1},
+		{"wake at 63", []int64{63, 64}, model.None(), 63},
+		{"wake at 64", []int64{65, 64}, model.Jam(0), 64},
+		{"wake at 65", []int64{65, 130}, model.Jam(64), 129},
+		{"wakes at 63/64/65", []int64{63, 64, 65}, model.Jam(1), -1},
+		{"wakes at 63/65", []int64{63, 65}, model.Jam(1), 64},
+	}
+	algo := core.NewTreeCD()
+	p := model.Params{N: 8, S: -1}
+	for _, c := range cases {
+		w := model.WakePattern{IDs: []int{2, 5, 7}[:len(c.wakes)], Wakes: c.wakes}
+		opt := sim.Options{Horizon: 200, Seed: 1, Channel: c.ch, Adaptive: true}
 		eng := sim.NewEngine()
-		kn := kernel.New()
-		algo := soloAt{slot: slot}
-		p := model.Params{N: 4, S: -1}
-		w := model.WakePattern{IDs: []int{1, 2}, Wakes: []int64{0, 3}}
-		opt := sim.Options{Horizon: 200, Seed: 1, Adaptive: true}
 		if err := eng.Reset(algo, p, w, opt); err != nil {
 			t.Fatal(err)
 		}
-		if err := kn.Reset(algo, p, w, opt); err != nil {
+		got, err := kernel.Run(algo, p, w, opt)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want, got := eng.Run(), kn.Run()
-		if got != want {
-			t.Fatalf("slot %d: kernel %+v != engine %+v", slot, got, want)
+		if want := eng.Run(); got != want {
+			t.Fatalf("%s: kernel %+v != engine %+v", c.name, got, want)
 		}
-		if !got.Succeeded || got.SuccessSlot != slot {
-			t.Fatalf("slot %d: expected success there, got %+v", slot, got)
+		if got.SuccessSlot != c.succ {
+			t.Fatalf("%s: success slot %d, want %d (%+v)", c.name, got.SuccessSlot, c.succ, got)
 		}
 	}
-}
-
-// soloAt is an epoch algorithm whose station 1 transmits exactly at the
-// configured global slot (everyone else stays silent) — a scalpel for
-// word-edge tests.
-type soloAt struct{ slot int64 }
-
-func (soloAt) Name() string { return "solo_at" }
-func (soloAt) Build(model.Params, int, int64, *rng.Source) model.TransmitFunc {
-	panic("adaptive only")
-}
-func (a soloAt) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return soloStation{slot: a.slot, wake: wake, on: id == 1}
-}
-func (a soloAt) BuildEpoch(p model.Params, id int, wake int64, _ *rng.Source) model.EpochStation {
-	return soloStation{slot: a.slot, wake: wake, on: id == 1}
-}
-
-type soloStation struct {
-	slot, wake int64
-	on         bool
-}
-
-func (s soloStation) WillTransmit(t int64) bool        { return s.on && t == s.slot }
-func (soloStation) Observe(int64, model.Feedback, int) {}
-func (s soloStation) RenderWord(from int64) uint64 {
-	if i := s.slot - s.wake - from; s.on && i >= 0 && i < 64 {
-		return 1 << uint(i)
-	}
-	return 0
 }
 
 // opaquePerturber perturbs slots but does not declare a kernel-executable
@@ -331,9 +316,9 @@ func (opaquePerturber) Perturb(truth model.Feedback, st *model.ChannelState) mod
 	return truth
 }
 
-// TestKernelEligibility pins the fast-path gate: only an adaptive run of an
-// epoch algorithm on a collision-silent channel with a kernel-executable
-// perturbation (if any) reaches the kernel, and Reset refuses the rest with
+// TestKernelEligibility pins the gate: only an adaptive run of a persistent
+// algorithm on a collision-silent channel with a kernel-executable
+// perturbation (if any) reaches the kernel, and Run refuses the rest with
 // the ineligibility error.
 func TestKernelEligibility(t *testing.T) {
 	epoch := core.NewTreeCD()
@@ -341,7 +326,7 @@ func TestKernelEligibility(t *testing.T) {
 
 	for _, ch := range []model.ChannelModel{model.None(), model.Ack(), model.Noisy(0.1), model.Jam(2)} {
 		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); !kernel.Eligible(epoch, opt) {
-			t.Errorf("adaptive run of TreeCD (EpochOblivious) on collision-silent %s must route to the kernel", ch.Name())
+			t.Errorf("adaptive run of TreeCD (Persistent) on collision-silent %s must route to the kernel", ch.Name())
 		}
 	}
 	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD()} {
@@ -358,19 +343,16 @@ func TestKernelEligibility(t *testing.T) {
 		t.Error("trace recording must be ineligible (the kernel keeps no transcript)")
 	}
 	if kernel.Eligible(core.NewKGConflictResolution(), adaptive) {
-		t.Error("kg declares no feedback epochs; its adaptive runs must stay on the engine")
+		t.Error("kg is not persistent; its adaptive runs must stay on the engine")
 	}
 
-	// Reset must reject an ineligible pairing with the kernel's
-	// ineligibility error: TreeCD without Options.Adaptive, and every
-	// oblivious schedule — seed-insensitive and seed-sensitive alike, with or
-	// without Options.Adaptive — on every channel.
-	kn := kernel.New()
+	// Run must reject an ineligible pairing with the kernel's ineligibility
+	// error: TreeCD without Options.Adaptive, and every oblivious schedule —
+	// seed-insensitive and seed-sensitive alike, with or without
+	// Options.Adaptive — on every channel.
 	p := model.Params{N: 4, S: -1}
 	w := model.WakePattern{IDs: []int{1}, Wakes: []int64{0}}
-	if err := kn.Reset(epoch, p, w, sim.Options{Horizon: 10}); !errors.Is(err, kernel.ErrIneligible) {
-		t.Errorf("kernel.Reset(tree_cd, non-adaptive options) = %v, want the ineligibility error", err)
-	}
+	refused(t, epoch, p, w, sim.Options{Horizon: 10})
 	oblivious := []model.Algorithm{
 		core.NewRoundRobin(), core.NewLocalSSF(), core.NewRPD(), core.NewBEB(), core.NewWakeupC(),
 		core.NewWakeupWithS(), schedule.NewInterleaved("rr+rr", core.NewRoundRobin(), core.NewRoundRobin()),
@@ -382,15 +364,15 @@ func TestKernelEligibility(t *testing.T) {
 				if _, ok := kernel.Class(algo, opt); ok {
 					t.Errorf("Class(%s, %s, adaptive=%v) ok, want the engine", algo.Name(), ch.Name(), ad)
 				}
-				if err := kn.Reset(algo, p, w, opt); !errors.Is(err, kernel.ErrIneligible) {
-					t.Errorf("kernel.Reset(%s, %s, adaptive=%v) = %v, want the ineligibility error", algo.Name(), ch.Name(), ad, err)
-				}
+				refused(t, algo, p, w, opt)
 			}
 		}
 	}
 	// And it must validate inputs identically to the engine.
-	if err := kn.Reset(epoch, p, w, sim.Options{Horizon: 0, Adaptive: true}); err == nil {
-		t.Error("kernel.Reset accepted a zero horizon")
+	bad := sim.Options{Horizon: 0, Adaptive: true}
+	_, err := kernel.Run(epoch, p, w, bad)
+	if want := sim.ValidateRun(epoch, p, w, bad); err == nil || err.Error() != want.Error() {
+		t.Errorf("kernel.Run with a zero horizon = %v, want the engine's %v", err, want)
 	}
 }
 
@@ -413,7 +395,6 @@ func TestNilChannelMatchesNone(t *testing.T) {
 		{"tree_cd", core.NewTreeCD(), model.Params{N: n, S: -1}, core.TreeCD{}.Horizon(n, k), true, true},
 	}
 	eng := sim.NewEngine()
-	kn := kernel.New()
 	for _, c := range cases {
 		for seed := uint64(1); seed <= 4; seed++ {
 			p := c.p
@@ -440,17 +421,15 @@ func TestNilChannelMatchesNone(t *testing.T) {
 				t.Fatalf("%s seed %d: engine none %+v, nil %+v", c.name, seed, got, want)
 			}
 			for _, opt := range []sim.Options{nilOpt, noneOpt} {
-				err := kn.Reset(c.algo, p, w, opt)
 				if !c.routed {
-					if !errors.Is(err, kernel.ErrIneligible) {
-						t.Fatalf("%s channel %v: kernel.Reset = %v, want the ineligibility error", c.name, opt.Channel, err)
-					}
+					refused(t, c.algo, p, w, opt)
 					continue
 				}
+				got, err := kernel.Run(c.algo, p, w, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := kn.Run(); got != want {
+				if got != want {
 					t.Fatalf("%s seed %d channel %v: kernel %+v, engine %+v", c.name, seed, opt.Channel, got, want)
 				}
 			}
@@ -471,18 +450,17 @@ func perturbedChannels() []model.ChannelModel {
 }
 
 // TestKernelPerturbedMatchesEngine is the overlay differential: every roster
-// algorithm × every perturbed channel shape, random workloads, with both
-// executors warm. For the epoch entry the comparison is full model.Result
+// algorithm × every perturbed channel shape, random workloads, with the
+// engine warm. For the epoch entry the comparison is full model.Result
 // equality — termination, Slots, winner, and the energy counters all fold
-// the overlay in. Oblivious entries must be refused on perturbing channels
-// too.
+// the perturbation in. Oblivious entries must be refused on perturbing
+// channels too.
 func TestKernelPerturbedMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		for _, ch := range perturbedChannels() {
 			t.Run(entry.name+"/"+ch.Name(), func(t *testing.T) {
 				src := rng.New(rng.Derive(0xbadc0de, nameStream(entry.name+ch.Name())))
 				eng := sim.NewEngine()
-				kn := kernel.New()
 				for round := 0; round < 12; round++ {
 					n := 2 + src.Intn(60)
 					k := 1 + src.Intn(n)
@@ -493,78 +471,49 @@ func TestKernelPerturbedMatchesEngine(t *testing.T) {
 					w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
 					p := entry.params(n, k, seed, w.FirstWake())
 					opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: ch}
-					differential(t, round, eng, kn, entry, p, w, opt)
+					differential(t, round, eng, entry, p, w, opt)
 				}
 			})
 		}
 	}
 }
 
-// TestKernelPerturbedMidRun drives RunTo at arbitrary strides under noisy and
-// jam channels: the overlay consumes channel randomness per executed slot, so
-// any stride mismatch (a draw taken for a slot the engine never ran, or
+// TestKernelPerturbedMidRun cuts the horizon at arbitrary slots under noisy
+// and jam channels: the noise consumes channel randomness per executed slot,
+// so any cut mismatch (a draw taken for a slot the engine never ran, or
 // skipped for one it did) desynchronizes the stream and shows up here.
 func TestKernelPerturbedMidRun(t *testing.T) {
 	for _, ch := range []model.ChannelModel{model.Noisy(0.2), model.Jam(3)} {
 		t.Run(ch.Name(), func(t *testing.T) {
 			src := rng.New(rng.Derive(0x517ead, nameStream(ch.Name())))
 			eng := sim.NewEngine()
-			kn := kernel.New()
 			for round := 0; round < 25; round++ {
 				algo, p, w, horizon := midRunWorkload(src, round)
 				opt := sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch, Adaptive: true}
-
 				if err := eng.Reset(algo, p, w, opt); err != nil {
 					t.Fatal(err)
 				}
-				if err := kn.Reset(algo, p, w, opt); err != nil {
-					t.Fatal(err)
-				}
-				runToParity(t, round, src, eng, kn, w.FirstWake())
+				cutParity(t, round, src, eng, algo, p, w, opt, w.FirstWake())
 			}
 		})
 	}
 }
 
-// TestKernelPathAllocsNoWorseThanEngine: on a warm executor, a kernel trial
-// must not allocate more than the same trial on a warm engine (the CI bench
-// smoke asserts the same property end to end). The kernel reseeds each
-// station's stream in place, as the engine does, so what is left is the
-// station itself.
+// TestKernelPathAllocsNoWorseThanEngine: a kernel trial allocates nothing,
+// on every channel it serves.
 func TestKernelPathAllocsNoWorseThanEngine(t *testing.T) {
 	algo := core.NewTreeCD()
 	p := model.Params{N: 32, S: -1}
 	w := model.WakePattern{IDs: []int{5, 9, 23}, Wakes: []int64{0, 1, 4}}
-	for _, ch := range []model.ChannelModel{model.None(), model.Ack()} {
+	for _, ch := range []model.ChannelModel{model.None(), model.Ack(), model.Noisy(0.3), model.Jam(2)} {
 		opt := sim.Options{Horizon: core.TreeCD{}.Horizon(32, 3), Seed: 3, Channel: ch, Adaptive: true}
-		eng := sim.NewEngine()
-		kn := kernel.New()
-		// Warm both.
-		for i := 0; i < 3; i++ {
-			if err := eng.Reset(algo, p, w, opt); err != nil {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := kernel.Run(algo, p, w, opt); err != nil {
 				t.Fatal(err)
 			}
-			eng.Run()
-			if err := kn.Reset(algo, p, w, opt); err != nil {
-				t.Fatal(err)
-			}
-			kn.Run()
-		}
-		engAllocs := testing.AllocsPerRun(100, func() {
-			if err := eng.Reset(algo, p, w, opt); err != nil {
-				t.Fatal(err)
-			}
-			eng.Run()
 		})
-		knAllocs := testing.AllocsPerRun(100, func() {
-			if err := kn.Reset(algo, p, w, opt); err != nil {
-				t.Fatal(err)
-			}
-			kn.Run()
-		})
-		if knAllocs > engAllocs {
-			t.Errorf("%s: warm kernel trial allocates %.1f, engine %.1f — kernel must not allocate more",
-				ch.Name(), knAllocs, engAllocs)
+		if allocs != 0 {
+			t.Errorf("%s: a kernel trial allocates %.1f times, want 0", ch.Name(), allocs)
 		}
 	}
 }

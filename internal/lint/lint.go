@@ -1,10 +1,9 @@
 // Package lint is the repository's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the four analyzers that
+// vocabulary (Analyzer, Pass, Diagnostic) plus the three analyzers that
 // enforce the invariants every determinism guarantee in this tree rests on —
 // no wall clocks or global RNG in deterministic packages, derived RNG
-// streams only, canonical registry Refs, and feedback-epoch renders that
-// read every field feedback moves.
+// streams only, and canonical registry Refs.
 //
 // The framework is stdlib-only (go/ast, go/types, go list) because the
 // toolchain image carries no module cache; the API mirrors go/analysis
@@ -194,7 +193,6 @@ func All() []*Analyzer {
 		Determinism,
 		RNGStream,
 		RegistryRef,
-		ScheduleClass,
 	}
 }
 

@@ -86,10 +86,10 @@ type SlotPerturber interface {
 	Perturb(truth Feedback, st *ChannelState) Feedback
 }
 
-// PerturbKind enumerates the slot-perturbation shapes the bitset slot kernel
-// knows how to overlay on its word-wide popcount scan. A perturbing model
-// that does not fit one of these shapes simply does not implement
-// KernelPerturber and keeps its cells on the slot-by-slot engine.
+// PerturbKind enumerates the slot-perturbation shapes the closed-form
+// kernel (internal/kernel) knows how to replay. A perturbing model that does
+// not fit one of these shapes simply does not implement KernelPerturber and
+// keeps its cells on the slot-by-slot engine.
 type PerturbKind int
 
 const (
@@ -116,10 +116,11 @@ type PerturbSpec struct {
 }
 
 // KernelPerturber is the opt-in capability interface of perturbing channel
-// models the bitset slot kernel can execute without falling back to the
-// engine. By implementing it a model asserts that its Perturb method is
-// EXACTLY the pure function its PerturbSpec describes — same outcome mapping
-// and, critically, the same RNG draw sequence:
+// models the closed-form kernel can execute without falling back to the
+// engine, and whose silent slots the engine may skip (see
+// channel.SkipsSilence). By implementing it a model asserts that its Perturb
+// method is EXACTLY the pure function its PerturbSpec describes — same
+// outcome mapping and, critically, the same RNG draw sequence:
 //
 //   - Perturb(Silence, st) returns Silence, draws nothing from st.Src and
 //     leaves st untouched;

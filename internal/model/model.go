@@ -122,6 +122,17 @@ type AdaptiveStation interface {
 	Observe(t int64, fb Feedback, successID int)
 }
 
+// Persistent is the capability of adaptive algorithms whose every station
+// transmits in every slot from its wake while it hears only silence. On a
+// channel that delivers a collision as silence to every role, silence is all
+// a station hears before the success that ends the trial, so the trial
+// follows from the wake times alone (see internal/kernel).
+type Persistent interface {
+	Adaptive
+	// Persistent marks the capability; it is never called.
+	Persistent()
+}
+
 // WakePattern assigns wake slots to a subset of stations. It is the
 // adversary's move: which stations join, and when.
 type WakePattern struct {

@@ -6,14 +6,14 @@ import (
 	"nsmac/internal/rng"
 )
 
-// ScheduleClass is what kernel.Class reports about a pairing the bitset
-// slot kernel can execute. The kernel runs only feedback-epoch stations,
-// which are built afresh every trial, so an eligible pairing always reports
+// ScheduleClass is what kernel.Class reports about a pairing the kernel
+// computes in closed form. Each such trial's outcome comes from its own wake
+// pattern and channel draws, so an eligible pairing always reports
 // SeedSensitive. The type is kept, with its one field, so that callers
 // outside this module that read kernel.Class's result (the benchmark's
 // per-cell route table) keep compiling.
 type ScheduleClass struct {
-	// SeedSensitive is true when the rendered schedule depends on the trial
+	// SeedSensitive is true when a trial's outcome depends on the trial
 	// seed, so nothing may be reused across trials.
 	SeedSensitive bool
 }

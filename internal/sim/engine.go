@@ -56,8 +56,8 @@ func NewEngine() *Engine {
 }
 
 // ValidateRun checks a (algorithm, params, pattern, options) tuple exactly
-// as Engine.Reset does; it is shared with the kernel fast path so both
-// execution paths accept and reject identical inputs with identical errors.
+// as Engine.Reset does; kernel.Run shares it so both execution paths
+// accept and reject identical inputs with identical errors.
 func ValidateRun(algo model.Algorithm, p model.Params, w model.WakePattern, opt Options) error {
 	if algo == nil {
 		return errors.New("sim: nil algorithm")

@@ -10,15 +10,6 @@ import (
 	"nsmac/internal/sim"
 )
 
-// stepper abstracts the two executors so the mid-run invariants run
-// verbatim against both.
-type stepper interface {
-	RunTo(until int64) bool
-	Result() model.Result
-	Slot() int64
-	Done() bool
-}
-
 // checkInvariants asserts the counter identities that must hold at every
 // partial horizon of a non-perturbing run:
 //   - Slot() == s + Result().Slots (the engine is exactly where its counter
@@ -26,7 +17,7 @@ type stepper interface {
 //   - every stepped slot is exactly one of collision / silence / success;
 //   - Rounds and SuccessSlot stay at their sentinels until success, then
 //     pin to the success slot.
-func checkInvariants(t *testing.T, name string, x stepper, s int64) {
+func checkInvariants(t *testing.T, name string, x *sim.Engine, s int64) {
 	t.Helper()
 	r := x.Result()
 	if got, want := x.Slot(), s+r.Slots; got != want {
@@ -58,9 +49,10 @@ func checkInvariants(t *testing.T, name string, x stepper, s int64) {
 }
 
 // runInvariants steps x from the first wake s to the end of its trial at
-// random RunTo bounds, asserting the counter invariants at every stop and
-// that RunTo is idempotent at the same bound.
-func runInvariants(t *testing.T, name string, x stepper, s, horizon int64, src *rng.Source) {
+// random RunTo bounds, asserting the counter invariants at every stop, and
+// that RunTo is idempotent at the same bound, and calling at (if non-nil)
+// with each bound.
+func runInvariants(t *testing.T, name string, x *sim.Engine, s, horizon int64, src *rng.Source, at func(u int64)) {
 	t.Helper()
 	u := s
 	for !x.Done() {
@@ -71,6 +63,9 @@ func runInvariants(t *testing.T, name string, x stepper, s, horizon int64, src *
 		x.RunTo(u)
 		if x.Result() != before {
 			t.Fatalf("%s: second RunTo(%d) changed the result", name, u)
+		}
+		if at != nil {
+			at(u)
 		}
 	}
 	// Done at the horizon without success still reports Slots == horizon
@@ -92,19 +87,17 @@ func midRunPattern(n, k int, spread int64, seed uint64) model.WakePattern {
 	return model.WakePattern{IDs: ids, Wakes: wakes}
 }
 
-// TestMidRunInvariants drives both executors through randomized workloads
-// with arbitrary RunTo break points, asserting the counter invariants at
-// every stop — partial-horizon coverage on both execution paths. The engine
+// TestMidRunInvariants drives randomized workloads with arbitrary RunTo
+// break points, asserting the counter invariants at every stop. The first
 // leg alternates between the local-clock localssf under staggered wakes and
-// roundrobin, whose trials on up to 300 ids span many words and often
-// outlast the horizon; both step sparsely. The kernel leg runs adaptive
-// tree_cd, alternating between the none and noisy:0.1 channels, on both
-// executors, with wakes so close that the first ones often collide until
-// the horizon, and requires equal results.
+// roundrobin, whose trials on up to 300 ids often outlast the horizon; both
+// step sparsely. The second runs adaptive tree_cd, alternating between the
+// none and noisy:0.1 channels, with wakes so close that the first ones
+// often collide until the horizon, and requires kernel.Run, at the horizon
+// that ends at each stop, to return the engine's Result there.
 func TestMidRunInvariants(t *testing.T) {
 	src := rng.New(0x111)
 	eng := sim.NewEngine()
-	kn := kernel.New()
 	for round := 0; round < 25; round++ {
 		algo := model.Algorithm(core.NewLocalSSF())
 		if round%2 == 1 {
@@ -120,7 +113,7 @@ func TestMidRunInvariants(t *testing.T) {
 		if err := eng.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
-		runInvariants(t, "engine/"+algo.Name(), eng, w.FirstWake(), horizon, src)
+		runInvariants(t, "engine/"+algo.Name(), eng, w.FirstWake(), horizon, src, nil)
 
 		ch := model.None()
 		if round%2 == 1 {
@@ -128,23 +121,28 @@ func TestMidRunInvariants(t *testing.T) {
 		}
 		w = midRunPattern(n, k, 3, seed)
 		opt := sim.Options{Horizon: horizon, Seed: seed, Channel: ch, Adaptive: true}
-		if err := eng.Reset(core.NewTreeCD(), p, w, opt); err != nil {
+		tree := core.NewTreeCD()
+		if err := eng.Reset(tree, p, w, opt); err != nil {
 			t.Fatal(err)
 		}
-		if err := kn.Reset(core.NewTreeCD(), p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		runInvariants(t, "engine/tree_cd", eng, w.FirstWake(), horizon, src)
-		runInvariants(t, "kernel/tree_cd", kn, w.FirstWake(), horizon, src)
-		if eng.Result() != kn.Result() {
-			t.Fatalf("round %d: engine %+v != kernel %+v", round, eng.Result(), kn.Result())
-		}
+		runInvariants(t, "engine/tree_cd", eng, w.FirstWake(), horizon, src, func(u int64) {
+			cut := opt
+			cut.Horizon = min(u-w.FirstWake(), horizon)
+			got, err := kernel.Run(tree, p, w, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := eng.Result(); got != want {
+				t.Fatalf("round %d cut at %d: kernel %+v != engine %+v", round, u, got, want)
+			}
+		})
 	}
 }
 
-// TestRunToHorizonEdge pins the done-flag edge both executors share: RunTo
-// exactly at the horizon boundary leaves done false (no step past the end
-// was attempted); only a RunTo beyond it flips done.
+// TestRunToHorizonEdge pins the engine's done-flag edge: RunTo exactly at
+// the horizon boundary leaves done false (no step past the end was
+// attempted); only a RunTo beyond it flips done. kernel.Run at that horizon
+// returns the engine's Result.
 func TestRunToHorizonEdge(t *testing.T) {
 	p := model.Params{N: 6, S: -1}
 	// Round-robin never collides, so keep k=1 silent long enough by picking
@@ -155,44 +153,36 @@ func TestRunToHorizonEdge(t *testing.T) {
 	// Two tree_cd stations that wake together collide in every slot.
 	tree := sim.Options{Horizon: 3, Seed: 1, Adaptive: true}
 	treeWake := model.WakePattern{IDs: []int{2, 5}, Wakes: []int64{0, 0}}
-	for _, build := range []struct {
-		name string
-		mk   func() stepper
+	for _, c := range []struct {
+		algo model.Algorithm
+		w    model.WakePattern
+		opt  sim.Options
 	}{
-		{"engine/roundrobin", func() stepper {
-			e := sim.NewEngine()
-			if err := e.Reset(core.NewRoundRobin(), p, rrWake, rr); err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-		{"engine/tree_cd", func() stepper {
-			e := sim.NewEngine()
-			if err := e.Reset(core.NewTreeCD(), p, treeWake, tree); err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-		{"kernel/tree_cd", func() stepper {
-			k := kernel.New()
-			if err := k.Reset(core.NewTreeCD(), p, treeWake, tree); err != nil {
-				t.Fatal(err)
-			}
-			return k
-		}},
+		{core.NewRoundRobin(), rrWake, rr},
+		{core.NewTreeCD(), treeWake, tree},
 	} {
-		x := build.mk()
+		name := "engine/" + c.algo.Name()
+		x := sim.NewEngine()
+		if err := x.Reset(c.algo, p, c.w, c.opt); err != nil {
+			t.Fatal(err)
+		}
 		if x.RunTo(3) {
-			t.Errorf("%s: RunTo(horizon) reported done without attempting a step past it", build.name)
+			t.Errorf("%s: RunTo(horizon) reported done without attempting a step past it", name)
 		}
 		if r := x.Result(); r.Slots != 3 || r.Succeeded {
-			t.Errorf("%s: at the boundary: %+v", build.name, r)
+			t.Errorf("%s: at the boundary: %+v", name, r)
 		}
 		if !x.RunTo(4) {
-			t.Errorf("%s: RunTo past the horizon must flip done", build.name)
+			t.Errorf("%s: RunTo past the horizon must flip done", name)
 		}
 		if r := x.Result(); r.Slots != 3 || r.Succeeded {
-			t.Errorf("%s: flipping done must not step extra slots: %+v", build.name, r)
+			t.Errorf("%s: flipping done must not step extra slots: %+v", name, r)
+		}
+		if !c.opt.Adaptive {
+			continue
+		}
+		if got, err := kernel.Run(c.algo, p, c.w, c.opt); err != nil || got != x.Result() {
+			t.Errorf("kernel/%s: %+v, %v; engine %+v", c.algo.Name(), got, err, x.Result())
 		}
 	}
 }

@@ -54,7 +54,7 @@ type Options struct {
 }
 
 // ChannelModel returns the run's channel model: Channel, or model.None when
-// Channel is nil. The engine and the kernel both resolve through it, so the
+// Channel is nil. The engine and kernel.Run both resolve through it, so the
 // two executors agree on the default.
 func (o Options) ChannelModel() model.ChannelModel {
 	if o.Channel == nil {

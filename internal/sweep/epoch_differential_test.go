@@ -11,8 +11,8 @@ import (
 // epochDiffSpec builds a grid over the adaptive roster (tree_cd, kg) across
 // the full channel spread: the collision-delivering models (cd, sender_cd),
 // the collision-masking ones (none, ack), and the perturbing pair. tree_cd
-// cells on the collision-masking and perturbing channels route onto the
-// kernel's feedback-epoch executor; the rest run on the engine.
+// cells on the collision-masking and perturbing channels run in closed form
+// (kernel.Run); the rest run on the engine.
 func epochDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
 	cases, err := sweep.CasesByName("tree_cd,kg")
@@ -42,10 +42,9 @@ func epochDiffSpec(t *testing.T, channels string) sweep.Spec {
 	return spec
 }
 
-// TestEpochRoutingByteIdentical is the adaptive half of the tentpole's
-// acceptance criterion: epoch-routed grids render byte-identically (text, CSV
-// and JSON) to the engine-only grid at worker counts {1,2,4,8} × batch
-// {1,8,64}, across every channel regime.
+// TestEpochRoutingByteIdentical: grids with closed-form cells render
+// byte-identically (text, CSV and JSON) to the engine-only grid at worker
+// counts {1,2,4,8} × batch {1,8,64}, across every channel regime.
 func TestEpochRoutingByteIdentical(t *testing.T) {
 	for _, channels := range []string{"", "none,cd,sender_cd,ack", "cd,noisy:0.1,jam:2"} {
 		base := epochDiffSpec(t, channels)
@@ -77,8 +76,8 @@ func TestEpochRoutingByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEpochShardMergeByteIdentical: sharding an epoch-routed spec and merging
-// must reproduce the engine-only whole run byte for byte.
+// TestEpochShardMergeByteIdentical: sharding a spec with closed-form cells
+// and merging must reproduce the engine-only whole run byte for byte.
 func TestEpochShardMergeByteIdentical(t *testing.T) {
 	base := epochDiffSpec(t, "cd,none")
 	base.Trials = 5

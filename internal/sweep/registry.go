@@ -378,10 +378,10 @@ func init() {
 	// Adaptive cases: feedback-driven algorithms run with Options.Adaptive.
 	// Not part of standardCaseNames ("all" keeps the paper's oblivious
 	// roster); select them explicitly with -algos tree_cd,kg. tree_cd
-	// declares model.EpochOblivious, so its cells on collision-silent
-	// channels (none, ack, noisy, jam) route onto the kernel's
-	// feedback-epoch executor unless -no-kernel forces the engine; its cd and
-	// sender_cd cells, and every kg cell, run on the engine.
+	// declares model.Persistent, so its cells on collision-silent channels
+	// (none, ack, noisy, jam) run in closed form (kernel.Run) unless
+	// -no-kernel forces the engine; its cd and sender_cd cells, and every kg
+	// cell, run on the engine.
 	RegisterCase("tree_cd", func(arg int64, hasArg bool) (Case, error) {
 		if err := noArg("tree_cd", hasArg); err != nil {
 			return Case{}, err

@@ -12,12 +12,12 @@ import (
 // The executors a cell's trials can run on.
 const (
 	routeEngine = "engine"
-	routeEpoch  = "kernel epoch"
+	routeEpoch  = "closed form"
 )
 
 // expectedRoute derives a cell's route from its case's adaptivity and from
-// the channel's collision delivery: an adaptive algorithm runs feedback
-// epochs on the kernel when it declares them and the channel delivers a
+// the channel's collision delivery: an adaptive algorithm runs in closed
+// form when it declares model.Persistent and the channel delivers a
 // collision as silence to every role; everything else — every oblivious
 // schedule and the collision-hearing adaptive cells — runs on the engine.
 func expectedRoute(c sweep.Case, ch model.ChannelModel, n, k int) string {
@@ -25,7 +25,7 @@ func expectedRoute(c sweep.Case, ch model.ChannelModel, n, k int) string {
 	if _, adaptive := algo.(model.Adaptive); adaptive && c.Adaptive {
 		collisionSilent := ch.Deliver(model.Collision, false, false) == model.Silence &&
 			ch.Deliver(model.Collision, true, false) == model.Silence
-		if _, ok := algo.(model.EpochOblivious); ok && collisionSilent {
+		if _, ok := algo.(model.Persistent); ok && collisionSilent {
 			return routeEpoch
 		}
 	}
@@ -34,8 +34,8 @@ func expectedRoute(c sweep.Case, ch model.ChannelModel, n, k int) string {
 
 // observedRoute runs the one trial of a one-cell spec through its compiled
 // grid and reports where it ran. A grid trial routed to the engine runs on
-// the engine it is handed; a kernel trial leaves that engine untouched, and
-// the kernel must then accept the trial.
+// the engine it is handed; a closed-form trial leaves that engine
+// untouched, and kernel.Run must then accept the trial.
 func observedRoute(t *testing.T, c sweep.Case, ch model.ChannelModel, n, k int) string {
 	t.Helper()
 	gens, err := sweep.ParsePatterns("simultaneous")
@@ -59,7 +59,7 @@ func observedRoute(t *testing.T, c sweep.Case, ch model.ChannelModel, n, k int) 
 
 	algo, p, horizon := c.Algo(n, k), c.Params(n, k, seed), c.Horizon(n, k)
 	w := gens[0].Generate(n, k, sweep.PatternSeed(seed))
-	if err := kernel.New().Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: seed, Channel: ch, Adaptive: c.Adaptive}); err != nil {
+	if _, err := kernel.Run(algo, p, w, sim.Options{Horizon: horizon, Seed: seed, Channel: ch, Adaptive: c.Adaptive}); err != nil {
 		t.Fatalf("%s × %s left the engine, but the kernel refuses it: %v", c.Name, ch.Name(), err)
 	}
 	return routeEpoch

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"nsmac/internal/adversary"
 	"nsmac/internal/kernel"
@@ -68,11 +67,11 @@ type Spec struct {
 	// tunes scheduling overhead only and never changes output bytes.
 	Batch int
 	// DisableKernel forces every cell onto the slot-by-slot engine. By
-	// default an adaptive case whose algorithm declares feedback epochs
-	// (model.EpochOblivious, i.e. tree_cd) runs on the bitset slot kernel's
-	// epoch scan, which is byte-identical in output and much faster there,
-	// on a channel that delivers a collision as silence to every role and
-	// either does not perturb slots or declares its perturbation shape via
+	// default an adaptive case whose algorithm declares model.Persistent
+	// (tree_cd) runs in closed form through kernel.Run, which is
+	// byte-identical in output and much faster there, on a channel that
+	// delivers a collision as silence to every role and either does not
+	// perturb slots or declares its perturbation shape via
 	// model.KernelPerturber: none, ack, noisy, jam — not cd or sender_cd.
 	// This switch exists for differential testing and for benchmarking the
 	// engine path.
@@ -193,34 +192,19 @@ func (s Spec) Compile() (Grid, []string, error) {
 		axes = []string{"algo", "pattern", "channel", "n", "k"}
 	}
 
-	// Kernel routing is decided per cell at compile time: an adaptive case
-	// runs on the kernel's feedback-epoch scan when its algorithm declares
-	// model.EpochOblivious and the cell's channel delivers a collision as
-	// silence to every role, with any perturbation declared through
-	// model.KernelPerturber (noisy, jam). Every other cell keeps the
-	// worker's engine: oblivious cases, which the engine steps sparsely
-	// where their schedules name the next attempt, and adaptive cells on cd
-	// and sender_cd, whose collisions would re-render stations.
-	// Eligibility depends only on the cell's (algorithm, channel, adaptive)
-	// pairing, never on a trial's seed or pattern, so the decision is safe to
-	// hoist out of the trial loop.
+	// An adaptive case runs in closed form (kernel.Run) when its algorithm
+	// declares model.Persistent and the cell's channel delivers a collision
+	// as silence to every role, with any perturbation declared through
+	// model.KernelPerturber (noisy, jam). Every other cell runs on the
+	// worker's engine. Eligibility depends only on the cell's (algorithm,
+	// channel, adaptive) pairing, never on a trial's seed or pattern, so the
+	// decision is hoisted out of the trial loop.
 	useKernel := make([]bool, len(points))
-	anyKernel := false
 	if !s.DisableKernel {
 		for i, pt := range points {
 			useKernel[i] = kernel.Eligible(pt.c.Algo(pt.n, pt.k),
 				sim.Options{Horizon: 1, Channel: pt.ch, Adaptive: pt.c.Adaptive})
-			anyKernel = anyKernel || useKernel[i]
 		}
-	}
-	// Kernels are pooled per worker goroutine (like engines), but via
-	// sync.Pool so the Grid API stays engine-shaped: a worker that never
-	// touches an epoch cell never pays for a kernel, and a long-lived worker
-	// reuses one kernel's station buffers for every epoch cell it claims.
-	// A kernel carries nothing else from one trial to the next.
-	var kernels *sync.Pool
-	if anyKernel {
-		kernels = &sync.Pool{New: func() any { return kernel.New() }}
 	}
 
 	return Grid{
@@ -245,11 +229,7 @@ func (s Spec) Compile() (Grid, []string, error) {
 				// worker's engine against the cell's algorithm and channel.
 				_, res, err = pt.gen.VsAlgo(e, algo, p, pt.k, PatternSeed(seed), opt)
 			case useKernel[cell]:
-				kn := kernels.Get().(*kernel.Kernel)
-				if err = kn.Reset(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt); err == nil {
-					res = kn.Run()
-				}
-				kernels.Put(kn)
+				res, err = kernel.Run(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt)
 			default:
 				if err = e.Reset(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt); err == nil {
 					res = e.Run()
