@@ -119,7 +119,7 @@ func runWork(args []string) {
 		Poll:      *poll,
 		MaxLeases: *maxLeases,
 		Hold:      *hold,
-		OnEvent:   workerProgress(*progress),
+		OnEvent:   workerProgress("work", *progress),
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -130,9 +130,10 @@ func runWork(args []string) {
 	}
 }
 
-// workerProgress builds the worker's stderr progress hook for a -progress
-// mode: human lines, one JSON event per line, or nothing.
-func workerProgress(mode string) func(sweep.CampaignWorkerEvent) {
+// workerProgress builds the lease workers' stderr progress hook for the
+// -progress mode of subcommand cmd: human lines, one JSON event per line,
+// or nothing.
+func workerProgress(cmd, mode string) func(sweep.CampaignWorkerEvent) {
 	switch mode {
 	case "none":
 		return nil
@@ -151,6 +152,9 @@ func workerProgress(mode string) func(sweep.CampaignWorkerEvent) {
 			case "complete":
 				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d of %s/%s done\n",
 					ev.Shard, ev.Shards, ev.Campaign, ev.Grid)
+			case "stored":
+				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d of %s/%s already in store\n",
+					ev.Shard, ev.Shards, ev.Campaign, ev.Grid)
 			case "duplicate":
 				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d of %s/%s already completed elsewhere\n",
 					ev.Shard, ev.Shards, ev.Campaign, ev.Grid)
@@ -165,7 +169,7 @@ func workerProgress(mode string) func(sweep.CampaignWorkerEvent) {
 			}
 		}
 	default:
-		fail("work: unknown -progress %q (have text, json, none)", mode)
+		fail("%s: unknown -progress %q (have text, json, none)", cmd, mode)
 		panic("unreachable")
 	}
 }
@@ -330,63 +334,6 @@ func readInput(path string) []byte {
 		fail("%v", err)
 	}
 	return data
-}
-
-// dispatchEvent is the JSON line `run -progress json` emits per driver
-// event, mirroring the worker's event stream shape.
-type dispatchEvent struct {
-	Event   string `json:"event"` // "cached", "start", "done", "retry", "failed"
-	Shard   int    `json:"shard"`
-	Shards  int    `json:"shards"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-// dispatchProgress builds the driver's stderr progress hook for a
-// -progress mode.
-func dispatchProgress(mode string) func(sweep.Event) {
-	switch mode {
-	case "none":
-		return nil
-	case "json":
-		return func(ev sweep.Event) {
-			out := dispatchEvent{Shard: ev.Shard, Shards: ev.Shards, Attempt: ev.Attempt}
-			switch ev.State {
-			case sweep.EventCached:
-				out.Event = "cached"
-			case sweep.EventStart:
-				out.Event = "start"
-			case sweep.EventDone:
-				out.Event = "done"
-			case sweep.EventRetry:
-				out.Event = "retry"
-			case sweep.EventFailed:
-				out.Event = "failed"
-			}
-			if ev.Err != nil {
-				out.Error = ev.Err.Error()
-			}
-			emitJSONEvent(out)
-		}
-	case "", "text":
-		return func(ev sweep.Event) {
-			switch ev.State {
-			case sweep.EventCached:
-				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d already in store, skipping\n", ev.Shard, ev.Shards)
-			case sweep.EventStart:
-				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d attempt %d...\n", ev.Shard, ev.Shards, ev.Attempt)
-			case sweep.EventDone:
-				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d done\n", ev.Shard, ev.Shards)
-			case sweep.EventRetry:
-				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d attempt %d failed (%v), retrying\n", ev.Shard, ev.Shards, ev.Attempt, ev.Err)
-			case sweep.EventFailed:
-				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d failed after %d attempts: %v\n", ev.Shard, ev.Shards, ev.Attempt, ev.Err)
-			}
-		}
-	default:
-		fail("run: unknown -progress %q (have text, json, none)", mode)
-		panic("unreachable")
-	}
 }
 
 // emitJSONEvent writes one JSON event per line on stderr — the

@@ -21,22 +21,22 @@
 //	wakeup-bench -spec grid.json -shard 2/3 -out s2.json
 //	wakeup-bench merge s0.json s1.json s2.json    # == the unsharded run
 //
-// The "run" subcommand drives the whole shard plan itself — dispatching
-// shards through a pluggable executor with retries, bounded concurrency and
-// a resumable on-disk store — and prints the merged result, byte-identical
-// to the unsharded run:
+// The "run" subcommand drives the whole shard plan itself as an in-process
+// campaign — a campaign server and -concurrency lease workers that run
+// shards through a pluggable executor, with retries and an on-disk store
+// that later runs resume from — and prints the merged result,
+// byte-identical to the unsharded run:
 //
 //	wakeup-bench run -spec grid.json -shards 3 -exec subprocess -store runs
-//	# ... killed mid-run? re-run only the missing shards:
-//	wakeup-bench run -spec grid.json -shards 3 -exec subprocess -store runs -resume
+//	# ... killed mid-run? the same command re-runs only the missing shards
 //	wakeup-bench run -spec grid.json -shards 4 \
 //	    -exec 'cmd:ssh host wakeup-bench -spec - -shard {i}/{m}'
 //
-// Sweep-as-a-service flips the driver inside out: a long-lived server owns
-// the shard queue and pull-based lease workers (any machine that can reach
-// it) do the computing — with heartbeats, lease expiry, work stealing and
-// shard autotuning. Merged results stream while shards are in flight and
-// finish byte-identical to the one-process run:
+// Sweep-as-a-service serves the same campaign over HTTP: a long-lived
+// server owns the shard queue and pull-based lease workers (any machine
+// that can reach it) do the computing — with heartbeats, lease expiry, work
+// stealing and shard autotuning. Merged results stream while shards are in
+// flight and finish byte-identical to the one-process run:
 //
 //	wakeup-bench serve -addr :8080 -store runs &
 //	wakeup-bench submit -server http://localhost:8080 -spec grid.json   # → c1
@@ -357,29 +357,29 @@ func runMerge(args []string) {
 }
 
 // runDispatch implements the "run" subcommand: execute a spec document's
-// whole m-shard plan through a pluggable executor — with retries, bounded
-// concurrency and an optional resumable envelope store — and render the
-// merged result, byte-identical to the unsharded run.
+// whole m-shard plan as an in-process campaign — lease workers calling a
+// pluggable executor, with retries and an optional envelope store that
+// later runs resume from — and render the merged result, byte-identical to
+// the unsharded run.
 func runDispatch(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
 		specFile = fs.String("spec", "", "grid spec document (JSON); \"-\" reads stdin (required)")
 		shards   = fs.Int("shards", 0, "shard count m of the trial-striped plan (required, >= 1)")
 		execSpec = fs.String("exec", "local", "executor: \"local\" (in-process), \"subprocess[:binary]\" (one process per shard; default binary: this one), or \"cmd:<template>\" (whitespace-split argv with {spec}/{i}/{m}/{fingerprint} substituted; envelope read from stdout, spec piped to stdin unless {spec} is used)")
-		storeDir = fs.String("store", "", "persist shard envelopes under this directory (<dir>/<fingerprint>/<i>-of-<m>.json); enables -resume")
-		resume   = fs.Bool("resume", false, "skip shards whose stored envelope is already complete and valid; re-run only missing or corrupt ones (requires -store)")
-		retries  = fs.Int("retries", 3, "dispatch attempt cap per shard")
-		conc     = fs.Int("concurrency", 1, "shards in flight at once")
+		storeDir = fs.String("store", "", "persist shard envelopes under this directory (<dir>/<fingerprint>/<i>-of-<m>.json); shards whose stored envelope is complete and valid are not run again")
+		retries  = fs.Int("retries", 3, "lease attempt cap per shard")
+		conc     = fs.Int("concurrency", 1, "lease workers, and so shards in flight at once")
 		workers  = fs.Int("workers", 0, "per-shard trial workers for local/subprocess executors (0 = GOMAXPROCS)")
 		batch    = fs.Int("batch", 0, "trials per work item (0 = auto); tunes scheduling overhead, never output")
 		format   = fs.String("format", "text", "output format: text | csv | json")
 		outFile  = fs.String("out", "", "write merged output to this file instead of stdout")
-		progress = fs.String("progress", "text", "per-shard progress on stderr: text | json (one event per line) | none")
+		progress = fs.String("progress", "text", "the lease workers' progress on stderr: text | json (one event per line) | none")
 		quiet    = fs.Bool("quiet", false, "shorthand for -progress none")
 	)
 	prof := addProfileFlags(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: wakeup-bench run -spec grid.json -shards m [-exec local|subprocess[:bin]|cmd:...] [-store dir [-resume]] ...\n")
+		fmt.Fprintf(fs.Output(), "usage: wakeup-bench run -spec grid.json -shards m [-exec local|subprocess[:bin]|cmd:...] [-store dir] ...\n")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
@@ -394,9 +394,6 @@ func runDispatch(args []string) {
 	}
 	if *retries < 1 {
 		fail("run: -retries must be >= 1 (1 = no retry, fail after the first attempt)")
-	}
-	if *resume && *storeDir == "" {
-		fail("run: -resume requires -store")
 	}
 	switch *format {
 	case "", "text", "csv", "json":
@@ -421,7 +418,6 @@ func runDispatch(args []string) {
 
 	d := &sweep.Driver{
 		Exec:        buildExecutor(*execSpec, *workers, *batch),
-		Resume:      *resume,
 		MaxAttempts: *retries,
 		Concurrency: *conc,
 	}
@@ -431,13 +427,14 @@ func runDispatch(args []string) {
 	if *quiet {
 		*progress = "none"
 	}
-	d.Progress = dispatchProgress(*progress)
+	d.Progress = workerProgress("run", *progress)
 
 	// SIGINT/SIGTERM cancel the dispatch context: in-flight subprocess
 	// shards are killed, and — with a store — every completed envelope is
-	// already on disk for a later -resume. Once the context is canceled the
-	// signal handler is released, so a second ^C terminates the process the
-	// default way (the local executor cannot abort a shard mid-grid).
+	// already on disk for a later run to resume from. Once the context is
+	// canceled the signal handler is released, so a second ^C terminates the
+	// process the default way (the local executor cannot abort a shard
+	// mid-grid).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -509,7 +506,7 @@ func parseShard(s string) (index, count int, err error) {
 // emit writes output to the -out file, or stdout when none was given. File
 // writes are atomic (temp file + rename in the target directory), so a
 // killed shard can never leave a truncated envelope behind for a later
-// merge or -resume to trip over.
+// merge or resumed run to trip over.
 func emit(outFile string, data []byte) {
 	if outFile == "" {
 		os.Stdout.Write(data)

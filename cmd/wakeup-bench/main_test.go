@@ -43,8 +43,8 @@ func run(t *testing.T, bin string, args ...string) string {
 // TestRunSubcommandResumeByteIdentity is the PR's acceptance criterion, end
 // to end across real processes: a 3-shard `wakeup-bench run` with the
 // subprocess executor, "interrupted" after one shard (one envelope removed,
-// as an atomic writer killed mid-shard would leave it), restarted with
-// -resume — which must re-run ONLY the missing shard (verified by the
+// as an atomic writer killed mid-shard would leave it), restarted over the
+// same store — which must re-run ONLY the missing shard (verified by the
 // store's envelope mtimes and attempt log) — and produce text/CSV/JSON
 // byte-identical to the single-process run.
 func TestRunSubcommandResumeByteIdentity(t *testing.T) {
@@ -106,7 +106,7 @@ func TestRunSubcommandResumeByteIdentity(t *testing.T) {
 	// every format.
 	for _, format := range []string{"text", "csv", "json"} {
 		got := run(t, bin, "run", "-spec", specPath, "-shards", "3",
-			"-exec", "subprocess:"+bin, "-store", storeDir, "-resume",
+			"-exec", "subprocess:"+bin, "-store", storeDir,
 			"-format", format, "-quiet")
 		if got != whole[format] {
 			t.Fatalf("resumed %s output differs from single-process run", format)

@@ -55,7 +55,7 @@ func FuzzSpoilerReplay(f *testing.F) {
 			t.Fatalf("replaying %+v: %v", sp.Pattern, err)
 		}
 		if hosted != replay {
-			t.Fatalf("%s %s n=%d k=%d first=%d: hosted %+v, replay %+v", c.Name, ch.Name(), n, k, first, hosted, replay)
+			t.Fatalf("%s %s n=%d k=%d first=%d: hosted %#v, replay %#v", c.Name, ch.Name(), n, k, first, hosted, replay)
 		}
 		if a, b := counters(e.Channel()), counters(rch); a != b {
 			t.Fatalf("%s %s: hosted channel counted %v, replay %v", c.Name, ch.Name(), a, b)
@@ -65,7 +65,7 @@ func FuzzSpoilerReplay(f *testing.F) {
 		}
 		opt.RecordTrace = false
 		if _, quiet, _ := adversary.Spoiler(e, algo, p, k, first, opt); quiet != hosted {
-			t.Fatalf("%s %s: unrecorded run %+v, recorded %+v", c.Name, ch.Name(), quiet, hosted)
+			t.Fatalf("%s %s: unrecorded run %#v, recorded %#v", c.Name, ch.Name(), quiet, hosted)
 		}
 	})
 }

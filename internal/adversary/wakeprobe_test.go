@@ -57,7 +57,7 @@ func TestSpoilerProbeMatchesBuildPath(t *testing.T) {
 				}
 				want, wantRes, _ := Spoiler(sim.NewEngine(), buildOnly{e.algo}, p, c.k, c.first, opt)
 				if !reflect.DeepEqual(got, want) || gotRes != wantRes {
-					t.Errorf("%s %s n=%d k=%d first=%d: probed %+v %+v, built %+v %+v",
+					t.Errorf("%s %s n=%d k=%d first=%d: probed %+v %#v, built %+v %#v",
 						e.algo.Name(), ch.Name(), c.n, c.k, c.first, got, gotRes, want, wantRes)
 				}
 			}

@@ -1,9 +1,13 @@
-// Package campaign turns the push-based `wakeup-bench run` driver into
-// sweep-as-a-service: a long-lived server owns a queue of shard work cut
-// from submitted campaign manifests (many SpecDocs against one RunStore),
-// and pull-based workers lease shards over HTTP/JSON, heartbeat to keep
-// their visibility timeout alive, and upload result envelopes that are
-// validated with the same DecodeShardResult hardening the driver uses.
+// Package campaign is nsmac's one shard scheduler. A server owns a
+// queue of shard work cut from submitted campaign manifests (many SpecDocs
+// against one RunStore), and pull-based workers lease shards, heartbeat to
+// keep their visibility timeout alive, and hand in result envelopes that
+// the server checks against the plan before trusting them.
+//
+// It runs two ways. As sweep-as-a-service (`wakeup-bench serve` and
+// `work`), a long-lived server speaks HTTP/JSON to workers on any machine.
+// As the Driver (`wakeup-bench run`), one process holds a server and
+// Concurrency workers that call it directly.
 //
 // The fault-tolerance shape is the classic lease queue:
 //
@@ -154,12 +158,11 @@ type gridState struct {
 	id        string
 	doc       sweep.SpecDoc
 	cells     int // resolved cell count (known at submission)
-	requested int // manifest shard count; 0 = autotune
 	autotuned bool
 
-	// plans/fingerprint/shards are nil/empty until the grid is planned —
-	// lazily, at first lease, so autotuned grids see the wall clock of the
-	// campaign's earlier grids.
+	// plans/fingerprint/shards are nil/empty until the grid is planned: at
+	// submission for a fixed shard count, at first lease for an autotuned
+	// grid, so it sees the wall clock of the campaign's earlier grids.
 	plans       []dispatch.ShardPlan
 	fingerprint string
 	skipped     []string
@@ -179,6 +182,7 @@ type shardState struct {
 	env      *sweep.ShardResult
 	attempts int      // lease grants so far (= audit-log attempt numbers)
 	leases   []*lease // active leases, oldest first
+	cause    string   // the last failed attempt's error
 }
 
 type lease struct {
@@ -195,8 +199,10 @@ type lease struct {
 
 // Submit registers a campaign manifest and returns its assigned ID. Every
 // grid document is resolved immediately (an unresolvable spec rejects the
-// whole submission — better at submit time than at first lease); shard
-// planning happens lazily so autotuned grids benefit from observations.
+// whole submission — better at submit time than at first lease). A grid
+// with a fixed shard count is planned, and resumed from the store, right
+// away; an autotuned grid is planned lazily so it benefits from
+// observations.
 func (s *Server) Submit(m Manifest) (string, error) {
 	if err := m.Validate(); err != nil {
 		return "", err
@@ -207,18 +213,18 @@ func (s *Server) Submit(m Manifest) (string, error) {
 	}
 	grids := make([]*gridState, len(m.Grids))
 	for i, mg := range m.Grids {
-		// PlanShards with a 1-shard plan both validates the document and
-		// yields the resolved cell count the autotuner needs.
-		probe, _, err := dispatch.PlanShards(mg.Spec, 1)
+		// Planning validates the document and yields the resolved cell
+		// count the autotuner needs. A fixed shard count is planned for
+		// good here; an autotuned grid is planned again at its first lease.
+		plans, skipped, err := dispatch.PlanShards(mg.Spec, max(mg.Shards, 1))
 		if err != nil {
 			return "", fmt.Errorf("campaign: grid %q: %w", mg.ID, err)
 		}
-		grids[i] = &gridState{
-			id:        mg.ID,
-			doc:       mg.Spec,
-			cells:     probe[0].Cells,
-			requested: mg.Shards,
+		g := &gridState{id: mg.ID, doc: mg.Spec, cells: plans[0].Cells}
+		if mg.Shards > 0 {
+			s.setPlan(g, plans, skipped)
 		}
+		grids[i] = g
 	}
 
 	s.mu.Lock()
@@ -256,8 +262,7 @@ func (s *Server) Lease(worker string) (*LeaseGrant, error) {
 					continue
 				}
 				if sh.attempts >= s.opts.MaxAttempts {
-					g.failed = fmt.Sprintf("shard %d/%d exhausted %d lease attempts",
-						sh.plan.Index, sh.plan.Count, sh.attempts)
+					failGridLocked(g, sh)
 					break
 				}
 				return s.grantLocked(now, c, g, sh, worker, false), nil
@@ -382,7 +387,7 @@ func (s *Server) Complete(leaseID string, env *sweep.ShardResult) (duplicate boo
 		return true, nil
 	}
 	if err := dispatch.CheckEnvelope(env, sh.plan); err != nil {
-		s.logAttemptLocked(l, err)
+		s.endAttemptLocked(l, err)
 		s.releaseLocked(l)
 		s.maybeFailLocked(g, sh)
 		return false, err
@@ -390,7 +395,7 @@ func (s *Server) Complete(leaseID string, env *sweep.ShardResult) (duplicate boo
 
 	sh.env = env
 	sh.done = true
-	s.logAttemptLocked(l, nil)
+	s.endAttemptLocked(l, nil)
 	if st := s.opts.Store; st != nil {
 		if err := st.Save(env); err != nil && g.storeErr == "" {
 			g.storeErr = err.Error()
@@ -419,7 +424,7 @@ func (s *Server) Fail(leaseID string, cause string) error {
 	if cause == "" {
 		cause = "worker reported failure"
 	}
-	s.logAttemptLocked(l, errors.New(cause))
+	s.endAttemptLocked(l, errors.New(cause))
 	s.releaseLocked(l)
 	s.maybeFailLocked(l.g, l.s)
 	return nil
@@ -448,7 +453,7 @@ func (s *Server) expireLocked(now time.Time) {
 					// failed attempt — the shard succeeded; keep the audit
 					// log clean.
 					if !sh.done {
-						s.logAttemptLocked(l, errors.New("lease expired"))
+						s.endAttemptLocked(l, errors.New("lease expired"))
 					}
 				}
 				sh.leases = kept
@@ -475,14 +480,28 @@ func (s *Server) releaseLocked(l *lease) {
 // grid surfaces the terminal state immediately.
 func (s *Server) maybeFailLocked(g *gridState, sh *shardState) {
 	if g.failed == "" && !sh.done && len(sh.leases) == 0 && sh.attempts >= s.opts.MaxAttempts {
-		g.failed = fmt.Sprintf("shard %d/%d exhausted %d lease attempts",
-			sh.plan.Index, sh.plan.Count, sh.attempts)
+		failGridLocked(g, sh)
 	}
 }
 
-// logAttemptLocked appends a worker-tagged line to the store's attempt log
-// (best-effort: the audit trail must not take the service down).
-func (s *Server) logAttemptLocked(l *lease, outcome error) {
+// failGridLocked fails a grid on a shard out of attempts, naming the cap
+// and the last failed attempt's cause.
+func failGridLocked(g *gridState, sh *shardState) {
+	g.failed = fmt.Sprintf("shard %d/%d exhausted %d lease attempts",
+		sh.plan.Index, sh.plan.Count, sh.attempts)
+	if sh.cause != "" {
+		g.failed += ": " + sh.cause
+	}
+}
+
+// endAttemptLocked records how a lease's attempt ended: a failure's cause
+// is kept for the grid's failure message, and with a store the attempt is
+// appended to the worker-tagged attempt log (best-effort: the audit trail
+// must not take the service down).
+func (s *Server) endAttemptLocked(l *lease, outcome error) {
+	if outcome != nil {
+		l.s.cause = outcome.Error()
+	}
 	if s.opts.Store == nil {
 		return
 	}
@@ -506,23 +525,25 @@ func (s *Server) observeLocked(now time.Time, l *lease) {
 	s.secPerTrial = alpha*obs + (1-alpha)*s.secPerTrial
 }
 
-// planLocked materializes a grid's shard plan on first demand. Autotuned
-// grids pick their shard count here, from the wall clock observed so far;
-// with a store attached, already-persisted envelopes complete their shards
-// immediately (campaign resume).
+// planLocked materializes an autotuned grid's shard plan on first demand,
+// picking its shard count from the wall clock observed so far.
 func (s *Server) planLocked(g *gridState) error {
 	if g.plans != nil {
 		return nil
 	}
-	count := g.requested
-	if count == 0 {
-		count = s.autoShardCountLocked(g)
-		g.autotuned = true
-	}
-	plans, skipped, err := dispatch.PlanShards(g.doc, count)
+	g.autotuned = true
+	plans, skipped, err := dispatch.PlanShards(g.doc, s.autoShardCountLocked(g))
 	if err != nil {
 		return err
 	}
+	s.setPlan(g, plans, skipped)
+	return nil
+}
+
+// setPlan installs a grid's shard plan. With a store attached,
+// already-persisted envelopes that pass the plan's checks complete their
+// shards immediately (campaign resume).
+func (s *Server) setPlan(g *gridState, plans []dispatch.ShardPlan, skipped []string) {
 	g.plans = plans
 	g.skipped = skipped
 	g.fingerprint = plans[0].Fingerprint
@@ -538,7 +559,6 @@ func (s *Server) planLocked(g *gridState) error {
 		}
 		g.shards[i] = sh
 	}
-	return nil
 }
 
 // autoShardCountLocked sizes an autotuned grid: estimated total wall clock
@@ -636,34 +656,21 @@ func (s *Server) statusLocked(c *campaignState) *CampaignStatus {
 // in flight. The returned done/total counts let callers label partial
 // output.
 func (s *Server) Results(campaignID, gridID, format string) (out string, done, total int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked(s.opts.Clock.Now())
-	c, ok := s.byID[campaignID]
-	if !ok {
-		return "", 0, 0, fmt.Errorf("%w: campaign %q", ErrNotFound, campaignID)
-	}
-	var g *gridState
-	for _, cand := range c.grids {
-		if cand.id == gridID {
-			g = cand
-			break
-		}
-	}
-	if g == nil {
-		return "", 0, 0, fmt.Errorf("%w: grid %q in campaign %q", ErrNotFound, gridID, campaignID)
+	slots, _, _, err := s.envelopes(campaignID, gridID)
+	if err != nil {
+		return "", 0, 0, err
 	}
 	var envs []*sweep.ShardResult
-	for _, sh := range g.shards {
-		if sh.done {
-			envs = append(envs, sh.env)
+	for _, env := range slots {
+		if env != nil {
+			envs = append(envs, env)
 		}
 	}
 	if len(envs) == 0 {
-		return "", 0, len(g.shards), ErrNoResults
+		return "", 0, len(slots), ErrNoResults
 	}
 	var res *sweep.Result
-	if len(envs) == len(g.shards) {
+	if len(envs) == len(slots) {
 		res, err = sweep.Merge(envs...)
 	} else {
 		res, err = sweep.MergePartial(envs...)
@@ -675,5 +682,30 @@ func (s *Server) Results(campaignID, gridID, format string) (out string, done, t
 	if err != nil {
 		return "", 0, 0, err
 	}
-	return rendered, len(envs), len(g.shards), nil
+	return rendered, len(envs), len(slots), nil
+}
+
+// envelopes is the one view of a grid's completed work that Results and
+// the Driver share: a slot per planned shard in shard order, holding the
+// shard's envelope once it is done and nil before, plus the grid's failure
+// and store error. A completed envelope never changes, so callers merge
+// the slots without the lock.
+func (s *Server) envelopes(campaignID, gridID string) (slots []*sweep.ShardResult, failed, storeErr string, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.expireLocked(s.opts.Clock.Now())
+	c, ok := s.byID[campaignID]
+	if !ok {
+		return nil, "", "", fmt.Errorf("%w: campaign %q", ErrNotFound, campaignID)
+	}
+	for _, g := range c.grids {
+		if g.id == gridID {
+			slots = make([]*sweep.ShardResult, len(g.shards))
+			for i, sh := range g.shards {
+				slots[i] = sh.env
+			}
+			return slots, g.failed, g.storeErr, nil
+		}
+	}
+	return nil, "", "", fmt.Errorf("%w: grid %q in campaign %q", ErrNotFound, gridID, campaignID)
 }

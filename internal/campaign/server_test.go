@@ -242,6 +242,10 @@ func TestAttemptCapFailsGrid(t *testing.T) {
 	if !st.Failed || st.Grids[0].Failed == "" {
 		t.Fatalf("grid not failed after attempt cap: %+v", st.Grids[0])
 	}
+	// The failure names the cap and the last attempt's cause.
+	if want := "shard 0/1 exhausted 2 lease attempts: lease expired"; st.Grids[0].Failed != want {
+		t.Fatalf("grid failure %q, want %q", st.Grids[0].Failed, want)
+	}
 }
 
 func TestInvalidEnvelopeFailsAttempt(t *testing.T) {
@@ -374,7 +378,7 @@ func TestStoreResumeCompletesPlannedShards(t *testing.T) {
 	store := &dispatch.RunStore{Dir: t.TempDir()}
 
 	// A driver run persists all three envelopes...
-	d := &dispatch.Driver{Exec: dispatch.Local{}, Store: store, BackoffBase: -1}
+	d := &Driver{Exec: dispatch.Local{}, Store: store}
 	if _, err := d.Run(t.Context(), doc, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +402,7 @@ func TestStoreResumeCompletesPlannedShards(t *testing.T) {
 func TestStoreResumeSkipsCorruptEnvelope(t *testing.T) {
 	doc := testDoc(t)
 	store := &dispatch.RunStore{Dir: t.TempDir()}
-	d := &dispatch.Driver{Exec: dispatch.Local{}, Store: store, BackoffBase: -1}
+	d := &Driver{Exec: dispatch.Local{}, Store: store}
 	if _, err := d.Run(t.Context(), doc, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nsmac/internal/dispatch"
+	"nsmac/internal/sweep"
 )
 
 // WorkerEvent is one machine-readable progress record a Worker emits
@@ -14,7 +15,8 @@ import (
 // -progress json`.
 type WorkerEvent struct {
 	// Event is the record kind: "lease", "heartbeat_lost", "complete",
-	// "duplicate", "fail", "idle", "exit".
+	// "duplicate", "fail", "idle", "exit". A Driver adds "stored" for each
+	// shard its store already held; a Worker never emits it.
 	Event string `json:"event"`
 	// Worker is the worker's self-assigned identity.
 	Worker string `json:"worker"`
@@ -34,6 +36,21 @@ type WorkerEvent struct {
 	Leases int `json:"leases,omitempty"`
 }
 
+// LeaseClient is the lease protocol as a Worker speaks it. *Client speaks
+// it over HTTP; the Driver's workers speak it to a Server in the same
+// process.
+type LeaseClient interface {
+	// Lease asks for one shard; no work available returns (nil, nil).
+	Lease(ctx context.Context, worker string) (*LeaseGrant, error)
+	// Heartbeat renews a lease; ErrLeaseLost means abandon the shard.
+	Heartbeat(ctx context.Context, leaseID string) error
+	// Complete hands in a shard's envelope; duplicate reports a shard
+	// already completed by another lease.
+	Complete(ctx context.Context, leaseID string, env *sweep.ShardResult) (duplicate bool, err error)
+	// Fail reports a failed attempt so the shard requeues at once.
+	Fail(ctx context.Context, leaseID string, cause error) error
+}
+
 // Worker pulls leases from a campaign server and runs them through a
 // dispatch.Executor. It owns the client-side half of the lease protocol:
 // heartbeating while the shard runs, abandoning work when the server says
@@ -41,7 +58,7 @@ type WorkerEvent struct {
 // polling politely when the queue is empty.
 type Worker struct {
 	// Client speaks to the campaign server (required).
-	Client *Client
+	Client LeaseClient
 	// ID identifies this worker in leases and the attempt log.
 	ID string
 	// Exec runs leased shards; nil uses dispatch.Local{}.

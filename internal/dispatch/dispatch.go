@@ -5,7 +5,7 @@
 // as ssh or kubectl — and reassembles the shard envelopes with sweep.Merge,
 // whose text/CSV/JSON render is byte-identical to the single-process run.
 //
-// Three layers:
+// Two layers:
 //
 //   - Executor runs ONE shard of a plan and returns its envelope. Local
 //     executes Spec.Shard in-process under a worker budget; Subprocess execs
@@ -19,9 +19,10 @@
 //     by fingerprint + plan coordinates and re-run only the missing or
 //     corrupt ones.
 //
-//   - Driver runs the whole plan: bounded shard concurrency, per-shard
-//     attempt caps, progress callbacks, context cancellation, and optional
-//     resume from a RunStore.
+// Running a whole plan — attempt caps, retries, resume from a RunStore,
+// progress — is the campaign package's job: its Driver serves the plan
+// from an in-process campaign Server to Workers that call an Executor per
+// shard.
 //
 // Every envelope that crosses a process boundary is validated before it is
 // trusted: internal consistency (ShardResult.Validate, which includes the
@@ -61,8 +62,8 @@ type ShardPlan struct {
 
 // PlanShards resolves the document and returns the full shard plan — one
 // ShardPlan per shard — plus the human-readable skip lines for every dropped
-// cell combination. It is the single place the driver and the CLIs turn a
-// document into dispatchable work.
+// cell combination. It is the single place the campaign server, its workers
+// and the CLIs turn a document into dispatchable work.
 func PlanShards(doc sweep.SpecDoc, count int) ([]ShardPlan, []string, error) {
 	if count < 1 {
 		return nil, nil, fmt.Errorf("dispatch: shard count %d, want >= 1", count)
@@ -117,17 +118,17 @@ func CheckEnvelope(r *sweep.ShardResult, plan ShardPlan) error {
 // must honor ctx where they can (Subprocess and Command kill the child;
 // Local only checks for cancellation before starting, since an in-process
 // grid is not abortable mid-trial) and must return an envelope whose
-// fingerprint and coordinates match the plan — the driver re-validates
-// either way.
+// fingerprint and coordinates match the plan — the campaign worker and
+// server re-validate either way.
 type Executor interface {
 	Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error)
 }
 
 // Local executes shards in-process via Spec.Shard, bounded by a worker
-// budget. It is the zero-dependency executor the driver defaults to.
+// budget. It is the zero-dependency executor campaign workers default to.
 type Local struct {
 	// Workers bounds the trial worker pool per shard (<= 0 selects
-	// GOMAXPROCS). With driver Concurrency > 1, the budgets multiply —
+	// GOMAXPROCS). With Driver Concurrency > 1, the budgets multiply —
 	// Concurrency shards × Workers goroutines each.
 	Workers int
 	// Batch caps trials per work item (<= 0 selects the grid default).

@@ -1,4 +1,8 @@
-package dispatch
+package dispatch_test
+
+// The shard Driver lives in internal/campaign, where it serves the plan from
+// an in-process campaign Server; these tests drive it through the executors
+// and the store of this package.
 
 import (
 	"context"
@@ -10,23 +14,30 @@ import (
 	"testing"
 	"time"
 
+	"nsmac/internal/campaign"
+	"nsmac/internal/dispatch"
 	"nsmac/internal/sweep"
+)
+
+var (
+	testDoc     = dispatch.DocForTest
+	wholeRender = dispatch.WholeRenderForTest
 )
 
 // countingExec wraps an executor and counts dispatches per shard.
 type countingExec struct {
-	inner Executor
+	inner dispatch.Executor
 	mu    sync.Mutex
 	calls map[int]int
 	// failFirst holds shard indices whose first attempt must fail.
 	failFirst map[int]bool
 }
 
-func newCountingExec(inner Executor) *countingExec {
+func newCountingExec(inner dispatch.Executor) *countingExec {
 	return &countingExec{inner: inner, calls: map[int]int{}, failFirst: map[int]bool{}}
 }
 
-func (c *countingExec) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error) {
+func (c *countingExec) Run(ctx context.Context, plan dispatch.ShardPlan) (*sweep.ShardResult, error) {
 	c.mu.Lock()
 	c.calls[plan.Index]++
 	n := c.calls[plan.Index]
@@ -48,13 +59,13 @@ func (c *countingExec) count(i int) int {
 // one-process run in every format.
 func TestDriverMatchesSingleProcess(t *testing.T) {
 	doc := testDoc(t)
-	store := &RunStore{Dir: t.TempDir()}
-	var events []Event
-	d := &Driver{
-		Exec:        Local{Workers: 2},
+	store := &dispatch.RunStore{Dir: t.TempDir()}
+	var events []campaign.WorkerEvent
+	d := &campaign.Driver{
+		Exec:        dispatch.Local{Workers: 2},
 		Store:       store,
 		Concurrency: 3,
-		Progress:    func(ev Event) { events = append(events, ev) },
+		Progress:    func(ev campaign.WorkerEvent) { events = append(events, ev) },
 	}
 	res, err := d.Run(context.Background(), doc, 3)
 	if err != nil {
@@ -70,23 +81,24 @@ func TestDriverMatchesSingleProcess(t *testing.T) {
 		}
 	}
 
-	// Every shard went start → done, and the store holds all three
+	// Every shard went lease → complete, and the store holds all three
 	// envelopes plus one attempt line each.
-	var starts, dones int
+	var leases, completes int
 	for _, ev := range events {
-		switch ev.State {
-		case EventStart:
-			starts++
-		case EventDone:
-			dones++
+		switch ev.Event {
+		case "lease":
+			leases++
+		case "complete":
+			completes++
+		case "idle", "exit":
 		default:
 			t.Errorf("unexpected event %+v", ev)
 		}
 	}
-	if starts != 3 || dones != 3 {
-		t.Fatalf("saw %d starts / %d dones, want 3/3", starts, dones)
+	if leases != 3 || completes != 3 {
+		t.Fatalf("saw %d leases / %d completes, want 3/3", leases, completes)
 	}
-	plans, _, err := PlanShards(doc, 3)
+	plans, _, err := dispatch.PlanShards(doc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +116,57 @@ func TestDriverMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestDriverConcurrencyByteIdentical: two workers racing over three shards
+// (run it under -race) merge to the one-process bytes, and the attempt log
+// holds exactly one ok line per shard.
+func TestDriverConcurrencyByteIdentical(t *testing.T) {
+	doc := testDoc(t)
+	store := &dispatch.RunStore{Dir: t.TempDir()}
+	d := &campaign.Driver{Exec: dispatch.Local{Workers: 1}, Store: store, Concurrency: 2}
+	res, err := d.Run(context.Background(), doc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"text", "csv", "json"} {
+		got, err := res.Render(format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := wholeRender(t, doc, format); got != want {
+			t.Errorf("%s render differs from one-process run", format)
+		}
+	}
+	plans, _, err := dispatch.PlanShards(doc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := store.Attempts(plans[0].Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := map[int]int{}
+	for _, r := range recs {
+		if !r.OK {
+			t.Errorf("failed attempt %+v", r)
+		}
+		ok[r.Shard]++
+	}
+	if len(recs) != 3 || ok[0] != 1 || ok[1] != 1 || ok[2] != 1 {
+		t.Fatalf("attempt log %+v, want one ok line per shard", recs)
+	}
+}
+
 // TestDriverResumeRerunsOnlyMissing: after one envelope is destroyed (and
-// another truncated as by a partial write), a -resume run dispatches exactly
-// the broken shards, and the final merge is unchanged.
+// another truncated as by a partial write), a run over the same store
+// dispatches exactly the broken shards, and the final merge is unchanged.
 func TestDriverResumeRerunsOnlyMissing(t *testing.T) {
 	doc := testDoc(t)
-	store := &RunStore{Dir: t.TempDir()}
-	base := &Driver{Exec: Local{}, Store: store}
+	store := &dispatch.RunStore{Dir: t.TempDir()}
+	base := &campaign.Driver{Exec: dispatch.Local{}, Store: store}
 	if _, err := base.Run(context.Background(), doc, 3); err != nil {
 		t.Fatal(err)
 	}
-	plans, _, err := PlanShards(doc, 3)
+	plans, _, err := dispatch.PlanShards(doc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +184,16 @@ func TestDriverResumeRerunsOnlyMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exec := newCountingExec(Local{})
+	exec := newCountingExec(dispatch.Local{})
 	var cached, started []int
-	resumed := &Driver{
-		Exec:   exec,
-		Store:  store,
-		Resume: true,
-		Progress: func(ev Event) {
-			switch ev.State {
-			case EventCached:
+	resumed := &campaign.Driver{
+		Exec:  exec,
+		Store: store,
+		Progress: func(ev campaign.WorkerEvent) {
+			switch ev.Event {
+			case "stored":
 				cached = append(cached, ev.Shard)
-			case EventStart:
+			case "lease":
 				started = append(started, ev.Shard)
 			}
 		},
@@ -179,34 +230,21 @@ func TestDriverResumeRerunsOnlyMissing(t *testing.T) {
 	}
 }
 
-func TestDriverResumeRequiresStore(t *testing.T) {
-	d := &Driver{Exec: Local{}, Resume: true}
-	if _, err := d.Run(context.Background(), testDoc(t), 2); err == nil {
-		t.Fatal("Resume without Store accepted")
-	}
-}
-
 // TestDriverRetries: a shard whose first attempt fails is retried up to the
-// attempt cap and the run still succeeds; the failure surfaces as a retry
+// attempt cap and the run still succeeds; the failure surfaces as a fail
 // event, not an error.
 func TestDriverRetries(t *testing.T) {
 	doc := testDoc(t)
-	exec := newCountingExec(Local{})
+	exec := newCountingExec(dispatch.Local{})
 	exec.failFirst[1] = true
-	var retries []Event
-	var waits []time.Duration
-	d := &Driver{
+	var retries []campaign.WorkerEvent
+	d := &campaign.Driver{
 		Exec:        exec,
 		MaxAttempts: 2,
-		Progress: func(ev Event) {
-			if ev.State == EventRetry {
+		Progress: func(ev campaign.WorkerEvent) {
+			if ev.Event == "fail" {
 				retries = append(retries, ev)
 			}
-		},
-		// Clock hook: record the backoff instead of actually sleeping.
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			waits = append(waits, d)
-			return nil
 		},
 	}
 	res, err := d.Run(context.Background(), doc, 3)
@@ -219,14 +257,6 @@ func TestDriverRetries(t *testing.T) {
 	if len(retries) != 1 || retries[0].Shard != 1 || retries[0].Attempt != 1 {
 		t.Errorf("retry events %+v", retries)
 	}
-	// The failed attempt backed off before the re-run, inside the ±50%
-	// jitter envelope around the default base.
-	if len(waits) != 1 {
-		t.Fatalf("saw %d backoff waits, want 1", len(waits))
-	}
-	if lo, hi := DefaultBackoffBase/2, 3*DefaultBackoffBase/2; waits[0] < lo || waits[0] > hi {
-		t.Errorf("backoff %v outside [%v, %v]", waits[0], lo, hi)
-	}
 	got, _ := res.Render("text")
 	if want := wholeRender(t, doc, "text"); got != want {
 		t.Error("retried run differs from one-process run")
@@ -237,13 +267,12 @@ func TestDriverRetries(t *testing.T) {
 // fails the run with the underlying cause.
 func TestDriverAttemptCap(t *testing.T) {
 	exec := &failingExec{}
-	var failed []Event
-	d := &Driver{
+	var failed []campaign.WorkerEvent
+	d := &campaign.Driver{
 		Exec:        exec,
 		MaxAttempts: 3,
-		BackoffBase: -1, // this test is about the cap, not the waits
-		Progress: func(ev Event) {
-			if ev.State == EventFailed {
+		Progress: func(ev campaign.WorkerEvent) {
+			if ev.Event == "fail" {
 				failed = append(failed, ev)
 			}
 		},
@@ -252,11 +281,11 @@ func TestDriverAttemptCap(t *testing.T) {
 	if err == nil {
 		t.Fatal("run with a dead executor succeeded")
 	}
-	if !strings.Contains(err.Error(), "after 3 attempts") || !strings.Contains(err.Error(), "executor is down") {
+	if !strings.Contains(err.Error(), "exhausted 3 lease attempts") || !strings.Contains(err.Error(), "executor is down") {
 		t.Errorf("error %q does not name the cap and cause", err)
 	}
 	if len(failed) == 0 {
-		t.Error("no failed event emitted")
+		t.Error("no fail event emitted")
 	}
 	if exec.count() != 3 {
 		// Concurrency 1 and fail-fast: the first shard burns its 3
@@ -270,7 +299,7 @@ type failingExec struct {
 	n  int
 }
 
-func (f *failingExec) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error) {
+func (f *failingExec) Run(ctx context.Context, plan dispatch.ShardPlan) (*sweep.ShardResult, error) {
 	f.mu.Lock()
 	f.n++
 	f.mu.Unlock()
@@ -289,7 +318,7 @@ func TestDriverRejectsForeignEnvelope(t *testing.T) {
 	doc := testDoc(t)
 	foreign := doc
 	foreign.Seed++
-	d := &Driver{Exec: foreignExec{doc: foreign}, MaxAttempts: 1}
+	d := &campaign.Driver{Exec: foreignExec{doc: foreign}, MaxAttempts: 1}
 	_, err := d.Run(context.Background(), doc, 2)
 	if err == nil || !strings.Contains(err.Error(), "different grid") {
 		t.Fatalf("foreign envelope not rejected: %v", err)
@@ -298,7 +327,7 @@ func TestDriverRejectsForeignEnvelope(t *testing.T) {
 
 type foreignExec struct{ doc sweep.SpecDoc }
 
-func (f foreignExec) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error) {
+func (f foreignExec) Run(ctx context.Context, plan dispatch.ShardPlan) (*sweep.ShardResult, error) {
 	spec, err := f.doc.Resolve()
 	if err != nil {
 		return nil, err
@@ -312,18 +341,18 @@ func (f foreignExec) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResul
 // present) is refused against the plan's cell count.
 func TestDriverRejectsTruncatedCellList(t *testing.T) {
 	doc := testDoc(t)
-	d := &Driver{Exec: truncatingExec{}, MaxAttempts: 1}
+	d := &campaign.Driver{Exec: truncatingExec{}, MaxAttempts: 1}
 	_, err := d.Run(context.Background(), doc, 2)
 	if err == nil || !strings.Contains(err.Error(), "cells") {
 		t.Fatalf("truncated cell list not rejected: %v", err)
 	}
 
 	// The same envelope is also unacceptable to a resume Load.
-	store := &RunStore{Dir: t.TempDir()}
-	if _, err := (&Driver{Exec: Local{}, Store: store}).Run(context.Background(), doc, 2); err != nil {
+	store := &dispatch.RunStore{Dir: t.TempDir()}
+	if _, err := (&campaign.Driver{Exec: dispatch.Local{}, Store: store}).Run(context.Background(), doc, 2); err != nil {
 		t.Fatal(err)
 	}
-	plans, _, err := PlanShards(doc, 2)
+	plans, _, err := dispatch.PlanShards(doc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +375,8 @@ func TestDriverRejectsTruncatedCellList(t *testing.T) {
 
 type truncatingExec struct{}
 
-func (truncatingExec) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error) {
-	r, err := Local{}.Run(ctx, plan)
+func (truncatingExec) Run(ctx context.Context, plan dispatch.ShardPlan) (*sweep.ShardResult, error) {
+	r, err := dispatch.Local{}.Run(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -356,11 +385,11 @@ func (truncatingExec) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResu
 }
 
 // TestDriverCancellation: canceling the context stops the run promptly and
-// reports the context error, with no attempt-cap burn.
+// reports the context error.
 func TestDriverCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	block := make(chan struct{})
-	d := &Driver{
+	d := &campaign.Driver{
 		Exec:        blockingExec{block: block},
 		MaxAttempts: 5,
 		Concurrency: 2,
@@ -383,49 +412,9 @@ func TestDriverCancellation(t *testing.T) {
 	close(block)
 }
 
-// TestDriverBackoffSchedule pins the retry-backoff shape: exponential in the
-// attempt number, capped at BackoffMax, jittered within ±50%, and a pure
-// function of (grid fingerprint, shard, attempt) — so tests reproduce it and
-// co-failing shards never retry in lockstep.
-func TestDriverBackoffSchedule(t *testing.T) {
-	plans, _, err := PlanShards(testDoc(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &Driver{BackoffBase: time.Second, BackoffMax: 10 * time.Second}
-
-	for attempt := 1; attempt <= 6; attempt++ {
-		base := time.Second << (attempt - 1)
-		if base > 10*time.Second {
-			base = 10 * time.Second
-		}
-		w := d.backoff(plans[0], attempt)
-		if w < base/2 || w > 3*base/2 {
-			t.Errorf("attempt %d backoff %v outside [%v, %v]", attempt, w, base/2, 3*base/2)
-		}
-	}
-	if got, again := d.backoff(plans[1], 2), d.backoff(plans[1], 2); got != again {
-		t.Errorf("backoff is not deterministic: %v vs %v", got, again)
-	}
-	if d.backoff(plans[0], 1) == d.backoff(plans[1], 1) {
-		t.Error("distinct shards drew identical jitter")
-	}
-	// An absurd attempt count must not overflow the shift past the cap.
-	if w := d.backoff(plans[0], 80); w > 15*time.Second {
-		t.Errorf("capped backoff %v exceeds 1.5×max", w)
-	}
-	if w := (&Driver{BackoffBase: -1}).backoff(plans[0], 1); w != 0 {
-		t.Errorf("disabled backoff waited %v", w)
-	}
-	// The default-selecting zero value backs off around DefaultBackoffBase.
-	if w := (&Driver{}).backoff(plans[0], 1); w < DefaultBackoffBase/2 || w > 3*DefaultBackoffBase/2 {
-		t.Errorf("default backoff %v outside the jitter envelope", w)
-	}
-}
-
 type blockingExec struct{ block chan struct{} }
 
-func (b blockingExec) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error) {
+func (b blockingExec) Run(ctx context.Context, plan dispatch.ShardPlan) (*sweep.ShardResult, error) {
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()

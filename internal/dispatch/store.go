@@ -71,9 +71,9 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 //
 // Writes are atomic (temp file + rename), so a shard killed mid-write leaves
 // either nothing or a complete envelope — never a truncated file a later
-// -resume would trip over. Alongside the envelopes, attempts.log records one
-// line per dispatch attempt, which is how a resumed run proves it re-ran
-// only the missing shards.
+// run would trip over. Alongside the envelopes, attempts.log records one
+// line per lease attempt, which is how a resumed run proves it re-ran only
+// the missing shards.
 type RunStore struct {
 	// Dir is the store's root directory; it is created on first use.
 	Dir string
@@ -125,18 +125,12 @@ func (s RunStore) Load(plan ShardPlan) (*sweep.ShardResult, error) {
 	return r, nil
 }
 
-// LogAttempt appends one line to the grid's attempt log: which shard was
-// dispatched, which attempt it was, and how it ended. The log is an audit
-// trail for humans and tests (a resumed run shows attempts only for the
-// shards it actually re-ran); the envelopes alone carry the results.
-func (s RunStore) LogAttempt(fp string, index, count, attempt int, outcome error) error {
-	return s.LogAttemptAs(fp, index, count, attempt, "", outcome)
-}
-
-// LogAttemptAs is LogAttempt with the dispatching identity attached — the
-// lease-aware form the campaign server uses, so the audit trail shows which
-// worker held each lease on a shard (an empty worker writes the classic
-// untagged line the single-driver path emits).
+// LogAttemptAs appends one line to the grid's attempt log: which shard was
+// leased, by which worker, which attempt it was, and how it ended. The log
+// is an audit trail for humans and tests (a resumed run shows attempts only
+// for the shards it actually re-ran); the envelopes alone carry the
+// results. An empty worker writes an untagged line, the form older stores
+// hold.
 func (s RunStore) LogAttemptAs(fp string, index, count, attempt int, worker string, outcome error) error {
 	dir := filepath.Join(s.Dir, fp)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -175,9 +169,9 @@ func (s RunStore) AttemptLog(fp string) ([]byte, error) {
 type Attempt struct {
 	// Shard and Shards are the plan coordinates the attempt dispatched.
 	Shard, Shards int
-	// Attempt is the 1-based attempt (driver) or lease (campaign) number.
+	// Attempt is the 1-based lease number on the shard.
 	Attempt int
-	// Worker is the dispatching identity, empty for untagged driver lines.
+	// Worker is the leasing worker, empty on an untagged line.
 	Worker string
 	// OK reports a successful attempt; Detail carries the error text
 	// otherwise.

@@ -147,10 +147,10 @@ func TestRunStoreAttemptLog(t *testing.T) {
 	if data, err := store.AttemptLog("deadbeef"); err != nil || data != nil {
 		t.Fatalf("empty log read as (%q, %v)", data, err)
 	}
-	if err := store.LogAttempt("deadbeef", 0, 3, 1, nil); err != nil {
+	if err := store.LogAttemptAs("deadbeef", 0, 3, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.LogAttempt("deadbeef", 1, 3, 2, os.ErrDeadlineExceeded); err != nil {
+	if err := store.LogAttemptAs("deadbeef", 1, 3, 2, "", os.ErrDeadlineExceeded); err != nil {
 		t.Fatal(err)
 	}
 	data, err := store.AttemptLog("deadbeef")
@@ -170,15 +170,15 @@ func TestRunStoreAttemptLog(t *testing.T) {
 }
 
 // TestRunStoreAttemptsRoundTrip: the structured Attempts view parses back
-// exactly what LogAttempt/LogAttemptAs wrote — classic untagged driver
-// lines and worker-tagged campaign lines side by side, error details with
-// colons included.
+// exactly what LogAttemptAs wrote — untagged lines (the form older stores
+// hold) and worker-tagged lines side by side, error details with colons
+// included.
 func TestRunStoreAttemptsRoundTrip(t *testing.T) {
 	store := RunStore{Dir: t.TempDir()}
 	if recs, err := store.Attempts("feedface"); err != nil || recs != nil {
 		t.Fatalf("empty store parsed as (%+v, %v)", recs, err)
 	}
-	if err := store.LogAttempt("feedface", 0, 2, 1, nil); err != nil {
+	if err := store.LogAttemptAs("feedface", 0, 2, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.LogAttemptAs("feedface", 1, 2, 1, "w1", errors.New("exec: exit status 1: killed")); err != nil {
@@ -218,7 +218,7 @@ func TestRunStoreAttemptsRejectsMalformedLines(t *testing.T) {
 		"2026-01-01T00:00:00Z shard 0/2 attempt 1: crashed",
 	} {
 		store := RunStore{Dir: t.TempDir()}
-		if err := store.LogAttempt("abc123", 0, 2, 1, nil); err != nil {
+		if err := store.LogAttemptAs("abc123", 0, 2, 1, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		f, err := os.OpenFile(filepath.Join(store.Dir, "abc123", "attempts.log"), os.O_APPEND|os.O_WRONLY, 0)

@@ -293,10 +293,10 @@ func TestKernelWordBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := eng.Run(); got != want {
-			t.Fatalf("%s: kernel %+v != engine %+v", c.name, got, want)
+			t.Fatalf("%s: kernel %#v != engine %#v", c.name, got, want)
 		}
 		if got.SuccessSlot != c.succ {
-			t.Fatalf("%s: success slot %d, want %d (%+v)", c.name, got.SuccessSlot, c.succ, got)
+			t.Fatalf("%s: success slot %d, want %d (%#v)", c.name, got.SuccessSlot, c.succ, got)
 		}
 	}
 }
@@ -418,7 +418,7 @@ func TestNilChannelMatchesNone(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := eng.Run(); got != want {
-				t.Fatalf("%s seed %d: engine none %+v, nil %+v", c.name, seed, got, want)
+				t.Fatalf("%s seed %d: engine none %#v, nil %#v", c.name, seed, got, want)
 			}
 			for _, opt := range []sim.Options{nilOpt, noneOpt} {
 				if !c.routed {
@@ -430,7 +430,7 @@ func TestNilChannelMatchesNone(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("%s seed %d channel %v: kernel %+v, engine %+v", c.name, seed, opt.Channel, got, want)
+					t.Fatalf("%s seed %d channel %v: kernel %#v, engine %#v", c.name, seed, opt.Channel, got, want)
 				}
 			}
 		}

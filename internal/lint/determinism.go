@@ -25,7 +25,8 @@ bodies append, write output, send on a channel, or accumulate floats/strings
 (map order would leak into results). Audited sites carry
 //nsmac:nondeterminism-ok <reason>; in internal/campaign the only sanctioned
 wall-clock read is campaign.Clock's system implementation, and the only
-sanctioned goroutine is the worker's lease keep-alive.`,
+sanctioned goroutines are the worker's lease keep-alive and the Driver's
+in-process workers.`,
 	Run: runDeterminism,
 }
 

@@ -12,10 +12,10 @@ import (
 //
 // internal/campaign is on the list even though it is service plumbing: its
 // merged results must stay byte-identical to a one-process run, so server
-// time is allowed only behind the campaign.Clock abstraction and the lease
-// keep-alive goroutine — each carrying an audited suppression — and
-// everything else in the package must be as deterministic as the sweep
-// layers it feeds.
+// time is allowed only behind the campaign.Clock abstraction, goroutines
+// only as the lease keep-alive and the Driver's in-process workers — each
+// carrying an audited suppression — and everything else in the package
+// must be as deterministic as the sweep layers it feeds.
 var DeterministicPackages = map[string]bool{
 	"nsmac/internal/sim":      true,
 	"nsmac/internal/kernel":   true,

@@ -35,10 +35,10 @@ func TestOptionsChannelFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if nilRes != noneRes {
-		t.Fatalf("nil Channel %+v differs from model.None %+v", nilRes, noneRes)
+		t.Fatalf("nil Channel %#v differs from model.None %#v", nilRes, noneRes)
 	}
 	if nilRes.Succeeded {
-		t.Fatalf("nil Channel delivered collision feedback: %+v", nilRes)
+		t.Fatalf("nil Channel delivered collision feedback: %#v", nilRes)
 	}
 	if got := nilCh.Model().Name(); got != "none" {
 		t.Fatalf("nil Channel ran on %q, want none", got)
@@ -112,7 +112,7 @@ func runEcho(t *testing.T, ch model.ChannelModel) model.Result {
 func TestSenderCDDeliversByRole(t *testing.T) {
 	res := runEcho(t, model.SenderCD())
 	if !res.Succeeded || res.SuccessSlot != 2 || res.Winner != 1 {
-		t.Fatalf("run = %+v", res)
+		t.Fatalf("run = %#v", res)
 	}
 	// Slot 0: both stations transmitted into the collision → both hear it.
 	if find(t, 1, 0).fb != model.Collision || find(t, 2, 0).fb != model.Collision {
@@ -162,7 +162,7 @@ func TestSenderCDListenerMasked(t *testing.T) {
 func TestAckDeliversOnlyToWinner(t *testing.T) {
 	res := runEcho(t, model.Ack())
 	if !res.Succeeded || res.Winner != 1 {
-		t.Fatalf("run = %+v", res)
+		t.Fatalf("run = %#v", res)
 	}
 	if o := find(t, 1, 2); o.fb != model.Success || o.win != 1 {
 		t.Errorf("winner heard %+v, want its own success", o)
@@ -188,7 +188,7 @@ func TestListensAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.SuccessSlot != 6 {
-		t.Fatalf("run = %+v", res)
+		t.Fatalf("run = %#v", res)
 	}
 	if res.Transmissions != 1 || res.Listens != 13 {
 		t.Errorf("tx=%d listens=%d, want 1/13", res.Transmissions, res.Listens)
@@ -226,7 +226,7 @@ func TestNoisyZeroEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if base != noisy {
-			t.Fatalf("noisy:0 diverged: %+v vs %+v", noisy, base)
+			t.Fatalf("noisy:0 diverged: %#v vs %#v", noisy, base)
 		}
 	}
 }
@@ -247,7 +247,7 @@ func TestNoisyDeterminismAndEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("noisy run not reproducible: %+v vs %+v", a, b)
+		t.Fatalf("noisy run not reproducible: %#v vs %#v", a, b)
 	}
 
 	opt.Channel = model.Noisy(1)
@@ -256,10 +256,10 @@ func TestNoisyDeterminismAndEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if full.Succeeded {
-		t.Fatalf("noisy:1 let a success through: %+v", full)
+		t.Fatalf("noisy:1 let a success through: %#v", full)
 	}
 	if full.Collisions != 0 || full.Silences != 300 {
-		t.Errorf("noisy:1 counters: %+v (every slot should be erased)", full)
+		t.Errorf("noisy:1 counters: %#v (every slot should be erased)", full)
 	}
 
 	// Different run seeds draw different noise.
@@ -285,7 +285,7 @@ func TestJamDelaysResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.SuccessSlot != 3 {
-		t.Fatalf("jam:3 run = %+v, want success at slot 3", res)
+		t.Fatalf("jam:3 run = %#v, want success at slot 3", res)
 	}
 	if res.Collisions != 3 {
 		t.Errorf("jammed slots recorded as %d collisions, want 3", res.Collisions)
@@ -297,7 +297,7 @@ func TestJamDelaysResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Succeeded || res.Collisions != 10 {
-		t.Fatalf("jam:100 run = %+v, want 10 jammed slots and no success", res)
+		t.Fatalf("jam:100 run = %#v, want 10 jammed slots and no success", res)
 	}
 }
 
@@ -386,7 +386,7 @@ func TestChannelStreamIndependence(t *testing.T) {
 	// solo slot for the same winner pattern — at minimum, the first
 	// base-success slot must be a collision-recorded jam in the new run.
 	if jammed.Succeeded && jammed.SuccessSlot <= base.SuccessSlot {
-		t.Fatalf("jam did not delay: base %+v vs jammed %+v", base, jammed)
+		t.Fatalf("jam did not delay: base %#v vs jammed %#v", base, jammed)
 	}
 	if jammed.Collisions != base.Collisions+1 {
 		t.Errorf("jammed run collisions = %d, want base+1 = %d (schedules disturbed?)",

@@ -81,7 +81,7 @@ func TestInjectionMatchesReplay(t *testing.T) {
 		}
 		got := e.RunHooked(2, injectAt(2, 3))
 		if got != replay {
-			t.Errorf("%+v: hooked %+v, replay %+v", opt, got, replay)
+			t.Errorf("%+v: hooked %#v, replay %#v", opt, got, replay)
 		}
 		if a, b := channelCounters(e.Channel()), channelCounters(rch); a != b {
 			t.Errorf("%+v: hooked channel counted %v, replay %v", opt, a, b)

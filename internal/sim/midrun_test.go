@@ -33,13 +33,13 @@ func checkInvariants(t *testing.T, name string, x *sim.Engine, s int64) {
 	}
 	if r.Succeeded {
 		if r.SuccessSlot != s+r.Rounds || r.Winner == 0 {
-			t.Fatalf("%s: inconsistent success fields %+v (s=%d)", name, r, s)
+			t.Fatalf("%s: inconsistent success fields %#v (s=%d)", name, r, s)
 		}
 		if !x.Done() {
 			t.Fatalf("%s: succeeded but not done", name)
 		}
 	} else if r.SuccessSlot != -1 || r.Rounds != -1 || r.Winner != 0 {
-		t.Fatalf("%s: success sentinels disturbed before success: %+v", name, r)
+		t.Fatalf("%s: success sentinels disturbed before success: %#v", name, r)
 	}
 	if r.Transmissions+r.Listens < r.Slots {
 		// At least one station is awake at every stepped slot (time starts
@@ -133,7 +133,7 @@ func TestMidRunInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := eng.Result(); got != want {
-				t.Fatalf("round %d cut at %d: kernel %+v != engine %+v", round, u, got, want)
+				t.Fatalf("round %d cut at %d: kernel %#v != engine %#v", round, u, got, want)
 			}
 		})
 	}
@@ -170,19 +170,19 @@ func TestRunToHorizonEdge(t *testing.T) {
 			t.Errorf("%s: RunTo(horizon) reported done without attempting a step past it", name)
 		}
 		if r := x.Result(); r.Slots != 3 || r.Succeeded {
-			t.Errorf("%s: at the boundary: %+v", name, r)
+			t.Errorf("%s: at the boundary: %#v", name, r)
 		}
 		if !x.RunTo(4) {
 			t.Errorf("%s: RunTo past the horizon must flip done", name)
 		}
 		if r := x.Result(); r.Slots != 3 || r.Succeeded {
-			t.Errorf("%s: flipping done must not step extra slots: %+v", name, r)
+			t.Errorf("%s: flipping done must not step extra slots: %#v", name, r)
 		}
 		if !c.opt.Adaptive {
 			continue
 		}
 		if got, err := kernel.Run(c.algo, p, c.w, c.opt); err != nil || got != x.Result() {
-			t.Errorf("kernel/%s: %+v, %v; engine %+v", c.algo.Name(), got, err, x.Result())
+			t.Errorf("kernel/%s: %#v, %v; engine %#v", c.algo.Name(), got, err, x.Result())
 		}
 	}
 }

@@ -89,7 +89,7 @@ func TestEngineMatchesReferenceSimulator(t *testing.T) {
 		ref := refRun(algo, p, w, horizon, seed)
 
 		if engine != ref {
-			t.Fatalf("trial %d (n=%d k=%d): engine %+v != reference %+v",
+			t.Fatalf("trial %d (n=%d k=%d): engine %#v != reference %#v",
 				trial, n, k, engine, ref)
 		}
 	}
@@ -113,7 +113,7 @@ func TestEngineMatchesReferenceOnAdaptiveFallback(t *testing.T) {
 		}
 		ref := refRun(algo, p, w, 150, seed)
 		if engine != ref {
-			t.Fatalf("trial %d: adaptive-fallback engine %+v != reference %+v", trial, engine, ref)
+			t.Fatalf("trial %d: adaptive-fallback engine %#v != reference %#v", trial, engine, ref)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func TestRunFirstSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.Winner != 3 || res.SuccessSlot != 6 {
-		t.Fatalf("result = %+v", res)
+		t.Fatalf("result = %#v", res)
 	}
 	if res.Rounds != 6 {
 		t.Errorf("rounds = %d, want 6 (s = 0)", res.Rounds)
@@ -65,7 +65,7 @@ func TestRunRoundsMeasuredFromFirstWake(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.SuccessSlot != 6 || res.Rounds != 2 {
-		t.Fatalf("result = %+v, want success at slot 6 with rounds 2", res)
+		t.Fatalf("result = %#v, want success at slot 6 with rounds 2", res)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestRunLateWakersJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.Winner != 2 || res.SuccessSlot != 4 {
-		t.Fatalf("result = %+v, want winner 2 at slot 4", res)
+		t.Fatalf("result = %#v, want winner 2 at slot 4", res)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestRunSingleAlwaysSucceedsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.Rounds != 0 || res.SuccessSlot != 7 {
-		t.Fatalf("lone station should win at its wake slot: %+v", res)
+		t.Fatalf("lone station should win at its wake slot: %#v", res)
 	}
 }
 
@@ -188,7 +188,7 @@ func TestRunAdaptiveWithCD(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.Winner != 1 || res.SuccessSlot != 2 {
-		t.Fatalf("adaptive CD run = %+v, want winner 1 at slot 2", res)
+		t.Fatalf("adaptive CD run = %#v, want winner 1 at slot 2", res)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestRunAdaptiveFallsBackToBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Succeeded || res.Winner != 3 {
-		t.Fatalf("fallback run = %+v", res)
+		t.Fatalf("fallback run = %#v", res)
 	}
 }
 
@@ -376,7 +376,7 @@ func TestEngineReuseMatchesFreshRun(t *testing.T) {
 			}
 			got := e.Run()
 			if got != want {
-				t.Fatalf("pass %d workload %d: engine %+v != fresh %+v", pass, i, got, want)
+				t.Fatalf("pass %d workload %d: engine %#v != fresh %#v", pass, i, got, want)
 			}
 			ch := e.Channel()
 			if ch.Slots() != wantCh.Slots() || ch.Successes() != wantCh.Successes() ||
@@ -411,7 +411,7 @@ func TestEngineStepAndRunTo(t *testing.T) {
 		}
 	}
 	if got := e.Result(); got != want {
-		t.Fatalf("stepped result %+v != run result %+v", got, want)
+		t.Fatalf("stepped result %#v != run result %#v", got, want)
 	}
 	if !e.Done() || !e.Step() {
 		t.Error("a finished engine must stay done")
@@ -429,7 +429,7 @@ func TestEngineStepAndRunTo(t *testing.T) {
 		t.Errorf("paused at slot %d, want %d", e.Slot(), mid)
 	}
 	if got := e.Run(); got != want {
-		t.Fatalf("paused+resumed result %+v != %+v", got, want)
+		t.Fatalf("paused+resumed result %#v != %#v", got, want)
 	}
 }
 
@@ -452,6 +452,6 @@ func TestEngineResetValidation(t *testing.T) {
 		t.Fatalf("valid trial rejected after failed resets: %v", err)
 	}
 	if res := e.Run(); !res.Succeeded || res.Winner != 1 {
-		t.Fatalf("engine broken after failed resets: %+v", res)
+		t.Fatalf("engine broken after failed resets: %#v", res)
 	}
 }

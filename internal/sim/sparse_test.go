@@ -78,7 +78,7 @@ func samePlace(t *testing.T, name string, sparse, dense *sim.Engine) {
 			name, sparse.Slot(), sparse.Done(), dense.Slot(), dense.Done())
 	}
 	if sparse.Result() != dense.Result() {
-		t.Fatalf("%s: sparse %+v != dense %+v", name, sparse.Result(), dense.Result())
+		t.Fatalf("%s: sparse %#v != dense %#v", name, sparse.Result(), dense.Result())
 	}
 	if a, b := channelCounters(sparse.Channel()), channelCounters(dense.Channel()); a != b {
 		t.Fatalf("%s: sparse channel counters %v != dense %v", name, a, b)
@@ -154,7 +154,7 @@ func TestRecordTraceStepsDensely(t *testing.T) {
 	}
 	r := recorded.Run()
 	if want := dense.Run(); r != want {
-		t.Fatalf("recorded %+v != dense %+v", r, want)
+		t.Fatalf("recorded %#v != dense %#v", r, want)
 	}
 	trace := recorded.Channel().Trace()
 	if int64(len(trace)) != r.Slots {
@@ -170,7 +170,7 @@ func TestRecordTraceStepsDensely(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := recorded.Run(); !recorded.SteppingSparse() || got != r {
-		t.Fatalf("unrecorded run (sparse %v): %+v, recorded %+v", recorded.SteppingSparse(), got, r)
+		t.Fatalf("unrecorded run (sparse %v): %#v, recorded %#v", recorded.SteppingSparse(), got, r)
 	}
 }
 

@@ -136,7 +136,7 @@ func TestGridEnginePoolRoutesAndReuses(t *testing.T) {
 				}
 				if got.Rounds != fresh.Rounds || got.Winner != fresh.Winner ||
 					got.SuccessSlot != fresh.SuccessSlot || got.Collisions != fresh.Collisions {
-					t.Fatalf("batch=%d cell %d trial %d: pooled %+v != fresh %+v",
+					t.Fatalf("batch=%d cell %d trial %d: pooled %+v != fresh %#v",
 						batch, ci, ti, got, fresh)
 				}
 			}

@@ -26,7 +26,8 @@ import (
 //	_ = w.Run(ctx)
 //
 // The same machinery backs `wakeup-bench serve`, `submit`, `status` and
-// `work`.
+// `work`, and, inside one process, Driver and `wakeup-bench run`: there the
+// workers call the server directly instead of over HTTP.
 type (
 	// CampaignManifest is the campaign submission document: named grids
 	// (full spec documents) with optional fixed shard counts.

@@ -3,28 +3,29 @@ package sweep
 import (
 	"os"
 
+	"nsmac/internal/campaign"
 	"nsmac/internal/dispatch"
 )
 
-// Distributed shard dispatch (aliases into nsmac/internal/dispatch): run a
-// spec document's trial-striped shard plan through a pluggable Executor —
-// in-process, one subprocess per shard, or an arbitrary command template
-// (ssh, kubectl) — persist the envelopes in a resumable RunStore, and merge
-// to output byte-identical to the single-process run.
+// Distributed shard dispatch (aliases into nsmac/internal/dispatch and
+// nsmac/internal/campaign): run a spec document's trial-striped shard plan
+// through a pluggable Executor — in-process, one subprocess per shard, or
+// an arbitrary command template (ssh, kubectl) — persist the envelopes in a
+// RunStore that later runs resume from, and merge to output byte-identical
+// to the single-process run. The Driver is an in-process campaign: a
+// campaign server holding the plan and Concurrency workers leasing from it.
 //
 //	doc, _ := sweep.ParseSpecDoc(data)
-//	store := &sweep.RunStore{Dir: "runs"}
 //	d := &sweep.Driver{
 //	    Exec:        sweep.Subprocess{Binary: "./wakeup-bench"},
-//	    Store:       store,
-//	    Resume:      true, // re-run only missing or corrupt shards
+//	    Store:       &sweep.RunStore{Dir: "runs"}, // stored shards are not re-run
 //	    Concurrency: 3,
 //	}
 //	res, _ := d.Run(ctx, doc, 8)   // 8-shard plan
 //	fmt.Print(res.Text())          // == the one-process run, byte for byte
 //
 // The same machinery backs `wakeup-bench run -spec grid.json -shards m
-// -exec ... -store dir -resume`.
+// -exec ... -store dir`.
 type (
 	// Executor runs one shard of a plan and returns its envelope.
 	Executor = dispatch.Executor
@@ -43,22 +44,10 @@ type (
 	// <dir>/<grid-fingerprint>/<i>-of-<m>.json with atomic writes, making
 	// runs resumable.
 	RunStore = dispatch.RunStore
-	// Driver executes a full shard plan: bounded concurrency, per-shard
-	// attempt caps, progress callbacks, resume, context cancellation.
-	Driver = dispatch.Driver
-	// Event is one driver progress notification.
-	Event = dispatch.Event
-	// EventState classifies a driver progress event.
-	EventState = dispatch.EventState
-)
-
-// Driver progress event states.
-const (
-	EventCached = dispatch.EventCached
-	EventStart  = dispatch.EventStart
-	EventDone   = dispatch.EventDone
-	EventRetry  = dispatch.EventRetry
-	EventFailed = dispatch.EventFailed
+	// Driver executes a full shard plan as an in-process campaign:
+	// Concurrency workers, per-shard attempt caps, store resume, the
+	// workers' progress events, context cancellation.
+	Driver = campaign.Driver
 )
 
 // PlanShards resolves the document and returns its count-shard plan plus
