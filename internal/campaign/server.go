@@ -694,18 +694,39 @@ func (s *Server) envelopes(campaignID, gridID string) (slots []*sweep.ShardResul
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked(s.opts.Clock.Now())
+	g, err := s.gridLocked(campaignID, gridID)
+	if err != nil {
+		return nil, "", "", err
+	}
+	slots = make([]*sweep.ShardResult, len(g.shards))
+	for i, sh := range g.shards {
+		slots[i] = sh.env
+	}
+	return slots, g.failed, g.storeErr, nil
+}
+
+// plans returns a grid's shard plans, nil until it is planned. The slice is
+// the server's own, set once: callers only read it.
+func (s *Server) plans(campaignID, gridID string) []dispatch.ShardPlan {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g, err := s.gridLocked(campaignID, gridID)
+	if err != nil {
+		return nil
+	}
+	return g.plans
+}
+
+// gridLocked finds grid gridID of campaign campaignID; s.mu is held.
+func (s *Server) gridLocked(campaignID, gridID string) (*gridState, error) {
 	c, ok := s.byID[campaignID]
 	if !ok {
-		return nil, "", "", fmt.Errorf("%w: campaign %q", ErrNotFound, campaignID)
+		return nil, fmt.Errorf("%w: campaign %q", ErrNotFound, campaignID)
 	}
 	for _, g := range c.grids {
 		if g.id == gridID {
-			slots = make([]*sweep.ShardResult, len(g.shards))
-			for i, sh := range g.shards {
-				slots[i] = sh.env
-			}
-			return slots, g.failed, g.storeErr, nil
+			return g, nil
 		}
 	}
-	return nil, "", "", fmt.Errorf("%w: grid %q in campaign %q", ErrNotFound, gridID, campaignID)
+	return nil, fmt.Errorf("%w: grid %q in campaign %q", ErrNotFound, gridID, campaignID)
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -21,11 +22,12 @@ type WorkerEvent struct {
 	// Worker is the worker's self-assigned identity.
 	Worker string `json:"worker"`
 	// Lease/Campaign/Grid/Shard/Shards/Attempt locate the work (zero
-	// values on idle/exit records).
+	// values on idle/exit records). Every record about a shard has
+	// Shards > 0 and carries "shard", shard 0 included.
 	Lease    string `json:"lease,omitempty"`
 	Campaign string `json:"campaign,omitempty"`
 	Grid     string `json:"grid,omitempty"`
-	Shard    int    `json:"shard,omitempty"`
+	Shard    int    `json:"shard"`
 	Shards   int    `json:"shards,omitempty"`
 	Attempt  int    `json:"attempt,omitempty"`
 	// Steal marks work leased off a straggler.
@@ -34,6 +36,21 @@ type WorkerEvent struct {
 	Error string `json:"error,omitempty"`
 	// Leases counts leases processed so far (on "exit").
 	Leases int `json:"leases,omitempty"`
+}
+
+// MarshalJSON writes a record about a shard with all its fields, and an
+// idle or exit record (Shards == 0), which is about no shard, as its event,
+// worker and lease count only.
+func (ev WorkerEvent) MarshalJSON() ([]byte, error) {
+	if ev.Shards > 0 {
+		type record WorkerEvent // WorkerEvent without this method
+		return json.Marshal(record(ev))
+	}
+	return json.Marshal(struct {
+		Event  string `json:"event"`
+		Worker string `json:"worker"`
+		Leases int    `json:"leases,omitempty"`
+	}{ev.Event, ev.Worker, ev.Leases})
 }
 
 // LeaseClient is the lease protocol as a Worker speaks it. *Client speaks
@@ -266,6 +283,14 @@ func (w *Worker) planFor(grant *LeaseGrant) (dispatch.ShardPlan, error) {
 	}
 	w.planKey, w.plans = key, plans
 	return plan, nil
+}
+
+// usePlans seeds the plan memo with the plans of a grid the worker has not
+// leased from yet, so a worker beside the server that planned the grid
+// need not plan it again. planFor still checks every grant against them.
+func (w *Worker) usePlans(campaign, grid string, plans []dispatch.ShardPlan) {
+	w.planKey = planKey{campaign, grid, plans[0].Fingerprint, len(plans)}
+	w.plans = plans
 }
 
 // failLease reports a failed attempt (best-effort) and emits the event.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nsmac/internal/dispatch"
 	"nsmac/internal/sweep"
 )
 
@@ -118,5 +119,53 @@ func TestWorkerReplansForEachCampaign(t *testing.T) {
 				t.Errorf("%s: %s results differ from the one-process run", doc.Name, format)
 			}
 		}
+	}
+}
+
+// TestShardZeroEventsCarryShard: every progress record about a shard
+// carries "shard" in its JSON, shard 0 included — a Driver's complete
+// events on a first run and its stored events on a resumed one — and an
+// exit or idle record, which is about no shard, carries none.
+func TestShardZeroEventsCarryShard(t *testing.T) {
+	store := &dispatch.RunStore{Dir: t.TempDir()}
+	fields := func(ev WorkerEvent) map[string]any {
+		t.Helper()
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, want := range []string{"complete", "stored"} {
+		var events []WorkerEvent
+		d := &Driver{Store: store, Progress: func(ev WorkerEvent) { events = append(events, ev) }}
+		if _, err := d.Run(t.Context(), testDoc(t), 2); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, ev := range events {
+			m := fields(ev)
+			shard, has := m["shard"]
+			switch {
+			case ev.Event == "exit" || ev.Event == "idle":
+				if has {
+					t.Errorf("%s record carries a shard: %v", ev.Event, m)
+				}
+			case !has:
+				t.Errorf("%s record of shard %d carries no shard: %v", ev.Event, ev.Shard, m)
+			case ev.Event == want && shard == 0.0:
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no %s record with \"shard\":0 among %+v", want, events)
+		}
+	}
+	if m := fields(WorkerEvent{Event: "idle", Worker: "w"}); len(m) != 2 {
+		t.Errorf("idle record %v, want event and worker only", m)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
@@ -63,6 +65,70 @@ func (a *RPD) Build(p model.Params, id int, wake int64, src *rng.Source) model.T
 		e := 1 + int(sigma%ell)
 		return rng.Below(rng.Hash3(personal, uint64(sigma), uint64(e), uint64(id)), e)
 	}
+}
+
+// Cohort implements model.Batched: one flat table of the run's coins. A
+// station's record holds what Build's closure computes from: its personal
+// seed (drawn as Build draws it), its round σ and exponent e = 1 + σ mod ℓ,
+// and its ID. Each slot advances σ and e by one, e wrapping at ℓ, so a coin
+// costs its three hashes and no division or call.
+func (a *RPD) Cohort(p model.Params, prev model.Cohort) model.Cohort {
+	c, ok := prev.(*rpdCohort)
+	if !ok {
+		c = new(rpdCohort)
+	}
+	c.ell, c.coins = uint64(a.Ell(p)), c.coins[:0]
+	return c
+}
+
+// rpdCohort is RPD's model.Cohort: the coins of the joined stations in join
+// order.
+type rpdCohort struct {
+	ell   uint64
+	coins []rpdCoin
+}
+
+// rpdCoin is one station's coin at its next round: Hash3(personal, sigma, e,
+// id) below 2^-e transmits.
+type rpdCoin struct {
+	personal, sigma, e, id uint64
+}
+
+// newRPDCoin is station id's coin at round 0, keyed by the first draw from the
+// station's stream, as Build keys it.
+func newRPDCoin(id int, src *rng.Source) rpdCoin {
+	return rpdCoin{personal: src.Uint64(), e: 1, id: uint64(id)}
+}
+
+// Join implements model.Cohort.
+func (c *rpdCohort) Join(id int, _ int64, src *rng.Source) {
+	c.coins = append(c.coins, newRPDCoin(id, src))
+}
+
+// JoinAt implements model.Cohort: the station tosses its wake-slot coin as
+// Transmitters would.
+func (c *rpdCohort) JoinAt(i, id int, wake int64, src *rng.Source) bool {
+	c.coins = slices.Insert(c.coins, i, newRPDCoin(id, src))
+	one := rpdCohort{ell: c.ell, coins: c.coins[i : i+1]}
+	var tx [1]int
+	return len(one.Transmitters(wake, tx[:0])) > 0
+}
+
+// Transmitters implements model.Cohort. Each call tosses every coin for
+// the next slot, so t is not read.
+func (c *rpdCohort) Transmitters(_ int64, dst []int) []int {
+	ell := c.ell
+	for i := range c.coins {
+		k := &c.coins[i]
+		if rng.Below(rng.Hash3(k.personal, k.sigma, k.e, k.id), int(k.e)) {
+			dst = append(dst, int(k.id))
+		}
+		k.sigma++
+		if k.e++; k.e > ell {
+			k.e = 1
+		}
+	}
+	return dst
 }
 
 // FirstWaker implements model.WakeProber: round σ = 0 is the e = 1 coin,

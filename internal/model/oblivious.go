@@ -61,3 +61,37 @@ type WakeProber interface {
 	Algorithm
 	FirstWaker(p Params, wake int64, seed uint64, taken []bool) int
 }
+
+// Batched is the optional Algorithm extension of schedules whose stations
+// the engine can evaluate together, one call per slot for a whole run,
+// instead of one TransmitFunc call per (station, slot). The engine uses it
+// on its dense path when the run is neither adaptive nor sparse.
+//
+// Cohort(p, prev) returns an empty cohort for params p; it may reuse prev,
+// a cohort an earlier call returned (nil at first), so that a warm engine
+// allocates nothing per trial. The cohort's answers must equal Build's:
+// with stations joined as the engine wakes them, Transmitters(t) lists in
+// join order exactly the stations whose Build(p, id, wake, src)(t) is true,
+// and each join draws from src exactly what Build draws.
+type Batched interface {
+	Algorithm
+	Cohort(p Params, prev Cohort) Cohort
+}
+
+// Cohort is one run's stations of a Batched algorithm, in join order. The
+// engine drives it slot by slot: at every slot t from the first wake on,
+// it joins the stations that wake at t, then asks Transmitters(t) once, so
+// a cohort may advance its stations by one slot per call instead of
+// computing each slot from scratch.
+type Cohort interface {
+	// Join appends station id, woken at slot wake (the next slot asked
+	// about), to the join order.
+	Join(id int, wake int64, src *rng.Source)
+	// Transmitters appends to dst the IDs of the stations that transmit in
+	// slot t, in join order, and returns it.
+	Transmitters(t int64, dst []int) []int
+	// JoinAt inserts station id at position i of the join order, woken at
+	// the slot Transmitters was last asked about, and reports whether it
+	// transmits in that slot. The spoiler injects stations through it.
+	JoinAt(i, id int, wake int64, src *rng.Source) bool
+}

@@ -172,33 +172,30 @@ func (s *Source) Perm(n int) []int {
 
 // Sample returns a uniformly random subset of size k from [1, n] (1-based
 // station IDs), in increasing order. It panics if k > n.
+//
+// It runs Floyd's algorithm: k draws, one allocation. A draw that repeats
+// an earlier one is replaced by j, which no earlier draw can equal. The
+// draws and the sorted result fix the output; only the dedup set varies:
+// a bitset on the stack for small universes, a bitset carved out of the
+// result's own allocation, past its capacity, when the sample is dense
+// enough that the bitset costs at most sampleCarveRatio words per ID, and
+// the sorted result itself, searched by bisection, for sparse samples of
+// large universes.
 func (s *Source) Sample(n, k int) []int {
 	if k > n || k < 0 {
 		panic("rng: Sample requires 0 <= k <= n")
 	}
-	// Floyd's algorithm: k iterations, one allocation. A draw that repeats
-	// an earlier one is replaced by j, which no earlier draw can equal.
-	out := make([]int, 0, k)
-	if n < sampleBitsetCap {
-		// Deduplicate in a bitset on the stack, then read the set back out
-		// in increasing order.
-		var seen [sampleBitsetCap / 64]uint64
-		for j := n - k + 1; j <= n; j++ {
-			t := s.Intn(j) + 1
-			if seen[t>>6]&(1<<(t&63)) != 0 {
-				t = j
-			}
-			seen[t>>6] |= 1 << (t & 63)
-		}
-		for w, word := range seen[:n>>6+1] {
-			for ; word != 0; word &= word - 1 {
-				out = append(out, w<<6+bits.TrailingZeros64(word))
-			}
-		}
-		return out
+	words := n/wordBits + 1 // one bit per ID in [0, n]
+	switch {
+	case n < sampleBitsetCap:
+		var seen [sampleBitsetCap / wordBits]int
+		return s.floydBits(n, k, seen[:words], make([]int, 0, k))
+	case words <= sampleCarveRatio*k:
+		buf := make([]int, k+words)
+		return s.floydBits(n, k, buf[k:], buf[:0:k])
 	}
-	// Large universes keep out sorted and deduplicate by binary search in it.
 	// Every earlier draw is below j, so a replacement lands at the end.
+	out := make([]int, 0, k)
 	for j := n - k + 1; j <= n; j++ {
 		t := s.Intn(j) + 1
 		i, dup := slices.BinarySearch(out, t)
@@ -211,10 +208,35 @@ func (s *Source) Sample(n, k int) []int {
 	return out
 }
 
-// sampleBitsetCap bounds the universes Sample deduplicates in a stack
-// bitset (1 KiB); above it clearing the bitset would cost more than the
-// binary searches it saves.
-const sampleBitsetCap = 8192
+// floydBits draws Floyd's sample of k IDs from [1, n], deduplicating in
+// seen, a zeroed bitset over [0, n], and appends the sample to out in
+// increasing order.
+func (s *Source) floydBits(n, k int, seen, out []int) []int {
+	for j := n - k + 1; j <= n; j++ {
+		t := s.Intn(j) + 1
+		if seen[t/wordBits]&(1<<(t%wordBits)) != 0 {
+			t = j
+		}
+		seen[t/wordBits] |= 1 << (t % wordBits)
+	}
+	for w, word := range seen {
+		for u := uint(word); u != 0; u &= u - 1 {
+			out = append(out, w*wordBits+bits.TrailingZeros(u))
+		}
+	}
+	return out
+}
+
+const (
+	// wordBits is the width of the ints Sample's bitsets are made of.
+	wordBits = bits.UintSize
+	// sampleBitsetCap bounds the universes Sample deduplicates in a stack
+	// bitset (1 KiB).
+	sampleBitsetCap = 8192
+	// sampleCarveRatio is the most bitset words per sampled ID Sample
+	// carves from its result; sparser samples bisect the result instead.
+	sampleCarveRatio = 8
+)
 
 // mul64 returns the 128-bit product of a and b as (hi, lo) without
 // importing math/bits at every call site (kept local for inlining).

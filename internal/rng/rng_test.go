@@ -320,9 +320,9 @@ func floydReference(s *Source, n, k int) []int {
 }
 
 func TestSampleMatchesFloydReference(t *testing.T) {
-	// Both dedup paths: the stack bitset below sampleBitsetCap, binary
-	// search from it on.
-	for _, n := range []int{1, 2, 3, 7, 64, 257, 1024, sampleBitsetCap - 1, sampleBitsetCap, 20000} {
+	// Every dedup path: the stack bitset below sampleBitsetCap, from it on
+	// the carved bitset for dense samples and bisection for sparse ones.
+	for _, n := range []int{1, 2, 3, 7, 64, 257, 1024, sampleBitsetCap - 1, sampleBitsetCap, 20000, 1 << 16} {
 		for _, k := range []int{0, 1, 2, n / 3, n / 2, n - 1, n} {
 			if k < 0 || k > n {
 				continue

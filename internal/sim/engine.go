@@ -14,7 +14,8 @@ import (
 // Engine is a reusable simulation engine. Reset prepares it for a trial
 // (reusing the station table, the transmit buffers and the channel from the
 // previous trial) and Step/RunTo/Run advance it, so a trial on a warm engine
-// costs only the per-station schedule closures the algorithm itself builds.
+// costs only the per-station schedule closures the algorithm itself builds,
+// and nothing for a model.Batched algorithm, whose cohort is reused too.
 //
 // The zero value is not usable; construct with NewEngine. An engine is not
 // safe for concurrent use — pool one per worker (internal/sweep does).
@@ -29,6 +30,8 @@ type Engine struct {
 	useAdaptive  bool
 	sparseAlgo   model.Sparse
 	useSparse    bool
+	cohort       model.Cohort // a Batched algorithm's stations, reused across trials
+	useCohort    bool
 	p            model.Params
 	opt          Options
 
@@ -98,6 +101,13 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	// closed form and a channel on which a silent slot is pure bookkeeping.
 	e.sparseAlgo, _ = algo.(model.Sparse)
 	e.useSparse = !e.useAdaptive && e.sparseAlgo != nil && e.ch.SkipsSilence()
+	// A dense oblivious run of a Batched algorithm asks its cohort for each
+	// slot's transmitters instead of every station's closure.
+	batched, ok := algo.(model.Batched)
+	e.useCohort = ok && !e.useAdaptive && !e.useSparse
+	if e.useCohort {
+		e.cohort = batched.Cohort(p, e.cohort)
+	}
 
 	// Rebuild the station table in wake order (ties by ID) inside the reused
 	// backing array, from the pattern's sorted activation keys.
@@ -213,6 +223,8 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 			return false
 		}
 		e.collectAttempts(t)
+	} else if e.useCohort {
+		e.transmitters = e.cohort.Transmitters(t, e.transmitters)
 	} else {
 		for _, st := range e.active {
 			var tx bool
@@ -272,9 +284,10 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 // activate wakes station st at slot t, reseeding its stream and building
 // its schedule, and appends it to the active stations.
 func (e *Engine) activate(st *station, t int64) {
-	src := &st.src
-	src.Reseed(rng.Derive(e.opt.Seed, uint64(st.id)))
+	src := e.stream(st)
 	switch {
+	case e.useCohort:
+		e.cohort.Join(st.id, st.wake, src)
 	case e.useAdaptive:
 		st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, st.id, st.wake, src)
 	case e.useSparse:
@@ -289,6 +302,13 @@ func (e *Engine) activate(st *station, t int64) {
 	e.active = append(e.active, st)
 }
 
+// stream reseeds st's stream from the run seed and its ID, in place, and
+// returns it.
+func (e *Engine) stream(st *station) *rng.Source {
+	st.src.Reseed(rng.Derive(e.opt.Seed, uint64(st.id)))
+	return &st.src
+}
+
 // inject wakes station id at slot t, whose transmitters are collected, as a
 // replay of the final pattern would. A replay activates stations by wake
 // slot, then ID, so the station moves ahead of those woken at t with a
@@ -300,26 +320,32 @@ func (e *Engine) inject(id int, t int64) {
 	}
 	e.stations = append(e.stations, station{id: id, wake: t})
 	st := &e.stations[len(e.stations)-1]
-	e.activate(st, t)
-	last := len(e.active) - 1
-	switch {
-	case e.useAdaptive:
-		st.sent = st.adaptive.WillTransmit(t)
-	case e.useSparse:
-		st.sent = e.at[last] == t
-		e.at[last] = e.nexts[last](t + 1)
-		e.minAt = slices.Min(e.at)
-	default:
-		st.sent = st.transmit(t)
+	last := len(e.active)
+	i := last
+	for i > 0 && e.active[i-1].wake == t && e.active[i-1].id > id {
+		i--
+	}
+	if e.useCohort {
+		// The cohort takes the station where the replay puts it.
+		st.sent = e.cohort.JoinAt(i, id, t, e.stream(st))
+		e.active = append(e.active, st)
+	} else {
+		e.activate(st, t)
+		switch {
+		case e.useAdaptive:
+			st.sent = st.adaptive.WillTransmit(t)
+		case e.useSparse:
+			st.sent = e.at[last] == t
+			e.at[last] = e.nexts[last](t + 1)
+			e.minAt = slices.Min(e.at)
+		default:
+			st.sent = st.transmit(t)
+		}
 	}
 	if !st.sent {
 		panic(fmt.Sprintf("sim: injected station %d does not transmit at its wake slot %d", id, t))
 	}
 
-	i := last
-	for i > 0 && e.active[i-1].wake == t && e.active[i-1].id > id {
-		i--
-	}
 	j := len(e.transmitters)
 	for j > 0 && slices.ContainsFunc(e.active[i:last], func(a *station) bool { return a.id == e.transmitters[j-1] }) {
 		j--

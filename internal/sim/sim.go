@@ -11,8 +11,11 @@
 // recorded and the channel is inert or a model.KernelPerturber: the engine
 // then keeps each awake station's next attempt and jumps over the silent
 // slots between attempts, wakes and the horizon, accounting them (slots,
-// silences, listens) in closed form. Both paths produce the same results
-// and channel counters.
+// silences, listens) in closed form. A dense run that is not adaptive, of
+// an algorithm that implements model.Batched, asks the algorithm's cohort
+// for each slot's transmitters in one call instead of calling every awake
+// station's TransmitFunc. All paths produce the same results and channel
+// counters.
 //
 // Engine.RunHooked calls a SuccessHook at every slot the channel rules a
 // success: RunAll's hook runs on past it, and the white-box spoiler
