@@ -131,6 +131,10 @@ func (c *rpdCohort) Transmitters(_ int64, dst []int) []int {
 	return dst
 }
 
+// Next implements model.Cohort: Transmitters tosses the coins of one slot
+// per call, so the cohort must be asked about every slot.
+func (c *rpdCohort) Next(from int64) int64 { return from }
+
 // FirstWaker implements model.WakeProber: round σ = 0 is the e = 1 coin,
 // keyed by the personal seed Build draws first from the station's stream.
 func (a *RPD) FirstWaker(p model.Params, wake int64, seed uint64, taken []bool) int {

@@ -28,9 +28,11 @@ const Never int64 = math.MaxInt64
 type NextFunc func(from int64) int64
 
 // Sparse is the optional Algorithm extension of schedules that can name
-// their next transmission directly. The engine uses it to jump over slots
-// in which nobody transmits instead of asking every awake station about
-// every slot. BuildNext(p, id, wake, src) must satisfy, for every from ≥ 0:
+// their next transmission directly. The engine steps such an algorithm
+// through a Cohort that keeps every joined station's next attempt, so that
+// it can jump over slots in which nobody transmits instead of asking every
+// awake station about every slot. BuildNext(p, id, wake, src) must satisfy,
+// for every from ≥ 0:
 //
 //   - NextFunc(from) is the first t ≥ from at which Build(p, id, wake,
 //     src')(t) returns true, or Never when there is none, where src' is a
@@ -64,8 +66,9 @@ type WakeProber interface {
 
 // Batched is the optional Algorithm extension of schedules whose stations
 // the engine can evaluate together, one call per slot for a whole run,
-// instead of one TransmitFunc call per (station, slot). The engine uses it
-// on its dense path when the run is neither adaptive nor sparse.
+// instead of one TransmitFunc call per (station, slot). The engine steps
+// every oblivious run of such an algorithm through its cohort, unless the
+// algorithm is also Sparse.
 //
 // Cohort(p, prev) returns an empty cohort for params p; it may reuse prev,
 // a cohort an earlier call returned (nil at first), so that a warm engine
@@ -78,14 +81,21 @@ type Batched interface {
 	Cohort(p Params, prev Cohort) Cohort
 }
 
-// Cohort is one run's stations of a Batched algorithm, in join order. The
-// engine drives it slot by slot: at every slot t from the first wake on,
-// it joins the stations that wake at t, then asks Transmitters(t) once, so
-// a cohort may advance its stations by one slot per call instead of
-// computing each slot from scratch.
+// Cohort is one run's oblivious stations, in join order; it is the only
+// way the engine asks an oblivious run who transmits. A Batched algorithm
+// supplies its own, and the engine wraps every other algorithm's BuildNext
+// or Build in one. The engine drives a cohort forward in time: at every
+// slot t from the first wake on, it joins the stations that wake at t, then
+// either asks Transmitters(t) once or skips t. It skips slots t to u-1 only
+// when Next(t) ≥ u and the channel lets silent slots be accounted without
+// resolving them; it never skips a wake. So Transmitters is asked about
+// increasing slots, each slot at most once, and about every slot when Next
+// always returns its argument. A cohort that advances its stations by one
+// slot per call, instead of computing each slot from scratch, must
+// therefore have Next return its argument.
 type Cohort interface {
-	// Join appends station id, woken at slot wake (the next slot asked
-	// about), to the join order.
+	// Join appends station id, woken at slot wake, to the join order. No
+	// slot before wake is asked about after the join.
 	Join(id int, wake int64, src *rng.Source)
 	// Transmitters appends to dst the IDs of the stations that transmit in
 	// slot t, in join order, and returns it.
@@ -94,4 +104,7 @@ type Cohort interface {
 	// the slot Transmitters was last asked about, and reports whether it
 	// transmits in that slot. The spoiler injects stations through it.
 	JoinAt(i, id int, wake int64, src *rng.Source) bool
+	// Next returns a slot u ≥ from such that no joined station transmits
+	// in any slot from from to u-1. Returning from is always correct.
+	Next(from int64) int64
 }

@@ -12,10 +12,15 @@ import (
 )
 
 // Engine is a reusable simulation engine. Reset prepares it for a trial
-// (reusing the station table, the transmit buffers and the channel from the
-// previous trial) and Step/RunTo/Run advance it, so a trial on a warm engine
-// costs only the per-station schedule closures the algorithm itself builds,
-// and nothing for a model.Batched algorithm, whose cohort is reused too.
+// (reusing the station table, the transmit buffers, the cohort and the
+// channel from the previous trial) and Step/RunTo/Run advance it, so a trial
+// on a warm engine costs only the per-station schedule closures the
+// algorithm itself builds, and nothing for a model.Batched algorithm.
+//
+// An oblivious run steps one model.Cohort: the algorithm's closed-form next
+// attempts (model.Sparse), its own cohort (model.Batched) or its Build
+// closures, preferred in that order. An adaptive run steps its stations one
+// by one and delivers each its feedback.
 //
 // The zero value is not usable; construct with NewEngine. An engine is not
 // safe for concurrent use — pool one per worker (internal/sweep does).
@@ -25,13 +30,12 @@ import (
 type Engine struct {
 	ch *channel.Channel
 
-	algo         model.Algorithm
 	adaptiveAlgo model.Adaptive
 	useAdaptive  bool
-	sparseAlgo   model.Sparse
-	useSparse    bool
-	cohort       model.Cohort // a Batched algorithm's stations, reused across trials
-	useCohort    bool
+	cohort       model.Cohort // an oblivious run's stations; nil on an adaptive run
+	batched      model.Cohort // the last cohort a Batched algorithm returned, reused
+	attempts     nextCohort
+	closures     buildCohort
 	p            model.Params
 	opt          Options
 
@@ -39,12 +43,7 @@ type Engine struct {
 	stations     []station       // wake-ordered pattern stations, then injected ones
 	active       []*station      // activated stations, pointers into the table
 	transmitters []int           // per-slot transmit buffer (IDs)
-
-	// Sparse stepping: active[i]'s next-attempt function and slot, reused
-	// across trials, and the earliest of those slots.
-	nexts []model.NextFunc
-	at    []int64
-	minAt int64
+	room         int             // the pattern's stations plus RunHooked's spare: the most the table may hold
 
 	s      int64 // first wake slot
 	t      int64 // next slot to execute
@@ -91,23 +90,12 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 		return err
 	}
 
-	e.algo, e.p, e.opt = algo, p, opt
+	e.p, e.opt = p, opt
 	e.adaptiveAlgo, _ = algo.(model.Adaptive)
 	e.useAdaptive = opt.Adaptive && e.adaptiveAlgo != nil
 	// The channel's perturbation stream derives from the run seed on its own
 	// stream index, independent of the per-station streams.
 	e.ch.Reset(opt.ChannelModel(), opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
-	// Jumping over silent slots needs every station's next attempt in
-	// closed form and a channel on which a silent slot is pure bookkeeping.
-	e.sparseAlgo, _ = algo.(model.Sparse)
-	e.useSparse = !e.useAdaptive && e.sparseAlgo != nil && e.ch.SkipsSilence()
-	// A dense oblivious run of a Batched algorithm asks its cohort for each
-	// slot's transmitters instead of every station's closure.
-	batched, ok := algo.(model.Batched)
-	e.useCohort = ok && !e.useAdaptive && !e.useSparse
-	if e.useCohort {
-		e.cohort = batched.Cohort(p, e.cohort)
-	}
 
 	// Rebuild the station table in wake order (ties by ID) inside the reused
 	// backing array, from the pattern's sorted activation keys.
@@ -117,14 +105,25 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	for i, key := range e.order {
 		e.stations[i] = station{id: key.ID, wake: key.Wake}
 	}
+	e.room = k
+
+	e.cohort = nil
+	if !e.useAdaptive {
+		switch a := algo.(type) {
+		case model.Sparse:
+			e.attempts.reset(a, p, k)
+			e.cohort = &e.attempts
+		case model.Batched:
+			e.batched = a.Cohort(p, e.batched)
+			e.cohort = e.batched
+		default:
+			e.closures.reset(algo, p, k)
+			e.cohort = &e.closures
+		}
+	}
 
 	e.active = slices.Grow(e.active[:0], k)
 	e.transmitters = slices.Grow(e.transmitters[:0], k)
-	e.nexts, e.at = e.nexts[:0], e.at[:0]
-	if e.useSparse {
-		e.nexts, e.at = slices.Grow(e.nexts, k), slices.Grow(e.at, k)
-	}
-	e.minAt = model.Never
 
 	e.s = e.stations[0].wake
 	e.t = e.s
@@ -184,16 +183,18 @@ type SuccessHook func(slot int64, winner int) (inject int, more bool)
 func (e *Engine) RunHooked(spare int, hook SuccessHook) model.Result {
 	if e.next == 0 {
 		e.stations = slices.Grow(e.stations, spare)
+		e.room = len(e.stations) + spare
 	}
 	for !e.step(math.MaxInt64, hook) {
 	}
 	return e.result
 }
 
-// step executes the next slot; it returns true once the trial has ended. A
-// sparse engine whose stations all stay silent in that slot instead skips
-// the whole silent run it starts, up to the next attempt, the next wake,
-// the horizon or limit, whichever comes first (limit > e.t).
+// step executes the next slot; it returns true once the trial has ended. If
+// the channel lets silent slots be skipped and the cohort names no attempt
+// in that slot, it instead skips the whole silent run the slot starts, up
+// to the cohort's next attempt, the next wake, the horizon or limit,
+// whichever comes first (limit > e.t).
 func (e *Engine) step(limit int64, hook SuccessHook) bool {
 	if e.done {
 		return true
@@ -208,36 +209,28 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 
 	// Activate stations whose wake time has arrived.
 	for e.next < len(e.order) && e.stations[e.next].wake <= t {
-		e.activate(&e.stations[e.next], t)
+		e.activate(&e.stations[e.next])
 		e.next++
 	}
 
 	e.transmitters = e.transmitters[:0]
-	if e.useSparse {
-		if e.minAt > t {
-			stop := min(e.minAt, end, limit)
+	if e.useAdaptive {
+		for _, st := range e.active {
+			st.sent = st.adaptive.WillTransmit(t)
+			if st.sent {
+				e.transmitters = append(e.transmitters, st.id)
+			}
+		}
+	} else {
+		if next := e.cohort.Next(t); next > t && e.ch.SkipsSilence() {
+			stop := min(next, end, limit)
 			if e.next < len(e.order) {
 				stop = min(stop, e.stations[e.next].wake)
 			}
 			e.skipSilent(stop - t)
 			return false
 		}
-		e.collectAttempts(t)
-	} else if e.useCohort {
 		e.transmitters = e.cohort.Transmitters(t, e.transmitters)
-	} else {
-		for _, st := range e.active {
-			var tx bool
-			if e.useAdaptive {
-				tx = st.adaptive.WillTransmit(t)
-			} else {
-				tx = st.transmit(t)
-			}
-			st.sent = tx
-			if tx {
-				e.transmitters = append(e.transmitters, st.id)
-			}
-		}
 	}
 
 	truth, winner := e.ch.Resolve(t, e.transmitters)
@@ -281,23 +274,14 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 	return false
 }
 
-// activate wakes station st at slot t, reseeding its stream and building
-// its schedule, and appends it to the active stations.
-func (e *Engine) activate(st *station, t int64) {
+// activate wakes station st, reseeding its stream and building its
+// schedule, and appends it to the active stations.
+func (e *Engine) activate(st *station) {
 	src := e.stream(st)
-	switch {
-	case e.useCohort:
-		e.cohort.Join(st.id, st.wake, src)
-	case e.useAdaptive:
+	if e.useAdaptive {
 		st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, st.id, st.wake, src)
-	case e.useSparse:
-		next := e.sparseAlgo.BuildNext(e.p, st.id, st.wake, src)
-		at := next(t)
-		e.nexts = append(e.nexts, next)
-		e.at = append(e.at, at)
-		e.minAt = min(e.minAt, at)
-	default:
-		st.transmit = e.algo.Build(e.p, st.id, st.wake, src)
+	} else {
+		e.cohort.Join(st.id, st.wake, src)
 	}
 	e.active = append(e.active, st)
 }
@@ -314,64 +298,35 @@ func (e *Engine) stream(st *station) *rng.Source {
 // slot, then ID, so the station moves ahead of those woken at t with a
 // larger ID, and so does its ID among the slot's transmitters.
 func (e *Engine) inject(id int, t int64) {
-	if id < 1 || id > e.p.N || len(e.stations) == cap(e.stations) ||
+	if id < 1 || id > e.p.N || len(e.stations) >= e.room ||
 		slices.ContainsFunc(e.stations, func(st station) bool { return st.id == id }) {
 		panic(fmt.Sprintf("sim: cannot inject station %d: out of range, already in the run or past the room RunHooked reserved", id))
 	}
 	e.stations = append(e.stations, station{id: id, wake: t})
 	st := &e.stations[len(e.stations)-1]
-	last := len(e.active)
-	i := last
+	i := len(e.active)
 	for i > 0 && e.active[i-1].wake == t && e.active[i-1].id > id {
 		i--
 	}
-	if e.useCohort {
-		// The cohort takes the station where the replay puts it.
-		st.sent = e.cohort.JoinAt(i, id, t, e.stream(st))
-		e.active = append(e.active, st)
+	src := e.stream(st)
+	if e.useAdaptive {
+		st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, id, t, src)
+		st.sent = st.adaptive.WillTransmit(t)
 	} else {
-		e.activate(st, t)
-		switch {
-		case e.useAdaptive:
-			st.sent = st.adaptive.WillTransmit(t)
-		case e.useSparse:
-			st.sent = e.at[last] == t
-			e.at[last] = e.nexts[last](t + 1)
-			e.minAt = slices.Min(e.at)
-		default:
-			st.sent = st.transmit(t)
-		}
+		// The cohort takes the station where the replay puts it.
+		st.sent = e.cohort.JoinAt(i, id, t, src)
 	}
 	if !st.sent {
 		panic(fmt.Sprintf("sim: injected station %d does not transmit at its wake slot %d", id, t))
 	}
 
 	j := len(e.transmitters)
-	for j > 0 && slices.ContainsFunc(e.active[i:last], func(a *station) bool { return a.id == e.transmitters[j-1] }) {
+	for j > 0 && slices.ContainsFunc(e.active[i:], func(a *station) bool { return a.id == e.transmitters[j-1] }) {
 		j--
 	}
 	e.transmitters = slices.Insert(e.transmitters, j, id)
-	e.active = slices.Insert(e.active[:last], i, st)
-	if e.useSparse {
-		e.nexts = slices.Insert(e.nexts[:last], i, e.nexts[last])
-		e.at = slices.Insert(e.at[:last], i, e.at[last])
-	}
+	e.active = slices.Insert(e.active, i, st)
 	e.ch.Spoil(t, e.transmitters)
-}
-
-// collectAttempts gathers the stations whose next attempt is slot t into
-// the transmit buffer and moves each to its following attempt, keeping
-// minAt the earliest.
-func (e *Engine) collectAttempts(t int64) {
-	e.minAt = model.Never
-	for i, at := range e.at {
-		if at == t {
-			e.transmitters = append(e.transmitters, e.active[i].id)
-			at = e.nexts[i](t + 1)
-			e.at[i] = at
-		}
-		e.minAt = min(e.minAt, at)
-	}
 }
 
 // skipSilent accounts the next gap slots, in which no active station

@@ -1,9 +1,10 @@
 package sim
 
 // SteppingSparse reports whether the engine's current trial jumps over
-// silent slots.
-func (e *Engine) SteppingSparse() bool { return e.useSparse }
+// silent slots: its cohort names next attempts and its channel lets silence
+// be skipped.
+func (e *Engine) SteppingSparse() bool { return e.cohort == &e.attempts && e.ch.SkipsSilence() }
 
-// SteppingBatched reports whether the engine's current trial asks a cohort
-// for each slot's transmitters.
-func (e *Engine) SteppingBatched() bool { return e.useCohort }
+// SteppingBatched reports whether the engine's current trial asks a
+// Batched algorithm's own cohort for each slot's transmitters.
+func (e *Engine) SteppingBatched() bool { return e.cohort != nil && e.cohort == e.batched }

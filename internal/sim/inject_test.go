@@ -58,10 +58,10 @@ func injectAt(ids ...int) sim.SuccessHook {
 
 // TestInjectionMatchesReplay: a hooked run that injects stations equals a
 // plain run of the final pattern — Result, channel counters and transcript —
-// on the dense, sparse and adaptive paths. Station 5 wins slot 0 and the
-// hook injects station 2, whose smaller ID puts it first in the slot's
-// transmitters, as in the replay; station 2 then wins slot 2, where station
-// 3 is injected, and wins again at slot 4.
+// on the next-attempt and closure cohorts and on the adaptive path. Station
+// 5 wins slot 0 and the hook injects station 2, whose smaller ID puts it
+// first in the slot's transmitters, as in the replay; station 2 then wins
+// slot 2, where station 3 is injected, and wins again at slot 4.
 func TestInjectionMatchesReplay(t *testing.T) {
 	p := model.Params{N: 8, S: -1}
 	want := model.WakePattern{IDs: []int{5, 2, 3}, Wakes: []int64{0, 0, 2}}
@@ -71,23 +71,25 @@ func TestInjectionMatchesReplay(t *testing.T) {
 		{Horizon: 50, Adaptive: true, RecordTrace: true},
 		{Horizon: 50, Channel: model.Noisy(0.2), Seed: 3, RecordTrace: true},
 	} {
-		replay, rch, err := sim.Run(periodic{}, p, want, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := sim.NewEngine()
-		if err := e.Reset(periodic{}, p, model.WakePattern{IDs: []int{5}, Wakes: []int64{0}}, opt); err != nil {
-			t.Fatal(err)
-		}
-		got := e.RunHooked(2, injectAt(2, 3))
-		if got != replay {
-			t.Errorf("%+v: hooked %#v, replay %#v", opt, got, replay)
-		}
-		if a, b := channelCounters(e.Channel()), channelCounters(rch); a != b {
-			t.Errorf("%+v: hooked channel counted %v, replay %v", opt, a, b)
-		}
-		if !reflect.DeepEqual(e.Channel().Trace(), rch.Trace()) {
-			t.Errorf("%+v: hooked transcript %v, replay %v", opt, e.Channel().Trace(), rch.Trace())
+		for _, algo := range []model.Algorithm{periodic{}, denseOnly{periodic{}}} {
+			replay, rch, err := sim.Run(algo, p, want, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := sim.NewEngine()
+			if err := e.Reset(algo, p, model.WakePattern{IDs: []int{5}, Wakes: []int64{0}}, opt); err != nil {
+				t.Fatal(err)
+			}
+			got := e.RunHooked(2, injectAt(2, 3))
+			if got != replay {
+				t.Errorf("%T %+v: hooked %#v, replay %#v", algo, opt, got, replay)
+			}
+			if a, b := channelCounters(e.Channel()), channelCounters(rch); a != b {
+				t.Errorf("%T %+v: hooked channel counted %v, replay %v", algo, opt, a, b)
+			}
+			if !reflect.DeepEqual(e.Channel().Trace(), rch.Trace()) {
+				t.Errorf("%T %+v: hooked transcript %v, replay %v", algo, opt, e.Channel().Trace(), rch.Trace())
+			}
 		}
 	}
 	_, rch, _ := sim.Run(periodic{}, p, want, sim.Options{Horizon: 50, RecordTrace: true})
@@ -98,22 +100,25 @@ func TestInjectionMatchesReplay(t *testing.T) {
 
 // TestInjectionRejectsBadStations: the engine refuses an injection that
 // would corrupt the run — a station already in it, out of range, silent at
-// its wake slot, or past the room RunHooked reserved.
+// its wake slot, or past the room RunHooked reserved, also on a warm engine
+// whose station table kept the capacity of a larger earlier trial.
 func TestInjectionRejectsBadStations(t *testing.T) {
 	p := model.Params{N: 8, S: -1}
 	w := model.WakePattern{IDs: []int{5, 6}, Wakes: []int64{0, 40}}
 	for _, c := range []struct {
 		name  string
 		algo  model.Algorithm
+		warm  bool
 		spare int
 		ids   []int
 		want  string
 	}{
-		{"duplicate", periodic{}, 1, []int{5}, "cannot inject station 5"},
-		{"pending duplicate", periodic{}, 1, []int{6}, "cannot inject station 6"},
-		{"out of range", periodic{}, 1, []int{9}, "cannot inject station 9"},
-		{"no room", periodic{}, 0, []int{2}, "cannot inject station 2"},
-		{"silent", ownSlot{}, 1, []int{2}, "does not transmit"},
+		{"duplicate", periodic{}, false, 1, []int{5}, "cannot inject station 5"},
+		{"pending duplicate", periodic{}, false, 1, []int{6}, "cannot inject station 6"},
+		{"out of range", periodic{}, false, 1, []int{9}, "cannot inject station 9"},
+		{"no room", periodic{}, false, 0, []int{2}, "cannot inject station 2"},
+		{"no room, warm engine", periodic{}, true, 0, []int{2}, "cannot inject station 2"},
+		{"silent", ownSlot{}, false, 1, []int{2}, "does not transmit"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
@@ -122,6 +127,12 @@ func TestInjectionRejectsBadStations(t *testing.T) {
 				}
 			}()
 			e := sim.NewEngine()
+			if c.warm {
+				big := model.WakePattern{IDs: []int{1, 3, 5, 7}, Wakes: []int64{0, 0, 0, 0}}
+				if err := e.Reset(c.algo, p, big, sim.Options{Horizon: 50}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if err := e.Reset(c.algo, p, w, sim.Options{Horizon: 50}); err != nil {
 				t.Fatal(err)
 			}

@@ -5,17 +5,18 @@
 //
 // The engine touches only awake stations, so a slot costs O(active) work
 // regardless of n, and every run is reproducible from (algorithm, params,
-// pattern, seed). A dense engine evaluates every awake station's schedule
-// in every slot. Reset picks sparse stepping instead when the run is not
-// adaptive, the algorithm implements model.Sparse, no transcript is
-// recorded and the channel is inert or a model.KernelPerturber: the engine
-// then keeps each awake station's next attempt and jumps over the silent
-// slots between attempts, wakes and the horizon, accounting them (slots,
-// silences, listens) in closed form. A dense run that is not adaptive, of
-// an algorithm that implements model.Batched, asks the algorithm's cohort
-// for each slot's transmitters in one call instead of calling every awake
-// station's TransmitFunc. All paths produce the same results and channel
-// counters.
+// pattern, seed). An adaptive run asks every awake station about every slot
+// and delivers each the slot's feedback. Every other run steps one
+// model.Cohort, which answers for all the joined stations at once: an
+// adapter over the next attempts of a model.Sparse algorithm, the
+// algorithm's own cohort if it implements model.Batched, or else an adapter
+// over Build's closures. When the cohort names a next attempt past the
+// current slot and the channel lets silence be skipped (no transcript is
+// recorded, and the channel is inert or a model.KernelPerturber), the
+// engine jumps over the silent slots up to that attempt, the next wake or
+// the horizon, accounting them (slots, silences, listens) in closed form.
+// Every cohort produces the same results and channel counters as Build's
+// closures stepped slot by slot.
 //
 // Engine.RunHooked calls a SuccessHook at every slot the channel rules a
 // success: RunAll's hook runs on past it, and the white-box spoiler
@@ -78,7 +79,6 @@ type station struct {
 	id       int
 	wake     int64
 	src      rng.Source // the station's stream, reseeded in place at activation
-	transmit model.TransmitFunc
 	adaptive model.AdaptiveStation
 	sent     bool // did the station transmit in the current slot (per-slot scratch)
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"nsmac/internal/adversary"
 	"nsmac/internal/kernel"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
@@ -11,11 +12,85 @@ import (
 	"nsmac/internal/sweep"
 )
 
-// TestLateWakerLeavesResultUnchanged checks a metamorphic relation of the
-// model on every registered case and built-in channel family: with Params
-// and horizon held fixed (at K = k+1), adding a station with an unused ID
-// that wakes after the first success leaves the Result unchanged — on the
-// engine and, for the cells it serves, on kernel.Run.
+// lateWaker is one run of the late-waker relation: registered case name on
+// channel ch, with k of n stations woken by gen from the run seed.
+type lateWaker struct {
+	name string
+	ch   string
+	gen  adversary.Generator
+	n, k int
+	seed uint64
+	high bool // the late station takes the largest unused ID, not the smallest
+}
+
+// check fails unless the late-waker relation holds for r: with Params and
+// horizon held fixed (at K = k+1), adding a station with an unused ID that
+// wakes in the slot after the first success leaves the Result unchanged —
+// on the engine and, for the cells it serves, on kernel.Run. It reports
+// whether the relation applied (the case takes k+1 stations and the run
+// succeeded) and whether kernel.Run was checked too.
+func (r lateWaker) check(t testing.TB, eng *sim.Engine) (checked, closedForm bool) {
+	t.Helper()
+	c, err := sweep.ResolveCase(r.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := sweep.ResolveChannel(r.ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, k := r.n, r.k
+	if c.MaxK > 0 && k+1 > c.MaxK {
+		return false, false
+	}
+	algo := c.Algo(n, k+1)
+	opt := sim.Options{Horizon: c.Horizon(n, k+1), Channel: ch, Adaptive: c.Adaptive, Seed: r.seed}
+	p := c.Params(n, k+1, opt.Seed)
+	w := r.gen.Generate(n, k, sweep.PatternSeed(opt.Seed))
+	if err := eng.Reset(algo, p, w, opt); err != nil {
+		t.Fatalf("%s × %s × %s: %v", r.name, r.ch, r.gen.Name, err)
+	}
+	want := eng.Run()
+	if !want.Succeeded {
+		return false, false
+	}
+	id, step := 1, 1
+	if r.high {
+		id, step = n, -1
+	}
+	for slices.Contains(w.IDs, id) {
+		id += step
+	}
+	late := model.WakePattern{
+		IDs:   append(slices.Clone(w.IDs), id),
+		Wakes: append(slices.Clone(w.Wakes), want.SuccessSlot+1),
+	}
+	if err := eng.Reset(algo, p, late, opt); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Run(); got != want {
+		t.Fatalf("%s × %s × %s n=%d k=%d seed=%#x: station %d waking at %d changed the engine's Result\n%#v\n%#v",
+			r.name, r.ch, r.gen.Name, n, k, r.seed, id, want.SuccessSlot+1, got, want)
+	}
+	if !kernel.Eligible(algo, opt) {
+		return true, false
+	}
+	for _, pat := range []model.WakePattern{w, late} {
+		if got, err := kernel.Run(algo, p, pat, opt); err != nil || got != want {
+			t.Fatalf("%s × %s × %s n=%d k=%d seed=%#x: kernel.Run %#v, %v; engine %#v",
+				r.name, r.ch, r.gen.Name, n, k, r.seed, got, err, want)
+		}
+	}
+	return true, true
+}
+
+// relationChannels are the built-in channel families the relations are
+// checked on.
+var relationChannels = []string{"none", "cd", "sender_cd", "ack", "noisy:0.1", "jam:2"}
+
+// TestLateWakerLeavesResultUnchanged checks the late-waker relation of the
+// model (see lateWaker.check) on every registered case and built-in channel
+// family.
 func TestLateWakerLeavesResultUnchanged(t *testing.T) {
 	gens, err := sweep.ParsePatterns("simultaneous,staggered:3,uniform:16,bursts:4")
 	if err != nil {
@@ -28,62 +103,23 @@ func TestLateWakerLeavesResultUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, chName := range []string{"none", "cd", "sender_cd", "ack", "noisy:0.1", "jam:2"} {
-			ch, err := sweep.ResolveChannel(chName)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, ch := range relationChannels {
 			for _, nk := range [][2]int{{8, 1}, {16, 4}, {64, 7}} {
-				n, k := nk[0], nk[1]
-				if c.MaxK > 0 && k+1 > c.MaxK {
+				if c.MaxK > 0 && nk[1]+1 > c.MaxK {
 					continue
 				}
-				algo := c.Algo(n, k+1)
-				opt := sim.Options{Horizon: c.Horizon(n, k+1), Channel: ch, Adaptive: c.Adaptive}
 				for _, gen := range gens {
 					for trial := 0; trial < 2; trial++ {
-						opt.Seed = rng.Derive(0x1a7e, uint64(runs))
+						r := lateWaker{name: name, ch: ch, gen: gen, n: nk[0], k: nk[1],
+							seed: rng.Derive(0x1a7e, uint64(runs)), high: trial == 1}
 						runs++
-						p := c.Params(n, k+1, opt.Seed)
-						w := gen.Generate(n, k, sweep.PatternSeed(opt.Seed))
-						if err := eng.Reset(algo, p, w, opt); err != nil {
-							t.Fatalf("%s × %s × %s: %v", name, chName, gen.Name, err)
+						checked, closed := r.check(t, eng)
+						if checked {
+							checks++
 						}
-						want := eng.Run()
-						if !want.Succeeded {
-							continue
+						if closed {
+							closedForm++
 						}
-						// The smallest or the largest unused ID, woken in the
-						// slot right after the success.
-						id := 1
-						if trial == 1 {
-							id = n
-						}
-						for slices.Contains(w.IDs, id) {
-							id += 1 - 2*trial
-						}
-						late := model.WakePattern{
-							IDs:   append(slices.Clone(w.IDs), id),
-							Wakes: append(slices.Clone(w.Wakes), want.SuccessSlot+1),
-						}
-						if err := eng.Reset(algo, p, late, opt); err != nil {
-							t.Fatal(err)
-						}
-						if got := eng.Run(); got != want {
-							t.Fatalf("%s × %s × %s n=%d k=%d: station %d waking at %d changed the engine's Result\n%#v\n%#v",
-								name, chName, gen.Name, n, k, id, want.SuccessSlot+1, got, want)
-						}
-						checks++
-						if !kernel.Eligible(algo, opt) {
-							continue
-						}
-						for _, pat := range []model.WakePattern{w, late} {
-							if got, err := kernel.Run(algo, p, pat, opt); err != nil || got != want {
-								t.Fatalf("%s × %s × %s n=%d k=%d: kernel.Run %#v, %v; engine %#v",
-									name, chName, gen.Name, n, k, got, err, want)
-							}
-						}
-						closedForm++
 					}
 				}
 			}
@@ -93,4 +129,31 @@ func TestLateWakerLeavesResultUnchanged(t *testing.T) {
 		t.Fatalf("%d engine checks, %d closed-form checks: the table has lost its rows", checks, closedForm)
 	}
 	t.Logf("%d engine checks, %d closed-form checks", checks, closedForm)
+}
+
+// FuzzLateWaker checks the late-waker relation at fuzzed cases, channels,
+// patterns, universe sizes, station counts and seeds.
+func FuzzLateWaker(f *testing.F) {
+	gens, err := sweep.ParsePatterns("simultaneous,staggered:1,staggered:3,uniform:16,uniform:200,bursts:4")
+	if err != nil {
+		f.Fatal(err)
+	}
+	names := sweep.CaseNames()
+	f.Add(uint8(0), uint8(0), uint8(0), uint16(8), uint8(1), uint64(1), false)
+	f.Add(uint8(3), uint8(4), uint8(2), uint16(64), uint8(7), uint64(2), true)
+	f.Add(uint8(8), uint8(1), uint8(5), uint16(100), uint8(20), uint64(3), false)
+	f.Add(uint8(9), uint8(5), uint8(4), uint16(2), uint8(0), uint64(4), true)
+	f.Fuzz(func(t *testing.T, caseSel, chSel, genSel uint8, rawN uint16, rawK uint8, seed uint64, high bool) {
+		n := int(rawN)%255 + 2
+		r := lateWaker{
+			name: names[int(caseSel)%len(names)],
+			ch:   relationChannels[int(chSel)%len(relationChannels)],
+			gen:  gens[int(genSel)%len(gens)],
+			n:    n,
+			k:    int(rawK)%min(n-1, 24) + 1,
+			seed: seed,
+			high: high,
+		}
+		r.check(t, sim.NewEngine())
+	})
 }
