@@ -205,7 +205,7 @@ func BenchmarkT9ConflictResolution(b *testing.B) {
 		seed := rng.Derive(0x99, uint64(i))
 		p := model.Params{N: n, K: k, S: -1, Seed: seed}
 		w := model.Simultaneous(rng.New(seed).Sample(n, k), 0)
-		all, err := sim.RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: seed})
+		all, err := sim.NewEngine().RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: seed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,8 +333,8 @@ func BenchmarkQuickTables(b *testing.B) {
 // against 39–41 ms/op on roster=perturbed. It was deleted anyway because no
 // committed benchmark workload has this shape: on the whole sweep_oblivious
 // grid the engine was faster. roster=adaptive is the feedback roster:
-// tree_cd × none runs in closed form (kernel.Run), since no collision
-// reaches a station, while tree_cd × cd and every kg cell run on the engine
+// tree_cd × none finishes in closed form in Engine.Run, since no collision
+// reaches a station, while tree_cd × cd and every kg cell are stepped
 // under either setting (kernel=off is the engine's per-slot adaptive
 // delivery loop). On the same host, kernel=on measured 2.1–2.4 ms/op against
 // 84–93 ms/op for kernel=off, about 38×, all of it from the tree_cd × none

@@ -102,7 +102,7 @@ func main() {
 		shardArg = flag.String("shard", "", "run only shard i of m of the grid, as \"i/m\", and emit a shard envelope (requires -spec or -algos)")
 		outFile  = flag.String("out", "", "write output to this file instead of stdout")
 		dumpSpec = flag.Bool("dump-spec", false, "emit the selected grid as a reusable spec document and exit (requires -spec or -algos)")
-		noKernel = flag.Bool("no-kernel", false, "run every cell on the slot-by-slot engine, including the ones otherwise computed in closed form (tree_cd on the channels that deliver a collision as silence: none, ack, noisy, jam); output is byte-identical either way — useful for differential checks and timing (requires -spec or -algos)")
+		noKernel = flag.Bool("no-kernel", false, "step every trial slot by slot, including the ones the engine otherwise finishes in closed form (tree_cd on the channels that deliver a collision as silence: none, ack, noisy, jam); output is byte-identical either way — useful for differential checks and timing (requires -spec or -algos)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {

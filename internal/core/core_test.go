@@ -361,7 +361,7 @@ func TestTreeCDEnumeratesAll(t *testing.T) {
 	p := model.Params{N: n, S: -1}
 	ids := rng.New(4).Sample(n, k)
 	w := model.Simultaneous(ids, 0)
-	all, err := sim.RunAll(a, p, w, sim.Options{
+	all, err := sim.NewEngine().RunAll(a, p, w, sim.Options{
 		Horizon: 4 * a.Horizon(n, k), Channel: model.CD(),
 	})
 	if err != nil {
@@ -415,7 +415,7 @@ func TestKGConflictResolutionAllSucceed(t *testing.T) {
 		p := model.Params{N: n, K: k, S: -1, Seed: 17}
 		ids := rng.New(uint64(100+k)).Sample(n, k)
 		w := model.Simultaneous(ids, 0)
-		all, err := sim.RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: 17})
+		all, err := sim.NewEngine().RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +438,7 @@ func TestKGStaggeredWakes(t *testing.T) {
 		wakes[i] = int64(i * 9)
 	}
 	w := model.WakePattern{IDs: ids, Wakes: wakes}
-	all, err := sim.RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: 23})
+	all, err := sim.NewEngine().RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}

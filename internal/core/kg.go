@@ -32,7 +32,7 @@ func (a *KGConflictResolution) Name() string { return "kg_conflict_resolution" }
 
 // Build implements model.Algorithm; KG is inherently feedback-driven.
 func (a *KGConflictResolution) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
-	panic("core: kg_conflict_resolution is adaptive; run it with sim.RunAll")
+	panic("core: kg_conflict_resolution is adaptive; run it with sim.Engine.RunAll")
 }
 
 // ladder builds the shared family ladder up to ⌈log k⌉ (or ⌈log n⌉ when k

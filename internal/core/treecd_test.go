@@ -131,7 +131,7 @@ func TestTreeStationSingletonCollisionsStayLogarithmic(t *testing.T) {
 }
 
 // TestPersistentTransmitsThroughSilence checks the model.Persistent promise
-// that kernel.Run rests on: for every algorithm declaring it, a station
+// that sim.ClosedForm rests on: for every algorithm declaring it, a station
 // built with BuildAdaptive and told silence after every slot transmits in
 // every slot of the horizon, from its wake on.
 func TestPersistentTransmitsThroughSilence(t *testing.T) {

@@ -51,14 +51,14 @@ func T9ConflictResolution(cfg Config) *Table {
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 		Batch:   cfg.Batch,
-		RunEngine: func(_ *sim.Engine, ci, trial int, _ uint64) sweep.Sample {
+		RunEngine: func(e *sim.Engine, ci, trial int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			seed := cfg.seed(uint64(c.n)<<16 | uint64(c.k))
 			a := core.NewKGConflictResolution()
 			p := model.Params{N: c.n, K: c.k, S: -1, Seed: seed}
 			ids := rng.New(rng.Derive(seed, uint64(trial))).Sample(c.n, c.k)
 			w := model.Simultaneous(ids, 0)
-			all, err := sim.RunAll(a, p, w, sim.Options{Horizon: a.Horizon(c.n, c.k), Seed: seed})
+			all, err := e.RunAll(a, p, w, sim.Options{Horizon: a.Horizon(c.n, c.k), Seed: seed})
 			if err != nil {
 				panic(err)
 			}
@@ -154,7 +154,7 @@ func T10TreeCD(cfg Config) *Table {
 				first = a.Horizon(n, k)
 			}
 
-			all, err := sim.RunAll(a, p, w, sim.Options{
+			all, err := e.RunAll(a, p, w, sim.Options{
 				Horizon: 4 * a.Horizon(n, k), Channel: model.CD(), Seed: seed,
 			})
 			if err != nil {

@@ -1,7 +1,6 @@
 package kernel_test
 
 import (
-	"errors"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -16,10 +15,9 @@ import (
 
 // rosterEntry pairs an algorithm constructor with its per-(n,k) knowledge —
 // a self-contained mirror of the sweep registry's scenarios, kept local so
-// the kernel package's tests do not depend on internal/sweep (which imports
-// this package). epoch marks the one entry the kernel runs: tree_cd, as an
-// adaptive run on a collision-silent channel. Every oblivious entry runs on
-// the engine, and kernel.Run must refuse it.
+// these tests do not depend on internal/sweep. epoch marks the one entry
+// sim.Engine.Run finishes in closed form: tree_cd, as an adaptive run on a
+// collision-silent channel. Every oblivious entry is stepped slot by slot.
 type rosterEntry struct {
 	name    string
 	algo    func(n, k int) model.Algorithm
@@ -117,63 +115,73 @@ func randomPattern(n, k int, spread int64, seed uint64) model.WakePattern {
 	return model.WakePattern{IDs: ids, Wakes: wakes}
 }
 
-// cutMatches requires kernel.Run, at the horizon that ends at global slot
-// u (capped at opt.Horizon), to return the Result the engine — Reset on the
-// same workload with opt — holds after RunTo(u).
-func cutMatches(t *testing.T, round int, eng *sim.Engine, algo model.Algorithm,
+// cutMatches requires a closed-form trial — Engine.Run on cf, Reset on the
+// workload with the horizon that ends at global slot u (capped at
+// opt.Horizon) — to leave cf's channel unstepped and to return the Result
+// ref, Reset on the same workload with opt, holds after RunTo(u).
+func cutMatches(t *testing.T, round int, ref, cf *sim.Engine, algo model.Algorithm,
 	p model.Params, w model.WakePattern, opt sim.Options, u int64) {
 	t.Helper()
-	eng.RunTo(u)
+	ref.RunTo(u)
 	cut := opt
 	cut.Horizon = min(u-w.FirstWake(), opt.Horizon)
-	got, err := kernel.Run(algo, p, w, cut)
-	if err != nil {
-		t.Fatalf("round %d: kernel.Run: %v", round, err)
+	if err := cf.Reset(algo, p, w, cut); err != nil {
+		t.Fatalf("round %d: closed-form reset: %v", round, err)
 	}
-	if want := eng.Result(); got != want {
-		t.Fatalf("round %d (n=%d k=%d seed=%#x) cut at slot %d:\nkernel %#v\nengine %#v",
+	got := cf.Run()
+	if slots := cf.Channel().Slots(); slots != 0 {
+		t.Fatalf("round %d: Run stepped the channel %d slots, want the closed form", round, slots)
+	}
+	if want := ref.Result(); got != want {
+		t.Fatalf("round %d (n=%d k=%d seed=%#x) cut at slot %d:\nclosed form %#v\nstepped     %#v",
 			round, p.N, w.K(), opt.Seed, u, got, want)
 	}
 }
 
-// refused requires kernel.Run to refuse a pairing with the ineligibility
-// error, and Eligible to agree.
-func refused(t *testing.T, algo model.Algorithm, p model.Params, w model.WakePattern, opt sim.Options) {
+// stepped requires the closed form to refuse a pairing — sim.ClosedForm
+// and kernel.Class agree — and Engine.Run on eng to step it: the channel
+// resolves every slot the Result counts.
+func stepped(t *testing.T, eng *sim.Engine, algo model.Algorithm, p model.Params, w model.WakePattern, opt sim.Options) {
 	t.Helper()
-	if _, err := kernel.Run(algo, p, w, opt); !errors.Is(err, kernel.ErrIneligible) || kernel.Eligible(algo, opt) {
-		t.Fatalf("kernel.Run(%s, %v, adaptive=%v) = %v, want the ineligibility error",
-			algo.Name(), opt.Channel, opt.Adaptive, err)
+	if _, ok := kernel.Class(algo, opt); ok || sim.ClosedForm(algo, opt) {
+		t.Fatalf("ClosedForm(%s, %v, adaptive=%v) admits it, want it stepped", algo.Name(), opt.Channel, opt.Adaptive)
+	}
+	if err := eng.Reset(algo, p, w, opt); err != nil {
+		t.Fatal(err)
+	}
+	if res := eng.Run(); eng.Channel().Slots() != res.Slots {
+		t.Fatalf("%s: Run stepped %d of %d slots", algo.Name(), eng.Channel().Slots(), res.Slots)
 	}
 }
 
-// differential runs one workload of a roster entry on both executors. An
-// oblivious pairing must be refused by kernel.Run with the ineligibility
-// error — sweeps keep those cells on the engine — and the epoch entry must
-// produce a model.Result identical in every field to the engine's.
-func differential(t *testing.T, round int, eng *sim.Engine, entry rosterEntry,
+// differential runs one workload of a roster entry. An oblivious pairing
+// must be stepped; the epoch entry's closed-form Result must equal, in
+// every field, the one a second engine reaches by stepping the trial.
+func differential(t *testing.T, round int, ref, cf *sim.Engine, entry rosterEntry,
 	p model.Params, w model.WakePattern, opt sim.Options) {
 	t.Helper()
 	opt.Adaptive = entry.epoch
 	algo := entry.algo(p.N, w.K())
 	if !entry.epoch {
-		refused(t, algo, p, w, opt)
+		stepped(t, ref, algo, p, w, opt)
 		return
 	}
-	if err := eng.Reset(algo, p, w, opt); err != nil {
+	if err := ref.Reset(algo, p, w, opt); err != nil {
 		t.Fatalf("round %d: engine reset: %v", round, err)
 	}
-	cutMatches(t, round, eng, algo, p, w, opt, math.MaxInt64)
+	cutMatches(t, round, ref, cf, algo, p, w, opt, math.MaxInt64)
 }
 
 // TestKernelMatchesEngine is the core differential over the whole roster on
-// the default channel: random workloads of the epoch entry must produce a
-// model.Result identical in every field to the engine's, with the engine
-// warm across trials, and kernel.Run must refuse every oblivious entry.
+// the default channel: random workloads of the epoch entry must finish in
+// closed form with a model.Result identical in every field to the stepped
+// one, with both engines warm across trials, and every oblivious entry must
+// be stepped.
 func TestKernelMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		t.Run(entry.name, func(t *testing.T) {
 			src := rng.New(rng.Derive(0xd1ff, nameStream(entry.name)))
-			eng := sim.NewEngine()
+			ref, cf := sim.NewEngine(), sim.NewEngine()
 			for round := 0; round < 30; round++ {
 				n := 2 + src.Intn(60)
 				k := 1 + src.Intn(n)
@@ -184,7 +192,7 @@ func TestKernelMatchesEngine(t *testing.T) {
 				w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
 				p := entry.params(n, k, seed, w.FirstWake())
 				opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed}
-				differential(t, round, eng, entry, p, w, opt)
+				differential(t, round, ref, cf, entry, p, w, opt)
 			}
 		})
 	}
@@ -205,34 +213,34 @@ func midRunWorkload(src *rng.Source, round int) (model.Algorithm, model.Params, 
 	return core.NewTreeCD(), model.Params{N: n, S: -1, Seed: seed}, randomPattern(n, k, spread, seed), int64(40 + src.Intn(400))
 }
 
-// cutParity steps the engine, Reset on the workload, to random RunTo bounds
-// from u until it is done, requiring kernel.Run at each bound's horizon to
+// cutParity steps ref, Reset on the workload, to random RunTo bounds from u
+// until it is done, requiring the closed form at each bound's horizon to
 // match it (see cutMatches), and returns the last bound. Short steps mix
 // with long ones.
-func cutParity(t *testing.T, round int, src *rng.Source, eng *sim.Engine, algo model.Algorithm,
+func cutParity(t *testing.T, round int, src *rng.Source, ref, cf *sim.Engine, algo model.Algorithm,
 	p model.Params, w model.WakePattern, opt sim.Options, u int64) int64 {
 	t.Helper()
-	for !eng.Done() {
+	for !ref.Done() {
 		u += 1 + int64(src.Intn(1+src.Intn(300)))
-		cutMatches(t, round, eng, algo, p, w, opt, u)
+		cutMatches(t, round, ref, cf, algo, p, w, opt, u)
 	}
 	return u
 }
 
-// TestKernelMidRunMatchesEngine locks the cut horizons: kernel.Run with the
-// horizon ending at u must return the engine's Result after RunTo(u) for
-// arbitrary u, including u past the horizon.
+// TestKernelMidRunMatchesEngine locks the cut horizons: the closed form with
+// the horizon ending at u must return the stepped engine's Result after
+// RunTo(u) for arbitrary u, including u past the horizon.
 func TestKernelMidRunMatchesEngine(t *testing.T) {
 	src := rng.New(0xa1d)
-	eng := sim.NewEngine()
+	ref, cf := sim.NewEngine(), sim.NewEngine()
 	for round := 0; round < 40; round++ {
 		algo, p, w, horizon := midRunWorkload(src, round)
 		opt := sim.Options{Horizon: horizon, Seed: p.Seed, Adaptive: true}
-		if err := eng.Reset(algo, p, w, opt); err != nil {
+		if err := ref.Reset(algo, p, w, opt); err != nil {
 			t.Fatal(err)
 		}
-		u := cutParity(t, round, src, eng, algo, p, w, opt, w.FirstWake())
-		cutMatches(t, round, eng, algo, p, w, opt, u+100)
+		u := cutParity(t, round, src, ref, cf, algo, p, w, opt, w.FirstWake())
+		cutMatches(t, round, ref, cf, algo, p, w, opt, u+100)
 	}
 }
 
@@ -240,24 +248,24 @@ func TestKernelMidRunMatchesEngine(t *testing.T) {
 // channel: two tree_cd stations that wake together collide in every slot,
 // and a third joins mid-way, until the horizon ends the trial.
 func TestKernelStepMatchesEngine(t *testing.T) {
-	eng := sim.NewEngine()
+	ref, cf := sim.NewEngine(), sim.NewEngine()
 	algo := core.NewTreeCD()
 	p := model.Params{N: 8, S: -1}
 	w := model.WakePattern{IDs: []int{3, 5, 7}, Wakes: []int64{1, 1, 70}}
 	opt := sim.Options{Horizon: 100, Seed: 1, Adaptive: true}
-	if err := eng.Reset(algo, p, w, opt); err != nil {
+	if err := ref.Reset(algo, p, w, opt); err != nil {
 		t.Fatal(err)
 	}
 	for u := int64(2); u < 112; u++ {
-		cutMatches(t, int(u), eng, algo, p, w, opt, u)
+		cutMatches(t, int(u), ref, cf, algo, p, w, opt, u)
 	}
 }
 
 // TestKernelWordBoundaries pins the closed form's edges, each against the
-// engine and against its expected success slot: a tie at the first wake
-// empties the solo window; a jam budget of q jams a window of exactly q
-// slots and lets the (q+1)-th succeed; and first wakes at 63, 64 and 65,
-// the word edges of the word scan Run replaced, change nothing.
+// stepped engine and against its expected success slot: a tie at the first
+// wake empties the solo window; a jam budget of q jams a window of exactly
+// q slots and lets the (q+1)-th succeed; and first wakes at 63, 64 and 65,
+// the word edges of an earlier word-scan executor, change nothing.
 func TestKernelWordBoundaries(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -281,28 +289,22 @@ func TestKernelWordBoundaries(t *testing.T) {
 	}
 	algo := core.NewTreeCD()
 	p := model.Params{N: 8, S: -1}
-	for _, c := range cases {
+	ref, cf := sim.NewEngine(), sim.NewEngine()
+	for i, c := range cases {
 		w := model.WakePattern{IDs: []int{2, 5, 7}[:len(c.wakes)], Wakes: c.wakes}
 		opt := sim.Options{Horizon: 200, Seed: 1, Channel: c.ch, Adaptive: true}
-		eng := sim.NewEngine()
-		if err := eng.Reset(algo, p, w, opt); err != nil {
+		if err := ref.Reset(algo, p, w, opt); err != nil {
 			t.Fatal(err)
 		}
-		got, err := kernel.Run(algo, p, w, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := eng.Run(); got != want {
-			t.Fatalf("%s: kernel %#v != engine %#v", c.name, got, want)
-		}
-		if got.SuccessSlot != c.succ {
+		cutMatches(t, i, ref, cf, algo, p, w, opt, math.MaxInt64)
+		if got := cf.Result(); got.SuccessSlot != c.succ {
 			t.Fatalf("%s: success slot %d, want %d (%#v)", c.name, got.SuccessSlot, c.succ, got)
 		}
 	}
 }
 
-// opaquePerturber perturbs slots but does not declare a kernel-executable
-// shape (no PerturbSpec) — the eligibility gate must keep it on the engine.
+// opaquePerturber perturbs slots but does not declare a replayable shape
+// (no PerturbSpec) — the closed form must refuse it.
 type opaquePerturber struct{}
 
 func (opaquePerturber) Name() string { return "opaque" }
@@ -316,43 +318,50 @@ func (opaquePerturber) Perturb(truth model.Feedback, st *model.ChannelState) mod
 	return truth
 }
 
-// TestKernelEligibility pins the gate: only an adaptive run of a persistent
-// algorithm on a collision-silent channel with a kernel-executable
-// perturbation (if any) reaches the kernel, and Run refuses the rest with
-// the ineligibility error.
+// TestKernelEligibility pins sim.ClosedForm: only an adaptive run of a
+// persistent algorithm on a collision-silent channel with a replayable
+// perturbation (if any) finishes in closed form, and Engine.Run steps the
+// rest.
 func TestKernelEligibility(t *testing.T) {
 	epoch := core.NewTreeCD()
 	adaptive := sim.Options{Horizon: 10, Adaptive: true}
 
 	for _, ch := range []model.ChannelModel{model.None(), model.Ack(), model.Noisy(0.1), model.Jam(2)} {
-		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); !kernel.Eligible(epoch, opt) {
-			t.Errorf("adaptive run of TreeCD (Persistent) on collision-silent %s must route to the kernel", ch.Name())
+		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); !sim.ClosedForm(epoch, opt) {
+			t.Errorf("adaptive run of TreeCD (Persistent) on collision-silent %s must finish in closed form", ch.Name())
 		}
 	}
 	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD()} {
-		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); kernel.Eligible(epoch, opt) {
-			t.Errorf("adaptive run of TreeCD on %s delivers collisions; must stay on the engine", ch.Name())
+		if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: ch}); sim.ClosedForm(epoch, opt) {
+			t.Errorf("adaptive run of TreeCD on %s delivers collisions; it must be stepped", ch.Name())
 		}
 	}
-	// A perturbing model that does NOT advertise a kernel-executable shape
-	// must keep its cells on the engine.
-	if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: opaquePerturber{}}); kernel.Eligible(epoch, opt) {
-		t.Error("a SlotPerturber without model.KernelPerturber must be ineligible")
+	// A perturbing model that does NOT advertise a replayable shape must be
+	// stepped.
+	if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: opaquePerturber{}}); sim.ClosedForm(epoch, opt) {
+		t.Error("a SlotPerturber without model.KernelPerturber must be stepped")
 	}
-	if opt := (sim.Options{Horizon: 10, Adaptive: true, RecordTrace: true}); kernel.Eligible(epoch, opt) {
-		t.Error("trace recording must be ineligible (the kernel keeps no transcript)")
+	if opt := (sim.Options{Horizon: 10, Adaptive: true, RecordTrace: true}); sim.ClosedForm(epoch, opt) {
+		t.Error("trace recording must be stepped (the closed form keeps no transcript)")
 	}
-	if kernel.Eligible(core.NewKGConflictResolution(), adaptive) {
-		t.Error("kg is not persistent; its adaptive runs must stay on the engine")
+	if sim.ClosedForm(core.NewKGConflictResolution(), adaptive) {
+		t.Error("kg is not persistent; its adaptive runs must be stepped")
 	}
 
-	// Run must reject an ineligible pairing with the kernel's ineligibility
-	// error: TreeCD without Options.Adaptive, and every oblivious schedule —
-	// seed-insensitive and seed-sensitive alike, with or without
-	// Options.Adaptive — on every channel.
-	p := model.Params{N: 4, S: -1}
+	// TreeCD without Options.Adaptive builds no stations at all (its Build
+	// panics), so the closed form must refuse it.
+	if _, ok := kernel.Class(epoch, sim.Options{Horizon: 10}); ok || sim.ClosedForm(epoch, sim.Options{Horizon: 10}) {
+		t.Error("a non-adaptive TreeCD run must be refused")
+	}
+
+	// Engine.Run must step every oblivious schedule — seed-insensitive and
+	// seed-sensitive alike, with or without Options.Adaptive — on every
+	// channel.
+	// The one station wakes at the start time they all know, which
+	// wakeup_with_s needs.
+	p := model.Params{N: 4, S: 0}
 	w := model.WakePattern{IDs: []int{1}, Wakes: []int64{0}}
-	refused(t, epoch, p, w, sim.Options{Horizon: 10})
+	eng := sim.NewEngine()
 	oblivious := []model.Algorithm{
 		core.NewRoundRobin(), core.NewLocalSSF(), core.NewRPD(), core.NewBEB(), core.NewWakeupC(),
 		core.NewWakeupWithS(), schedule.NewInterleaved("rr+rr", core.NewRoundRobin(), core.NewRoundRobin()),
@@ -360,25 +369,20 @@ func TestKernelEligibility(t *testing.T) {
 	for _, algo := range oblivious {
 		for _, ch := range []model.ChannelModel{model.None(), model.CD(), model.SenderCD(), model.Ack(), model.Noisy(0.1), model.Jam(2)} {
 			for _, ad := range []bool{false, true} {
-				opt := sim.Options{Horizon: 10, Channel: ch, Adaptive: ad}
-				if _, ok := kernel.Class(algo, opt); ok {
-					t.Errorf("Class(%s, %s, adaptive=%v) ok, want the engine", algo.Name(), ch.Name(), ad)
-				}
-				refused(t, algo, p, w, opt)
+				stepped(t, eng, algo, p, w, sim.Options{Horizon: 10, Channel: ch, Adaptive: ad})
 			}
 		}
 	}
-	// And it must validate inputs identically to the engine.
-	bad := sim.Options{Horizon: 0, Adaptive: true}
-	_, err := kernel.Run(epoch, p, w, bad)
-	if want := sim.ValidateRun(epoch, p, w, bad); err == nil || err.Error() != want.Error() {
-		t.Errorf("kernel.Run with a zero horizon = %v, want the engine's %v", err, want)
+	// And Reset must validate a closed-form pairing as it does every other.
+	if err := eng.Reset(epoch, p, w, sim.Options{Horizon: 0, Adaptive: true}); err == nil {
+		t.Error("Reset accepted a zero horizon on a closed-form pairing")
 	}
 }
 
-// TestNilChannelMatchesNone: a nil Options.Channel is model.None on the
-// kernel too. Class routes both spellings the same way, and where the
-// kernel runs them, its Result equals the engine's under either spelling.
+// TestNilChannelMatchesNone: a nil Options.Channel is model.None in the
+// closed form too. ClosedForm and Class route both spellings the same way,
+// and where the closed form runs, its Result equals the stepped one under
+// either spelling.
 func TestNilChannelMatchesNone(t *testing.T) {
 	const n, k = 48, 5
 	cases := []struct {
@@ -387,14 +391,14 @@ func TestNilChannelMatchesNone(t *testing.T) {
 		p        model.Params
 		horizon  int64
 		adaptive bool
-		routed   bool // the kernel runs the pairing
+		routed   bool // Engine.Run finishes the pairing in closed form
 	}{
 		{"roundrobin", core.NewRoundRobin(), model.Params{N: n, S: -1}, core.RoundRobin{}.Horizon(n, k), false, false},
 		{"localssf", core.NewLocalSSF(), model.Params{N: n, K: k, S: -1}, (&core.LocalSSF{}).Horizon(n, k), false, false},
 		{"wakeupc", core.NewWakeupC(), model.Params{N: n, S: -1}, (&core.WakeupC{}).Horizon(n, k), false, false},
 		{"tree_cd", core.NewTreeCD(), model.Params{N: n, S: -1}, core.TreeCD{}.Horizon(n, k), true, true},
 	}
-	eng := sim.NewEngine()
+	ref, cf := sim.NewEngine(), sim.NewEngine()
 	for _, c := range cases {
 		for seed := uint64(1); seed <= 4; seed++ {
 			p := c.p
@@ -410,28 +414,27 @@ func TestNilChannelMatchesNone(t *testing.T) {
 				t.Fatalf("%s: Class(nil) = (%+v, %v), Class(none) = (%+v, %v), want routed %v",
 					c.name, nilCls, nilOK, noneCls, noneOK, c.routed)
 			}
-			if err := eng.Reset(c.algo, p, w, nilOpt); err != nil {
+			if err := ref.Reset(c.algo, p, w, nilOpt); err != nil {
 				t.Fatal(err)
 			}
-			want := eng.Run()
-			if err := eng.Reset(c.algo, p, w, noneOpt); err != nil {
+			ref.RunTo(math.MaxInt64)
+			want := ref.Result()
+			if err := ref.Reset(c.algo, p, w, noneOpt); err != nil {
 				t.Fatal(err)
 			}
-			if got := eng.Run(); got != want {
-				t.Fatalf("%s seed %d: engine none %#v, nil %#v", c.name, seed, got, want)
+			ref.RunTo(math.MaxInt64)
+			if got := ref.Result(); got != want {
+				t.Fatalf("%s seed %d: stepped none %#v, nil %#v", c.name, seed, got, want)
 			}
 			for _, opt := range []sim.Options{nilOpt, noneOpt} {
 				if !c.routed {
-					refused(t, c.algo, p, w, opt)
+					stepped(t, cf, c.algo, p, w, opt)
 					continue
 				}
-				got, err := kernel.Run(c.algo, p, w, opt)
-				if err != nil {
+				if err := ref.Reset(c.algo, p, w, opt); err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Fatalf("%s seed %d channel %v: kernel %#v, engine %#v", c.name, seed, opt.Channel, got, want)
-				}
+				cutMatches(t, int(seed), ref, cf, c.algo, p, w, opt, math.MaxInt64)
 			}
 		}
 	}
@@ -450,17 +453,17 @@ func perturbedChannels() []model.ChannelModel {
 }
 
 // TestKernelPerturbedMatchesEngine is the overlay differential: every roster
-// algorithm × every perturbed channel shape, random workloads, with the
-// engine warm. For the epoch entry the comparison is full model.Result
+// algorithm × every perturbed channel shape, random workloads, with both
+// engines warm. For the epoch entry the comparison is full model.Result
 // equality — termination, Slots, winner, and the energy counters all fold
-// the perturbation in. Oblivious entries must be refused on perturbing
+// the perturbation in. Oblivious entries must be stepped on perturbing
 // channels too.
 func TestKernelPerturbedMatchesEngine(t *testing.T) {
 	for _, entry := range roster() {
 		for _, ch := range perturbedChannels() {
 			t.Run(entry.name+"/"+ch.Name(), func(t *testing.T) {
 				src := rng.New(rng.Derive(0xbadc0de, nameStream(entry.name+ch.Name())))
-				eng := sim.NewEngine()
+				ref, cf := sim.NewEngine(), sim.NewEngine()
 				for round := 0; round < 12; round++ {
 					n := 2 + src.Intn(60)
 					k := 1 + src.Intn(n)
@@ -471,7 +474,7 @@ func TestKernelPerturbedMatchesEngine(t *testing.T) {
 					w := randomPattern(n, k, 1+int64(src.Intn(30)), seed)
 					p := entry.params(n, k, seed, w.FirstWake())
 					opt := sim.Options{Horizon: entry.horizon(n, k), Seed: seed, Channel: ch}
-					differential(t, round, eng, entry, p, w, opt)
+					differential(t, round, ref, cf, entry, p, w, opt)
 				}
 			})
 		}
@@ -486,34 +489,40 @@ func TestKernelPerturbedMidRun(t *testing.T) {
 	for _, ch := range []model.ChannelModel{model.Noisy(0.2), model.Jam(3)} {
 		t.Run(ch.Name(), func(t *testing.T) {
 			src := rng.New(rng.Derive(0x517ead, nameStream(ch.Name())))
-			eng := sim.NewEngine()
+			ref, cf := sim.NewEngine(), sim.NewEngine()
 			for round := 0; round < 25; round++ {
 				algo, p, w, horizon := midRunWorkload(src, round)
 				opt := sim.Options{Horizon: horizon, Seed: p.Seed, Channel: ch, Adaptive: true}
-				if err := eng.Reset(algo, p, w, opt); err != nil {
+				if err := ref.Reset(algo, p, w, opt); err != nil {
 					t.Fatal(err)
 				}
-				cutParity(t, round, src, eng, algo, p, w, opt, w.FirstWake())
+				cutParity(t, round, src, ref, cf, algo, p, w, opt, w.FirstWake())
 			}
 		})
 	}
 }
 
-// TestKernelPathAllocsNoWorseThanEngine: a kernel trial allocates nothing,
-// on every channel it serves.
+// TestKernelPathAllocsNoWorseThanEngine: a warm engine's Reset and Run of a
+// closed-form trial allocate nothing, on every channel the closed form
+// serves.
 func TestKernelPathAllocsNoWorseThanEngine(t *testing.T) {
 	algo := core.NewTreeCD()
 	p := model.Params{N: 32, S: -1}
 	w := model.WakePattern{IDs: []int{5, 9, 23}, Wakes: []int64{0, 1, 4}}
+	eng := sim.NewEngine()
 	for _, ch := range []model.ChannelModel{model.None(), model.Ack(), model.Noisy(0.3), model.Jam(2)} {
 		opt := sim.Options{Horizon: core.TreeCD{}.Horizon(32, 3), Seed: 3, Channel: ch, Adaptive: true}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := kernel.Run(algo, p, w, opt); err != nil {
+			if err := eng.Reset(algo, p, w, opt); err != nil {
 				t.Fatal(err)
 			}
+			eng.Run()
 		})
+		if eng.Channel().Slots() != 0 {
+			t.Errorf("%s: Run stepped the trial, want the closed form", ch.Name())
+		}
 		if allocs != 0 {
-			t.Errorf("%s: a kernel trial allocates %.1f times, want 0", ch.Name(), allocs)
+			t.Errorf("%s: a warm closed-form trial allocates %.1f times, want 0", ch.Name(), allocs)
 		}
 	}
 }

@@ -20,10 +20,11 @@ import (
 
 // ChannelStream is the derived-stream index of the channel's per-run
 // perturbation RNG: a run seeded with Options.Seed perturbs slots from
-// rng.Derive(Options.Seed, ChannelStream). It is exported so the kernel
-// (and tests) can replay the channel's randomness exactly; like
-// the sweep's pattern stream, the constant merely offsets the channel away
-// from the per-station streams (which use the station IDs as indices).
+// rng.Derive(Options.Seed, ChannelStream). It is exported so the engine's
+// closed form (sim.ClosedForm) and tests can replay the channel's
+// randomness exactly; like the sweep's pattern stream, the constant merely
+// offsets the channel away from the per-station streams (which use the
+// station IDs as indices).
 const ChannelStream uint64 = 0xc11a44e1
 
 // ChannelState is the per-run mutable state the channel keeps on behalf of
@@ -86,10 +87,10 @@ type SlotPerturber interface {
 	Perturb(truth Feedback, st *ChannelState) Feedback
 }
 
-// PerturbKind enumerates the slot-perturbation shapes the closed-form
-// kernel (internal/kernel) knows how to replay. A perturbing model that does
-// not fit one of these shapes simply does not implement KernelPerturber and
-// keeps its cells on the slot-by-slot engine.
+// PerturbKind enumerates the slot-perturbation shapes the engine's closed
+// form (sim.ClosedForm) knows how to replay. A perturbing model that does
+// not fit one of these shapes simply does not implement KernelPerturber, and
+// its trials are stepped slot by slot.
 type PerturbKind int
 
 const (
@@ -105,8 +106,8 @@ const (
 	PerturbJamPrefix
 )
 
-// PerturbSpec is the declarative description of a kernel-executable
-// perturbation: the shape plus its parameter.
+// PerturbSpec is the declarative description of a perturbation the closed
+// form can replay: the shape plus its parameter.
 type PerturbSpec struct {
 	Kind PerturbKind
 	// P is the erasure probability (PerturbErasure).
@@ -116,8 +117,8 @@ type PerturbSpec struct {
 }
 
 // KernelPerturber is the opt-in capability interface of perturbing channel
-// models the closed-form kernel can execute without falling back to the
-// engine, and whose silent slots the engine may skip (see
+// models under which the engine may finish a trial in closed form (see
+// sim.ClosedForm) and skip silent slots (see
 // channel.SkipsSilence). By implementing it a model asserts that its Perturb
 // method is EXACTLY the pure function its PerturbSpec describes — same
 // outcome mapping and, critically, the same RNG draw sequence:
@@ -130,11 +131,11 @@ type PerturbSpec struct {
 //     nothing;
 //   - PerturbJamPrefix never draws.
 //
-// The kernel replays the spec against the same derived channel stream
+// The closed form replays the spec against the same derived channel stream
 // (rng.Derive(run seed, ChannelStream)) the engine hands its ChannelState,
-// so both paths consume identical draw sequences and produce byte-identical
-// results. Routing (internal/sweep) checks this capability per channel; a
-// SlotPerturber without it stays engine-only.
+// so a closed-form and a stepped trial consume identical draw sequences and
+// produce byte-identical results. A SlotPerturber without this capability
+// is always stepped slot by slot.
 type KernelPerturber interface {
 	SlotPerturber
 	// PerturbSpec returns the declarative shape of Perturb.

@@ -126,7 +126,7 @@ type AdaptiveStation interface {
 // transmits in every slot from its wake while it hears only silence. On a
 // channel that delivers a collision as silence to every role, silence is all
 // a station hears before the success that ends the trial, so the trial
-// follows from the wake times alone (see internal/kernel).
+// follows from the wake times alone (see sim.ClosedForm).
 type Persistent interface {
 	Adaptive
 	// Persistent marks the capability; it is never called.

@@ -6,12 +6,11 @@ import (
 	"nsmac/internal/rng"
 )
 
-// ScheduleClass is what kernel.Class reports about a pairing the kernel
-// computes in closed form. Each such trial's outcome comes from its own wake
-// pattern and channel draws, so an eligible pairing always reports
-// SeedSensitive. The type is kept, with its one field, so that callers
-// outside this module that read kernel.Class's result (the benchmark's
-// per-cell route table) keep compiling.
+// ScheduleClass is what kernel.Class reports about a pairing that
+// sim.Engine.Run finishes in closed form. Each such trial's outcome comes
+// from its own wake pattern and channel draws, so such a pairing always
+// reports SeedSensitive. The type is kept, with its one field, only for
+// the benchmark's per-cell route table, the one reader of kernel.Class.
 type ScheduleClass struct {
 	// SeedSensitive is true when a trial's outcome depends on the trial
 	// seed, so nothing may be reused across trials.

@@ -310,7 +310,7 @@ func TestRunAllTimeoutSlots(t *testing.T) {
 
 	// Nobody ever transmits: all horizon slots stepped.
 	w := model.Simultaneous([]int{1, 2}, 7) // first wake deliberately late
-	all, err := RunAll(silentAdaptive{}, p, w, Options{Horizon: 12})
+	all, err := NewEngine().RunAll(silentAdaptive{}, p, w, Options{Horizon: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestRunAllTimeoutSlots(t *testing.T) {
 	// is jammed away by an exhausted horizon — Slots still reports stepped
 	// slots, and FirstSuccess keeps the partial successes.
 	w = model.Simultaneous([]int{1, 3, 5}, 0)
-	all, err = RunAll(retireOnOwnSuccess{}, p, w, Options{Horizon: 4})
+	all, err = NewEngine().RunAll(retireOnOwnSuccess{}, p, w, Options{Horizon: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestRunAllTimeoutSlots(t *testing.T) {
 	}
 
 	// And the success arm still counts from the first wake.
-	all, err = RunAll(retireOnOwnSuccess{}, p, w, Options{Horizon: 100})
+	all, err = NewEngine().RunAll(retireOnOwnSuccess{}, p, w, Options{Horizon: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

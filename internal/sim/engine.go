@@ -20,7 +20,9 @@ import (
 // An oblivious run steps one model.Cohort: the algorithm's closed-form next
 // attempts (model.Sparse), its own cohort (model.Batched) or its Build
 // closures, preferred in that order. An adaptive run steps its stations one
-// by one and delivers each its feedback.
+// by one and delivers each its feedback, unless Run finishes it in closed
+// form (see ClosedForm); that trial builds no stations and leaves the
+// channel unstepped.
 //
 // The zero value is not usable; construct with NewEngine. An engine is not
 // safe for concurrent use — pool one per worker (internal/sweep does).
@@ -32,6 +34,7 @@ type Engine struct {
 
 	adaptiveAlgo model.Adaptive
 	useAdaptive  bool
+	closedForm   bool         // Run may finish the trial in closed form (see ClosedForm)
 	cohort       model.Cohort // an oblivious run's stations; nil on an adaptive run
 	batched      model.Cohort // the last cohort a Batched algorithm returned, reused
 	attempts     nextCohort
@@ -57,10 +60,10 @@ func NewEngine() *Engine {
 	return &Engine{ch: channel.New(nil, false)}
 }
 
-// ValidateRun checks a (algorithm, params, pattern, options) tuple exactly
-// as Engine.Reset does; kernel.Run shares it so both execution paths
-// accept and reject identical inputs with identical errors.
-func ValidateRun(algo model.Algorithm, p model.Params, w model.WakePattern, opt Options) error {
+// Reset validates the inputs and prepares the engine for a new trial. The
+// validation and error messages are exactly Run's: Run is a thin wrapper
+// over a fresh engine.
+func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern, opt Options) error {
 	if algo == nil {
 		return errors.New("sim: nil algorithm")
 	}
@@ -79,20 +82,11 @@ func ValidateRun(algo model.Algorithm, p model.Params, w model.WakePattern, opt 
 	if p.KnowsS() && w.FirstWake() != p.S {
 		return fmt.Errorf("sim: pattern starts at %d but algorithm was told S=%d", w.FirstWake(), p.S)
 	}
-	return nil
-}
-
-// Reset validates the inputs and prepares the engine for a new trial. The
-// validation and error messages are exactly Run's: Run is a thin wrapper
-// over a fresh engine.
-func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern, opt Options) error {
-	if err := ValidateRun(algo, p, w, opt); err != nil {
-		return err
-	}
 
 	e.p, e.opt = p, opt
 	e.adaptiveAlgo, _ = algo.(model.Adaptive)
 	e.useAdaptive = opt.Adaptive && e.adaptiveAlgo != nil
+	e.closedForm = ClosedForm(algo, opt)
 	// The channel's perturbation stream derives from the run seed on its own
 	// stream index, independent of the per-station streams.
 	e.ch.Reset(opt.ChannelModel(), opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
@@ -164,8 +158,17 @@ func (e *Engine) RunTo(until int64) bool {
 	return e.done
 }
 
-// Run steps the trial to completion and returns the result.
-func (e *Engine) Run() model.Result { return e.RunHooked(0, nil) }
+// Run finishes the trial and returns the result. A trial that ClosedForm
+// admits and that has not been stepped yet is finished in closed form, from
+// the wake times alone, without stepping the channel; every other trial is
+// stepped to completion as RunTo would.
+func (e *Engine) Run() model.Result {
+	if e.closedForm && !e.done && e.next == 0 {
+		e.finishClosed()
+		return e.result
+	}
+	return e.RunHooked(0, nil)
+}
 
 // A SuccessHook is called at every slot the channel rules a success, after
 // noise or jamming. It may name a station to inject: one not yet in the run

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nsmac/internal/core"
-	"nsmac/internal/kernel"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 	"nsmac/internal/sim"
@@ -93,11 +92,12 @@ func midRunPattern(n, k int, spread int64, seed uint64) model.WakePattern {
 // roundrobin, whose trials on up to 300 ids often outlast the horizon; both
 // step sparsely. The second runs adaptive tree_cd, alternating between the
 // none and noisy:0.1 channels, with wakes so close that the first ones
-// often collide until the horizon, and requires kernel.Run, at the horizon
-// that ends at each stop, to return the engine's Result there.
+// often collide until the horizon, and requires Run on a second engine,
+// which finishes the trial cut at each stop in closed form, to return the
+// stepped engine's Result there.
 func TestMidRunInvariants(t *testing.T) {
 	src := rng.New(0x111)
-	eng := sim.NewEngine()
+	eng, cf := sim.NewEngine(), sim.NewEngine()
 	for round := 0; round < 25; round++ {
 		algo := model.Algorithm(core.NewLocalSSF())
 		if round%2 == 1 {
@@ -128,12 +128,12 @@ func TestMidRunInvariants(t *testing.T) {
 		runInvariants(t, "engine/tree_cd", eng, w.FirstWake(), horizon, src, func(u int64) {
 			cut := opt
 			cut.Horizon = min(u-w.FirstWake(), horizon)
-			got, err := kernel.Run(tree, p, w, cut)
-			if err != nil {
+			if err := cf.Reset(tree, p, w, cut); err != nil {
 				t.Fatal(err)
 			}
-			if want := eng.Result(); got != want {
-				t.Fatalf("round %d cut at %d: kernel %#v != engine %#v", round, u, got, want)
+			if got, want := cf.Run(), eng.Result(); got != want || cf.Channel().Slots() != 0 {
+				t.Fatalf("round %d cut at %d: closed form %#v (channel stepped %d slots) != stepped %#v",
+					round, u, got, cf.Channel().Slots(), want)
 			}
 		})
 	}
@@ -141,8 +141,8 @@ func TestMidRunInvariants(t *testing.T) {
 
 // TestRunToHorizonEdge pins the engine's done-flag edge: RunTo exactly at
 // the horizon boundary leaves done false (no step past the end was
-// attempted); only a RunTo beyond it flips done. kernel.Run at that horizon
-// returns the engine's Result.
+// attempted); only a RunTo beyond it flips done. Run of the adaptive trial
+// on a fresh engine, in closed form, returns the stepped engine's Result.
 func TestRunToHorizonEdge(t *testing.T) {
 	p := model.Params{N: 6, S: -1}
 	// Round-robin never collides, so keep k=1 silent long enough by picking
@@ -181,8 +181,13 @@ func TestRunToHorizonEdge(t *testing.T) {
 		if !c.opt.Adaptive {
 			continue
 		}
-		if got, err := kernel.Run(c.algo, p, c.w, c.opt); err != nil || got != x.Result() {
-			t.Errorf("kernel/%s: %#v, %v; engine %#v", c.algo.Name(), got, err, x.Result())
+		cf := sim.NewEngine()
+		if err := cf.Reset(c.algo, p, c.w, c.opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := cf.Run(); got != x.Result() || cf.Channel().Slots() != 0 {
+			t.Errorf("closed form/%s: %#v (channel stepped %d slots); stepped %#v",
+				c.algo.Name(), got, cf.Channel().Slots(), x.Result())
 		}
 	}
 }

@@ -18,15 +18,20 @@
 // Every cohort produces the same results and channel counters as Build's
 // closures stepped slot by slot.
 //
+// Engine.Run alone finishes the trials that ClosedForm admits — adaptive
+// runs of a model.Persistent algorithm on a channel that masks collisions —
+// in closed form, from the wake times alone, without stepping the channel.
+// Step, RunTo and RunHooked always step slot by slot.
+//
 // Engine.RunHooked calls a SuccessHook at every slot the channel rules a
-// success: RunAll's hook runs on past it, and the white-box spoiler
+// success: Engine.RunAll's hook runs on past it, and the white-box spoiler
 // adversary's injects a station that collides with the winner.
 //
 // Engine is the reusable core: Reset recycles the station table, transmit
 // buffers and channel between trials, so a warm engine runs a trial with
 // near-zero allocations of its own — internal/sweep pools one engine per
-// worker for exactly this reason. Run and RunAll are thin wrappers over a
-// fresh engine for one-shot callers.
+// worker for exactly this reason. Run is a thin wrapper over a fresh engine
+// for one-shot callers.
 package sim
 
 import (
@@ -58,8 +63,8 @@ type Options struct {
 }
 
 // ChannelModel returns the run's channel model: Channel, or model.None when
-// Channel is nil. The engine and kernel.Run both resolve through it, so the
-// two executors agree on the default.
+// Channel is nil. The engine and ClosedForm both resolve through it, so the
+// stepped and the closed-form trial agree on the default.
 func (o Options) ChannelModel() model.ChannelModel {
 	if o.Channel == nil {
 		return model.None()
@@ -113,17 +118,16 @@ type AllResult struct {
 	FirstSuccess map[int]int64
 }
 
-// RunAll simulates in adaptive mode until every awake station has
-// transmitted alone at least once (conflict resolution / k-broadcast).
-// The algorithm must implement model.Adaptive: retiring after one's own
-// success is feedback-driven behaviour.
-func RunAll(algo model.Algorithm, p model.Params, w model.WakePattern, opt Options) (AllResult, error) {
+// RunAll resets the engine and simulates in adaptive mode until every
+// awake station has transmitted alone at least once (conflict resolution /
+// k-broadcast). The algorithm must implement model.Adaptive: retiring after
+// one's own success is feedback-driven behaviour.
+func (e *Engine) RunAll(algo model.Algorithm, p model.Params, w model.WakePattern, opt Options) (AllResult, error) {
 	if _, ok := algo.(model.Adaptive); !ok {
 		return AllResult{}, fmt.Errorf("sim: %s is not adaptive; RunAll requires feedback-driven stations", algo.Name())
 	}
 	opt.Adaptive = true
 
-	e := NewEngine()
 	if err := e.Reset(algo, p, w, opt); err != nil {
 		return AllResult{}, err
 	}

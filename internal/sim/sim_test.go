@@ -251,7 +251,7 @@ func (s *rosStation) Observe(t int64, fb model.Feedback, successID int) {
 func TestRunAllConflictResolution(t *testing.T) {
 	p := model.Params{N: 5, S: -1}
 	w := model.Simultaneous([]int{1, 3, 5}, 0)
-	all, err := RunAll(retireOnOwnSuccess{}, p, w, Options{Horizon: 100})
+	all, err := NewEngine().RunAll(retireOnOwnSuccess{}, p, w, Options{Horizon: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRunAllConflictResolution(t *testing.T) {
 func TestRunAllRequiresAdaptive(t *testing.T) {
 	p := model.Params{N: 4, S: -1}
 	w := model.Simultaneous([]int{1}, 0)
-	if _, err := RunAll(fixedSlot{gap: 1}, p, w, Options{Horizon: 5}); err == nil {
+	if _, err := NewEngine().RunAll(fixedSlot{gap: 1}, p, w, Options{Horizon: 5}); err == nil {
 		t.Error("RunAll accepted a non-adaptive algorithm")
 	}
 }
@@ -285,7 +285,7 @@ func TestRunAllFailure(t *testing.T) {
 	// never-style adaptive: nobody transmits, horizon exhausts.
 	p := model.Params{N: 4, S: -1}
 	w := model.Simultaneous([]int{1, 2}, 0)
-	all, err := RunAll(silentAdaptive{}, p, w, Options{Horizon: 10})
+	all, err := NewEngine().RunAll(silentAdaptive{}, p, w, Options{Horizon: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // epochDiffSpec builds a grid over the adaptive roster (tree_cd, kg) across
 // the full channel spread: the collision-delivering models (cd, sender_cd),
 // the collision-masking ones (none, ack), and the perturbing pair. tree_cd
-// cells on the collision-masking and perturbing channels run in closed form
-// (kernel.Run); the rest run on the engine.
+// cells on the collision-masking and perturbing channels finish in closed
+// form in Engine.Run; the rest are stepped slot by slot.
 func epochDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
 	cases, err := sweep.CasesByName("tree_cd,kg")

@@ -11,8 +11,8 @@ import (
 // collision-silent channels) with engine-routed ones (the oblivious
 // roundrobin, localssf, wakeupc, wakeup_with_k and rpd, and tree_cd on cd
 // and sender_cd), so the differential covers per-cell routing inside one
-// grid. Channels may include the perturbing noisy/jam models, which
-// kernel.Run replays since they declare a model.KernelPerturber shape.
+// grid. Channels may include the perturbing noisy/jam models, which the
+// closed form replays since they declare a model.KernelPerturber shape.
 func kernelDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
 	cases, err := sweep.CasesByName("roundrobin,wakeupc,wakeup_with_k,rpd,localssf,tree_cd")

@@ -1,11 +1,11 @@
 package sweep_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
 	"nsmac/internal/adversary"
-	"nsmac/internal/kernel"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 	"nsmac/internal/sim"
@@ -26,9 +26,10 @@ type lateWaker struct {
 // check fails unless the late-waker relation holds for r: with Params and
 // horizon held fixed (at K = k+1), adding a station with an unused ID that
 // wakes in the slot after the first success leaves the Result unchanged —
-// on the engine and, for the cells it serves, on kernel.Run. It reports
-// whether the relation applied (the case takes k+1 stations and the run
-// succeeded) and whether kernel.Run was checked too.
+// stepped slot by slot and, for the cells sim.ClosedForm admits, finished
+// in closed form by Run. It reports whether the relation applied (the case
+// takes k+1 stations and the run succeeded) and whether the closed form
+// was checked too.
 func (r lateWaker) check(t testing.TB, eng *sim.Engine) (checked, closedForm bool) {
 	t.Helper()
 	c, err := sweep.ResolveCase(r.name)
@@ -50,7 +51,8 @@ func (r lateWaker) check(t testing.TB, eng *sim.Engine) (checked, closedForm boo
 	if err := eng.Reset(algo, p, w, opt); err != nil {
 		t.Fatalf("%s × %s × %s: %v", r.name, r.ch, r.gen.Name, err)
 	}
-	want := eng.Run()
+	eng.RunTo(math.MaxInt64)
+	want := eng.Result()
 	if !want.Succeeded {
 		return false, false
 	}
@@ -68,17 +70,21 @@ func (r lateWaker) check(t testing.TB, eng *sim.Engine) (checked, closedForm boo
 	if err := eng.Reset(algo, p, late, opt); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Run(); got != want {
+	eng.RunTo(math.MaxInt64)
+	if got := eng.Result(); got != want {
 		t.Fatalf("%s × %s × %s n=%d k=%d seed=%#x: station %d waking at %d changed the engine's Result\n%#v\n%#v",
 			r.name, r.ch, r.gen.Name, n, k, r.seed, id, want.SuccessSlot+1, got, want)
 	}
-	if !kernel.Eligible(algo, opt) {
+	if !sim.ClosedForm(algo, opt) {
 		return true, false
 	}
 	for _, pat := range []model.WakePattern{w, late} {
-		if got, err := kernel.Run(algo, p, pat, opt); err != nil || got != want {
-			t.Fatalf("%s × %s × %s n=%d k=%d seed=%#x: kernel.Run %#v, %v; engine %#v",
-				r.name, r.ch, r.gen.Name, n, k, r.seed, got, err, want)
+		if err := eng.Reset(algo, p, pat, opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Run(); got != want {
+			t.Fatalf("%s × %s × %s n=%d k=%d seed=%#x: closed form %#v; stepped %#v",
+				r.name, r.ch, r.gen.Name, n, k, r.seed, got, want)
 		}
 	}
 	return true, true

@@ -379,9 +379,9 @@ func init() {
 	// Not part of standardCaseNames ("all" keeps the paper's oblivious
 	// roster); select them explicitly with -algos tree_cd,kg. tree_cd
 	// declares model.Persistent, so its cells on collision-silent channels
-	// (none, ack, noisy, jam) run in closed form (kernel.Run) unless
-	// -no-kernel forces the engine; its cd and sender_cd cells, and every kg
-	// cell, run on the engine.
+	// (none, ack, noisy, jam) finish in closed form in Engine.Run unless
+	// -no-kernel steps them slot by slot; its cd and sender_cd cells, and
+	// every kg cell, are always stepped.
 	RegisterCase("tree_cd", func(arg int64, hasArg bool) (Case, error) {
 		if err := noArg("tree_cd", hasArg); err != nil {
 			return Case{}, err

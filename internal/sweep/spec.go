@@ -2,11 +2,11 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"nsmac/internal/adversary"
-	"nsmac/internal/kernel"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 	"nsmac/internal/sim"
@@ -66,15 +66,11 @@ type Spec struct {
 	// Batch caps trials per work item (<= 0 selects the Grid default); it
 	// tunes scheduling overhead only and never changes output bytes.
 	Batch int
-	// DisableKernel forces every cell onto the slot-by-slot engine. By
-	// default an adaptive case whose algorithm declares model.Persistent
-	// (tree_cd) runs in closed form through kernel.Run, which is
-	// byte-identical in output and much faster there, on a channel that
-	// delivers a collision as silence to every role and either does not
-	// perturb slots or declares its perturbation shape via
-	// model.KernelPerturber: none, ack, noisy, jam — not cd or sender_cd.
-	// This switch exists for differential testing and for benchmarking the
-	// engine path.
+	// DisableKernel steps every trial slot by slot (Engine.RunTo) instead
+	// of letting Engine.Run finish the trials sim.ClosedForm admits
+	// (tree_cd on none, ack, noisy and jam) in closed form. The output
+	// bytes are the same either way; this switch exists for differential
+	// testing and for benchmarking the stepped path.
 	DisableKernel bool
 }
 
@@ -192,18 +188,13 @@ func (s Spec) Compile() (Grid, []string, error) {
 		axes = []string{"algo", "pattern", "channel", "n", "k"}
 	}
 
-	// An adaptive case runs in closed form (kernel.Run) when its algorithm
-	// declares model.Persistent and the cell's channel delivers a collision
-	// as silence to every role, with any perturbation declared through
-	// model.KernelPerturber (noisy, jam). Every other cell runs on the
-	// worker's engine. Eligibility depends only on the cell's (algorithm,
-	// channel, adaptive) pairing, never on a trial's seed or pattern, so the
-	// decision is hoisted out of the trial loop.
-	useKernel := make([]bool, len(points))
-	if !s.DisableKernel {
-		for i, pt := range points {
-			useKernel[i] = kernel.Eligible(pt.c.Algo(pt.n, pt.k),
-				sim.Options{Horizon: 1, Channel: pt.ch, Adaptive: pt.c.Adaptive})
+	// Engine.Run finishes the trials sim.ClosedForm admits in closed form;
+	// DisableKernel steps them slot by slot instead.
+	run := (*sim.Engine).Run
+	if s.DisableKernel {
+		run = func(e *sim.Engine) model.Result {
+			e.RunTo(math.MaxInt64)
+			return e.Result()
 		}
 	}
 
@@ -228,11 +219,9 @@ func (s Spec) Compile() (Grid, []string, error) {
 				// White-box families (spoiler, swap) run their attack on the
 				// worker's engine against the cell's algorithm and channel.
 				_, res, err = pt.gen.VsAlgo(e, algo, p, pt.k, PatternSeed(seed), opt)
-			case useKernel[cell]:
-				res, err = kernel.Run(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt)
 			default:
 				if err = e.Reset(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt); err == nil {
-					res = e.Run()
+					res = run(e)
 				}
 			}
 			if err != nil {

@@ -155,7 +155,7 @@ func Run(algo Algorithm, p Params, w WakePattern, opt RunOptions) (Result, *Chan
 // (conflict resolution); the algorithm must be feedback-driven (e.g.
 // NewKGConflictResolution, NewTreeCD).
 func RunAll(algo Algorithm, p Params, w WakePattern, opt RunOptions) (AllResult, error) {
-	return sim.RunAll(algo, p, w, opt)
+	return sim.NewEngine().RunAll(algo, p, w, opt)
 }
 
 // The paper's algorithms ------------------------------------------------
