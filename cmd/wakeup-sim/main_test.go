@@ -2,11 +2,17 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nsmac/internal/adversary"
+	"nsmac/internal/rng"
+	"nsmac/internal/sim"
+	"nsmac/sweep"
 )
 
 // buildSim compiles wakeup-sim into a temp dir and returns its path. Skips
@@ -72,8 +78,8 @@ func TestSingleRunGoldens(t *testing.T) {
 }
 
 // TestSingleRunAdaptiveCases: the adaptive cases run in single mode with
-// feedback delivered, and a white-box pattern on them fails with the reason
-// grid mode gives when it skips the cell.
+// feedback delivered, and a white-box pattern on them fails with the line a
+// grid gives when it skips the cell.
 func TestSingleRunAdaptiveCases(t *testing.T) {
 	bin := buildSim(t)
 	out, stderr, code := runSim(t, bin, "-algo", "tree_cd", "-n", "64", "-k", "3", "-channels", "cd")
@@ -92,14 +98,104 @@ func TestSingleRunAdaptiveCases(t *testing.T) {
 		t.Fatalf("kg: exit %d\n%s", code, stderr)
 	}
 
-	_, single, code := runSim(t, bin, "-algo", "tree_cd", "-n", "64", "-k", "3", "-pattern", "spoiler")
-	if code != 1 {
-		t.Fatalf("tree_cd × spoiler: exit %d, want 1", code)
+	out, single, code := runSim(t, bin, "-algo", "tree_cd", "-n", "64", "-k", "3", "-pattern", "spoiler")
+	if code != 1 || out != "" {
+		t.Fatalf("tree_cd × spoiler: exit %d, stdout %q; want exit 1 and no stdout", code, out)
 	}
-	_, grid, _ := runSim(t, bin, "-algo", "tree_cd,wakeupc", "-n", "64", "-k", "3", "-pattern", "spoiler", "-trials", "2")
-	const reason = "white-box pattern needs an oblivious schedule; tree_cd is adaptive"
-	if !strings.Contains(single, reason) || !strings.Contains(grid, reason) {
-		t.Fatalf("single and grid mode disagree on the skip reason:\nsingle: %sgrid: %s", single, grid)
+	c, err := sweep.ResolveCase("tree_cd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sweep.ResolvePattern("spoiler", sweep.PatternShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The grid keeps no cell, so Compile errors; its skip line is the point.
+	_, skipped, _ := sweep.Spec{
+		Cases: []sweep.Case{c}, Patterns: []sweep.Generator{gen}, Ns: []int{64}, Ks: []int{3}, Trials: 1, Seed: 1,
+	}.Compile()
+	if len(skipped) != 1 || single != "wakeup-sim: "+skipped[0]+"\n" {
+		t.Fatalf("single mode and the grid disagree on the skip reason:\nsingle: %qgrid:   %q", single, skipped)
+	}
+}
+
+// TestSpoilerReport pins the spoiler's attack on the ablated wait_and_go,
+// which hands the adversary its whole budget. The expected rounds and
+// pattern come from adversary.Spoiler started where the spoiler pattern
+// starts it: at station 1 + rng.New(seed).Intn(n).
+func TestSpoilerReport(t *testing.T) {
+	bin := buildSim(t)
+	const n, k, seed = 64, 4, 3
+	out, stderr, code := runSim(t, bin,
+		"-algo", "waitandgo_nowait", "-n", "64", "-k", "4", "-pattern", "spoiler", "-seed", "3")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	c, err := sweep.ResolveCase("waitandgo_nowait")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, _, err := adversary.Spoiler(sim.NewEngine(), c.Algo(n, k), c.Params(n, k, seed), k,
+		1+rng.New(seed).Intn(n), sim.Options{Horizon: c.Horizon(n, k), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sp.Succeeded || sp.Spoiled != k-1 || len(sp.Pattern.IDs) != k {
+		t.Fatalf("spoiler: succeeded %v, spoiled %d of budget %d, %d stations; want the whole budget spent on a run that still succeeds",
+			sp.Succeeded, sp.Spoiled, k-1, len(sp.Pattern.IDs))
+	}
+	for _, line := range []string{
+		"algorithm : wait_and_go(no-wait)\n",
+		fmt.Sprintf("pattern   : spoiler  ids=%v wakes=%v\n", sp.Pattern.IDs, sp.Pattern.Wakes),
+		fmt.Sprintf("rounds    : %d (", sp.Rounds),
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("report lacks %q:\n%s", line, out)
+		}
+	}
+}
+
+// TestListFlagsNeedWakeupBench: wakeup-sim runs one instance. A list on an
+// axis flag, or -algo all, exits 1 with no stdout and names the wakeup-bench
+// flag that runs the grid.
+func TestListFlagsNeedWakeupBench(t *testing.T) {
+	bin := buildSim(t)
+	for _, tc := range []struct {
+		args  []string
+		bench string
+	}{
+		{[]string{"-algo", "wakeupc,rpd"}, "-algos"},
+		{[]string{"-algo", "all"}, "-algos"},
+		{[]string{"-n", "256,1024"}, "-ns"},
+		{[]string{"-k", "2,8"}, "-ks"},
+		{[]string{"-pattern", "simultaneous,staggered"}, "-patterns"},
+		{[]string{"-channels", "none,noisy:0.1"}, "-channels"},
+	} {
+		out, stderr, code := runSim(t, bin, tc.args...)
+		if code != 1 || out != "" || !strings.Contains(stderr, "wakeup-bench "+tc.bench) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1, no stdout and wakeup-bench %s named",
+				tc.args, code, out, stderr, tc.bench)
+		}
+	}
+}
+
+// TestRejectedRunPrintsNothing: a run rejected for its flags or by the
+// engine exits 1 before the report's first line.
+func TestRejectedRunPrintsNothing(t *testing.T) {
+	bin := buildSim(t)
+	for _, tc := range []struct {
+		args []string
+		why  string
+	}{
+		{[]string{"-algo", "rpd", "-n", "64", "-k", "3", "-render"}, "-render requires -algo wakeupc"},
+		{[]string{"-algo", "wakeup_with_k", "-pattern", "staggered", "-s", "-4"}, "negative wake time -4"},
+		{[]string{"-algo", "wakeupc", "-n", "64", "-k", "3", "-horizon", "-5"}, "-horizon -5"},
+	} {
+		out, stderr, code := runSim(t, bin, tc.args...)
+		if code != 1 || out != "" || !strings.Contains(stderr, tc.why) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1, no stdout and %q",
+				tc.args, code, out, stderr, tc.why)
+		}
 	}
 }
 

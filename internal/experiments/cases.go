@@ -13,7 +13,7 @@ import (
 // lists) can place them on a grid next to the standard algorithms: the T8
 // ablation cells and the T12 clock-skew probe become declarable workloads
 // instead of closures private to one driver. The names resolve in any binary
-// that links this package (cmd/wakeup-bench does).
+// that links this package (cmd/wakeup-bench and cmd/wakeup-sim do).
 func init() {
 	scenC := func(n, k int, seed uint64) model.Params {
 		return model.Params{N: n, S: -1, Seed: seed}

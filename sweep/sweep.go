@@ -26,9 +26,11 @@
 //	...
 //	res, _ := sweep.Merge(shards...)      // text/CSV/JSON == one-process run
 //
-// New workloads join the name layer with RegisterCase and RegisterPattern;
-// the cmd/wakeup-bench and cmd/wakeup-sim CLIs speak the same registries and
-// documents (-spec, -shard i/m, merge, -dump-spec).
+// New workloads join the name layer with RegisterCase and RegisterPattern.
+// The cmd/wakeup-bench and cmd/wakeup-sim CLIs resolve the same registries,
+// the experiment drivers' ablation cases included: wakeup-bench runs grids
+// and documents (-spec, -shard i/m, merge, -dump-spec), and wakeup-sim runs
+// one instance.
 //
 // This package re-exports nsmac/internal/sweep; the types are aliases, so
 // values flow freely between the public API and the experiment drivers.
