@@ -115,7 +115,7 @@ func runWork(args []string) {
 	w := &sweep.CampaignWorker{
 		Client:    sweep.NewCampaignClient(*server, nil),
 		ID:        *id,
-		Exec:      buildExecutor(*execSpec, *workers, *batch),
+		Exec:      buildExecutor("work", *execSpec, *workers, *batch),
 		Poll:      *poll,
 		MaxLeases: *maxLeases,
 		Hold:      *hold,

@@ -366,7 +366,7 @@ func runDispatch(args []string) {
 	var (
 		specFile = fs.String("spec", "", "grid spec document (JSON); \"-\" reads stdin (required)")
 		shards   = fs.Int("shards", 0, "shard count m of the trial-striped plan (required, >= 1)")
-		execSpec = fs.String("exec", "local", "executor: \"local\" (in-process), \"subprocess[:binary]\" (one process per shard; default binary: this one), or \"cmd:<template>\" (whitespace-split argv with {spec}/{i}/{m}/{fingerprint} substituted; envelope read from stdout, spec piped to stdin unless {spec} is used)")
+		execSpec = fs.String("exec", "local", "executor: \"local\" (in-process), \"subprocess[:binary]\" (one process per shard: shorthand for cmd:<binary> -spec - -shard {i}/{m}, forwarding -workers/-batch; default binary: this one), or \"cmd:<template>\" (whitespace-split argv with {spec}/{i}/{m}/{fingerprint} substituted; envelope read from stdout, spec piped to stdin unless {spec} is used)")
 		storeDir = fs.String("store", "", "persist shard envelopes under this directory (<dir>/<fingerprint>/<i>-of-<m>.json); shards whose stored envelope is complete and valid are not run again")
 		retries  = fs.Int("retries", 3, "lease attempt cap per shard")
 		conc     = fs.Int("concurrency", 1, "lease workers, and so shards in flight at once")
@@ -417,7 +417,7 @@ func runDispatch(args []string) {
 	}
 
 	d := &sweep.Driver{
-		Exec:        buildExecutor(*execSpec, *workers, *batch),
+		Exec:        buildExecutor("run", *execSpec, *workers, *batch),
 		MaxAttempts: *retries,
 		Concurrency: *conc,
 	}
@@ -453,34 +453,43 @@ func runDispatch(args []string) {
 	emit(*outFile, []byte(out))
 }
 
-// buildExecutor resolves the -exec flag grammar into an executor.
-func buildExecutor(spec string, workers, batch int) sweep.Executor {
+// buildExecutor resolves the -exec flag grammar of subcommand cmd into an
+// executor. "subprocess[:bin]" is shorthand for the Command template that
+// pipes the spec to `bin -spec - -shard {i}/{m}` (this binary by default)
+// and reads the envelope from its stdout.
+func buildExecutor(cmd, spec string, workers, batch int) sweep.Executor {
 	switch {
 	case spec == "local":
 		return sweep.Local{Workers: workers, Batch: batch}
 	case spec == "subprocess" || strings.HasPrefix(spec, "subprocess:"):
-		sub := sweep.Subprocess{Stderr: os.Stderr}
-		if rest, ok := strings.CutPrefix(spec, "subprocess:"); ok {
-			if rest == "" {
-				fail("run: -exec subprocess: has an empty binary path")
+		bin, ok := strings.CutPrefix(spec, "subprocess:")
+		switch {
+		case !ok:
+			self, err := os.Executable()
+			if err != nil {
+				fail("%s: -exec subprocess: cannot locate own binary: %v", cmd, err)
 			}
-			sub.Binary = rest
+			bin = self
+		case bin == "":
+			fail("%s: -exec subprocess: has an empty binary path", cmd)
 		}
+		argv := []string{bin}
 		if workers != 0 {
-			sub.Args = append(sub.Args, "-workers", strconv.Itoa(workers))
+			argv = append(argv, "-workers", strconv.Itoa(workers))
 		}
 		if batch != 0 {
-			sub.Args = append(sub.Args, "-batch", strconv.Itoa(batch))
+			argv = append(argv, "-batch", strconv.Itoa(batch))
 		}
-		return sub
+		argv = append(argv, "-spec", "-", "-shard", "{i}/{m}")
+		return sweep.Command{Argv: argv, Stderr: os.Stderr}
 	case strings.HasPrefix(spec, "cmd:"):
 		argv := strings.Fields(strings.TrimPrefix(spec, "cmd:"))
 		if len(argv) == 0 {
-			fail("run: -exec cmd: has an empty template")
+			fail("%s: -exec cmd: has an empty template", cmd)
 		}
 		return sweep.Command{Argv: argv, Stderr: os.Stderr}
 	default:
-		fail("run: unknown -exec %q (have local, subprocess[:binary], cmd:<template>)", spec)
+		fail("%s: unknown -exec %q (have local, subprocess[:binary], cmd:<template>)", cmd, spec)
 		panic("unreachable")
 	}
 }

@@ -226,3 +226,21 @@ func TestGridFlagsNeedAGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkExecErrorsNameWork: an -exec value `work` rejects is reported
+// under the work subcommand's name, with exit status 1, before any lease
+// request.
+func TestWorkExecErrorsNameWork(t *testing.T) {
+	bin := buildBench(t)
+	cmd := exec.Command(bin, "work", "-server", "http://127.0.0.1:1", "-exec", "bogus")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("exit %v, want status 1", err)
+	}
+	if !strings.Contains(stderr.String(), "work: unknown -exec") {
+		t.Errorf("stderr %q, want a work: unknown -exec error", stderr.String())
+	}
+}

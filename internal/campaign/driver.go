@@ -83,16 +83,13 @@ func (d *Driver) RunShards(ctx context.Context, doc sweep.SpecDoc, shards int) (
 	}
 
 	// Workers start only if the store left something to run. Over
-	// serverClient a worker stops only when runCtx ends. They share the
-	// plans the server made at Submit instead of planning the grid again.
-	plans := srv.plans(id, gridID)
+	// serverClient a worker stops only when runCtx ends.
 	var wg sync.WaitGroup
 	for i := range min(max(d.Concurrency, 1), shards) {
 		if runCtx.Err() != nil {
 			break
 		}
 		w := &Worker{Client: serverClient{srv}, ID: fmt.Sprintf("driver-%d", i), Exec: d.Exec, OnEvent: onEvent}
-		w.usePlans(id, gridID, plans)
 		wg.Add(1)
 		//nsmac:nondeterminism-ok in-process lease workers; each envelope lands in its own shard slot on the server, so no result sees the schedule
 		go func() {

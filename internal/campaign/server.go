@@ -60,6 +60,10 @@ var (
 	ErrNoResults = errors.New("campaign: no completed shards yet")
 )
 
+// maxLeases caps concurrent leases per shard, bounding duplicated steal
+// work: one primary, one steal.
+const maxLeases = 2
+
 // Options configures a Server. The zero value selects the documented
 // defaults.
 type Options struct {
@@ -72,9 +76,6 @@ type Options struct {
 	// MaxAttempts caps lease grants per shard; a shard that burns through
 	// them fails its grid (default 5).
 	MaxAttempts int
-	// MaxLeases caps concurrent leases per shard, bounding duplicated
-	// steal work (default 2: one primary, one steal).
-	MaxLeases int
 	// DefaultShards sizes autotuned grids before any wall-clock observation
 	// exists (default 4).
 	DefaultShards int
@@ -100,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 5
-	}
-	if o.MaxLeases <= 0 {
-		o.MaxLeases = 2
 	}
 	if o.DefaultShards <= 0 {
 		o.DefaultShards = 4
@@ -160,12 +158,10 @@ type gridState struct {
 	cells     int // resolved cell count (known at submission)
 	autotuned bool
 
-	// plans/fingerprint/shards are nil/empty until the grid is planned: at
+	// fingerprint/shards are empty/nil until the grid is planned: at
 	// submission for a fixed shard count, at first lease for an autotuned
 	// grid, so it sees the wall clock of the campaign's earlier grids.
-	plans       []dispatch.ShardPlan
 	fingerprint string
-	skipped     []string
 	shards      []*shardState
 
 	// failed carries the grid's first fatal error (a shard out of attempts,
@@ -216,13 +212,13 @@ func (s *Server) Submit(m Manifest) (string, error) {
 		// Planning validates the document and yields the resolved cell
 		// count the autotuner needs. A fixed shard count is planned for
 		// good here; an autotuned grid is planned again at its first lease.
-		plans, skipped, err := dispatch.PlanShards(mg.Spec, max(mg.Shards, 1))
+		plans, _, err := dispatch.PlanShards(mg.Spec, max(mg.Shards, 1))
 		if err != nil {
 			return "", fmt.Errorf("campaign: grid %q: %w", mg.ID, err)
 		}
 		g := &gridState{id: mg.ID, doc: mg.Spec, cells: plans[0].Cells}
 		if mg.Shards > 0 {
-			s.setPlan(g, plans, skipped)
+			s.setPlan(g, plans)
 		}
 		grids[i] = g
 	}
@@ -278,11 +274,11 @@ func (s *Server) Lease(worker string) (*LeaseGrant, error) {
 	var bestG *gridState
 	for _, c := range s.campaigns {
 		for _, g := range c.grids {
-			if g.failed != "" || g.plans == nil {
+			if g.failed != "" || g.shards == nil {
 				continue
 			}
 			for _, sh := range g.shards {
-				if sh.done || len(sh.leases) == 0 || len(sh.leases) >= s.opts.MaxLeases {
+				if sh.done || len(sh.leases) == 0 || len(sh.leases) >= maxLeases {
 					continue
 				}
 				if sh.attempts >= s.opts.MaxAttempts {
@@ -528,24 +524,22 @@ func (s *Server) observeLocked(now time.Time, l *lease) {
 // planLocked materializes an autotuned grid's shard plan on first demand,
 // picking its shard count from the wall clock observed so far.
 func (s *Server) planLocked(g *gridState) error {
-	if g.plans != nil {
+	if g.shards != nil {
 		return nil
 	}
 	g.autotuned = true
-	plans, skipped, err := dispatch.PlanShards(g.doc, s.autoShardCountLocked(g))
+	plans, _, err := dispatch.PlanShards(g.doc, s.autoShardCountLocked(g))
 	if err != nil {
 		return err
 	}
-	s.setPlan(g, plans, skipped)
+	s.setPlan(g, plans)
 	return nil
 }
 
 // setPlan installs a grid's shard plan. With a store attached,
 // already-persisted envelopes that pass the plan's checks complete their
 // shards immediately (campaign resume).
-func (s *Server) setPlan(g *gridState, plans []dispatch.ShardPlan, skipped []string) {
-	g.plans = plans
-	g.skipped = skipped
+func (s *Server) setPlan(g *gridState, plans []dispatch.ShardPlan) {
 	g.fingerprint = plans[0].Fingerprint
 	g.cells = plans[0].Cells
 	g.shards = make([]*shardState, len(plans))
@@ -638,7 +632,7 @@ func (s *Server) statusLocked(c *campaignState) *CampaignStatus {
 				gs.Pending++
 			}
 		}
-		gs.Complete = g.plans != nil && gs.Done == gs.Shards
+		gs.Complete = g.shards != nil && gs.Done == gs.Shards
 		if !gs.Complete || g.failed != "" {
 			out.Done = false
 		}
@@ -703,18 +697,6 @@ func (s *Server) envelopes(campaignID, gridID string) (slots []*sweep.ShardResul
 		slots[i] = sh.env
 	}
 	return slots, g.failed, g.storeErr, nil
-}
-
-// plans returns a grid's shard plans, nil until it is planned. The slice is
-// the server's own, set once: callers only read it.
-func (s *Server) plans(campaignID, gridID string) []dispatch.ShardPlan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, err := s.gridLocked(campaignID, gridID)
-	if err != nil {
-		return nil
-	}
-	return g.plans
 }
 
 // gridLocked finds grid gridID of campaign campaignID; s.mu is held.

@@ -154,7 +154,7 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 }
 
 func TestWorkStealingFromStraggler(t *testing.T) {
-	s, clk := newTestServer(t, Options{LeaseTimeout: 20 * time.Second, StealAfter: 5 * time.Second, MaxLeases: 2})
+	s, clk := newTestServer(t, Options{LeaseTimeout: 20 * time.Second, StealAfter: 5 * time.Second})
 	submitOne(t, s, testDoc(t), 2)
 
 	a, _ := s.Lease("slow")
@@ -185,7 +185,7 @@ func TestWorkStealingFromStraggler(t *testing.T) {
 	if st == nil || !st.Steal || st.Shard != a.Shard {
 		t.Fatalf("steal grant = %+v, want steal of shard %d", st, a.Shard)
 	}
-	// MaxLeases caps duplication: no third lease on the same shard.
+	// maxLeases caps duplication: no third lease on the same shard.
 	clk.Advance(6 * time.Second)
 	if g, _ := s.Lease("third"); g != nil {
 		t.Fatalf("third concurrent lease granted: %+v", g)

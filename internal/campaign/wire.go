@@ -3,11 +3,13 @@ package campaign
 import "nsmac/internal/sweep"
 
 // LeaseGrant is the server's answer to a successful lease request: one
-// shard of one grid, plus everything the worker needs to reconstruct the
-// dispatch.ShardPlan locally — the full spec document and the plan
-// coordinates. The worker re-derives the plan from Doc and cross-checks
-// Fingerprint, so a server/worker version skew that changes planning is
-// caught before any trial runs.
+// shard of one grid, carrying the dispatch.ShardPlan the server made — the
+// full spec document, its fingerprint and cell count, and the plan
+// coordinates. The worker runs exactly this plan without planning the grid
+// again. The Local executor compares Fingerprint with the grid it compiles
+// from Doc, so a server/worker version skew that changes planning is
+// caught before any trial runs; an out-of-process executor's envelope is
+// checked against the plan when it comes back.
 type LeaseGrant struct {
 	// LeaseID names the lease in heartbeat/complete/fail calls.
 	LeaseID string `json:"lease_id"`

@@ -91,19 +91,6 @@ type Worker struct {
 	Hold time.Duration
 	// OnEvent, when non-nil, receives progress records synchronously.
 	OnEvent func(WorkerEvent)
-
-	// plans memoizes the shard plans of the last grid leased, under
-	// planKey: consecutive leases mostly come from one grid, and planning
-	// resolves and compiles the whole spec document. Run handles one lease
-	// at a time, so the memo needs no lock.
-	planKey planKey
-	plans   []dispatch.ShardPlan
-}
-
-// planKey identifies the grid a lease's plans were made for.
-type planKey struct {
-	campaign, grid, fingerprint string
-	shards                      int
 }
 
 // Run pulls and executes leases until ctx is cancelled or MaxLeases is
@@ -153,12 +140,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runLease executes one granted shard: reconstruct the plan, cross-check
-// the fingerprint, heartbeat in the background, run the executor, upload
-// the envelope. Failures are reported to the server (best-effort) and the
+// runLease executes one granted shard: take the plan from the grant,
+// heartbeat in the background, run the executor, check and upload the
+// envelope. Failures are reported to the server (best-effort) and the
 // worker moves on — the lease queue owns retry policy, not the worker.
 func (w *Worker) runLease(ctx context.Context, exec dispatch.Executor, grant *LeaseGrant) {
-	plan, err := w.planFor(grant)
+	plan, err := planFor(grant)
 	if err != nil {
 		w.failLease(ctx, grant, err)
 		return
@@ -258,39 +245,18 @@ func (w *Worker) runLease(ctx context.Context, exec dispatch.Executor, grant *Le
 	}
 }
 
-// planFor reconstructs the dispatch.ShardPlan for a grant from its spec
-// document, reusing the previous lease's plans when the grant is for the
-// same grid, and cross-checks the server's fingerprint on every lease — a
-// mismatch means server and worker disagree on planning and nothing should
-// run.
-func (w *Worker) planFor(grant *LeaseGrant) (dispatch.ShardPlan, error) {
-	key := planKey{grant.Campaign, grant.Grid, grant.Fingerprint, grant.Shards}
-	plans := w.plans
-	if plans == nil || key != w.planKey {
-		var err error
-		plans, _, err = dispatch.PlanShards(grant.Doc, grant.Shards)
-		if err != nil {
-			return dispatch.ShardPlan{}, fmt.Errorf("campaign: worker cannot plan leased grid: %w", err)
-		}
+// planFor is the plan the server made for a grant, as the grant carries
+// it. Whether it describes the grid the executor computes is checked by
+// the executor (Local compares fingerprints before any trial runs) and by
+// CheckEnvelope on what comes back.
+func planFor(grant *LeaseGrant) (dispatch.ShardPlan, error) {
+	if grant.Shard < 0 || grant.Shard >= grant.Shards {
+		return dispatch.ShardPlan{}, fmt.Errorf("campaign: leased shard %d outside plan of %d", grant.Shard, grant.Shards)
 	}
-	if grant.Shard < 0 || grant.Shard >= len(plans) {
-		return dispatch.ShardPlan{}, fmt.Errorf("campaign: leased shard %d outside plan of %d", grant.Shard, len(plans))
-	}
-	plan := plans[grant.Shard]
-	if plan.Fingerprint != grant.Fingerprint {
-		return dispatch.ShardPlan{}, fmt.Errorf("campaign: fingerprint mismatch: server %s, worker %s (version skew?)",
-			grant.Fingerprint, plan.Fingerprint)
-	}
-	w.planKey, w.plans = key, plans
-	return plan, nil
-}
-
-// usePlans seeds the plan memo with the plans of a grid the worker has not
-// leased from yet, so a worker beside the server that planned the grid
-// need not plan it again. planFor still checks every grant against them.
-func (w *Worker) usePlans(campaign, grid string, plans []dispatch.ShardPlan) {
-	w.planKey = planKey{campaign, grid, plans[0].Fingerprint, len(plans)}
-	w.plans = plans
+	return dispatch.ShardPlan{
+		Doc: grant.Doc, Fingerprint: grant.Fingerprint, Cells: grant.Cells,
+		Index: grant.Shard, Count: grant.Shards,
+	}, nil
 }
 
 // failLease reports a failed attempt (best-effort) and emits the event.

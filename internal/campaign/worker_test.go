@@ -46,10 +46,12 @@ func tamperLeases(t *testing.T, s *Server, tamper func(n int) bool) *Client {
 	return NewClient(hs.URL, hs.Client())
 }
 
-// TestWorkerChecksFingerprintWithCachedPlan: once a worker has planned a
-// grid, a grant for that grid whose fingerprint no longer matches still
-// fails its lease instead of running on the cached plan, and the honest
-// re-lease of the same shard completes.
+// TestWorkerChecksFingerprintWithCachedPlan: after a worker has run a shard
+// of a grid, a grant for that grid whose fingerprint no longer matches the
+// document still fails its lease — the Local executor compares the grant's
+// fingerprint with the grid it compiles before any trial runs — and the
+// honest re-lease of the same shard completes. (The name predates the
+// removal of the worker's plan cache.)
 func TestWorkerChecksFingerprintWithCachedPlan(t *testing.T) {
 	s := NewServer(Options{LeaseTimeout: 30 * time.Second})
 	cl := tamperLeases(t, s, func(n int) bool { return n == 2 })
@@ -91,8 +93,8 @@ func TestWorkerChecksFingerprintWithCachedPlan(t *testing.T) {
 }
 
 // TestWorkerReplansForEachCampaign: one worker drains two campaigns in turn
-// (same grid ID and shard count, different documents) and runs each
-// against its own plan, so both results equal their one-process runs.
+// (same grid ID and shard count, different documents) and runs each grant's
+// own plan, so both results equal their one-process runs.
 func TestWorkerReplansForEachCampaign(t *testing.T) {
 	s, cl := startServer(t, Options{LeaseTimeout: 30 * time.Second})
 	first := testDoc(t)

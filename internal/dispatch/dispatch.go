@@ -1,17 +1,18 @@
 // Package dispatch is the distributed half of the sweep orchestrator: it
 // takes a serializable grid document (sweep.SpecDoc), cuts it into the
 // trial-striped shard plan, hands each shard to a pluggable Executor — in
-// this process, in a subprocess, or through an arbitrary user command such
-// as ssh or kubectl — and reassembles the shard envelopes with sweep.Merge,
+// this process, or through a command template such as this binary, ssh or
+// kubectl — and reassembles the shard envelopes with sweep.Merge,
 // whose text/CSV/JSON render is byte-identical to the single-process run.
 //
 // Two layers:
 //
 //   - Executor runs ONE shard of a plan and returns its envelope. Local
-//     executes Spec.Shard in-process under a worker budget; Subprocess execs
-//     a shard binary (this one by default) with -spec/-shard/-out and
-//     decodes the envelope it writes; Command substitutes the plan into a
-//     user argv template and decodes the envelope from its stdout.
+//     compiles the grid in-process, checks its fingerprint against the
+//     plan's and runs the shard under a worker budget; Command substitutes
+//     the plan into an argv template and decodes the envelope from its
+//     stdout. `wakeup-bench -exec subprocess[:bin]` is a Command whose
+//     template re-runs a wakeup-bench binary on one shard.
 //
 //   - RunStore persists envelopes under <dir>/<grid-fingerprint>/
 //     <i>-of-<m>.json with atomic writes, so a killed run can never leave a
@@ -114,18 +115,21 @@ func CheckEnvelope(r *sweep.ShardResult, plan ShardPlan) error {
 	return nil
 }
 
-// Executor runs one shard of a plan and returns its envelope. Implementations
-// must honor ctx where they can (Subprocess and Command kill the child;
-// Local only checks for cancellation before starting, since an in-process
-// grid is not abortable mid-trial) and must return an envelope whose
-// fingerprint and coordinates match the plan — the campaign worker and
-// server re-validate either way.
+// Executor runs one shard of a plan and returns its envelope. The two
+// implementations are Local and Command. Implementations must honor ctx
+// where they can (Command kills the child; Local only checks for
+// cancellation before starting, since an in-process grid is not abortable
+// mid-trial) and must return an envelope whose fingerprint and coordinates
+// match the plan — the campaign worker and server re-validate either way.
 type Executor interface {
 	Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error)
 }
 
-// Local executes shards in-process via Spec.Shard, bounded by a worker
-// budget. It is the zero-dependency executor campaign workers default to.
+// Local executes shards in-process, bounded by a worker budget. It is the
+// zero-dependency executor campaign workers default to. Before any trial
+// runs it checks that the grid it compiled from the plan's document has the
+// plan's fingerprint, so a planner that disagrees with this binary (version
+// skew, a corrupted grant) runs nothing.
 type Local struct {
 	// Workers bounds the trial worker pool per shard (<= 0 selects
 	// GOMAXPROCS). With Driver Concurrency > 1, the budgets multiply —
@@ -145,83 +149,15 @@ func (l Local) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, err
 		return nil, err
 	}
 	spec.Workers, spec.Batch = l.Workers, l.Batch
-	return spec.Shard(plan.Index, plan.Count)
-}
-
-// Subprocess executes each shard by exec'ing a shard binary — this binary by
-// default — as `<bin> -spec <file> -shard i/m -out <file>` and decoding the
-// envelope it writes. It is the executor behind `wakeup-bench run -exec
-// subprocess`: one OS process per shard, so a shard crash (OOM, panic,
-// kill) is isolated and retryable.
-type Subprocess struct {
-	// Binary is the shard binary to exec; empty selects os.Executable()
-	// (the "exec this" mode — wakeup-bench re-execs itself per shard).
-	Binary string
-	// Args are extra arguments inserted before the -spec/-shard/-out
-	// triple (e.g. a -workers budget for the child).
-	Args []string
-	// Stderr, when non-nil, receives the child's stderr (skip reports,
-	// crash output). Nil discards it except on error, where the tail is
-	// folded into the returned error.
-	Stderr io.Writer
-}
-
-// Run implements Executor.
-func (s Subprocess) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error) {
-	bin := s.Binary
-	if bin == "" {
-		self, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: cannot locate own binary: %w", err)
-		}
-		bin = self
-	}
-	dir, err := os.MkdirTemp("", "nsmac-shard-")
+	g, err := spec.Grid()
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	specPath := filepath.Join(dir, "spec.json")
-	outPath := filepath.Join(dir, "envelope.json")
-	doc, err := plan.Doc.Encode()
-	if err != nil {
-		return nil, err
+	if fp := g.Fingerprint(); fp != plan.Fingerprint {
+		return nil, fmt.Errorf("dispatch: fingerprint mismatch: plan %s, compiled grid %s (version skew?)",
+			plan.Fingerprint, fp)
 	}
-	if err := os.WriteFile(specPath, doc, 0o644); err != nil {
-		return nil, err
-	}
-
-	args := append(append([]string(nil), s.Args...),
-		"-spec", specPath,
-		"-shard", fmt.Sprintf("%d/%d", plan.Index, plan.Count),
-		"-out", outPath,
-	)
-	cmd := exec.CommandContext(ctx, bin, args...)
-	var stderr strings.Builder
-	if s.Stderr != nil {
-		cmd.Stderr = s.Stderr
-	} else {
-		cmd.Stderr = &stderr
-	}
-	if err := cmd.Run(); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("dispatch: shard %d/%d subprocess: %w%s",
-			plan.Index, plan.Count, err, stderrTail(stderr.String()))
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: shard %d/%d subprocess wrote no envelope: %w", plan.Index, plan.Count, err)
-	}
-	r, err := sweep.DecodeShardResult(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckEnvelope(r, plan); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return g.RunShard(plan.Index, plan.Count)
 }
 
 // Command executes each shard through a user-supplied argv template — ssh,

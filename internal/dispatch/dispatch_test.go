@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nsmac/internal/sweep"
@@ -130,6 +131,21 @@ func TestLocalExecutorHonorsCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := (Local{}).Run(ctx, plans[0]); err == nil {
 		t.Error("canceled context did not stop the local executor")
+	}
+}
+
+// TestLocalExecutorChecksFingerprint: a plan whose fingerprint is not the
+// one its document compiles to runs nothing and names the mismatch.
+func TestLocalExecutorChecksFingerprint(t *testing.T) {
+	plans, _, err := PlanShards(testDoc(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := plans[1]
+	plan.Fingerprint = strings.Repeat("0", len(plan.Fingerprint))
+	env, err := (Local{}).Run(context.Background(), plan)
+	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("envelope %v, error %v; want a fingerprint mismatch", env, err)
 	}
 }
 

@@ -180,7 +180,8 @@ type Attempt struct {
 }
 
 // Attempts parses the grid's attempt log into records — the accounting view
-// campaign status and the store tests read. Lines that do not parse are
+// the store and campaign tests check retries and resumes against;
+// campaign status counts attempts in memory and does not read the log. Lines that do not parse are
 // reported as an error rather than skipped: the log is append-only and
 // machine-written, so a malformed line means the store was tampered with or
 // torn mid-write.

@@ -287,19 +287,13 @@ func CasesByName(list string) ([]Case, error) {
 	return out, nil
 }
 
-// ParsePatterns resolves a comma-separated pattern list with the default
-// shape parameters: start slot 0, gap 7, window width 64. See
-// ParsePatternsAt.
-func ParsePatterns(list string) ([]adversary.Generator, error) {
-	return ParsePatternsAt(list, 0, 7, 64)
-}
-
-// ParsePatternsAt resolves a comma-separated pattern entry list against the
-// pattern registry with explicit shape defaults: every family starts at slot
-// s, staggered/bursts use gap and uniform uses width unless an entry
-// overrides its parameter with the `name[:arg][@start]` grammar —
-// "simultaneous", "staggered:7", "uniform:64@5", "bursts:17". Empty or
-// "suite" selects the standard adversary suite (which pins start slot 0).
+// ParsePatterns resolves a comma-separated pattern entry list against the
+// pattern registry with the default shape (DefaultPatternShape): every
+// family starts at slot 0, staggered/bursts use gap 7 and uniform uses
+// width 64 unless an entry overrides its parameter with the
+// `name[:arg][@start]` grammar — "simultaneous", "staggered:7",
+// "uniform:64@5", "bursts:17". Empty or "suite" selects the standard
+// adversary suite (which pins start slot 0).
 //
 // Two white-box families are registered alongside the black-box ones:
 // "spoiler" (wake a colliding fresh station at every would-be success slot)
@@ -308,11 +302,11 @@ func ParsePatterns(list string) ([]adversary.Generator, error) {
 // parameters — their pattern is constructed per trial against the cell's
 // algorithm. The registry behind this is shared by both cmd/ tools and
 // SpecDoc resolution; new families join via RegisterPattern.
-func ParsePatternsAt(list string, s, gap, width int64) ([]adversary.Generator, error) {
+func ParsePatterns(list string) ([]adversary.Generator, error) {
 	if strings.TrimSpace(list) == "" {
 		return adversary.Suite(), nil
 	}
-	shape := PatternShape{Start: s, Gap: gap, Width: width}
+	shape := DefaultPatternShape()
 	var out []adversary.Generator
 	for _, entry := range strings.Split(list, ",") {
 		entry = strings.TrimSpace(entry)

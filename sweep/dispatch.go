@@ -9,15 +9,16 @@ import (
 
 // Distributed shard dispatch (aliases into nsmac/internal/dispatch and
 // nsmac/internal/campaign): run a spec document's trial-striped shard plan
-// through a pluggable Executor — in-process, one subprocess per shard, or
-// an arbitrary command template (ssh, kubectl) — persist the envelopes in a
-// RunStore that later runs resume from, and merge to output byte-identical
-// to the single-process run. The Driver is an in-process campaign: a
-// campaign server holding the plan and Concurrency workers leasing from it.
+// through a pluggable Executor — in-process (Local) or through a command
+// template (Command: a wakeup-bench binary per shard, ssh, kubectl) —
+// persist the envelopes in a RunStore that later runs resume from, and
+// merge to output byte-identical to the single-process run. The Driver is
+// an in-process campaign: a campaign server holding the plan and
+// Concurrency workers leasing from it.
 //
 //	doc, _ := sweep.ParseSpecDoc(data)
 //	d := &sweep.Driver{
-//	    Exec:        sweep.Subprocess{Binary: "./wakeup-bench"},
+//	    Exec:        sweep.Command{Argv: []string{"./wakeup-bench", "-spec", "-", "-shard", "{i}/{m}"}},
 //	    Store:       &sweep.RunStore{Dir: "runs"}, // stored shards are not re-run
 //	    Concurrency: 3,
 //	}
@@ -34,9 +35,6 @@ type (
 	ShardPlan = dispatch.ShardPlan
 	// Local executes shards in-process under a worker budget.
 	Local = dispatch.Local
-	// Subprocess executes each shard by exec'ing a shard binary with
-	// -spec/-shard/-out and decoding the envelope it writes.
-	Subprocess = dispatch.Subprocess
 	// Command executes each shard through a user argv template (ssh,
 	// kubectl, ...) that streams the envelope JSON over stdout.
 	Command = dispatch.Command

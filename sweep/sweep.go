@@ -144,13 +144,6 @@ func DefaultPatternShape() PatternShape { return isweep.DefaultPatternShape() }
 // default shape parameters (see DefaultPatternShape).
 func ParsePatterns(list string) ([]Generator, error) { return isweep.ParsePatterns(list) }
 
-// ParsePatternsAt resolves a comma-separated pattern entry list against
-// explicit shape defaults: start slot s, staggered/bursts gap, uniform
-// window width.
-func ParsePatternsAt(list string, s, gap, width int64) ([]Generator, error) {
-	return isweep.ParsePatternsAt(list, s, gap, width)
-}
-
 // ParseInts parses a comma-separated positive integer axis ("256,1024").
 func ParseInts(list string) ([]int, error) { return isweep.ParseInts(list) }
 
