@@ -244,3 +244,23 @@ func TestWorkExecErrorsNameWork(t *testing.T) {
 		t.Errorf("stderr %q, want a work: unknown -exec error", stderr.String())
 	}
 }
+
+// TestAllCellsSkippedNamesReasons: a grid whose every cell is skipped for a
+// reason other than k > n exits 1 with an error that names the reason, and
+// prints nothing on stdout.
+func TestAllCellsSkippedNamesReasons(t *testing.T) {
+	bin := buildBench(t)
+	cmd := exec.Command(bin, "-algos", "tree_cd", "-patterns", "spoiler", "-channels", "cd",
+		"-ns", "64", "-ks", "4", "-trials", "1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("exit %v, want status 1", err)
+	}
+	want := "all 1 combinations skipped: tree_cd×spoiler×cd (white-box pattern needs an oblivious schedule; tree_cd is adaptive)"
+	if !strings.Contains(stderr.String(), want) || stdout.Len() != 0 {
+		t.Errorf("stdout %q, stderr %q; want only an error naming %q", stdout.String(), stderr.String(), want)
+	}
+}

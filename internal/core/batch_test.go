@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -9,13 +10,54 @@ import (
 	"nsmac/internal/rng"
 )
 
+// batchAlgos is how many algorithms batchAlgo names.
+const batchAlgos = 7
+
 // batchAlgo returns the batched algorithm the fuzzer's selector byte names,
-// with params for universe n: rpd, and rpdk with k known.
+// with params for universe n: rpd, rpdk with k known, wakeup(n) at its
+// default constant, at c = 2 and without the window wait, and BEB at its
+// default cap and at cap 1.
 func batchAlgo(sel uint8, n int, seed uint64) (model.Batched, model.Params) {
-	if sel%2 == 0 {
-		return NewRPD(), model.Params{N: n, S: -1, Seed: seed}
+	pC := model.Params{N: n, S: -1, Seed: seed}
+	switch sel % batchAlgos {
+	case 0:
+		return NewRPD(), pC
+	case 1:
+		return NewRPDWithK(), model.Params{N: n, K: min(n, 16), S: -1, Seed: seed}
+	case 2:
+		return NewWakeupC(), pC
+	case 3:
+		return &WakeupC{C: 2}, pC
+	case 4:
+		return &WakeupC{DisableWindowWait: true}, pC
+	case 5:
+		return NewBEB(), pC
+	default:
+		return &BEB{CapLog: 1}, pC
 	}
-	return NewRPDWithK(), model.Params{N: n, K: min(n, 16), S: -1, Seed: seed}
+}
+
+// batchName tells apart the variants batchAlgo names: BEB's name omits its
+// cap.
+func batchName(a model.Batched) string {
+	if b, ok := a.(*BEB); ok && b.CapLog > 0 {
+		return fmt.Sprintf("beb(cap=%d)", b.CapLog)
+	}
+	return a.Name()
+}
+
+// batchSpan is how many slots past the last wake a cohort check runs: three
+// RPD probability cycles, wakeup(n)'s row cycle (wrapping it on small n)
+// up to 4096 slots, or BEB's doubling phase plus four capped windows.
+func batchSpan(a model.Batched, p model.Params) int64 {
+	switch a := a.(type) {
+	case *WakeupC:
+		return min(a.Spec(p).CycleLength()+8, 4096)
+	case *BEB:
+		return 6 << uint(a.capFor(p))
+	default:
+		return 3 * NewRPD().Ell(p)
+	}
 }
 
 // batchRun is one cohort check: stations ids wake at wakes, and after slot
@@ -102,15 +144,13 @@ func TestBatchMatchesBuild(t *testing.T) {
 		NewWakeupWithK(), NewWakeupC(), NewRPD(), NewRPDWithK(), NewLocalSSF(),
 		NewBEB(), NewTreeCD(), NewKGConflictResolution(),
 	} {
-		if _, ok := algo.(model.Batched); ok {
-			if _, isRPD := algo.(*RPD); !isRPD {
-				t.Errorf("%s is batched but batchAlgo does not cover it", algo.Name())
-			}
+		if _, ok := algo.(model.Batched); ok && !batchCovers(algo) {
+			t.Errorf("%s is batched but batchAlgo does not cover it", algo.Name())
 		}
 	}
 	src := rng.New(41)
 	var c model.Cohort
-	for sel := uint8(0); sel < 2; sel++ {
+	for sel := uint8(0); sel < batchAlgos; sel++ {
 		for _, n := range []int{2, 17, 256, 1024} {
 			a, p := batchAlgo(sel, n, uint64(n)+7)
 			k := min(n, 9)
@@ -120,7 +160,7 @@ func TestBatchMatchesBuild(t *testing.T) {
 				j := i + src.Intn(len(shuffled)-i)
 				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			}
-			ell := NewRPD().Ell(p)
+			span := batchSpan(a, p)
 			patterns := map[string][]int64{
 				"simultaneous": make([]int64, k),
 				"staggered":    make([]int64, k),
@@ -139,8 +179,8 @@ func TestBatchMatchesBuild(t *testing.T) {
 			}
 			for name, wakes := range patterns {
 				for _, pos := range []int{0, k / 2, k} {
-					r := batchRun{ids: shuffled, wakes: wakes, span: 3 * ell, inject: spare, at: wakes[k-1] + 1, pos: pos}
-					t.Run(fmt.Sprintf("%s/n=%d/%s/pos=%d", a.Name(), n, name, pos), func(t *testing.T) {
+					r := batchRun{ids: shuffled, wakes: wakes, span: span, inject: spare, at: wakes[k-1] + 1, pos: pos}
+					t.Run(fmt.Sprintf("%s/n=%d/%s/pos=%d", batchName(a), n, name, pos), func(t *testing.T) {
 						c = a.Cohort(p, c)
 						checkBatch(t, a, p, c, r)
 					})
@@ -150,15 +190,31 @@ func TestBatchMatchesBuild(t *testing.T) {
 	}
 }
 
+// batchCovers reports whether batchAlgo names an algorithm of algo's type.
+func batchCovers(algo model.Algorithm) bool {
+	for sel := range uint8(batchAlgos) {
+		if a, _ := batchAlgo(sel, 2, 0); reflect.TypeOf(a) == reflect.TypeOf(algo) {
+			return true
+		}
+	}
+	return false
+}
+
 // FuzzBatchMatchesBuild checks the cohort against Build at arbitrary
 // (algorithm, n, k, wakes, injection): k stations from a seeded sample of
 // [1, n] wake at seeded offsets up to spread apart, and one more station
-// joins at position pos after slot at's transmitters.
+// joins at position pos after slot at's transmitters. The run spans 70 to
+// 600 slots past the last wake.
 func FuzzBatchMatchesBuild(f *testing.F) {
 	f.Add(uint8(0), uint16(256), uint8(4), uint8(0), uint16(3), uint8(0), uint64(1))
 	f.Add(uint8(1), uint16(1024), uint8(16), uint8(5), uint16(40), uint8(8), uint64(2))
 	f.Add(uint8(0), uint16(2), uint8(1), uint8(1), uint16(0), uint8(1), uint64(3))
 	f.Add(uint8(1), uint16(65), uint8(30), uint8(30), uint16(200), uint8(255), uint64(4))
+	f.Add(uint8(2), uint16(256), uint8(8), uint8(40), uint16(100), uint8(3), uint64(5))
+	f.Add(uint8(3), uint16(17), uint8(5), uint8(9), uint16(7), uint8(0), uint64(6))
+	f.Add(uint8(4), uint16(1024), uint8(12), uint8(3), uint16(91), uint8(6), uint64(7))
+	f.Add(uint8(5), uint16(1024), uint8(20), uint8(10), uint16(500), uint8(9), uint64(8))
+	f.Add(uint8(6), uint16(2), uint8(1), uint8(0), uint16(1), uint8(0), uint64(9))
 	f.Fuzz(func(t *testing.T, sel uint8, rawN uint16, rawK, spread uint8, at uint16, pos uint8, seed uint64) {
 		n := int(rawN)%1100 + 2
 		k := int(rawK)%min(n-1, 32) + 1
@@ -172,7 +228,8 @@ func FuzzBatchMatchesBuild(f *testing.F) {
 			wakes[i] = int64(src.Intn(int(spread) + 1))
 		}
 		last := slices.Max(wakes)
-		r := batchRun{ids: ids, wakes: wakes, span: 70, inject: inject, at: last + int64(at)%70, pos: int(pos)}
+		span := max(min(batchSpan(a, p), 600), 70)
+		r := batchRun{ids: ids, wakes: wakes, span: span, inject: inject, at: last + int64(at)%span, pos: int(pos)}
 		checkBatch(t, a, p, a.Cohort(p, nil), r)
 	})
 }
@@ -207,4 +264,41 @@ func BenchmarkRPDCoins(b *testing.B) {
 			dst = c.Transmitters(slot, dst[:0])
 		}
 	})
+}
+
+// BenchmarkWakeupCCohort times one slot of k operative wakeup(n) stations
+// both ways, at k = 16 and 256: a Build closure call per station, three
+// hashes each, and one cohort call, which hashes each scanned row's column
+// once and each station once. ns/op is ns per slot.
+func BenchmarkWakeupCCohort(b *testing.B) {
+	a, p := NewWakeupC(), model.Params{N: 1024, S: -1, Seed: 3}
+	for _, k := range []int{16, 256} {
+		b.Run(fmt.Sprintf("k=%d/closures", k), func(b *testing.B) {
+			fs := make([]model.TransmitFunc, k)
+			for i := range fs {
+				fs[i] = a.Build(p, i+1, 0, nil)
+			}
+			var dst []int
+			b.ResetTimer()
+			for slot := range int64(b.N) {
+				dst = dst[:0]
+				for i, f := range fs {
+					if f(slot) {
+						dst = append(dst, i+1)
+					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/cohort", k), func(b *testing.B) {
+			c := a.Cohort(p, nil)
+			for i := range k {
+				c.Join(i+1, 0, nil)
+			}
+			var dst []int
+			b.ResetTimer()
+			for slot := range int64(b.N) {
+				dst = c.Transmitters(slot, dst[:0])
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
@@ -62,21 +63,91 @@ func (a *BEB) Build(p model.Params, id int, wake int64, src *rng.Source) model.T
 	}
 }
 
-// BuildNext implements model.Sparse: the attempt in the window holding
-// from, or — when that attempt is already behind from — the next window's.
-func (a *BEB) BuildNext(p model.Params, id int, wake int64, src *rng.Source) model.NextFunc {
-	personal := bebPersonal(p, id, src)
-	capLog := a.capFor(p)
-	return func(from int64) int64 {
-		off := max(from-wake, 0)
-		r, start, w := bebWindow(off, capLog)
-		if at := start + bebAttempt(personal, r, w, id); at >= off {
-			return wake + at
-		}
-		r, start, w = bebWindow(start+w, capLog)
-		return wake + start + bebAttempt(personal, r, w, id)
+// Cohort implements model.Batched: one flat slice of the joined stations'
+// next attempts. A station's record holds its window r, the window's first
+// offset and the attempt slot in it; an attempt moves it to window r+1 with
+// one hash, and Next is the earliest attempt of any station, so the engine
+// jumps over the silent slots before it.
+func (a *BEB) Cohort(p model.Params, prev model.Cohort) model.Cohort {
+	c, ok := prev.(*bebCohort)
+	if !ok {
+		c = new(bebCohort)
 	}
+	c.p, c.capLog = p, a.capFor(p)
+	c.stations, c.first = c.stations[:0], model.Never
+	return c
 }
+
+// bebCohort is BEB's model.Cohort: the joined stations in join order and
+// the earliest of their next attempts.
+type bebCohort struct {
+	p        model.Params
+	capLog   int
+	stations []bebStation
+	first    int64
+}
+
+// bebStation is one station's attempt in its current window r: the window
+// starts start slots after the wake, and the attempt is at slot at.
+type bebStation struct {
+	personal        uint64
+	wake, start, at int64
+	r, id           int
+}
+
+// station is station id, woken at wake, at its attempt in window 0. It
+// draws the personal key from src as Build does.
+func (c *bebCohort) station(id int, wake int64, src *rng.Source) bebStation {
+	st := bebStation{personal: bebPersonal(c.p, id, src), wake: wake, id: id}
+	st.at = wake + bebAttempt(st.personal, 0, bebWidth(0, c.capLog), id)
+	return st
+}
+
+// attempted moves st past its attempt, to window r+1.
+func (c *bebCohort) attempted(st *bebStation) {
+	st.start += bebWidth(st.r, c.capLog)
+	st.r++
+	st.at = st.wake + st.start + bebAttempt(st.personal, st.r, bebWidth(st.r, c.capLog), st.id)
+}
+
+// Join implements model.Cohort.
+func (c *bebCohort) Join(id int, wake int64, src *rng.Source) {
+	st := c.station(id, wake, src)
+	c.stations = append(c.stations, st)
+	c.first = min(c.first, st.at)
+}
+
+// JoinAt implements model.Cohort: the station's attempt at its wake slot,
+// if it makes one, is spent in that slot.
+func (c *bebCohort) JoinAt(i, id int, wake int64, src *rng.Source) bool {
+	st := c.station(id, wake, src)
+	sent := st.at == wake
+	if sent {
+		c.attempted(&st)
+	}
+	c.stations = slices.Insert(c.stations, i, st)
+	c.first = min(c.first, st.at)
+	return sent
+}
+
+// Transmitters implements model.Cohort: it gathers the stations whose
+// attempt is at slot t and moves each to its next window.
+func (c *bebCohort) Transmitters(t int64, dst []int) []int {
+	first := model.Never
+	for i := range c.stations {
+		st := &c.stations[i]
+		if st.at == t {
+			dst = append(dst, st.id)
+			c.attempted(st)
+		}
+		first = min(first, st.at)
+	}
+	c.first = first
+	return dst
+}
+
+// Next implements model.Cohort.
+func (c *bebCohort) Next(from int64) int64 { return max(c.first, from) }
 
 // bebPersonal is the station's personal hash key: one draw from its
 // stream, or a derivation from the params seed when built without one.
@@ -92,6 +163,9 @@ func bebPersonal(p model.Params, id int, src *rng.Source) uint64 {
 func bebAttempt(personal uint64, r int, w int64, id int) int64 {
 	return int64(rng.Hash3(personal, uint64(r), uint64(w), uint64(id)) & uint64(w-1))
 }
+
+// bebWidth is the width of window r: 2^(r+1), capped at 2^capLog.
+func bebWidth(r, capLog int) int64 { return int64(1) << uint(min(r+1, capLog)) }
 
 // bebWindow locates offset off (slots since wake) in BEB's window sequence
 // and returns the window index r, its first offset and its width. Windows

@@ -10,20 +10,14 @@ import (
 )
 
 // sparseAlgo returns the sparse algorithm the fuzzer's selector byte names,
-// with params for universe n: BEB at its default cap and at caps 1 and 3,
-// round-robin, and localssf with k unknown and known.
+// with params for universe n: round-robin, and localssf with k unknown and
+// known. (BEB steps through its own cohort; batchAlgo covers it.)
 func sparseAlgo(sel uint8, n int, seed uint64) (model.Sparse, model.Params) {
 	pC := model.Params{N: n, S: -1, Seed: seed}
-	switch sel % 6 {
+	switch sel % 3 {
 	case 0:
-		return NewBEB(), pC
-	case 1:
-		return &BEB{CapLog: 1}, pC
-	case 2:
-		return &BEB{CapLog: 3}, pC
-	case 3:
 		return NewRoundRobin(), pC
-	case 4:
+	case 1:
 		return NewLocalSSF(), pC
 	default:
 		return NewLocalSSF(), model.Params{N: n, K: min(n, 4), S: -1, Seed: seed}
@@ -48,12 +42,11 @@ func firstAttempts(f model.TransmitFunc, hi int64) []int64 {
 // TestNextAttemptMatchesBuild checks every sparse algorithm's BuildNext
 // against its Build: from every slot, before the wake included, NextFunc
 // names the first slot at which the dense schedule transmits. The span
-// crosses BEB's doubling windows into several capped ones and several
-// localssf position blocks and ladder cycles. NextFuncs are queried in every
-// order, fresh and shared, and both builders leave the station's stream in
-// the same state.
+// crosses several round-robin periods and several localssf position blocks
+// and ladder cycles. NextFuncs are queried in every order, fresh and shared,
+// and both builders leave the station's stream in the same state.
 func TestNextAttemptMatchesBuild(t *testing.T) {
-	for sel := uint8(0); sel < 6; sel++ {
+	for sel := uint8(0); sel < 3; sel++ {
 		for _, n := range []int{2, 3, 256, 1024} {
 			a, p := sparseAlgo(sel, n, 11)
 			for _, c := range []struct {
@@ -90,13 +83,10 @@ func TestNextAttemptMatchesBuild(t *testing.T) {
 	}
 }
 
-// nextSpan is how far past the wake TestNextAttemptMatchesBuild scans: BEB's
-// doubling phase plus four capped windows, four round-robin periods, or two
-// localssf ladder cycles plus a few blocks.
+// nextSpan is how far past the wake TestNextAttemptMatchesBuild scans: four
+// round-robin periods, or two localssf ladder cycles plus a few blocks.
 func nextSpan(a model.Sparse, p model.Params) int64 {
 	switch a := a.(type) {
-	case *BEB:
-		return 6 << uint(a.capFor(p))
 	case *LocalSSF:
 		return 2*selectors.KSLadder(p.N, a.maxI(p)).Length() + 64
 	default:

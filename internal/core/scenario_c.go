@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nsmac/internal/matrix"
 	"nsmac/internal/model"
@@ -88,13 +89,158 @@ func (a *WakeupC) FirstWaker(p model.Params, wake int64, _ uint64, taken []bool)
 		return 0
 	}
 	col := wake % spec.Length()
-	rho := spec.Rho(col)
+	key, e := spec.ColumnKey(1, col), 1+spec.Rho(col)
 	for id := 1; id <= p.N; id++ {
-		if !taken[id] && spec.MemberColumn(1, col, rho, id) {
+		if !taken[id] && matrix.MemberKey(key, e, id) {
 			return id
 		}
 	}
 	return 0
+}
+
+// Cohort implements model.Batched: one flat slice of the joined stations'
+// row scans. Stations scanning the same row at slot t read the same column
+// t mod ℓ (the vertical alignment of §5.2), so a slot computes the column,
+// ρ and each scanned row's column key once, and an operative station then
+// costs one hash and one threshold test. The matrix geometry is derived
+// once per trial, here, not once per station.
+func (a *WakeupC) Cohort(p model.Params, prev model.Cohort) model.Cohort {
+	c, ok := prev.(*wakeupCohort)
+	if !ok {
+		c = new(wakeupCohort)
+	}
+	c.spec = a.Spec(p)
+	c.ell = c.spec.Length()
+	c.wait = !a.DisableWindowWait
+	c.stations = c.stations[:0]
+	c.keys = slices.Grow(c.keys[:0], c.spec.Rows+1)[:c.spec.Rows+1]
+	for i := range c.keys {
+		c.keys[i].at = -1
+	}
+	c.last = -2 // no slot yet: the first query seeks
+	return c
+}
+
+// wakeupCohort is WakeupC's model.Cohort: the joined stations in join
+// order, the column of the slot last asked about, and the column keys
+// computed for that slot.
+type wakeupCohort struct {
+	spec     matrix.Spec
+	ell      int64 // ℓ, the column count
+	wait     bool  // stations wait for the window boundary µ(σ)
+	stations []wakeupStation
+	keys     []columnKey // indexed by row; keys[row].at == last when valid
+	last     int64       // the slot last asked about
+	col      int64       // last mod ℓ
+	rho      int         // ρ(col)
+}
+
+// wakeupStation is one station's row scan: the row it scans and the first
+// slot after that row's residence.
+type wakeupStation struct {
+	id     int
+	op     int64 // operative slot µ(σ), or σ without the window wait
+	row    int
+	rowEnd int64
+}
+
+// columnKey is a row's matrix.Spec.ColumnKey at the column of slot at.
+type columnKey struct {
+	at  int64
+	key uint64
+}
+
+// station is station id, woken at wake, positioned at the start of row 1.
+func (c *wakeupCohort) station(id int, wake int64) wakeupStation {
+	op := wake
+	if c.wait {
+		op = c.spec.Mu(wake)
+	}
+	return wakeupStation{id: id, op: op, row: 1, rowEnd: op + c.spec.RowResidence(1)}
+}
+
+// Join implements model.Cohort. Build draws nothing from the stream, and
+// neither does the join.
+func (c *wakeupCohort) Join(id int, wake int64, _ *rng.Source) {
+	c.stations = append(c.stations, c.station(id, wake))
+}
+
+// JoinAt implements model.Cohort: a station that is operative at its wake
+// slot scans row 1 there.
+func (c *wakeupCohort) JoinAt(i, id int, wake int64, _ *rng.Source) bool {
+	st := c.station(id, wake)
+	c.stations = slices.Insert(c.stations, i, st)
+	if st.op != wake {
+		return false
+	}
+	c.seek(wake)
+	return matrix.MemberKey(c.key(1, wake), 1+c.rho, id)
+}
+
+// Transmitters implements model.Cohort.
+func (c *wakeupCohort) Transmitters(t int64, dst []int) []int {
+	c.seek(t)
+	for i := range c.stations {
+		st := &c.stations[i]
+		if t < st.op {
+			continue
+		}
+		if t >= st.rowEnd {
+			c.advance(st, t)
+		}
+		if matrix.MemberKey(c.key(st.row, t), st.row+c.rho, st.id) {
+			dst = append(dst, st.id)
+		}
+	}
+	return dst
+}
+
+// Next implements model.Cohort: the matrix names no attempt ahead of time,
+// so the cohort is asked about every slot.
+func (c *wakeupCohort) Next(from int64) int64 { return from }
+
+// seek sets the column and ρ to slot t's: one step from the slot before,
+// a division otherwise.
+func (c *wakeupCohort) seek(t int64) {
+	switch t {
+	case c.last:
+		return
+	case c.last + 1:
+		if c.col++; c.col == c.ell {
+			c.col = 0
+		}
+		if c.rho++; c.rho == c.spec.Window {
+			c.rho = 0
+		}
+	default:
+		c.col = t % c.ell
+		c.rho = c.spec.Rho(c.col)
+	}
+	c.last = t
+}
+
+// key returns row's column key at slot t, the slot last sought.
+func (c *wakeupCohort) key(row int, t int64) uint64 {
+	k := &c.keys[row]
+	if k.at != t {
+		k.at, k.key = t, c.spec.ColumnKey(row, c.col)
+	}
+	return k.key
+}
+
+// advance moves st to the row it scans at slot t >= st.rowEnd: the next
+// row, wrapping to row 1 after the last, when t ends the current one, and
+// a seek through the row cycle otherwise.
+func (c *wakeupCohort) advance(st *wakeupStation, t int64) {
+	if t == st.rowEnd {
+		if st.row++; st.row > c.spec.Rows {
+			st.row = 1
+		}
+		st.rowEnd = t + c.spec.RowResidence(st.row)
+		return
+	}
+	row, entered := c.spec.RowAt(st.op, t)
+	st.row, st.rowEnd = row, entered+c.spec.RowResidence(row)
 }
 
 // wakeupCursor is a WakeupC station's position in its row scan. It is one

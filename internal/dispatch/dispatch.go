@@ -153,11 +153,15 @@ func (l Local) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, err
 	if err != nil {
 		return nil, err
 	}
-	if fp := g.Fingerprint(); fp != plan.Fingerprint {
-		return nil, fmt.Errorf("dispatch: fingerprint mismatch: plan %s, compiled grid %s (version skew?)",
-			plan.Fingerprint, fp)
+	out, err := g.PlanEnvelope(plan.Index, plan.Count)
+	if err != nil {
+		return nil, err
 	}
-	return g.RunShard(plan.Index, plan.Count)
+	if out.Fingerprint != plan.Fingerprint {
+		return nil, fmt.Errorf("dispatch: fingerprint mismatch: plan %s, compiled grid %s (version skew?)",
+			plan.Fingerprint, out.Fingerprint)
+	}
+	return g.RunPlanned(out)
 }
 
 // Command executes each shard through a user-supplied argv template — ssh,

@@ -169,8 +169,20 @@ func (s Spec) Member(i int, t int64, id int) bool {
 // dividing on every query. It checks nothing: the caller keeps i in
 // [1, Rows], j in [0, ℓ), rho == ρ(j) and id in [1, N].
 func (s Spec) MemberColumn(i int, j int64, rho int, id int) bool {
-	h := rng.Hash3(s.Seed, uint64(i), uint64(j), uint64(id))
-	return rng.Below(h, i+rho)
+	return MemberKey(s.ColumnKey(i, j), i+rho, id)
+}
+
+// ColumnKey is the hash key of entry M_{i,j} (j = t mod ℓ), the part of
+// every membership query of that entry that does not read the station: all
+// stations scanning row i at column j share it. It checks nothing.
+func (s Spec) ColumnKey(i int, j int64) uint64 {
+	return rng.Hash3Head(s.Seed, uint64(i), uint64(j))
+}
+
+// MemberKey reports whether id belongs to the entry whose ColumnKey is key,
+// where e = i + ρ(j) is that entry's exponent: membership probability 2^-e.
+func MemberKey(key uint64, e int, id int) bool {
+	return rng.Below(rng.Hash3Tail(key, uint64(id)), e)
 }
 
 // Materialize builds the explicit sets M_{i,j} for j in [0, cols) as

@@ -67,7 +67,11 @@ type WakeProber interface {
 // the engine can evaluate together, one call per slot for a whole run,
 // instead of one TransmitFunc call per (station, slot). The engine steps
 // every oblivious run of such an algorithm through its cohort, unless the
-// algorithm is also Sparse.
+// algorithm is also Sparse. A cohort shares per-slot work across its
+// stations (RPD's coins step by increment, wakeup(n)'s stations in one row
+// share the column's hash key), and one that knows its stations' next
+// attempts returns the earliest from Next, so the engine skips the silent
+// slots before it (BEB).
 //
 // Cohort(p, prev) returns an empty cohort for params p; it may reuse prev,
 // a cohort an earlier call returned (nil at first), so that a warm engine

@@ -38,11 +38,20 @@ const (
 // structures: element u belongs to random set (a, b) of the structure keyed
 // by seed iff Hash3(seed, a, b, u) falls below a probability threshold.
 func Hash3(seed, a, b, c uint64) uint64 {
-	x := seed
-	x = Mix64(x ^ a*hashK1)
-	x = Mix64(x ^ b*hashK2)
-	x = Mix64(x ^ c*hashK3)
-	return x
+	return Hash3Tail(Hash3Head(seed, a, b), c)
+}
+
+// Hash3Head is the part of Hash3(seed, a, b, c) that does not read c: the
+// key that every element c of random set (a, b) shares. A caller that
+// tests many elements of one set computes it once.
+func Hash3Head(seed, a, b uint64) uint64 {
+	return Mix64(Mix64(seed^a*hashK1) ^ b*hashK2)
+}
+
+// Hash3Tail finishes Hash3 from the head of its first three arguments:
+// Hash3(seed, a, b, c) == Hash3Tail(Hash3Head(seed, a, b), c).
+func Hash3Tail(head, c uint64) uint64 {
+	return Mix64(head ^ c*hashK3)
 }
 
 // Below reports whether h < 2^(64-e), i.e. whether a uniform 64-bit hash

@@ -45,6 +45,34 @@ func TestHash3ArgumentOrderMatters(t *testing.T) {
 	}
 }
 
+// TestHash3Split checks Hash3's split at its last argument on arbitrary
+// words: the head of (seed, a, b) finished with c is Hash3(seed, a, b, c),
+// and both equal the three chained Mix64 rounds Hash3 has always computed,
+// so the split moves no hash and therefore no schedule.
+func TestHash3Split(t *testing.T) {
+	chained := func(seed, a, b, c uint64) uint64 {
+		x := Mix64(seed ^ a*hashK1)
+		x = Mix64(x ^ b*hashK2)
+		return Mix64(x ^ c*hashK3)
+	}
+	split := func(seed, a, b, c uint64) bool {
+		h := Hash3Tail(Hash3Head(seed, a, b), c)
+		return h == Hash3(seed, a, b, c) && h == chained(seed, a, b, c)
+	}
+	if err := quick.Check(split, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range [][4]uint64{{0, 0, 0, 0}, {1, 2, 3, 4}, {math.MaxUint64, 0, math.MaxUint64, 1}} {
+		if !split(v[0], v[1], v[2], v[3]) {
+			t.Fatalf("Hash3 split fails at %v", v)
+		}
+	}
+	// Pinned from the unsplit Hash3: the split must not change its value.
+	if got := Hash3(7, 1, 2, 3); got != 0x47d6b5d49605c550 {
+		t.Fatalf("Hash3(7, 1, 2, 3) = %#x, want 0x47d6b5d49605c550", got)
+	}
+}
+
 func TestHash3Uniformity(t *testing.T) {
 	// Empirical mean of normalized hashes should be near 1/2.
 	var sum float64

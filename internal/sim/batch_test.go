@@ -23,15 +23,22 @@ func batchedAlgos(n int, seed uint64) []batchedCase {
 	return []batchedCase{
 		{core.NewRPD(), model.Params{N: n, S: -1, Seed: seed}},
 		{core.NewRPDWithK(), model.Params{N: n, K: n, S: -1, Seed: seed}},
+		{core.NewWakeupC(), model.Params{N: n, S: -1, Seed: seed}},
+		{&core.WakeupC{C: 2}, model.Params{N: n, S: -1, Seed: seed}},
+		{&core.WakeupC{DisableWindowWait: true}, model.Params{N: n, S: -1, Seed: seed}},
+		{core.NewBEB(), model.Params{N: n, S: -1, Seed: seed}},
+		{&core.BEB{CapLog: 1}, model.Params{N: n, S: -1, Seed: seed}},
 	}
 }
 
 // spoiler is a white-box spoiler in miniature: it spoils every success by
 // injecting the first station absent from the run that transmits at its
-// wake slot, up to budget stations. It counts its injections, and those
-// that join ahead of a pattern station woken in the same slot.
+// wake slot, up to budget stations. It finds that station through the
+// algorithm's model.WakeProber, or by building each candidate's schedule
+// when the algorithm is none. It counts its injections, and those that join
+// ahead of a pattern station woken in the same slot.
 type spoiler struct {
-	a        model.WakeProber
+	a        model.Algorithm
 	p        model.Params
 	seed     uint64
 	w        model.WakePattern
@@ -59,7 +66,7 @@ func (s *spoiler) hook(slot int64, _ int) (int, bool) {
 		return 0, false
 	}
 	s.budget--
-	id := s.a.FirstWaker(s.p, slot, s.seed, s.taken)
+	id := s.firstWaker(slot)
 	if id != 0 {
 		s.taken[id] = true
 		s.injected++
@@ -73,12 +80,28 @@ func (s *spoiler) hook(slot int64, _ int) (int, bool) {
 	return id, false
 }
 
+// firstWaker is the smallest untaken station that transmits at its wake
+// slot, on its own stream, or 0.
+func (s *spoiler) firstWaker(slot int64) int {
+	if prober, ok := s.a.(model.WakeProber); ok {
+		return prober.FirstWaker(s.p, slot, s.seed, s.taken)
+	}
+	for id := 1; id <= s.p.N; id++ {
+		if !s.taken[id] && s.a.Build(s.p, id, slot, rng.New(rng.Derive(s.seed, uint64(id))))(slot) {
+			return id
+		}
+	}
+	return 0
+}
+
 // TestCohortMatchesClosures runs every batched algorithm on its cohort and,
 // behind denseOnly, on its Build closures, on every differential channel,
 // to the end, in Step and RunTo pieces, and hooked with injections: result,
 // channel counters and transcript agree. The transcript lists each slot's
 // transmitters in activation order, so it pins where an injected station
-// joins the cohort.
+// joins the cohort. Each case runs recorded and unrecorded: BEB's cohort
+// names its next attempts, so an unrecorded run on a channel that lets
+// silence be skipped is also its skip-vs-dense differential.
 func TestCohortMatchesClosures(t *testing.T) {
 	src := rng.New(0xc0b0)
 	injected, ahead := 0, 0
@@ -91,57 +114,60 @@ func TestCohortMatchesClosures(t *testing.T) {
 			seed := src.Uint64()
 			for _, bc := range batchedAlgos(n, seed) {
 				algo, p := bc.algo, bc.p
-				opt := sim.Options{Horizon: 50 + src.Int63n(300), Channel: ch, Seed: seed, RecordTrace: true}
-				name := fmt.Sprintf("%s on %s, %s n=%d k=%d", algo.Name(), ch.Name(), shape, n, k)
-				reset := func() {
-					t.Helper()
-					if err := batched.Reset(algo, p, w, opt); err != nil {
-						t.Fatal(err)
+				horizon := 50 + src.Int63n(300)
+				for _, record := range []bool{true, false} {
+					opt := sim.Options{Horizon: horizon, Channel: ch, Seed: seed, RecordTrace: record}
+					name := fmt.Sprintf("%s on %s, %s n=%d k=%d, recorded %v", algo.Name(), ch.Name(), shape, n, k, record)
+					reset := func() {
+						t.Helper()
+						if err := batched.Reset(algo, p, w, opt); err != nil {
+							t.Fatal(err)
+						}
+						if err := closures.Reset(denseOnly{algo}, p, w, opt); err != nil {
+							t.Fatal(err)
+						}
+						if !batched.SteppingBatched() || closures.SteppingBatched() {
+							t.Fatalf("%s: batched engine uses its cohort: %v, closure engine: %v",
+								name, batched.SteppingBatched(), closures.SteppingBatched())
+						}
 					}
-					if err := closures.Reset(denseOnly{algo}, p, w, opt); err != nil {
-						t.Fatal(err)
+					same := func(what string) {
+						t.Helper()
+						samePlace(t, name+", "+what, batched, closures)
+						if a, b := batched.Channel().Trace(), closures.Channel().Trace(); !reflect.DeepEqual(a, b) {
+							t.Fatalf("%s, %s: batched transcript %v, closures %v", name, what, a, b)
+						}
 					}
-					if !batched.SteppingBatched() || closures.SteppingBatched() {
-						t.Fatalf("%s: batched engine uses its cohort: %v, closure engine: %v",
-							name, batched.SteppingBatched(), closures.SteppingBatched())
-					}
-				}
-				same := func(what string) {
-					t.Helper()
-					samePlace(t, name+", "+what, batched, closures)
-					if a, b := batched.Channel().Trace(), closures.Channel().Trace(); !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s, %s: batched transcript %v, closures %v", name, what, a, b)
-					}
-				}
 
-				reset()
-				batched.Run()
-				closures.Run()
-				same("run")
+					reset()
+					batched.Run()
+					closures.Run()
+					same("run")
 
-				reset()
-				for cut := 0; !closures.Done(); cut++ {
-					if src.Intn(3) == 0 {
-						batched.Step()
-						closures.Step()
-					} else {
-						u := closures.Slot() + src.Int63n(40)
-						batched.RunTo(u)
-						closures.RunTo(u)
+					reset()
+					for cut := 0; !closures.Done(); cut++ {
+						if src.Intn(3) == 0 {
+							batched.Step()
+							closures.Step()
+						} else {
+							u := closures.Slot() + src.Int63n(40)
+							batched.RunTo(u)
+							closures.RunTo(u)
+						}
+						same(fmt.Sprintf("cut %d", cut))
 					}
-					same(fmt.Sprintf("cut %d", cut))
-				}
 
-				sb := &spoiler{a: algo.(model.WakeProber), p: p, seed: seed}
-				sc := &spoiler{a: algo.(model.WakeProber), p: p, seed: seed}
-				sb.arm(w, 3)
-				sc.arm(w, 3)
-				reset()
-				batched.RunHooked(3, sb.hook)
-				closures.RunHooked(3, sc.hook)
-				same("hooked")
-				injected += sb.injected
-				ahead += sb.ahead
+					sb := &spoiler{a: algo, p: p, seed: seed}
+					sc := &spoiler{a: algo, p: p, seed: seed}
+					sb.arm(w, 3)
+					sc.arm(w, 3)
+					reset()
+					batched.RunHooked(3, sb.hook)
+					closures.RunHooked(3, sc.hook)
+					same("hooked")
+					injected += sb.injected
+					ahead += sb.ahead
+				}
 			}
 		}
 	}
@@ -150,16 +176,23 @@ func TestCohortMatchesClosures(t *testing.T) {
 	}
 }
 
-// TestRPDTrialAllocatesNothing: a warm engine runs an RPD trial, spoiled or
-// not, without allocating, because the cohort's coin table is reused.
+// TestRPDTrialAllocatesNothing: a warm engine runs a trial of every batched
+// algorithm without allocating, because the cohort's tables are reused. RPD
+// and wakeup(n) trials are also spoiled, through their wake probes; BEB has
+// none, and the miniature spoiler builds its candidates' schedules.
 func TestRPDTrialAllocatesNothing(t *testing.T) {
 	w := model.WakePattern{IDs: []int{3, 9, 17, 30, 41}, Wakes: []int64{0, 0, 2, 5, 5}}
 	for _, bc := range batchedAlgos(64, 7) {
 		algo, p := bc.algo, bc.p
 		opt := sim.Options{Horizon: 4096, Seed: 7}
 		e := sim.NewEngine()
-		s := &spoiler{a: algo.(model.WakeProber), p: p, seed: opt.Seed}
-		for _, budget := range []int{0, 2} {
+		s := &spoiler{a: algo, p: p, seed: opt.Seed}
+		_, probes := algo.(model.WakeProber)
+		budgets := []int{0}
+		if probes {
+			budgets = append(budgets, 2)
+		}
+		for _, budget := range budgets {
 			trial := func() {
 				s.arm(w, budget)
 				if err := e.Reset(algo, p, w, opt); err != nil {
@@ -172,7 +205,7 @@ func TestRPDTrialAllocatesNothing(t *testing.T) {
 				t.Errorf("%s, %d spoilers: warm trial allocates %.1f objects, want 0", algo.Name(), budget, allocs)
 			}
 		}
-		if s.injected == 0 {
+		if probes && s.injected == 0 {
 			t.Errorf("%s: no trial injected a station", algo.Name())
 		}
 	}

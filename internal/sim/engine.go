@@ -15,7 +15,8 @@ import (
 // (reusing the station table, the transmit buffers, the cohort and the
 // channel from the previous trial) and Step/RunTo/Run advance it, so a trial
 // on a warm engine costs only the per-station schedule closures the
-// algorithm itself builds, and nothing for a model.Batched algorithm.
+// algorithm itself builds, and nothing for a model.Batched algorithm (RPD,
+// wakeup(n), BEB) whose cohort the previous trial left behind.
 //
 // An oblivious run steps one model.Cohort: the algorithm's closed-form next
 // attempts (model.Sparse), its own cohort (model.Batched) or its Build

@@ -16,9 +16,10 @@ import (
 // model.Sparse, so the engine steps it slot by slot.
 type denseOnly struct{ model.Algorithm }
 
-// sparseAlgos are the algorithms with a closed-form next attempt.
+// sparseAlgos are the algorithms with a closed-form next attempt. (BEB
+// skips silent slots through its own cohort; batchedAlgos covers it.)
 func sparseAlgos() []model.Algorithm {
-	return []model.Algorithm{core.NewBEB(), &core.BEB{CapLog: 1}, core.NewRoundRobin(), core.NewLocalSSF()}
+	return []model.Algorithm{core.NewRoundRobin(), core.NewLocalSSF()}
 }
 
 // differentialChannels are the channels on which a silent slot is pure
@@ -138,7 +139,7 @@ func TestSparseMatchesDense(t *testing.T) {
 // slot — one transcript event per stepped slot — and records exactly the
 // dense engine's transcript and result.
 func TestRecordTraceStepsDensely(t *testing.T) {
-	algo := core.NewBEB()
+	algo := core.NewLocalSSF()
 	w := model.WakePattern{IDs: []int{3, 9, 40, 41}, Wakes: []int64{0, 0, 7, 30}}
 	p := model.Params{N: 64, S: -1, Seed: 8}
 	opt := sim.Options{Horizon: 2000, Seed: 8, RecordTrace: true}

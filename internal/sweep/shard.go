@@ -169,7 +169,7 @@ func (r *ShardResult) Validate() error {
 
 // PlanEnvelope builds the identity half of shard index of count's envelope —
 // fingerprint, name, axes, plan coordinates, full trial count, and the cell
-// labels with zero aggregates — without executing anything. RunShard fills
+// labels with zero aggregates — without executing anything. RunPlanned fills
 // the aggregates in (a zero-trial shard ships the bare envelope as is), and
 // callers that need to know what an envelope for this grid must look like
 // without running it can compare against these identity fields.
@@ -206,7 +206,15 @@ func (g Grid) RunShard(index, count int) (*ShardResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sg, err := g.Shard(index, count)
+	return g.RunPlanned(out)
+}
+
+// RunPlanned executes the shard that out, an envelope PlanEnvelope built for
+// this grid, names, fills its aggregates in and returns it. A caller that
+// checks the planned envelope's fingerprint before running it hashes the
+// grid once.
+func (g Grid) RunPlanned(out *ShardResult) (*ShardResult, error) {
+	sg, err := g.Shard(out.Shard, out.Shards)
 	if err != nil {
 		return nil, err
 	}

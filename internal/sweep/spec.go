@@ -147,6 +147,18 @@ func (s Spec) enumerate() (points []cellPoint, labels [][]string, skipped []stri
 	return points, labels, skipped
 }
 
+// skipSummary names why every combination of a grid without cells was
+// dropped: the count, and the first few skip lines.
+func skipSummary(skipped []string) string {
+	const shown = 3
+	var b strings.Builder
+	fmt.Fprintf(&b, "all %d combinations skipped: %s", len(skipped), strings.Join(skipped[:min(shown, len(skipped))], "; "))
+	if len(skipped) > shown {
+		fmt.Fprintf(&b, "; and %d more", len(skipped)-shown)
+	}
+	return b.String()
+}
+
 // Skipped returns a human-readable line per dropped cell, so callers can
 // surface grids that are smaller than what the axes requested (no silent
 // truncation at the CLI).
@@ -180,7 +192,7 @@ func (s Spec) Compile() (Grid, []string, error) {
 
 	points, labels, skipped := s.enumerate()
 	if len(points) == 0 {
-		return Grid{}, skipped, fmt.Errorf("sweep: spec %q produced no cells (all k > n?)", s.Name)
+		return Grid{}, skipped, fmt.Errorf("sweep: spec %q produced no cells: %s", s.Name, skipSummary(skipped))
 	}
 
 	axes := []string{"algo", "pattern", "n", "k"}

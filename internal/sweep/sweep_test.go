@@ -231,6 +231,40 @@ func TestSpecRejectsDegenerateGrids(t *testing.T) {
 	}
 }
 
+// TestEmptyGridErrorNamesSkips: a spec whose every combination is dropped
+// fails with the number of skipped combinations and the first three skip
+// lines, whatever dropped them.
+func TestEmptyGridErrorNamesSkips(t *testing.T) {
+	rr, _ := sweep.CasesByName("roundrobin,localssf")
+	adaptive, _ := sweep.CasesByName("tree_cd")
+	gens, _ := sweep.ParsePatterns("simultaneous")
+	spoiler, _ := sweep.ParsePatterns("spoiler")
+	for _, c := range []struct {
+		spec sweep.Spec
+		want []string
+	}{
+		{
+			sweep.Spec{Cases: adaptive, Patterns: spoiler, Ns: []int{64}, Ks: []int{4}, Trials: 1},
+			[]string{"all 1 combinations skipped: tree_cd×spoiler (white-box pattern needs an oblivious schedule; tree_cd is adaptive)"},
+		},
+		{
+			sweep.Spec{Cases: rr, Patterns: gens, Ns: []int{4}, Ks: []int{8, 9}, Trials: 1},
+			[]string{"all 4 combinations skipped: roundrobin×simultaneous@0 n=4 k=8 (k out of [1,n]); " +
+				"roundrobin×simultaneous@0 n=4 k=9 (k out of [1,n]); localssf×simultaneous@0 n=4 k=8 (k out of [1,n]); and 1 more"},
+		},
+	} {
+		_, skipped, err := c.spec.Compile()
+		if err == nil {
+			t.Fatalf("a grid without cells compiled (skips %v)", skipped)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		}
+	}
+}
+
 func TestCasesByName(t *testing.T) {
 	all, err := sweep.CasesByName("all")
 	if err != nil || len(all) < 7 {
