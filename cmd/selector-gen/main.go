@@ -35,7 +35,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	i := mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, *k)))
+	i := max(1, mathx.Log2Ceil(max(2, *k)))
 	random := selectors.NewRandomPow2(*n, i, *seed)
 	ks := selectors.NewKautzSingleton(*n, *k)
 	singles := selectors.NewSingletons(*n)

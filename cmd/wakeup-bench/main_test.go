@@ -264,3 +264,22 @@ func TestAllCellsSkippedNamesReasons(t *testing.T) {
 		t.Errorf("stdout %q, stderr %q; want only an error naming %q", stdout.String(), stderr.String(), want)
 	}
 }
+
+// TestTrialPanicPrintsNoTable: a grid whose trial panics (wakeup_with_s
+// told s = 5 under a pattern that starts at 0) exits non-zero with nothing
+// on stdout, never a table rendered from the trials that did not run.
+func TestTrialPanicPrintsNoTable(t *testing.T) {
+	bin := buildBench(t)
+	cmd := exec.Command(bin, "-algos", "wakeup_with_s:5", "-ns", "64", "-ks", "4",
+		"-patterns", "staggered:3", "-trials", "1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Errorf("exit %v, want a non-zero status", err)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "told S=5") {
+		t.Errorf("stdout %q, stderr %q; want an empty stdout and the trial's panic", stdout.String(), stderr.String())
+	}
+}

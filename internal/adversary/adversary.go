@@ -130,7 +130,7 @@ func Bursts(s int64, bursts int, gap int64) Generator {
 		Generate: func(n, k int, seed uint64) model.WakePattern {
 			ids := rng.New(seed).Sample(n, k)
 			wakes := make([]int64, k)
-			per := mathx.Max(1, mathx.CeilDiv(k, bursts))
+			per := max(1, mathx.CeilDiv(k, bursts))
 			for i := range wakes {
 				wakes[i] = s + int64(i/per)*gap
 			}

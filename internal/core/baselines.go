@@ -38,9 +38,9 @@ func (a *LocalSSF) maxI(p model.Params) int {
 		return a.MaxI
 	}
 	if p.KnowsK() {
-		return mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, p.K)))
+		return max(1, mathx.Log2Ceil(max(2, p.K)))
 	}
-	return mathx.Min(6, mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, p.N))))
+	return min(6, max(1, mathx.Log2Ceil(max(2, p.N))))
 }
 
 // Build implements model.Algorithm: position within the schedule is t-wake,

@@ -8,22 +8,27 @@ import (
 
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
+	"nsmac/internal/schedule"
 )
 
 // batchAlgos is how many algorithms batchAlgo names.
-const batchAlgos = 7
+const batchAlgos = 13
 
 // batchAlgo returns the batched algorithm the fuzzer's selector byte names,
 // with params for universe n: rpd, rpdk with k known, wakeup(n) at its
-// default constant, at c = 2 and without the window wait, and BEB at its
-// default cap and at cap 1.
+// default constant, at c = 2 and without the window wait, BEB at its
+// default cap and at cap 1, round-robin, wait_and_go with and without the
+// boundary wait and wakeup_with_k with k known, and select_among_the_first
+// and wakeup_with_s with s = 0 known.
 func batchAlgo(sel uint8, n int, seed uint64) (model.Batched, model.Params) {
 	pC := model.Params{N: n, S: -1, Seed: seed}
+	pK := model.Params{N: n, K: min(n, 16), S: -1, Seed: seed}
+	pS := model.Params{N: n, S: 0, Seed: seed}
 	switch sel % batchAlgos {
 	case 0:
 		return NewRPD(), pC
 	case 1:
-		return NewRPDWithK(), model.Params{N: n, K: min(n, 16), S: -1, Seed: seed}
+		return NewRPDWithK(), pK
 	case 2:
 		return NewWakeupC(), pC
 	case 3:
@@ -32,8 +37,20 @@ func batchAlgo(sel uint8, n int, seed uint64) (model.Batched, model.Params) {
 		return &WakeupC{DisableWindowWait: true}, pC
 	case 5:
 		return NewBEB(), pC
-	default:
+	case 6:
 		return &BEB{CapLog: 1}, pC
+	case 7:
+		return NewRoundRobin(), pC
+	case 8:
+		return NewWaitAndGo(), pK
+	case 9:
+		return &WaitAndGo{DisableWait: true}, pK
+	case 10:
+		return NewWakeupWithK(), pK
+	case 11:
+		return NewSelectAmongFirst(), pS
+	default:
+		return NewWakeupWithS(), pS
 	}
 }
 
@@ -47,14 +64,24 @@ func batchName(a model.Batched) string {
 }
 
 // batchSpan is how many slots past the last wake a cohort check runs: three
-// RPD probability cycles, wakeup(n)'s row cycle (wrapping it on small n)
-// up to 4096 slots, or BEB's doubling phase plus four capped windows.
+// RPD probability cycles, wakeup(n)'s row cycle or a selective ladder
+// (wrapping either on small n) up to 4096 slots, BEB's doubling phase plus
+// four capped windows, two round-robin cycles, or an interleaving's odd
+// component's span on the odd slots.
 func batchSpan(a model.Batched, p model.Params) int64 {
 	switch a := a.(type) {
 	case *WakeupC:
 		return min(a.Spec(p).CycleLength()+8, 4096)
 	case *BEB:
 		return 6 << uint(a.capFor(p))
+	case RoundRobin:
+		return 2*int64(p.N) + 8
+	case *WaitAndGo:
+		return min(a.ladder(p).Length()+8, 4096)
+	case *SelectAmongFirst:
+		return min(a.ladder(p).Length()+8, 4096)
+	case *schedule.Interleaved:
+		return 2 * batchSpan(a.Odd().(model.Batched), schedule.MapParams(p, 1, p.Seed))
 	default:
 		return 3 * NewRPD().Ell(p)
 	}
@@ -215,6 +242,12 @@ func FuzzBatchMatchesBuild(f *testing.F) {
 	f.Add(uint8(4), uint16(1024), uint8(12), uint8(3), uint16(91), uint8(6), uint64(7))
 	f.Add(uint8(5), uint16(1024), uint8(20), uint8(10), uint16(500), uint8(9), uint64(8))
 	f.Add(uint8(6), uint16(2), uint8(1), uint8(0), uint16(1), uint8(0), uint64(9))
+	f.Add(uint8(7), uint16(17), uint8(6), uint8(20), uint16(13), uint8(2), uint64(10))
+	f.Add(uint8(8), uint16(256), uint8(10), uint8(60), uint16(150), uint8(4), uint64(11))
+	f.Add(uint8(9), uint16(64), uint8(7), uint8(5), uint16(30), uint8(1), uint64(12))
+	f.Add(uint8(10), uint16(1024), uint8(16), uint8(33), uint16(77), uint8(8), uint64(13))
+	f.Add(uint8(11), uint16(256), uint8(9), uint8(0), uint16(41), uint8(5), uint64(14))
+	f.Add(uint8(12), uint16(65), uint8(12), uint8(3), uint16(8), uint8(6), uint64(15))
 	f.Fuzz(func(t *testing.T, sel uint8, rawN uint16, rawK, spread uint8, at uint16, pos uint8, seed uint64) {
 		n := int(rawN)%1100 + 2
 		k := int(rawK)%min(n-1, 32) + 1
@@ -293,6 +326,45 @@ func BenchmarkWakeupCCohort(b *testing.B) {
 			c := a.Cohort(p, nil)
 			for i := range k {
 				c.Join(i+1, 0, nil)
+			}
+			var dst []int
+			b.ResetTimer()
+			for slot := range int64(b.N) {
+				dst = c.Transmitters(slot, dst[:0])
+			}
+		})
+	}
+}
+
+// BenchmarkInterleavedCohort times one slot of k awake wakeup_with_k
+// stations, operative on the ladder, both ways, at k = 16 and 256: a Build
+// closure call per station, through the interleaving's and wait_and_go's
+// closures, and one cohort call, which on an odd slot hashes the ladder
+// set's key once and each station once. ns/op is ns per slot.
+func BenchmarkInterleavedCohort(b *testing.B) {
+	a := NewWakeupWithK()
+	for _, k := range []int{16, 256} {
+		p := model.Params{N: 1024, K: k, S: -1, Seed: 3}
+		b.Run(fmt.Sprintf("k=%d/closures", k), func(b *testing.B) {
+			fs := make([]model.TransmitFunc, k)
+			for i := range fs {
+				fs[i] = a.Build(p, i+1, 0, rng.New(uint64(i)))
+			}
+			var dst []int
+			b.ResetTimer()
+			for slot := range int64(b.N) {
+				dst = dst[:0]
+				for i, f := range fs {
+					if f(slot) {
+						dst = append(dst, i+1)
+					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/cohort", k), func(b *testing.B) {
+			c := a.Cohort(p, nil)
+			for i := range k {
+				c.Join(i+1, 0, rng.New(uint64(i)))
 			}
 			var dst []int
 			b.ResetTimer()

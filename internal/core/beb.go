@@ -38,7 +38,7 @@ func (a *BEB) capFor(p model.Params) int {
 	if a.CapLog > 0 {
 		return a.CapLog
 	}
-	return mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, p.N)))
+	return max(1, mathx.Log2Ceil(max(2, p.N)))
 }
 
 // Build implements model.Algorithm. The schedule is sampled once at build
@@ -186,6 +186,6 @@ func bebWindow(off int64, capLog int) (r int, start, w int64) {
 // full doubling phase (≈ 2^(capLog+1) slots) plus several hundred capped
 // windows, which empirically suffices for small k.
 func (a *BEB) Horizon(n, k int) int64 {
-	capLog := mathx.Min(a.capFor(model.Params{N: n}), 20)
+	capLog := min(a.capFor(model.Params{N: n}), 20)
 	return 8*(int64(1)<<uint(capLog+1)) + 4096
 }

@@ -42,7 +42,7 @@ func (a *KGConflictResolution) ladder(p model.Params) *selectors.Sequence {
 	if p.KnowsK() {
 		base = p.K
 	}
-	maxI := mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, base)))
+	maxI := max(1, mathx.Log2Ceil(max(2, base)))
 	return selectors.RandomLadder(p.N, maxI, rng.Derive(p.Seed, 0x96), a.SizeMult)
 }
 
@@ -59,7 +59,7 @@ func (a *KGConflictResolution) BuildAdaptive(p model.Params, id int, wake int64,
 // station per n slots, so 2·n·k slots always complete; the ladder usually
 // finishes in O(k log(n/k)) long before.
 func (a *KGConflictResolution) Horizon(n, k int) int64 {
-	return 2*int64(n)*int64(mathx.Max(1, k)) + 64
+	return 2*int64(n)*int64(max(1, k)) + 64
 }
 
 type kgStation struct {

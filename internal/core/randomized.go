@@ -43,7 +43,7 @@ func (a *RPD) Ell(p model.Params) int64 {
 		}
 		base = p.K
 	}
-	return 2 * int64(mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, base))))
+	return 2 * int64(max(1, mathx.Log2Ceil(max(2, base))))
 }
 
 // Build implements model.Algorithm. Each station derives a personal seed
@@ -157,8 +157,8 @@ func (a *RPD) FirstWaker(p model.Params, wake int64, seed uint64, taken []bool) 
 func (a *RPD) Horizon(n, k int) int64 {
 	base := n
 	if a.UseK {
-		base = mathx.Max(2, k)
+		base = max(2, k)
 	}
-	ell := 2 * int64(mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, base))))
+	ell := 2 * int64(max(1, mathx.Log2Ceil(max(2, base))))
 	return 512*ell + 64
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 )
@@ -48,6 +50,47 @@ func (RoundRobin) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) m
 		return t
 	}
 }
+
+// Cohort implements model.Batched. The engine steps a standalone
+// round-robin run sparsely, through BuildNext; the cohort serves it as a
+// component of schedule.Interleaved.
+func (RoundRobin) Cohort(p model.Params, prev model.Cohort) model.Cohort {
+	c, _ := prev.(*rrCohort)
+	if c == nil {
+		c = new(rrCohort)
+	}
+	c.n, c.ids = int64(p.N), c.ids[:0]
+	return c
+}
+
+// rrCohort is RoundRobin's model.Cohort: the joined stations in join order,
+// each of which transmits in the slots of its residue.
+type rrCohort struct {
+	n   int64
+	ids []int
+}
+
+// Join implements model.Cohort. Build draws nothing from the stream.
+func (c *rrCohort) Join(id int, _ int64, _ *rng.Source) { c.ids = append(c.ids, id) }
+
+// JoinAt implements model.Cohort.
+func (c *rrCohort) JoinAt(i, id int, wake int64, _ *rng.Source) bool {
+	c.ids = slices.Insert(c.ids, i, id)
+	return wake%c.n == int64(id-1)
+}
+
+// Transmitters implements model.Cohort: one residue compare per station.
+// Residues are distinct, so at most one station transmits.
+func (c *rrCohort) Transmitters(t int64, dst []int) []int {
+	id := int(t%c.n) + 1
+	if slices.Contains(c.ids, id) {
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// Next implements model.Cohort.
+func (c *rrCohort) Next(from int64) int64 { return from }
 
 // FirstWaker implements model.WakeProber: the only station that transmits
 // at its wake slot is the one whose residue the slot is.

@@ -34,7 +34,7 @@ func (*SelectAmongFirst) Name() string { return "select_among_the_first" }
 // depends only on (params, construction), never on the station, as the
 // globally synchronous model requires.
 func (a *SelectAmongFirst) ladder(p model.Params) *selectors.Sequence {
-	maxI := mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, p.N)))
+	maxI := max(1, mathx.Log2Ceil(max(2, p.N)))
 	return selectors.RandomLadder(p.N, maxI, rng.Derive(p.Seed, 0x5af), a.SizeMult)
 }
 
@@ -55,6 +55,15 @@ func (a *SelectAmongFirst) Build(p model.Params, id int, wake int64, _ *rng.Sour
 		}
 		return lad.MemberCyclic(t-s, id)
 	}
+}
+
+// Cohort implements model.Batched: the ladder is built once per run, and
+// only the stations woken at s are ever operative.
+func (a *SelectAmongFirst) Cohort(p model.Params, prev model.Cohort) model.Cohort {
+	if !p.KnowsS() {
+		panic("core: select_among_the_first requires known s (Scenario A)")
+	}
+	return newLadderCohort(prev, a.ladder(p), p.S, goAtStart)
 }
 
 // Horizon implements Bounded: the first pass through the ladder ends within

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
@@ -40,7 +42,7 @@ func (a *WaitAndGo) Name() string {
 
 // ladder builds 〈F_1..F_⌈log k⌉〉, identical for every station.
 func (a *WaitAndGo) ladder(p model.Params) *selectors.Sequence {
-	maxI := mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, p.K)))
+	maxI := max(1, mathx.Log2Ceil(max(2, p.K)))
 	return selectors.RandomLadder(p.N, maxI, rng.Derive(p.Seed, 0xa60), a.SizeMult)
 }
 
@@ -61,6 +63,115 @@ func (a *WaitAndGo) Build(p model.Params, id int, wake int64, _ *rng.Source) mod
 		return lad.MemberCyclic(t, id)
 	}
 }
+
+// Cohort implements model.Batched: the ladder is built once per run, and
+// each station waits for its boundary unless the wait is disabled.
+func (a *WaitAndGo) Cohort(p model.Params, prev model.Cohort) model.Cohort {
+	if !p.KnowsK() {
+		panic("core: wait_and_go requires known k (Scenario B)")
+	}
+	rule := goAtBoundary
+	if a.DisableWait {
+		rule = goAtWake
+	}
+	return newLadderCohort(prev, a.ladder(p), 0, rule)
+}
+
+// ladderCohort is the model.Cohort of WaitAndGo and SelectAmongFirst: the
+// joined stations in join order, each with the slot from which it
+// transmits by the ladder's cyclic schedule. Every operative station tests
+// the same set in a slot, so the cohort computes the set's hash key once
+// per slot, and each operative station costs one hash.
+type ladderCohort struct {
+	lad      *selectors.Sequence
+	z        int64 // the ladder's length
+	start    int64 // slot t reads set (t - start) mod z
+	rule     ladderRule
+	stations []ladderStation
+}
+
+// ladderRule is when a ladder station becomes operative.
+type ladderRule uint8
+
+const (
+	goAtWake     ladderRule = iota // at its wake slot (wait_and_go without the wait)
+	goAtBoundary                   // at the first family boundary from its wake (wait_and_go)
+	goAtStart                      // at start if woken there, never otherwise (select_among_the_first)
+)
+
+// ladderStation is a station and its operative slot (model.Never: none).
+type ladderStation struct {
+	id int
+	op int64
+}
+
+// newLadderCohort returns prev, or a new cohort if prev is not a
+// ladderCohort, emptied for a run on lad.
+func newLadderCohort(prev model.Cohort, lad *selectors.Sequence, start int64, rule ladderRule) *ladderCohort {
+	c, _ := prev.(*ladderCohort)
+	if c == nil {
+		c = new(ladderCohort)
+	}
+	c.lad, c.z, c.start, c.rule = lad, lad.Length(), start, rule
+	c.stations = c.stations[:0]
+	return c
+}
+
+// station is station id, woken at wake, with its operative slot.
+func (c *ladderCohort) station(id int, wake int64) ladderStation {
+	op := wake
+	switch c.rule {
+	case goAtBoundary:
+		op = c.lad.NextBoundary(wake)
+	case goAtStart:
+		if wake != c.start {
+			op = model.Never
+		}
+	}
+	return ladderStation{id, op}
+}
+
+// Join implements model.Cohort. Build draws nothing from the stream, and
+// neither does the join.
+func (c *ladderCohort) Join(id int, wake int64, _ *rng.Source) {
+	c.stations = append(c.stations, c.station(id, wake))
+}
+
+// JoinAt implements model.Cohort: a station operative at its wake slot
+// tests that slot's set.
+func (c *ladderCohort) JoinAt(i, id int, wake int64, _ *rng.Source) bool {
+	st := c.station(id, wake)
+	c.stations = slices.Insert(c.stations, i, st)
+	if st.op != wake {
+		return false
+	}
+	key, e := c.lad.SetKey((wake - c.start) % c.z)
+	return rng.Below(rng.Hash3Tail(key, uint64(id)), e)
+}
+
+// Transmitters implements model.Cohort.
+func (c *ladderCohort) Transmitters(t int64, dst []int) []int {
+	keyed := false
+	var key uint64
+	var e int
+	for _, st := range c.stations {
+		if t < st.op {
+			continue
+		}
+		if !keyed {
+			key, e = c.lad.SetKey((t - c.start) % c.z)
+			keyed = true
+		}
+		if rng.Below(rng.Hash3Tail(key, uint64(st.id)), e) {
+			dst = append(dst, st.id)
+		}
+	}
+	return dst
+}
+
+// Next implements model.Cohort: the ladder names no attempt ahead of time,
+// so the cohort is asked about every slot.
+func (c *ladderCohort) Next(from int64) int64 { return from }
 
 // FirstWaker implements model.WakeProber: off a family boundary every
 // station woken there is silent until the next one, so nobody qualifies;

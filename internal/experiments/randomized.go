@@ -78,7 +78,7 @@ func T5RPD(cfg Config) *Table {
 		sumK := measure(rpdK, model.Params{N: n, K: k, S: -1}, rpdK.Horizon(n, k))
 
 		logN := float64(mathx.Log2Ceil(n))
-		logK := float64(mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, k))))
+		logK := float64(max(1, mathx.Log2Ceil(max(2, k))))
 		logKs = append(logKs, logK)
 		meansK = append(meansK, sumK.Mean)
 

@@ -197,7 +197,7 @@ func scenarioSweep(cfg Config, t *Table, n int, ks []int,
 		bound := boundFor(n, k)
 		// Rounds are 0-based (t−s); the bound counts slots, so compare
 		// worst+1 clamped to ≥1 to keep ratios positive for instant wins.
-		ratio := float64(mathx.Max64(worst, 1)) / float64(bound)
+		ratio := float64(max(worst, 1)) / float64(bound)
 		ratios = append(ratios, ratio)
 		bounds = append(bounds, float64(bound))
 		worsts = append(worsts, float64(worst))

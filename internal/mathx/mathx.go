@@ -46,38 +46,6 @@ func CeilDiv64(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min64 returns the smaller of a and b.
-func Min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max64 returns the larger of a and b.
-func Max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Clamp limits x to the inclusive range [lo, hi].
 func Clamp(x, lo, hi int) int {
 	if lo > hi {
@@ -211,8 +179,8 @@ func BoundKLogLogLog(n, k int) int64 {
 	if k < 1 || n < k {
 		panic("mathx: BoundKLogLogLog requires 1 <= k <= n")
 	}
-	logN := Max(1, Log2Ceil(Max(2, n)))
-	logLogN := Max(1, Log2Ceil(Max(2, logN)))
+	logN := max(1, Log2Ceil(max(2, n)))
+	logLogN := max(1, Log2Ceil(max(2, logN)))
 	return int64(k) * int64(logN) * int64(logLogN)
 }
 
@@ -221,5 +189,5 @@ func BoundLowerMinKN(n, k int) int64 {
 	if k < 1 || n < k {
 		panic("mathx: BoundLowerMinKN requires 1 <= k <= n")
 	}
-	return int64(Min(k, n-k+1))
+	return int64(min(k, n-k+1))
 }

@@ -94,13 +94,7 @@ func TestCeilDivProperty(t *testing.T) {
 	}
 }
 
-func TestMinMaxClamp(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 || Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Fatal("Min/Max broken")
-	}
-	if Min64(-1, 1) != -1 || Max64(-1, 1) != 1 {
-		t.Fatal("Min64/Max64 broken")
-	}
+func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-2, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Fatal("Clamp broken")
 	}
@@ -171,7 +165,7 @@ func TestNextPrimeProperty(t *testing.T) {
 			return false
 		}
 		// no prime in [max(2,x), p)
-		for q := Max(2, x); q < p; q++ {
+		for q := max(2, x); q < p; q++ {
 			if IsPrime(q) {
 				return false
 			}

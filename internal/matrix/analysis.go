@@ -1,9 +1,5 @@
 package matrix
 
-import (
-	"nsmac/internal/mathx"
-)
-
 // This file implements the analysis machinery of paper §5.2 — the sets
 // S_{i,j}, windows, the well-balanced condition (S1/S2), and the isolation
 // predicate of Definition 5.3 — as executable artifacts. The tests use them
@@ -202,5 +198,5 @@ func (s Spec) TheoremDeadline(k int) int64 {
 	if k < 1 {
 		panic("matrix: TheoremDeadline requires k >= 1")
 	}
-	return 2*int64(s.C)*int64(mathx.Max(1, k))*int64(s.Rows)*int64(s.Window) + int64(s.Window)
+	return 2*int64(s.C)*int64(max(1, k))*int64(s.Rows)*int64(s.Window) + int64(s.Window)
 }

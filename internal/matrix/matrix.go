@@ -56,8 +56,8 @@ func NewSpec(n, c int, seed uint64) Spec {
 	if c < 1 {
 		panic("matrix: NewSpec requires c >= 1")
 	}
-	logN := mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, n)))
-	w := mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, logN)))
+	logN := max(1, mathx.Log2Ceil(max(2, n)))
+	w := max(1, mathx.Log2Ceil(max(2, logN)))
 	return Spec{N: n, Rows: logN, Window: w, C: c, Seed: seed}
 }
 

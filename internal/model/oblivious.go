@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 
 	"nsmac/internal/rng"
 )
@@ -67,18 +68,22 @@ type WakeProber interface {
 // the engine can evaluate together, one call per slot for a whole run,
 // instead of one TransmitFunc call per (station, slot). The engine steps
 // every oblivious run of such an algorithm through its cohort, unless the
-// algorithm is also Sparse. A cohort shares per-slot work across its
-// stations (RPD's coins step by increment, wakeup(n)'s stations in one row
-// share the column's hash key), and one that knows its stations' next
-// attempts returns the earliest from Next, so the engine skips the silent
-// slots before it (BEB).
+// algorithm is also Sparse (round-robin, whose cohort serves inside
+// schedule.Interleaved). A cohort shares per-slot work across its stations
+// (RPD's coins step by increment, wakeup(n)'s stations in one row share the
+// column's hash key, wait_and_go's and select_among_the_first's operative
+// stations share the ladder set's key, and wakeup_with_k and wakeup_with_s
+// compose their components' cohorts), and one that knows its stations'
+// next attempts returns the earliest from Next, so the engine skips the
+// silent slots before it (BEB).
 //
 // Cohort(p, prev) returns an empty cohort for params p; it may reuse prev,
 // a cohort an earlier call returned (nil at first), so that a warm engine
 // allocates nothing per trial. The cohort's answers must equal Build's:
 // with stations joined as the engine wakes them, Transmitters(t) lists in
 // join order exactly the stations whose Build(p, id, wake, src)(t) is true,
-// and each join draws from src exactly what Build draws.
+// and each join draws from src exactly what Build draws, and reads src
+// only while it runs.
 type Batched interface {
 	Algorithm
 	Cohort(p Params, prev Cohort) Cohort
@@ -111,3 +116,50 @@ type Cohort interface {
 	// in any slot from from to u-1. Returning from is always correct.
 	Next(from int64) int64
 }
+
+// BuildCohort is the Cohort of an algorithm with neither a cohort of its
+// own nor a closed-form next attempt: each station's Build closure, asked
+// about every slot. The engine steps such an algorithm through one, and so
+// does schedule.Interleaved's cohort for such a component.
+type BuildCohort struct {
+	algo     Algorithm
+	p        Params
+	stations []builtStation
+}
+
+type builtStation struct {
+	id       int
+	transmit TransmitFunc
+}
+
+// Reset empties the cohort for a run of algo with params p and room for k
+// stations.
+func (c *BuildCohort) Reset(algo Algorithm, p Params, k int) {
+	c.algo, c.p = algo, p
+	c.stations = slices.Grow(c.stations[:0], k)
+}
+
+// Join implements Cohort.
+func (c *BuildCohort) Join(id int, wake int64, src *rng.Source) {
+	c.stations = append(c.stations, builtStation{id, c.algo.Build(c.p, id, wake, src)})
+}
+
+// JoinAt implements Cohort.
+func (c *BuildCohort) JoinAt(i, id int, wake int64, src *rng.Source) bool {
+	st := builtStation{id, c.algo.Build(c.p, id, wake, src)}
+	c.stations = slices.Insert(c.stations, i, st)
+	return st.transmit(wake)
+}
+
+// Transmitters implements Cohort.
+func (c *BuildCohort) Transmitters(t int64, dst []int) []int {
+	for _, st := range c.stations {
+		if st.transmit(t) {
+			dst = append(dst, st.id)
+		}
+	}
+	return dst
+}
+
+// Next implements Cohort: a closure names no attempt ahead of time.
+func (c *BuildCohort) Next(from int64) int64 { return from }

@@ -15,7 +15,7 @@ func freshLadder(k ladderKey) *Sequence {
 	fams := make([]Family, k.maxI)
 	for i := 1; i <= k.maxI; i++ {
 		if k.kautz {
-			fams[i-1] = NewKautzSingleton(k.n, mathx.Min(int(mathx.Pow2(i)), k.n))
+			fams[i-1] = NewKautzSingleton(k.n, min(int(mathx.Pow2(i)), k.n))
 		} else {
 			fams[i-1] = NewRandomPow2Sized(k.n, i, rng.Derive(k.seed, uint64(i)), math.Float64frombits(k.mult))
 		}

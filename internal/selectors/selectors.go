@@ -168,8 +168,13 @@ func (r *RandomPow2) Member(j int64, id int) bool {
 	if id < 1 || id > r.n {
 		panic(fmt.Sprintf("selectors: station %d out of [1,%d]", id, r.n))
 	}
-	h := rng.Hash3(r.seed, uint64(r.i)+1, uint64(j)+1, uint64(id))
-	return rng.Below(h, r.i)
+	return rng.Below(rng.Hash3Tail(r.key(j), uint64(id)), r.i)
+}
+
+// key is the hash key of set j, the part of every membership query of F_j
+// that does not read the station: rng.Hash3Head(seed, i+1, j+1).
+func (r *RandomPow2) key(j int64) uint64 {
+	return rng.Hash3Head(r.seed, uint64(r.i)+1, uint64(j)+1)
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ func NewKautzSingleton(n, k int) *KautzSingleton {
 	// m = 1 means codewords are distinct field elements: q >= n, always valid.
 	for m := 1; m <= 8; m++ {
 		// Need q^m >= n and q >= (k-1)*(m-1)+1.
-		low := mathx.Max(2, (k-1)*(m-1)+1)
+		low := max(2, (k-1)*(m-1)+1)
 		root := int(math.Ceil(math.Pow(float64(n), 1/float64(m))))
 		if root > low {
 			low = root
@@ -405,6 +410,20 @@ func (s *Sequence) Member(j int64, id int) bool {
 	return s.fams[fam].Member(local, id)
 }
 
+// SetKey returns the hash key and density exponent of set j ∈ [0,
+// Length()) of a sequence of RandomPow2 families (as RandomLadder builds):
+// station id belongs to F_j iff rng.Below(rng.Hash3Tail(key, id), e). Every
+// station tested against one set shares the key, so a caller that tests
+// many computes it once. It panics if F_j's family is not a *RandomPow2.
+func (s *Sequence) SetKey(j int64) (key uint64, e int) {
+	fam, local := s.Locate(j)
+	r, ok := s.fams[fam].(*RandomPow2)
+	if !ok {
+		panic(fmt.Sprintf("selectors: SetKey over a %s family", s.fams[fam].Name()))
+	}
+	return r.key(local), r.i
+}
+
 // MemberCyclic indexes the sequence circularly: position t ≥ 0 maps to set
 // t mod Length() ("F is scanned in a circular way", paper §5.1 / §4).
 func (s *Sequence) MemberCyclic(t int64, id int) bool {
@@ -540,7 +559,7 @@ func KSLadder(n, maxI int) *Sequence {
 	}
 	fams := make([]Family, maxI)
 	for i := 1; i <= maxI; i++ {
-		k := mathx.Min(int(mathx.Pow2(i)), n)
+		k := min(int(mathx.Pow2(i)), n)
 		fams[i-1] = NewKautzSingleton(n, k)
 	}
 	return key.store(NewSequence(fams...))

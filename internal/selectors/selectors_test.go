@@ -6,6 +6,7 @@ import (
 
 	"nsmac/internal/bitset"
 	"nsmac/internal/mathx"
+	"nsmac/internal/rng"
 )
 
 func TestSingletonsBasics(t *testing.T) {
@@ -74,7 +75,7 @@ func TestRandomPow2Deterministic(t *testing.T) {
 	}
 	c := NewRandomPow2(64, 3, 43)
 	diff := 0
-	for j := int64(0); j < mathx.Min64(a.Length(), c.Length()); j++ {
+	for j := int64(0); j < min(a.Length(), c.Length()); j++ {
 		for id := 1; id <= 64; id++ {
 			if a.Member(j, id) != c.Member(j, id) {
 				diff++
@@ -92,7 +93,7 @@ func TestRandomPow2Density(t *testing.T) {
 	for _, i := range []int{1, 3, 5} {
 		f := NewRandomPow2(n, i, 7)
 		hits, total := 0, 0
-		for j := int64(0); j < mathx.Min64(f.Length(), 200); j++ {
+		for j := int64(0); j < min(f.Length(), 200); j++ {
 			for id := 1; id <= n; id++ {
 				total++
 				if f.Member(j, id) {
@@ -116,7 +117,7 @@ func TestRandomPow2SelectiveSmall(t *testing.T) {
 	} {
 		f := NewRandomPow2(tc.n, tc.i, 12345)
 		k := int(mathx.Pow2(tc.i))
-		if ok, w := IsSelective(f, mathx.Min(k, tc.n)); !ok {
+		if ok, w := IsSelective(f, min(k, tc.n)); !ok {
 			t.Errorf("random family (n=%d,i=%d) not selective: %v", tc.n, tc.i, w)
 		}
 	}
@@ -152,6 +153,46 @@ func TestRandomPow2Panics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestSetKeyMatchesMember checks SetKey on RandomLadder sets at arbitrary
+// (ladder, set, station): the key finished with the station, below the
+// set's density exponent, is Member's answer, and both equal the one-call
+// Hash3 membership RandomPow2 has always computed, so the split moves no
+// member. SetKey refuses a Kautz–Singleton ladder.
+func TestSetKeyMatchesMember(t *testing.T) {
+	ladders := []*Sequence{
+		RandomLadder(2, 1, 5, 0),
+		RandomLadder(64, 4, 6, 0),
+		RandomLadder(1024, 10, 7, 2),
+	}
+	split := func(sel uint8, rawJ uint32, rawID uint16) bool {
+		s := ladders[int(sel)%len(ladders)]
+		j := int64(rawJ) % s.Length()
+		id := int(rawID)%s.N() + 1
+		key, e := s.SetKey(j)
+		fam, local := s.Locate(j)
+		r := s.fams[fam].(*RandomPow2)
+		got := rng.Below(rng.Hash3Tail(key, uint64(id)), e)
+		return e == r.Density() && got == s.Member(j, id) &&
+			got == rng.Below(rng.Hash3(r.seed, uint64(r.i)+1, uint64(local)+1, uint64(id)), r.i)
+	}
+	if err := quick.Check(split, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for sel, s := range ladders {
+		for _, j := range []int64{0, s.FamilyStart(s.NumFamilies() - 1), s.Length() - 1} {
+			if !split(uint8(sel), uint32(j), 0) || !split(uint8(sel), uint32(j), uint16(s.N()-1)) {
+				t.Fatalf("SetKey disagrees with Member at set %d of a %d-family ladder", j, s.NumFamilies())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetKey over a Kautz-Singleton ladder did not panic")
+		}
+	}()
+	KSLadder(16, 2).SetKey(0)
 }
 
 func TestKautzSingletonParameters(t *testing.T) {

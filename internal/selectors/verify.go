@@ -104,7 +104,7 @@ func IsSelective(f Family, k int) (bool, *Witness) {
 	if k < 1 || k > n {
 		panic("selectors: IsSelective requires 1 <= k <= n")
 	}
-	lo := mathx.Max(1, mathx.CeilDiv(k, 2))
+	lo := max(1, mathx.CeilDiv(k, 2))
 	for size := lo; size <= k; size++ {
 		var bad *Witness
 		forEachSubset(n, size, func(x *bitset.Bitset) bool {
@@ -162,7 +162,7 @@ func SampleSelective(f Family, k int, trials int, seed uint64) (bool, *Witness) 
 		panic("selectors: SampleSelective requires 1 <= k <= n")
 	}
 	src := rng.New(seed)
-	lo := mathx.Max(1, mathx.CeilDiv(k, 2))
+	lo := max(1, mathx.CeilDiv(k, 2))
 	for t := 0; t < trials; t++ {
 		size := lo
 		if k > lo {
@@ -194,7 +194,7 @@ func Greedy(n, k int, seed uint64) *Explicit {
 	}
 	// Enumerate constraints: all X with ceil(k/2) <= |X| <= k.
 	var constraints []*bitset.Bitset
-	lo := mathx.Max(1, mathx.CeilDiv(k, 2))
+	lo := max(1, mathx.CeilDiv(k, 2))
 	for size := lo; size <= k; size++ {
 		forEachSubset(n, size, func(x *bitset.Bitset) bool {
 			constraints = append(constraints, x.Clone())
@@ -207,7 +207,7 @@ func Greedy(n, k int, seed uint64) *Explicit {
 		pool = append(pool, bitset.FromSlice(n, []int{id}))
 	}
 	src := rng.New(seed)
-	densities := mathx.Max(1, mathx.Log2Ceil(n))
+	densities := max(1, mathx.Log2Ceil(n))
 	for i := 1; i <= densities; i++ {
 		for rep := 0; rep < 8*n; rep++ {
 			b := bitset.New(n)

@@ -17,9 +17,13 @@ type batchedCase struct {
 	p    model.Params
 }
 
-// batchedAlgos are the algorithms with a cohort, each with params for
-// universe n.
-func batchedAlgos(n int, seed uint64) []batchedCase {
+// batchedAlgos are the algorithms the engine steps through their own
+// cohort, each with params for universe n and pattern w: Scenario A's know
+// w's first wake, Scenario B's know k = n. (Round-robin has a cohort too,
+// but standalone it steps sparsely; the interleavings step its cohort.)
+func batchedAlgos(w model.WakePattern, n int, seed uint64) []batchedCase {
+	pK := model.Params{N: n, K: n, S: -1, Seed: seed}
+	pS := model.Params{N: n, S: w.FirstWake(), Seed: seed}
 	return []batchedCase{
 		{core.NewRPD(), model.Params{N: n, S: -1, Seed: seed}},
 		{core.NewRPDWithK(), model.Params{N: n, K: n, S: -1, Seed: seed}},
@@ -28,6 +32,11 @@ func batchedAlgos(n int, seed uint64) []batchedCase {
 		{&core.WakeupC{DisableWindowWait: true}, model.Params{N: n, S: -1, Seed: seed}},
 		{core.NewBEB(), model.Params{N: n, S: -1, Seed: seed}},
 		{&core.BEB{CapLog: 1}, model.Params{N: n, S: -1, Seed: seed}},
+		{core.NewWaitAndGo(), pK},
+		{&core.WaitAndGo{DisableWait: true}, pK},
+		{core.NewWakeupWithK(), pK},
+		{core.NewSelectAmongFirst(), pS},
+		{core.NewWakeupWithS(), pS},
 	}
 }
 
@@ -112,7 +121,7 @@ func TestCohortMatchesClosures(t *testing.T) {
 			k := 1 + src.Intn(min(n-1, 12))
 			w := diffPattern(src, shape, n, k)
 			seed := src.Uint64()
-			for _, bc := range batchedAlgos(n, seed) {
+			for _, bc := range batchedAlgos(w, n, seed) {
 				algo, p := bc.algo, bc.p
 				horizon := 50 + src.Int63n(300)
 				for _, record := range []bool{true, false} {
@@ -177,12 +186,13 @@ func TestCohortMatchesClosures(t *testing.T) {
 }
 
 // TestRPDTrialAllocatesNothing: a warm engine runs a trial of every batched
-// algorithm without allocating, because the cohort's tables are reused. RPD
-// and wakeup(n) trials are also spoiled, through their wake probes; BEB has
-// none, and the miniature spoiler builds its candidates' schedules.
+// algorithm without allocating, because the cohort's tables are reused.
+// RPD, wakeup(n) and wait_and_go trials are also spoiled, through their
+// wake probes; BEB, select_among_the_first and the interleavings have none,
+// and the miniature spoiler builds their candidates' schedules.
 func TestRPDTrialAllocatesNothing(t *testing.T) {
 	w := model.WakePattern{IDs: []int{3, 9, 17, 30, 41}, Wakes: []int64{0, 0, 2, 5, 5}}
-	for _, bc := range batchedAlgos(64, 7) {
+	for _, bc := range batchedAlgos(w, 64, 7) {
 		algo, p := bc.algo, bc.p
 		opt := sim.Options{Horizon: 4096, Seed: 7}
 		e := sim.NewEngine()

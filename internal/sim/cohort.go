@@ -7,51 +7,6 @@ import (
 	"nsmac/internal/rng"
 )
 
-// buildCohort is the model.Cohort of an algorithm with neither a cohort of
-// its own nor a closed-form next attempt: each station's Build closure,
-// asked about every slot.
-type buildCohort struct {
-	algo     model.Algorithm
-	p        model.Params
-	stations []builtStation
-}
-
-type builtStation struct {
-	id       int
-	transmit model.TransmitFunc
-}
-
-// reset empties the cohort for a run of algo with params p and k stations.
-func (c *buildCohort) reset(algo model.Algorithm, p model.Params, k int) {
-	c.algo, c.p = algo, p
-	c.stations = slices.Grow(c.stations[:0], k)
-}
-
-// Join implements model.Cohort.
-func (c *buildCohort) Join(id int, wake int64, src *rng.Source) {
-	c.stations = append(c.stations, builtStation{id, c.algo.Build(c.p, id, wake, src)})
-}
-
-// JoinAt implements model.Cohort.
-func (c *buildCohort) JoinAt(i, id int, wake int64, src *rng.Source) bool {
-	st := builtStation{id, c.algo.Build(c.p, id, wake, src)}
-	c.stations = slices.Insert(c.stations, i, st)
-	return st.transmit(wake)
-}
-
-// Transmitters implements model.Cohort.
-func (c *buildCohort) Transmitters(t int64, dst []int) []int {
-	for _, st := range c.stations {
-		if st.transmit(t) {
-			dst = append(dst, st.id)
-		}
-	}
-	return dst
-}
-
-// Next implements model.Cohort: a closure names no attempt ahead of time.
-func (c *buildCohort) Next(from int64) int64 { return from }
-
 // nextCohort is the model.Cohort of a model.Sparse algorithm: each station's
 // NextFunc and next attempt, and the earliest of those attempts, so that
 // the engine can jump to it over the silent slots before it.

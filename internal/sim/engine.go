@@ -16,7 +16,8 @@ import (
 // channel from the previous trial) and Step/RunTo/Run advance it, so a trial
 // on a warm engine costs only the per-station schedule closures the
 // algorithm itself builds, and nothing for a model.Batched algorithm (RPD,
-// wakeup(n), BEB) whose cohort the previous trial left behind.
+// wakeup(n), BEB, wakeup_with_k, wakeup_with_s) whose cohort the previous
+// trial left behind.
 //
 // An oblivious run steps one model.Cohort: the algorithm's closed-form next
 // attempts (model.Sparse), its own cohort (model.Batched) or its Build
@@ -39,7 +40,7 @@ type Engine struct {
 	cohort       model.Cohort // an oblivious run's stations; nil on an adaptive run
 	batched      model.Cohort // the last cohort a Batched algorithm returned, reused
 	attempts     nextCohort
-	closures     buildCohort
+	closures     model.BuildCohort
 	p            model.Params
 	opt          Options
 
@@ -112,7 +113,7 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 			e.batched = a.Cohort(p, e.batched)
 			e.cohort = e.batched
 		default:
-			e.closures.reset(algo, p, k)
+			e.closures.Reset(algo, p, k)
 			e.cohort = &e.closures
 		}
 	}

@@ -231,10 +231,21 @@ func (g Grid) Execute() (*Result, error) {
 	// serialize on channel sends (and the item buffer allocation is gone).
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
+	// A worker's panic is recovered and raised again on the caller once
+	// every worker has stopped, so no result is returned from a grid whose
+	// trials did not all run. The first panic value wins.
+	var failure sync.Once
+	var panicked any
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					failure.Do(func() { panicked = r })
+					cursor.Store(int64(items)) // the other workers stop claiming
+				}
+			}()
 			eng := sim.NewEngine()
 			for {
 				item := int(cursor.Add(1)) - 1
@@ -270,6 +281,9 @@ func (g Grid) Execute() (*Result, error) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 
 	for ci := range res.Cells {
 		c := &counters[ci]

@@ -46,6 +46,32 @@ func countingGrid(workers int) sweep.Grid {
 	}
 }
 
+// TestExecuteRepanicsOnCaller: a trial that panics on a worker makes
+// Execute panic on the calling goroutine, with the trial's panic value,
+// once the workers have stopped, instead of returning a result short of
+// that trial's sample (or killing the process from the worker).
+func TestExecuteRepanicsOnCaller(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		g := countingGrid(workers)
+		run := g.RunEngine
+		g.RunEngine = func(e *sim.Engine, cell, trial int, seed uint64) sweep.Sample {
+			if cell == 1 && trial == 2 {
+				panic("trial 1/2 failed")
+			}
+			return run(e, cell, trial, seed)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "trial 1/2 failed" {
+					t.Fatalf("%d workers: Execute recovered %v, want the trial's panic value", workers, r)
+				}
+			}()
+			res, err := g.Execute()
+			t.Fatalf("%d workers: Execute returned (%v, %v) past a panicking trial", workers, res, err)
+		}()
+	}
+}
+
 func TestGridRoutesSamplesByCellAndTrial(t *testing.T) {
 	res, err := countingGrid(8).Execute()
 	if err != nil {
