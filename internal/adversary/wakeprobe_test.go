@@ -23,8 +23,9 @@ type horizoned interface {
 // TestSpoilerProbeMatchesBuildPath: the spoiler's wake probes choose
 // exactly the spoilers that building each candidate's schedule chooses, so
 // the attack's pattern, rounds and verdict, and the run's Result, are the
-// same on both paths. The wrapped algorithm hides model.Sparse too, so the
-// Results also pin sparse injection against dense.
+// same on both paths. The wrapped algorithm hides model.Batched too, so
+// the Results also pin injection through the algorithm's own cohort, which
+// may skip silent slots, against its Build closures.
 func TestSpoilerProbeMatchesBuildPath(t *testing.T) {
 	for _, e := range []struct {
 		algo   horizoned

@@ -1,8 +1,7 @@
-package dispatch_test
+package campaign
 
-// The shard Driver lives in internal/campaign, where it serves the plan from
-// an in-process campaign Server; these tests drive it through the executors
-// and the store of this package.
+// The Driver's tests: they drive it through the executors and the store of
+// internal/dispatch.
 
 import (
 	"context"
@@ -14,14 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"nsmac/internal/campaign"
 	"nsmac/internal/dispatch"
 	"nsmac/internal/sweep"
-)
-
-var (
-	testDoc     = dispatch.DocForTest
-	wholeRender = dispatch.WholeRenderForTest
 )
 
 // countingExec wraps an executor and counts dispatches per shard.
@@ -60,12 +53,12 @@ func (c *countingExec) count(i int) int {
 func TestDriverMatchesSingleProcess(t *testing.T) {
 	doc := testDoc(t)
 	store := &dispatch.RunStore{Dir: t.TempDir()}
-	var events []campaign.WorkerEvent
-	d := &campaign.Driver{
+	var events []WorkerEvent
+	d := &Driver{
 		Exec:        dispatch.Local{Workers: 2},
 		Store:       store,
 		Concurrency: 3,
-		Progress:    func(ev campaign.WorkerEvent) { events = append(events, ev) },
+		Progress:    func(ev WorkerEvent) { events = append(events, ev) },
 	}
 	res, err := d.Run(context.Background(), doc, 3)
 	if err != nil {
@@ -122,7 +115,7 @@ func TestDriverMatchesSingleProcess(t *testing.T) {
 func TestDriverConcurrencyByteIdentical(t *testing.T) {
 	doc := testDoc(t)
 	store := &dispatch.RunStore{Dir: t.TempDir()}
-	d := &campaign.Driver{Exec: dispatch.Local{Workers: 1}, Store: store, Concurrency: 2}
+	d := &Driver{Exec: dispatch.Local{Workers: 1}, Store: store, Concurrency: 2}
 	res, err := d.Run(context.Background(), doc, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +155,7 @@ func TestDriverConcurrencyByteIdentical(t *testing.T) {
 func TestDriverResumeRerunsOnlyMissing(t *testing.T) {
 	doc := testDoc(t)
 	store := &dispatch.RunStore{Dir: t.TempDir()}
-	base := &campaign.Driver{Exec: dispatch.Local{}, Store: store}
+	base := &Driver{Exec: dispatch.Local{}, Store: store}
 	if _, err := base.Run(context.Background(), doc, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +179,10 @@ func TestDriverResumeRerunsOnlyMissing(t *testing.T) {
 
 	exec := newCountingExec(dispatch.Local{})
 	var cached, started []int
-	resumed := &campaign.Driver{
+	resumed := &Driver{
 		Exec:  exec,
 		Store: store,
-		Progress: func(ev campaign.WorkerEvent) {
+		Progress: func(ev WorkerEvent) {
 			switch ev.Event {
 			case "stored":
 				cached = append(cached, ev.Shard)
@@ -237,11 +230,11 @@ func TestDriverRetries(t *testing.T) {
 	doc := testDoc(t)
 	exec := newCountingExec(dispatch.Local{})
 	exec.failFirst[1] = true
-	var retries []campaign.WorkerEvent
-	d := &campaign.Driver{
+	var retries []WorkerEvent
+	d := &Driver{
 		Exec:        exec,
 		MaxAttempts: 2,
-		Progress: func(ev campaign.WorkerEvent) {
+		Progress: func(ev WorkerEvent) {
 			if ev.Event == "fail" {
 				retries = append(retries, ev)
 			}
@@ -267,11 +260,11 @@ func TestDriverRetries(t *testing.T) {
 // fails the run with the underlying cause.
 func TestDriverAttemptCap(t *testing.T) {
 	exec := &failingExec{}
-	var failed []campaign.WorkerEvent
-	d := &campaign.Driver{
+	var failed []WorkerEvent
+	d := &Driver{
 		Exec:        exec,
 		MaxAttempts: 3,
-		Progress: func(ev campaign.WorkerEvent) {
+		Progress: func(ev WorkerEvent) {
 			if ev.Event == "fail" {
 				failed = append(failed, ev)
 			}
@@ -318,7 +311,7 @@ func TestDriverRejectsForeignEnvelope(t *testing.T) {
 	doc := testDoc(t)
 	foreign := doc
 	foreign.Seed++
-	d := &campaign.Driver{Exec: foreignExec{doc: foreign}, MaxAttempts: 1}
+	d := &Driver{Exec: foreignExec{doc: foreign}, MaxAttempts: 1}
 	_, err := d.Run(context.Background(), doc, 2)
 	if err == nil || !strings.Contains(err.Error(), "different grid") {
 		t.Fatalf("foreign envelope not rejected: %v", err)
@@ -341,7 +334,7 @@ func (f foreignExec) Run(ctx context.Context, plan dispatch.ShardPlan) (*sweep.S
 // present) is refused against the plan's cell count.
 func TestDriverRejectsTruncatedCellList(t *testing.T) {
 	doc := testDoc(t)
-	d := &campaign.Driver{Exec: truncatingExec{}, MaxAttempts: 1}
+	d := &Driver{Exec: truncatingExec{}, MaxAttempts: 1}
 	_, err := d.Run(context.Background(), doc, 2)
 	if err == nil || !strings.Contains(err.Error(), "cells") {
 		t.Fatalf("truncated cell list not rejected: %v", err)
@@ -349,7 +342,7 @@ func TestDriverRejectsTruncatedCellList(t *testing.T) {
 
 	// The same envelope is also unacceptable to a resume Load.
 	store := &dispatch.RunStore{Dir: t.TempDir()}
-	if _, err := (&campaign.Driver{Exec: dispatch.Local{}, Store: store}).Run(context.Background(), doc, 2); err != nil {
+	if _, err := (&Driver{Exec: dispatch.Local{}, Store: store}).Run(context.Background(), doc, 2); err != nil {
 		t.Fatal(err)
 	}
 	plans, _, err := dispatch.PlanShards(doc, 2)
@@ -389,7 +382,7 @@ func (truncatingExec) Run(ctx context.Context, plan dispatch.ShardPlan) (*sweep.
 func TestDriverCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	block := make(chan struct{})
-	d := &campaign.Driver{
+	d := &Driver{
 		Exec:        blockingExec{block: block},
 		MaxAttempts: 5,
 		Concurrency: 2,

@@ -9,17 +9,18 @@ import (
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 	"nsmac/internal/schedule"
+	"nsmac/internal/selectors"
 )
 
 // batchAlgos is how many algorithms batchAlgo names.
-const batchAlgos = 13
+const batchAlgos = 15
 
 // batchAlgo returns the batched algorithm the fuzzer's selector byte names,
 // with params for universe n: rpd, rpdk with k known, wakeup(n) at its
 // default constant, at c = 2 and without the window wait, BEB at its
 // default cap and at cap 1, round-robin, wait_and_go with and without the
-// boundary wait and wakeup_with_k with k known, and select_among_the_first
-// and wakeup_with_s with s = 0 known.
+// boundary wait and wakeup_with_k with k known, select_among_the_first and
+// wakeup_with_s with s = 0 known, and localssf with k unknown and known.
 func batchAlgo(sel uint8, n int, seed uint64) (model.Batched, model.Params) {
 	pC := model.Params{N: n, S: -1, Seed: seed}
 	pK := model.Params{N: n, K: min(n, 16), S: -1, Seed: seed}
@@ -49,16 +50,23 @@ func batchAlgo(sel uint8, n int, seed uint64) (model.Batched, model.Params) {
 		return NewWakeupWithK(), pK
 	case 11:
 		return NewSelectAmongFirst(), pS
-	default:
+	case 12:
 		return NewWakeupWithS(), pS
+	case 13:
+		return NewLocalSSF(), pC
+	default:
+		return NewLocalSSF(), pK
 	}
 }
 
 // batchName tells apart the variants batchAlgo names: BEB's name omits its
-// cap.
-func batchName(a model.Batched) string {
+// cap, and localssf's whether it knows k.
+func batchName(a model.Batched, p model.Params) string {
 	if b, ok := a.(*BEB); ok && b.CapLog > 0 {
 		return fmt.Sprintf("beb(cap=%d)", b.CapLog)
+	}
+	if _, ok := a.(*LocalSSF); ok && p.KnowsK() {
+		return fmt.Sprintf("%s(k=%d)", a.Name(), p.K)
 	}
 	return a.Name()
 }
@@ -66,7 +74,8 @@ func batchName(a model.Batched) string {
 // batchSpan is how many slots past the last wake a cohort check runs: three
 // RPD probability cycles, wakeup(n)'s row cycle or a selective ladder
 // (wrapping either on small n) up to 4096 slots, BEB's doubling phase plus
-// four capped windows, two round-robin cycles, or an interleaving's odd
+// four capped windows, two round-robin cycles, two localssf ladder cycles
+// plus a few position blocks up to 4096 slots, or an interleaving's odd
 // component's span on the odd slots.
 func batchSpan(a model.Batched, p model.Params) int64 {
 	switch a := a.(type) {
@@ -76,6 +85,8 @@ func batchSpan(a model.Batched, p model.Params) int64 {
 		return 6 << uint(a.capFor(p))
 	case RoundRobin:
 		return 2*int64(p.N) + 8
+	case *LocalSSF:
+		return min(2*selectors.KSLadder(p.N, a.maxI(p)).Length()+64, 4096)
 	case *WaitAndGo:
 		return min(a.ladder(p).Length()+8, 4096)
 	case *SelectAmongFirst:
@@ -103,14 +114,17 @@ type batchRun struct {
 // slot's transmitters with the stations' Build schedules in the same join
 // order: both sides draw from a stream Derive(seed, id), the join leaves
 // each stream where Build leaves it, and JoinAt reports the injected
-// station's Build answer at its wake slot.
+// station's Build answer at its wake slot. Before each slot's transmitters
+// it asks Next(slot), which must not lie before slot, and no station joined
+// by then may transmit before the slot Next returned.
 func checkBatch(t *testing.T, a model.Batched, p model.Params, c model.Cohort, r batchRun) {
 	t.Helper()
 	w := model.WakePattern{IDs: r.ids, Wakes: r.wakes}
 	keys := w.WakeOrder(nil)
 	type ref struct {
-		id int
-		tx model.TransmitFunc
+		id    int
+		tx    model.TransmitFunc
+		quiet int64 // the latest slot Next has named since the station joined
 	}
 	var refs []ref
 	build := func(id int, wake int64) (model.TransmitFunc, *rng.Source) {
@@ -126,11 +140,20 @@ func checkBatch(t *testing.T, a model.Batched, p model.Params, c model.Cohort, r
 			f, src := build(id, slot)
 			c.Join(id, slot, src)
 			checkStream(t, a, p, id, slot, src)
-			refs = append(refs, ref{id, f})
+			refs = append(refs, ref{id: id, tx: f})
+		}
+		u := c.Next(slot)
+		if u < slot {
+			t.Fatalf("%s %+v %+v: Next(%d) = %d", a.Name(), p, r, slot, u)
 		}
 		var want []int
-		for _, s := range refs {
+		for i := range refs {
+			s := &refs[i]
+			s.quiet = max(s.quiet, u)
 			if s.tx(slot) {
+				if slot < s.quiet {
+					t.Fatalf("%s %+v %+v: station %d transmits at slot %d, but Next named slot %d", a.Name(), p, r, s.id, slot, s.quiet)
+				}
 				want = append(want, s.id)
 			}
 		}
@@ -144,7 +167,7 @@ func checkBatch(t *testing.T, a model.Batched, p model.Params, c model.Cohort, r
 				t.Fatalf("%s %+v %+v: injected station transmits at its wake: %v, want %v", a.Name(), p, r, got, want)
 			}
 			checkStream(t, a, p, r.inject, slot, src)
-			refs = slices.Insert(refs, pos, ref{r.inject, f})
+			refs = slices.Insert(refs, pos, ref{id: r.inject, tx: f})
 		}
 	}
 }
@@ -207,7 +230,7 @@ func TestBatchMatchesBuild(t *testing.T) {
 			for name, wakes := range patterns {
 				for _, pos := range []int{0, k / 2, k} {
 					r := batchRun{ids: shuffled, wakes: wakes, span: span, inject: spare, at: wakes[k-1] + 1, pos: pos}
-					t.Run(fmt.Sprintf("%s/n=%d/%s/pos=%d", batchName(a), n, name, pos), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/n=%d/%s/pos=%d", batchName(a, p), n, name, pos), func(t *testing.T) {
 						c = a.Cohort(p, c)
 						checkBatch(t, a, p, c, r)
 					})
@@ -248,6 +271,8 @@ func FuzzBatchMatchesBuild(f *testing.F) {
 	f.Add(uint8(10), uint16(1024), uint8(16), uint8(33), uint16(77), uint8(8), uint64(13))
 	f.Add(uint8(11), uint16(256), uint8(9), uint8(0), uint16(41), uint8(5), uint64(14))
 	f.Add(uint8(12), uint16(65), uint8(12), uint8(3), uint16(8), uint8(6), uint64(15))
+	f.Add(uint8(13), uint16(256), uint8(6), uint8(50), uint16(300), uint8(3), uint64(16))
+	f.Add(uint8(14), uint16(1024), uint8(16), uint8(2), uint16(90), uint8(7), uint64(17))
 	f.Fuzz(func(t *testing.T, sel uint8, rawN uint16, rawK, spread uint8, at uint16, pos uint8, seed uint64) {
 		n := int(rawN)%1100 + 2
 		k := int(rawK)%min(n-1, 32) + 1

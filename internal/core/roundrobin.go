@@ -37,23 +37,7 @@ func (RoundRobin) Build(p model.Params, id int, wake int64, _ *rng.Source) model
 	return func(t int64) bool { return t%n == slot }
 }
 
-// BuildNext implements model.Sparse: the first slot ≥ from in residue
-// id-1 mod n.
-func (RoundRobin) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) model.NextFunc {
-	n := int64(p.N)
-	slot := int64(id - 1)
-	return func(from int64) int64 {
-		t := from - from%n + slot
-		if t < from {
-			t += n
-		}
-		return t
-	}
-}
-
-// Cohort implements model.Batched. The engine steps a standalone
-// round-robin run sparsely, through BuildNext; the cohort serves it as a
-// component of schedule.Interleaved.
+// Cohort implements model.Batched.
 func (RoundRobin) Cohort(p model.Params, prev model.Cohort) model.Cohort {
 	c, _ := prev.(*rrCohort)
 	if c == nil {
@@ -63,34 +47,52 @@ func (RoundRobin) Cohort(p model.Params, prev model.Cohort) model.Cohort {
 	return c
 }
 
-// rrCohort is RoundRobin's model.Cohort: the joined stations in join order,
-// each of which transmits in the slots of its residue.
+// rrCohort is RoundRobin's model.Cohort: the joined stations, each of which
+// transmits in the slots of its residue. Residues are distinct, so a slot
+// has at most one transmitter and join order never shows: the IDs are kept
+// sorted, and a slot or a next attempt is one binary search.
 type rrCohort struct {
 	n   int64
 	ids []int
 }
 
 // Join implements model.Cohort. Build draws nothing from the stream.
-func (c *rrCohort) Join(id int, _ int64, _ *rng.Source) { c.ids = append(c.ids, id) }
+func (c *rrCohort) Join(id int, _ int64, _ *rng.Source) { c.insert(id) }
 
 // JoinAt implements model.Cohort.
-func (c *rrCohort) JoinAt(i, id int, wake int64, _ *rng.Source) bool {
-	c.ids = slices.Insert(c.ids, i, id)
+func (c *rrCohort) JoinAt(_, id int, wake int64, _ *rng.Source) bool {
+	c.insert(id)
 	return wake%c.n == int64(id-1)
 }
 
-// Transmitters implements model.Cohort: one residue compare per station.
-// Residues are distinct, so at most one station transmits.
+func (c *rrCohort) insert(id int) {
+	i, _ := slices.BinarySearch(c.ids, id)
+	c.ids = slices.Insert(c.ids, i, id)
+}
+
+// Transmitters implements model.Cohort: the station whose residue t is, if
+// it has joined.
 func (c *rrCohort) Transmitters(t int64, dst []int) []int {
 	id := int(t%c.n) + 1
-	if slices.Contains(c.ids, id) {
+	if _, ok := slices.BinarySearch(c.ids, id); ok {
 		dst = append(dst, id)
 	}
 	return dst
 }
 
-// Next implements model.Cohort.
-func (c *rrCohort) Next(from int64) int64 { return from }
+// Next implements model.Cohort: the first slot ≥ from whose residue belongs
+// to a joined station, wrapping to the next period past the last one.
+func (c *rrCohort) Next(from int64) int64 {
+	if len(c.ids) == 0 {
+		return model.Never
+	}
+	r := from % c.n
+	i, _ := slices.BinarySearch(c.ids, int(r)+1)
+	if i == len(c.ids) {
+		return from - r + c.n + int64(c.ids[0]-1)
+	}
+	return from - r + int64(c.ids[i]-1)
+}
 
 // FirstWaker implements model.WakeProber: the only station that transmits
 // at its wake slot is the one whose residue the slot is.

@@ -53,7 +53,7 @@ func (c Config) seed(tag uint64) uint64 { return rng.Derive(c.Seed^0x5eed, tag) 
 
 // Table is an experiment's rendered result.
 type Table struct {
-	// ID matches DESIGN.md §5 (T1…T10).
+	// ID matches DESIGN.md §5 (T1…T12).
 	ID string
 	// Title states what the experiment measures.
 	Title string

@@ -10,15 +10,6 @@ import (
 	"math/bits"
 )
 
-// Log2Floor returns floor(log2(x)) for x >= 1. It panics for x <= 0 because
-// every call site derives x from a validated station count or set size.
-func Log2Floor(x int) int {
-	if x <= 0 {
-		panic("mathx: Log2Floor of non-positive value")
-	}
-	return bits.Len(uint(x)) - 1
-}
-
 // Log2Ceil returns ceil(log2(x)) for x >= 1. Log2Ceil(1) == 0.
 func Log2Ceil(x int) int {
 	if x <= 0 {
@@ -38,50 +29,12 @@ func CeilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-// CeilDiv64 returns ceil(a/b) for b > 0 on 64-bit operands.
-func CeilDiv64(a, b int64) int64 {
-	if b <= 0 {
-		panic("mathx: CeilDiv64 by non-positive divisor")
-	}
-	return (a + b - 1) / b
-}
-
-// Clamp limits x to the inclusive range [lo, hi].
-func Clamp(x, lo, hi int) int {
-	if lo > hi {
-		panic("mathx: Clamp with lo > hi")
-	}
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // Pow2 returns 2^e for 0 <= e < 63.
 func Pow2(e int) int64 {
 	if e < 0 || e >= 63 {
 		panic("mathx: Pow2 exponent out of range")
 	}
 	return int64(1) << uint(e)
-}
-
-// IsPow2 reports whether x is a positive power of two.
-func IsPow2(x int) bool {
-	return x > 0 && x&(x-1) == 0
-}
-
-// NextPow2 returns the smallest power of two >= x, for x >= 1.
-func NextPow2(x int) int {
-	if x <= 0 {
-		panic("mathx: NextPow2 of non-positive value")
-	}
-	if IsPow2(x) {
-		return x
-	}
-	return 1 << uint(bits.Len(uint(x)))
 }
 
 // IsPrime reports whether p is prime, by trial division. Intended for the
@@ -115,27 +68,6 @@ func NextPrime(x int) int {
 	return x
 }
 
-// PowMod returns base^exp mod m for m > 0, using binary exponentiation with
-// 64-bit intermediate products (safe for m < 2^31).
-func PowMod(base, exp, m int64) int64 {
-	if m <= 0 {
-		panic("mathx: PowMod modulus must be positive")
-	}
-	base %= m
-	if base < 0 {
-		base += m
-	}
-	r := int64(1) % m
-	for exp > 0 {
-		if exp&1 == 1 {
-			r = r * base % m
-		}
-		base = base * base % m
-		exp >>= 1
-	}
-	return r
-}
-
 // PrefixSums returns the exclusive prefix sums of xs: out[i] = sum(xs[:i]),
 // with len(out) == len(xs)+1 so out[len(xs)] is the total.
 func PrefixSums(xs []int64) []int64 {
@@ -144,15 +76,6 @@ func PrefixSums(xs []int64) []int64 {
 		out[i+1] = out[i] + x
 	}
 	return out
-}
-
-// SumInt64 returns the sum of xs.
-func SumInt64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // --- Complexity bounds from the paper -------------------------------------

@@ -18,35 +18,9 @@ type ScheduleClass struct {
 	SeedSensitive bool
 }
 
-// Never is the NextFunc result of a station that transmits in no slot at or
-// after the queried one.
+// Never is a Cohort's Next, or a station's next attempt, when no joined
+// station transmits again.
 const Never int64 = math.MaxInt64
-
-// NextFunc is a station's schedule in closed form: NextFunc(from) returns
-// the first slot t ≥ from in which the station transmits, or Never. It is
-// queried for from ≥ 0.
-type NextFunc func(from int64) int64
-
-// Sparse is the optional Algorithm extension of schedules that can name
-// their next transmission directly. The engine steps such an algorithm
-// through a Cohort that keeps every joined station's next attempt, so that
-// it can jump over slots in which nobody transmits instead of asking every
-// awake station about every slot. BuildNext(p, id, wake, src) must satisfy,
-// for every from ≥ 0:
-//
-//   - NextFunc(from) is the first t ≥ from at which Build(p, id, wake,
-//     src')(t) returns true, or Never when there is none, where src' is a
-//     source in the same state as src;
-//   - it draws from src exactly what Build draws, in the same order, so a
-//     station's stream — and every later draw from it — is the same on both
-//     paths;
-//   - the result depends only on state fixed when BuildNext returns: a
-//     closure may cache (a cursor, say) but never answers differently for
-//     the order in which it is queried.
-type Sparse interface {
-	Algorithm
-	BuildNext(p Params, id int, wake int64, src *rng.Source) NextFunc
-}
 
 // WakeProber is the optional Algorithm extension of schedules that can
 // name, without building any, the first station that would transmit in the
@@ -67,15 +41,14 @@ type WakeProber interface {
 // Batched is the optional Algorithm extension of schedules whose stations
 // the engine can evaluate together, one call per slot for a whole run,
 // instead of one TransmitFunc call per (station, slot). The engine steps
-// every oblivious run of such an algorithm through its cohort, unless the
-// algorithm is also Sparse (round-robin, whose cohort serves inside
-// schedule.Interleaved). A cohort shares per-slot work across its stations
-// (RPD's coins step by increment, wakeup(n)'s stations in one row share the
-// column's hash key, wait_and_go's and select_among_the_first's operative
-// stations share the ladder set's key, and wakeup_with_k and wakeup_with_s
-// compose their components' cohorts), and one that knows its stations'
-// next attempts returns the earliest from Next, so the engine skips the
-// silent slots before it (BEB).
+// every oblivious run of such an algorithm through its cohort. A cohort
+// shares per-slot work across its stations (RPD's coins step by increment,
+// wakeup(n)'s stations in one row share the column's hash key,
+// wait_and_go's and select_among_the_first's operative stations share the
+// ladder set's key, and wakeup_with_k and wakeup_with_s compose their
+// components' cohorts), and one that knows its stations' next attempts
+// returns the earliest from Next, so the engine skips the silent slots
+// before it (BEB, round-robin, localssf).
 //
 // Cohort(p, prev) returns an empty cohort for params p; it may reuse prev,
 // a cohort an earlier call returned (nil at first), so that a warm engine
@@ -91,8 +64,8 @@ type Batched interface {
 
 // Cohort is one run's oblivious stations, in join order; it is the only
 // way the engine asks an oblivious run who transmits. A Batched algorithm
-// supplies its own, and the engine wraps every other algorithm's BuildNext
-// or Build in one. The engine drives a cohort forward in time: at every
+// supplies its own, and the engine wraps every other algorithm's Build in
+// a BuildCohort. The engine drives a cohort forward in time: at every
 // slot t from the first wake on, it joins the stations that wake at t, then
 // either asks Transmitters(t) once or skips t. It skips slots t to u-1 only
 // when Next(t) ≥ u and the channel lets silent slots be accounted without
@@ -117,9 +90,8 @@ type Cohort interface {
 	Next(from int64) int64
 }
 
-// BuildCohort is the Cohort of an algorithm with neither a cohort of its
-// own nor a closed-form next attempt: each station's Build closure, asked
-// about every slot. The engine steps such an algorithm through one, and so
+// BuildCohort is the Cohort of an algorithm without a cohort of its own:
+// each station's Build closure, asked about every slot. The engine steps such an algorithm through one, and so
 // does schedule.Interleaved's cohort for such a component.
 type BuildCohort struct {
 	algo     Algorithm

@@ -74,6 +74,9 @@ func TestKSCursorMatchesMemberCyclic(t *testing.T) {
 			}
 		}
 		slots := ksCursorSlots(seq)
+		// reused is one cursor value Reset onto every id in turn, so each id
+		// starts where the previous one left its window.
+		var reused KSCursor
 		for _, id := range []int{1, 2, seq.N() / 2, seq.N()} {
 			if id < 1 {
 				continue
@@ -81,10 +84,15 @@ func TestKSCursorMatchesMemberCyclic(t *testing.T) {
 			// One cursor per id walks every sequence in turn, so each starts
 			// from the window the previous one left behind.
 			c := seq.KSCursor(id)
+			reused.Reset(seq, id)
 			for _, order := range []string{"forward", "backward", "repeated", "jumping", "forward"} {
 				for _, ts := range slots[order] {
-					if got, want := c.Member(ts), seq.MemberCyclic(ts, id); got != want {
+					want := seq.MemberCyclic(ts, id)
+					if got := c.Member(ts); got != want {
 						t.Fatalf("%s id=%d %s: Member(%d) = %v, MemberCyclic = %v", name, id, order, ts, got, want)
+					}
+					if got := reused.Member(ts); got != want {
+						t.Fatalf("%s id=%d %s: reset cursor's Member(%d) = %v, MemberCyclic = %v", name, id, order, ts, got, want)
 					}
 				}
 			}
@@ -132,7 +140,12 @@ func testKSCursorPanics(t *testing.T) {
 			t.Errorf("%s: cursor panics with %q, MemberCyclic with %q", c.name, got, want)
 		}
 	}
-	if panicValue(func() { RandomLadder(20, 2, 1, DefaultSizeMult).KSCursor(1) }) == "" {
-		t.Error("KSCursor over a random ladder did not panic")
+	random := RandomLadder(20, 2, 1, DefaultSizeMult)
+	got, checked := panicValue(func() { random.KSCursor(1) }), panicValue(random.CheckKS)
+	if got == "" || got != checked {
+		t.Errorf("over a random ladder, KSCursor panics with %q and CheckKS with %q; want the same panic", got, checked)
+	}
+	if v := panicValue(seq.CheckKS); v != "" {
+		t.Errorf("CheckKS panics over a Kautz–Singleton ladder: %s", v)
 	}
 }

@@ -453,13 +453,24 @@ type KSCursor struct {
 // KSCursor returns a cursor over station id's cyclic schedule. It panics if
 // a family of s is not a *KautzSingleton.
 func (s *Sequence) KSCursor(id int) *KSCursor {
+	s.CheckKS()
+	return &KSCursor{seq: s, id: id}
+}
+
+// CheckKS panics, as KSCursor does, if a family of s is not a
+// *KautzSingleton. A caller that points many cursors at s with Reset checks
+// it once.
+func (s *Sequence) CheckKS() {
 	for _, f := range s.fams {
 		if _, ok := f.(*KautzSingleton); !ok {
 			panic(fmt.Sprintf("selectors: KSCursor over a %s family", f.Name()))
 		}
 	}
-	return &KSCursor{seq: s, id: id}
 }
+
+// Reset points c, in place, at station id's cyclic schedule on s, which the
+// caller has checked with CheckKS, and drops its cached window.
+func (c *KSCursor) Reset(s *Sequence, id int) { *c = KSCursor{seq: s, id: id} }
 
 // Member reports whether the station belongs to set t mod Length(), for
 // t ≥ 0: MemberCyclic(t, id).

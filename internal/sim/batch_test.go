@@ -19,8 +19,7 @@ type batchedCase struct {
 
 // batchedAlgos are the algorithms the engine steps through their own
 // cohort, each with params for universe n and pattern w: Scenario A's know
-// w's first wake, Scenario B's know k = n. (Round-robin has a cohort too,
-// but standalone it steps sparsely; the interleavings step its cohort.)
+// w's first wake, Scenario B's know k = n.
 func batchedAlgos(w model.WakePattern, n int, seed uint64) []batchedCase {
 	pK := model.Params{N: n, K: n, S: -1, Seed: seed}
 	pS := model.Params{N: n, S: w.FirstWake(), Seed: seed}
@@ -32,6 +31,9 @@ func batchedAlgos(w model.WakePattern, n int, seed uint64) []batchedCase {
 		{&core.WakeupC{DisableWindowWait: true}, model.Params{N: n, S: -1, Seed: seed}},
 		{core.NewBEB(), model.Params{N: n, S: -1, Seed: seed}},
 		{&core.BEB{CapLog: 1}, model.Params{N: n, S: -1, Seed: seed}},
+		{core.NewRoundRobin(), model.Params{N: n, S: -1, Seed: seed}},
+		{core.NewLocalSSF(), model.Params{N: n, S: -1, Seed: seed}},
+		{core.NewLocalSSF(), pK},
 		{core.NewWaitAndGo(), pK},
 		{&core.WaitAndGo{DisableWait: true}, pK},
 		{core.NewWakeupWithK(), pK},
@@ -108,9 +110,10 @@ func (s *spoiler) firstWaker(slot int64) int {
 // to the end, in Step and RunTo pieces, and hooked with injections: result,
 // channel counters and transcript agree. The transcript lists each slot's
 // transmitters in activation order, so it pins where an injected station
-// joins the cohort. Each case runs recorded and unrecorded: BEB's cohort
-// names its next attempts, so an unrecorded run on a channel that lets
-// silence be skipped is also its skip-vs-dense differential.
+// joins the cohort. Each case runs recorded and unrecorded: the cohorts of
+// BEB, round-robin and localssf name their next attempts, so an unrecorded
+// run on a channel that lets silence be skipped is also their skip-vs-dense
+// differential.
 func TestCohortMatchesClosures(t *testing.T) {
 	src := rng.New(0xc0b0)
 	injected, ahead := 0, 0
@@ -187,9 +190,11 @@ func TestCohortMatchesClosures(t *testing.T) {
 
 // TestRPDTrialAllocatesNothing: a warm engine runs a trial of every batched
 // algorithm without allocating, because the cohort's tables are reused.
-// RPD, wakeup(n) and wait_and_go trials are also spoiled, through their
-// wake probes; BEB, select_among_the_first and the interleavings have none,
-// and the miniature spoiler builds their candidates' schedules.
+// RPD, wakeup(n), wait_and_go and round-robin trials are also spoiled,
+// through their wake probes; BEB, localssf, select_among_the_first and the
+// interleavings have none, and the miniature spoiler builds their
+// candidates' schedules. Round-robin's probe never finds a spoiler: the one
+// station that transmits at a success slot's residue is its winner.
 func TestRPDTrialAllocatesNothing(t *testing.T) {
 	w := model.WakePattern{IDs: []int{3, 9, 17, 30, 41}, Wakes: []int64{0, 0, 2, 5, 5}}
 	for _, bc := range batchedAlgos(w, 64, 7) {
@@ -215,7 +220,7 @@ func TestRPDTrialAllocatesNothing(t *testing.T) {
 				t.Errorf("%s, %d spoilers: warm trial allocates %.1f objects, want 0", algo.Name(), budget, allocs)
 			}
 		}
-		if probes && s.injected == 0 {
+		if _, rr := algo.(core.RoundRobin); probes && !rr && s.injected == 0 {
 			t.Errorf("%s: no trial injected a station", algo.Name())
 		}
 	}

@@ -16,15 +16,14 @@ import (
 // channel from the previous trial) and Step/RunTo/Run advance it, so a trial
 // on a warm engine costs only the per-station schedule closures the
 // algorithm itself builds, and nothing for a model.Batched algorithm (RPD,
-// wakeup(n), BEB, wakeup_with_k, wakeup_with_s) whose cohort the previous
-// trial left behind.
+// wakeup(n), BEB, round-robin, localssf, wakeup_with_k, wakeup_with_s)
+// whose cohort the previous trial left behind.
 //
-// An oblivious run steps one model.Cohort: the algorithm's closed-form next
-// attempts (model.Sparse), its own cohort (model.Batched) or its Build
-// closures, preferred in that order. An adaptive run steps its stations one
-// by one and delivers each its feedback, unless Run finishes it in closed
-// form (see ClosedForm); that trial builds no stations and leaves the
-// channel unstepped.
+// An oblivious run steps one model.Cohort: the algorithm's own cohort
+// (model.Batched), else its Build closures. An adaptive run steps its
+// stations one by one and delivers each its feedback, unless Run finishes
+// it in closed form (see ClosedForm); that trial builds no stations and
+// leaves the channel unstepped.
 //
 // The zero value is not usable; construct with NewEngine. An engine is not
 // safe for concurrent use — pool one per worker (internal/sweep does).
@@ -39,7 +38,6 @@ type Engine struct {
 	closedForm   bool         // Run may finish the trial in closed form (see ClosedForm)
 	cohort       model.Cohort // an oblivious run's stations; nil on an adaptive run
 	batched      model.Cohort // the last cohort a Batched algorithm returned, reused
-	attempts     nextCohort
 	closures     model.BuildCohort
 	p            model.Params
 	opt          Options
@@ -105,14 +103,10 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 
 	e.cohort = nil
 	if !e.useAdaptive {
-		switch a := algo.(type) {
-		case model.Sparse:
-			e.attempts.reset(a, p, k)
-			e.cohort = &e.attempts
-		case model.Batched:
+		if a, ok := algo.(model.Batched); ok {
 			e.batched = a.Cohort(p, e.batched)
 			e.cohort = e.batched
-		default:
+		} else {
 			e.closures.Reset(algo, p, k)
 			e.cohort = &e.closures
 		}

@@ -1,9 +1,9 @@
 package sim
 
-// SteppingSparse reports whether the engine's current trial jumps over
-// silent slots: its cohort names next attempts and its channel lets silence
-// be skipped.
-func (e *Engine) SteppingSparse() bool { return e.cohort == &e.attempts && e.ch.SkipsSilence() }
+// SteppingSparse reports whether the engine's current trial may jump over
+// silent slots: it steps a Batched algorithm's own cohort and its channel
+// lets silence be skipped.
+func (e *Engine) SteppingSparse() bool { return e.SteppingBatched() && e.ch.SkipsSilence() }
 
 // SteppingBatched reports whether the engine's current trial asks a
 // Batched algorithm's own cohort for each slot's transmitters.

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,22 +11,59 @@ import (
 	"nsmac/internal/sim"
 )
 
-// periodic transmits at its wake slot and every id slots after it, and names
-// that next attempt in closed form.
+// periodic transmits at its wake slot and every id slots after it. Its
+// cohort names the earliest next attempt, so the engine skips the silent
+// slots before it.
 type periodic struct{}
 
 func (periodic) Name() string { return "periodic" }
 func (periodic) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
 	return func(t int64) bool { return t >= wake && (t-wake)%int64(id) == 0 }
 }
-func (periodic) BuildNext(p model.Params, id int, wake int64, _ *rng.Source) model.NextFunc {
-	return func(from int64) int64 {
-		if from <= wake {
-			return wake
-		}
-		return wake + (from-wake+int64(id)-1)/int64(id)*int64(id)
+func (periodic) Cohort(p model.Params, prev model.Cohort) model.Cohort {
+	c, _ := prev.(*periodicCohort)
+	if c == nil {
+		c = new(periodicCohort)
 	}
+	*c = (*c)[:0]
+	return c
 }
+
+// periodicCohort is periodic's joined stations in join order.
+type periodicCohort []model.WakeKey
+
+// periodicNext is st's first attempt at or after slot from.
+func periodicNext(st model.WakeKey, from int64) int64 {
+	if from <= st.Wake {
+		return st.Wake
+	}
+	id := int64(st.ID)
+	return st.Wake + (from-st.Wake+id-1)/id*id
+}
+
+func (c *periodicCohort) Join(id int, wake int64, _ *rng.Source) {
+	*c = append(*c, model.WakeKey{Wake: wake, ID: id})
+}
+func (c *periodicCohort) JoinAt(i, id int, wake int64, _ *rng.Source) bool {
+	*c = slices.Insert(*c, i, model.WakeKey{Wake: wake, ID: id})
+	return true
+}
+func (c *periodicCohort) Transmitters(t int64, dst []int) []int {
+	for _, st := range *c {
+		if periodicNext(st, t) == t {
+			dst = append(dst, st.ID)
+		}
+	}
+	return dst
+}
+func (c *periodicCohort) Next(from int64) int64 {
+	u := model.Never
+	for _, st := range *c {
+		u = min(u, periodicNext(st, from))
+	}
+	return u
+}
+
 func (periodic) BuildAdaptive(p model.Params, id int, wake int64, src *rng.Source) model.AdaptiveStation {
 	return periodicStation{periodic{}.Build(p, id, wake, src)}
 }
@@ -58,7 +96,8 @@ func injectAt(ids ...int) sim.SuccessHook {
 
 // TestInjectionMatchesReplay: a hooked run that injects stations equals a
 // plain run of the final pattern — Result, channel counters and transcript —
-// on the next-attempt and closure cohorts and on the adaptive path. Station
+// on a cohort that skips silent slots, on the closure cohort and on the
+// adaptive path. Station
 // 5 wins slot 0 and the hook injects station 2, whose smaller ID puts it
 // first in the slot's transmitters, as in the replay; station 2 then wins
 // slot 2, where station 3 is injected, and wins again at slot 4.
@@ -79,6 +118,9 @@ func TestInjectionMatchesReplay(t *testing.T) {
 			e := sim.NewEngine()
 			if err := e.Reset(algo, p, model.WakePattern{IDs: []int{5}, Wakes: []int64{0}}, opt); err != nil {
 				t.Fatal(err)
+			}
+			if skips := algo == (periodic{}) && !opt.Adaptive && !opt.RecordTrace; e.SteppingSparse() != skips {
+				t.Fatalf("%T %+v: engine skips silent slots: %v, want %v", algo, opt, e.SteppingSparse(), skips)
 			}
 			got := e.RunHooked(2, injectAt(2, 3))
 			if got != replay {

@@ -7,8 +7,7 @@
 // regardless of n, and every run is reproducible from (algorithm, params,
 // pattern, seed). An adaptive run asks every awake station about every slot
 // and delivers each the slot's feedback. Every other run steps one
-// model.Cohort, which answers for all the joined stations at once: an
-// adapter over the next attempts of a model.Sparse algorithm, the
+// model.Cohort, which answers for all the joined stations at once: the
 // algorithm's own cohort if it implements model.Batched, or else an adapter
 // over Build's closures. When the cohort names a next attempt past the
 // current slot and the channel lets silence be skipped (no transcript is

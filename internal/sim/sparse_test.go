@@ -13,11 +13,12 @@ import (
 )
 
 // denseOnly exposes only model.Algorithm of the algorithm it wraps, hiding
-// model.Sparse, so the engine steps it slot by slot.
+// model.Batched, so the engine steps its Build closures slot by slot.
 type denseOnly struct{ model.Algorithm }
 
-// sparseAlgos are the algorithms with a closed-form next attempt. (BEB
-// skips silent slots through its own cohort; batchedAlgos covers it.)
+// sparseAlgos are the algorithms whose cohort names its next attempt, so
+// that the engine skips the silent slots before it. (BEB's does too;
+// batchedAlgos covers it.)
 func sparseAlgos() []model.Algorithm {
 	return []model.Algorithm{core.NewRoundRobin(), core.NewLocalSSF()}
 }
