@@ -75,7 +75,7 @@ func BenchmarkT2WakeupWithS(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 			p := model.Params{N: n, S: 0}
 			benchRun(b, core.NewWakeupWithS(), p, func(seed uint64) model.WakePattern {
-				return model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+				return model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 			}, core.WakeupWithSHorizon(n, k))
 		})
 	}
@@ -89,7 +89,7 @@ func BenchmarkT3WakeupWithK(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 			p := model.Params{N: n, K: k, S: -1}
 			benchRun(b, core.NewWakeupWithK(), p, func(seed uint64) model.WakePattern {
-				return gen.Generate(n, k, seed)
+				return gen.Generate(model.WakePattern{}, n, k, seed)
 			}, core.WakeupWithKHorizon(n, k))
 		})
 	}
@@ -104,7 +104,7 @@ func BenchmarkT4WakeupC(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 			p := model.Params{N: n, S: -1}
 			benchRun(b, a, p, func(seed uint64) model.WakePattern {
-				return gen.Generate(n, k, seed)
+				return gen.Generate(model.WakePattern{}, n, k, seed)
 			}, a.Horizon(n, k))
 		})
 	}
@@ -116,13 +116,13 @@ func BenchmarkT5RPD(b *testing.B) {
 	b.Run("ell=2logn", func(b *testing.B) {
 		a := core.NewRPD()
 		benchRun(b, a, model.Params{N: n, S: -1}, func(seed uint64) model.WakePattern {
-			return model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+			return model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 		}, a.Horizon(n, k))
 	})
 	b.Run("ell=2logk", func(b *testing.B) {
 		a := core.NewRPDWithK()
 		benchRun(b, a, model.Params{N: n, K: k, S: -1}, func(seed uint64) model.WakePattern {
-			return model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+			return model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 		}, a.Horizon(n, k))
 	})
 }
@@ -132,7 +132,7 @@ func BenchmarkT5RPD(b *testing.B) {
 func BenchmarkT6Comparison(b *testing.B) {
 	n, k := 1024, 16
 	mk := func(seed uint64) model.WakePattern {
-		return model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+		return model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 	}
 	wc := core.NewWakeupC()
 	cases := []struct {
@@ -180,7 +180,7 @@ func BenchmarkT7FamilySizes(b *testing.B) {
 func BenchmarkT8Ablations(b *testing.B) {
 	n, k := 256, 8
 	gen := adversary.Staggered(0, 3)
-	mk := func(seed uint64) model.WakePattern { return gen.Generate(n, k, seed) }
+	mk := func(seed uint64) model.WakePattern { return gen.Generate(model.WakePattern{}, n, k, seed) }
 
 	wag := core.NewWaitAndGo()
 	b.Run("wait_and_go/standard", func(b *testing.B) {
@@ -204,7 +204,7 @@ func BenchmarkT9ConflictResolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seed := rng.Derive(0x99, uint64(i))
 		p := model.Params{N: n, K: k, S: -1, Seed: seed}
-		w := model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+		w := model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 		all, err := sim.NewEngine().RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: seed})
 		if err != nil {
 			b.Fatal(err)
@@ -225,7 +225,7 @@ func BenchmarkT10TreeCD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seed := rng.Derive(0x10a, uint64(i))
 		p := model.Params{N: n, S: -1, Seed: seed}
-		w := model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+		w := model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 		res, _, err := sim.Run(a, p, w, sim.Options{
 			Horizon: a.Horizon(n, k), Adaptive: true, Channel: model.CD(),
 		})
@@ -250,7 +250,7 @@ func BenchmarkT11SeedRobustness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seed := rng.Derive(0x511, uint64(i))
 		p := model.Params{N: n, S: -1, Seed: seed}
-		w := gen.Generate(n, k, rng.Derive(seed, 5))
+		w := gen.Generate(model.WakePattern{}, n, k, rng.Derive(seed, 5))
 		res, _, err := sim.Run(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: seed})
 		if err != nil {
 			b.Fatal(err)
@@ -275,7 +275,7 @@ func BenchmarkT12ClockSkew(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("skew=%d", skew), func(b *testing.B) {
 			benchRun(b, algo, model.Params{N: n, S: -1}, func(seed uint64) model.WakePattern {
-				return model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+				return model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 			}, 8*base.Horizon(n, k))
 		})
 	}
@@ -637,7 +637,7 @@ func BenchmarkBitsetIntersectOne(b *testing.B) {
 // active stations that never succeed (worst case for the loop).
 func BenchmarkSimSlotThroughput(b *testing.B) {
 	n, k := 4096, 64
-	ids := rng.New(1).Sample(n, k)
+	ids := rng.New(1).Sample(nil, n, k)
 	// Pairwise colliding schedule: every active station transmits every
 	// slot, so the run never terminates before the horizon.
 	collide := collideAlgo{}

@@ -125,7 +125,7 @@ func main() {
 	if gen.WhiteBox() {
 		w, res, err = gen.VsAlgo(e, algo, p, k, *seed, opt)
 	} else {
-		w = gen.Generate(n, k, *seed)
+		w = gen.Generate(model.WakePattern{}, n, k, *seed)
 		if err = e.Reset(algo, p, w, opt); err == nil {
 			res = e.Run()
 		}

@@ -7,6 +7,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
@@ -32,9 +33,11 @@ type Generator struct {
 	// configuration has no entry form (e.g. Bursts with a non-default burst
 	// count); such generators cannot travel in a spec document.
 	Ref string
-	// Generate draws a wake pattern with exactly k distinct stations.
-	// Nil for white-box families.
-	Generate func(n, k int, seed uint64) model.WakePattern
+	// Generate draws a wake pattern with exactly k distinct stations into
+	// dst's IDs and Wakes, reusing their backing arrays where they have the
+	// room, and returns it. A caller that keeps the result passes the zero
+	// WakePattern. Nil for white-box families.
+	Generate func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern
 	// VsAlgo runs one white-box trial on engine e: the adversary attacks
 	// the algorithm under test (with the knowledge p it is granted) under
 	// the run options opt — horizon, channel, seed, transcript — and returns
@@ -68,8 +71,12 @@ func Simultaneous(s int64) Generator {
 	return Generator{
 		Name: fmt.Sprintf("simultaneous@%d", s),
 		Ref:  ref("simultaneous", 0, false, s),
-		Generate: func(n, k int, seed uint64) model.WakePattern {
-			return model.Simultaneous(rng.New(seed).Sample(n, k), s)
+		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
+			w := draw(dst, rng.New(seed), n, k)
+			for i := range w.Wakes {
+				w.Wakes[i] = s
+			}
+			return w
 		},
 	}
 }
@@ -80,13 +87,12 @@ func Staggered(s, gap int64) Generator {
 	return Generator{
 		Name: fmt.Sprintf("staggered(gap=%d)", gap),
 		Ref:  ref("staggered", gap, true, s),
-		Generate: func(n, k int, seed uint64) model.WakePattern {
-			ids := rng.New(seed).Sample(n, k)
-			wakes := make([]int64, k)
-			for i := range wakes {
-				wakes[i] = s + int64(i)*gap
+		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
+			w := draw(dst, rng.New(seed), n, k)
+			for i := range w.Wakes {
+				w.Wakes[i] = s + int64(i)*gap
 			}
-			return model.WakePattern{IDs: ids, Wakes: wakes}
+			return w
 		},
 	}
 }
@@ -99,15 +105,14 @@ func UniformWindow(s, width int64) Generator {
 	return Generator{
 		Name: fmt.Sprintf("uniform(window=%d)", width),
 		Ref:  ref("uniform", width, true, s),
-		Generate: func(n, k int, seed uint64) model.WakePattern {
+		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
 			src := rng.New(seed)
-			ids := src.Sample(n, k)
-			wakes := make([]int64, k)
-			wakes[0] = s // pin the start so s is deterministic
+			w := draw(dst, src, n, k)
+			w.Wakes[0] = s // pin the start so s is deterministic
 			for i := 1; i < k; i++ {
-				wakes[i] = s + src.Int63n(width+1)
+				w.Wakes[i] = s + src.Int63n(width+1)
 			}
-			return model.WakePattern{IDs: ids, Wakes: wakes}
+			return w
 		},
 	}
 }
@@ -127,16 +132,22 @@ func Bursts(s int64, bursts int, gap int64) Generator {
 	return Generator{
 		Name: fmt.Sprintf("bursts(%d,gap=%d)", bursts, gap),
 		Ref:  burstsRef,
-		Generate: func(n, k int, seed uint64) model.WakePattern {
-			ids := rng.New(seed).Sample(n, k)
-			wakes := make([]int64, k)
+		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
+			w := draw(dst, rng.New(seed), n, k)
 			per := max(1, mathx.CeilDiv(k, bursts))
-			for i := range wakes {
-				wakes[i] = s + int64(i/per)*gap
+			for i := range w.Wakes {
+				w.Wakes[i] = s + int64(i/per)*gap
 			}
-			return model.WakePattern{IDs: ids, Wakes: wakes}
+			return w
 		},
 	}
+}
+
+// draw returns dst with k IDs that src samples from [1, n] and k wake slots
+// for the caller to set, both in dst's backing arrays where they have the
+// room.
+func draw(dst model.WakePattern, src *rng.Source, n, k int) model.WakePattern {
+	return model.WakePattern{IDs: src.Sample(dst.IDs, n, k), Wakes: slices.Grow(dst.Wakes[:0], k)[:k]}
 }
 
 // Suite returns the standard battery used by the experiments: the paper's
@@ -197,7 +208,7 @@ func SwapVs(e *sim.Engine, algo model.Algorithm, p model.Params, k int, horizon 
 
 	inX := make([]bool, n+1)
 	used := make([]bool, n+1) // stations ever swapped in or out
-	x0 := src.Sample(n, k)
+	x0 := src.Sample(nil, n, k)
 	for _, id := range x0 {
 		inX[id] = true
 		used[id] = true

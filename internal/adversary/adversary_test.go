@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"nsmac/internal/core"
@@ -24,32 +25,37 @@ func simRun(algo model.Algorithm, p model.Params, w model.WakePattern, horizon i
 func TestGeneratorsProduceValidPatterns(t *testing.T) {
 	n, k := 64, 7
 	for _, g := range Suite() {
-		w := g.Generate(n, k, 42)
+		w := g.Generate(model.WakePattern{}, n, k, 42)
 		if err := w.Validate(n); err != nil {
 			t.Errorf("%s: invalid pattern: %v", g.Name, err)
 		}
 		if w.K() != k {
 			t.Errorf("%s: %d stations, want %d", g.Name, w.K(), k)
 		}
-		// Determinism.
-		w2 := g.Generate(n, k, 42)
-		for i := range w.IDs {
-			if w.IDs[i] != w2.IDs[i] || w.Wakes[i] != w2.Wakes[i] {
-				t.Errorf("%s: not deterministic", g.Name)
-			}
+		// Determinism, also into a reused destination that held a larger
+		// pattern, and without allocating there.
+		w2 := g.Generate(model.WakePattern{}, n, k, 42)
+		dst := g.Generate(model.WakePattern{}, n, 2*k, 7)
+		w3 := g.Generate(dst, n, k, 42)
+		if !slices.Equal(w.IDs, w2.IDs) || !slices.Equal(w.Wakes, w2.Wakes) ||
+			!slices.Equal(w.IDs, w3.IDs) || !slices.Equal(w.Wakes, w3.Wakes) {
+			t.Errorf("%s: not deterministic", g.Name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { w3 = g.Generate(w3, n, k, 43) }); allocs != 0 {
+			t.Errorf("%s: Generate into a reused pattern allocates %.0f objects, want 0", g.Name, allocs)
 		}
 	}
 }
 
 func TestSimultaneousGenerator(t *testing.T) {
-	w := Simultaneous(9).Generate(32, 5, 1)
+	w := Simultaneous(9).Generate(model.WakePattern{}, 32, 5, 1)
 	if w.FirstWake() != 9 || w.LastWake() != 9 {
 		t.Errorf("simultaneous pattern not flat: %v", w.Wakes)
 	}
 }
 
 func TestStaggeredGenerator(t *testing.T) {
-	w := Staggered(2, 5).Generate(32, 4, 1)
+	w := Staggered(2, 5).Generate(model.WakePattern{}, 32, 4, 1)
 	for i, wk := range w.Wakes {
 		if wk != 2+int64(i)*5 {
 			t.Errorf("staggered wake %d = %d, want %d", i, wk, 2+int64(i)*5)
@@ -59,7 +65,7 @@ func TestStaggeredGenerator(t *testing.T) {
 
 func TestUniformWindowPinsStart(t *testing.T) {
 	g := UniformWindow(7, 20)
-	w := g.Generate(64, 6, 3)
+	w := g.Generate(model.WakePattern{}, 64, 6, 3)
 	if w.FirstWake() != 7 {
 		t.Errorf("first wake %d, want pinned 7", w.FirstWake())
 	}
@@ -71,7 +77,7 @@ func TestUniformWindowPinsStart(t *testing.T) {
 }
 
 func TestBurstsGenerator(t *testing.T) {
-	w := Bursts(0, 3, 10).Generate(64, 6, 5)
+	w := Bursts(0, 3, 10).Generate(model.WakePattern{}, 64, 6, 5)
 	// 6 stations in 3 bursts of 2: wakes 0,0,10,10,20,20.
 	want := []int64{0, 0, 10, 10, 20, 20}
 	for i := range want {

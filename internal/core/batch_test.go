@@ -88,9 +88,9 @@ func batchSpan(a model.Batched, p model.Params) int64 {
 	case *LocalSSF:
 		return min(2*selectors.KSLadder(p.N, a.maxI(p)).Length()+64, 4096)
 	case *WaitAndGo:
-		return min(a.ladder(p).Length()+8, 4096)
+		return min(selectors.RandomLadder(a.ladder(p)).Length()+8, 4096)
 	case *SelectAmongFirst:
-		return min(a.ladder(p).Length()+8, 4096)
+		return min(selectors.RandomLadder(a.ladder(p)).Length()+8, 4096)
 	case *schedule.Interleaved:
 		return 2 * batchSpan(a.Odd().(model.Batched), schedule.MapParams(p, 1, p.Seed))
 	default:
@@ -204,7 +204,7 @@ func TestBatchMatchesBuild(t *testing.T) {
 		for _, n := range []int{2, 17, 256, 1024} {
 			a, p := batchAlgo(sel, n, uint64(n)+7)
 			k := min(n, 9)
-			ids := src.Sample(n, k)
+			ids := src.Sample(nil, n, k)
 			shuffled := slices.Clone(ids)
 			for i := range shuffled {
 				j := i + src.Intn(len(shuffled)-i)
@@ -278,7 +278,7 @@ func FuzzBatchMatchesBuild(f *testing.F) {
 		k := int(rawK)%min(n-1, 32) + 1
 		a, p := batchAlgo(sel, n, seed)
 		src := rng.New(seed)
-		ids := src.Sample(n, k+1)
+		ids := src.Sample(nil, n, k+1)
 		inject := ids[src.Intn(k+1)]
 		ids = slices.DeleteFunc(ids, func(id int) bool { return id == inject })
 		wakes := make([]int64, k)

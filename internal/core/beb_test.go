@@ -18,7 +18,7 @@ func TestBEBSucceedsOnTypicalWorkloads(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			seed := rng.Derive(uint64(tc.n*tc.k), uint64(trial))
 			p := model.Params{N: tc.n, S: -1, Seed: seed}
-			w := model.Simultaneous(rng.New(seed).Sample(tc.n, tc.k), 0)
+			w := model.Simultaneous(rng.New(seed).Sample(nil, tc.n, tc.k), 0)
 			res, _, err := sim.Run(a, p, w, sim.Options{Horizon: a.Horizon(tc.n, tc.k), Seed: seed})
 			if err != nil {
 				t.Fatal(err)

@@ -13,7 +13,7 @@ func TestClockSkewedZeroSkewIsIdentity(t *testing.T) {
 	p := model.Params{N: n, K: k, S: -1, Seed: 9}
 	inner := NewWakeupWithK()
 	skewed := NewClockSkewed(NewWakeupWithK(), 0)
-	w := model.Simultaneous(rng.New(3).Sample(n, k), 5)
+	w := model.Simultaneous(rng.New(3).Sample(nil, n, k), 5)
 
 	a, _, err := sim.Run(inner, p, w, sim.Options{Horizon: WakeupWithKHorizon(n, k), Seed: 9})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestClockSkewedDegradesGlobalClockAlgorithms(t *testing.T) {
 		worst := int64(0)
 		for trial := uint64(0); trial < 6; trial++ {
 			src := rng.New(trial + 50)
-			ids := src.Sample(n, k)
+			ids := src.Sample(nil, n, k)
 			wakes := make([]int64, k)
 			for i := range wakes {
 				wakes[i] = src.Int63n(40)
@@ -99,7 +99,7 @@ func TestClockSkewedDegradesGlobalClockAlgorithms(t *testing.T) {
 	pL := model.Params{N: n, K: k, S: -1, Seed: 33}
 	for trial := uint64(0); trial < 4; trial++ {
 		src := rng.New(trial + 80)
-		w := model.Simultaneous(src.Sample(n, k), src.Int63n(20))
+		w := model.Simultaneous(src.Sample(nil, n, k), src.Int63n(20))
 		a, _, err := sim.Run(ls, pL, w, sim.Options{Horizon: ls.Horizon(n, k), Seed: 33})
 		if err != nil {
 			t.Fatal(err)

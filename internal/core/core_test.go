@@ -5,6 +5,7 @@ import (
 
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
+	"nsmac/internal/selectors"
 	"nsmac/internal/sim"
 )
 
@@ -31,12 +32,12 @@ func wakePatterns(n, k int, seed uint64) []model.WakePattern {
 	var pats []model.WakePattern
 
 	// Simultaneous at s = 0 and at an awkward offset.
-	pats = append(pats, model.Simultaneous(src.Sample(n, k), 0))
-	pats = append(pats, model.Simultaneous(src.Sample(n, k), 13))
+	pats = append(pats, model.Simultaneous(src.Sample(nil, n, k), 0))
+	pats = append(pats, model.Simultaneous(src.Sample(nil, n, k), 13))
 
 	// Staggered: one new station every gap slots.
 	for _, gap := range []int64{1, 7} {
-		ids := src.Sample(n, k)
+		ids := src.Sample(nil, n, k)
 		wakes := make([]int64, k)
 		for i := range wakes {
 			wakes[i] = 5 + int64(i)*gap
@@ -45,7 +46,7 @@ func wakePatterns(n, k int, seed uint64) []model.WakePattern {
 	}
 
 	// Random window of width ~4k.
-	ids := src.Sample(n, k)
+	ids := src.Sample(nil, n, k)
 	wakes := make([]int64, k)
 	for i := range wakes {
 		wakes[i] = src.Int63n(int64(4*k) + 1)
@@ -72,7 +73,7 @@ func TestRoundRobinWithinN(t *testing.T) {
 				continue
 			}
 			p := model.Params{N: n, S: -1, Seed: 3}
-			w := model.Simultaneous(rng.New(uint64(n*k)).Sample(n, k), 0)
+			w := model.Simultaneous(rng.New(uint64(n*k)).Sample(nil, n, k), 0)
 			res := mustRun(t, NewRoundRobin(), p, w, NewRoundRobin().Horizon(n, k))
 			if res.Rounds >= int64(n) {
 				t.Errorf("n=%d k=%d: round-robin took %d rounds, want < n", n, k, res.Rounds)
@@ -101,7 +102,7 @@ func TestWakeupWithSAllSimultaneous(t *testing.T) {
 			}
 			s := int64(11)
 			p := model.Params{N: n, S: s, Seed: 42}
-			w := model.Simultaneous(rng.New(uint64(n+k)).Sample(n, k), s)
+			w := model.Simultaneous(rng.New(uint64(n+k)).Sample(nil, n, k), s)
 			mustRun(t, NewWakeupWithS(), p, w, WakeupWithSHorizon(n, k))
 		}
 	}
@@ -114,7 +115,7 @@ func TestWakeupWithSLateJoinersDoNotBreakIt(t *testing.T) {
 	n, k := 128, 6
 	s := int64(4)
 	p := model.Params{N: n, S: s, Seed: 7}
-	ids := rng.New(50).Sample(n, k)
+	ids := rng.New(50).Sample(nil, n, k)
 	wakes := make([]int64, k)
 	wakes[0] = s // at least one station defines s
 	for i := 1; i < k; i++ {
@@ -171,7 +172,7 @@ func TestWaitAndGoRequiresKnownK(t *testing.T) {
 func TestWaitAndGoWaitsForBoundary(t *testing.T) {
 	p := model.Params{N: 64, K: 4, S: -1, Seed: 5}
 	a := NewWaitAndGo()
-	lad := a.ladder(p)
+	lad := selectors.RandomLadder(a.ladder(p))
 	// A station woken mid-family must stay silent until the next boundary.
 	wake := int64(3) // inside family 1 for any non-trivial length
 	f := a.Build(p, 7, wake, nil)
@@ -270,7 +271,7 @@ func TestRPDExpectedLatency(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := rng.Derive(500, uint64(trial))
 		p.Seed = seed
-		w := model.Simultaneous(rng.New(seed).Sample(n, k), 0)
+		w := model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0)
 		res, _, err := sim.Run(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -338,7 +339,7 @@ func TestTreeCDResolvesSimultaneousStart(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 16} {
 		a := NewTreeCD()
 		p := model.Params{N: n, S: -1, Seed: 9}
-		w := model.Simultaneous(rng.New(uint64(k)).Sample(n, k), 0)
+		w := model.Simultaneous(rng.New(uint64(k)).Sample(nil, n, k), 0)
 		res, _, err := sim.Run(a, p, w, sim.Options{
 			Horizon: a.Horizon(n, k), Adaptive: true,
 			Channel: model.CD(),
@@ -359,7 +360,7 @@ func TestTreeCDEnumeratesAll(t *testing.T) {
 	n, k := 32, 6
 	a := NewTreeCD()
 	p := model.Params{N: n, S: -1}
-	ids := rng.New(4).Sample(n, k)
+	ids := rng.New(4).Sample(nil, n, k)
 	w := model.Simultaneous(ids, 0)
 	all, err := sim.NewEngine().RunAll(a, p, w, sim.Options{
 		Horizon: 4 * a.Horizon(n, k), Channel: model.CD(),
@@ -413,7 +414,7 @@ func TestKGConflictResolutionAllSucceed(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		a := NewKGConflictResolution()
 		p := model.Params{N: n, K: k, S: -1, Seed: 17}
-		ids := rng.New(uint64(100+k)).Sample(n, k)
+		ids := rng.New(uint64(100+k)).Sample(nil, n, k)
 		w := model.Simultaneous(ids, 0)
 		all, err := sim.NewEngine().RunAll(a, p, w, sim.Options{Horizon: a.Horizon(n, k), Seed: 17})
 		if err != nil {
@@ -432,7 +433,7 @@ func TestKGStaggeredWakes(t *testing.T) {
 	n, k := 64, 5
 	a := NewKGConflictResolution()
 	p := model.Params{N: n, K: k, S: -1, Seed: 23}
-	ids := rng.New(8).Sample(n, k)
+	ids := rng.New(8).Sample(nil, n, k)
 	wakes := make([]int64, k)
 	for i := range wakes {
 		wakes[i] = int64(i * 9)

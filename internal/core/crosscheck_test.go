@@ -27,7 +27,7 @@ func TestWakeupCEngineMatchesMatrixGroundTruth(t *testing.T) {
 				spec := a.Spec(p)
 
 				src := rng.New(seed)
-				ids := src.Sample(n, k)
+				ids := src.Sample(nil, n, k)
 				wakes := make([]int64, k)
 				pop := make(matrix.Population, k)
 				for i, id := range ids {
@@ -90,7 +90,7 @@ func TestWakeupCSchedulePurity(t *testing.T) {
 func TestAlgorithmsDeterministicAcrossRuns(t *testing.T) {
 	n, k := 128, 6
 	seed := uint64(31337)
-	ids := rng.New(seed).Sample(n, k)
+	ids := rng.New(seed).Sample(nil, n, k)
 	wakes := make([]int64, k)
 	for i := range wakes {
 		wakes[i] = int64(i * 5)
@@ -168,7 +168,7 @@ func TestRoundRobinNeverCollidesProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 4 + src.Intn(200)
 		k := 1 + src.Intn(n)
-		ids := src.Sample(n, k)
+		ids := src.Sample(nil, n, k)
 		wakes := make([]int64, k)
 		for i := range wakes {
 			wakes[i] = src.Int63n(50)

@@ -5,6 +5,7 @@ import (
 
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
+	"nsmac/internal/selectors"
 )
 
 // TestWaitAndGoParticipantSetPinnedPerFamily verifies §4's correctness
@@ -17,12 +18,12 @@ func TestWaitAndGoParticipantSetPinnedPerFamily(t *testing.T) {
 	n, k := 128, 6
 	p := model.Params{N: n, K: k, S: -1, Seed: 41}
 	a := NewWaitAndGo()
-	lad := a.ladder(p)
+	lad := selectors.RandomLadder(a.ladder(p))
 	z := lad.Length()
 
 	// Stagger wakes so several land strictly inside family spans.
 	src := rng.New(99)
-	ids := src.Sample(n, k)
+	ids := src.Sample(nil, n, k)
 	wakes := make([]int64, k)
 	for i := range wakes {
 		wakes[i] = src.Int63n(z)
@@ -78,10 +79,10 @@ func TestWaitAndGoXiMonotoneCoversSomeFamily(t *testing.T) {
 	for _, k := range []int{2, 3, 5, 8} {
 		p := model.Params{N: n, K: k, S: -1, Seed: uint64(k) * 13}
 		a := NewWaitAndGo()
-		lad := a.ladder(p)
+		lad := selectors.RandomLadder(a.ladder(p))
 
 		src := rng.New(uint64(k) * 7)
-		ids := src.Sample(n, k)
+		ids := src.Sample(nil, n, k)
 		// All stations wake within the first family so every X_i for i >= 2
 		// contains all of them; X_1 contains those woken at slot 0.
 		wakes := make([]int64, k)

@@ -30,12 +30,12 @@ func NewSelectAmongFirst() *SelectAmongFirst { return &SelectAmongFirst{} }
 // Name implements model.Algorithm.
 func (*SelectAmongFirst) Name() string { return "select_among_the_first" }
 
-// ladder builds the (n,2^j) concatenation shared by all stations: it
-// depends only on (params, construction), never on the station, as the
-// globally synchronous model requires.
-func (a *SelectAmongFirst) ladder(p model.Params) *selectors.Sequence {
-	maxI := max(1, mathx.Log2Ceil(max(2, p.N)))
-	return selectors.RandomLadder(p.N, maxI, rng.Derive(p.Seed, 0x5af), a.SizeMult)
+// ladder returns the selectors.RandomLadder arguments of the (n,2^j)
+// concatenation shared by all stations: it depends only on (params,
+// construction), never on the station, as the globally synchronous model
+// requires.
+func (a *SelectAmongFirst) ladder(p model.Params) (n, maxI int, seed uint64, mult float64) {
+	return p.N, max(1, mathx.Log2Ceil(max(2, p.N))), rng.Derive(p.Seed, 0x5af), a.SizeMult
 }
 
 // Build implements model.Algorithm.
@@ -47,7 +47,7 @@ func (a *SelectAmongFirst) Build(p model.Params, id int, wake int64, _ *rng.Sour
 		// Woken after s: remain silent for the whole execution (§3).
 		return func(int64) bool { return false }
 	}
-	lad := a.ladder(p)
+	lad := selectors.RandomLadder(a.ladder(p))
 	s := p.S
 	return func(t int64) bool {
 		if t < s {
@@ -57,20 +57,22 @@ func (a *SelectAmongFirst) Build(p model.Params, id int, wake int64, _ *rng.Sour
 	}
 }
 
-// Cohort implements model.Batched: the ladder is built once per run, and
-// only the stations woken at s are ever operative.
+// Cohort implements model.Batched: the cohort's own ladder is re-keyed once
+// per run, and only the stations woken at s are ever operative.
 func (a *SelectAmongFirst) Cohort(p model.Params, prev model.Cohort) model.Cohort {
 	if !p.KnowsS() {
 		panic("core: select_among_the_first requires known s (Scenario A)")
 	}
-	return newLadderCohort(prev, a.ladder(p), p.S, goAtStart)
+	c := newLadderCohort(prev, p.S, goAtStart)
+	c.lad.Rekey(a.ladder(p))
+	return c
 }
 
 // Horizon implements Bounded: the first pass through the ladder ends within
 // O(k log(n/k) + k); a guarded multiple plus the full ladder length covers
 // unlucky seeds.
 func (a *SelectAmongFirst) Horizon(n, k int) int64 {
-	lad := a.ladder(model.Params{N: n, S: 0})
+	lad := selectors.RandomLadder(a.ladder(model.Params{N: n, S: 0}))
 	return 2*lad.Length() + 16
 }
 

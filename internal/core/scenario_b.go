@@ -40,10 +40,10 @@ func (a *WaitAndGo) Name() string {
 	return "wait_and_go"
 }
 
-// ladder builds 〈F_1..F_⌈log k⌉〉, identical for every station.
-func (a *WaitAndGo) ladder(p model.Params) *selectors.Sequence {
-	maxI := max(1, mathx.Log2Ceil(max(2, p.K)))
-	return selectors.RandomLadder(p.N, maxI, rng.Derive(p.Seed, 0xa60), a.SizeMult)
+// ladder returns the selectors.RandomLadder arguments of 〈F_1..F_⌈log k⌉〉,
+// identical for every station.
+func (a *WaitAndGo) ladder(p model.Params) (n, maxI int, seed uint64, mult float64) {
+	return p.N, max(1, mathx.Log2Ceil(max(2, p.K))), rng.Derive(p.Seed, 0xa60), a.SizeMult
 }
 
 // Build implements model.Algorithm.
@@ -51,7 +51,7 @@ func (a *WaitAndGo) Build(p model.Params, id int, wake int64, _ *rng.Source) mod
 	if !p.KnowsK() {
 		panic("core: wait_and_go requires known k (Scenario B)")
 	}
-	lad := a.ladder(p)
+	lad := selectors.RandomLadder(a.ladder(p))
 	sigma := wake
 	if !a.DisableWait {
 		sigma = lad.NextBoundary(wake)
@@ -64,8 +64,9 @@ func (a *WaitAndGo) Build(p model.Params, id int, wake int64, _ *rng.Source) mod
 	}
 }
 
-// Cohort implements model.Batched: the ladder is built once per run, and
-// each station waits for its boundary unless the wait is disabled.
+// Cohort implements model.Batched: the cohort's own ladder is re-keyed once
+// per run, and each station waits for its boundary unless the wait is
+// disabled.
 func (a *WaitAndGo) Cohort(p model.Params, prev model.Cohort) model.Cohort {
 	if !p.KnowsK() {
 		panic("core: wait_and_go requires known k (Scenario B)")
@@ -74,18 +75,21 @@ func (a *WaitAndGo) Cohort(p model.Params, prev model.Cohort) model.Cohort {
 	if a.DisableWait {
 		rule = goAtWake
 	}
-	return newLadderCohort(prev, a.ladder(p), 0, rule)
+	c := newLadderCohort(prev, 0, rule)
+	c.lad.Rekey(a.ladder(p))
+	return c
 }
 
 // ladderCohort is the model.Cohort of WaitAndGo and SelectAmongFirst: the
 // joined stations in join order, each with the slot from which it
 // transmits by the ladder's cyclic schedule. Every operative station tests
 // the same set in a slot, so the cohort computes the set's hash key once
-// per slot, and each operative station costs one hash.
+// per slot, and each operative station costs one hash. The cohort owns its
+// ladder and re-keys it per run (selectors.Sequence.Rekey), so a run
+// neither builds a ladder nor touches the shared ones.
 type ladderCohort struct {
-	lad      *selectors.Sequence
-	z        int64 // the ladder's length
-	start    int64 // slot t reads set (t - start) mod z
+	lad      selectors.Sequence
+	start    int64 // slot t reads set (t - start) mod the ladder's length
 	rule     ladderRule
 	stations []ladderStation
 }
@@ -106,13 +110,13 @@ type ladderStation struct {
 }
 
 // newLadderCohort returns prev, or a new cohort if prev is not a
-// ladderCohort, emptied for a run on lad.
-func newLadderCohort(prev model.Cohort, lad *selectors.Sequence, start int64, rule ladderRule) *ladderCohort {
+// ladderCohort, emptied for a run; the caller re-keys its ladder.
+func newLadderCohort(prev model.Cohort, start int64, rule ladderRule) *ladderCohort {
 	c, _ := prev.(*ladderCohort)
 	if c == nil {
 		c = new(ladderCohort)
 	}
-	c.lad, c.z, c.start, c.rule = lad, lad.Length(), start, rule
+	c.start, c.rule = start, rule
 	c.stations = c.stations[:0]
 	return c
 }
@@ -145,7 +149,7 @@ func (c *ladderCohort) JoinAt(i, id int, wake int64, _ *rng.Source) bool {
 	if st.op != wake {
 		return false
 	}
-	key, e := c.lad.SetKey((wake - c.start) % c.z)
+	key, e := c.lad.SetKey((wake - c.start) % c.lad.Length())
 	return rng.Below(rng.Hash3Tail(key, uint64(id)), e)
 }
 
@@ -159,7 +163,7 @@ func (c *ladderCohort) Transmitters(t int64, dst []int) []int {
 			continue
 		}
 		if !keyed {
-			key, e = c.lad.SetKey((t - c.start) % c.z)
+			key, e = c.lad.SetKey((t - c.start) % c.lad.Length())
 			keyed = true
 		}
 		if rng.Below(rng.Hash3Tail(key, uint64(st.id)), e) {
@@ -181,7 +185,7 @@ func (a *WaitAndGo) FirstWaker(p model.Params, wake int64, _ uint64, taken []boo
 	if !p.KnowsK() {
 		panic("core: wait_and_go requires known k (Scenario B)")
 	}
-	lad := a.ladder(p)
+	lad := selectors.RandomLadder(a.ladder(p))
 	if !a.DisableWait && lad.NextBoundary(wake) != wake {
 		return 0
 	}
@@ -197,7 +201,7 @@ func (a *WaitAndGo) FirstWaker(p model.Params, wake int64, _ uint64, taken []boo
 // period z for the next boundary and then one full pass of the schedule
 // succeeds; 3z plus slack is a guarded cap.
 func (a *WaitAndGo) Horizon(n, k int) int64 {
-	lad := a.ladder(model.Params{N: n, K: k, S: -1})
+	lad := selectors.RandomLadder(a.ladder(model.Params{N: n, K: k, S: -1}))
 	return 3*lad.Length() + 16
 }
 

@@ -51,7 +51,7 @@ func TestTreeStationRunStackMatchesSlice(t *testing.T) {
 	for round := 0; round < 120; round++ {
 		n := 1 + src.Intn(100)
 		k := 1 + src.Intn(min(n, 8))
-		ids := src.Sample(n, k)
+		ids := src.Sample(nil, n, k)
 		ch := model.CD()
 		if round%2 == 1 {
 			ch = model.SenderCD()

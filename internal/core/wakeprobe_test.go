@@ -7,6 +7,7 @@ import (
 
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
+	"nsmac/internal/selectors"
 )
 
 // probeAlgo returns the wake-probing algorithm the fuzzer's selector byte
@@ -51,7 +52,7 @@ func probeBoundaries(a model.WakeProber, p model.Params) []int64 {
 		w := int64(spec.Window)
 		return []int64{w, 2 * w, 3 * w, spec.CycleLength(), spec.Length(), spec.Length() + w}
 	case *WaitAndGo:
-		lad := a.ladder(p)
+		lad := selectors.RandomLadder(a.ladder(p))
 		var bs []int64
 		for b := lad.NextBoundary(1); b <= 2*lad.Length(); b = lad.NextBoundary(b + 1) {
 			bs = append(bs, b)
@@ -178,7 +179,7 @@ func FuzzWakeProbe(f *testing.F) {
 		case *WakeupC:
 			wakes = append(wakes, a.Spec(p).Mu(wakes[0]))
 		case *WaitAndGo:
-			wakes = append(wakes, a.ladder(p).NextBoundary(wakes[0]))
+			wakes = append(wakes, selectors.RandomLadder(a.ladder(p)).NextBoundary(wakes[0]))
 		}
 		taken := randomTaken(n, int(density), rng.New(takenSeed))
 		for _, wake := range wakes {

@@ -114,7 +114,7 @@ func T8Ablations(cfg Config) *Table {
 			a := &core.WakeupC{C: cValues[ci]}
 			seed := rng.Derive(seedBase, 0xc0+uint64(trial))
 			p := model.Params{N: n, S: -1, Seed: seed}
-			w := model.Simultaneous(rng.New(seed).Sample(n, kBig), 0)
+			w := simultaneous(e, n, kBig, seed)
 			m := runOnce(e, a, p, w, a.Horizon(n, kBig))
 			return sweep.Sample{OK: m.ok, Rounds: m.rounds}
 		},
@@ -137,7 +137,7 @@ func T8Ablations(cfg Config) *Table {
 		var pats []model.WakePattern
 		for _, g := range adversary.Suite() {
 			for trial := 0; trial < trialsD; trial++ {
-				pats = append(pats, g.Generate(n, kD, rng.Derive(seedBase^0xd1, uint64(trial)+uint64(len(g.Name))<<16)))
+				pats = append(pats, g.Generate(model.WakePattern{}, n, kD, rng.Derive(seedBase^0xd1, uint64(trial)+uint64(len(g.Name))<<16)))
 			}
 		}
 		rounds, ok := sweepPatterns(cfg, a, pD, pats, a.Horizon(n, kD))

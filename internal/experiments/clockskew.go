@@ -31,7 +31,7 @@ func T12ClockSkew(cfg Config) *Table {
 		var pats []model.WakePattern
 		for _, g := range adversary.Suite() {
 			for trial := 0; trial < trials; trial++ {
-				pats = append(pats, g.Generate(n, k, rng.Derive(seedBase^tag, uint64(trial)+uint64(len(g.Name))<<16)))
+				pats = append(pats, g.Generate(model.WakePattern{}, n, k, rng.Derive(seedBase^tag, uint64(trial)+uint64(len(g.Name))<<16)))
 			}
 		}
 		return pats
@@ -88,7 +88,7 @@ func T12ClockSkew(cfg Config) *Table {
 		horizon := 8 * base.Horizon(n, kBig)
 		var pats []model.WakePattern
 		for trial := 0; trial < trials; trial++ {
-			pats = append(pats, adversary.Simultaneous(0).Generate(n, kBig, rng.Derive(seedBase, 0x900+uint64(trial))))
+			pats = append(pats, adversary.Simultaneous(0).Generate(model.WakePattern{}, n, kBig, rng.Derive(seedBase, 0x900+uint64(trial))))
 		}
 		rounds, ok := sweepPatterns(cfg, algo, p, pats, horizon)
 		t.AddRow(fmt.Sprintf("wakeup(n) k=%d", kBig), fmt.Sprintf("%d", skew),

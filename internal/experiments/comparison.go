@@ -38,7 +38,7 @@ func T6Comparison(cfg Config) *Table {
 		}
 		seed := cfg.seed(uint64(k) << 8)
 		ids := func(trial int) []int {
-			return rng.New(rng.Derive(seed, uint64(trial))).Sample(n, k)
+			return rng.New(rng.Derive(seed, uint64(trial))).Sample(nil, n, k)
 		}
 
 		worstDet := func(algo model.Algorithm, p model.Params, horizon int64) int64 {
@@ -78,7 +78,7 @@ func T6Comparison(cfg Config) *Table {
 				Batch:   cfg.Batch,
 				RunEngine: func(e *sim.Engine, _, i int, _ uint64) sweep.Sample {
 					tSeed := rng.Derive(seed, tag+uint64(i))
-					w := model.Simultaneous(rng.New(tSeed).Sample(n, k), 0)
+					w := simultaneous(e, n, k, tSeed)
 					if err := e.Reset(algo, model.Params{N: n, S: -1, Seed: tSeed}, w,
 						sim.Options{Horizon: horizon, Seed: tSeed}); err != nil {
 						panic(err)

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"nsmac/internal/adversary"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 	"nsmac/internal/sim"
@@ -244,6 +245,19 @@ func runOnce(e *sim.Engine, algo model.Algorithm, p model.Params, w model.WakePa
 	}
 	return measured{rounds: res.Rounds, ok: true}
 }
+
+// simultaneous draws into e's pattern buffer the pattern
+// model.Simultaneous(rng.New(seed).Sample(nil, n, k), 0) returns: k
+// stations sampled from [1, n], all woken at slot 0.
+func simultaneous(e *sim.Engine, n, k int, seed uint64) model.WakePattern {
+	w := e.Pattern()
+	*w = simultaneousAt0.Generate(*w, n, k, seed)
+	return *w
+}
+
+// simultaneousAt0 is built once: its constructor formats the family's
+// names.
+var simultaneousAt0 = adversary.Simultaneous(0)
 
 // sweepPatterns measures algo across a list of wake patterns on the sweep
 // orchestrator (one cell per pattern), returning per-pattern rounds

@@ -56,8 +56,7 @@ func T9ConflictResolution(cfg Config) *Table {
 			seed := cfg.seed(uint64(c.n)<<16 | uint64(c.k))
 			a := core.NewKGConflictResolution()
 			p := model.Params{N: c.n, K: c.k, S: -1, Seed: seed}
-			ids := rng.New(rng.Derive(seed, uint64(trial))).Sample(c.n, c.k)
-			w := model.Simultaneous(ids, 0)
+			w := simultaneous(e, c.n, c.k, rng.Derive(seed, uint64(trial)))
 			all, err := e.RunAll(a, p, w, sim.Options{Horizon: a.Horizon(c.n, c.k), Seed: seed})
 			if err != nil {
 				panic(err)
@@ -139,8 +138,7 @@ func T10TreeCD(cfg Config) *Table {
 			k := ks[ci]
 			seed := cfg.seed(uint64(k) << 4)
 			p := model.Params{N: n, S: -1, Seed: seed}
-			ids := rng.New(rng.Derive(seed, uint64(trial))).Sample(n, k)
-			w := model.Simultaneous(ids, 0)
+			w := simultaneous(e, n, k, rng.Derive(seed, uint64(trial)))
 
 			if err := e.Reset(a, p, w, sim.Options{
 				Horizon: a.Horizon(n, k), Adaptive: true,

@@ -51,7 +51,7 @@ func T5RPD(cfg Config) *Table {
 					tSeed := rng.Derive(seed, uint64(i))
 					pp := p
 					pp.Seed = tSeed
-					w := model.Simultaneous(rng.New(rng.Derive(tSeed, 1)).Sample(n, k), 0)
+					w := simultaneous(e, n, k, rng.Derive(tSeed, 1))
 					if err := e.Reset(algo, pp, w, sim.Options{Horizon: horizon, Seed: tSeed}); err != nil {
 						panic(err)
 					}

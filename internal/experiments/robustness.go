@@ -46,7 +46,7 @@ func T11SeedRobustness(cfg Config) *Table {
 			RunEngine: func(e *sim.Engine, _, i int, _ uint64) sweep.Sample {
 				seed := rng.Derive(cfg.seed(0x11), uint64(i))
 				p := mkParams(seed)
-				w := gen.Generate(n, k, rng.Derive(seed, 5))
+				w := gen.Generate(model.WakePattern{}, n, k, rng.Derive(seed, 5))
 				if err := e.Reset(mkAlgo(), p, w, sim.Options{Horizon: horizon, Seed: seed}); err != nil {
 					panic(err)
 				}

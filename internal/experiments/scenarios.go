@@ -139,7 +139,7 @@ func scenarioSweep(cfg Config, t *Table, n int, ks []int,
 		var pats []model.WakePattern
 		for _, g := range gens {
 			for trial := 0; trial < trials; trial++ {
-				pats = append(pats, g.Generate(n, k, rng.Derive(seed, uint64(trial)+uint64(len(g.Name))<<16)))
+				pats = append(pats, g.Generate(model.WakePattern{}, n, k, rng.Derive(seed, uint64(trial)+uint64(len(g.Name))<<16)))
 			}
 		}
 		// Scenario A requires every pattern to start at the declared s.

@@ -106,7 +106,7 @@ func nameStream(name string) uint64 {
 // randomPattern draws a wake pattern of k stations in [1, n] with wakes in
 // [0, spread).
 func randomPattern(n, k int, spread int64, seed uint64) model.WakePattern {
-	ids := rng.New(rng.Derive(seed, 2)).Sample(n, k)
+	ids := rng.New(rng.Derive(seed, 2)).Sample(nil, n, k)
 	wakes := make([]int64, k)
 	wsrc := rng.New(rng.Derive(seed, 3))
 	for i := range wakes {

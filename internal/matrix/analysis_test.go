@@ -18,7 +18,7 @@ func popOf(ids []int, wakes []int64) Population {
 // randomPop draws k distinct stations with wakes in [0, window).
 func randomPop(n, k int, window int64, seed uint64) Population {
 	src := rng.New(seed)
-	ids := src.Sample(n, k)
+	ids := src.Sample(nil, n, k)
 	p := make(Population, k)
 	for i, id := range ids {
 		var w int64

@@ -233,8 +233,11 @@ func compareWakeKeys(a, b WakeKey) int {
 
 // WakeOrder fills dst (reusing its capacity) with the pattern's stations in
 // activation order — by wake time, ties broken by ID — and returns it. A
-// pattern already in that order, what most generators emit, is not sorted
-// again; with enough capacity in dst the call allocates nothing.
+// pattern already in that order, what most generators emit, is copied as
+// it is; one whose IDs strictly increase and whose wakes span fewer than
+// countingSortSpan slots (a uniform window) is counting-sorted on the wake
+// offset, which keeps equal wakes in ID order; any other is sorted. With
+// enough capacity in dst the call allocates nothing.
 func (w WakePattern) WakeOrder(dst []WakeKey) []WakeKey {
 	dst = dst[:0]
 	sorted := true
@@ -244,11 +247,34 @@ func (w WakePattern) WakeOrder(dst []WakeKey) []WakeKey {
 			sorted = false
 		}
 	}
-	if !sorted {
-		slices.SortFunc(dst, compareWakeKeys)
+	if sorted {
+		return dst
 	}
+	lo, hi := slices.Min(w.Wakes), slices.Max(w.Wakes)
+	// The offsets are unsigned so that a span past the int64 range wraps to
+	// its exact value, not to a negative one.
+	if span := uint64(hi - lo); span < countingSortSpan && strictlyIncreasing(w.IDs) {
+		var count [countingSortSpan + 1]int32
+		for _, wake := range w.Wakes {
+			count[uint64(wake-lo)+1]++
+		}
+		for off := uint64(1); off <= span; off++ {
+			count[off] += count[off-1]
+		}
+		for i, wake := range w.Wakes {
+			off := uint64(wake - lo)
+			dst[count[off]] = WakeKey{Wake: wake, ID: w.IDs[i]}
+			count[off]++
+		}
+		return dst
+	}
+	slices.SortFunc(dst, compareWakeKeys)
 	return dst
 }
+
+// countingSortSpan bounds the wake spans WakeOrder counting-sorts: its
+// count array lives on the stack.
+const countingSortSpan = 256
 
 // Sorted returns a copy of the pattern with stations ordered by wake time,
 // ties broken by ID (the order of WakeOrder). The simulator relies on this

@@ -180,17 +180,18 @@ func (s *Source) Perm(n int) []int {
 }
 
 // Sample returns a uniformly random subset of size k from [1, n] (1-based
-// station IDs), in increasing order. It panics if k > n.
+// station IDs), in increasing order, in dst's backing array when it has the
+// room (pass nil for a fresh slice). It panics if k > n.
 //
-// It runs Floyd's algorithm: k draws, one allocation. A draw that repeats
-// an earlier one is replaced by j, which no earlier draw can equal. The
-// draws and the sorted result fix the output; only the dedup set varies:
-// a bitset on the stack for small universes, a bitset carved out of the
-// result's own allocation, past its capacity, when the sample is dense
-// enough that the bitset costs at most sampleCarveRatio words per ID, and
-// the sorted result itself, searched by bisection, for sparse samples of
-// large universes.
-func (s *Source) Sample(n, k int) []int {
+// It runs Floyd's algorithm: k draws, and no allocation when dst has the
+// room, else one. A draw that repeats an earlier one is replaced by j, which
+// no earlier draw can equal. The draws and the sorted result fix the output;
+// only the dedup set varies: a bitset on the stack for small universes, a
+// bitset carved out of the result's own backing array, past its first k
+// entries, when the sample is dense enough that the bitset costs at most
+// sampleCarveRatio words per ID, and the sorted result itself, searched by
+// bisection, for sparse samples of large universes.
+func (s *Source) Sample(dst []int, n, k int) []int {
 	if k > n || k < 0 {
 		panic("rng: Sample requires 0 <= k <= n")
 	}
@@ -198,13 +199,18 @@ func (s *Source) Sample(n, k int) []int {
 	switch {
 	case n < sampleBitsetCap:
 		var seen [sampleBitsetCap / wordBits]int
-		return s.floydBits(n, k, seen[:words], make([]int, 0, k))
+		return s.floydBits(n, k, seen[:words], room(dst, k))
 	case words <= sampleCarveRatio*k:
-		buf := make([]int, k+words)
-		return s.floydBits(n, k, buf[k:], buf[:0:k])
+		buf := dst[:cap(dst)]
+		if len(buf) < k+words {
+			buf = make([]int, k+words)
+		}
+		seen := buf[k : k+words]
+		clear(seen)
+		return s.floydBits(n, k, seen, buf[:0])
 	}
 	// Every earlier draw is below j, so a replacement lands at the end.
-	out := make([]int, 0, k)
+	out := room(dst, k)
 	for j := n - k + 1; j <= n; j++ {
 		t := s.Intn(j) + 1
 		i, dup := slices.BinarySearch(out, t)
@@ -217,9 +223,18 @@ func (s *Source) Sample(n, k int) []int {
 	return out
 }
 
+// room returns dst emptied, or a new slice if dst cannot hold k ints.
+func room(dst []int, k int) []int {
+	if cap(dst) < k {
+		return make([]int, 0, k)
+	}
+	return dst[:0]
+}
+
 // floydBits draws Floyd's sample of k IDs from [1, n], deduplicating in
 // seen, a zeroed bitset over [0, n], and appends the sample to out in
-// increasing order.
+// increasing order. out may share seen's backing array if its first k
+// entries lie before seen.
 func (s *Source) floydBits(n, k int, seen, out []int) []int {
 	for j := n - k + 1; j <= n; j++ {
 		t := s.Intn(j) + 1

@@ -297,7 +297,7 @@ func TestSampleProperties(t *testing.T) {
 	f := func(rawN, rawK uint8) bool {
 		n := int(rawN)%200 + 1
 		k := int(rawK) % (n + 1)
-		out := s.Sample(n, k)
+		out := s.Sample(nil, n, k)
 		if len(out) != k {
 			return false
 		}
@@ -318,13 +318,13 @@ func TestSampleProperties(t *testing.T) {
 
 func TestSampleFullRange(t *testing.T) {
 	s := New(8)
-	out := s.Sample(5, 5)
+	out := s.Sample(nil, 5, 5)
 	for i, v := range out {
 		if v != i+1 {
 			t.Fatalf("Sample(5,5) = %v, want [1 2 3 4 5]", out)
 		}
 	}
-	if got := s.Sample(10, 0); len(got) != 0 {
+	if got := s.Sample(nil, 10, 0); len(got) != 0 {
 		t.Errorf("Sample(10,0) = %v, want empty", got)
 	}
 }
@@ -350,6 +350,10 @@ func floydReference(s *Source, n, k int) []int {
 func TestSampleMatchesFloydReference(t *testing.T) {
 	// Every dedup path: the stack bitset below sampleBitsetCap, from it on
 	// the carved bitset for dense samples and bisection for sparse ones.
+	// Each sample is drawn twice, fresh and into a reused destination whose
+	// whole backing array is set to all ones first, so a carved bitset that
+	// is not cleared shows.
+	var reuse []int
 	for _, n := range []int{1, 2, 3, 7, 64, 257, 1024, sampleBitsetCap - 1, sampleBitsetCap, 20000, 1 << 16} {
 		for _, k := range []int{0, 1, 2, n / 3, n / 2, n - 1, n} {
 			if k < 0 || k > n {
@@ -357,9 +361,16 @@ func TestSampleMatchesFloydReference(t *testing.T) {
 			}
 			for seed := uint64(1); seed <= 8; seed++ {
 				got, want := New(seed), New(seed)
-				g, w := got.Sample(n, k), floydReference(want, n, k)
+				g, w := got.Sample(nil, n, k), floydReference(want, n, k)
 				if !slices.Equal(g, w) {
 					t.Fatalf("Sample(%d,%d) seed %d = %v, want %v", n, k, seed, g, w)
+				}
+				full := reuse[:cap(reuse)]
+				for i := range full {
+					full[i] = -1
+				}
+				if reuse = New(seed).Sample(reuse, n, k); !slices.Equal(reuse, w) {
+					t.Fatalf("Sample(%d,%d) seed %d into a reused slice = %v, want %v", n, k, seed, reuse, w)
 				}
 				// Same draws consumed: the streams stay in step afterwards.
 				if a, b := got.Uint64(), want.Uint64(); a != b {
@@ -373,12 +384,19 @@ func TestSampleMatchesFloydReference(t *testing.T) {
 func TestSampleAllocatesOnlyItsResult(t *testing.T) {
 	s := New(4)
 	for _, c := range []struct{ n, k int }{{64, 1}, {256, 16}, {1024, 64}, {64, 64}, {20000, 64}} {
-		if allocs := testing.AllocsPerRun(50, func() { _ = s.Sample(c.n, c.k) }); allocs != 1 {
+		if allocs := testing.AllocsPerRun(50, func() { _ = s.Sample(nil, c.n, c.k) }); allocs != 1 {
 			t.Errorf("Sample(%d,%d) allocates %.0f objects, want 1", c.n, c.k, allocs)
 		}
 	}
-	if allocs := testing.AllocsPerRun(50, func() { _ = s.Sample(64, 0) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { _ = s.Sample(nil, 64, 0) }); allocs != 0 {
 		t.Errorf("Sample(64,0) allocates %.0f objects, want 0", allocs)
+	}
+	// A destination that once held a sample of the same size has the room.
+	for _, c := range []struct{ n, k int }{{64, 1}, {1024, 64}, {20000, 64}, {20000, 4096}} {
+		dst := s.Sample(nil, c.n, c.k)
+		if allocs := testing.AllocsPerRun(50, func() { dst = s.Sample(dst, c.n, c.k) }); allocs != 0 {
+			t.Errorf("Sample(dst, %d, %d) allocates %.0f objects, want 0", c.n, c.k, allocs)
+		}
 	}
 }
 
@@ -388,7 +406,7 @@ func TestSamplePanicsWhenKExceedsN(t *testing.T) {
 			t.Error("Sample(2,3) should panic")
 		}
 	}()
-	New(1).Sample(2, 3)
+	New(1).Sample(nil, 2, 3)
 }
 
 func TestMul64MatchesBits(t *testing.T) {

@@ -134,3 +134,62 @@ func hammerLadders(t *testing.T, keys []ladderKey) {
 	}
 	wg.Wait()
 }
+
+// TestRekeyMatchesFreshLadder re-keys one owned ladder through changes of
+// seed, n, maxI and size multiplier (T8's ablation sets a non-zero one) and
+// checks it after each against a ladder built from scratch: Length, every
+// family boundary through NextBoundary, SetKey at every set, and Member.
+// A cached ladder fetched beforehand is unchanged, a re-key that keeps n,
+// maxI and the multiplier allocates nothing, and re-keying a shared ladder
+// panics.
+func TestRekeyMatchesFreshLadder(t *testing.T) {
+	first := ladderKey{n: 256, maxI: 4, seed: 0xfeed}
+	cached := RandomLadder(first.n, first.maxI, first.seed, 0)
+	var own Sequence
+	for _, k := range []ladderKey{
+		first, // the cached ladder's key
+		{n: 256, maxI: 4, seed: 1},
+		{n: 256, maxI: 4, seed: 2},
+		{n: 1024, maxI: 4, seed: 2},
+		{n: 1024, maxI: 10, seed: 3},
+		{n: 1024, maxI: 10, seed: 3, mult: math.Float64bits(2)},
+		{n: 1024, maxI: 10, seed: 4, mult: math.Float64bits(2)},
+		{n: 17, maxI: 1, seed: 5, mult: math.Float64bits(0.5)},
+		{n: 2, maxI: 1, seed: 6},
+		first,
+	} {
+		mult := math.Float64frombits(k.mult)
+		own.Rekey(k.n, k.maxI, k.seed, mult)
+		want := freshLadder(k)
+		if err := sameLadder(&own, want); err != nil {
+			t.Fatalf("re-keyed to %+v: %v", k, err)
+		}
+		for j := range want.Length() {
+			gotKey, gotE := own.SetKey(j)
+			wantKey, wantE := want.SetKey(j)
+			if gotKey != wantKey || gotE != wantE {
+				t.Fatalf("re-keyed to %+v: SetKey(%d) = (%#x, %d), want (%#x, %d)", k, j, gotKey, gotE, wantKey, wantE)
+			}
+		}
+		for tt := int64(0); tt < 3*want.Length(); tt += want.Length()/50 + 1 {
+			if got, exp := own.NextBoundary(tt), want.NextBoundary(tt); got != exp {
+				t.Fatalf("re-keyed to %+v: NextBoundary(%d) = %d, want %d", k, tt, got, exp)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { own.Rekey(k.n, k.maxI, k.seed+1, mult) }); allocs != 0 {
+			t.Errorf("re-keying a %+v ladder to a new seed allocates %.0f objects, want 0", k, allocs)
+		}
+	}
+	if err := sameLadder(cached, freshLadder(first)); err != nil {
+		t.Fatalf("the cached ladder changed: %v", err)
+	}
+	if RandomLadder(first.n, first.maxI, first.seed, 0) != cached {
+		t.Fatal("re-keying replaced the cached ladder")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rekey on a cached ladder did not panic")
+		}
+	}()
+	cached.Rekey(first.n, first.maxI, 1, 0)
+}

@@ -353,6 +353,9 @@ type Sequence struct {
 	fams   []Family
 	prefix []int64 // prefix[i] = start index of family i; prefix[len] = total
 	n      int
+	rungs  []RandomPow2 // a random ladder's families, which fams points at (see Rekey)
+	mult   uint64       // math.Float64bits of the random ladder's size multiplier
+	shared bool         // returned by RandomLadder or KSLadder: never re-keyed
 }
 
 // NewSequence concatenates the given families (all over the same universe).
@@ -541,18 +544,42 @@ func (s *Sequence) NextBoundary(t int64) int64 {
 // The result is shared: a repeated call with the same arguments may return
 // the same immutable *Sequence (see ladderCache).
 func RandomLadder(n, maxI int, seed uint64, mult float64) *Sequence {
-	if maxI < 1 {
-		panic("selectors: RandomLadder requires maxI >= 1")
-	}
 	key := ladderKey{n: n, maxI: maxI, seed: seed, mult: math.Float64bits(mult)}
 	if s := key.cached(); s != nil {
 		return s
 	}
-	fams := make([]Family, maxI)
-	for i := 1; i <= maxI; i++ {
-		fams[i-1] = NewRandomPow2Sized(n, i, rng.Derive(seed, uint64(i)), mult)
+	s := new(Sequence)
+	s.Rekey(n, maxI, seed, mult)
+	return key.store(s)
+}
+
+// Rekey makes s, in place, the ladder RandomLadder(n, maxI, seed, mult)
+// returns. While n, maxI and mult are those of s's last Rekey, it re-derives
+// only the rungs' seeds and keeps their lengths and boundaries, so a caller
+// that owns one ladder re-keys it per run without allocating. The zero
+// Sequence is ready for it. It panics on a ladder that RandomLadder or
+// KSLadder returned, which may be shared.
+func (s *Sequence) Rekey(n, maxI int, seed uint64, mult float64) {
+	if maxI < 1 {
+		panic("selectors: RandomLadder requires maxI >= 1")
 	}
-	return key.store(NewSequence(fams...))
+	if s.shared {
+		panic("selectors: Rekey on a shared ladder")
+	}
+	if bits := math.Float64bits(mult); len(s.rungs) != maxI || s.n != n || s.mult != bits {
+		s.rungs = make([]RandomPow2, maxI)
+		s.fams = make([]Family, maxI)
+		lengths := make([]int64, maxI)
+		for i := range s.rungs {
+			s.rungs[i] = *NewRandomPow2Sized(n, i+1, 0, mult)
+			s.fams[i] = &s.rungs[i]
+			lengths[i] = s.rungs[i].length
+		}
+		s.prefix, s.n, s.mult = mathx.PrefixSums(lengths), n, bits
+	}
+	for i := range s.rungs {
+		s.rungs[i].seed = rng.Derive(seed, uint64(i+1))
+	}
 }
 
 // KSLadder returns the concatenation of Kautz–Singleton strongly-selective
@@ -617,8 +644,9 @@ func (k ladderKey) cached() *Sequence {
 	return nil
 }
 
-// store publishes s under k and returns it.
+// store publishes s under k, marking it shared, and returns it.
 func (k ladderKey) store(s *Sequence) *Sequence {
+	s.shared = true
 	k.slot().Store(&ladderEntry{key: k, seq: s})
 	return s
 }

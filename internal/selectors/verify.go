@@ -163,12 +163,14 @@ func SampleSelective(f Family, k int, trials int, seed uint64) (bool, *Witness) 
 	}
 	src := rng.New(seed)
 	lo := max(1, mathx.CeilDiv(k, 2))
+	var ids []int
 	for t := 0; t < trials; t++ {
 		size := lo
 		if k > lo {
 			size = lo + src.Intn(k-lo+1)
 		}
-		x := bitset.FromSlice(n, src.Sample(n, size))
+		ids = src.Sample(ids, n, size)
+		x := bitset.FromSlice(n, ids)
 		if !selectsOne(f, x) {
 			return false, &Witness{X: x.Slice()}
 		}

@@ -225,3 +225,46 @@ func TestRPDTrialAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmLadderCohortMatchesFresh runs wakeup_with_k, wakeup_with_s,
+// select_among_the_first and wait_and_go (with and without the wait) in
+// turn on one engine, over changing n, k and seed, so that each run
+// re-keys the ladder a run of another shape left in the cohort. Each run,
+// recorded, must match a fresh engine's run of the same trial, and the run
+// of the algorithm's Build closures, which read the shared
+// selectors.RandomLadder.
+func TestWarmLadderCohortMatchesFresh(t *testing.T) {
+	src := rng.New(0x1add)
+	warm := sim.NewEngine()
+	for trial := range 150 {
+		n := []int{2, 17, 64, 256, 1024}[src.Intn(5)]
+		k := 1 + src.Intn(min(n, 40))
+		w := diffPattern(src, []string{"simultaneous", "staggered", "uniform"}[src.Intn(3)], n, k)
+		seed := src.Uint64()
+		pK := model.Params{N: n, K: k, S: -1, Seed: seed}
+		pS := model.Params{N: n, S: w.FirstWake(), Seed: seed}
+		bc := []batchedCase{
+			{core.NewWakeupWithK(), pK},
+			{core.NewWakeupWithS(), pS},
+			{core.NewSelectAmongFirst(), pS},
+			{core.NewWaitAndGo(), pK},
+			{&core.WaitAndGo{DisableWait: true}, pK},
+		}[trial%5]
+		opt := sim.Options{Horizon: 400, Seed: seed, RecordTrace: true}
+		name := fmt.Sprintf("trial %d: %s n=%d k=%d", trial, bc.algo.Name(), n, k)
+		run := func(e *sim.Engine, algo model.Algorithm) *sim.Engine {
+			if err := e.Reset(algo, bc.p, w, opt); err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			return e
+		}
+		run(warm, bc.algo)
+		for _, ref := range []*sim.Engine{run(sim.NewEngine(), bc.algo), run(sim.NewEngine(), denseOnly{bc.algo})} {
+			samePlace(t, name, warm, ref)
+			if a, b := warm.Channel().Trace(), ref.Channel().Trace(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: warm transcript %v, fresh %v", name, a, b)
+			}
+		}
+	}
+}

@@ -42,11 +42,12 @@ type Engine struct {
 	p            model.Params
 	opt          Options
 
-	order        []model.WakeKey // the pattern's activation keys, reused across trials
-	stations     []station       // wake-ordered pattern stations, then injected ones
-	active       []*station      // activated stations, pointers into the table
-	transmitters []int           // per-slot transmit buffer (IDs)
-	room         int             // the pattern's stations plus RunHooked's spare: the most the table may hold
+	pattern      model.WakePattern // the caller's pattern buffer (see Pattern)
+	order        []model.WakeKey   // the pattern's activation keys, reused across trials
+	stations     []station         // wake-ordered pattern stations, then injected ones
+	active       []*station        // activated stations, pointers into the table
+	transmitters []int             // per-slot transmit buffer (IDs)
+	room         int               // the pattern's stations plus RunHooked's spare: the most the table may hold
 
 	s      int64 // first wake slot
 	t      int64 // next slot to execute
@@ -122,6 +123,12 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	e.done = false
 	return nil
 }
+
+// Pattern returns a wake pattern the engine keeps for its caller: a trial
+// may draw its pattern into it (adversary.Generator.Generate reuses its
+// arrays) and pass it to Reset, which copies what it keeps, so a warm
+// engine's trials draw their patterns without allocating.
+func (e *Engine) Pattern() *model.WakePattern { return &e.pattern }
 
 // Channel exposes the engine's channel (for transcript inspection). The
 // channel is recycled by the next Reset; callers that need the transcript

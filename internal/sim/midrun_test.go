@@ -77,7 +77,7 @@ func runInvariants(t *testing.T, name string, x *sim.Engine, s, horizon int64, s
 // midRunPattern draws k distinct stations in [1, n] with wakes in
 // [0, spread).
 func midRunPattern(n, k int, spread int64, seed uint64) model.WakePattern {
-	ids := rng.New(rng.Derive(seed, 2)).Sample(n, k)
+	ids := rng.New(rng.Derive(seed, 2)).Sample(nil, n, k)
 	wakes := make([]int64, k)
 	wsrc := rng.New(rng.Derive(seed, 3))
 	for i := range wakes {

@@ -71,7 +71,7 @@ func TestEngineMatchesReferenceSimulator(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + src.Intn(60)
 		k := 1 + src.Intn(n)
-		ids := src.Sample(n, k)
+		ids := src.Sample(nil, n, k)
 		wakes := make([]int64, k)
 		for i := range wakes {
 			wakes[i] = src.Int63n(20)
@@ -102,7 +102,7 @@ func TestEngineMatchesReferenceOnAdaptiveFallback(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + src.Intn(30)
 		k := 1 + src.Intn(n)
-		w := model.Simultaneous(src.Sample(n, k), src.Int63n(5))
+		w := model.Simultaneous(src.Sample(nil, n, k), src.Int63n(5))
 		p := model.Params{N: n, S: -1, Seed: src.Uint64()}
 		algo := hashAlgo{density: 2}
 		seed := src.Uint64()

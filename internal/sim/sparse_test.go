@@ -33,7 +33,7 @@ func differentialChannels() []model.ChannelModel {
 // diffPattern draws k of n stations woken simultaneously, staggered or
 // uniformly over a window.
 func diffPattern(src *rng.Source, shape string, n, k int) model.WakePattern {
-	ids := src.Sample(n, k)
+	ids := src.Sample(nil, n, k)
 	wakes := make([]int64, k)
 	gap := 1 + src.Int63n(40)
 	start := src.Int63n(10)

@@ -32,7 +32,7 @@ func simGridBatch(workers, batch int, seed uint64) sweep.Grid {
 			const horizon = 120
 			algo := hashAlgo{density: 2}
 			p := model.Params{N: n, S: -1, Seed: rng.Derive(s, 1)}
-			w := model.Simultaneous(rng.New(rng.Derive(s, 2)).Sample(n, k), 0)
+			w := model.Simultaneous(rng.New(rng.Derive(s, 2)).Sample(nil, n, k), 0)
 			res, _, err := sim.Run(algo, p, w, sim.Options{Horizon: horizon, Seed: s})
 			if err != nil {
 				panic(err)

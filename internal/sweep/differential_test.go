@@ -106,7 +106,7 @@ func TestGridMatchesReferenceSimulator(t *testing.T) {
 			c := cfgs[cell]
 			algo := hashAlgo{density: c.density}
 			p := model.Params{N: c.n, S: -1, Seed: rng.Derive(seed, 1)}
-			ids := rng.New(rng.Derive(seed, 2)).Sample(c.n, c.k)
+			ids := rng.New(rng.Derive(seed, 2)).Sample(nil, c.n, c.k)
 			wakes := make([]int64, c.k)
 			wsrc := rng.New(rng.Derive(seed, 3))
 			for i := range wakes {
@@ -142,7 +142,7 @@ func TestGridMatchesReferenceSimulator(t *testing.T) {
 				seed := sweep.TrialSeed(gridSeed, ci, trial)
 				algo := hashAlgo{density: c.density}
 				p := model.Params{N: c.n, S: -1, Seed: rng.Derive(seed, 1)}
-				ids := rng.New(rng.Derive(seed, 2)).Sample(c.n, c.k)
+				ids := rng.New(rng.Derive(seed, 2)).Sample(nil, c.n, c.k)
 				wakes := make([]int64, c.k)
 				wsrc := rng.New(rng.Derive(seed, 3))
 				for i := range wakes {
@@ -204,7 +204,7 @@ func TestSpecMatchesReferenceSimulator(t *testing.T) {
 					for trial := 0; trial < spec.Trials; trial++ {
 						seed := sweep.TrialSeed(spec.Seed, ci, trial)
 						p := c.Params(n, k, seed)
-						w := gen.Generate(n, k, sweep.PatternSeed(seed))
+						w := gen.Generate(model.WakePattern{}, n, k, sweep.PatternSeed(seed))
 						want := refSample(refRun(c.Algo(n, k), p, w, horizon, seed), horizon)
 						if got := cell.Samples[trial]; got != want {
 							t.Fatalf("cell %v trial %d: sweep %+v != reference %+v",

@@ -47,7 +47,7 @@ func (r lateWaker) check(t testing.TB, eng *sim.Engine) (checked, closedForm boo
 	algo := c.Algo(n, k+1)
 	opt := sim.Options{Horizon: c.Horizon(n, k+1), Channel: ch, Adaptive: c.Adaptive, Seed: r.seed}
 	p := c.Params(n, k+1, opt.Seed)
-	w := r.gen.Generate(n, k, sweep.PatternSeed(opt.Seed))
+	w := r.gen.Generate(model.WakePattern{}, n, k, sweep.PatternSeed(opt.Seed))
 	if err := eng.Reset(algo, p, w, opt); err != nil {
 		t.Fatalf("%s × %s × %s: %v", r.name, r.ch, r.gen.Name, err)
 	}

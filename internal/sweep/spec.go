@@ -232,7 +232,9 @@ func (s Spec) Compile() (Grid, []string, error) {
 				// worker's engine against the cell's algorithm and channel.
 				_, res, err = pt.gen.VsAlgo(e, algo, p, pt.k, PatternSeed(seed), opt)
 			default:
-				if err = e.Reset(algo, p, pt.gen.Generate(pt.n, pt.k, PatternSeed(seed)), opt); err == nil {
+				w := e.Pattern()
+				*w = pt.gen.Generate(*w, pt.n, pt.k, PatternSeed(seed))
+				if err = e.Reset(algo, p, *w, opt); err == nil {
 					res = run(e)
 				}
 			}

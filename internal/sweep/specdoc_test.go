@@ -205,8 +205,10 @@ func TestSpecDumpRejectsUnserializable(t *testing.T) {
 
 	handPat := spec
 	handPat.Patterns = []adversary.Generator{{
-		Name:     "custom",
-		Generate: func(n, k int, seed uint64) model.WakePattern { return model.Simultaneous([]int{1}, 0) },
+		Name: "custom",
+		Generate: func(_ model.WakePattern, n, k int, seed uint64) model.WakePattern {
+			return model.Simultaneous([]int{1}, 0)
+		},
 	}}
 	if _, err := handPat.Doc(); err == nil || !strings.Contains(err.Error(), "registry ref") {
 		t.Errorf("hand-built pattern serialized: %v", err)
@@ -286,7 +288,7 @@ func TestRegistryExtension(t *testing.T) {
 		return adversary.Generator{
 			Name: "testpat",
 			Ref:  "testpat",
-			Generate: func(n, k int, seed uint64) model.WakePattern {
+			Generate: func(_ model.WakePattern, n, k int, seed uint64) model.WakePattern {
 				ids := make([]int, k)
 				for i := range ids {
 					ids[i] = i + 1

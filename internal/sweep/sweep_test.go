@@ -129,7 +129,7 @@ func TestGridEnginePoolRoutesAndReuses(t *testing.T) {
 		n, k := dims[cell][0], dims[cell][1]
 		algo := hashAlgo{density: 2}
 		p := model.Params{N: n, S: -1, Seed: rng.Derive(seed, 1)}
-		w := model.Simultaneous(rng.New(rng.Derive(seed, 2)).Sample(n, k), 0)
+		w := model.Simultaneous(rng.New(rng.Derive(seed, 2)).Sample(nil, n, k), 0)
 		if err := e.Reset(algo, p, w, sim.Options{Horizon: 150, Seed: seed}); err != nil {
 			panic(err)
 		}
@@ -155,7 +155,7 @@ func TestGridEnginePoolRoutesAndReuses(t *testing.T) {
 			for ti, got := range res.Cells[ci].Samples {
 				seed := sweep.TrialSeed(13, ci, ti)
 				p := model.Params{N: n, S: -1, Seed: rng.Derive(seed, 1)}
-				w := model.Simultaneous(rng.New(rng.Derive(seed, 2)).Sample(n, k), 0)
+				w := model.Simultaneous(rng.New(rng.Derive(seed, 2)).Sample(nil, n, k), 0)
 				fresh, _, err := sim.Run(hashAlgo{density: 2}, p, w, sim.Options{Horizon: 150, Seed: seed})
 				if err != nil {
 					t.Fatal(err)

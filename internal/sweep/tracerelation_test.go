@@ -43,7 +43,7 @@ func TestRecordTraceLeavesResultUnchanged(t *testing.T) {
 					seed := rng.Derive(0x7ace, uint64(runs))
 					runs++
 					p := c.Params(n, k, seed)
-					w := gen.Generate(n, k, sweep.PatternSeed(seed))
+					w := gen.Generate(model.WakePattern{}, n, k, sweep.PatternSeed(seed))
 					opt := sim.Options{Horizon: c.Horizon(n, k), Channel: ch, Adaptive: c.Adaptive, Seed: seed}
 					run := func(record bool) model.Result {
 						opt.RecordTrace = record
