@@ -317,7 +317,7 @@ func BenchmarkQuickTables(b *testing.B) {
 }
 
 // BenchmarkSweepThroughput measures the sweep orchestrator's cell throughput
-// on four rosters × both kernel settings × worker/batch shapes — the perf
+// on four rosters × both kernel settings × worker counts — the perf
 // baseline future scheduler/sharding changes are judged against.
 //
 // roster=paper is the historical mixed grid of wakeupc and roundrobin.
@@ -327,7 +327,7 @@ func BenchmarkQuickTables(b *testing.B) {
 // noisy/jam channel axis. All three are oblivious, so they run on the engine
 // under either setting; roundrobin and localssf step sparsely there. These
 // cells were once served by a kernel route that memoized their rendered
-// schedules across trials. At workers=1/batch=64 with GOMAXPROCS=1 on a
+// schedules across trials. At workers=1, 64 trials per work item, GOMAXPROCS=1 on a
 // 2-vCPU linux/amd64 VM (go1.24) that route measured 6.4–7.0 ms/op on
 // roster=memoizable against 17.6–19.0 ms/op on the engine, and 9.5–11.1
 // against 39–41 ms/op on roster=perturbed. It was deleted anyway because no
@@ -375,34 +375,31 @@ func BenchmarkSweepThroughput(b *testing.B) {
 				kname = "kernel=off"
 			}
 			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				for _, batch := range []int{1, 8, 64} {
-					name := fmt.Sprintf("%s/%s/workers=%d/batch=%d", r.name, kname, workers, batch)
-					b.Run(name, func(b *testing.B) {
-						b.ReportAllocs()
-						var cells int
-						for i := 0; i < b.N; i++ {
-							res, err := sweep.Spec{
-								Name:          "bench",
-								Cases:         cases,
-								Patterns:      gens,
-								Channels:      channels,
-								Ns:            r.ns,
-								Ks:            r.ks,
-								Trials:        r.trials,
-								Seed:          rng.Derive(0x5eeb, uint64(i)),
-								Workers:       workers,
-								Batch:         batch,
-								DisableKernel: !kern,
-							}.Execute()
-							if err != nil {
-								b.Fatal(err)
-							}
-							cells += len(res.Cells)
+				name := fmt.Sprintf("%s/%s/workers=%d", r.name, kname, workers)
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					var cells int
+					for i := 0; i < b.N; i++ {
+						res, err := sweep.Spec{
+							Name:          "bench",
+							Cases:         cases,
+							Patterns:      gens,
+							Channels:      channels,
+							Ns:            r.ns,
+							Ks:            r.ks,
+							Trials:        r.trials,
+							Seed:          rng.Derive(0x5eeb, uint64(i)),
+							Workers:       workers,
+							DisableKernel: !kern,
+						}.Execute()
+						if err != nil {
+							b.Fatal(err)
 						}
-						b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
-						b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/sec")
-					})
-				}
+						cells += len(res.Cells)
+					}
+					b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+					b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/sec")
+				})
 			}
 		}
 	}
@@ -496,31 +493,31 @@ func BenchmarkSweepThroughputChannels(b *testing.B) {
 // BenchmarkSweepOverhead isolates the orchestrator's own cost: a grid of
 // trivial trials, so scheduling and aggregation dominate. allocs/op divided
 // by 512 trials per op gives the orchestrator's allocs/trial; it includes
-// the one pooled engine each worker builds, which these trials ignore.
+// the one pooled engine each worker builds, which these trials ignore. At
+// 64 trials per cell a work item runs 64/(8·workers) trials: 8 at
+// workers=1, 2 at workers=4.
 func BenchmarkSweepOverhead(b *testing.B) {
-	cells := make([][]string, 64)
+	cells := make([][]string, 8)
 	for i := range cells {
 		cells[i] = []string{fmt.Sprintf("%d", i)}
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for _, batch := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					_, err := sweep.Grid{
-						Name: "overhead", Axes: []string{"i"}, Cells: cells,
-						Trials: 8, Seed: uint64(i), Workers: workers, Batch: batch,
-						RunEngine: func(_ *sim.Engine, cell, trial int, seed uint64) sweep.Sample {
-							return sweep.Sample{OK: true, Rounds: int64(seed & 0xff)}
-						},
-					}.Execute()
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := sweep.Grid{
+					Name: "overhead", Axes: []string{"i"}, Cells: cells,
+					Trials: 64, Seed: uint64(i), Workers: workers,
+					RunEngine: func(_ *sim.Engine, cell, trial int, seed uint64) sweep.Sample {
+						return sweep.Sample{OK: true, Rounds: int64(seed & 0xff)}
+					},
+				}.Execute()
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(64*8*b.N)/b.Elapsed().Seconds(), "trials/sec")
-			})
-		}
+			}
+			b.ReportMetric(float64(8*64*b.N)/b.Elapsed().Seconds(), "trials/sec")
+		})
 	}
 }
 

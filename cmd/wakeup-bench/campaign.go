@@ -27,9 +27,6 @@ func runServe(args []string) {
 		lease       = fs.Duration("lease", 30*time.Second, "lease visibility timeout: a worker that stops heartbeating for this long loses its shard")
 		stealAfter  = fs.Duration("steal-after", 0, "minimum lease age before a straggler's shard is offered to a second worker (0 = half the lease timeout)")
 		maxAttempts = fs.Int("max-attempts", 5, "lease grants per shard before its grid fails")
-		defShards   = fs.Int("default-shards", 4, "shard count for autotuned grids before any wall-clock observation")
-		maxShards   = fs.Int("max-shards", 64, "autotuned shard count cap")
-		targetTime  = fs.Duration("target-shard-time", 5*time.Second, "autotuner's per-shard wall-clock target")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: wakeup-bench serve [-addr host:port] [-store dir] [-lease 30s] ...\n")
@@ -41,12 +38,9 @@ func runServe(args []string) {
 	}
 
 	opts := sweep.CampaignOptions{
-		LeaseTimeout:    *lease,
-		StealAfter:      *stealAfter,
-		MaxAttempts:     *maxAttempts,
-		DefaultShards:   *defShards,
-		MaxShards:       *maxShards,
-		TargetShardTime: *targetTime,
+		LeaseTimeout: *lease,
+		StealAfter:   *stealAfter,
+		MaxAttempts:  *maxAttempts,
 	}
 	if *storeDir != "" {
 		opts.Store = &sweep.RunStore{Dir: *storeDir}
@@ -84,7 +78,6 @@ func runWork(args []string) {
 		id        = fs.String("id", "", "worker identity in leases and the attempt log (default: <hostname>-<pid>)")
 		execSpec  = fs.String("exec", "local", "executor: \"local\", \"subprocess[:binary]\", or \"cmd:<template>\" (same grammar as `run -exec`)")
 		workers   = fs.Int("workers", 0, "per-shard trial workers for local/subprocess executors (0 = GOMAXPROCS)")
-		batch     = fs.Int("batch", 0, "trials per work item (0 = auto); tunes scheduling overhead, never output")
 		poll      = fs.Duration("poll", 500*time.Millisecond, "idle sleep between empty lease requests")
 		maxLeases = fs.Int("max-leases", 0, "exit after this many leases (0 = run until interrupted)")
 		hold      = fs.Duration("hold", 0, "pause between lease grant and shard execution (fault-injection hook for kill-mid-lease tests)")
@@ -115,7 +108,7 @@ func runWork(args []string) {
 	w := &sweep.CampaignWorker{
 		Client:    sweep.NewCampaignClient(*server, nil),
 		ID:        *id,
-		Exec:      buildExecutor("work", *execSpec, *workers, *batch),
+		Exec:      buildExecutor("work", *execSpec, *workers),
 		Poll:      *poll,
 		MaxLeases: *maxLeases,
 		Hold:      *hold,

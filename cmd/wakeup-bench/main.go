@@ -91,7 +91,6 @@ func main() {
 		seed     = flag.Uint64("seed", 20130527, "experiment seed (default: IPDPS 2013 conference date)")
 		only     = flag.String("only", "", "comma-separated experiment IDs (default: all)")
 		workers  = flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
-		batch    = flag.Int("batch", 0, "trials per work item (0 = auto); tunes scheduling overhead, never output")
 		format   = flag.String("format", "text", "output format: text | csv | json")
 		algos    = flag.String("algos", "", "custom grid: comma-separated algorithm entries (or \"all\"); selecting this skips the experiment tables")
 		ns       = flag.String("ns", "256,1024", "custom grid: universe sizes")
@@ -132,13 +131,13 @@ func main() {
 
 	if gridMode {
 		spec := buildSpec(*specFile, *algos, *ns, *ks, *patterns, *channels, *trials, *seed)
-		spec.Workers, spec.Batch = *workers, *batch
+		spec.Workers = *workers
 		spec.DisableKernel = *noKernel
 		runGrid(spec, *shardArg, *dumpSpec, *format, *outFile)
 		return
 	}
 
-	cfg := experiments.Config{Quick: *quick, Trials: *trials, Seed: *seed, Workers: *workers, Batch: *batch}
+	cfg := experiments.Config{Quick: *quick, Trials: *trials, Seed: *seed, Workers: *workers}
 
 	var selected []experiments.Experiment
 	if *only == "" {
@@ -366,16 +365,14 @@ func runDispatch(args []string) {
 	var (
 		specFile = fs.String("spec", "", "grid spec document (JSON); \"-\" reads stdin (required)")
 		shards   = fs.Int("shards", 0, "shard count m of the trial-striped plan (required, >= 1)")
-		execSpec = fs.String("exec", "local", "executor: \"local\" (in-process), \"subprocess[:binary]\" (one process per shard: shorthand for cmd:<binary> -spec - -shard {i}/{m}, forwarding -workers/-batch; default binary: this one), or \"cmd:<template>\" (whitespace-split argv with {spec}/{i}/{m}/{fingerprint} substituted; envelope read from stdout, spec piped to stdin unless {spec} is used)")
+		execSpec = fs.String("exec", "local", "executor: \"local\" (in-process), \"subprocess[:binary]\" (one process per shard: shorthand for cmd:<binary> -spec - -shard {i}/{m}, forwarding -workers; default binary: this one), or \"cmd:<template>\" (whitespace-split argv with {spec}/{i}/{m}/{fingerprint} substituted; envelope read from stdout, spec piped to stdin unless {spec} is used)")
 		storeDir = fs.String("store", "", "persist shard envelopes under this directory (<dir>/<fingerprint>/<i>-of-<m>.json); shards whose stored envelope is complete and valid are not run again")
 		retries  = fs.Int("retries", 3, "lease attempt cap per shard")
 		conc     = fs.Int("concurrency", 1, "lease workers, and so shards in flight at once")
 		workers  = fs.Int("workers", 0, "per-shard trial workers for local/subprocess executors (0 = GOMAXPROCS)")
-		batch    = fs.Int("batch", 0, "trials per work item (0 = auto); tunes scheduling overhead, never output")
 		format   = fs.String("format", "text", "output format: text | csv | json")
 		outFile  = fs.String("out", "", "write merged output to this file instead of stdout")
 		progress = fs.String("progress", "text", "the lease workers' progress on stderr: text | json (one event per line) | none")
-		quiet    = fs.Bool("quiet", false, "shorthand for -progress none")
 	)
 	prof := addProfileFlags(fs)
 	fs.Usage = func() {
@@ -417,15 +414,12 @@ func runDispatch(args []string) {
 	}
 
 	d := &sweep.Driver{
-		Exec:        buildExecutor("run", *execSpec, *workers, *batch),
+		Exec:        buildExecutor("run", *execSpec, *workers),
 		MaxAttempts: *retries,
 		Concurrency: *conc,
 	}
 	if *storeDir != "" {
 		d.Store = &sweep.RunStore{Dir: *storeDir}
-	}
-	if *quiet {
-		*progress = "none"
 	}
 	d.Progress = workerProgress("run", *progress)
 
@@ -457,10 +451,10 @@ func runDispatch(args []string) {
 // executor. "subprocess[:bin]" is shorthand for the Command template that
 // pipes the spec to `bin -spec - -shard {i}/{m}` (this binary by default)
 // and reads the envelope from its stdout.
-func buildExecutor(cmd, spec string, workers, batch int) sweep.Executor {
+func buildExecutor(cmd, spec string, workers int) sweep.Executor {
 	switch {
 	case spec == "local":
-		return sweep.Local{Workers: workers, Batch: batch}
+		return sweep.Local{Workers: workers}
 	case spec == "subprocess" || strings.HasPrefix(spec, "subprocess:"):
 		bin, ok := strings.CutPrefix(spec, "subprocess:")
 		switch {
@@ -476,9 +470,6 @@ func buildExecutor(cmd, spec string, workers, batch int) sweep.Executor {
 		argv := []string{bin}
 		if workers != 0 {
 			argv = append(argv, "-workers", strconv.Itoa(workers))
-		}
-		if batch != 0 {
-			argv = append(argv, "-batch", strconv.Itoa(batch))
 		}
 		argv = append(argv, "-spec", "-", "-shard", "{i}/{m}")
 		return sweep.Command{Argv: argv, Stderr: os.Stderr}

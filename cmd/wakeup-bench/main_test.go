@@ -69,7 +69,7 @@ func TestRunSubcommandResumeByteIdentity(t *testing.T) {
 
 	// Full 3-shard dispatch through the subprocess executor.
 	got := run(t, bin, "run", "-spec", specPath, "-shards", "3",
-		"-exec", "subprocess:"+bin, "-store", storeDir, "-quiet")
+		"-exec", "subprocess:"+bin, "-store", storeDir, "-progress", "none")
 	if got != whole["text"] {
 		t.Fatalf("dispatched text differs from single-process run:\n--- got\n%s--- want\n%s", got, whole["text"])
 	}
@@ -107,7 +107,7 @@ func TestRunSubcommandResumeByteIdentity(t *testing.T) {
 	for _, format := range []string{"text", "csv", "json"} {
 		got := run(t, bin, "run", "-spec", specPath, "-shards", "3",
 			"-exec", "subprocess:"+bin, "-store", storeDir,
-			"-format", format, "-quiet")
+			"-format", format, "-progress", "none")
 		if got != whole[format] {
 			t.Fatalf("resumed %s output differs from single-process run", format)
 		}
@@ -147,7 +147,7 @@ func TestRunSubcommandLocalExecutor(t *testing.T) {
 	}
 	whole := run(t, bin, "-spec", specPath, "-format", "csv")
 	got := run(t, bin, "run", "-spec", specPath, "-shards", "4",
-		"-exec", "local", "-concurrency", "2", "-format", "csv", "-quiet")
+		"-exec", "local", "-concurrency", "2", "-format", "csv", "-progress", "none")
 	if got != whole {
 		t.Fatal("local-executor dispatch differs from single-process run")
 	}
@@ -184,7 +184,7 @@ func TestRunSubcommandProfiles(t *testing.T) {
 	}
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	run(t, bin, "run", "-spec", specPath, "-shards", "2", "-quiet",
+	run(t, bin, "run", "-spec", specPath, "-shards", "2", "-progress", "none",
 		"-out", filepath.Join(dir, "out.txt"), "-cpuprofile", cpu, "-memprofile", mem)
 	for _, path := range []string{cpu, mem} {
 		data, err := os.ReadFile(path)

@@ -29,8 +29,8 @@ type ManifestGrid struct {
 	// -spec` runs, byte-identically.
 	Spec sweep.SpecDoc `json:"spec"`
 	// Shards fixes the shard count of the trial-striped plan. Zero lets the
-	// server autotune it from observed per-shard wall-clock (see
-	// Options.TargetShardTime).
+	// server autotune it from the per-trial wall clock it observed on
+	// completed shards.
 	Shards int `json:"shards,omitempty"`
 }
 

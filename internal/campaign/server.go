@@ -26,7 +26,7 @@
 //   - Shard counts can autotune: a grid submitted with shards=0 is planned
 //     when its first lease is requested, sized from the exponentially-
 //     weighted per-trial wall clock observed on previously completed
-//     shards so each shard lands near Options.TargetShardTime.
+//     shards so each shard lands near targetShardTime.
 //
 // Because every trial's outcome is a pure function of (grid seed, cell,
 // trial), none of this wall-clock machinery can skew results: the merged
@@ -64,6 +64,18 @@ var (
 // work: one primary, one steal.
 const maxLeases = 2
 
+// The shard-count autotuner's constants. They decide only how a grid
+// submitted with shards=0 is cut, never a result byte.
+const (
+	// defaultShards sizes autotuned grids before any wall-clock observation
+	// exists.
+	defaultShards = 4
+	// maxShards caps autotuned shard counts.
+	maxShards = 64
+	// targetShardTime is the autotuner's per-shard wall-clock target.
+	targetShardTime = 5 * time.Second
+)
+
 // Options configures a Server. The zero value selects the documented
 // defaults.
 type Options struct {
@@ -76,14 +88,6 @@ type Options struct {
 	// MaxAttempts caps lease grants per shard; a shard that burns through
 	// them fails its grid (default 5).
 	MaxAttempts int
-	// DefaultShards sizes autotuned grids before any wall-clock observation
-	// exists (default 4).
-	DefaultShards int
-	// MaxShards caps autotuned shard counts (default 64).
-	MaxShards int
-	// TargetShardTime is the autotuner's per-shard wall-clock target
-	// (default 5s).
-	TargetShardTime time.Duration
 	// Store, when non-nil, persists completed envelopes (and the
 	// worker-tagged attempt log) under the standard RunStore layout; grids
 	// whose envelopes are already stored resume as completed.
@@ -101,15 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 5
-	}
-	if o.DefaultShards <= 0 {
-		o.DefaultShards = 4
-	}
-	if o.MaxShards <= 0 {
-		o.MaxShards = 64
-	}
-	if o.TargetShardTime <= 0 {
-		o.TargetShardTime = 5 * time.Second
 	}
 	if o.Clock == nil {
 		o.Clock = SystemClock()
@@ -556,16 +551,16 @@ func (s *Server) setPlan(g *gridState, plans []dispatch.ShardPlan) {
 }
 
 // autoShardCountLocked sizes an autotuned grid: estimated total wall clock
-// over the per-shard target, clamped to [1, min(MaxShards, trials)] so no
-// shard is empty. Before any observation it falls back to DefaultShards.
+// over the per-shard target, clamped to [1, min(maxShards, trials)] so no
+// shard is empty. Before any observation it falls back to defaultShards.
 func (s *Server) autoShardCountLocked(g *gridState) int {
-	count := s.opts.DefaultShards
+	count := defaultShards
 	if s.secPerTrial > 0 {
 		est := s.secPerTrial * float64(g.cells) * float64(g.doc.Trials)
-		count = int(math.Ceil(est / s.opts.TargetShardTime.Seconds()))
+		count = int(math.Ceil(est / targetShardTime.Seconds()))
 	}
-	if count > s.opts.MaxShards {
-		count = s.opts.MaxShards
+	if count > maxShards {
+		count = maxShards
 	}
 	if g.doc.Trials > 0 && count > g.doc.Trials {
 		count = g.doc.Trials

@@ -322,55 +322,63 @@ func TestPartialResultsStreamAndFinalMergeIsByteIdentical(t *testing.T) {
 }
 
 func TestAutotunePicksShardCountFromObservedWallClock(t *testing.T) {
-	doc := testDoc(t) // 8 cells × 4 trials = 32 trials of work
-	s, clk := newTestServer(t, Options{
-		LeaseTimeout:    time.Hour,
-		StealAfter:      time.Hour,
-		DefaultShards:   2,
-		MaxShards:       16,
-		TargetShardTime: 8 * time.Second,
-	})
+	doc := testDoc(t)
+	doc.Trials = 100 // 8 cells × 100 trials = 800 trials of work
+	s, clk := newTestServer(t, Options{LeaseTimeout: time.Hour, StealAfter: time.Hour})
 	id1, err := s.Submit(SingleGrid("t", "first", doc, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Before any observation the autotuner falls back to DefaultShards.
+	// Before any observation the autotuner falls back to defaultShards.
 	g1, _ := s.Lease("w1")
-	if g1 == nil || g1.Shards != 2 {
-		t.Fatalf("first autotuned grid got %+v, want 2 shards", g1)
+	if g1 == nil || g1.Shards != defaultShards {
+		t.Fatalf("first autotuned grid got %+v, want %d shards", g1, defaultShards)
 	}
 	st, _ := s.Status(id1)
 	if !st.Grids[0].Autotuned {
 		t.Fatal("grid not marked autotuned")
 	}
 
-	// Complete both shards at 1s per trial of observed wall clock: shard 0
-	// covers 16 (cell,trial) pairs, so 16s.
-	clk.Advance(16 * time.Second)
-	if _, err := s.Complete(g1.LeaseID, runGrant(t, g1)); err != nil {
+	// Complete every shard at 1/8 s per trial of observed wall clock: each
+	// shard covers 200 (cell,trial) pairs, so 25 s.
+	for g := g1; g != nil; g, _ = s.Lease("w1") {
+		clk.Advance(25 * time.Second)
+		if _, err := s.Complete(g.LeaseID, runGrant(t, g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spt := s.SecondsPerTrial(); spt != 0.125 {
+		t.Fatalf("observed seconds/trial = %v, want 0.125", spt)
+	}
+
+	// A second identical grid now plans from the observation: 800
+	// trial-cells × 1/8 s over the 5 s target = 20 shards.
+	if _, err := s.Submit(SingleGrid("t", "second", doc, 0)); err != nil {
 		t.Fatal(err)
 	}
 	g2, _ := s.Lease("w1")
-	clk.Advance(16 * time.Second)
-	if _, err := s.Complete(g2.LeaseID, runGrant(t, g2)); err != nil {
-		t.Fatal(err)
-	}
-	if spt := s.SecondsPerTrial(); spt < 0.9 || spt > 1.1 {
-		t.Fatalf("observed seconds/trial = %v, want ~1", spt)
+	if g2 == nil || g2.Shards != 20 {
+		t.Fatalf("tuned grid got %+v, want 20 shards", g2)
 	}
 
-	// A second identical grid now plans from the observation: 32 trial-cells
-	// × ~1s / 8s target = 4 shards.
-	id2, err := s.Submit(SingleGrid("t", "second", doc, 0))
-	if err != nil {
+	// Ten times the trials would want 200 shards; maxShards caps it.
+	doc.Trials = 1000
+	if _, err := s.Submit(SingleGrid("t", "third", doc, 0)); err != nil {
 		t.Fatal(err)
 	}
-	g3, _ := s.Lease("w1")
-	if g3 == nil || g3.Shards != 4 {
-		t.Fatalf("tuned grid got %+v, want 4 shards", g3)
+	for {
+		g3, _ := s.Lease("w1")
+		if g3 == nil {
+			t.Fatal("third grid never leased")
+		}
+		if g3.Grid == "third" {
+			if g3.Shards != maxShards {
+				t.Fatalf("capped grid got %d shards, want %d", g3.Shards, maxShards)
+			}
+			break
+		}
 	}
-	_ = id2
 }
 
 func TestStoreResumeCompletesPlannedShards(t *testing.T) {

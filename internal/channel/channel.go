@@ -58,7 +58,7 @@ type Channel struct {
 	truncated bool // recording hit maxTrace; the transcript is a prefix
 
 	// silentInert: resolving a silent slot neither draws nor changes the
-	// outcome — the model is inert, or a model.KernelPerturber.
+	// outcome — the model is inert, or a model.ReplayablePerturber.
 	silentInert bool
 
 	slots      int64
@@ -89,8 +89,8 @@ func (c *Channel) Reset(m model.ChannelModel, record bool, seed uint64) {
 	}
 	c.model = m
 	c.perturb, _ = m.(model.SlotPerturber)
-	_, kp := m.(model.KernelPerturber)
-	c.silentInert = c.perturb == nil || kp
+	_, rp := m.(model.ReplayablePerturber)
+	c.silentInert = c.perturb == nil || rp
 	c.state.Reset(seed)
 	c.record = record
 	c.trace = c.trace[:0]
@@ -158,7 +158,7 @@ func (c *Channel) Spoil(slot int64, transmitters []int) {
 
 // SkipsSilence reports whether SkipSilent may stand in for resolving
 // silent slots one by one: the model perturbs nothing, or is a
-// model.KernelPerturber, whose Perturb(Silence) returns Silence and draws
+// model.ReplayablePerturber, whose Perturb(Silence) returns Silence and draws
 // nothing; and no transcript is being recorded.
 func (c *Channel) SkipsSilence() bool { return c.silentInert && !c.record }
 

@@ -278,7 +278,7 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-// drawsOnSilence perturbs outside the model.KernelPerturber contract: it
+// drawsOnSilence perturbs outside the model.ReplayablePerturber contract: it
 // draws from the channel stream on every slot.
 type drawsOnSilence struct{}
 

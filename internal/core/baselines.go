@@ -11,7 +11,7 @@ import (
 
 // LocalSSF is a heuristic baseline standing in for Chlebus et al.'s
 // O(k log² n) locally-synchronized wake-up protocol (paper §1, ref [9];
-// DESIGN.md §4 substitution 3). Each station ignores the global clock
+// README "Departures from the paper", item 3). Each station ignores the global clock
 // entirely and runs, from its LOCAL wake time, the cyclic concatenation of
 // Kautz–Singleton (n,2^i)-strongly-selective families for i = 1..MaxI.
 //

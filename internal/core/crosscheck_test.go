@@ -86,7 +86,7 @@ func TestWakeupCSchedulePurity(t *testing.T) {
 
 // TestAlgorithmsDeterministicAcrossRuns re-runs every algorithm twice with
 // identical inputs and demands bit-identical results — the reproducibility
-// contract everything in EXPERIMENTS.md rests on.
+// contract every experiment table rests on.
 func TestAlgorithmsDeterministicAcrossRuns(t *testing.T) {
 	n, k := 128, 6
 	seed := uint64(31337)

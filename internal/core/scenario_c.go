@@ -17,7 +17,7 @@ import (
 //
 // Theorem 5.3: the first success occurs within O(k log n log log n) slots
 // of the first wake-up. The matrix is the §5.3 random construction keyed by
-// the run seed (DESIGN.md §4 substitution 2); a station that exhausts all
+// the run seed (README "Departures from the paper", item 2); a station that exhausts all
 // rows restarts from row 1, which Theorem 5.3 guarantees is unreachable for
 // any k ≤ n workload.
 type WakeupC struct {

@@ -135,8 +135,6 @@ type Local struct {
 	// GOMAXPROCS). With Driver Concurrency > 1, the budgets multiply —
 	// Concurrency shards × Workers goroutines each.
 	Workers int
-	// Batch caps trials per work item (<= 0 selects the grid default).
-	Batch int
 }
 
 // Run implements Executor.
@@ -148,7 +146,7 @@ func (l Local) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, err
 	if err != nil {
 		return nil, err
 	}
-	spec.Workers, spec.Batch = l.Workers, l.Batch
+	spec.Workers = l.Workers
 	g, err := spec.Grid()
 	if err != nil {
 		return nil, err

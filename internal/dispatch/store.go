@@ -149,8 +149,8 @@ func (s RunStore) LogAttemptAs(fp string, index, count, attempt int, worker stri
 	if worker != "" {
 		tag = " worker=" + worker
 	}
-	//nsmac:nondeterminism-ok attempt timestamps are an operator audit trail, never parsed into results
 	_, err = fmt.Fprintf(f, "%s shard %d/%d attempt %d%s: %s\n",
+		//nsmac:nondeterminism-ok attempt timestamps are an operator audit trail, never parsed into results
 		time.Now().UTC().Format(time.RFC3339), index, count, attempt, tag, status)
 	return err
 }

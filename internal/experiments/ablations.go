@@ -11,8 +11,8 @@ import (
 	"nsmac/internal/sweep"
 )
 
-// T8Ablations removes the design elements DESIGN.md calls out one at a time
-// and measures what breaks:
+// T8Ablations removes the algorithms' design elements one at a time and
+// measures what breaks:
 //
 //	(a) wait_and_go without the family-boundary wait — §4's correctness
 //	    argument pins the participant set per family; the white-box
@@ -71,7 +71,6 @@ func T8Ablations(cfg Config) *Table {
 		Trials:  1,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(e *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := spoilCells[ci]
 			r, _, err := adversary.Spoiler(e, c.mk(), c.p, k, 1, sim.Options{Horizon: c.horizon, Seed: c.p.Seed})
@@ -109,7 +108,6 @@ func T8Ablations(cfg Config) *Table {
 		Trials:  trialsC,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(e *sim.Engine, ci, trial int, _ uint64) sweep.Sample {
 			a := &core.WakeupC{C: cValues[ci]}
 			seed := rng.Derive(seedBase, 0xc0+uint64(trial))

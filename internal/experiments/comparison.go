@@ -75,7 +75,6 @@ func T6Comparison(cfg Config) *Table {
 				Trials:  rpdTrials,
 				Seed:    seed,
 				Workers: cfg.Workers,
-				Batch:   cfg.Batch,
 				RunEngine: func(e *sim.Engine, _, i int, _ uint64) sweep.Sample {
 					tSeed := rng.Derive(seed, tag+uint64(i))
 					w := simultaneous(e, n, k, tSeed)

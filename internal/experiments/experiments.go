@@ -1,11 +1,11 @@
-// Package experiments contains one driver per table/figure in DESIGN.md §5.
-// Each driver declares the workload grid its experiment prescribes against
-// the internal/sweep orchestrator — which shards cells over a worker pool
-// with derived RNG streams — and emits an aligned text table whose rows are
-// what EXPERIMENTS.md records. The paper has no empirical
-// tables — its evaluation is a set of theorems — so each experiment
-// measures the *shape* a theorem promises: bounded ratios to the claimed
-// bound, growth exponents, crossovers.
+// Package experiments contains one driver per experiment table, T1…T12
+// (README "Experiment tables"). Each driver declares the workload grid its
+// experiment prescribes against the internal/sweep orchestrator — which
+// shards cells over a worker pool with derived RNG streams — and emits an
+// aligned text table that cmd/wakeup-bench prints. The paper has no
+// empirical tables — its evaluation is a set of theorems — so each
+// experiment measures the *shape* a theorem promises: bounded ratios to the
+// claimed bound, growth exponents, crossovers.
 package experiments
 
 import (
@@ -25,7 +25,7 @@ import (
 // Config tunes experiment scale.
 type Config struct {
 	// Quick shrinks sweeps and trial counts for CI / go test; the full
-	// configuration is what cmd/wakeup-bench runs for EXPERIMENTS.md.
+	// configuration is what cmd/wakeup-bench runs by default.
 	Quick bool
 	// Trials overrides the per-cell trial count (0 = experiment default).
 	Trials int
@@ -33,9 +33,6 @@ type Config struct {
 	Seed uint64
 	// Workers caps the parallel trial runner (0 = GOMAXPROCS).
 	Workers int
-	// Batch caps trials per sweep work item (0 = auto); like Workers it
-	// tunes scheduling only and never changes a table's bytes.
-	Batch int
 }
 
 // trials resolves the per-cell trial count.
@@ -54,7 +51,7 @@ func (c Config) seed(tag uint64) uint64 { return rng.Derive(c.Seed^0x5eed, tag) 
 
 // Table is an experiment's rendered result.
 type Table struct {
-	// ID matches DESIGN.md §5 (T1…T12).
+	// ID is the table's label (T1…T12).
 	ID string
 	// Title states what the experiment measures.
 	Title string
@@ -194,7 +191,7 @@ type Experiment struct {
 	Run   func(Config) *Table
 }
 
-// All returns every experiment in DESIGN.md §5 order.
+// All returns every experiment in table order, T1…T12.
 func All() []Experiment {
 	return []Experiment{
 		{"T1", "Theorem 2.1 lower bound via swap adversary", T1LowerBound},
@@ -278,7 +275,6 @@ func sweepPatterns(cfg Config, algo model.Algorithm, p model.Params,
 		Trials:  1,
 		Seed:    p.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(e *sim.Engine, cell, _ int, _ uint64) sweep.Sample {
 			m := runOnce(e, algo, p, pats[cell], horizon)
 			return sweep.Sample{OK: m.ok, Rounds: m.rounds}

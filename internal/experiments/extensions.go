@@ -50,7 +50,6 @@ func T9ConflictResolution(cfg Config) *Table {
 		Trials:  trials,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(e *sim.Engine, ci, trial int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			seed := cfg.seed(uint64(c.n)<<16 | uint64(c.k))
@@ -133,7 +132,6 @@ func T10TreeCD(cfg Config) *Table {
 		Trials:  trials,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(e *sim.Engine, ci, trial int, _ uint64) sweep.Sample {
 			k := ks[ci]
 			seed := cfg.seed(uint64(k) << 4)

@@ -56,7 +56,6 @@ func T7FamilySizes(cfg Config) *Table {
 		Trials:  1,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(_ *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			var length int64

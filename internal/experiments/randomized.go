@@ -46,7 +46,6 @@ func T5RPD(cfg Config) *Table {
 				Trials:  trials,
 				Seed:    seed,
 				Workers: cfg.Workers,
-				Batch:   cfg.Batch,
 				RunEngine: func(e *sim.Engine, _, i int, _ uint64) sweep.Sample {
 					tSeed := rng.Derive(seed, uint64(i))
 					pp := p

@@ -56,7 +56,6 @@ func T1LowerBound(cfg Config) *Table {
 		Trials:  1,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(_ *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			var forced int64
@@ -167,7 +166,6 @@ func scenarioSweep(cfg Config, t *Table, n int, ks []int,
 		Trials:  1,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
-		Batch:   cfg.Batch,
 		RunEngine: func(e *sim.Engine, ci, _ int, _ uint64) sweep.Sample {
 			c := cells[ci]
 			m := runOnce(e, c.algo, c.p, c.pat, c.horizon)

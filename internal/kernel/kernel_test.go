@@ -339,7 +339,7 @@ func TestKernelEligibility(t *testing.T) {
 	// A perturbing model that does NOT advertise a replayable shape must be
 	// stepped.
 	if opt := (sim.Options{Horizon: 10, Adaptive: true, Channel: opaquePerturber{}}); sim.ClosedForm(epoch, opt) {
-		t.Error("a SlotPerturber without model.KernelPerturber must be stepped")
+		t.Error("a SlotPerturber without model.ReplayablePerturber must be stepped")
 	}
 	if opt := (sim.Options{Horizon: 10, Adaptive: true, RecordTrace: true}); sim.ClosedForm(epoch, opt) {
 		t.Error("trace recording must be stepped (the closed form keeps no transcript)")

@@ -27,6 +27,20 @@ var DeterministicPackages = map[string]bool{
 	"nsmac/internal/core":     true,
 	"nsmac/internal/schedule": true,
 	"nsmac/internal/campaign": true,
+	// The packages that feed bytes into those: patterns and spoilers,
+	// selector families and matrices, the random streams and their
+	// arithmetic, the experiment tables, transcripts, shard execution and
+	// the public API over all of them.
+	"nsmac/internal/adversary":   true,
+	"nsmac/internal/selectors":   true,
+	"nsmac/internal/matrix":      true,
+	"nsmac/internal/rng":         true,
+	"nsmac/internal/mathx":       true,
+	"nsmac/internal/experiments": true,
+	"nsmac/internal/trace":       true,
+	"nsmac/internal/dispatch":    true,
+	"nsmac":                      true,
+	"nsmac/sweep":                true,
 }
 
 // calleeFunc resolves a call expression to the *types.Func it invokes

@@ -89,8 +89,8 @@ type SlotPerturber interface {
 
 // PerturbKind enumerates the slot-perturbation shapes the engine's closed
 // form (sim.ClosedForm) knows how to replay. A perturbing model that does
-// not fit one of these shapes simply does not implement KernelPerturber, and
-// its trials are stepped slot by slot.
+// not fit one of these shapes simply does not implement ReplayablePerturber,
+// and its trials are stepped slot by slot.
 type PerturbKind int
 
 const (
@@ -116,10 +116,11 @@ type PerturbSpec struct {
 	Q int64
 }
 
-// KernelPerturber is the opt-in capability interface of perturbing channel
-// models under which the engine may finish a trial in closed form (see
-// sim.ClosedForm) and skip silent slots (see
-// channel.SkipsSilence). By implementing it a model asserts that its Perturb
+// ReplayablePerturber is the opt-in capability interface of a perturbing
+// channel model whose perturbation can be replayed without stepping it: it
+// draws nothing on a silent slot, so the engine may skip silent slots (see
+// channel.SkipsSilence), and the closed form may replay its PerturbSpec
+// (see sim.ClosedForm). By implementing it a model asserts that its Perturb
 // method is EXACTLY the pure function its PerturbSpec describes — same
 // outcome mapping and, critically, the same RNG draw sequence:
 //
@@ -136,7 +137,7 @@ type PerturbSpec struct {
 // so a closed-form and a stepped trial consume identical draw sequences and
 // produce byte-identical results. A SlotPerturber without this capability
 // is always stepped slot by slot.
-type KernelPerturber interface {
+type ReplayablePerturber interface {
 	SlotPerturber
 	// PerturbSpec returns the declarative shape of Perturb.
 	PerturbSpec() PerturbSpec
@@ -203,7 +204,7 @@ func (m noisyModel) Perturb(truth Feedback, st *ChannelState) Feedback {
 	return truth
 }
 
-// PerturbSpec implements KernelPerturber: erasure with probability p.
+// PerturbSpec implements ReplayablePerturber: erasure with probability p.
 func (m noisyModel) PerturbSpec() PerturbSpec {
 	return PerturbSpec{Kind: PerturbErasure, P: m.p}
 }
@@ -227,7 +228,7 @@ func (m jamModel) Perturb(truth Feedback, st *ChannelState) Feedback {
 	return truth
 }
 
-// PerturbSpec implements KernelPerturber: a q-success jam prefix.
+// PerturbSpec implements ReplayablePerturber: a q-success jam prefix.
 func (m jamModel) PerturbSpec() PerturbSpec {
 	return PerturbSpec{Kind: PerturbJamPrefix, Q: m.q}
 }

@@ -7,7 +7,8 @@
 // Everything here is seeded explicitly. Two runs with the same seeds produce
 // identical schedules, identical matrices and identical experiment tables on
 // any platform and Go version, which is what makes the "probabilistic method
-// instantiated by a fixed seed" substitution (see DESIGN.md §4) reproducible.
+// instantiated by a fixed seed" substitutions (see README "Departures from
+// the paper", items 1 and 2) reproducible.
 package rng
 
 import (

@@ -16,7 +16,7 @@
 //     in each set with probability 2^-i — instantiated by a fixed hash seed
 //     and evaluated lazily. Length Θ(2^i·log(n/2^i) + 2^i), matching the
 //     optimal bound; selective w.h.p. (verified exhaustively for small n in
-//     tests; see DESIGN.md §4 substitution 1).
+//     tests; see README "Departures from the paper", item 1).
 //   - KautzSingleton: an explicit, provably (n,k)-strongly-selective family
 //     built from Reed–Solomon codes (Kautz–Singleton superimposed codes),
 //     length q² for a prime q = O(k·log n / log(k)). Larger, but with an

@@ -10,7 +10,7 @@ import (
 // ClosedForm reports whether Engine.Run finishes a trial of algo under opt
 // in closed form: an adaptive run of a model.Persistent algorithm, on a
 // channel that delivers a collision as silence to every role and that is
-// inert or a model.KernelPerturber, with no transcript recorded.
+// inert or a model.ReplayablePerturber, with no transcript recorded.
 //
 // A persistent station transmits in every slot from its wake while it hears
 // only silence, and on such a channel that is all it hears before the
@@ -28,8 +28,8 @@ func ClosedForm(algo model.Algorithm, opt Options) bool {
 	ch := opt.ChannelModel()
 	if _, ok := ch.(model.SlotPerturber); ok {
 		// The closed form replays only the perturbations a
-		// model.KernelPerturber declares, in exact draw parity.
-		if _, ok := ch.(model.KernelPerturber); !ok {
+		// model.ReplayablePerturber declares, in exact draw parity.
+		if _, ok := ch.(model.ReplayablePerturber); !ok {
 			return false
 		}
 	}
@@ -56,8 +56,8 @@ func (e *Engine) finishClosed() {
 	// none) and erased counts the slots before it that noise silenced.
 	succ, erased := int64(-1), int64(0)
 	var spec model.PerturbSpec
-	if kp, ok := e.opt.ChannelModel().(model.KernelPerturber); ok {
-		spec = kp.PerturbSpec()
+	if rp, ok := e.opt.ChannelModel().(model.ReplayablePerturber); ok {
+		spec = rp.PerturbSpec()
 	}
 	switch spec.Kind {
 	case model.PerturbJamPrefix:

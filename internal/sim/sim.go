@@ -11,7 +11,7 @@
 // algorithm's own cohort if it implements model.Batched, or else an adapter
 // over Build's closures. When the cohort names a next attempt past the
 // current slot and the channel lets silence be skipped (no transcript is
-// recorded, and the channel is inert or a model.KernelPerturber), the
+// recorded, and the channel is inert or a model.ReplayablePerturber), the
 // engine jumps over the silent slots up to that attempt, the next wake or
 // the horizon, accounting them (slots, silences, listens) in closed form.
 // Every cohort produces the same results and channel counters as Build's

@@ -176,7 +176,7 @@ func TestRecordTraceStepsDensely(t *testing.T) {
 	}
 }
 
-// silenceEater perturbs outside the model.KernelPerturber contract: every
+// silenceEater perturbs outside the model.ReplayablePerturber contract: every
 // second silent slot becomes a collision, so skipping silent slots in closed
 // form would miscount them.
 type silenceEater struct{}
@@ -196,7 +196,7 @@ func (silenceEater) Perturb(truth model.Feedback, st *model.ChannelState) model.
 }
 
 // TestNonKernelPerturberStepsDensely fails if a perturbing model outside the
-// model.KernelPerturber contract ever takes the sparse path.
+// model.ReplayablePerturber contract ever takes the sparse path.
 func TestNonKernelPerturberStepsDensely(t *testing.T) {
 	w := model.Simultaneous([]int{4, 7, 10, 13}, 0)
 	e, dense := sim.NewEngine(), sim.NewEngine()

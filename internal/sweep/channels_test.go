@@ -259,27 +259,25 @@ func TestNoisyChannelActuallyPerturbs(t *testing.T) {
 
 // TestNoisyGridWorkerInvariance: the perturbation draws from per-(cell,
 // trial) derived streams, so a noisy grid renders byte-identically at any
-// worker count and batch size.
+// worker count.
 func TestNoisyGridWorkerInvariance(t *testing.T) {
-	mk := func(workers, batch int) sweep.Spec {
+	mk := func(workers int) sweep.Spec {
 		s := chanSpec(t, "noisy:0.3,jam:2")
-		s.Workers, s.Batch = workers, batch
+		s.Workers = workers
 		return s
 	}
-	base, err := mk(1, 1).Execute()
+	base, err := mk(1).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	bt := base.Text()
 	for _, workers := range []int{2, 5, 0} {
-		for _, batch := range []int{1, 4} {
-			got, err := mk(workers, batch).Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Text() != bt {
-				t.Fatalf("noisy grid output differs at workers=%d batch=%d", workers, batch)
-			}
+		got, err := mk(workers).Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Text() != bt {
+			t.Fatalf("noisy grid output differs at workers=%d", workers)
 		}
 	}
 }

@@ -13,19 +13,16 @@ import (
 )
 
 // simGrid builds a hash-schedule simulation grid parameterized by worker
-// count and batch size; everything else (cells, seeds, workloads) is fixed.
-func simGrid(workers int, seed uint64) sweep.Grid { return simGridBatch(workers, 0, seed) }
-
-func simGridBatch(workers, batch int, seed uint64) sweep.Grid {
+// count and trial count; everything else (cells, seeds, workloads) is fixed.
+func simGrid(workers, trials int, seed uint64) sweep.Grid {
 	cells := [][]string{{"8", "2"}, {"24", "5"}, {"40", "11"}, {"40", "40"}}
 	return sweep.Grid{
 		Name:    "det",
 		Axes:    []string{"n", "k"},
 		Cells:   cells,
-		Trials:  6,
+		Trials:  trials,
 		Seed:    seed,
 		Workers: workers,
-		Batch:   batch,
 		RunEngine: func(_ *sim.Engine, cell, trial int, s uint64) sweep.Sample {
 			dims := [][2]int{{8, 2}, {24, 5}, {40, 11}, {40, 40}}
 			n, k := dims[cell][0], dims[cell][1]
@@ -53,28 +50,29 @@ func simGridBatch(workers, batch int, seed uint64) sweep.Grid {
 
 // TestWorkerCountInvariance is the orchestrator's hard guarantee: the same
 // seed produces identical aggregates and byte-identical rendered output at
-// any worker count and any trial batch size.
+// any worker count, and so at any batch geometry the worker count derives.
+// At 6 trials every work item is one trial; at 77 the items run 9, 4, 3 and
+// 2 trials at workers 1 to 4, each cell's last item ragged.
 func TestWorkerCountInvariance(t *testing.T) {
-	for _, seed := range []uint64{1, 77, 0xdeadbeef} {
-		base, err := simGridBatch(1, 1, seed).Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8, 0} { // 0 = GOMAXPROCS
-			for _, batch := range []int{0, 1, 8, 64} { // 0 = auto
-				got, err := simGridBatch(workers, batch, seed).Execute()
+	for _, trials := range []int{6, 77} {
+		for _, seed := range []uint64{1, 77, 0xdeadbeef} {
+			base, err := simGrid(1, trials, seed).Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 4, 8, 0} { // 0 = GOMAXPROCS
+				got, err := simGrid(workers, trials, seed).Execute()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(base.Cells, got.Cells) {
-					t.Fatalf("seed %d: workers=1/batch=1 vs workers=%d/batch=%d cells differ",
-						seed, workers, batch)
+					t.Fatalf("trials %d seed %d: workers=1 vs workers=%d cells differ", trials, seed, workers)
 				}
 				if base.Text() != got.Text() {
-					t.Errorf("seed %d workers=%d batch=%d: text output differs", seed, workers, batch)
+					t.Errorf("trials %d seed %d workers=%d: text output differs", trials, seed, workers)
 				}
 				if base.CSV() != got.CSV() {
-					t.Errorf("seed %d workers=%d batch=%d: CSV output differs", seed, workers, batch)
+					t.Errorf("trials %d seed %d workers=%d: CSV output differs", trials, seed, workers)
 				}
 				bj, err1 := base.JSON()
 				gj, err2 := got.JSON()
@@ -82,7 +80,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 					t.Fatalf("JSON render: %v %v", err1, err2)
 				}
 				if string(bj) != string(gj) {
-					t.Errorf("seed %d workers=%d batch=%d: JSON output differs", seed, workers, batch)
+					t.Errorf("trials %d seed %d workers=%d: JSON output differs", trials, seed, workers)
 				}
 			}
 		}
@@ -92,11 +90,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 // TestSeedSensitivity guards against the opposite failure: different seeds
 // must actually change the sweep (no accidental seed plumbing loss).
 func TestSeedSensitivity(t *testing.T) {
-	a, err := simGrid(4, 1).Execute()
+	a, err := simGrid(4, 6, 1).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := simGrid(4, 2).Execute()
+	b, err := simGrid(4, 6, 2).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +105,9 @@ func TestSeedSensitivity(t *testing.T) {
 
 // TestSpecWorkerCountInvariance repeats the guarantee at the declarative
 // layer with real algorithms — a randomized one and a white-box adversary
-// pattern included — across the full workers × batch acceptance matrix.
+// pattern included — across worker counts.
 func TestSpecWorkerCountInvariance(t *testing.T) {
-	mk := func(workers, batch int) sweep.Spec {
+	mk := func(workers int) sweep.Spec {
 		cases, err := sweep.CasesByName("wakeupc,rpd")
 		if err != nil {
 			t.Fatal(err)
@@ -121,31 +119,29 @@ func TestSpecWorkerCountInvariance(t *testing.T) {
 		return sweep.Spec{
 			Name: "spec-det", Cases: cases, Patterns: gens,
 			Ns: []int{64, 128}, Ks: []int{2, 8}, Trials: 3,
-			Seed: 99, Workers: workers, Batch: batch,
+			Seed: 99, Workers: workers,
 		}
 	}
-	base, err := mk(1, 1).Execute()
+	base, err := mk(1).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	bt, _ := base.Render("text")
 	bc, _ := base.Render("csv")
 	bj, _ := base.Render("json")
-	for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS
-		for _, batch := range []int{1, 8, 64} {
-			got, err := mk(workers, batch).Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base.Cells, got.Cells) {
-				t.Fatalf("spec results differ at workers=%d batch=%d", workers, batch)
-			}
-			gt, _ := got.Render("text")
-			gc, _ := got.Render("csv")
-			gj, _ := got.Render("json")
-			if gt != bt || gc != bc || gj != bj {
-				t.Errorf("rendered output differs at workers=%d batch=%d", workers, batch)
-			}
+	for _, workers := range []int{2, 4, 0} { // 0 = GOMAXPROCS
+		got, err := mk(workers).Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(base.Cells, got.Cells) {
+			t.Fatalf("spec results differ at workers=%d", workers)
+		}
+		gt, _ := got.Render("text")
+		gc, _ := got.Render("csv")
+		gj, _ := got.Render("json")
+		if gt != bt || gc != bc || gj != bj {
+			t.Errorf("rendered output differs at workers=%d", workers)
 		}
 	}
 }
@@ -204,7 +200,7 @@ func TestAggregateShardSums(t *testing.T) {
 // TestGridTotalsMatchTrialSum checks that grid totals equal the sum over all
 // (cell, trial) samples — the orchestrator drops or double-counts nothing.
 func TestGridTotalsMatchTrialSum(t *testing.T) {
-	res, err := simGrid(8, 5).Execute()
+	res, err := simGrid(8, 6, 5).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,6 @@ func TestGridMatchesReferenceSimulator(t *testing.T) {
 			Trials:    trials,
 			Seed:      gridSeed,
 			Workers:   1 + src.Intn(8),
-			Batch:     src.Intn(5), // 0 = auto; batching must not show in output
 			RunEngine: runTrial,
 		}.Execute()
 		if err != nil {
@@ -243,7 +242,6 @@ func TestSpecWhiteBoxPatternsMatchDirectAdversary(t *testing.T) {
 		Trials:   2,
 		Seed:     0xabc,
 		Workers:  3,
-		Batch:    1,
 	}
 	res, err := spec.Execute()
 	if err != nil {

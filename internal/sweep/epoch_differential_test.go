@@ -44,14 +44,13 @@ func epochDiffSpec(t *testing.T, channels string) sweep.Spec {
 
 // TestEpochRoutingByteIdentical: grids with closed-form cells render
 // byte-identically (text, CSV and JSON) to the engine-only grid at worker
-// counts {1,2,4,8} × batch {1,8,64}, across every channel regime.
+// counts {1,2,4,8}, across every channel regime.
 func TestEpochRoutingByteIdentical(t *testing.T) {
 	for _, channels := range []string{"", "none,cd,sender_cd,ack", "cd,noisy:0.1,jam:2"} {
 		base := epochDiffSpec(t, channels)
 		ref := base
 		ref.DisableKernel = true
 		ref.Workers = 1
-		ref.Batch = 1
 		refRes, err := ref.Execute()
 		if err != nil {
 			t.Fatal(err)
@@ -59,18 +58,15 @@ func TestEpochRoutingByteIdentical(t *testing.T) {
 		want := renderAll(t, refRes)
 
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, batch := range []int{1, 8, 64} {
-				spec := base
-				spec.Workers = workers
-				spec.Batch = batch
-				res, err := spec.Execute()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := renderAll(t, res); !bytes.Equal(got, want) {
-					t.Fatalf("channels=%q workers=%d batch=%d: epoch output differs from engine output",
-						channels, workers, batch)
-				}
+			spec := base
+			spec.Workers = workers
+			res, err := spec.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderAll(t, res); !bytes.Equal(got, want) {
+				t.Fatalf("channels=%q workers=%d: epoch output differs from engine output",
+					channels, workers)
 			}
 		}
 	}

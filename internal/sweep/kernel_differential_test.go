@@ -12,7 +12,7 @@ import (
 // roundrobin, localssf, wakeupc, wakeup_with_k and rpd, and tree_cd on cd
 // and sender_cd), so the differential covers per-cell routing inside one
 // grid. Channels may include the perturbing noisy/jam models, which the
-// closed form replays since they declare a model.KernelPerturber shape.
+// closed form replays since they declare a model.ReplayablePerturber shape.
 func kernelDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
 	cases, err := sweep.CasesByName("roundrobin,wakeupc,wakeup_with_k,rpd,localssf,tree_cd")
@@ -59,7 +59,7 @@ func renderAll(t *testing.T, r *sweep.Result) []byte {
 
 // TestKernelRoutingByteIdentical is the tentpole's acceptance criterion:
 // kernel-routed grids render byte-identically to the engine-only grid at
-// worker counts {1,2,4,8} × batch {1,8,64}, with and without a channel axis
+// worker counts {1,2,4,8}, with and without a channel axis
 // (including perturbing channels, which must fall back per cell).
 func TestKernelRoutingByteIdentical(t *testing.T) {
 	for _, channels := range []string{"", "none,cd,sender_cd,ack", "none,noisy:0.1,jam:2"} {
@@ -67,7 +67,6 @@ func TestKernelRoutingByteIdentical(t *testing.T) {
 		ref := base
 		ref.DisableKernel = true
 		ref.Workers = 1
-		ref.Batch = 1
 		refRes, err := ref.Execute()
 		if err != nil {
 			t.Fatal(err)
@@ -75,18 +74,15 @@ func TestKernelRoutingByteIdentical(t *testing.T) {
 		want := renderAll(t, refRes)
 
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, batch := range []int{1, 8, 64} {
-				spec := base
-				spec.Workers = workers
-				spec.Batch = batch
-				res, err := spec.Execute()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := renderAll(t, res); !bytes.Equal(got, want) {
-					t.Fatalf("channels=%q workers=%d batch=%d: kernel output differs from engine output",
-						channels, workers, batch)
-				}
+			spec := base
+			spec.Workers = workers
+			res, err := spec.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderAll(t, res); !bytes.Equal(got, want) {
+				t.Fatalf("channels=%q workers=%d: kernel output differs from engine output",
+					channels, workers)
 			}
 		}
 	}

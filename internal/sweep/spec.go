@@ -63,9 +63,6 @@ type Spec struct {
 	Seed uint64
 	// Workers bounds the cell worker pool (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Batch caps trials per work item (<= 0 selects the Grid default); it
-	// tunes scheduling overhead only and never changes output bytes.
-	Batch int
 	// DisableKernel steps every trial slot by slot (Engine.RunTo) instead
 	// of letting Engine.Run finish the trials sim.ClosedForm admits
 	// (tree_cd on none, ack, noisy and jam) in closed form. The output
@@ -217,7 +214,6 @@ func (s Spec) Compile() (Grid, []string, error) {
 		Trials:  s.Trials,
 		Seed:    s.Seed,
 		Workers: s.Workers,
-		Batch:   s.Batch,
 		RunEngine: func(e *sim.Engine, cell, trial int, seed uint64) Sample {
 			pt := points[cell]
 			algo := pt.c.Algo(pt.n, pt.k)

@@ -14,9 +14,9 @@ import (
 // patterns are referenced by registry entry (`name[:arg]` for cases,
 // `name[:arg][@start]` for patterns — see ResolveCase and ResolvePattern),
 // so a document resolves to the identical closure-based Spec wherever the
-// same names are registered. Runtime knobs (worker count, batch size) are
-// deliberately absent: they never change a sweep's bytes, so they stay
-// per-process flags rather than traveling with the grid.
+// same names are registered. The worker count is deliberately absent: it
+// never changes a sweep's bytes, so it stays a per-process flag rather than
+// traveling with the grid.
 type SpecDoc struct {
 	// Name labels the sweep in rendered output.
 	Name string `json:"name"`
@@ -71,8 +71,8 @@ func (d SpecDoc) Encode() ([]byte, error) {
 }
 
 // Resolve compiles the document to an executable Spec against the case and
-// pattern registries. The returned spec has zero Workers/Batch (run-time
-// knobs); set them before Execute if the defaults don't fit.
+// pattern registries. The returned spec has zero Workers (a run-time knob);
+// set it before Execute if the default doesn't fit.
 func (d SpecDoc) Resolve() (Spec, error) {
 	if d.Trials < 1 {
 		return Spec{}, fmt.Errorf("sweep: spec %q needs trials >= 1, have %d", d.Name, d.Trials)

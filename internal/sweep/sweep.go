@@ -24,12 +24,12 @@
 // # Batching and the engine pool
 //
 // The execution unit is not a single trial but a batch: each work item sent
-// to the pool is a contiguous run of up to Batch trials of one cell (default
-// max(1, Trials/(8·workers)), so every worker sees several items and tiny
-// trials amortize the channel send, the modulo bookkeeping and the scheduler
-// wakeup across the batch. Batching is invisible in the output — each
-// trial's seed still derives from (Seed, cell, trial), never from the batch
-// geometry, so any batch size reproduces the same bytes.
+// to the pool is a contiguous run of up to max(1, Trials/(8·workers)) trials
+// of one cell, so every worker sees several items and tiny trials amortize
+// the claim, the modulo bookkeeping and the counter publication across the
+// batch. Batching is invisible in the output — each trial's seed still
+// derives from (Seed, cell, trial), never from the batch geometry, so any
+// worker count reproduces the same bytes.
 //
 // Each worker owns one reusable sim.Engine for the grid's lifetime and hands
 // it to every trial it runs. A trial that simulates runs through that
@@ -98,15 +98,10 @@ type Grid struct {
 	// Trials is the per-cell trial count (>= 1).
 	Trials int
 	// Seed keys every derived stream; identical seeds reproduce the grid
-	// byte-for-byte at any worker count and any batch size.
+	// byte-for-byte at any worker count.
 	Seed uint64
 	// Workers bounds the goroutine pool (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Batch caps how many trials of one cell a single work item executes
-	// (<= 0 selects max(1, Trials/(8·workers))). Batching amortizes pool
-	// overhead; it never changes results, because trial seeds derive from
-	// (Seed, cell, trial) regardless of batch geometry.
-	Batch int
 	// RunEngine executes one trial, handed the worker's pooled engine.
 	RunEngine EngineTrialFunc
 }
@@ -157,19 +152,11 @@ func (g Grid) Validate() error {
 	return nil
 }
 
-// batchSize resolves the effective trial batch size for a worker count.
-func (g Grid) batchSize(workers int) int {
-	b := g.Batch
-	if b <= 0 {
-		b = g.Trials / (8 * workers)
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b > g.Trials {
-		b = g.Trials
-	}
-	return b
+// batchSize is how many consecutive trials of one cell a work item runs:
+// enough items that each of the workers claims about eight per cell, and at
+// least one trial each.
+func batchSize(trials, workers int) int {
+	return max(1, trials/(8*workers))
 }
 
 // cellCounters is one cell's concurrently-accumulated aggregate counters.
@@ -185,7 +172,7 @@ type cellCounters struct {
 	listens       atomic.Int64
 }
 
-// Execute runs the grid: work items — batches of up to Batch consecutive
+// Execute runs the grid: work items — batches of up to batchSize consecutive
 // trials of one cell — are sharded over the worker pool, and each trial runs
 // with a seed derived from (Seed, cell, trial). Every sample lands at its
 // (cell, trial) index, so neither the schedule nor the batch geometry ever
@@ -218,7 +205,7 @@ func (g Grid) Execute() (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batch := g.batchSize(workers)
+	batch := batchSize(g.Trials, workers)
 	perCell := (g.Trials + batch - 1) / batch // batches per cell
 	items := len(g.Cells) * perCell
 	if workers > items {

@@ -141,10 +141,12 @@ func TestGridEnginePoolRoutesAndReuses(t *testing.T) {
 			Winner:        res.Winner, SuccessSlot: res.SuccessSlot,
 		}
 	}
-	for _, batch := range []int{1, 3, 64} {
+	// 17 trials: work items of two trials (one ragged) at workers=1, of
+	// one at workers=4.
+	for _, workers := range []int{1, 4} {
 		res, err := sweep.Grid{
 			Name: "pool", Axes: []string{"cell"}, Cells: cells,
-			Trials: 7, Seed: 13, Workers: 4, Batch: batch,
+			Trials: 17, Seed: 13, Workers: workers,
 			RunEngine: trial,
 		}.Execute()
 		if err != nil {
@@ -162,8 +164,8 @@ func TestGridEnginePoolRoutesAndReuses(t *testing.T) {
 				}
 				if got.Rounds != fresh.Rounds || got.Winner != fresh.Winner ||
 					got.SuccessSlot != fresh.SuccessSlot || got.Collisions != fresh.Collisions {
-					t.Fatalf("batch=%d cell %d trial %d: pooled %+v != fresh %#v",
-						batch, ci, ti, got, fresh)
+					t.Fatalf("workers=%d cell %d trial %d: pooled %+v != fresh %#v",
+						workers, ci, ti, got, fresh)
 				}
 			}
 		}

@@ -202,7 +202,7 @@ func NewKGConflictResolution() Algorithm { return core.NewKGConflictResolution()
 func NewTreeCD() Algorithm { return core.NewTreeCD() }
 
 // NewLocalSSF returns the heuristic locally-synchronized baseline (see
-// DESIGN.md §4 substitution 3).
+// README "Departures from the paper", item 3).
 func NewLocalSSF() Algorithm { return core.NewLocalSSF() }
 
 // NewBEB returns binary exponential backoff, the Aloha/Ethernet practical
