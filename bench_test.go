@@ -341,33 +341,23 @@ func BenchmarkQuickTables(b *testing.B) {
 // cells. allocs/op tracks the engine pool's allocation discipline.
 func BenchmarkSweepThroughput(b *testing.B) {
 	rosters := []struct {
-		name     string
-		cases    string
-		patterns string
-		channels string
-		ns       []int
-		ks       []int
-		trials   int
+		name string
+		doc  sweep.SpecDoc
 	}{
-		{"roster=paper", "wakeupc,roundrobin", "staggered:3,simultaneous", "", []int{256, 1024}, []int{2, 8, 32}, 4},
-		{"roster=memoizable", "roundrobin,localssf", "simultaneous", "", []int{256}, []int{32, 64}, 128},
-		{"roster=perturbed", "roundrobin,localssf", "simultaneous", "noisy:0.1,jam:2", []int{256}, []int{32, 64}, 128},
-		{"roster=adaptive", "tree_cd,kg", "simultaneous", "none,cd", []int{256}, []int{16, 64}, 16},
+		{"roster=paper", sweep.SpecDoc{Cases: []string{"wakeupc", "roundrobin"}, Patterns: []string{"staggered:3", "simultaneous"},
+			Ns: []int{256, 1024}, Ks: []int{2, 8, 32}, Trials: 4}},
+		{"roster=memoizable", sweep.SpecDoc{Cases: []string{"roundrobin", "localssf"}, Patterns: []string{"simultaneous"},
+			Ns: []int{256}, Ks: []int{32, 64}, Trials: 128}},
+		{"roster=perturbed", sweep.SpecDoc{Cases: []string{"roundrobin", "localssf"}, Patterns: []string{"simultaneous"},
+			Channels: []string{"noisy:0.1", "jam:2"}, Ns: []int{256}, Ks: []int{32, 64}, Trials: 128}},
+		{"roster=adaptive", sweep.SpecDoc{Cases: []string{"tree_cd", "kg"}, Patterns: []string{"simultaneous"},
+			Channels: []string{"none", "cd"}, Ns: []int{256}, Ks: []int{16, 64}, Trials: 16}},
 	}
 	for _, r := range rosters {
-		cases, err := sweep.CasesByName(r.cases)
+		r.doc.Name = "bench"
+		base, err := r.doc.Resolve()
 		if err != nil {
 			b.Fatal(err)
-		}
-		gens, err := sweep.ParsePatterns(r.patterns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var channels []model.ChannelModel
-		if r.channels != "" {
-			if channels, err = sweep.ChannelsByName(r.channels); err != nil {
-				b.Fatal(err)
-			}
 		}
 		for _, kern := range []bool{true, false} {
 			kname := "kernel=on"
@@ -380,18 +370,11 @@ func BenchmarkSweepThroughput(b *testing.B) {
 					b.ReportAllocs()
 					var cells int
 					for i := 0; i < b.N; i++ {
-						res, err := sweep.Spec{
-							Name:          "bench",
-							Cases:         cases,
-							Patterns:      gens,
-							Channels:      channels,
-							Ns:            r.ns,
-							Ks:            r.ks,
-							Trials:        r.trials,
-							Seed:          rng.Derive(0x5eeb, uint64(i)),
-							Workers:       workers,
-							DisableKernel: !kern,
-						}.Execute()
+						spec := base
+						spec.Seed = rng.Derive(0x5eeb, uint64(i))
+						spec.Workers = workers
+						spec.DisableKernel = !kern
+						res, err := spec.Execute()
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -449,37 +432,26 @@ func BenchmarkChannelObserve(b *testing.B) {
 // (the seed baseline's shape), the rest pin one channel each. none vs pre
 // isolates the ChannelModel interface cost on the hot trial path.
 func BenchmarkSweepThroughputChannels(b *testing.B) {
-	cases, err := sweep.CasesByName("wakeupc,roundrobin")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("staggered:3,simultaneous")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, entry := range []string{"pre", "none", "cd", "noisy:0.1", "jam:4"} {
-		var channels []model.ChannelModel
-		if entry != "pre" {
-			channels, err = sweep.ChannelsByName(entry)
-			if err != nil {
-				b.Fatal(err)
-			}
+		doc := sweep.SpecDoc{
+			Name: "bench-ch", Cases: []string{"wakeupc", "roundrobin"}, Patterns: []string{"staggered:3", "simultaneous"},
+			Ns: []int{256, 1024}, Ks: []int{2, 8, 32}, Trials: 4,
 		}
+		if entry != "pre" {
+			doc.Channels = []string{entry}
+		}
+		base, err := doc.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		base.Workers = 1
 		b.Run(entry, func(b *testing.B) {
 			b.ReportAllocs()
 			var cells int
 			for i := 0; i < b.N; i++ {
-				res, err := sweep.Spec{
-					Name:     "bench-ch",
-					Cases:    cases,
-					Patterns: gens,
-					Channels: channels,
-					Ns:       []int{256, 1024},
-					Ks:       []int{2, 8, 32},
-					Trials:   4,
-					Seed:     rng.Derive(0x5eec, uint64(i)),
-					Workers:  1,
-				}.Execute()
+				spec := base
+				spec.Seed = rng.Derive(0x5eec, uint64(i))
+				res, err := spec.Execute()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -551,17 +523,12 @@ func BenchmarkSpecDocResolve(b *testing.B) {
 // run a 4-shard plan (in-process), encode/decode every envelope, and merge —
 // the fixed overhead sharding adds on top of the trials themselves.
 func BenchmarkShardMerge(b *testing.B) {
-	cases, err := sweep.CasesByName("wakeupc,roundrobin")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("staggered:3,simultaneous")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := sweep.Spec{
-		Name: "shard-bench", Cases: cases, Patterns: gens,
+	spec, err := sweep.SpecDoc{
+		Name: "shard-bench", Cases: []string{"wakeupc", "roundrobin"}, Patterns: []string{"staggered:3", "simultaneous"},
 		Ns: []int{256}, Ks: []int{2, 8}, Trials: 8, Seed: 11,
+	}.Resolve()
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		const m = 4

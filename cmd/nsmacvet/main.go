@@ -1,6 +1,6 @@
-// Command nsmacvet runs the repository's static-analysis suite — the three
-// analyzers in nsmac/internal/lint that enforce the determinism, RNG-stream
-// and registry-Ref invariants — over a set of package patterns, like a
+// Command nsmacvet runs the repository's static-analysis suite — the two
+// analyzers in nsmac/internal/lint that enforce the determinism and
+// RNG-stream invariants — over a set of package patterns, like a
 // purpose-built `go vet`.
 //
 // Usage:

@@ -295,6 +295,10 @@ func runStatus(args []string) {
 			for _, g := range st.Grids {
 				line := fmt.Sprintf("  grid %-12s %d/%d shards done, %d in flight, %d pending (%d attempts",
 					g.ID, g.Done, g.Shards, g.InFlight, g.Pending, g.Attempts)
+				if g.Shards == 0 {
+					// An autotuned grid is planned at its first lease.
+					line = fmt.Sprintf("  grid %-12s unplanned (%d attempts", g.ID, g.Attempts)
+				}
 				if g.Autotuned {
 					line += ", autotuned"
 				}

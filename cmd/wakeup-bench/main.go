@@ -130,10 +130,8 @@ func main() {
 	}
 
 	if gridMode {
-		spec := buildSpec(*specFile, *algos, *ns, *ks, *patterns, *channels, *trials, *seed)
-		spec.Workers = *workers
-		spec.DisableKernel = *noKernel
-		runGrid(spec, *shardArg, *dumpSpec, *format, *outFile)
+		doc := gridDoc(*specFile, *algos, *ns, *ks, *patterns, *channels, *trials, *seed)
+		runGrid(doc, *workers, *noKernel, *shardArg, *dumpSpec, *format, *outFile)
 		return
 	}
 
@@ -218,28 +216,12 @@ func readSpecDoc(path string) sweep.SpecDoc {
 	return doc
 }
 
-// buildSpec assembles the sweep spec from a spec document file or from the
-// axis flags.
-func buildSpec(specFile, algos, ns, ks, patterns, channels string, trials int, seed uint64) sweep.Spec {
+// gridDoc returns the grid's spec document: the -spec file, or the document
+// the axis flags write. A flag run resolves that document exactly as a -spec
+// run would, so -dump-spec prints what the run executes.
+func gridDoc(specFile, algos, ns, ks, patterns, channels string, trials int, seed uint64) sweep.SpecDoc {
 	if specFile != "" {
-		spec, err := readSpecDoc(specFile).Resolve()
-		if err != nil {
-			fail("%v", err)
-		}
-		return spec
-	}
-
-	cases, err := sweep.CasesByName(algos)
-	if err != nil {
-		fail("%v", err)
-	}
-	gens, err := sweep.ParsePatterns(patterns)
-	if err != nil {
-		fail("%v", err)
-	}
-	chAxis, err := sweep.ChannelsByName(channels)
-	if err != nil {
-		fail("-channels: %v", err)
+		return readSpecDoc(specFile)
 	}
 	nAxis, err := sweep.ParseInts(ns)
 	if err != nil {
@@ -252,11 +234,19 @@ func buildSpec(specFile, algos, ns, ks, patterns, channels string, trials int, s
 	if trials <= 0 {
 		trials = 8
 	}
-	return sweep.Spec{
+	cases := sweep.StandardCaseNames()
+	if algos != "all" {
+		cases = entries(algos)
+	}
+	pats := entries(patterns)
+	if pats == nil {
+		pats = []string{"suite"}
+	}
+	return sweep.SpecDoc{
 		Name:     "custom",
 		Cases:    cases,
-		Patterns: gens,
-		Channels: chAxis,
+		Patterns: pats,
+		Channels: entries(channels),
 		Ns:       nAxis,
 		Ks:       kAxis,
 		Trials:   trials,
@@ -264,27 +254,43 @@ func buildSpec(specFile, algos, ns, ks, patterns, channels string, trials int, s
 	}
 }
 
+// entries splits a comma-separated entry flag into its trimmed entries; an
+// empty flag has none. An empty entry (a stray comma) is kept, so resolution
+// rejects it instead of silently narrowing the grid.
+func entries(list string) []string {
+	if strings.TrimSpace(list) == "" {
+		return nil
+	}
+	out := strings.Split(list, ",")
+	for i := range out {
+		out[i] = strings.TrimSpace(out[i])
+	}
+	return out
+}
+
 // runGrid executes the grid modes: dump the spec document, run one shard, or
 // run (and render) the whole sweep.
-func runGrid(spec sweep.Spec, shardArg string, dumpSpec bool, format, outFile string) {
-	if dumpSpec {
-		doc, err := spec.Doc()
-		if err != nil {
-			fail("%v", err)
-		}
-		data, err := doc.Encode()
-		if err != nil {
-			fail("%v", err)
-		}
-		emit(outFile, data)
-		return
+func runGrid(doc sweep.SpecDoc, workers int, noKernel bool, shardArg string, dumpSpec bool, format, outFile string) {
+	spec, err := doc.Resolve()
+	if err != nil {
+		fail("%v", err)
 	}
+	spec.Workers = workers
+	spec.DisableKernel = noKernel
 
 	// One enumeration serves both the skip report and the executable grid —
 	// a shrunken grid (k > n, capped k) is never silent.
 	g, skipped, err := spec.Compile()
 	if err != nil {
 		fail("%v", err)
+	}
+	if dumpSpec {
+		data, err := doc.Encode()
+		if err != nil {
+			fail("%v", err)
+		}
+		emit(outFile, data)
+		return
 	}
 	for _, s := range skipped {
 		fmt.Fprintf(os.Stderr, "wakeup-bench: skipping cell %s\n", s)

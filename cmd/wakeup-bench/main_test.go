@@ -2,11 +2,14 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nsmac/sweep"
 )
 
 // buildBench compiles wakeup-bench once per test binary into a temp dir and
@@ -130,6 +133,64 @@ func TestRunSubcommandResumeByteIdentity(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(fresh), "\n") {
 		if !strings.Contains(line, "shard 1/3") || !strings.Contains(line, ": ok") {
 			t.Errorf("resume attempt line %q is not a clean shard-1 rerun", line)
+		}
+	}
+}
+
+// TestFlagsAreTheirSpecDoc: axis flags write a spec document and run it, so
+// a flag run renders the same text, CSV and JSON as the -spec run of its
+// -dump-spec output, -spec f -dump-spec re-emits f, and the two runs' shard
+// envelopes carry the same grid fingerprint.
+func TestFlagsAreTheirSpecDoc(t *testing.T) {
+	bin := buildBench(t)
+	dir := t.TempDir()
+	for i, flags := range [][]string{
+		{"-algos", "all"},
+		{"-algos", "wakeupc,rpd", "-patterns", "staggered:3,uniform,spoiler", "-channels", "none,noisy:0.1"},
+	} {
+		flags = append(flags, "-ns", "32,64", "-ks", "2,8", "-trials", "3")
+		specPath := filepath.Join(dir, fmt.Sprintf("grid%d.json", i))
+		doc := run(t, bin, append(flags, "-dump-spec")...)
+		if err := os.WriteFile(specPath, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, format := range []string{"text", "csv", "json"} {
+			if run(t, bin, append(flags, "-format", format)...) != run(t, bin, "-spec", specPath, "-format", format) {
+				t.Errorf("%v: the flag run's %s differs from its document's", flags, format)
+			}
+		}
+		if again := run(t, bin, "-spec", specPath, "-dump-spec"); again != doc {
+			t.Errorf("%v: -spec -dump-spec re-emitted\n%s\nnot\n%s", flags, again, doc)
+		}
+		fingerprint := func(args ...string) string {
+			env, err := sweep.DecodeShardResult([]byte(run(t, bin, append(args, "-shard", "0/1")...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return env.Fingerprint
+		}
+		if a, b := fingerprint(flags...), fingerprint("-spec", specPath); a != b {
+			t.Errorf("%v: flag envelope fingerprint %s, document envelope %s", flags, a, b)
+		}
+	}
+
+	// Entries are trimmed; a stray comma is an empty entry that resolution
+	// rejects, never a silently narrower grid.
+	axes := []string{"-ns", "32", "-ks", "2", "-dump-spec"}
+	if a, b := run(t, bin, append([]string{"-algos", " wakeupc, rpd"}, axes...)...),
+		run(t, bin, append([]string{"-algos", "wakeupc,rpd"}, axes...)...); a != b {
+		t.Errorf("padded entries dumped\n%s\nnot\n%s", a, b)
+	}
+	for _, flags := range [][]string{{"-algos", "wakeupc,"}, {"-patterns", ",simultaneous"}, {"-channels", "none,,cd"}} {
+		if flags[0] != "-algos" {
+			flags = append(flags, "-algos", "wakeupc")
+		}
+		cmd := exec.Command(bin, append(flags, axes...)...)
+		var stdout strings.Builder
+		cmd.Stdout = &stdout
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %v, stdout %q; want status 1 and no document", flags, err, stdout.String())
 		}
 	}
 }

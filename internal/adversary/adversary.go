@@ -25,14 +25,6 @@ import (
 type Generator struct {
 	// Name identifies the pattern family in experiment tables.
 	Name string
-	// Ref is the family's wire name in the registry entry grammar
-	// `name[:arg][@start]` (e.g. "staggered:7", "uniform:64@5", "swap:1").
-	// Constructors fill it for every registry-expressible configuration, so
-	// a sweep built from parsed entries can be serialized back to a SpecDoc
-	// and re-resolved to the identical generator. Empty when the
-	// configuration has no entry form (e.g. Bursts with a non-default burst
-	// count); such generators cannot travel in a spec document.
-	Ref string
 	// Generate draws a wake pattern with exactly k distinct stations into
 	// dst's IDs and Wakes, reusing their backing arrays where they have the
 	// room, and returns it. A caller that keeps the result passes the zero
@@ -49,20 +41,6 @@ type Generator struct {
 	VsAlgo func(e *sim.Engine, algo model.Algorithm, p model.Params, k int, seed uint64, opt sim.Options) (model.WakePattern, model.Result, error)
 }
 
-// ref builds the canonical wire name for a family configuration: the family
-// name, an explicit ":arg" when the family takes one, and an "@start" suffix
-// for non-zero start slots.
-func ref(name string, arg int64, hasArg bool, start int64) string {
-	out := name
-	if hasArg {
-		out = fmt.Sprintf("%s:%d", name, arg)
-	}
-	if start != 0 {
-		out = fmt.Sprintf("%s@%d", out, start)
-	}
-	return out
-}
-
 // WhiteBox reports whether the family needs the algorithm under test.
 func (g Generator) WhiteBox() bool { return g.VsAlgo != nil }
 
@@ -70,7 +48,6 @@ func (g Generator) WhiteBox() bool { return g.VsAlgo != nil }
 func Simultaneous(s int64) Generator {
 	return Generator{
 		Name: fmt.Sprintf("simultaneous@%d", s),
-		Ref:  ref("simultaneous", 0, false, s),
 		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
 			w := draw(dst, rng.New(seed), n, k)
 			for i := range w.Wakes {
@@ -86,7 +63,6 @@ func Simultaneous(s int64) Generator {
 func Staggered(s, gap int64) Generator {
 	return Generator{
 		Name: fmt.Sprintf("staggered(gap=%d)", gap),
-		Ref:  ref("staggered", gap, true, s),
 		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
 			w := draw(dst, rng.New(seed), n, k)
 			for i := range w.Wakes {
@@ -104,7 +80,6 @@ func UniformWindow(s, width int64) Generator {
 	}
 	return Generator{
 		Name: fmt.Sprintf("uniform(window=%d)", width),
-		Ref:  ref("uniform", width, true, s),
 		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
 			src := rng.New(seed)
 			w := draw(dst, src, n, k)
@@ -123,15 +98,8 @@ func Bursts(s int64, bursts int, gap int64) Generator {
 	if bursts < 1 {
 		panic("adversary: bursts must be >= 1")
 	}
-	// Only the registry's canonical 4-burst shape has a wire name; other
-	// burst counts are Go-API-only configurations.
-	burstsRef := ""
-	if bursts == 4 {
-		burstsRef = ref("bursts", gap, true, s)
-	}
 	return Generator{
 		Name: fmt.Sprintf("bursts(%d,gap=%d)", bursts, gap),
-		Ref:  burstsRef,
 		Generate: func(dst model.WakePattern, n, k int, seed uint64) model.WakePattern {
 			w := draw(dst, rng.New(seed), n, k)
 			per := max(1, mathx.CeilDiv(k, bursts))

@@ -19,7 +19,6 @@ import (
 func SpoilerPattern() Generator {
 	return Generator{
 		Name: "spoiler",
-		Ref:  "spoiler",
 		VsAlgo: func(e *sim.Engine, algo model.Algorithm, p model.Params, k int, seed uint64, opt sim.Options) (model.WakePattern, model.Result, error) {
 			sp, res, err := Spoiler(e, algo, p, k, 1+rng.New(seed).Intn(p.N), opt)
 			return sp.Pattern, res, err
@@ -33,13 +32,12 @@ func SpoilerPattern() Generator {
 // The greedy variant probes every candidate replacement per swap — a much
 // stronger and much slower search; reserve it for small n.
 func SwapPattern(greedy bool) Generator {
-	name, wire := "swap", "swap"
+	name := "swap"
 	if greedy {
-		name, wire = "swap(greedy)", "swap:1"
+		name = "swap(greedy)"
 	}
 	return Generator{
 		Name: name,
-		Ref:  wire,
 		VsAlgo: func(e *sim.Engine, algo model.Algorithm, p model.Params, k int, seed uint64, opt sim.Options) (model.WakePattern, model.Result, error) {
 			// The search keys its initial set and its probe simulations
 			// off p.Seed, which the sweep derives per trial — the extra seed

@@ -153,9 +153,10 @@ type gridState struct {
 	cells     int // resolved cell count (known at submission)
 	autotuned bool
 
-	// fingerprint/shards are empty/nil until the grid is planned: at
-	// submission for a fixed shard count, at first lease for an autotuned
-	// grid, so it sees the wall clock of the campaign's earlier grids.
+	// fingerprint is set at submission: it does not depend on the shard
+	// count. shards is nil until the grid is planned: at submission for a
+	// fixed shard count, at first lease for an autotuned grid, so it sees
+	// the wall clock of the campaign's earlier grids.
 	fingerprint string
 	shards      []*shardState
 
@@ -211,7 +212,8 @@ func (s *Server) Submit(m Manifest) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("campaign: grid %q: %w", mg.ID, err)
 		}
-		g := &gridState{id: mg.ID, doc: mg.Spec, cells: plans[0].Cells}
+		g := &gridState{id: mg.ID, doc: mg.Spec, cells: plans[0].Cells,
+			autotuned: mg.Shards == 0, fingerprint: plans[0].Fingerprint}
 		if mg.Shards > 0 {
 			s.setPlan(g, plans)
 		}
@@ -522,7 +524,6 @@ func (s *Server) planLocked(g *gridState) error {
 	if g.shards != nil {
 		return nil
 	}
-	g.autotuned = true
 	plans, _, err := dispatch.PlanShards(g.doc, s.autoShardCountLocked(g))
 	if err != nil {
 		return err
@@ -535,8 +536,6 @@ func (s *Server) planLocked(g *gridState) error {
 // already-persisted envelopes that pass the plan's checks complete their
 // shards immediately (campaign resume).
 func (s *Server) setPlan(g *gridState, plans []dispatch.ShardPlan) {
-	g.fingerprint = plans[0].Fingerprint
-	g.cells = plans[0].Cells
 	g.shards = make([]*shardState, len(plans))
 	for i, plan := range plans {
 		sh := &shardState{plan: plan}

@@ -321,6 +321,27 @@ func TestPartialResultsStreamAndFinalMergeIsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestAutotunedGridStatusBeforeFirstLease: an autotuned grid reads as
+// autotuned and unplanned, with its fingerprint, from submission on; it does
+// not read as an empty 0/0 grid until a worker's first lease plans it.
+func TestAutotunedGridStatusBeforeFirstLease(t *testing.T) {
+	doc := testDoc(t)
+	s, _ := newTestServer(t, Options{})
+	id := submitOne(t, s, doc, 0)
+	st, err := s.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := st.Grids[0]
+	plans, _, err := dispatch.PlanShards(doc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Autotuned || g.Shards != 0 || g.Fingerprint != plans[0].Fingerprint {
+		t.Fatalf("status before the first lease = %+v, want autotuned, 0 shards, fingerprint %s", g, plans[0].Fingerprint)
+	}
+}
+
 func TestAutotunePicksShardCountFromObservedWallClock(t *testing.T) {
 	doc := testDoc(t)
 	doc.Trials = 100 // 8 cells × 100 trials = 800 trials of work

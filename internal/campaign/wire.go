@@ -48,7 +48,7 @@ type CampaignStatus struct {
 // GridStatus is one grid's progress within a campaign.
 type GridStatus struct {
 	ID string `json:"id"`
-	// Fingerprint is empty until the grid is planned (first lease).
+	// Fingerprint is the resolved grid's fingerprint, set at submission.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	Cells       int    `json:"cells"`
 	Trials      int    `json:"trials"`

@@ -31,7 +31,6 @@ func init() {
 		}
 		return sweep.Case{
 			Name:    "waitandgo",
-			Ref:     "waitandgo",
 			Algo:    func(n, k int) model.Algorithm { return core.NewWaitAndGo() },
 			Params:  scenB,
 			Horizon: func(n, k int) int64 { return core.NewWaitAndGo().Horizon(n, k) },
@@ -43,7 +42,6 @@ func init() {
 		}
 		return sweep.Case{
 			Name:    "waitandgo_nowait",
-			Ref:     "waitandgo_nowait",
 			Algo:    func(n, k int) model.Algorithm { return &core.WaitAndGo{DisableWait: true} },
 			Params:  scenB,
 			Horizon: func(n, k int) int64 { return core.NewWaitAndGo().Horizon(n, k) },
@@ -57,7 +55,6 @@ func init() {
 		}
 		return sweep.Case{
 			Name:    "wakeupc_nowindow",
-			Ref:     "wakeupc_nowindow",
 			Algo:    func(n, k int) model.Algorithm { return &core.WakeupC{DisableWindowWait: true} },
 			Params:  scenC,
 			Horizon: func(n, k int) int64 { return core.NewWakeupC().Horizon(n, k) },
@@ -73,7 +70,6 @@ func init() {
 		c := int(arg)
 		return sweep.Case{
 			Name:    fmt.Sprintf("wakeupc_c%d", c),
-			Ref:     fmt.Sprintf("wakeupc_c:%d", c),
 			Algo:    func(n, k int) model.Algorithm { return &core.WakeupC{C: c} },
 			Params:  scenC,
 			Horizon: func(n, k int) int64 { return (&core.WakeupC{C: c}).Horizon(n, k) },
@@ -85,14 +81,11 @@ func init() {
 	// the undegraded bound, matching the T12 driver's allowance.
 	sweep.RegisterCase("clockskew", func(arg int64, hasArg bool) (sweep.Case, error) {
 		skew := int64(64)
-		ref := "clockskew"
 		if hasArg {
 			skew = arg
-			ref = fmt.Sprintf("clockskew:%d", skew)
 		}
 		return sweep.Case{
 			Name:    fmt.Sprintf("clockskew%d", skew),
-			Ref:     ref,
 			Algo:    func(n, k int) model.Algorithm { return core.NewClockSkewed(core.NewWakeupC(), skew) },
 			Params:  scenC,
 			Horizon: func(n, k int) int64 { return 8 * core.NewWakeupC().Horizon(n, k) },

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"nsmac/internal/sweep"
@@ -25,17 +24,14 @@ func TestRegisteredCasesResolveAndRun(t *testing.T) {
 		t.Error("waitandgo with an argument accepted")
 	}
 
-	cases, err := sweep.CasesByName("waitandgo,waitandgo_nowait")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("spoiler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{
-		Name: "t8a", Cases: cases, Patterns: gens,
+	// The registered variants travel in a spec document like any other case.
+	doc := sweep.SpecDoc{
+		Name: "t8a", Cases: []string{"waitandgo", "waitandgo_nowait"}, Patterns: []string{"spoiler"},
 		Ns: []int{64}, Ks: []int{8}, Trials: 2, Seed: 5,
+	}
+	spec, err := doc.Resolve()
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := spec.Execute()
 	if err != nil {
@@ -48,29 +44,5 @@ func TestRegisteredCasesResolveAndRun(t *testing.T) {
 	if abl.Mean <= std.Mean {
 		t.Errorf("ablated wait_and_go should suffer more under spoiler: std mean %.1f, ablated %.1f",
 			std.Mean, abl.Mean)
-	}
-
-	// The registered variants must also travel through a spec document.
-	doc, err := spec.Doc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.Join(doc.Cases, ","), "waitandgo_nowait") {
-		t.Errorf("dumped doc lost the registered case: %v", doc.Cases)
-	}
-	back, err := doc.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, err := spec.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := back.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.Fingerprint() != g2.Fingerprint() {
-		t.Error("registered-case spec does not round-trip")
 	}
 }

@@ -1,9 +1,9 @@
 // Package lint is the repository's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the three analyzers that
+// vocabulary (Analyzer, Pass, Diagnostic) plus the two analyzers that
 // enforce the invariants every determinism guarantee in this tree rests on —
-// no wall clocks or global RNG in deterministic packages, derived RNG
-// streams only, and canonical registry Refs.
+// no wall clocks or global RNG in deterministic packages, and derived RNG
+// streams only.
 //
 // The framework is stdlib-only (go/ast, go/types, go list) because the
 // toolchain image carries no module cache; the API mirrors go/analysis
@@ -192,7 +192,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		RNGStream,
-		RegistryRef,
 	}
 }
 

@@ -1,29 +1,7 @@
-// Package sweep is the fixture stub of nsmac/internal/sweep: the registry
-// entry points the registryref fixtures call, plus a Grid whose methods are
-// the one sanctioned goroutine site for the determinism analyzer.
+// Package sweep is the fixture stub of nsmac/internal/sweep: a Grid whose
+// methods are the one sanctioned goroutine site for the determinism
+// analyzer.
 package sweep
-
-import "nsmac/internal/adversary"
-
-type Case struct {
-	Name string
-	Ref  string
-	MaxK int
-}
-
-type PatternShape struct{ Start, Gap, Width int64 }
-
-type CaseFactory func(arg int64, hasArg bool) (Case, error)
-
-type PatternFactory func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error)
-
-type ChannelFactory func(arg string, hasArg bool) (any, error)
-
-func RegisterCase(name string, f CaseFactory) {}
-
-func RegisterPattern(name string, f PatternFactory) {}
-
-func RegisterChannel(name string, f ChannelFactory) {}
 
 type Grid struct{ Workers int }
 

@@ -59,11 +59,15 @@ func TestResolveChannel(t *testing.T) {
 	}
 }
 
+// TestChannelsByName drives channel entries through SpecDoc.Resolve as
+// wakeup-bench's -channels writes them: each entry resolves, in order, to
+// the model whose Name() labels the channel axis; no entries means no
+// channel axis; an empty entry (a stray comma) is an error.
 func TestChannelsByName(t *testing.T) {
-	ms, err := sweep.ChannelsByName("none,noisy:0.25,jam:2")
-	if err != nil {
-		t.Fatal(err)
+	doc := func(channels ...string) sweep.SpecDoc {
+		return sweep.SpecDoc{Cases: []string{"wakeupc"}, Patterns: []string{"simultaneous"}, Channels: channels, Ns: []int{8}, Ks: []int{2}, Trials: 1}
 	}
+	ms := testSpec(t, doc("none", "noisy:0.25", "jam:2")).Channels
 	names := make([]string, len(ms))
 	for i, m := range ms {
 		names[i] = m.Name()
@@ -71,12 +75,11 @@ func TestChannelsByName(t *testing.T) {
 	if !reflect.DeepEqual(names, []string{"none", "noisy:0.25", "jam:2"}) {
 		t.Fatalf("resolved %v", names)
 	}
-	// Empty list = no channel axis at all.
-	if ms, err := sweep.ChannelsByName(""); err != nil || ms != nil {
-		t.Errorf("empty list resolved to %v (%v)", ms, err)
+	if ms := testSpec(t, doc()).Channels; ms != nil {
+		t.Errorf("no entries resolved to %v", ms)
 	}
-	if _, err := sweep.ChannelsByName("none,,cd"); err == nil {
-		t.Error("stray comma accepted")
+	if _, err := doc("none", "", "cd").Resolve(); err == nil {
+		t.Error("empty channel entry accepted")
 	}
 	found := false
 	for _, name := range sweep.ChannelNames() {
@@ -93,22 +96,11 @@ func TestChannelsByName(t *testing.T) {
 // (empty list = no channel axis).
 func chanSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
-	cases, err := sweep.CasesByName("wakeupc,roundrobin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("staggered:3,simultaneous")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chs, err := sweep.ChannelsByName(channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sweep.Spec{
-		Name: "chan", Cases: cases, Patterns: gens, Channels: chs,
+	return testSpec(t, sweep.SpecDoc{
+		Name: "chan", Cases: []string{"wakeupc", "roundrobin"},
+		Patterns: []string{"staggered:3", "simultaneous"}, Channels: entries(channels),
 		Ns: []int{48, 96}, Ks: []int{2, 5}, Trials: 3, Seed: 0xc4a2,
-	}
+	})
 }
 
 // TestSpecWithoutChannelsIsPreChannelGrid pins the compatibility contract:
@@ -297,7 +289,8 @@ const goldenChannelsDoc = `{
 
 // TestSpecDocChannelsGoldenRoundTrip: decode → resolve → encode → decode →
 // resolve must reproduce the identical grid (labels and fingerprint), and
-// Spec.Doc must dump the channels back by wire name.
+// each resolved channel must be named by its entry, which labels the
+// channel axis.
 func TestSpecDocChannelsGoldenRoundTrip(t *testing.T) {
 	doc, err := sweep.ParseSpecDoc([]byte(goldenChannelsDoc))
 	if err != nil {
@@ -341,14 +334,12 @@ func TestSpecDocChannelsGoldenRoundTrip(t *testing.T) {
 		t.Fatal("re-resolved labels differ")
 	}
 
-	// Dump side: the spec serializes its channels by wire name and the
-	// round trip is fingerprint-verified inside Doc.
-	dumped, err := spec.Doc()
-	if err != nil {
-		t.Fatal(err)
+	names := make([]string, len(spec.Channels))
+	for i, m := range spec.Channels {
+		names[i] = m.Name()
 	}
-	if !reflect.DeepEqual(dumped.Channels, []string{"none", "sender_cd", "noisy:0.05", "jam:2"}) {
-		t.Fatalf("dumped channels = %v", dumped.Channels)
+	if !reflect.DeepEqual(names, doc.Channels) {
+		t.Fatalf("resolved channels are named %v, want %v", names, doc.Channels)
 	}
 
 	// A doc WITHOUT channels must encode without the field at all.
@@ -474,23 +465,11 @@ func TestShardEnvelopeCarriesListens(t *testing.T) {
 // outcome (the sweep panics internally if a white-box cell were
 // knowledge-inconsistent; here we assert the spoiler still spoils).
 func TestWhiteBoxPredictsThroughChannel(t *testing.T) {
-	cases, err := sweep.CasesByName("roundrobin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("spoiler")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, entry := range []string{"jam:1", "noisy:0.3"} {
-		chs, err := sweep.ChannelsByName(entry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := sweep.Spec{
-			Name: "wb-" + entry, Cases: cases, Patterns: gens, Channels: chs,
-			Ns: []int{24}, Ks: []int{4}, Trials: 4, Seed: 99,
-		}
+		spec := testSpec(t, sweep.SpecDoc{
+			Name: "wb-" + entry, Cases: []string{"roundrobin"}, Patterns: []string{"spoiler"},
+			Channels: []string{entry}, Ns: []int{24}, Ks: []int{4}, Trials: 4, Seed: 99,
+		})
 		res, err := spec.Execute()
 		if err != nil {
 			t.Fatal(err)
@@ -509,7 +488,7 @@ func TestWhiteBoxPredictsThroughChannel(t *testing.T) {
 		// exactly.
 		c := spec.Cases[0]
 		g := spec.Patterns[0]
-		ch := chs[0]
+		ch := spec.Channels[0]
 		for trial := 0; trial < spec.Trials; trial++ {
 			seed := sweep.TrialSeed(spec.Seed, 0, trial)
 			algo := c.Algo(24, 4)

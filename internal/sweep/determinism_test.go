@@ -108,19 +108,13 @@ func TestSeedSensitivity(t *testing.T) {
 // pattern included — across worker counts.
 func TestSpecWorkerCountInvariance(t *testing.T) {
 	mk := func(workers int) sweep.Spec {
-		cases, err := sweep.CasesByName("wakeupc,rpd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens, err := sweep.ParsePatterns("staggered:3,uniform:16,spoiler")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sweep.Spec{
-			Name: "spec-det", Cases: cases, Patterns: gens,
-			Ns: []int{64, 128}, Ks: []int{2, 8}, Trials: 3,
-			Seed: 99, Workers: workers,
-		}
+		spec := testSpec(t, sweep.SpecDoc{
+			Name: "spec-det", Cases: []string{"wakeupc", "rpd"},
+			Patterns: []string{"staggered:3", "uniform:16", "spoiler"},
+			Ns:       []int{64, 128}, Ks: []int{2, 8}, Trials: 3, Seed: 99,
+		})
+		spec.Workers = workers
+		return spec
 	}
 	base, err := mk(1).Execute()
 	if err != nil {

@@ -3,7 +3,6 @@ package sweep_test
 import (
 	"testing"
 
-	"nsmac/internal/adversary"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 	"nsmac/internal/sim"
@@ -163,21 +162,16 @@ func TestGridMatchesReferenceSimulator(t *testing.T) {
 // every trial through the naive reference using the exported seed hooks:
 // the spec layer must add nothing beyond (case, pattern, axes) enumeration.
 func TestSpecMatchesReferenceSimulator(t *testing.T) {
-	cases, err := sweep.CasesByName("roundrobin,wakeupc,rpd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens := []adversary.Generator{adversary.Simultaneous(0), adversary.Staggered(0, 5)}
-	spec := sweep.Spec{
+	spec := testSpec(t, sweep.SpecDoc{
 		Name:     "spec-diff",
-		Cases:    cases,
-		Patterns: gens,
+		Cases:    []string{"roundrobin", "wakeupc", "rpd"},
+		Patterns: []string{"simultaneous", "staggered:5"},
 		Ns:       []int{32, 96},
 		Ks:       []int{1, 3, 9},
 		Trials:   3,
 		Seed:     0x5bec,
-		Workers:  7,
-	}
+	})
+	spec.Workers = 7
 	res, err := spec.Execute()
 	if err != nil {
 		t.Fatal(err)
@@ -225,24 +219,16 @@ func TestSpecMatchesReferenceSimulator(t *testing.T) {
 // adversary by hand with the trial's derived seeds and replaying its pattern
 // through the reference simulator.
 func TestSpecWhiteBoxPatternsMatchDirectAdversary(t *testing.T) {
-	cases, err := sweep.CasesByName("roundrobin,rpd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("spoiler,swap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{
+	spec := testSpec(t, sweep.SpecDoc{
 		Name:     "whitebox-diff",
-		Cases:    cases,
-		Patterns: gens,
+		Cases:    []string{"roundrobin", "rpd"},
+		Patterns: []string{"spoiler", "swap"},
 		Ns:       []int{24},
 		Ks:       []int{1, 4},
 		Trials:   2,
 		Seed:     0xabc,
-		Workers:  3,
-	}
+	})
+	spec.Workers = 3
 	res, err := spec.Execute()
 	if err != nil {
 		t.Fatal(err)

@@ -15,31 +15,16 @@ import (
 // form in Engine.Run; the rest are stepped slot by slot.
 func epochDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
-	cases, err := sweep.CasesByName("tree_cd,kg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("simultaneous,staggered:3,uniform:16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{
+	return testSpec(t, sweep.SpecDoc{
 		Name:     "epoch-diff",
-		Cases:    cases,
-		Patterns: gens,
+		Cases:    []string{"tree_cd", "kg"},
+		Patterns: []string{"simultaneous", "staggered:3", "uniform:16"},
+		Channels: entries(channels),
 		Ns:       []int{32, 64},
 		Ks:       []int{1, 4, 16},
 		Trials:   4,
 		Seed:     0xe90cd1ff,
-	}
-	if channels != "" {
-		chs, err := sweep.ChannelsByName(channels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Channels = chs
-	}
-	return spec
+	})
 }
 
 // TestEpochRoutingByteIdentical: grids with closed-form cells render
@@ -117,24 +102,15 @@ func TestEpochShardMergeByteIdentical(t *testing.T) {
 // white-box family (whose pattern construction needs the oblivious Build)
 // must be dropped with a skip line, never compiled into a panicking cell.
 func TestAdaptiveSkipsWhiteBoxPatterns(t *testing.T) {
-	cases, err := sweep.CasesByName("tree_cd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("simultaneous,spoiler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{
+	spec := testSpec(t, sweep.SpecDoc{
 		Name:     "adaptive-whitebox",
-		Cases:    cases,
-		Patterns: gens,
-		Channels: nil,
+		Cases:    []string{"tree_cd"},
+		Patterns: []string{"simultaneous", "spoiler"},
 		Ns:       []int{16},
 		Ks:       []int{4},
 		Trials:   2,
 		Seed:     7,
-	}
+	})
 	g, skipped, err := spec.Compile()
 	if err != nil {
 		t.Fatal(err)

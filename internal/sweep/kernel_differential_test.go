@@ -15,31 +15,16 @@ import (
 // closed form replays since they declare a model.ReplayablePerturber shape.
 func kernelDiffSpec(t *testing.T, channels string) sweep.Spec {
 	t.Helper()
-	cases, err := sweep.CasesByName("roundrobin,wakeupc,wakeup_with_k,rpd,localssf,tree_cd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("staggered:3,simultaneous,uniform:16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{
+	return testSpec(t, sweep.SpecDoc{
 		Name:     "kernel-diff",
-		Cases:    cases,
-		Patterns: gens,
+		Cases:    []string{"roundrobin", "wakeupc", "wakeup_with_k", "rpd", "localssf", "tree_cd"},
+		Patterns: []string{"staggered:3", "simultaneous", "uniform:16"},
+		Channels: entries(channels),
 		Ns:       []int{32, 64},
 		Ks:       []int{1, 4, 16},
 		Trials:   4,
 		Seed:     0xd1ff5eed,
-	}
-	if channels != "" {
-		chs, err := sweep.ChannelsByName(channels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Channels = chs
-	}
-	return spec
+	})
 }
 
 // renderAll returns the three render formats concatenated: "byte-identical

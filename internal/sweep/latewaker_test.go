@@ -98,10 +98,7 @@ var relationChannels = []string{"none", "cd", "sender_cd", "ack", "noisy:0.1", "
 // model (see lateWaker.check) on every registered case and built-in channel
 // family.
 func TestLateWakerLeavesResultUnchanged(t *testing.T) {
-	gens, err := sweep.ParsePatterns("simultaneous,staggered:3,uniform:16,bursts:4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gens := testPatterns(t, "simultaneous", "staggered:3", "uniform:16", "bursts:4")
 	eng := sim.NewEngine()
 	runs, checks, closedForm := 0, 0, 0
 	for _, name := range sweep.CaseNames() {
@@ -140,10 +137,7 @@ func TestLateWakerLeavesResultUnchanged(t *testing.T) {
 // FuzzLateWaker checks the late-waker relation at fuzzed cases, channels,
 // patterns, universe sizes, station counts and seeds.
 func FuzzLateWaker(f *testing.F) {
-	gens, err := sweep.ParsePatterns("simultaneous,staggered:1,staggered:3,uniform:16,uniform:200,bursts:4")
-	if err != nil {
-		f.Fatal(err)
-	}
+	gens := testPatterns(f, "simultaneous", "staggered:1", "staggered:3", "uniform:16", "uniform:200", "bursts:4")
 	names := sweep.CaseNames()
 	f.Add(uint8(0), uint8(0), uint8(0), uint16(8), uint8(1), uint64(1), false)
 	f.Add(uint8(3), uint8(4), uint8(2), uint16(64), uint8(7), uint64(2), true)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,7 +27,8 @@ import (
 // black-box pattern's first wake slot. Case and pattern args are
 // non-negative integers. A channel entry is `name[:arg]` — "none", "cd",
 // "sender_cd", "ack", "noisy:0.05", "jam:3" — whose argument may be a float
-// (noise probability) or an integer (jam budget).
+// (noise probability) or an integer (jam budget). Every registered name
+// matches ^[a-z][a-z0-9_]*$; the Register functions enforce it.
 
 // PatternShape carries the default shape parameters a pattern entry falls
 // back to when it omits its ":arg" or "@start": Start for the first wake
@@ -42,27 +44,24 @@ func DefaultPatternShape() PatternShape {
 }
 
 // CaseFactory builds a registered case from its optional entry argument.
-// The factory must set the returned Case's Ref to an entry that re-resolves
-// to the same case (ResolveCase fills it with the normalized entry text when
-// the factory leaves it empty) and must be deterministic in its arguments.
+// The factory must be deterministic in its arguments.
 type CaseFactory func(arg int64, hasArg bool) (Case, error)
 
 // PatternFactory builds a registered pattern family from its optional entry
 // argument and the shape defaults (shape.Start already reflects a per-entry
 // "@start" override). Implementations must be deterministic in their
-// arguments; the adversary constructors fill the generator's Ref. A factory
-// that honors shape.Start must reflect a non-zero start in its Ref as
-// "@<start>" — ResolvePattern rejects entries whose explicit start override
-// left no trace in the wire name.
+// arguments. White-box families build their pattern against the algorithm,
+// not from a start slot, so ResolvePattern rejects an explicit non-zero
+// "@start" on them.
 type PatternFactory func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error)
 
 // ChannelFactory builds a registered channel model from its optional entry
 // argument. Channel arguments are raw entry text rather than parsed
 // integers, because the family parameter may be a float (noisy:0.05) or an
-// integer budget (jam:3). The returned model's Name() is its wire ref and
-// must re-resolve to an equivalent model; factories must be deterministic in
-// their arguments and must return stateless model values (per-run state
-// lives in model.ChannelState).
+// integer budget (jam:3). The returned model's Name() labels the grid's
+// channel axis and must re-resolve to an equivalent model; factories must be
+// deterministic in their arguments and must return stateless model values
+// (per-run state lives in model.ChannelState).
 type ChannelFactory func(arg string, hasArg bool) (model.ChannelModel, error)
 
 // registries hold the name → factory maps plus registration order (for
@@ -78,24 +77,37 @@ var (
 	channelOrder []string
 )
 
+// registryName is the bare-name production of the entry grammar: entries
+// split on ":", "@" and ",", so a registered name is a plain lower-case
+// identifier.
+var registryName = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+// registerLocked appends name to a registry's order after checking it. It
+// panics on a nil factory, a name outside the entry grammar or a duplicate:
+// registration is an init-time, programmer-driven act. The caller holds
+// regMu.
+func registerLocked(kind, name string, nilFactory, dup bool, order *[]string) {
+	switch {
+	case nilFactory:
+		panic(fmt.Sprintf("sweep: %s %q registered with a nil factory", kind, name))
+	case !registryName.MatchString(name):
+		panic(fmt.Sprintf("sweep: %s name %q does not match %s", kind, name, registryName))
+	case dup:
+		panic(fmt.Sprintf("sweep: %s %q registered twice", kind, name))
+	}
+	*order = append(*order, name)
+}
+
 // RegisterCase adds a named algorithm case factory to the registry, making
 // it resolvable from CLI -algos lists and SpecDoc case entries. It panics on
-// an empty or already-registered name (registration is an init-time,
-// programmer-driven act).
+// a nil factory, a name that does not match ^[a-z][a-z0-9_]*$, or an
+// already-registered name.
 func RegisterCase(name string, f CaseFactory) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if name == "" || f == nil {
-		panic("sweep: RegisterCase with empty name or nil factory")
-	}
-	if strings.ContainsAny(name, ":@, ") {
-		panic(fmt.Sprintf("sweep: case name %q contains entry-grammar delimiters", name))
-	}
-	if _, dup := caseReg[name]; dup {
-		panic(fmt.Sprintf("sweep: case %q registered twice", name))
-	}
+	_, dup := caseReg[name]
+	registerLocked("case", name, f == nil, dup, &caseOrder)
 	caseReg[name] = f
-	caseOrder = append(caseOrder, name)
 }
 
 // RegisterPattern adds a named wake-pattern family factory to the registry,
@@ -104,17 +116,9 @@ func RegisterCase(name string, f CaseFactory) {
 func RegisterPattern(name string, f PatternFactory) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if name == "" || f == nil {
-		panic("sweep: RegisterPattern with empty name or nil factory")
-	}
-	if strings.ContainsAny(name, ":@, ") {
-		panic(fmt.Sprintf("sweep: pattern name %q contains entry-grammar delimiters", name))
-	}
-	if _, dup := patternReg[name]; dup {
-		panic(fmt.Sprintf("sweep: pattern %q registered twice", name))
-	}
+	_, dup := patternReg[name]
+	registerLocked("pattern", name, f == nil, dup, &patternOrder)
 	patternReg[name] = f
-	patternOrder = append(patternOrder, name)
 }
 
 // RegisterChannel adds a named channel-model factory to the registry, making
@@ -123,17 +127,9 @@ func RegisterPattern(name string, f PatternFactory) {
 func RegisterChannel(name string, f ChannelFactory) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if name == "" || f == nil {
-		panic("sweep: RegisterChannel with empty name or nil factory")
-	}
-	if strings.ContainsAny(name, ":@, ") {
-		panic(fmt.Sprintf("sweep: channel name %q contains entry-grammar delimiters", name))
-	}
-	if _, dup := channelReg[name]; dup {
-		panic(fmt.Sprintf("sweep: channel %q registered twice", name))
-	}
+	_, dup := channelReg[name]
+	registerLocked("channel", name, f == nil, dup, &channelOrder)
 	channelReg[name] = f
-	channelOrder = append(channelOrder, name)
 }
 
 // CaseNames returns every registered case name in registration order.
@@ -171,7 +167,6 @@ func splitArg(entry string) (name string, arg int64, hasArg bool, err error) {
 }
 
 // ResolveCase resolves one case entry (`name[:arg]`) against the registry.
-// The returned case carries a Ref that re-resolves to the same case.
 func ResolveCase(entry string) (Case, error) {
 	entry = strings.TrimSpace(entry)
 	name, arg, hasArg, err := splitArg(entry)
@@ -185,19 +180,11 @@ func ResolveCase(entry string) (Case, error) {
 		return Case{}, fmt.Errorf("sweep: unknown algorithm %q (have %s)",
 			name, strings.Join(CaseNames(), ", "))
 	}
-	c, err := f(arg, hasArg)
-	if err != nil {
-		return Case{}, err
-	}
-	if c.Ref == "" {
-		c.Ref = entry
-	}
-	return c, nil
+	return f(arg, hasArg)
 }
 
 // ResolvePattern resolves one pattern entry (`name[:arg][@start]`) against
-// the registry with the given shape defaults. The returned generator carries
-// a Ref that re-resolves to the same generator regardless of shape defaults.
+// the registry with the given shape defaults.
 func ResolvePattern(entry string, shape PatternShape) (adversary.Generator, error) {
 	entry = strings.TrimSpace(entry)
 	body, startStr, hasStart := strings.Cut(entry, "@")
@@ -223,24 +210,18 @@ func ResolvePattern(entry string, shape PatternShape) (adversary.Generator, erro
 	if err != nil {
 		return adversary.Generator{}, err
 	}
-	// An explicit non-zero "@start" must be visible in the generator's wire
-	// name; a family that ignored it (the white-box adversaries construct
-	// their pattern against the algorithm, not a start slot) would silently
-	// run a different adversary than requested and break the -dump-spec
-	// round trip.
-	if hasStart && shape.Start != 0 && !strings.HasSuffix(g.Ref, fmt.Sprintf("@%d", shape.Start)) {
+	// The white-box adversaries construct their pattern against the
+	// algorithm, not from a start slot: an explicit non-zero "@start" on one
+	// would silently run a different adversary than requested.
+	if hasStart && shape.Start != 0 && g.WhiteBox() {
 		return adversary.Generator{}, fmt.Errorf("sweep: pattern %q ignores its @start override (entry %q)", name, entry)
-	}
-	if g.Ref == "" {
-		g.Ref = entry
 	}
 	return g, nil
 }
 
 // ResolveChannel resolves one channel entry (`name[:arg]`) against the
-// registry. The returned model's Name() is its canonical wire ref; resolving
-// that ref again must yield an equivalent model (verified for sweeps by the
-// SpecDoc fingerprint round trip).
+// registry. The returned model's Name() labels the grid's channel axis and
+// re-resolves to an equivalent model.
 func ResolveChannel(entry string) (model.ChannelModel, error) {
 	entry = strings.TrimSpace(entry)
 	name, arg, hasArg := strings.Cut(entry, ":")
@@ -261,28 +242,9 @@ func ResolveChannel(entry string) (model.ChannelModel, error) {
 	return m, nil
 }
 
-// ChannelsByName resolves a comma-separated channel entry list ("none,cd",
-// "noisy:0.05"). An empty list resolves to nil: the sweep keeps the paper's
-// default channel and — for exact compatibility with pre-channel grids —
-// omits the channel axis entirely.
-func ChannelsByName(list string) ([]model.ChannelModel, error) {
-	if strings.TrimSpace(list) == "" {
-		return nil, nil
-	}
-	var out []model.ChannelModel
-	for _, entry := range strings.Split(list, ",") {
-		m, err := ResolveChannel(entry)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// standardCaseNames is the canonical cmd/ tool registry order; StandardCases
-// and "all" resolve exactly this list even when other packages register
-// additional cases.
+// standardCaseNames is the canonical cmd/ tool registry order; "all"
+// resolves exactly this list even when other packages register additional
+// cases.
 var standardCaseNames = []string{
 	"roundrobin", "wakeup_with_s", "wakeup_with_k", "wakeupc",
 	"rpd", "rpdk", "beb", "localssf",
@@ -324,7 +286,6 @@ func init() {
 			}
 			return Case{
 				Name:    name,
-				Ref:     name,
 				Algo:    func(n, k int) model.Algorithm { return mk() },
 				Params:  params,
 				Horizon: func(n, k int) int64 { return mk().Horizon(n, k) },
@@ -339,14 +300,11 @@ func init() {
 	// "wakeup_with_s" pins s = 0, "wakeup_with_s:5" pins s = 5.
 	RegisterCase("wakeup_with_s", func(arg int64, hasArg bool) (Case, error) {
 		s := int64(0)
-		refStr := "wakeup_with_s"
 		if hasArg {
 			s = arg
-			refStr = fmt.Sprintf("wakeup_with_s:%d", s)
 		}
 		return Case{
 			Name: "wakeup_with_s",
-			Ref:  refStr,
 			Algo: func(n, k int) model.Algorithm { return core.NewWakeupWithS() },
 			Params: func(n, k int, seed uint64) model.Params {
 				return model.Params{N: n, S: s, Seed: seed}
@@ -361,7 +319,6 @@ func init() {
 		}
 		return Case{
 			Name:    "wakeup_with_k",
-			Ref:     "wakeup_with_k",
 			Algo:    func(n, k int) model.Algorithm { return core.NewWakeupWithK() },
 			Params:  scenB,
 			Horizon: core.WakeupWithKHorizon,
@@ -388,7 +345,6 @@ func init() {
 		}
 		return Case{
 			Name:     "tree_cd",
-			Ref:      "tree_cd",
 			Algo:     func(n, k int) model.Algorithm { return core.NewTreeCD() },
 			Params:   scenC,
 			Horizon:  core.TreeCD{}.Horizon,
@@ -401,7 +357,6 @@ func init() {
 		}
 		return Case{
 			Name:     "kg",
-			Ref:      "kg",
 			Algo:     func(n, k int) model.Algorithm { return core.NewKGConflictResolution() },
 			Params:   scenB,
 			Horizon:  (&core.KGConflictResolution{}).Horizon,

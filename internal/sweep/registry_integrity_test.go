@@ -1,7 +1,6 @@
 package sweep_test
 
 import (
-	"reflect"
 	"testing"
 
 	"nsmac/internal/sweep"
@@ -14,83 +13,48 @@ var channelArgExamples = map[string]string{
 	"jam":   "jam:3",
 }
 
-// TestRegistryRefIntegrity is the runtime complement of the registryref
-// analyzer: for every registered name, the resolved value's Ref must be
-// non-empty and must re-resolve to a value carrying the identical Ref —
-// otherwise a SpecDoc written on one machine silently reconstructs a
-// different grid on another.
-func TestRegistryRefIntegrity(t *testing.T) {
+// channelEntry is a registered channel name as a resolvable entry.
+func channelEntry(name string) string {
+	if ex, ok := channelArgExamples[name]; ok {
+		return ex
+	}
+	return name
+}
+
+// TestRegistryNamesResolve: every registered name resolves, argless or with
+// its example argument, and a resolved channel's Name() — which labels the
+// grid's channel axis — re-resolves to a channel of the same name.
+func TestRegistryNamesResolve(t *testing.T) {
 	for _, name := range sweep.CaseNames() {
-		c, err := sweep.ResolveCase(name)
-		if err != nil {
+		if _, err := sweep.ResolveCase(name); err != nil {
 			t.Errorf("case %q does not resolve argless: %v", name, err)
-			continue
-		}
-		if c.Ref == "" {
-			t.Errorf("case %q resolved with an empty Ref", name)
-			continue
-		}
-		back, err := sweep.ResolveCase(c.Ref)
-		if err != nil {
-			t.Errorf("case %q: Ref %q does not re-resolve: %v", name, c.Ref, err)
-			continue
-		}
-		if back.Ref != c.Ref {
-			t.Errorf("case %q: Ref drifts across resolution: %q -> %q", name, c.Ref, back.Ref)
 		}
 	}
-
-	shape := sweep.DefaultPatternShape()
 	for _, name := range sweep.PatternNames() {
-		g, err := sweep.ResolvePattern(name, shape)
-		if err != nil {
+		if _, err := sweep.ResolvePattern(name, sweep.DefaultPatternShape()); err != nil {
 			t.Errorf("pattern %q does not resolve argless: %v", name, err)
-			continue
-		}
-		if g.Ref == "" {
-			t.Errorf("pattern %q resolved with an empty Ref", name)
-			continue
-		}
-		back, err := sweep.ResolvePattern(g.Ref, shape)
-		if err != nil {
-			t.Errorf("pattern %q: Ref %q does not re-resolve: %v", name, g.Ref, err)
-			continue
-		}
-		if back.Ref != g.Ref {
-			t.Errorf("pattern %q: Ref drifts across resolution: %q -> %q", name, g.Ref, back.Ref)
 		}
 	}
-
 	for _, name := range sweep.ChannelNames() {
-		entry := name
-		if ex, ok := channelArgExamples[name]; ok {
-			entry = ex
-		}
-		m, err := sweep.ResolveChannel(entry)
+		m, err := sweep.ResolveChannel(channelEntry(name))
 		if err != nil {
-			t.Errorf("channel %q does not resolve from %q: %v", name, entry, err)
-			continue
-		}
-		if m.Name() == "" {
-			t.Errorf("channel %q resolved with an empty wire name", name)
+			t.Errorf("channel %q does not resolve from %q: %v", name, channelEntry(name), err)
 			continue
 		}
 		back, err := sweep.ResolveChannel(m.Name())
 		if err != nil {
-			t.Errorf("channel %q: wire name %q does not re-resolve: %v", name, m.Name(), err)
+			t.Errorf("channel %q: name %q does not re-resolve: %v", name, m.Name(), err)
 			continue
 		}
 		if back.Name() != m.Name() {
-			t.Errorf("channel %q: wire name drifts across resolution: %q -> %q", name, m.Name(), back.Name())
+			t.Errorf("channel %q: name drifts across resolution: %q -> %q", name, m.Name(), back.Name())
 		}
 	}
 }
 
 // TestRegistrySpecDocRoundTrip drives every registered name (including arg'd
-// and @start-shifted spellings) through the full SpecDoc cycle:
-// resolve -> dump -> encode -> parse -> resolve -> dump. The second document
-// must equal the first byte-for-byte, and Doc's internal fingerprint check
-// guards the compiled grids.
+// and @start-shifted spellings) through resolve → encode → parse → resolve:
+// both resolutions must compile to grids with the same fingerprint.
 func TestRegistrySpecDocRoundTrip(t *testing.T) {
 	doc := sweep.SpecDoc{
 		Name:     "registry-integrity",
@@ -102,38 +66,26 @@ func TestRegistrySpecDocRoundTrip(t *testing.T) {
 		Seed:     7,
 	}
 	for _, name := range sweep.ChannelNames() {
-		entry := name
-		if ex, ok := channelArgExamples[name]; ok {
-			entry = ex
-		}
-		doc.Channels = append(doc.Channels, entry)
+		doc.Channels = append(doc.Channels, channelEntry(name))
 	}
 
-	spec, err := doc.Resolve()
+	g, err := testSpec(t, doc).Grid()
 	if err != nil {
-		t.Fatalf("resolving the all-registry document: %v", err)
+		t.Fatal(err)
 	}
-	dumped, err := spec.Doc()
-	if err != nil {
-		t.Fatalf("dumping the resolved spec: %v", err)
-	}
-	encoded, err := dumped.Encode()
+	encoded, err := doc.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := sweep.ParseSpecDoc(encoded)
 	if err != nil {
-		t.Fatalf("re-parsing the dumped document: %v", err)
+		t.Fatalf("re-parsing the encoded document: %v", err)
 	}
-	respec, err := parsed.Resolve()
+	back, err := testSpec(t, parsed).Grid()
 	if err != nil {
-		t.Fatalf("re-resolving the dumped document: %v", err)
+		t.Fatal(err)
 	}
-	redumped, err := respec.Doc()
-	if err != nil {
-		t.Fatalf("re-dumping the re-resolved spec: %v", err)
-	}
-	if !reflect.DeepEqual(dumped, redumped) {
-		t.Fatalf("SpecDoc does not stabilize after one resolve->dump cycle:\nfirst:  %+v\nsecond: %+v", dumped, redumped)
+	if g.Fingerprint() != back.Fingerprint() {
+		t.Fatalf("the re-parsed document resolves to a different grid: %s vs %s", g.Fingerprint(), back.Fingerprint())
 	}
 }

@@ -37,12 +37,8 @@ func expectedRoute(c sweep.Case, ch model.ChannelModel, n, k int) string {
 // engine's channel unstepped.
 func observedRoute(t *testing.T, c sweep.Case, ch model.ChannelModel, n, k int) string {
 	t.Helper()
-	gens, err := sweep.ParsePatterns("simultaneous")
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := sweep.Spec{
-		Name: "route", Cases: []sweep.Case{c}, Patterns: gens,
+		Name: "route", Cases: []sweep.Case{c}, Patterns: testPatterns(t, "simultaneous"),
 		Channels: []model.ChannelModel{ch}, Ns: []int{n}, Ks: []int{k}, Trials: 1, Seed: 7,
 	}
 	g, err := spec.Grid()

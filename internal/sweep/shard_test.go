@@ -14,18 +14,11 @@ import (
 // and a trial count (5) that does not divide evenly into most shard counts.
 func shardSpec(t *testing.T) sweep.Spec {
 	t.Helper()
-	cases, err := sweep.CasesByName("wakeupc,rpd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("staggered:3,uniform:16,spoiler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sweep.Spec{
-		Name: "shards", Cases: cases, Patterns: gens,
-		Ns: []int{64, 128}, Ks: []int{2, 8}, Trials: 5, Seed: 424242,
-	}
+	return testSpec(t, sweep.SpecDoc{
+		Name: "shards", Cases: []string{"wakeupc", "rpd"},
+		Patterns: []string{"staggered:3", "uniform:16", "spoiler"},
+		Ns:       []int{64, 128}, Ks: []int{2, 8}, Trials: 5, Seed: 424242,
+	})
 }
 
 // runShards executes every shard of an m-way plan through the full wire

@@ -17,11 +17,6 @@ import (
 type Case struct {
 	// Name labels the case on the sweep's algo axis.
 	Name string
-	// Ref is the case's wire name in the registry entry grammar `name[:arg]`
-	// (e.g. "wakeupc", "wakeup_with_s:5"). ResolveCase fills it; cases built
-	// directly in Go may leave it empty, at the cost of not being
-	// serializable into a SpecDoc.
-	Ref string
 	// Algo constructs the algorithm for a cell.
 	Algo func(n, k int) model.Algorithm
 	// Params grants the cell's knowledge (Scenario A/B/C switches).
@@ -50,7 +45,7 @@ type Spec struct {
 	// Patterns are the adversary wake-pattern families.
 	Patterns []adversary.Generator
 	// Channels are the channel models on the grid's channel axis (resolve
-	// entries with ChannelsByName). Empty keeps the paper's default channel
+	// entries with ResolveChannel). Empty keeps the paper's default channel
 	// (model.None) and — for exact output compatibility with pre-channel
 	// specs — omits the channel axis from the grid entirely.
 	Channels []model.ChannelModel
@@ -263,76 +258,6 @@ func (s Spec) Execute() (*Result, error) {
 		return nil, err
 	}
 	return g.Execute()
-}
-
-// StandardCases returns the canonical named algorithm cases the cmd/ tools
-// expose, in canonical order, resolved from the registry.
-func StandardCases() []Case {
-	out := make([]Case, len(standardCaseNames))
-	for i, name := range standardCaseNames {
-		c, err := ResolveCase(name)
-		if err != nil {
-			panic(fmt.Sprintf("sweep: standard case %q missing from registry: %v", name, err))
-		}
-		out[i] = c
-	}
-	return out
-}
-
-// CasesByName resolves a comma-separated algorithm entry list ("all" or
-// empty selects the standard set) against the case registry. Each entry uses
-// the `name[:arg]` grammar — see ResolveCase.
-func CasesByName(list string) ([]Case, error) {
-	if list == "" || list == "all" {
-		return StandardCases(), nil
-	}
-	var out []Case
-	for _, entry := range strings.Split(list, ",") {
-		c, err := ResolveCase(entry)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// ParsePatterns resolves a comma-separated pattern entry list against the
-// pattern registry with the default shape (DefaultPatternShape): every
-// family starts at slot 0, staggered/bursts use gap 7 and uniform uses
-// width 64 unless an entry overrides its parameter with the
-// `name[:arg][@start]` grammar — "simultaneous", "staggered:7",
-// "uniform:64@5", "bursts:17". Empty or "suite" selects the standard
-// adversary suite (which pins start slot 0).
-//
-// Two white-box families are registered alongside the black-box ones:
-// "spoiler" (wake a colliding fresh station at every would-be success slot)
-// and "swap" (the Theorem 2.1 swap search's worst witness set; "swap:1"
-// selects the greedy, much slower variant). They ignore the shape
-// parameters — their pattern is constructed per trial against the cell's
-// algorithm. The registry behind this is shared by both cmd/ tools and
-// SpecDoc resolution; new families join via RegisterPattern.
-func ParsePatterns(list string) ([]adversary.Generator, error) {
-	if strings.TrimSpace(list) == "" {
-		return adversary.Suite(), nil
-	}
-	shape := DefaultPatternShape()
-	var out []adversary.Generator
-	for _, entry := range strings.Split(list, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "suite" {
-			out = append(out, adversary.Suite()...)
-			continue
-		}
-		// An empty entry (stray comma) is a typo, not a request for the
-		// suite — erroring keeps the grid exactly as wide as asked.
-		g, err := ResolvePattern(entry, shape)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	return out, nil
 }
 
 // ParseInts parses a comma-separated positive integer axis ("256,1024").

@@ -9,14 +9,16 @@ import (
 	"nsmac/internal/model"
 )
 
-// SpecDoc is the serializable, wire-format-first description of a sweep: the
-// JSON document that ships a grid between processes and machines. Cases and
-// patterns are referenced by registry entry (`name[:arg]` for cases,
-// `name[:arg][@start]` for patterns — see ResolveCase and ResolvePattern),
-// so a document resolves to the identical closure-based Spec wherever the
-// same names are registered. The worker count is deliberately absent: it
-// never changes a sweep's bytes, so it stays a per-process flag rather than
-// traveling with the grid.
+// SpecDoc is the one description of a sweep grid: the JSON document that
+// ships a grid between processes and machines, and what wakeup-bench's axis
+// flags write before they run. Cases, patterns and channels are referenced
+// by registry entry (`name[:arg]` for cases and channels,
+// `name[:arg][@start]` for patterns — see ResolveCase, ResolvePattern and
+// ResolveChannel), so a document resolves to the identical closure-based
+// Spec wherever the same names are registered. Resolution runs one way,
+// document to Spec; a Spec is never converted back. The worker count is
+// deliberately absent: it never changes a sweep's bytes, so it stays a
+// per-process flag rather than traveling with the grid.
 type SpecDoc struct {
 	// Name labels the sweep in rendered output.
 	Name string `json:"name"`
@@ -122,59 +124,4 @@ func (d SpecDoc) Resolve() (Spec, error) {
 		Trials:   d.Trials,
 		Seed:     d.Seed,
 	}, nil
-}
-
-// Doc serializes the spec back to its wire document. It requires every case
-// and pattern to carry a registry Ref (specs assembled from ResolveCase /
-// ParsePatterns have them; hand-built closures do not), and it verifies the
-// round trip: the document is resolved again and must compile to a grid with
-// the same fingerprint — same cells, labels, trials, and seed — as the
-// source spec. A spec whose generators can't be reconstructed from their
-// wire names (e.g. a suite pattern combined with a conflicting start
-// override) is rejected here rather than producing a subtly different grid
-// on the far side.
-func (s Spec) Doc() (SpecDoc, error) {
-	d := SpecDoc{
-		Name:   s.Name,
-		Ns:     append([]int(nil), s.Ns...),
-		Ks:     append([]int(nil), s.Ks...),
-		Trials: s.Trials,
-		Seed:   s.Seed,
-	}
-	for _, c := range s.Cases {
-		if c.Ref == "" {
-			return SpecDoc{}, fmt.Errorf("sweep: case %q has no registry ref; register it with RegisterCase to serialize it", c.Name)
-		}
-		d.Cases = append(d.Cases, c.Ref)
-	}
-	for _, g := range s.Patterns {
-		if g.Ref == "" {
-			return SpecDoc{}, fmt.Errorf("sweep: pattern %q has no registry ref; register it with RegisterPattern to serialize it", g.Name)
-		}
-		d.Patterns = append(d.Patterns, g.Ref)
-	}
-	for _, m := range s.Channels {
-		if m == nil || m.Name() == "" {
-			return SpecDoc{}, fmt.Errorf("sweep: channel model has no wire name; register it with RegisterChannel to serialize it")
-		}
-		d.Channels = append(d.Channels, m.Name())
-	}
-
-	src, err := s.Grid()
-	if err != nil {
-		return SpecDoc{}, err
-	}
-	resolved, err := d.Resolve()
-	if err != nil {
-		return SpecDoc{}, fmt.Errorf("sweep: spec does not round-trip: %w", err)
-	}
-	back, err := resolved.Grid()
-	if err != nil {
-		return SpecDoc{}, fmt.Errorf("sweep: spec does not round-trip: %w", err)
-	}
-	if src.Fingerprint() != back.Fingerprint() {
-		return SpecDoc{}, fmt.Errorf("sweep: spec does not round-trip: re-resolved grid differs (fingerprint %s vs %s)",
-			src.Fingerprint(), back.Fingerprint())
-	}
-	return d, nil
 }

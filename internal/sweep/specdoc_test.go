@@ -1,7 +1,6 @@
 package sweep_test
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,137 +87,93 @@ func TestSpecDocGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecDocMatchesFlagPath checks the document path and the CLI flag path
-// compile the same grid: CasesByName/ParsePatterns entries versus the same
-// entries in a SpecDoc.
+// flagDoc is a document as wakeup-bench's axis flags write it for
+// "-algos all" with no -patterns or -channels: the standard case list, the
+// "suite" shorthand, no channel axis, entries spelled as typed.
+func flagDoc() sweep.SpecDoc {
+	return sweep.SpecDoc{
+		Name: "custom", Cases: sweep.StandardCaseNames(), Patterns: []string{"suite"},
+		Ns: []int{32, 64}, Ks: []int{2, 8}, Trials: 2, Seed: 3,
+	}
+}
+
+// TestSpecDocMatchesFlagPath: the flags' document spells patterns as typed
+// ("suite", "uniform", "staggered") where earlier dumps spelled each
+// canonical expansion, so both spellings must compile to the same grid and
+// render the same bytes.
 func TestSpecDocMatchesFlagPath(t *testing.T) {
-	cases, err := sweep.CasesByName("wakeupc,roundrobin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("staggered:3,simultaneous,spoiler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagSpec := sweep.Spec{
-		Name: "same", Cases: cases, Patterns: gens,
-		Ns: []int{64}, Ks: []int{2, 4}, Trials: 3, Seed: 7,
-	}
-	doc, err := sweep.ParseSpecDoc([]byte(`{
-		"name": "same",
-		"cases": ["wakeupc", "roundrobin"],
-		"patterns": ["staggered:3", "simultaneous", "spoiler"],
-		"ns": [64], "ks": [2, 4], "trials": 3, "seed": 7
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	docSpec, err := doc.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fg, err := flagSpec.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dg, err := docSpec.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fg.Fingerprint() != dg.Fingerprint() {
-		t.Fatalf("flag-built and doc-built grids differ: %s vs %s", fg.Fingerprint(), dg.Fingerprint())
-	}
-	fr, err := flagSpec.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, err := docSpec.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Text() != dr.Text() {
-		t.Error("flag-built and doc-built runs render differently")
+	for _, pair := range [][2][]string{
+		{{"suite"}, {"simultaneous", "staggered:1", "staggered:13", "uniform:64", "bursts:17"}},
+		{{"uniform", "staggered", "bursts"}, {"uniform:64@0", "staggered:7", "bursts:7"}},
+	} {
+		typed, expanded := flagDoc(), flagDoc()
+		typed.Patterns, expanded.Patterns = pair[0], pair[1]
+		ts, es := testSpec(t, typed), testSpec(t, expanded)
+		tg, err := ts.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eg, err := es.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tg.Fingerprint() != eg.Fingerprint() {
+			t.Fatalf("%v and %v compile to different grids: %s vs %s", pair[0], pair[1], tg.Fingerprint(), eg.Fingerprint())
+		}
+		tr, err := ts.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		er, err := es.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Text() != er.Text() || tr.CSV() != er.CSV() {
+			t.Errorf("%v and %v render differently", pair[0], pair[1])
+		}
 	}
 }
 
-// TestSpecDumpRoundTrip checks Spec.Doc on a registry-built spec, including
-// the suite expansion, and that the dumped doc re-resolves to the same grid.
+// TestSpecDumpRoundTrip: -dump-spec encodes the flags' document as written,
+// so encode → parse gives back the same document (shorthand kept, absent
+// channels still absent), re-encodes to the same bytes, and resolves to the
+// same grid.
 func TestSpecDumpRoundTrip(t *testing.T) {
-	cases, err := sweep.CasesByName("all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := sweep.ParsePatterns("suite")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{
-		Name: "dump", Cases: cases, Patterns: gens,
-		Ns: []int{64}, Ks: []int{2}, Trials: 2, Seed: 3,
-	}
-	doc, err := spec.Doc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The suite expands to explicit entries, so the doc is self-contained.
-	if len(doc.Patterns) != 5 {
-		t.Fatalf("suite dumped as %v", doc.Patterns)
-	}
-	back, err := doc.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := spec.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Fingerprint() != got.Fingerprint() {
-		t.Fatalf("dumped doc resolves to a different grid")
-	}
-}
-
-// TestSpecDumpRejectsUnserializable: hand-built closures carry no registry
-// ref, and Doc must refuse them rather than emit a doc that resolves to
-// something else.
-func TestSpecDumpRejectsUnserializable(t *testing.T) {
-	cases, _ := sweep.CasesByName("wakeupc")
-	gens, _ := sweep.ParsePatterns("simultaneous")
-	spec := sweep.Spec{
-		Name: "x", Cases: cases, Patterns: gens,
-		Ns: []int{8}, Ks: []int{2}, Trials: 1,
-	}
-
-	handCase := spec
-	handCase.Cases = []sweep.Case{{
-		Name:    "custom",
-		Algo:    cases[0].Algo,
-		Params:  cases[0].Params,
-		Horizon: cases[0].Horizon,
-	}}
-	if _, err := handCase.Doc(); err == nil || !strings.Contains(err.Error(), "registry ref") {
-		t.Errorf("hand-built case serialized: %v", err)
-	}
-
-	handPat := spec
-	handPat.Patterns = []adversary.Generator{{
-		Name: "custom",
-		Generate: func(_ model.WakePattern, n, k int, seed uint64) model.WakePattern {
-			return model.Simultaneous([]int{1}, 0)
-		},
-	}}
-	if _, err := handPat.Doc(); err == nil || !strings.Contains(err.Error(), "registry ref") {
-		t.Errorf("hand-built pattern serialized: %v", err)
-	}
-
-	// A non-default burst count has no wire name by construction.
-	handBursts := spec
-	handBursts.Patterns = []adversary.Generator{adversary.Bursts(0, 3, 5)}
-	if _, err := handBursts.Doc(); err == nil {
-		t.Error("bursts(3) serialized despite having no entry form")
+	for _, channels := range [][]string{nil, {"none", "noisy:0.1"}} {
+		doc := flagDoc()
+		doc.Channels = channels
+		dump, err := doc.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(dump), `"channels"`); got != (channels != nil) {
+			t.Errorf("channels %v: dump names a channel axis: %v\n%s", channels, got, dump)
+		}
+		back, err := sweep.ParseSpecDoc(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, doc) {
+			t.Fatalf("dump parsed to %+v, want %+v", back, doc)
+		}
+		again, err := back.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(dump) {
+			t.Errorf("re-encoded\n%s\nnot\n%s", again, dump)
+		}
+		want, err := testSpec(t, doc).Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := testSpec(t, back).Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Fingerprint() != got.Fingerprint() {
+			t.Errorf("channels %v: dumped document resolves to a different grid", channels)
+		}
 	}
 }
 
@@ -271,14 +226,11 @@ func TestSpecDocErrors(t *testing.T) {
 func TestRegistryExtension(t *testing.T) {
 	sweep.RegisterCase("testalgo", func(arg int64, hasArg bool) (sweep.Case, error) {
 		density := int64(2)
-		ref := "testalgo"
 		if hasArg {
 			density = arg
-			ref = fmt.Sprintf("testalgo:%d", arg)
 		}
 		return sweep.Case{
 			Name:    "testalgo",
-			Ref:     ref,
 			Algo:    func(n, k int) model.Algorithm { return hashAlgo{density: int(density)} },
 			Params:  func(n, k int, seed uint64) model.Params { return model.Params{N: n, S: -1, Seed: seed} },
 			Horizon: func(n, k int) int64 { return 400 },
@@ -287,7 +239,6 @@ func TestRegistryExtension(t *testing.T) {
 	sweep.RegisterPattern("testpat", func(arg int64, hasArg bool, shape sweep.PatternShape) (adversary.Generator, error) {
 		return adversary.Generator{
 			Name: "testpat",
-			Ref:  "testpat",
 			Generate: func(_ model.WakePattern, n, k int, seed uint64) model.WakePattern {
 				ids := make([]int, k)
 				for i := range ids {
@@ -328,11 +279,6 @@ func TestRegistryExtension(t *testing.T) {
 	if len(res.Cells) != 1 || res.Cells[0].Agg.Trials != 3 {
 		t.Fatalf("extension spec ran wrong: %+v", res.Cells)
 	}
-	// And it round-trips through Doc.
-	if _, err := spec.Doc(); err != nil {
-		t.Fatalf("extension spec does not dump: %v", err)
-	}
-
 	// Duplicate registration is a programmer error and must panic.
 	defer func() {
 		if recover() == nil {

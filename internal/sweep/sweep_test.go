@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nsmac/internal/adversary"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
 	"nsmac/internal/sim"
@@ -207,24 +208,17 @@ func TestSeedDerivationIsPerCellAndTrial(t *testing.T) {
 }
 
 func TestSpecEnumeratesCrossProduct(t *testing.T) {
-	gens, err := sweep.ParsePatterns("simultaneous,staggered:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases, err := sweep.CasesByName("roundrobin,wakeupc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sweep.Spec{
+	spec := testSpec(t, sweep.SpecDoc{
 		Name:     "cross",
-		Cases:    cases,
-		Patterns: gens,
+		Cases:    []string{"roundrobin", "wakeupc"},
+		Patterns: []string{"simultaneous", "staggered:3"},
 		Ns:       []int{32, 64},
 		Ks:       []int{2, 64}, // k=64 valid only for n=64
 		Trials:   2,
 		Seed:     5,
-		Workers:  4,
-	}.Execute()
+	})
+	spec.Workers = 4
+	res, err := spec.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +238,10 @@ func TestSpecEnumeratesCrossProduct(t *testing.T) {
 }
 
 func TestSpecRejectsDegenerateGrids(t *testing.T) {
-	cases, _ := sweep.CasesByName("roundrobin")
-	gens, _ := sweep.ParsePatterns("simultaneous")
+	one := testSpec(t, sweep.SpecDoc{
+		Cases: []string{"roundrobin"}, Patterns: []string{"simultaneous"}, Trials: 1,
+	})
+	cases, gens := one.Cases, one.Patterns
 	bad := []sweep.Spec{
 		{Patterns: gens, Ns: []int{8}, Ks: []int{2}, Trials: 1},               // no cases
 		{Cases: cases, Ns: []int{8}, Ks: []int{2}, Trials: 1},                 // no patterns
@@ -263,20 +259,16 @@ func TestSpecRejectsDegenerateGrids(t *testing.T) {
 // fails with the number of skipped combinations and the first three skip
 // lines, whatever dropped them.
 func TestEmptyGridErrorNamesSkips(t *testing.T) {
-	rr, _ := sweep.CasesByName("roundrobin,localssf")
-	adaptive, _ := sweep.CasesByName("tree_cd")
-	gens, _ := sweep.ParsePatterns("simultaneous")
-	spoiler, _ := sweep.ParsePatterns("spoiler")
 	for _, c := range []struct {
 		spec sweep.Spec
 		want []string
 	}{
 		{
-			sweep.Spec{Cases: adaptive, Patterns: spoiler, Ns: []int{64}, Ks: []int{4}, Trials: 1},
+			testSpec(t, sweep.SpecDoc{Cases: []string{"tree_cd"}, Patterns: []string{"spoiler"}, Ns: []int{64}, Ks: []int{4}, Trials: 1}),
 			[]string{"all 1 combinations skipped: tree_cd×spoiler (white-box pattern needs an oblivious schedule; tree_cd is adaptive)"},
 		},
 		{
-			sweep.Spec{Cases: rr, Patterns: gens, Ns: []int{4}, Ks: []int{8, 9}, Trials: 1},
+			testSpec(t, sweep.SpecDoc{Cases: []string{"roundrobin", "localssf"}, Patterns: []string{"simultaneous"}, Ns: []int{4}, Ks: []int{8, 9}, Trials: 1}),
 			[]string{"all 4 combinations skipped: roundrobin×simultaneous@0 n=4 k=8 (k out of [1,n]); " +
 				"roundrobin×simultaneous@0 n=4 k=9 (k out of [1,n]); localssf×simultaneous@0 n=4 k=8 (k out of [1,n]); and 1 more"},
 		},
@@ -293,57 +285,66 @@ func TestEmptyGridErrorNamesSkips(t *testing.T) {
 	}
 }
 
+// TestCasesByName drives case entries through SpecDoc.Resolve as
+// wakeup-bench's -algos writes them: "all" as StandardCaseNames(), a list as
+// its entries in order (padding trimmed), and an unknown name as an error.
 func TestCasesByName(t *testing.T) {
-	all, err := sweep.CasesByName("all")
-	if err != nil || len(all) < 7 {
-		t.Fatalf("registry: %v (%d cases)", err, len(all))
+	doc := func(cases ...string) sweep.SpecDoc {
+		return sweep.SpecDoc{Cases: cases, Patterns: []string{"simultaneous"}, Ns: []int{8}, Ks: []int{2}, Trials: 1}
 	}
-	two, err := sweep.CasesByName("wakeupc, roundrobin")
-	if err != nil || len(two) != 2 || two[0].Name != "wakeupc" {
-		t.Fatalf("selection: %v %+v", err, two)
+	all := testSpec(t, doc(sweep.StandardCaseNames()...)).Cases
+	if len(all) < 7 || len(all) != len(sweep.StandardCaseNames()) {
+		t.Fatalf("the standard list resolved to %d cases", len(all))
 	}
-	if _, err := sweep.CasesByName("nope"); err == nil {
-		t.Error("unknown algorithm accepted")
+	for i, name := range sweep.StandardCaseNames() {
+		if all[i].Name != name {
+			t.Errorf("standard case %d is %q, want %q", i, all[i].Name, name)
+		}
+	}
+	two := testSpec(t, doc("wakeupc", " roundrobin")).Cases
+	if len(two) != 2 || two[0].Name != "wakeupc" || two[1].Name != "roundrobin" {
+		t.Fatalf("selection resolved to %+v", two)
+	}
+	for _, bad := range []string{"nope", "", "wakeupc:3"} {
+		if _, err := doc(bad).Resolve(); err == nil {
+			t.Errorf("bad case %q accepted", bad)
+		}
 	}
 }
 
-func TestParsePatterns(t *testing.T) {
-	suite, err := sweep.ParsePatterns("")
-	if err != nil || len(suite) != 5 {
-		t.Fatalf("suite default: %v (%d)", err, len(suite))
+// TestResolvePatternEntries drives pattern entries through SpecDoc.Resolve:
+// arguments and defaults reach the generator, the white-box families resolve
+// as white-box, malformed entries fail, and an explicit non-zero @start is
+// rejected on a white-box family, which builds its pattern against the
+// algorithm and would ignore it.
+func TestResolvePatternEntries(t *testing.T) {
+	doc := func(patterns ...string) sweep.SpecDoc {
+		return sweep.SpecDoc{Cases: []string{"wakeupc"}, Patterns: patterns, Ns: []int{8}, Ks: []int{2}, Trials: 1}
 	}
-	got, err := sweep.ParsePatterns("staggered:13,uniform")
-	if err != nil || len(got) != 2 {
-		t.Fatalf("parse: %v", err)
+	got := testSpec(t, doc("staggered:13", "uniform", "suite")).Patterns
+	wantNames := []string{"staggered(gap=13)", "uniform(window=64)"}
+	if len(got) != 2+len(adversary.Suite()) || got[0].Name != wantNames[0] || got[1].Name != wantNames[1] {
+		t.Errorf("resolved %d patterns starting %q, %q; want %q and the suite", len(got), got[0].Name, got[1].Name, wantNames)
 	}
-	if got[0].Name != "staggered(gap=13)" {
-		t.Errorf("gap argument ignored: %s", got[0].Name)
-	}
-	wb, err := sweep.ParsePatterns("spoiler,swap,swap:1")
-	if err != nil {
-		t.Fatalf("white-box patterns rejected: %v", err)
-	}
-	wantNames := []string{"spoiler", "swap", "swap(greedy)"}
-	for i, g := range wb {
-		if g.Name != wantNames[i] {
-			t.Errorf("pattern %d named %q, want %q", i, g.Name, wantNames[i])
-		}
-		if !g.WhiteBox() {
-			t.Errorf("%s must be white-box", g.Name)
+	wb := testSpec(t, doc("spoiler", "swap", "swap:1")).Patterns
+	for i, want := range []string{"spoiler", "swap", "swap(greedy)"} {
+		if wb[i].Name != want || !wb[i].WhiteBox() {
+			t.Errorf("pattern %d is %q (white-box %v), want white-box %q", i, wb[i].Name, wb[i].WhiteBox(), want)
 		}
 	}
-	// A stray comma must error, not silently expand to the suite; an @start
-	// override on a family that ignores it must error, not silently run a
-	// different adversary.
-	for _, bad := range []string{"nope", "staggered:x", "staggered:-1", "staggered:3,", ",simultaneous", "spoiler@5", "swap@3"} {
-		if _, err := sweep.ParsePatterns(bad); err == nil {
+	for _, bad := range []string{"nope", "staggered:x", "staggered:-1", "", "spoiler@5", "swap@3", "swap:1@3"} {
+		if _, err := doc(bad).Resolve(); err == nil {
 			t.Errorf("bad pattern %q accepted", bad)
 		}
 	}
-	// start overrides that families honor still resolve.
-	honored, err := sweep.ParsePatterns("simultaneous@5,staggered:3@5,spoiler@0")
-	if err != nil || len(honored) != 3 {
-		t.Fatalf("start overrides rejected: %v", err)
+	honored := testSpec(t, doc("simultaneous@5", "staggered:3@5", "spoiler@0")).Patterns
+	if len(honored) != 3 {
+		t.Fatalf("start overrides resolved to %d patterns", len(honored))
+	}
+	for _, g := range honored[:2] {
+		if w := g.Generate(model.WakePattern{}, 8, 2, 1); w.Wakes[0] != 5 {
+			t.Errorf("%s starts at slot %d, want the @5 override", g.Name, w.Wakes[0])
+		}
 	}
 }
 

@@ -17,10 +17,7 @@ import (
 // every slot, so this also compares each oblivious case stepped slot by
 // slot with the same case skipping its silent slots.
 func TestRecordTraceLeavesResultUnchanged(t *testing.T) {
-	gens, err := sweep.ParsePatterns("simultaneous,staggered:3,uniform:16")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gens := testPatterns(t, "simultaneous", "staggered:3", "uniform:16")
 	eng := sim.NewEngine()
 	runs, tallied := 0, 0
 	for _, name := range sweep.CaseNames() {

@@ -4,8 +4,9 @@
 // RNG streams, and render byte-identical text/CSV/JSON at any worker count —
 // in one process, or sharded across many processes and merged.
 //
-// The wire-format-first surface is SpecDoc, a JSON document that references
-// algorithms and patterns by registry name:
+// A grid is described by one thing, a SpecDoc: a JSON document that
+// references algorithms, patterns and channels by registry name and resolves
+// one way, to an executable Spec:
 //
 //	doc, _ := sweep.ParseSpecDoc([]byte(`{
 //	    "name": "demo",
@@ -26,11 +27,12 @@
 //	...
 //	res, _ := sweep.Merge(shards...)      // text/CSV/JSON == one-process run
 //
-// New workloads join the name layer with RegisterCase and RegisterPattern.
-// The cmd/wakeup-bench and cmd/wakeup-sim CLIs resolve the same registries,
-// the experiment drivers' ablation cases included: wakeup-bench runs grids
-// and documents (-spec, -shard i/m, merge, -dump-spec), and wakeup-sim runs
-// one instance.
+// New workloads join the name layer with RegisterCase, RegisterPattern and
+// RegisterChannel; a registered name must match ^[a-z][a-z0-9_]*$. The
+// cmd/wakeup-bench and cmd/wakeup-sim CLIs resolve the same registries, the
+// experiment drivers' ablation cases included: wakeup-bench's axis flags
+// write a SpecDoc (-dump-spec prints it) and run it like a -spec document
+// (-shard i/m, merge), and wakeup-sim runs one instance.
 //
 // This package re-exports nsmac/internal/sweep; the types are aliases, so
 // values flow freely between the public API and the experiment drivers.
@@ -88,15 +90,18 @@ func ParseSpecDoc(data []byte) (SpecDoc, error) { return isweep.ParseSpecDoc(dat
 
 // RegisterCase adds a named algorithm case factory to the registry, making
 // it resolvable from -algos lists and SpecDoc case entries. It panics on a
-// duplicate or malformed name.
+// nil factory, a duplicate name, or a name that does not match
+// ^[a-z][a-z0-9_]*$.
 func RegisterCase(name string, f CaseFactory) { isweep.RegisterCase(name, f) }
 
 // RegisterPattern adds a named wake-pattern family factory to the registry,
 // making it resolvable from -patterns lists and SpecDoc pattern entries.
+// Same contract as RegisterCase.
 func RegisterPattern(name string, f PatternFactory) { isweep.RegisterPattern(name, f) }
 
 // RegisterChannel adds a named channel-model factory to the registry, making
-// it resolvable from -channels lists and SpecDoc channel entries.
+// it resolvable from -channels lists and SpecDoc channel entries. Same
+// contract as RegisterCase.
 func RegisterChannel(name string, f ChannelFactory) { isweep.RegisterChannel(name, f) }
 
 // ResolveCase resolves one case entry (`name[:arg]`) against the registry.
@@ -121,28 +126,12 @@ func PatternNames() []string { return isweep.PatternNames() }
 // ChannelNames returns every registered channel name in registration order.
 func ChannelNames() []string { return isweep.ChannelNames() }
 
-// ChannelsByName resolves a comma-separated channel entry list
-// ("none,noisy:0.05"); an empty list resolves to nil, keeping the paper's
-// default channel with no channel axis on the grid.
-func ChannelsByName(list string) ([]ChannelModel, error) { return isweep.ChannelsByName(list) }
-
-// StandardCases returns the canonical named algorithm cases, in order.
-func StandardCases() []Case { return isweep.StandardCases() }
-
 // StandardCaseNames returns the canonical algorithm name list ("all").
 func StandardCaseNames() []string { return isweep.StandardCaseNames() }
-
-// CasesByName resolves a comma-separated algorithm entry list ("all" or
-// empty selects the standard set).
-func CasesByName(list string) ([]Case, error) { return isweep.CasesByName(list) }
 
 // DefaultPatternShape returns the documented pattern entry defaults: start
 // slot 0, gap 7, window width 64.
 func DefaultPatternShape() PatternShape { return isweep.DefaultPatternShape() }
-
-// ParsePatterns resolves a comma-separated pattern entry list with the
-// default shape parameters (see DefaultPatternShape).
-func ParsePatterns(list string) ([]Generator, error) { return isweep.ParsePatterns(list) }
 
 // ParseInts parses a comma-separated positive integer axis ("256,1024").
 func ParseInts(list string) ([]int, error) { return isweep.ParseInts(list) }
