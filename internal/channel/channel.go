@@ -173,6 +173,18 @@ func (c *Channel) SkipSilent(n int64) {
 	c.silences += n
 }
 
+// SkipCollisions accounts n slots, each a collision of two or more
+// transmitters, in closed form, exactly as n calls of Resolve with those
+// transmitters would count them. It panics unless the model perturbs no
+// slot and no transcript is being recorded.
+func (c *Channel) SkipCollisions(n int64) {
+	if c.perturb != nil || c.record {
+		panic("channel: SkipCollisions on a channel that must resolve every slot")
+	}
+	c.slots += n
+	c.collisions += n
+}
+
 // Deliver maps a slot's effective outcome to the feedback heard by one
 // station under this channel's model, given the station's role in the slot:
 // whether it transmitted, and whether it was the successful transmitter.

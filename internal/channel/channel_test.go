@@ -340,6 +340,41 @@ func TestSkipSilent(t *testing.T) {
 	}
 }
 
+// TestSkipCollisions checks that SkipCollisions counts exactly what
+// resolving the same collided slots one by one counts, and that it is
+// refused on a recording channel and on a perturbing one.
+func TestSkipCollisions(t *testing.T) {
+	for _, m := range []model.ChannelModel{model.None(), model.CD(), model.SenderCD(), model.Ack()} {
+		skipped, resolved := New(m, false), New(m, false)
+		skipped.Resolve(0, []int{1})
+		resolved.Resolve(0, []int{1})
+		skipped.SkipCollisions(5)
+		for slot := int64(1); slot <= 5; slot++ {
+			resolved.Resolve(slot, []int{1, 2})
+		}
+		if skipped.Slots() != resolved.Slots() || skipped.Silences() != resolved.Silences() ||
+			skipped.Collisions() != resolved.Collisions() || skipped.Successes() != resolved.Successes() {
+			t.Fatalf("%s: skipped counters %d/%d/%d/%d, resolved %d/%d/%d/%d", m.Name(),
+				skipped.Slots(), skipped.Silences(), skipped.Collisions(), skipped.Successes(),
+				resolved.Slots(), resolved.Silences(), resolved.Collisions(), resolved.Successes())
+		}
+	}
+	for name, c := range map[string]*Channel{
+		"recording": New(model.CD(), true),
+		"noisy":     New(model.Noisy(0.1), false),
+		"jam":       New(model.Jam(1), false),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SkipCollisions did not panic", name)
+				}
+			}()
+			c.SkipCollisions(1)
+		}()
+	}
+}
+
 // TestSpoil: spoiling the last resolved slot moves it from successes to
 // collisions and rewrites its transcript event, leaving earlier events
 // alone; past the transcript bound only the counters move.

@@ -448,6 +448,54 @@ func TestKGStaggeredWakes(t *testing.T) {
 	}
 }
 
+// TestKGFleetLadderMatchesRandomLadder: the ladder a kg run owns and
+// re-keys is RandomLadder's for the same key, whether the run's builder is
+// fresh or re-keyed from a run of another key, so its stations transmit as
+// BuildAdaptive's; and a warm re-key allocates nothing.
+func TestKGFleetLadderMatchesRandomLadder(t *testing.T) {
+	var prev model.StationBuilder
+	for _, tc := range []struct {
+		a *KGConflictResolution
+		p model.Params
+	}{
+		{NewKGConflictResolution(), model.Params{N: 64, K: 8, S: -1, Seed: 1}},
+		{NewKGConflictResolution(), model.Params{N: 64, K: 8, S: -1, Seed: 2}},
+		{NewKGConflictResolution(), model.Params{N: 256, S: -1, Seed: 3}},
+		{&KGConflictResolution{SizeMult: 0.5}, model.Params{N: 256, K: 4, S: -1, Seed: 3}},
+		{NewKGConflictResolution(), model.Params{N: 17, K: 16, S: -1, Seed: 4}},
+	} {
+		b := tc.a.Fleet(tc.p, prev)
+		if prev != nil && b != prev {
+			t.Errorf("%+v: Fleet did not reuse the previous run's builder", tc.p)
+		}
+		prev = b
+		got, want := &b.(*kgFleet).lad, selectors.RandomLadder(tc.a.ladder(tc.p))
+		if got.Length() != want.Length() || got.NumFamilies() != want.NumFamilies() {
+			t.Fatalf("%+v: ladder length %d over %d families, want %d over %d",
+				tc.p, got.Length(), got.NumFamilies(), want.Length(), want.NumFamilies())
+		}
+		for j := int64(0); j < want.Length(); j++ {
+			for id := 1; id <= tc.p.N; id++ {
+				if got.Member(j, id) != want.Member(j, id) {
+					t.Fatalf("%+v: Member(%d, %d) = %v, want %v", tc.p, j, id, got.Member(j, id), want.Member(j, id))
+				}
+			}
+		}
+		fleet, built := b.BuildAdaptive(tc.p, 5, 0, nil), tc.a.BuildAdaptive(tc.p, 5, 0, nil)
+		for slot := int64(0); slot < 4*want.Length(); slot++ {
+			if fleet.WillTransmit(slot) != built.WillTransmit(slot) {
+				t.Fatalf("%+v: slot %d: fleet station transmits %v, BuildAdaptive's %v",
+					tc.p, slot, fleet.WillTransmit(slot), built.WillTransmit(slot))
+			}
+		}
+	}
+	a, p := NewKGConflictResolution(), model.Params{N: 256, K: 16, S: -1}
+	b := a.Fleet(p, nil)
+	if allocs := testing.AllocsPerRun(20, func() { p.Seed++; a.Fleet(p, b) }); allocs != 0 {
+		t.Errorf("a warm Fleet call allocates %v times, want 0", allocs)
+	}
+}
+
 func TestKGBuildPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

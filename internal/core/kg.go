@@ -35,24 +35,40 @@ func (a *KGConflictResolution) Build(p model.Params, id int, wake int64, _ *rng.
 	panic("core: kg_conflict_resolution is adaptive; run it with sim.Engine.RunAll")
 }
 
-// ladder builds the shared family ladder up to ⌈log k⌉ (or ⌈log n⌉ when k
-// is unknown).
-func (a *KGConflictResolution) ladder(p model.Params) *selectors.Sequence {
+// ladder returns the selectors.RandomLadder arguments of the run's family
+// ladder, up to ⌈log k⌉ (or ⌈log n⌉ when k is unknown).
+func (a *KGConflictResolution) ladder(p model.Params) (n, maxI int, seed uint64, mult float64) {
 	base := p.N
 	if p.KnowsK() {
 		base = p.K
 	}
-	maxI := max(1, mathx.Log2Ceil(max(2, base)))
-	return selectors.RandomLadder(p.N, maxI, rng.Derive(p.Seed, 0x96), a.SizeMult)
+	maxI = max(1, mathx.Log2Ceil(max(2, base)))
+	return p.N, maxI, rng.Derive(p.Seed, 0x96), a.SizeMult
 }
 
 // BuildAdaptive implements model.Adaptive.
 func (a *KGConflictResolution) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return &kgStation{
-		id:  id,
-		n:   int64(p.N),
-		lad: a.ladder(p),
+	return &kgStation{id: id, n: int64(p.N), lad: selectors.RandomLadder(a.ladder(p))}
+}
+
+// Fleet implements model.Fleet: a run's stations share one ladder that the
+// builder owns and re-keys per run (selectors.Sequence.Rekey), so a run
+// neither builds a ladder nor touches the shared ones.
+func (a *KGConflictResolution) Fleet(p model.Params, prev model.StationBuilder) model.StationBuilder {
+	f, _ := prev.(*kgFleet)
+	if f == nil {
+		f = new(kgFleet)
 	}
+	f.lad.Rekey(a.ladder(p))
+	return f
+}
+
+// kgFleet builds one run's kg stations on its own ladder.
+type kgFleet struct{ lad selectors.Sequence }
+
+// BuildAdaptive implements model.StationBuilder.
+func (f *kgFleet) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
+	return &kgStation{id: id, n: int64(p.N), lad: &f.lad}
 }
 
 // Horizon implements Bounded: the even-slot round-robin alone retires one

@@ -23,6 +23,13 @@ import (
 //
 // The first success resolves wake-up in O(k(1 + log(n/k))) slots; run to
 // completion it enumerates all k stations (usable with RunAll).
+//
+// Without listener collision detection the stacks fall out of lockstep. On
+// sender_cd, where only senders hear a collision and listeners hear
+// silence, the stations soon each hold their own singleton on top, and two
+// or more of them then collide in every slot: tree_cd livelocks there and
+// fails almost every trial from k = 16 on. Such a station is model.Looping,
+// and the engine finishes the livelocked trial without stepping it.
 type TreeCD struct{}
 
 // NewTreeCD returns the collision-detection tree algorithm.
@@ -114,6 +121,17 @@ func (s *treeStation) WillTransmit(t int64) bool {
 		return false
 	}
 	return s.holds(s.stack[len(s.stack)-1])
+}
+
+// Looping implements model.Looping: a station whose top interval is its
+// own singleton [id, id] transmits, and on hearing Collision pops it and
+// pushes [id+1, id] and [id, id], so its top is [id, id] again.
+func (s *treeStation) Looping() bool {
+	if s.retired || len(s.stack) == 0 {
+		return false
+	}
+	top := s.stack[len(s.stack)-1]
+	return int(top.lo) == s.id && int(top.hi) == s.id
 }
 
 // Observe implements model.AdaptiveStation: identical transition on every

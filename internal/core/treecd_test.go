@@ -168,3 +168,39 @@ func TestPersistentTransmitsThroughSilence(t *testing.T) {
 		t.Fatal("no algorithm declares model.Persistent: the check has lost its subject")
 	}
 }
+
+// TestLoopingTransmitsThroughCollisions checks the model.Looping promise the
+// engine's absorbed finish rests on: a tree station driven as on sender_cd
+// (Collision when it transmits, silence when it listens) reaches a looping
+// state, and from there, told Collision after every slot, transmits and
+// loops in every slot. A retired station never loops.
+func TestLoopingTransmitsThroughCollisions(t *testing.T) {
+	src := rng.New(0x100b)
+	for round := 0; round < 200; round++ {
+		n := 2 + src.Intn(5000)
+		id := 1 + src.Intn(n)
+		st := newTreeStation(model.Params{N: n}, id)
+		slot := int64(0)
+		for ; !st.Looping(); slot++ {
+			if slot > 4*int64(bits.Len(uint(n)))+8 {
+				t.Fatalf("n=%d id=%d: no looping state after %d sender_cd slots", n, id, slot)
+			}
+			fb := model.Silence
+			if st.WillTransmit(slot) {
+				fb = model.Collision
+			}
+			st.Observe(slot, fb, 0)
+		}
+		for end := slot + 300; slot < end; slot++ {
+			if !st.WillTransmit(slot) || !st.Looping() {
+				t.Fatalf("n=%d id=%d slot %d: looping station transmits %v, loops %v",
+					n, id, slot, st.WillTransmit(slot), st.Looping())
+			}
+			st.Observe(slot, model.Collision, 0)
+		}
+		st.Observe(slot, model.Success, id)
+		if st.Looping() {
+			t.Fatalf("n=%d id=%d: a retired station loops", n, id)
+		}
+	}
+}

@@ -106,9 +106,26 @@ type Algorithm interface {
 // station after every slot.
 type Adaptive interface {
 	Algorithm
-	// BuildAdaptive returns a stateful station. It supersedes Build when
-	// the simulator runs in adaptive mode.
+	StationBuilder
+}
+
+// StationBuilder builds adaptive stations. Its BuildAdaptive returns a
+// stateful station; it supersedes Build when the simulator runs in adaptive
+// mode.
+type StationBuilder interface {
 	BuildAdaptive(p Params, id int, wake int64, src *rng.Source) AdaptiveStation
+}
+
+// Fleet is the capability of adaptive algorithms whose stations share
+// per-run state, such as kg's family ladder. Fleet(p, prev) returns the
+// builder of one run's stations under p; it may reuse prev, a builder an
+// earlier call returned (nil at first), so that a warm engine rebuilds
+// nothing shared per trial. Its stations must behave exactly as
+// BuildAdaptive's, and a builder serves one run at a time: the next call may
+// change what its earlier stations read.
+type Fleet interface {
+	Adaptive
+	Fleet(p Params, prev StationBuilder) StationBuilder
 }
 
 // AdaptiveStation is a stateful per-station protocol instance.
@@ -131,6 +148,18 @@ type Persistent interface {
 	Adaptive
 	// Persistent marks the capability; it is never called.
 	Persistent()
+}
+
+// Looping is the capability of an adaptive station that can enter a loop it
+// never leaves on its own: once Looping reports true, the station transmits
+// in every slot for as long as every slot is a collision that it hears as
+// Collision. When every awake station loops, no station is left to wake and
+// the channel delivers an unperturbed collision to its senders as
+// Collision, every slot up to the horizon is a collision of them all, so
+// the trial follows without stepping it (see sim.Engine.Run).
+type Looping interface {
+	AdaptiveStation
+	Looping() bool
 }
 
 // WakePattern assigns wake slots to a subset of stations. It is the

@@ -23,7 +23,9 @@ import (
 // (model.Batched), else its Build closures. An adaptive run steps its
 // stations one by one and delivers each its feedback, unless Run finishes
 // it in closed form (see ClosedForm); that trial builds no stations and
-// leaves the channel unstepped.
+// leaves the channel unstepped. Run and RunHooked also finish an adaptive
+// trial mid-run once it is absorbed (see absorbed): every station then
+// loops on a collision until the horizon.
 //
 // The zero value is not usable; construct with NewEngine. An engine is not
 // safe for concurrent use — pool one per worker (internal/sweep does).
@@ -33,14 +35,17 @@ import (
 type Engine struct {
 	ch *channel.Channel
 
-	adaptiveAlgo model.Adaptive
-	useAdaptive  bool
-	closedForm   bool         // Run may finish the trial in closed form (see ClosedForm)
-	cohort       model.Cohort // an oblivious run's stations; nil on an adaptive run
-	batched      model.Cohort // the last cohort a Batched algorithm returned, reused
-	closures     model.BuildCohort
-	p            model.Params
-	opt          Options
+	builder     model.StationBuilder // an adaptive run's station builder: the algorithm, or its fleet
+	fleet       model.StationBuilder // the last builder a Fleet algorithm returned, reused
+	useAdaptive bool
+	closedForm  bool         // Run may finish the trial in closed form (see ClosedForm)
+	absorbs     bool         // Run and RunHooked may finish the trial once it is absorbed (see absorbs)
+	collided    bool         // the last slot was a collision of every active station
+	cohort      model.Cohort // an oblivious run's stations; nil on an adaptive run
+	batched     model.Cohort // the last cohort a Batched algorithm returned, reused
+	closures    model.BuildCohort
+	p           model.Params
+	opt         Options
 
 	pattern      model.WakePattern // the caller's pattern buffer (see Pattern)
 	order        []model.WakeKey   // the pattern's activation keys, reused across trials
@@ -85,9 +90,17 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	}
 
 	e.p, e.opt = p, opt
-	e.adaptiveAlgo, _ = algo.(model.Adaptive)
-	e.useAdaptive = opt.Adaptive && e.adaptiveAlgo != nil
+	e.builder = nil
+	if a, ok := algo.(model.Adaptive); ok && opt.Adaptive {
+		e.builder = a
+		if f, ok := algo.(model.Fleet); ok {
+			e.fleet = f.Fleet(p, e.fleet)
+			e.builder = e.fleet
+		}
+	}
+	e.useAdaptive = e.builder != nil
 	e.closedForm = ClosedForm(algo, opt)
+	e.absorbs = e.useAdaptive && absorbs(opt)
 	// The channel's perturbation stream derives from the run seed on its own
 	// stream index, independent of the per-station streams.
 	e.ch.Reset(opt.ChannelModel(), opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
@@ -120,7 +133,7 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	e.t = e.s
 	e.next = 0
 	e.result = model.Result{SuccessSlot: -1, Rounds: -1}
-	e.done = false
+	e.done, e.collided = false, false
 	return nil
 }
 
@@ -164,7 +177,7 @@ func (e *Engine) RunTo(until int64) bool {
 // Run finishes the trial and returns the result. A trial that ClosedForm
 // admits and that has not been stepped yet is finished in closed form, from
 // the wake times alone, without stepping the channel; every other trial is
-// stepped to completion as RunTo would.
+// stepped as RunHooked steps it: to completion, or until it is absorbed.
 func (e *Engine) Run() model.Result {
 	if e.closedForm && !e.done && e.next == 0 {
 		e.finishClosed()
@@ -186,14 +199,54 @@ type SuccessHook func(slot int64, winner int) (inject int, more bool)
 // the hook injects. Before any station wakes, the station table grows to
 // hold them, so an injection never moves a station whose schedule holds on
 // to its stream; an injection past that room panics.
+//
+// A trial that is absorbed (see absorbed) cannot succeed before the
+// horizon, so no hook fires in it: RunHooked finishes it in closed form
+// (see finishAbsorbed). Step and RunTo step it slot by slot.
 func (e *Engine) RunHooked(spare int, hook SuccessHook) model.Result {
 	if e.next == 0 {
 		e.stations = slices.Grow(e.stations, spare)
 		e.room = len(e.stations) + spare
 	}
 	for !e.step(math.MaxInt64, hook) {
+		if e.absorbed() {
+			e.finishAbsorbed()
+			break
+		}
 	}
 	return e.result
+}
+
+// absorbed reports whether the trial can only run on as collisions of all
+// its stations: the trial absorbs (see absorbs), the last slot was a
+// collision of every active station, no pattern station is left to wake,
+// at least two are awake, and every one of them is model.Looping. Each then
+// transmits in the next slot, which is a collision that each hears as
+// Collision, so each loops again, up to the horizon.
+func (e *Engine) absorbed() bool {
+	if !e.collided || e.next < len(e.order) || len(e.active) < 2 {
+		return false
+	}
+	for _, st := range e.active {
+		if l, ok := st.adaptive.(model.Looping); !ok || !l.Looping() {
+			return false
+		}
+	}
+	return true
+}
+
+// finishAbsorbed ends an absorbed trial as a failure at the horizon,
+// accounting every slot left as a collision in which every active station
+// transmits and none listens.
+func (e *Engine) finishAbsorbed() {
+	end := e.s + e.opt.Horizon
+	left := end - e.t
+	e.ch.SkipCollisions(left)
+	e.result.Collisions += left
+	e.result.Transmissions += left * int64(len(e.active))
+	e.t = end
+	e.result.Slots = e.opt.Horizon
+	e.done = true
 }
 
 // step executes the next slot; it returns true once the trial has ended. If
@@ -265,6 +318,7 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 			fb, obsWinner := r.forStation(st.sent, st.id)
 			st.adaptive.Observe(t, fb, obsWinner)
 		}
+		e.collided = e.absorbs && truth == model.Collision && len(e.transmitters) == len(e.active)
 	}
 
 	e.t = t + 1
@@ -285,7 +339,7 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 func (e *Engine) activate(st *station) {
 	src := e.stream(st)
 	if e.useAdaptive {
-		st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, st.id, st.wake, src)
+		st.adaptive = e.builder.BuildAdaptive(e.p, st.id, st.wake, src)
 	} else {
 		e.cohort.Join(st.id, st.wake, src)
 	}
@@ -316,7 +370,7 @@ func (e *Engine) inject(id int, t int64) {
 	}
 	src := e.stream(st)
 	if e.useAdaptive {
-		st.adaptive = e.adaptiveAlgo.BuildAdaptive(e.p, id, t, src)
+		st.adaptive = e.builder.BuildAdaptive(e.p, id, t, src)
 		st.sent = st.adaptive.WillTransmit(t)
 	} else {
 		// The cohort takes the station where the replay puts it.

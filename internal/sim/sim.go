@@ -20,7 +20,10 @@
 // Engine.Run alone finishes the trials that ClosedForm admits — adaptive
 // runs of a model.Persistent algorithm on a channel that masks collisions —
 // in closed form, from the wake times alone, without stepping the channel.
-// Step, RunTo and RunHooked always step slot by slot.
+// Run and RunHooked also end an adaptive trial on cd or sender_cd early
+// once it is absorbed: every awake station is model.Looping after a slot
+// that collided them all, so every slot left is such a collision, and they
+// account those slots at once. Step and RunTo always step slot by slot.
 //
 // Engine.RunHooked calls a SuccessHook at every slot the channel rules a
 // success: Engine.RunAll's hook runs on past it, and the white-box spoiler

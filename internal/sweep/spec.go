@@ -60,9 +60,11 @@ type Spec struct {
 	Workers int
 	// DisableKernel steps every trial slot by slot (Engine.RunTo) instead
 	// of letting Engine.Run finish the trials sim.ClosedForm admits
-	// (tree_cd on none, ack, noisy and jam) in closed form. The output
-	// bytes are the same either way; this switch exists for differential
-	// testing and for benchmarking the stepped path.
+	// (tree_cd on none, ack, noisy and jam) in closed form, and end the
+	// absorbed ones (tree_cd on cd and sender_cd, once every station
+	// loops on a collision) at once. The output bytes are the same either
+	// way; this switch exists for differential testing and for
+	// benchmarking the stepped path.
 	DisableKernel bool
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"nsmac/internal/adversary"
 	"nsmac/internal/model"
@@ -96,7 +97,7 @@ func (d SpecDoc) Resolve() (Spec, error) {
 	}
 	var patterns []adversary.Generator
 	for _, entry := range d.Patterns {
-		if entry == "suite" {
+		if strings.TrimSpace(entry) == "suite" {
 			patterns = append(patterns, adversary.Suite()...)
 			continue
 		}

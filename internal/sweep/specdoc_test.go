@@ -100,10 +100,12 @@ func flagDoc() sweep.SpecDoc {
 // TestSpecDocMatchesFlagPath: the flags' document spells patterns as typed
 // ("suite", "uniform", "staggered") where earlier dumps spelled each
 // canonical expansion, so both spellings must compile to the same grid and
-// render the same bytes.
+// render the same bytes. A pattern entry is trimmed before it is read, as
+// case and channel entries are, "suite" included.
 func TestSpecDocMatchesFlagPath(t *testing.T) {
 	for _, pair := range [][2][]string{
 		{{"suite"}, {"simultaneous", "staggered:1", "staggered:13", "uniform:64", "bursts:17"}},
+		{{" suite "}, {"simultaneous", "staggered:1", "staggered:13", "uniform:64", "bursts:17"}},
 		{{"uniform", "staggered", "bursts"}, {"uniform:64@0", "staggered:7", "bursts:7"}},
 	} {
 		typed, expanded := flagDoc(), flagDoc()
