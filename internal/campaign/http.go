@@ -180,7 +180,22 @@ func contentTypeFor(format string) string {
 	}
 }
 
+// readBody reads a request body of at most maxBodyBytes. A body that
+// declares its length is read into one buffer of exactly that size, and
+// refused unread when the length is over the limit; a chunked body (no
+// declared length) is read up to one byte past the limit.
 func readBody(r *http.Request) ([]byte, error) {
+	n := r.ContentLength
+	if n > maxBodyBytes {
+		return nil, fmt.Errorf("campaign: request body of %d bytes exceeds %d bytes", n, maxBodyBytes)
+	}
+	if n >= 0 {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, data); err != nil {
+			return nil, fmt.Errorf("campaign: reading request body: %w", err)
+		}
+		return data, nil
+	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("campaign: reading request body: %w", err)

@@ -3,7 +3,10 @@ package campaign
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,5 +284,54 @@ func TestClientSentinelErrorMapping(t *testing.T) {
 	}
 	if _, err := cl.Submit(t.Context(), Manifest{}); err == nil {
 		t.Error("empty manifest accepted over HTTP")
+	}
+}
+
+// unreadBody fails the test if the handler reads it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("body over the declared limit was read")
+	return 0, io.EOF
+}
+
+// endlessBody yields 'x' forever and counts what was read.
+type endlessBody struct{ n int64 }
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	b.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestHandlerBodyLimits: the handler reads a body at its declared length.
+// A declared length over maxBodyBytes is refused before a byte is read, a
+// body shorter than its declared length is refused, and a chunked body (no
+// declared length) is still refused once it passes the limit.
+func TestHandlerBodyLimits(t *testing.T) {
+	h := Handler(NewServer(Options{}))
+	post := func(body io.Reader, length int64) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/lease/x/complete", body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	check := func(name string, rec *httptest.ResponseRecorder, want string) {
+		t.Helper()
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s: %d %s, want 400 naming %q", name, rec.Code, rec.Body.String(), want)
+		}
+	}
+
+	check("declared over the limit", post(unreadBody{t}, maxBodyBytes+1), "exceeds")
+	check("shorter than declared", post(strings.NewReader(`{"fingerprint":`), 1000), "unexpected EOF")
+	endless := &endlessBody{}
+	check("chunked over the limit", post(endless, -1), "exceeds")
+	if endless.n > maxBodyBytes+64<<10 {
+		t.Errorf("chunked body read %d bytes past a %d-byte limit", endless.n, maxBodyBytes)
 	}
 }

@@ -166,6 +166,9 @@ type gridState struct {
 	// storeErr records a persistence failure (results still stream from
 	// memory; the operator sees it in status).
 	storeErr string
+	// saving counts completed shards whose envelope is still being written
+	// to the store; the grid reports complete only once it is zero.
+	saving int
 }
 
 type shardState struct {
@@ -363,43 +366,61 @@ func (s *Server) Heartbeat(leaseID string) (float64, error) {
 // every lease on it, persists to the store, and feeds the wall-clock
 // observation that autotunes later shard plans. Completing an
 // already-completed shard (a steal race) is acknowledged with duplicate =
-// true.
+// true. The store write runs outside the server lock, so other workers'
+// requests do not wait on the disk; Complete returns once it is written.
 func (s *Server) Complete(leaseID string, env *sweep.ShardResult) (duplicate bool, err error) {
+	g, duplicate, err := s.accept(leaseID, env)
+	if g == nil {
+		return duplicate, err
+	}
+	saveErr := s.opts.Store.Save(env)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g.saving--
+	if saveErr != nil && g.storeErr == "" {
+		g.storeErr = saveErr.Error()
+	}
+	return false, nil
+}
+
+// accept is Complete's locked half. It returns the shard's grid when the
+// envelope completed the shard and a store is attached: the caller then
+// saves the envelope and ends the grid's pending save.
+func (s *Server) accept(leaseID string, env *sweep.ShardResult) (save *gridState, duplicate bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.opts.Clock.Now()
 	s.expireLocked(now)
 	l, ok := s.leases[leaseID]
 	if !ok {
-		return false, ErrLeaseLost
+		return nil, false, ErrLeaseLost
 	}
 	sh, g := l.s, l.g
 	if sh.done {
 		// A slower twin already lost the race; its work is identical bytes.
 		s.releaseLocked(l)
-		return true, nil
+		return nil, true, nil
 	}
 	if err := dispatch.CheckEnvelope(env, sh.plan); err != nil {
 		s.endAttemptLocked(l, err)
 		s.releaseLocked(l)
 		s.maybeFailLocked(g, sh)
-		return false, err
+		return nil, false, err
 	}
 
 	sh.env = env
 	sh.done = true
 	s.endAttemptLocked(l, nil)
-	if st := s.opts.Store; st != nil {
-		if err := st.Save(env); err != nil && g.storeErr == "" {
-			g.storeErr = err.Error()
-		}
-	}
 	s.observeLocked(now, l)
 	// Only the completer's lease is released; a stealing twin keeps its
 	// lease so its own completion is acknowledged as a duplicate (or its
 	// next heartbeat cancels the now-pointless work).
 	s.releaseLocked(l)
-	return false, nil
+	if s.opts.Store == nil {
+		return nil, false, nil
+	}
+	g.saving++
+	return g, false, nil
 }
 
 // Fail reports a lease's shard attempt as failed (executor error on the
@@ -626,7 +647,7 @@ func (s *Server) statusLocked(c *campaignState) *CampaignStatus {
 				gs.Pending++
 			}
 		}
-		gs.Complete = g.shards != nil && gs.Done == gs.Shards
+		gs.Complete = g.shards != nil && gs.Done == gs.Shards && g.saving == 0
 		if !gs.Complete || g.failed != "" {
 			out.Done = false
 		}

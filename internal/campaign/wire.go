@@ -62,7 +62,9 @@ type GridStatus struct {
 	Pending  int `json:"pending"`
 	// Attempts totals lease grants across all shards.
 	Attempts int `json:"attempts"`
-	// Complete is true once every shard has a validated envelope.
+	// Complete is true once every shard has a validated envelope and, on a
+	// server with a store, every save of one has returned (StoreError names
+	// a failed save).
 	Complete bool `json:"complete"`
 	// Failed carries the grid's terminal error, if any.
 	Failed string `json:"failed,omitempty"`

@@ -47,11 +47,12 @@ func tamperLeases(t *testing.T, s *Server, tamper func(n int) bool) *Client {
 }
 
 // TestWorkerChecksFingerprintWithCachedPlan: after a worker has run a shard
-// of a grid, a grant for that grid whose fingerprint no longer matches the
-// document still fails its lease — the Local executor compares the grant's
-// fingerprint with the grid it compiles before any trial runs — and the
-// honest re-lease of the same shard completes. (The name predates the
-// removal of the worker's plan cache.)
+// of a grid, the Local executor holds that grid compiled, and a grant for
+// the same document whose fingerprint no longer matches it still fails its
+// lease — Local compares the grant's fingerprint with the memoized grid's
+// before any trial runs — and the honest re-lease of the same shard
+// completes from the memo. (The name predates the removal of the worker's
+// plan cache; the cache it now covers is Local's compile memo.)
 func TestWorkerChecksFingerprintWithCachedPlan(t *testing.T) {
 	s := NewServer(Options{LeaseTimeout: 30 * time.Second})
 	cl := tamperLeases(t, s, func(n int) bool { return n == 2 })

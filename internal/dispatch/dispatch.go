@@ -8,11 +8,12 @@
 // Two layers:
 //
 //   - Executor runs ONE shard of a plan and returns its envelope. Local
-//     compiles the grid in-process, checks its fingerprint against the
-//     plan's and runs the shard under a worker budget; Command substitutes
-//     the plan into an argv template and decodes the envelope from its
-//     stdout. `wakeup-bench -exec subprocess[:bin]` is a Command whose
-//     template re-runs a wakeup-bench binary on one shard.
+//     compiles the grid in-process (once per grid per process), checks its
+//     fingerprint against the plan's and runs the shard under a worker
+//     budget; Command substitutes the plan into an argv template and
+//     decodes the envelope from its stdout. `wakeup-bench -exec
+//     subprocess[:bin]` is a Command whose template re-runs a wakeup-bench
+//     binary on one shard.
 //
 //   - RunStore persists envelopes under <dir>/<grid-fingerprint>/
 //     <i>-of-<m>.json with atomic writes, so a killed run can never leave a
@@ -33,6 +34,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -41,6 +43,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"nsmac/internal/sweep"
 )
@@ -126,10 +129,14 @@ type Executor interface {
 }
 
 // Local executes shards in-process, bounded by a worker budget. It is the
-// zero-dependency executor campaign workers default to. Before any trial
-// runs it checks that the grid it compiled from the plan's document has the
-// plan's fingerprint, so a planner that disagrees with this binary (version
-// skew, a corrupted grant) runs nothing.
+// zero-dependency executor campaign workers default to. It compiles each
+// grid once per process: Run keeps the last grid it compiled, keyed by the
+// document's canonical bytes, so a worker draining one grid's shards
+// compiles it at the first lease and reuses it after. Registry names bind
+// once, so equal documents compile to the same grid. Every lease, warm or
+// not, still checks that the grid's fingerprint is the plan's before any
+// trial runs, so a planner that disagrees with this binary (version skew, a
+// corrupted grant) runs nothing.
 type Local struct {
 	// Workers bounds the trial worker pool per shard (<= 0 selects
 	// GOMAXPROCS). With Driver Concurrency > 1, the budgets multiply —
@@ -142,24 +149,63 @@ func (l Local) Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	spec, err := plan.Doc.Resolve()
+	g, fp, err := lastGrid.compile(plan.Doc)
 	if err != nil {
 		return nil, err
 	}
-	spec.Workers = l.Workers
-	g, err := spec.Grid()
-	if err != nil {
-		return nil, err
-	}
-	out, err := g.PlanEnvelope(plan.Index, plan.Count)
-	if err != nil {
-		return nil, err
-	}
-	if out.Fingerprint != plan.Fingerprint {
+	if fp != plan.Fingerprint {
 		return nil, fmt.Errorf("dispatch: fingerprint mismatch: plan %s, compiled grid %s (version skew?)",
-			plan.Fingerprint, out.Fingerprint)
+			plan.Fingerprint, fp)
+	}
+	// The worker budget is the grid's own field, read by Execute alone; the
+	// trial function never sees it, so one compiled grid serves every budget.
+	g.Workers = l.Workers
+	out, err := g.PlanEnvelope(fp, plan.Index, plan.Count)
+	if err != nil {
+		return nil, err
 	}
 	return g.RunPlanned(out)
+}
+
+// lastGrid is Local's one-entry compile memo. Local is a plain value
+// (Local{Workers: n}), so the memo that lets a process compile each grid
+// once is shared by every Local in the process; being keyed by the whole
+// document, it changes no result, only how often a grid is compiled.
+var lastGrid gridMemo
+
+// gridMemo holds the last grid compiled from a document, with its
+// fingerprint, keyed by the document's canonical encoding. A compiled grid
+// is read-only (its trial function is safe for concurrent calls), so
+// concurrent Runs share it.
+type gridMemo struct {
+	mu          sync.Mutex
+	doc         []byte
+	grid        sweep.Grid
+	fingerprint string
+}
+
+// compile returns the grid doc compiles to and its fingerprint, compiling
+// only when doc is not the memo's document.
+func (m *gridMemo) compile(doc sweep.SpecDoc) (sweep.Grid, string, error) {
+	key, err := doc.Encode()
+	if err != nil {
+		return sweep.Grid{}, "", err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if bytes.Equal(m.doc, key) {
+		return m.grid, m.fingerprint, nil
+	}
+	spec, err := doc.Resolve()
+	if err != nil {
+		return sweep.Grid{}, "", err
+	}
+	g, err := spec.Grid()
+	if err != nil {
+		return sweep.Grid{}, "", err
+	}
+	m.doc, m.grid, m.fingerprint = key, g, g.Fingerprint()
+	return m.grid, m.fingerprint, nil
 }
 
 // Command executes each shard through a user-supplied argv template — ssh,

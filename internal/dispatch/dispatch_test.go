@@ -1,10 +1,13 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"nsmac/internal/sweep"
@@ -146,6 +149,99 @@ func TestLocalExecutorChecksFingerprint(t *testing.T) {
 	env, err := (Local{}).Run(context.Background(), plan)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("envelope %v, error %v; want a fingerprint mismatch", env, err)
+	}
+}
+
+// TestLocalCompileMemo: Local compiles each grid once per process and keeps
+// one grid at a time, so two goroutines running every shard of document A,
+// then B, then A again miss and hit the memo in every order. Each envelope
+// must still be byte-identical to the uncached Spec.Shard output, and a warm
+// memo must still refuse a plan whose fingerprint is not its document's:
+// a tampered fingerprint on A's document, and B's document carrying A's
+// fingerprint.
+func TestLocalCompileMemo(t *testing.T) {
+	docA := testDoc(t)
+	docB := docA
+	docB.Name = "dispatch-test-b"
+	docB.Cases = []string{"beb", "rpd"}
+	docB.Ks = []int{3}
+	docB.Trials = 5
+
+	type job struct {
+		plan ShardPlan
+		want []byte
+	}
+	jobsFor := func(doc sweep.SpecDoc) []job {
+		plans, _, err := PlanShards(doc, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := doc.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := make([]job, len(plans))
+		for i, plan := range plans {
+			want, err := spec.Shard(plan.Index, plan.Count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, err := want.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs[i] = job{plan, wb}
+		}
+		return jobs
+	}
+	a, b := jobsFor(docA), jobsFor(docB)
+	if a[0].plan.Fingerprint == b[0].plan.Fingerprint {
+		t.Fatal("the two documents share a fingerprint")
+	}
+	sequence := append(append(append([]job(nil), a...), b...), a...)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(sequence))
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, j := range sequence {
+				got, err := Local{Workers: w + 1}.Run(context.Background(), j.plan)
+				if err != nil {
+					errs <- fmt.Errorf("%s shard %d: %w", j.plan.Doc.Name, j.plan.Index, err)
+					continue
+				}
+				gb, err := got.Encode()
+				if err != nil {
+					errs <- err
+					continue
+				}
+				if !bytes.Equal(gb, j.want) {
+					errs <- fmt.Errorf("%s shard %d: envelope differs from Spec.Shard", j.plan.Doc.Name, j.plan.Index)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	tampered := a[1].plan
+	tampered.Fingerprint = strings.Repeat("0", len(tampered.Fingerprint))
+	foreign := b[1].plan
+	foreign.Fingerprint = a[1].plan.Fingerprint
+	for _, bad := range []ShardPlan{tampered, foreign} {
+		// Warm the memo with A's grid, then run the bad plan.
+		if _, err := (Local{}).Run(context.Background(), a[0].plan); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Local{}).Run(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+			t.Errorf("%s with fingerprint %s: error %v, want a fingerprint mismatch",
+				bad.Doc.Name, bad.Fingerprint, err)
+		}
 	}
 }
 

@@ -169,11 +169,14 @@ func (r *ShardResult) Validate() error {
 
 // PlanEnvelope builds the identity half of shard index of count's envelope —
 // fingerprint, name, axes, plan coordinates, full trial count, and the cell
-// labels with zero aggregates — without executing anything. RunPlanned fills
-// the aggregates in (a zero-trial shard ships the bare envelope as is), and
+// labels with zero aggregates — without executing anything. fingerprint is
+// the grid's g.Fingerprint(), taken as an argument so a caller that runs
+// many shards of one grid hashes it once. The envelope shares the grid's
+// axis and label slices, which neither side writes. RunPlanned fills the
+// aggregates in (a zero-trial shard ships the bare envelope as is), and
 // callers that need to know what an envelope for this grid must look like
 // without running it can compare against these identity fields.
-func (g Grid) PlanEnvelope(index, count int) (*ShardResult, error) {
+func (g Grid) PlanEnvelope(fingerprint string, index, count int) (*ShardResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -184,16 +187,16 @@ func (g Grid) PlanEnvelope(index, count int) (*ShardResult, error) {
 		return nil, fmt.Errorf("sweep: shard index %d out of [0, %d)", index, count)
 	}
 	out := &ShardResult{
-		Fingerprint: g.Fingerprint(),
+		Fingerprint: fingerprint,
 		Name:        g.Name,
-		Axes:        append([]string(nil), g.Axes...),
+		Axes:        g.Axes,
 		Shard:       index,
 		Shards:      count,
 		Trials:      g.Trials,
 		Cells:       make([]ShardCell, len(g.Cells)),
 	}
 	for i, cell := range g.Cells {
-		out.Cells[i] = ShardCell{Cell: append([]string(nil), cell...)}
+		out.Cells[i] = ShardCell{Cell: cell}
 	}
 	return out, nil
 }
@@ -202,7 +205,7 @@ func (g Grid) PlanEnvelope(index, count int) (*ShardResult, error) {
 // in its serializable envelope. Shards with no trials (index >= Trials)
 // return an envelope of zero aggregates without executing anything.
 func (g Grid) RunShard(index, count int) (*ShardResult, error) {
-	out, err := g.PlanEnvelope(index, count)
+	out, err := g.PlanEnvelope(g.Fingerprint(), index, count)
 	if err != nil {
 		return nil, err
 	}
@@ -210,9 +213,7 @@ func (g Grid) RunShard(index, count int) (*ShardResult, error) {
 }
 
 // RunPlanned executes the shard that out, an envelope PlanEnvelope built for
-// this grid, names, fills its aggregates in and returns it. A caller that
-// checks the planned envelope's fingerprint before running it hashes the
-// grid once.
+// this grid, names, fills its aggregates in and returns it.
 func (g Grid) RunPlanned(out *ShardResult) (*ShardResult, error) {
 	sg, err := g.Shard(out.Shard, out.Shards)
 	if err != nil {

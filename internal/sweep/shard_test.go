@@ -315,7 +315,7 @@ func TestPlanEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := g.PlanEnvelope(1, 3)
+	plan, err := g.PlanEnvelope(g.Fingerprint(), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,10 +341,10 @@ func TestPlanEnvelope(t *testing.T) {
 			t.Fatalf("plan envelope cell %d carries trials", i)
 		}
 	}
-	if _, err := g.PlanEnvelope(3, 3); err == nil {
+	if _, err := g.PlanEnvelope(g.Fingerprint(), 3, 3); err == nil {
 		t.Error("out-of-range plan accepted")
 	}
-	if _, err := g.PlanEnvelope(0, 0); err == nil {
+	if _, err := g.PlanEnvelope(g.Fingerprint(), 0, 0); err == nil {
 		t.Error("zero-count plan accepted")
 	}
 }
