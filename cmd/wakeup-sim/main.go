@@ -8,7 +8,7 @@
 //
 // Examples:
 //
-//	wakeup-sim -algo wakeupc -n 1024 -k 8 -pattern staggered -gap 7
+//	wakeup-sim -algo wakeupc -n 1024 -k 8 -pattern staggered:7
 //	wakeup-sim -algo wakeup_with_k -n 4096 -k 16 -pattern uniform -trace
 //	wakeup-sim -algo wakeupc -n 256 -k 3 -render
 //	wakeup-sim -algo tree_cd -n 64 -k 3 -channels cd
@@ -42,8 +42,6 @@ func main() {
 		s        = flag.Int64("s", 0, "first wake-up slot")
 		pattern  = flag.String("pattern", "simultaneous", "wake pattern entry: simultaneous | staggered[:gap] | uniform[:width] | bursts[:gap] | spoiler | swap[:1=greedy]; @slot shifts the start")
 		chName   = flag.String("channels", "", "channel-model entry: none | cd | sender_cd | ack | noisy:<p> | jam:<q>; empty keeps the paper channel")
-		gap      = flag.Int64("gap", 7, "gap for staggered/bursts patterns")
-		width    = flag.Int64("width", 64, "window width for the uniform pattern")
 		seed     = flag.Uint64("seed", 1, "random seed (schedules and pattern)")
 		horizon  = flag.Int64("horizon", 0, "simulation cap (0 = algorithm's own bound)")
 		showTr   = flag.Bool("trace", false, "print the channel transcript timeline")
@@ -102,7 +100,7 @@ func main() {
 	if *horizon > 0 {
 		hor = *horizon
 	}
-	gen, err := sweep.ResolvePattern(*pattern, sweep.PatternShape{Start: *s, Gap: *gap, Width: *width})
+	gen, err := sweep.ResolvePattern(*pattern, *s)
 	if err != nil {
 		fail("%v", err)
 	}

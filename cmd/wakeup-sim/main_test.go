@@ -58,7 +58,7 @@ func TestSingleRunGoldens(t *testing.T) {
 		"roundrobin", "wakeup_with_s", "wakeup_with_k", "wakeupc",
 		"rpd", "rpdk", "beb", "localssf",
 	} {
-		args := []string{"-algo", name, "-n", "64", "-k", "3", "-pattern", "staggered", "-gap", "3"}
+		args := []string{"-algo", name, "-n", "64", "-k", "3", "-pattern", "staggered:3"}
 		if name == "wakeup_with_s" {
 			// A nonzero -s travels as the case argument wakeup_with_s:5.
 			args = append(args, "-s", "5")
@@ -106,7 +106,7 @@ func TestSingleRunAdaptiveCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := sweep.ResolvePattern("spoiler", sweep.PatternShape{})
+	gen, err := sweep.ResolvePattern("spoiler", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"nsmac/internal/model"
@@ -448,12 +449,12 @@ func TestKGStaggeredWakes(t *testing.T) {
 	}
 }
 
-// TestKGFleetLadderMatchesRandomLadder: the ladder a kg run owns and
-// re-keys is RandomLadder's for the same key, whether the run's builder is
-// fresh or re-keyed from a run of another key, so its stations transmit as
-// BuildAdaptive's; and a warm re-key allocates nothing.
+// TestKGFleetLadderMatchesRandomLadder: the ladder a kg fleet owns and
+// re-keys is RandomLadder's for the same key, whether the fleet is fresh or
+// re-keyed from a run of another key, so its stations transmit as
+// RandomLadder's membership says; and a warm re-key allocates nothing.
 func TestKGFleetLadderMatchesRandomLadder(t *testing.T) {
-	var prev model.StationBuilder
+	var prev model.Fleet
 	for _, tc := range []struct {
 		a *KGConflictResolution
 		p model.Params
@@ -464,12 +465,12 @@ func TestKGFleetLadderMatchesRandomLadder(t *testing.T) {
 		{&KGConflictResolution{SizeMult: 0.5}, model.Params{N: 256, K: 4, S: -1, Seed: 3}},
 		{NewKGConflictResolution(), model.Params{N: 17, K: 16, S: -1, Seed: 4}},
 	} {
-		b := tc.a.Fleet(tc.p, prev)
-		if prev != nil && b != prev {
-			t.Errorf("%+v: Fleet did not reuse the previous run's builder", tc.p)
+		f := tc.a.Fleet(tc.p, prev)
+		if prev != nil && f != prev {
+			t.Errorf("%+v: Fleet did not reuse the previous run's fleet", tc.p)
 		}
-		prev = b
-		got, want := &b.(*kgFleet).lad, selectors.RandomLadder(tc.a.ladder(tc.p))
+		prev = f
+		got, want := &f.(*kgFleet).lad, selectors.RandomLadder(tc.a.ladder(tc.p))
 		if got.Length() != want.Length() || got.NumFamilies() != want.NumFamilies() {
 			t.Fatalf("%+v: ladder length %d over %d families, want %d over %d",
 				tc.p, got.Length(), got.NumFamilies(), want.Length(), want.NumFamilies())
@@ -481,19 +482,155 @@ func TestKGFleetLadderMatchesRandomLadder(t *testing.T) {
 				}
 			}
 		}
-		fleet, built := b.BuildAdaptive(tc.p, 5, 0, nil), tc.a.BuildAdaptive(tc.p, 5, 0, nil)
+		const id = 5
+		f.Join(id, 0, nil)
 		for slot := int64(0); slot < 4*want.Length(); slot++ {
-			if fleet.WillTransmit(slot) != built.WillTransmit(slot) {
-				t.Fatalf("%+v: slot %d: fleet station transmits %v, BuildAdaptive's %v",
-					tc.p, slot, fleet.WillTransmit(slot), built.WillTransmit(slot))
+			member := want.MemberCyclic((slot-1)/2, id)
+			if slot%2 == 0 {
+				member = (slot/2)%int64(tc.p.N) == id-1
+			}
+			if tx := f.Transmitters(slot, nil); len(tx) == 1 != member {
+				t.Fatalf("%+v: slot %d: fleet transmitters %v, RandomLadder's membership %v", tc.p, slot, tx, member)
 			}
 		}
 	}
 	a, p := NewKGConflictResolution(), model.Params{N: 256, K: 16, S: -1}
-	b := a.Fleet(p, nil)
-	if allocs := testing.AllocsPerRun(20, func() { p.Seed++; a.Fleet(p, b) }); allocs != 0 {
+	f := a.Fleet(p, nil)
+	if allocs := testing.AllocsPerRun(20, func() { p.Seed++; a.Fleet(p, f) }); allocs != 0 {
 		t.Errorf("a warm Fleet call allocates %v times, want 0", allocs)
 	}
+}
+
+// TestKGFleetMatchesStations drives a kg fleet and per-station references
+// through the slots their transmitters make — a slot with one transmitter
+// succeeds — on every feedback regime. A reference station transmits as
+// RandomLadder's membership says until it hears its own success, which it
+// hears as the channel delivers to its role (under ack only the winner
+// hears it); the fleet must name the references' transmitters at every
+// slot.
+func TestKGFleetMatchesStations(t *testing.T) {
+	a := NewKGConflictResolution()
+	var f model.Fleet
+	for round := 0; round < 40; round++ {
+		ch := []model.ChannelModel{model.None(), model.CD(), model.SenderCD(), model.Ack()}[round%4]
+		n, k := 16+round, 2+round%7
+		p := model.Params{N: n, K: k, S: -1, Seed: uint64(round)}
+		lad := selectors.RandomLadder(a.ladder(p))
+		ids := rng.New(uint64(round)).Sample(nil, n, k)
+		retired := make([]bool, k)
+		f = a.Fleet(p, f)
+		for _, id := range ids {
+			f.Join(id, 0, nil)
+		}
+		for slot := int64(0); slot < 4*int64(n); slot++ {
+			var want []int
+			for i, id := range ids {
+				member := lad.MemberCyclic((slot-1)/2, id)
+				if slot%2 == 0 {
+					member = (slot/2)%int64(n) == int64(id-1)
+				}
+				if !retired[i] && member {
+					want = append(want, id)
+				}
+			}
+			if got := f.Transmitters(slot, nil); !slices.Equal(got, want) {
+				t.Fatalf("round %d (%s, n=%d): slot %d transmitters %v, references %v", round, ch.Name(), n, slot, got, want)
+			}
+			truth, winner := model.Collision, 0
+			switch len(want) {
+			case 0:
+				truth = model.Silence
+			case 1:
+				truth, winner = model.Success, want[0]
+			}
+			for i, id := range ids {
+				sent := slices.Contains(want, id)
+				if ch.Deliver(truth, sent, sent && id == winner) == model.Success && id == winner {
+					retired[i] = true
+				}
+			}
+			f.Observe(slot, model.Deliver(ch, truth, winner))
+		}
+	}
+}
+
+// TestFleetJoinAtMatchesReplay: a station a fleet takes by JoinAt after a
+// slot's transmitters is where a replay of the final pattern joins it, and
+// in the same state. For tree_cd and kg, a fleet that injects station x at
+// slot t — ahead of the stations woken at t with larger IDs, as the engine
+// places it — and a fleet that joins x at its wake in ID order must name
+// the same transmitters, in the same order, at every slot, under the same
+// feedback.
+func TestFleetJoinAtMatchesReplay(t *testing.T) {
+	src := rng.New(0x1a7)
+	for round := 0; round < 300; round++ {
+		n := 4 + src.Intn(200)
+		k := 2 + src.Intn(min(n-2, 11))
+		ids := src.Sample(nil, n, k+1)
+		// Sample's IDs increase; x, the last, is any of them.
+		j := src.Intn(k + 1)
+		ids[j], ids[k] = ids[k], ids[j]
+		w := randomWakes(src, ids[:k])
+		keys := w.WakeOrder(nil)
+		x, at := ids[k], keys[src.Intn(k)].Wake
+		final := model.WakePattern{IDs: ids, Wakes: append(w.Wakes[:k:k], at)}
+		replayKeys := final.WakeOrder(nil)
+		var a model.Adaptive = TreeCD{}
+		if round%2 == 1 {
+			a = NewKGConflictResolution()
+		}
+		ch := []model.ChannelModel{model.CD(), model.SenderCD(), model.Ack()}[round%3]
+		p := model.Params{N: n, K: k + 1, S: -1, Seed: uint64(round)}
+		hooked, replay := a.Fleet(p, nil), a.Fleet(p, nil)
+		next, replayNext := 0, 0
+		for slot := keys[0].Wake; slot < keys[k-1].Wake+200; slot++ {
+			for ; next < k && keys[next].Wake == slot; next++ {
+				hooked.Join(keys[next].ID, slot, nil)
+			}
+			for ; replayNext <= k && replayKeys[replayNext].Wake == slot; replayNext++ {
+				replay.Join(replayKeys[replayNext].ID, slot, nil)
+			}
+			got, want := hooked.Transmitters(slot, nil), replay.Transmitters(slot, nil)
+			if slot == at {
+				// The engine puts x ahead of the stations woken at t with
+				// larger IDs, and ahead of their IDs among the transmitters.
+				i := next
+				for i > 0 && keys[i-1].Wake == at && keys[i-1].ID > x {
+					i--
+				}
+				if hooked.JoinAt(i, x, at, nil) {
+					j := len(got)
+					for j > 0 && slices.ContainsFunc(keys[i:next], func(key model.WakeKey) bool { return key.ID == got[j-1] }) {
+						j--
+					}
+					got = slices.Insert(got, j, x)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: %s on %s, %v, x=%d at %d: slot %d transmitters %v, replay %v",
+					round, a.Name(), ch.Name(), w, x, at, slot, got, want)
+			}
+			truth, winner := model.Collision, 0
+			switch len(want) {
+			case 0:
+				truth = model.Silence
+			case 1:
+				truth, winner = model.Success, want[0]
+			}
+			d := model.Deliver(ch, truth, winner)
+			hooked.Observe(slot, d)
+			replay.Observe(slot, d)
+		}
+	}
+}
+
+// randomWakes wakes ids at random slots in [0, 8).
+func randomWakes(src *rng.Source, ids []int) model.WakePattern {
+	wakes := make([]int64, len(ids))
+	for i := range wakes {
+		wakes[i] = int64(src.Intn(8))
+	}
+	return model.WakePattern{IDs: ids, Wakes: wakes}
 }
 
 func TestKGBuildPanics(t *testing.T) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
@@ -46,29 +48,17 @@ func (a *KGConflictResolution) ladder(p model.Params) (n, maxI int, seed uint64,
 	return p.N, maxI, rng.Derive(p.Seed, 0x96), a.SizeMult
 }
 
-// BuildAdaptive implements model.Adaptive.
-func (a *KGConflictResolution) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return &kgStation{id: id, n: int64(p.N), lad: selectors.RandomLadder(a.ladder(p))}
-}
-
-// Fleet implements model.Fleet: a run's stations share one ladder that the
-// builder owns and re-keys per run (selectors.Sequence.Rekey), so a run
+// Fleet implements model.Adaptive: a run's stations share one ladder that
+// the fleet owns and re-keys per run (selectors.Sequence.Rekey), so a run
 // neither builds a ladder nor touches the shared ones.
-func (a *KGConflictResolution) Fleet(p model.Params, prev model.StationBuilder) model.StationBuilder {
+func (a *KGConflictResolution) Fleet(p model.Params, prev model.Fleet) model.Fleet {
 	f, _ := prev.(*kgFleet)
 	if f == nil {
 		f = new(kgFleet)
 	}
 	f.lad.Rekey(a.ladder(p))
+	f.n, f.st = int64(p.N), f.st[:0]
 	return f
-}
-
-// kgFleet builds one run's kg stations on its own ladder.
-type kgFleet struct{ lad selectors.Sequence }
-
-// BuildAdaptive implements model.StationBuilder.
-func (f *kgFleet) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return &kgStation{id: id, n: int64(p.N), lad: &f.lad}
 }
 
 // Horizon implements Bounded: the even-slot round-robin alone retires one
@@ -78,29 +68,69 @@ func (a *KGConflictResolution) Horizon(n, k int) int64 {
 	return 2*int64(n)*int64(max(1, k)) + 64
 }
 
-type kgStation struct {
-	id      int
-	n       int64
-	lad     *selectors.Sequence
-	retired bool
+// kgFleet is one kg run's stations, in join order, on the run's ladder.
+type kgFleet struct {
+	lad selectors.Sequence
+	n   int64
+	st  []kgStation
 }
 
-// WillTransmit implements model.AdaptiveStation: even global slots run
-// round-robin on component index t/2; odd slots run the cyclic ladder on
+type kgStation struct {
+	id            int
+	retired, sent bool
+}
+
+// Join implements model.Cohort.
+func (f *kgFleet) Join(id int, _ int64, _ *rng.Source) {
+	f.st = append(f.st, kgStation{id: id})
+}
+
+// JoinAt implements model.Cohort.
+func (f *kgFleet) JoinAt(i, id int, wake int64, _ *rng.Source) bool {
+	s := kgStation{id: id}
+	s.sent = f.transmits(s, wake)
+	f.st = slices.Insert(f.st, i, s)
+	return s.sent
+}
+
+// transmits reports whether s transmits in global slot t: even slots run
+// round-robin on component index t/2, odd slots the cyclic ladder on
 // component index (t-1)/2.
-func (s *kgStation) WillTransmit(t int64) bool {
+func (f *kgFleet) transmits(s kgStation, t int64) bool {
 	if s.retired {
 		return false
 	}
 	if t%2 == 0 {
-		return (t/2)%s.n == int64(s.id-1)
+		return (t/2)%f.n == int64(s.id-1)
 	}
-	return s.lad.MemberCyclic((t-1)/2, s.id)
+	return f.lad.MemberCyclic((t-1)/2, s.id)
 }
 
-// Observe implements model.AdaptiveStation.
-func (s *kgStation) Observe(t int64, fb model.Feedback, successID int) {
-	if fb == model.Success && successID == s.id {
-		s.retired = true
+// Transmitters implements model.Cohort.
+func (f *kgFleet) Transmitters(t int64, dst []int) []int {
+	for i := range f.st {
+		s := &f.st[i]
+		if s.sent = f.transmits(*s, t); s.sent {
+			dst = append(dst, s.id)
+		}
+	}
+	return dst
+}
+
+// Next implements model.Cohort: a station's retirement depends on what it
+// hears, so no attempt is named ahead of time.
+func (f *kgFleet) Next(from int64) int64 { return from }
+
+// Observe implements model.Fleet: a station retires once it hears its own
+// success.
+func (f *kgFleet) Observe(_ int64, d model.Delivery) {
+	for i := range f.st {
+		s := &f.st[i]
+		if fb, id := d.For(s.sent, s.id); fb == model.Success && id == s.id {
+			s.retired = true
+		}
 	}
 }
+
+// Looping implements model.Fleet: a kg station never loops.
+func (f *kgFleet) Looping() bool { return false }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
@@ -28,8 +30,9 @@ import (
 // sender_cd, where only senders hear a collision and listeners hear
 // silence, the stations soon each hold their own singleton on top, and two
 // or more of them then collide in every slot: tree_cd livelocks there and
-// fails almost every trial from k = 16 on. Such a station is model.Looping,
-// and the engine finishes the livelocked trial without stepping it.
+// fails almost every trial from k = 16 on. Such a fleet is looping
+// (model.Fleet.Looping), and the engine finishes the livelocked trial
+// without stepping it.
 type TreeCD struct{}
 
 // NewTreeCD returns the collision-detection tree algorithm.
@@ -44,9 +47,18 @@ func (TreeCD) Build(p model.Params, id int, wake int64, _ *rng.Source) model.Tra
 	panic("core: tree_cd is adaptive; run it with Options.Adaptive and the cd channel model")
 }
 
-// BuildAdaptive implements model.Adaptive.
-func (TreeCD) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return newTreeStation(p, id)
+// Fleet implements model.Adaptive. The fleet's station records, stacks
+// included, outlive their run, so a warm fleet allocates nothing.
+func (TreeCD) Fleet(p model.Params, prev model.Fleet) model.Fleet {
+	if p.N > math.MaxInt32 {
+		panic("core: tree_cd supports n up to 2^31-1")
+	}
+	f, _ := prev.(*treeFleet)
+	if f == nil {
+		f = new(treeFleet)
+	}
+	f.n, f.st = int32(p.N), f.st[:0]
+	return f
 }
 
 // Persistent implements model.Persistent: a fresh station's stack is
@@ -73,20 +85,79 @@ func (TreeCD) Horizon(n, k int) int64 {
 // however long the trial runs.
 type run struct{ lo, hi, count int32 }
 
+// treeFleet is one tree_cd run's stations, in join order.
+type treeFleet struct {
+	n  int32
+	st []treeStation
+}
+
+// treeStation is one station's replica of the traversal.
 type treeStation struct {
 	id      int
 	n       int32
 	stack   []run
 	retired bool // retire after own success so RunAll terminates
+	sent    bool // transmitted in the last slot asked about
 }
 
-func newTreeStation(p model.Params, id int) *treeStation {
-	if p.N > math.MaxInt32 {
-		panic("core: tree_cd supports n up to 2^31-1")
+// Join implements model.Cohort. The new record reuses the stack of the
+// record that held its place in an earlier run.
+func (f *treeFleet) Join(id int, _ int64, _ *rng.Source) {
+	f.st = slices.Grow(f.st, 1)[:len(f.st)+1]
+	f.st[len(f.st)-1].reset(id, f.n)
+}
+
+// JoinAt implements model.Cohort.
+func (f *treeFleet) JoinAt(i, id int, _ int64, _ *rng.Source) bool {
+	f.st = slices.Insert(f.st, i, treeStation{})
+	s := &f.st[i]
+	s.reset(id, f.n)
+	s.sent = s.transmits()
+	return s.sent
+}
+
+// Transmitters implements model.Cohort.
+func (f *treeFleet) Transmitters(_ int64, dst []int) []int {
+	for i := range f.st {
+		s := &f.st[i]
+		if s.sent = s.transmits(); s.sent {
+			dst = append(dst, s.id)
+		}
 	}
-	st := &treeStation{id: id, n: int32(p.N)}
-	st.push(1, st.n)
-	return st
+	return dst
+}
+
+// Next implements model.Cohort: the stations advance by one slot per call.
+func (f *treeFleet) Next(from int64) int64 { return from }
+
+// Observe implements model.Fleet.
+func (f *treeFleet) Observe(_ int64, d model.Delivery) {
+	for i := range f.st {
+		s := &f.st[i]
+		s.hear(d.For(s.sent, s.id))
+	}
+}
+
+// Looping implements model.Fleet.
+func (f *treeFleet) Looping() bool {
+	for i := range f.st {
+		if !f.st[i].looping() {
+			return false
+		}
+	}
+	return true
+}
+
+// reset makes s a fresh station id of universe n: its stack is [1, n]. The
+// stack holds at most one pending right sibling per level of the halving
+// tree above the singletons, one run of the empty intervals below them and
+// the top, so bits.Len(n)+2 entries never need to grow.
+func (s *treeStation) reset(id int, n int32) {
+	if depth := bits.Len32(uint32(n)) + 2; cap(s.stack) < depth {
+		s.stack = make([]run, 0, depth)
+	}
+	*s = treeStation{id: id, n: n, stack: s.stack[:0]}
+	s.push(1, n)
 }
 
 // push puts [lo, hi] on top of the stack.
@@ -115,31 +186,22 @@ func (s *treeStation) holds(r run) bool {
 	return s.id >= int(r.lo) && s.id <= int(r.hi)
 }
 
-// WillTransmit implements model.AdaptiveStation.
-func (s *treeStation) WillTransmit(t int64) bool {
-	if s.retired || len(s.stack) == 0 {
-		return false
-	}
-	return s.holds(s.stack[len(s.stack)-1])
+// transmits reports whether the station transmits in its next slot.
+func (s *treeStation) transmits() bool {
+	return !s.retired && s.holds(s.stack[len(s.stack)-1])
 }
 
-// Looping implements model.Looping: a station whose top interval is its
-// own singleton [id, id] transmits, and on hearing Collision pops it and
+// looping reports whether the station loops: its top interval is its own
+// singleton [id, id], so it transmits, and on hearing Collision pops it and
 // pushes [id+1, id] and [id, id], so its top is [id, id] again.
-func (s *treeStation) Looping() bool {
-	if s.retired || len(s.stack) == 0 {
-		return false
-	}
+func (s *treeStation) looping() bool {
 	top := s.stack[len(s.stack)-1]
-	return int(top.lo) == s.id && int(top.hi) == s.id
+	return !s.retired && int(top.lo) == s.id && int(top.hi) == s.id
 }
 
-// Observe implements model.AdaptiveStation: identical transition on every
+// hear applies one slot's feedback: the identical transition on every
 // station, which is what keeps the replicated stacks in lockstep.
-func (s *treeStation) Observe(t int64, fb model.Feedback, successID int) {
-	if len(s.stack) == 0 {
-		return
-	}
+func (s *treeStation) hear(fb model.Feedback, successID int) {
 	lo, hi := s.pop()
 	switch fb {
 	case model.Collision:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"nsmac/internal/model"
@@ -42,10 +43,12 @@ func (s *sliceTree) observe(fb model.Feedback, successID int) {
 	}
 }
 
-// TestTreeStationRunStackMatchesSlice drives run-length tree stations and
-// plain-slice references through random per-slot feedback — collisions,
-// silences and successes, delivered per role as cd or sender_cd would — and
-// requires WillTransmit to agree at every slot.
+// TestTreeStationRunStackMatchesSlice drives a tree_cd fleet of run-length
+// stations and plain-slice references through random per-slot feedback —
+// collisions, silences and successes, which the fleet delivers per role as
+// cd or sender_cd would — and requires the fleet's transmitters to be the
+// references' at every slot, and no stack to outgrow the depth Fleet
+// reserves.
 func TestTreeStationRunStackMatchesSlice(t *testing.T) {
 	src := rng.New(0x7ee5)
 	for round := 0; round < 120; round++ {
@@ -56,18 +59,22 @@ func TestTreeStationRunStackMatchesSlice(t *testing.T) {
 		if round%2 == 1 {
 			ch = model.SenderCD()
 		}
-		sts := make([]*treeStation, k)
+		fleet := TreeCD{}.Fleet(model.Params{N: n}, nil)
 		refs := make([]*sliceTree, k)
 		for i, id := range ids {
-			sts[i] = newTreeStation(model.Params{N: n}, id)
+			fleet.Join(id, 0, nil)
 			refs[i] = newSliceTree(n, id)
 		}
 		for slot := int64(0); slot < 300; slot++ {
-			for i := range sts {
-				if got, want := sts[i].WillTransmit(slot), refs[i].willTransmit(); got != want {
-					t.Fatalf("round %d (%s, n=%d) slot %d station %d: WillTransmit %v, reference %v",
-						round, ch.Name(), n, slot, ids[i], got, want)
+			var want []int
+			for i, id := range ids {
+				if refs[i].willTransmit() {
+					want = append(want, id)
 				}
+			}
+			if got := fleet.Transmitters(slot, nil); !slices.Equal(got, want) {
+				t.Fatalf("round %d (%s, n=%d) slot %d: transmitters %v, reference %v",
+					round, ch.Name(), n, slot, got, want)
 			}
 			// Collisions dominate so the stacks grow deep.
 			truth := model.Collision
@@ -88,8 +95,14 @@ func TestTreeStationRunStackMatchesSlice(t *testing.T) {
 				if fb == model.Success {
 					successID = winner
 				}
-				sts[i].Observe(slot, fb, successID)
 				refs[i].observe(fb, successID)
+			}
+			fleet.Observe(slot, model.Deliver(ch, truth, winner))
+			for _, st := range fleet.(*treeFleet).st {
+				if bound := bits.Len(uint(n)) + 2; len(st.stack) > bound {
+					t.Fatalf("round %d (%s, n=%d) slot %d station %d: stack holds %d runs, past the reserved %d",
+						round, ch.Name(), n, slot, st.id, len(st.stack), bound)
+				}
 			}
 		}
 	}
@@ -102,13 +115,14 @@ func TestTreeStationRunStackMatchesSlice(t *testing.T) {
 // within O(log n) runs and keep transmitting exactly like the reference.
 func TestTreeStationSingletonCollisionsStayLogarithmic(t *testing.T) {
 	const n, id = 1 << 20, 777
-	st := newTreeStation(model.Params{N: n}, id)
+	var st treeStation
+	st.reset(id, n)
 	ref := newSliceTree(n, id)
 	singleton := 0
 	for slot := int64(0); singleton < 5000; slot++ {
-		tx := st.WillTransmit(slot)
+		tx := st.transmits()
 		if tx != ref.willTransmit() {
-			t.Fatalf("slot %d: WillTransmit %v, reference %v", slot, tx, !tx)
+			t.Fatalf("slot %d: transmits %v, reference %v", slot, tx, !tx)
 		}
 		// sender_cd with a second transmitter always present: a transmitter
 		// hears the collision, a listener hears silence.
@@ -119,27 +133,30 @@ func TestTreeStationSingletonCollisionsStayLogarithmic(t *testing.T) {
 				singleton++
 			}
 		}
-		st.Observe(slot, fb, 0)
+		st.hear(fb, 0)
 		ref.observe(fb, 0)
 	}
 	if len(ref.stack) < 5000 {
 		t.Fatalf("reference stack holds %d entries; the workload no longer exercises the pathology", len(ref.stack))
 	}
-	if bound := 2 * bits.Len(n); len(st.stack) > bound {
+	// Fleet's reset reserves this bound, so a stack never grows.
+	if bound := bits.Len(n) + 2; len(st.stack) > bound {
 		t.Errorf("after %d singleton collisions the stack holds %d runs, want at most %d", singleton, len(st.stack), bound)
 	}
 }
 
 // TestPersistentTransmitsThroughSilence checks the model.Persistent promise
 // that sim.ClosedForm rests on: for every algorithm declaring it, a station
-// built with BuildAdaptive and told silence after every slot transmits in
-// every slot of the horizon, from its wake on.
+// joined alone to a fleet told silence after every slot transmits in every
+// slot of the horizon, from its wake on. The fleet is reused from station to
+// station, as a warm engine reuses it from trial to trial.
 func TestPersistentTransmitsThroughSilence(t *testing.T) {
 	algos := []model.Algorithm{
 		NewRoundRobin(), NewSelectAmongFirst(), NewWaitAndGo(), NewWakeupWithS(),
 		NewWakeupWithK(), NewWakeupC(), NewRPD(), NewRPDWithK(), NewLocalSSF(),
 		NewBEB(), NewClockSkewed(NewTreeCD(), 3), NewTreeCD(), NewKGConflictResolution(),
 	}
+	silence := model.Deliver(model.None(), model.Silence, 0)
 	persistent := 0
 	for _, algo := range algos {
 		pa, ok := algo.(model.Persistent)
@@ -147,18 +164,20 @@ func TestPersistentTransmitsThroughSilence(t *testing.T) {
 			continue
 		}
 		persistent++
+		var fleet model.Fleet
 		for _, n := range []int{1, 2, 7, 256, 1024} {
 			p := model.Params{N: n, S: -1, Seed: 9}
 			horizon := pa.(Bounded).Horizon(n, n)
 			for _, id := range []int{1, (n + 1) / 2, max(1, n-1), n} {
 				for _, wake := range []int64{0, 37} {
-					st := pa.BuildAdaptive(p, id, wake, rng.New(rng.Derive(p.Seed, uint64(id))))
+					fleet = pa.Fleet(p, fleet)
+					fleet.Join(id, wake, rng.New(rng.Derive(p.Seed, uint64(id))))
 					for t0 := wake; t0 < wake+horizon; t0++ {
-						if !st.WillTransmit(t0) {
-							t.Fatalf("%s n=%d id=%d wake=%d: silent at slot %d after hearing only silence",
-								algo.Name(), n, id, wake, t0)
+						if tx := fleet.Transmitters(t0, nil); !slices.Equal(tx, []int{id}) {
+							t.Fatalf("%s n=%d id=%d wake=%d: slot %d transmitters %v after hearing only silence",
+								algo.Name(), n, id, wake, t0, tx)
 						}
-						st.Observe(t0, model.Silence, 0)
+						fleet.Observe(t0, silence)
 					}
 				}
 			}
@@ -169,37 +188,44 @@ func TestPersistentTransmitsThroughSilence(t *testing.T) {
 	}
 }
 
-// TestLoopingTransmitsThroughCollisions checks the model.Looping promise the
-// engine's absorbed finish rests on: a tree station driven as on sender_cd
-// (Collision when it transmits, silence when it listens) reaches a looping
-// state, and from there, told Collision after every slot, transmits and
-// loops in every slot. A retired station never loops.
+// TestLoopingTransmitsThroughCollisions checks the model.Fleet.Looping
+// promise the engine's absorbed finish rests on: a tree_cd fleet of one
+// station, driven on sender_cd (Collision when it transmits, silence when it
+// listens), reaches a looping state, and from there, told Collision after
+// every slot, transmits and loops in every slot. A fleet that also holds a
+// station that does not loop does not loop, and a retired station never
+// loops.
 func TestLoopingTransmitsThroughCollisions(t *testing.T) {
 	src := rng.New(0x100b)
+	collision := model.Deliver(model.SenderCD(), model.Collision, 0)
+	var fleet model.Fleet
 	for round := 0; round < 200; round++ {
 		n := 2 + src.Intn(5000)
 		id := 1 + src.Intn(n)
-		st := newTreeStation(model.Params{N: n}, id)
+		fleet = TreeCD{}.Fleet(model.Params{N: n}, fleet)
+		fleet.Join(id, 0, nil)
 		slot := int64(0)
-		for ; !st.Looping(); slot++ {
+		for ; !fleet.Looping(); slot++ {
 			if slot > 4*int64(bits.Len(uint(n)))+8 {
 				t.Fatalf("n=%d id=%d: no looping state after %d sender_cd slots", n, id, slot)
 			}
-			fb := model.Silence
-			if st.WillTransmit(slot) {
-				fb = model.Collision
-			}
-			st.Observe(slot, fb, 0)
+			fleet.Transmitters(slot, nil)
+			fleet.Observe(slot, collision)
 		}
 		for end := slot + 300; slot < end; slot++ {
-			if !st.WillTransmit(slot) || !st.Looping() {
-				t.Fatalf("n=%d id=%d slot %d: looping station transmits %v, loops %v",
-					n, id, slot, st.WillTransmit(slot), st.Looping())
+			if tx := fleet.Transmitters(slot, nil); len(tx) != 1 || !fleet.Looping() {
+				t.Fatalf("n=%d id=%d slot %d: looping station's transmitters %v, loops %v",
+					n, id, slot, tx, fleet.Looping())
 			}
-			st.Observe(slot, model.Collision, 0)
+			fleet.Observe(slot, collision)
 		}
-		st.Observe(slot, model.Success, id)
-		if st.Looping() {
+		// A station joined now starts from [1, n], not from its singleton.
+		fleet.Transmitters(slot, nil)
+		if other := 1 + id%n; !fleet.JoinAt(1, other, slot, nil) || fleet.Looping() {
+			t.Fatalf("n=%d id=%d: a fleet that also holds the fresh station %d loops", n, id, other)
+		}
+		fleet.Observe(slot, model.Deliver(model.CD(), model.Success, id))
+		if fleet.Looping() {
 			t.Fatalf("n=%d id=%d: a retired station loops", n, id)
 		}
 	}

@@ -178,22 +178,10 @@ func TestEpochKernelStepMatchesEngine(t *testing.T) {
 	}
 }
 
-// nonPersistentAdaptive is Adaptive but not Persistent — the closed form
-// must refuse it under Options.Adaptive.
-type nonPersistentAdaptive struct{}
-
-func (nonPersistentAdaptive) Name() string { return "non_persistent_adaptive" }
-func (nonPersistentAdaptive) Build(model.Params, int, int64, *rng.Source) model.TransmitFunc {
-	panic("adaptive only")
-}
-func (nonPersistentAdaptive) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return silentStation{}
-}
-
-type silentStation struct{}
-
-func (silentStation) WillTransmit(int64) bool            { return false }
-func (silentStation) Observe(int64, model.Feedback, int) {}
+// nonPersistentAdaptive is an adaptive algorithm with its Persistent
+// capability hidden — the closed form must refuse it under
+// Options.Adaptive.
+type nonPersistentAdaptive struct{ model.Adaptive }
 
 // TestEpochEligibilityGate pins the fallback edges of sim.ClosedForm: an
 // adaptive algorithm without the Persistent capability is stepped, and so
@@ -201,7 +189,7 @@ func (silentStation) Observe(int64, model.Feedback, int) {}
 // role.
 func TestEpochEligibilityGate(t *testing.T) {
 	opt := sim.Options{Horizon: 10, Adaptive: true}
-	if sim.ClosedForm(nonPersistentAdaptive{}, opt) {
+	if sim.ClosedForm(nonPersistentAdaptive{core.NewTreeCD()}, opt) {
 		t.Error("Adaptive without Persistent must be stepped")
 	}
 	for _, ch := range []model.ChannelModel{model.CD(), model.SenderCD()} {

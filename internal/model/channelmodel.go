@@ -72,6 +72,48 @@ type ChannelModel interface {
 	Deliver(truth Feedback, transmitted, won bool) Feedback
 }
 
+// Delivery is one slot's feedback, resolved once per role. What a station
+// hears depends only on its role in the slot — listener, non-winning
+// transmitter, winner — so a fleet asks the model three times per slot
+// instead of once per station.
+type Delivery struct {
+	listen, sent, won Feedback
+	winner            int
+}
+
+// Deliver resolves the delivery under m of a slot whose effective outcome
+// is truth, won by winner (0 when the slot has no winner).
+func Deliver(m ChannelModel, truth Feedback, winner int) Delivery {
+	d := Delivery{
+		listen: m.Deliver(truth, false, false),
+		sent:   m.Deliver(truth, true, false),
+		winner: winner,
+	}
+	d.won = d.sent
+	if winner != 0 {
+		d.won = m.Deliver(truth, true, true)
+	}
+	return d
+}
+
+// For returns what station id hears, given whether it transmitted in the
+// slot, and the success ID it learns: the winner's when it hears Success,
+// 0 otherwise — a station never learns the winner of a success it did not
+// hear.
+func (d Delivery) For(sent bool, id int) (Feedback, int) {
+	fb := d.listen
+	if sent {
+		fb = d.sent
+		if id == d.winner {
+			fb = d.won
+		}
+	}
+	if fb == Success {
+		return fb, d.winner
+	}
+	return fb, 0
+}
+
 // SlotPerturber is the optional ChannelModel extension for models that alter
 // slot outcomes (noise, jamming). The channel calls Perturb on each slot's
 // physical outcome — what the transmissions alone would produce — before

@@ -102,41 +102,34 @@ type Algorithm interface {
 // Adaptive is implemented by algorithms whose stations react to channel
 // feedback (e.g. binary tree splitting under collision detection, or the
 // Komlós–Greenberg conflict-resolution extension that retires stations when
-// they hear their own success). The simulator calls Observe on every awake
-// station after every slot.
+// they hear their own success). An adaptive run steps the algorithm's
+// fleet.
+//
+// Fleet(p, prev) returns an empty fleet for params p; it may reuse prev, a
+// fleet an earlier call returned (nil at first), as Batched.Cohort reuses
+// its prev, so that a warm engine allocates nothing per trial. A fleet
+// serves one run at a time: the next call may reset what its earlier
+// stations hold.
 type Adaptive interface {
 	Algorithm
-	StationBuilder
+	Fleet(p Params, prev Fleet) Fleet
 }
 
-// StationBuilder builds adaptive stations. Its BuildAdaptive returns a
-// stateful station; it supersedes Build when the simulator runs in adaptive
-// mode.
-type StationBuilder interface {
-	BuildAdaptive(p Params, id int, wake int64, src *rng.Source) AdaptiveStation
-}
-
-// Fleet is the capability of adaptive algorithms whose stations share
-// per-run state, such as kg's family ladder. Fleet(p, prev) returns the
-// builder of one run's stations under p; it may reuse prev, a builder an
-// earlier call returned (nil at first), so that a warm engine rebuilds
-// nothing shared per trial. Its stations must behave exactly as
-// BuildAdaptive's, and a builder serves one run at a time: the next call may
-// change what its earlier stations read.
+// Fleet is one adaptive run's stations, in join order: a Cohort whose Next
+// returns its argument, and which hears every slot it was asked about. After
+// each slot's Transmitters (and any JoinAt in that slot) the engine calls
+// Observe once with the slot's Delivery; each station hears d.For(sent, id),
+// where sent is whether it transmitted in the slot.
 type Fleet interface {
-	Adaptive
-	Fleet(p Params, prev StationBuilder) StationBuilder
-}
-
-// AdaptiveStation is a stateful per-station protocol instance.
-type AdaptiveStation interface {
-	// WillTransmit reports whether the station transmits in global slot t.
-	WillTransmit(t int64) bool
-	// Observe delivers the slot's feedback as heard by this station
-	// (already filtered through the channel's ChannelModel, which knows
-	// whether this station transmitted or won the slot), together with the
-	// ID carried by a successful message, or 0 otherwise.
-	Observe(t int64, fb Feedback, successID int)
+	Cohort
+	Observe(t int64, d Delivery)
+	// Looping reports whether every joined station loops: it transmits in
+	// every slot for as long as every slot is a collision that it hears as
+	// Collision. When every awake station loops, no station is left to wake
+	// and the channel delivers an unperturbed collision to its senders as
+	// Collision, every slot up to the horizon is a collision of them all, so
+	// the trial follows without stepping it (see sim.Engine.Run).
+	Looping() bool
 }
 
 // Persistent is the capability of adaptive algorithms whose every station
@@ -148,18 +141,6 @@ type Persistent interface {
 	Adaptive
 	// Persistent marks the capability; it is never called.
 	Persistent()
-}
-
-// Looping is the capability of an adaptive station that can enter a loop it
-// never leaves on its own: once Looping reports true, the station transmits
-// in every slot for as long as every slot is a collision that it hears as
-// Collision. When every awake station loops, no station is left to wake and
-// the channel delivers an unperturbed collision to its senders as
-// Collision, every slot up to the horizon is a collision of them all, so
-// the trial follows without stepping it (see sim.Engine.Run).
-type Looping interface {
-	AdaptiveStation
-	Looping() bool
 }
 
 // WakePattern assigns wake slots to a subset of stations. It is the

@@ -14,8 +14,8 @@ import (
 
 // looper is a fixture adaptive algorithm. Its station transmits in every
 // slot until it hears two non-collisions in a row, then listens for
-// 1 + id%3 slots and starts over. It loops (model.Looping) whenever it will
-// transmit: a collision it hears as Collision only keeps it transmitting.
+// 1 + id%3 slots and starts over. It loops whenever it will transmit: a
+// collision it hears as Collision only keeps it transmitting.
 // Unlike tree_cd it loops right after hearing a collision as silence, so a
 // channel that silences a sender's collision must not let its trial absorb.
 type looper struct{}
@@ -26,17 +26,17 @@ func (looper) Build(model.Params, int, int64, *rng.Source) model.TransmitFunc {
 	panic("looper is adaptive")
 }
 
-func (looper) BuildAdaptive(_ model.Params, id int, _ int64, _ *rng.Source) model.AdaptiveStation {
-	return &looperStation{id: id}
+func (looper) Fleet(model.Params, model.Fleet) model.Fleet {
+	return &sim.FixtureFleet{New: func(id int, _ int64) sim.FixtureStation { return &looperStation{id: id} }}
 }
 
 type looperStation struct{ id, wait, quiet int }
 
-func (s *looperStation) WillTransmit(int64) bool { return s.wait == 0 }
+func (s *looperStation) Transmits(int64) bool { return s.wait == 0 }
 
 func (s *looperStation) Looping() bool { return s.wait == 0 }
 
-func (s *looperStation) Observe(_ int64, fb model.Feedback, _ int) {
+func (s *looperStation) Hear(_ int64, fb model.Feedback, _ int) {
 	switch {
 	case s.wait > 0:
 		s.wait--
@@ -49,29 +49,31 @@ func (s *looperStation) Observe(_ int64, fb model.Feedback, _ int) {
 	}
 }
 
-// observed wraps an adaptive algorithm and counts the feedback its looping
+// observed wraps an adaptive algorithm and counts the feedback its fleet's
 // stations are told, so a test sees how many station-slots a run stepped.
 type observed struct {
 	model.Adaptive
 	n *int64
 }
 
-func (a observed) BuildAdaptive(p model.Params, id int, wake int64, src *rng.Source) model.AdaptiveStation {
-	return observedStation{a.Adaptive.BuildAdaptive(p, id, wake, src).(model.Looping), a.n}
+func (a observed) Fleet(p model.Params, _ model.Fleet) model.Fleet {
+	return &observedFleet{Fleet: a.Adaptive.Fleet(p, nil), n: a.n}
 }
 
-type observedStation struct {
-	st model.Looping
-	n  *int64
+type observedFleet struct {
+	model.Fleet
+	joined int64
+	n      *int64
 }
 
-func (s observedStation) WillTransmit(t int64) bool { return s.st.WillTransmit(t) }
+func (f *observedFleet) Join(id int, wake int64, src *rng.Source) {
+	f.joined++
+	f.Fleet.Join(id, wake, src)
+}
 
-func (s observedStation) Looping() bool { return s.st.Looping() }
-
-func (s observedStation) Observe(t int64, fb model.Feedback, id int) {
-	*s.n++
-	s.st.Observe(t, fb, id)
+func (f *observedFleet) Observe(t int64, d model.Delivery) {
+	*f.n += f.joined
+	f.Fleet.Observe(t, d)
 }
 
 // counters is a channel's tally.

@@ -52,8 +52,8 @@ func (echoAlgo) Name() string { return "echo" }
 func (echoAlgo) Build(model.Params, int, int64, *rng.Source) model.TransmitFunc {
 	panic("adaptive only")
 }
-func (echoAlgo) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return &echoStation{id: id}
+func (echoAlgo) Fleet(model.Params, model.Fleet) model.Fleet {
+	return &FixtureFleet{New: func(id int, _ int64) FixtureStation { return &echoStation{id: id} }}
 }
 
 // echoLog collects (station, slot, feedback) observations across stations.
@@ -70,13 +70,13 @@ type echoStation struct{ id int }
 
 // Stations 1 and 2 transmit at slots 0 and 2 (collision at 0 is impossible:
 // both transmit at 0 → collision; station 1 alone at 2 → success).
-func (s *echoStation) WillTransmit(t int64) bool {
+func (s *echoStation) Transmits(t int64) bool {
 	if t == 0 {
 		return true
 	}
 	return t == 2 && s.id == 1
 }
-func (s *echoStation) Observe(t int64, fb model.Feedback, successID int) {
+func (s *echoStation) Hear(t int64, fb model.Feedback, successID int) {
 	echoLog = append(echoLog, echoObs{s.id, t, fb, successID})
 }
 

@@ -38,14 +38,14 @@ func ClosedForm(algo model.Algorithm, opt Options) bool {
 }
 
 // absorbs reports whether a trial under opt may be finished once absorbed
-// (see Engine.absorbed): an adaptive run with no transcript, on a channel
+// (see Engine.absorbed) when it steps a fleet: no transcript, on a channel
 // that perturbs no slot and delivers a collision to its senders as
 // Collision (cd and sender_cd). Every other channel silences a sender's
 // collision, or may turn a collision into another outcome.
 func absorbs(opt Options) bool {
 	ch := opt.ChannelModel()
 	_, perturbs := ch.(model.SlotPerturber)
-	return opt.Adaptive && !opt.RecordTrace && !perturbs &&
+	return !opt.RecordTrace && !perturbs &&
 		ch.Deliver(model.Collision, true, false) == model.Collision
 }
 

@@ -16,16 +16,17 @@ import (
 // channel from the previous trial) and Step/RunTo/Run advance it, so a trial
 // on a warm engine costs only the per-station schedule closures the
 // algorithm itself builds, and nothing for a model.Batched algorithm (RPD,
-// wakeup(n), BEB, round-robin, localssf, wakeup_with_k, wakeup_with_s)
-// whose cohort the previous trial left behind.
+// wakeup(n), BEB, round-robin, localssf, wakeup_with_k, wakeup_with_s) or a
+// model.Adaptive one (tree_cd, kg) whose cohort or fleet the previous trial
+// left behind.
 //
-// An oblivious run steps one model.Cohort: the algorithm's own cohort
-// (model.Batched), else its Build closures. An adaptive run steps its
-// stations one by one and delivers each its feedback, unless Run finishes
-// it in closed form (see ClosedForm); that trial builds no stations and
-// leaves the channel unstepped. Run and RunHooked also finish an adaptive
-// trial mid-run once it is absorbed (see absorbed): every station then
-// loops on a collision until the horizon.
+// Every run steps one model.Cohort: an adaptive run its algorithm's fleet
+// (model.Adaptive), which also hears each slot, and an oblivious run the
+// algorithm's own cohort (model.Batched), else its Build closures. Run
+// finishes an adaptive trial that ClosedForm admits in closed form; that
+// trial joins no stations and leaves the channel unstepped. Run and
+// RunHooked also finish an adaptive trial mid-run once it is absorbed (see
+// absorbed): every station then loops on a collision until the horizon.
 //
 // The zero value is not usable; construct with NewEngine. An engine is not
 // safe for concurrent use — pool one per worker (internal/sweep does).
@@ -35,17 +36,16 @@ import (
 type Engine struct {
 	ch *channel.Channel
 
-	builder     model.StationBuilder // an adaptive run's station builder: the algorithm, or its fleet
-	fleet       model.StationBuilder // the last builder a Fleet algorithm returned, reused
-	useAdaptive bool
-	closedForm  bool         // Run may finish the trial in closed form (see ClosedForm)
-	absorbs     bool         // Run and RunHooked may finish the trial once it is absorbed (see absorbs)
-	collided    bool         // the last slot was a collision of every active station
-	cohort      model.Cohort // an oblivious run's stations; nil on an adaptive run
-	batched     model.Cohort // the last cohort a Batched algorithm returned, reused
-	closures    model.BuildCohort
-	p           model.Params
-	opt         Options
+	cohort     model.Cohort // the run's stations
+	fleet      model.Fleet  // the cohort of an adaptive run, else nil
+	fleets     model.Fleet  // the last fleet an Adaptive algorithm returned, reused
+	batched    model.Cohort // the last cohort a Batched algorithm returned, reused
+	closures   model.BuildCohort
+	closedForm bool // Run may finish the trial in closed form (see ClosedForm)
+	absorbs    bool // Run and RunHooked may finish the trial once it is absorbed (see absorbs)
+	collided   bool // the last slot was a collision of every active station
+	p          model.Params
+	opt        Options
 
 	pattern      model.WakePattern // the caller's pattern buffer (see Pattern)
 	order        []model.WakeKey   // the pattern's activation keys, reused across trials
@@ -90,17 +90,7 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	}
 
 	e.p, e.opt = p, opt
-	e.builder = nil
-	if a, ok := algo.(model.Adaptive); ok && opt.Adaptive {
-		e.builder = a
-		if f, ok := algo.(model.Fleet); ok {
-			e.fleet = f.Fleet(p, e.fleet)
-			e.builder = e.fleet
-		}
-	}
-	e.useAdaptive = e.builder != nil
 	e.closedForm = ClosedForm(algo, opt)
-	e.absorbs = e.useAdaptive && absorbs(opt)
 	// The channel's perturbation stream derives from the run seed on its own
 	// stream index, independent of the per-station streams.
 	e.ch.Reset(opt.ChannelModel(), opt.RecordTrace, rng.Derive(opt.Seed, model.ChannelStream))
@@ -115,16 +105,18 @@ func (e *Engine) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	}
 	e.room = k
 
-	e.cohort = nil
-	if !e.useAdaptive {
-		if a, ok := algo.(model.Batched); ok {
-			e.batched = a.Cohort(p, e.batched)
-			e.cohort = e.batched
-		} else {
-			e.closures.Reset(algo, p, k)
-			e.cohort = &e.closures
-		}
+	e.fleet = nil
+	if a, ok := algo.(model.Adaptive); ok && opt.Adaptive {
+		e.fleets = a.Fleet(p, e.fleets)
+		e.fleet, e.cohort = e.fleets, e.fleets
+	} else if a, ok := algo.(model.Batched); ok {
+		e.batched = a.Cohort(p, e.batched)
+		e.cohort = e.batched
+	} else {
+		e.closures.Reset(algo, p, k)
+		e.cohort = &e.closures
 	}
+	e.absorbs = e.fleet != nil && absorbs(opt)
 
 	e.active = slices.Grow(e.active[:0], k)
 	e.transmitters = slices.Grow(e.transmitters[:0], k)
@@ -220,19 +212,11 @@ func (e *Engine) RunHooked(spare int, hook SuccessHook) model.Result {
 // absorbed reports whether the trial can only run on as collisions of all
 // its stations: the trial absorbs (see absorbs), the last slot was a
 // collision of every active station, no pattern station is left to wake,
-// at least two are awake, and every one of them is model.Looping. Each then
-// transmits in the next slot, which is a collision that each hears as
-// Collision, so each loops again, up to the horizon.
+// at least two are awake, and the fleet loops (model.Fleet.Looping). Each
+// station then transmits in the next slot, which is a collision that each
+// hears as Collision, so each loops again, up to the horizon.
 func (e *Engine) absorbed() bool {
-	if !e.collided || e.next < len(e.order) || len(e.active) < 2 {
-		return false
-	}
-	for _, st := range e.active {
-		if l, ok := st.adaptive.(model.Looping); !ok || !l.Looping() {
-			return false
-		}
-	}
-	return true
+	return e.collided && e.next == len(e.order) && len(e.active) >= 2 && e.fleet.Looping()
 }
 
 // finishAbsorbed ends an absorbed trial as a failure at the horizon,
@@ -272,25 +256,15 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 		e.next++
 	}
 
-	e.transmitters = e.transmitters[:0]
-	if e.useAdaptive {
-		for _, st := range e.active {
-			st.sent = st.adaptive.WillTransmit(t)
-			if st.sent {
-				e.transmitters = append(e.transmitters, st.id)
-			}
+	if next := e.cohort.Next(t); next > t && e.ch.SkipsSilence() {
+		stop := min(next, end, limit)
+		if e.next < len(e.order) {
+			stop = min(stop, e.stations[e.next].wake)
 		}
-	} else {
-		if next := e.cohort.Next(t); next > t && e.ch.SkipsSilence() {
-			stop := min(next, end, limit)
-			if e.next < len(e.order) {
-				stop = min(stop, e.stations[e.next].wake)
-			}
-			e.skipSilent(stop - t)
-			return false
-		}
-		e.transmitters = e.cohort.Transmitters(t, e.transmitters)
+		e.skipSilent(stop - t)
+		return false
 	}
+	e.transmitters = e.cohort.Transmitters(t, e.transmitters[:0])
 
 	truth, winner := e.ch.Resolve(t, e.transmitters)
 	more := false
@@ -310,14 +284,8 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 		e.result.Silences++
 	}
 
-	if e.useAdaptive {
-		// One role table per slot (see roles): the model is consulted once
-		// per role, not once per station.
-		r := resolveRoles(e.ch.Model(), truth, winner)
-		for _, st := range e.active {
-			fb, obsWinner := r.forStation(st.sent, st.id)
-			st.adaptive.Observe(t, fb, obsWinner)
-		}
+	if e.fleet != nil {
+		e.fleet.Observe(t, model.Deliver(e.ch.Model(), truth, winner))
 		e.collided = e.absorbs && truth == model.Collision && len(e.transmitters) == len(e.active)
 	}
 
@@ -334,15 +302,10 @@ func (e *Engine) step(limit int64, hook SuccessHook) bool {
 	return false
 }
 
-// activate wakes station st, reseeding its stream and building its
-// schedule, and appends it to the active stations.
+// activate wakes station st, reseeding its stream and joining it to the
+// cohort, and appends it to the active stations.
 func (e *Engine) activate(st *station) {
-	src := e.stream(st)
-	if e.useAdaptive {
-		st.adaptive = e.builder.BuildAdaptive(e.p, st.id, st.wake, src)
-	} else {
-		e.cohort.Join(st.id, st.wake, src)
-	}
+	e.cohort.Join(st.id, st.wake, e.stream(st))
 	e.active = append(e.active, st)
 }
 
@@ -368,15 +331,8 @@ func (e *Engine) inject(id int, t int64) {
 	for i > 0 && e.active[i-1].wake == t && e.active[i-1].id > id {
 		i--
 	}
-	src := e.stream(st)
-	if e.useAdaptive {
-		st.adaptive = e.builder.BuildAdaptive(e.p, id, t, src)
-		st.sent = st.adaptive.WillTransmit(t)
-	} else {
-		// The cohort takes the station where the replay puts it.
-		st.sent = e.cohort.JoinAt(i, id, t, src)
-	}
-	if !st.sent {
+	// The cohort takes the station where the replay puts it.
+	if !e.cohort.JoinAt(i, id, t, e.stream(st)) {
 		panic(fmt.Sprintf("sim: injected station %d does not transmit at its wake slot %d", id, t))
 	}
 

@@ -68,18 +68,18 @@ func TestResetSortsUnsortedPatterns(t *testing.T) {
 
 // retiringStation is a toy adaptive protocol: round-robin by ID until it
 // hears its own success, then silent forever — "retirement" expressed the
-// only way this engine supports it, through WillTransmit.
+// only way this engine supports it, through its fleet's Transmitters.
 type retiringStation struct {
 	id      int
 	n       int64
 	retired bool
 }
 
-func (s *retiringStation) WillTransmit(t int64) bool {
+func (s *retiringStation) Transmits(t int64) bool {
 	return !s.retired && t%s.n == int64(s.id-1)
 }
 
-func (s *retiringStation) Observe(t int64, fb model.Feedback, successID int) {
+func (s *retiringStation) Hear(t int64, fb model.Feedback, successID int) {
 	if fb == model.Success && successID == s.id {
 		s.retired = true
 	}
@@ -91,8 +91,8 @@ func (retiringAlgo) Name() string { return "retiring" }
 func (retiringAlgo) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
 	panic("adaptive only")
 }
-func (retiringAlgo) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return &retiringStation{id: id, n: int64(p.N)}
+func (retiringAlgo) Fleet(p model.Params, _ model.Fleet) model.Fleet {
+	return &FixtureFleet{New: func(id int, _ int64) FixtureStation { return &retiringStation{id: id, n: int64(p.N)} }}
 }
 
 // TestRetirementIsProtocolBehaviour pins the satellite decision: the engine

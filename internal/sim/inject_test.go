@@ -64,14 +64,16 @@ func (c *periodicCohort) Next(from int64) int64 {
 	return u
 }
 
-func (periodic) BuildAdaptive(p model.Params, id int, wake int64, src *rng.Source) model.AdaptiveStation {
-	return periodicStation{periodic{}.Build(p, id, wake, src)}
+func (periodic) Fleet(p model.Params, _ model.Fleet) model.Fleet {
+	return &sim.FixtureFleet{New: func(id int, wake int64) sim.FixtureStation {
+		return periodicStation{periodic{}.Build(p, id, wake, nil)}
+	}}
 }
 
 type periodicStation struct{ tx model.TransmitFunc }
 
-func (s periodicStation) WillTransmit(t int64) bool          { return s.tx(t) }
-func (s periodicStation) Observe(int64, model.Feedback, int) {}
+func (s periodicStation) Transmits(t int64) bool          { return s.tx(t) }
+func (s periodicStation) Hear(int64, model.Feedback, int) {}
 
 // ownSlot transmits only in the slot numbered by its ID.
 type ownSlot struct{}

@@ -5,9 +5,9 @@
 //
 // The engine touches only awake stations, so a slot costs O(active) work
 // regardless of n, and every run is reproducible from (algorithm, params,
-// pattern, seed). An adaptive run asks every awake station about every slot
-// and delivers each the slot's feedback. Every other run steps one
-// model.Cohort, which answers for all the joined stations at once: the
+// pattern, seed). Every run steps one model.Cohort, which answers for all
+// the joined stations at once: an adaptive run its algorithm's model.Fleet,
+// which also hears each slot's model.Delivery, and every other run the
 // algorithm's own cohort if it implements model.Batched, or else an adapter
 // over Build's closures. When the cohort names a next attempt past the
 // current slot and the channel lets silence be skipped (no transcript is
@@ -21,9 +21,10 @@
 // runs of a model.Persistent algorithm on a channel that masks collisions —
 // in closed form, from the wake times alone, without stepping the channel.
 // Run and RunHooked also end an adaptive trial on cd or sender_cd early
-// once it is absorbed: every awake station is model.Looping after a slot
-// that collided them all, so every slot left is such a collision, and they
-// account those slots at once. Step and RunTo always step slot by slot.
+// once it is absorbed: the fleet loops (model.Fleet.Looping) after a slot
+// that collided all its stations, so every slot left is such a collision,
+// and they account those slots at once. Step and RunTo always step slot by
+// slot.
 //
 // Engine.RunHooked calls a SuccessHook at every slot the channel rules a
 // success: Engine.RunAll's hook runs on past it, and the white-box spoiler
@@ -54,8 +55,8 @@ type Options struct {
 	// Channel selects the channel model (feedback regime plus optional
 	// noise/jam perturbation). Nil selects the paper's model.None.
 	Channel model.ChannelModel
-	// Adaptive runs stations via BuildAdaptive when the algorithm supports
-	// it, delivering per-slot feedback to every awake station.
+	// Adaptive steps the algorithm's fleet when it is model.Adaptive,
+	// delivering every slot's feedback to its stations.
 	Adaptive bool
 	// RecordTrace keeps a bounded channel transcript in the Channel.
 	RecordTrace bool
@@ -77,17 +78,15 @@ func (o Options) ChannelModel() model.ChannelModel {
 // station is the engine's per-station state. There is deliberately no
 // "retired" flag: in this model a station that stops transmitting (KG
 // retirement after hearing its own success, TreeCD subtree withdrawal) is
-// protocol behaviour, expressed by the station's AdaptiveStation returning
-// false from WillTransmit — a retired station still listens, and its
-// listening slots still cost energy, exactly as the paper's energy measure
-// prescribes. An engine-level retirement switch would silently drop those
-// listens from the counters.
+// protocol behaviour, expressed by its fleet leaving it out of
+// Transmitters — a retired station still listens, and its listening slots
+// still cost energy, exactly as the paper's energy measure prescribes. An
+// engine-level retirement switch would silently drop those listens from the
+// counters.
 type station struct {
-	id       int
-	wake     int64
-	src      rng.Source // the station's stream, reseeded in place at activation
-	adaptive model.AdaptiveStation
-	sent     bool // did the station transmit in the current slot (per-slot scratch)
+	id   int
+	wake int64
+	src  rng.Source // the station's stream, reseeded in place at activation
 }
 
 // Run simulates until the first solo transmission or until the horizon is

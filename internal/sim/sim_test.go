@@ -147,10 +147,10 @@ type parityAdaptive struct{}
 
 func (parityAdaptive) Name() string { return "parityAdaptive" }
 func (parityAdaptive) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
-	panic("BuildAdaptive should be used")
+	panic("Fleet should be used")
 }
-func (parityAdaptive) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return &paStation{id: id}
+func (parityAdaptive) Fleet(model.Params, model.Fleet) model.Fleet {
+	return &FixtureFleet{New: func(id int, _ int64) FixtureStation { return &paStation{id: id} }}
 }
 
 type paStation struct {
@@ -159,14 +159,14 @@ type paStation struct {
 	backoff int64
 }
 
-func (s *paStation) WillTransmit(t int64) bool {
+func (s *paStation) Transmits(t int64) bool {
 	if s.retired || t < s.backoff {
 		return false
 	}
 	return true
 }
 
-func (s *paStation) Observe(t int64, fb model.Feedback, successID int) {
+func (s *paStation) Hear(t int64, fb model.Feedback, successID int) {
 	switch fb {
 	case model.Success:
 		s.retired = true
@@ -229,8 +229,8 @@ func (r retireOnOwnSuccess) Name() string { return "retire" }
 func (r retireOnOwnSuccess) Build(p model.Params, id int, wake int64, _ *rng.Source) model.TransmitFunc {
 	panic("adaptive only")
 }
-func (r retireOnOwnSuccess) BuildAdaptive(p model.Params, id int, wake int64, _ *rng.Source) model.AdaptiveStation {
-	return &rosStation{id: id, n: int64(p.N)}
+func (r retireOnOwnSuccess) Fleet(p model.Params, _ model.Fleet) model.Fleet {
+	return &FixtureFleet{New: func(id int, _ int64) FixtureStation { return &rosStation{id: id, n: int64(p.N)} }}
 }
 
 type rosStation struct {
@@ -239,10 +239,10 @@ type rosStation struct {
 	retired bool
 }
 
-func (s *rosStation) WillTransmit(t int64) bool {
+func (s *rosStation) Transmits(t int64) bool {
 	return !s.retired && t%s.n == int64(s.id-1)
 }
-func (s *rosStation) Observe(t int64, fb model.Feedback, successID int) {
+func (s *rosStation) Hear(t int64, fb model.Feedback, successID int) {
 	if fb == model.Success && successID == s.id {
 		s.retired = true
 	}
@@ -300,14 +300,14 @@ func (silentAdaptive) Name() string { return "silentAdaptive" }
 func (silentAdaptive) Build(model.Params, int, int64, *rng.Source) model.TransmitFunc {
 	panic("adaptive only")
 }
-func (silentAdaptive) BuildAdaptive(model.Params, int, int64, *rng.Source) model.AdaptiveStation {
-	return silentStation{}
+func (silentAdaptive) Fleet(model.Params, model.Fleet) model.Fleet {
+	return &FixtureFleet{New: func(int, int64) FixtureStation { return silentStation{} }}
 }
 
 type silentStation struct{}
 
-func (silentStation) WillTransmit(int64) bool            { return false }
-func (silentStation) Observe(int64, model.Feedback, int) {}
+func (silentStation) Transmits(int64) bool            { return false }
+func (silentStation) Hear(int64, model.Feedback, int) {}
 
 // hashed is a pseudo-random but deterministic schedule (the differential
 // tests' workhorse shape): station id transmits at t iff a seeded hash of

@@ -24,7 +24,7 @@ func testPatterns(t testing.TB, entries ...string) []adversary.Generator {
 	t.Helper()
 	out := make([]adversary.Generator, len(entries))
 	for i, entry := range entries {
-		g, err := sweep.ResolvePattern(entry, sweep.DefaultPatternShape())
+		g, err := sweep.ResolvePattern(entry, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,30 +30,18 @@ import (
 // (noise probability) or an integer (jam budget). Every registered name
 // matches ^[a-z][a-z0-9_]*$; the Register functions enforce it.
 
-// PatternShape carries the default shape parameters a pattern entry falls
-// back to when it omits its ":arg" or "@start": Start for the first wake
-// slot, Gap for staggered/bursts, Width for uniform windows.
-type PatternShape struct {
-	Start, Gap, Width int64
-}
-
-// DefaultPatternShape returns the documented entry defaults: start slot 0,
-// gap 7, window width 64.
-func DefaultPatternShape() PatternShape {
-	return PatternShape{Start: 0, Gap: 7, Width: 64}
-}
-
 // CaseFactory builds a registered case from its optional entry argument.
 // The factory must be deterministic in its arguments.
 type CaseFactory func(arg int64, hasArg bool) (Case, error)
 
 // PatternFactory builds a registered pattern family from its optional entry
-// argument and the shape defaults (shape.Start already reflects a per-entry
-// "@start" override). Implementations must be deterministic in their
-// arguments. White-box families build their pattern against the algorithm,
-// not from a start slot, so ResolvePattern rejects an explicit non-zero
-// "@start" on them.
-type PatternFactory func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error)
+// argument, falling back to the family's own default without one (gap 7 for
+// staggered and bursts, width 64 for uniform), and its first wake slot
+// (start already reflects a per-entry "@start" override). Implementations
+// must be deterministic in their arguments. White-box families build their
+// pattern against the algorithm, not from a start slot, so ResolvePattern
+// rejects an explicit non-zero "@start" on them.
+type PatternFactory func(arg int64, hasArg bool, start int64) (adversary.Generator, error)
 
 // ChannelFactory builds a registered channel model from its optional entry
 // argument. Channel arguments are raw entry text rather than parsed
@@ -184,8 +172,8 @@ func ResolveCase(entry string) (Case, error) {
 }
 
 // ResolvePattern resolves one pattern entry (`name[:arg][@start]`) against
-// the registry with the given shape defaults.
-func ResolvePattern(entry string, shape PatternShape) (adversary.Generator, error) {
+// the registry; start is the first wake slot of an entry without "@start".
+func ResolvePattern(entry string, start int64) (adversary.Generator, error) {
 	entry = strings.TrimSpace(entry)
 	body, startStr, hasStart := strings.Cut(entry, "@")
 	if hasStart {
@@ -193,7 +181,7 @@ func ResolvePattern(entry string, shape PatternShape) (adversary.Generator, erro
 		if err != nil || v < 0 {
 			return adversary.Generator{}, fmt.Errorf("sweep: bad start slot %q in entry %q", startStr, entry)
 		}
-		shape.Start = v
+		start = v
 	}
 	name, arg, hasArg, err := splitArg(body)
 	if err != nil {
@@ -206,14 +194,14 @@ func ResolvePattern(entry string, shape PatternShape) (adversary.Generator, erro
 		return adversary.Generator{}, fmt.Errorf("sweep: unknown pattern %q (have %s, suite)",
 			name, strings.Join(PatternNames(), ", "))
 	}
-	g, err := f(arg, hasArg, shape)
+	g, err := f(arg, hasArg, start)
 	if err != nil {
 		return adversary.Generator{}, err
 	}
 	// The white-box adversaries construct their pattern against the
 	// algorithm, not from a start slot: an explicit non-zero "@start" on one
 	// would silently run a different adversary than requested.
-	if hasStart && shape.Start != 0 && g.WhiteBox() {
+	if hasStart && start != 0 && g.WhiteBox() {
 		return adversary.Generator{}, fmt.Errorf("sweep: pattern %q ignores its @start override (entry %q)", name, entry)
 	}
 	return g, nil
@@ -364,40 +352,35 @@ func init() {
 		}, nil
 	})
 
-	RegisterPattern("simultaneous", func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error) {
+	// argOr returns the entry's argument, else the family's default.
+	argOr := func(arg int64, hasArg bool, def int64) int64 {
+		if hasArg {
+			return arg
+		}
+		return def
+	}
+	RegisterPattern("simultaneous", func(arg int64, hasArg bool, start int64) (adversary.Generator, error) {
 		if hasArg {
 			return adversary.Generator{}, fmt.Errorf("sweep: pattern \"simultaneous\" takes no argument (use @start for the wake slot)")
 		}
-		return adversary.Simultaneous(shape.Start), nil
+		return adversary.Simultaneous(start), nil
 	})
-	RegisterPattern("staggered", func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error) {
-		gap := shape.Gap
-		if hasArg {
-			gap = arg
-		}
-		return adversary.Staggered(shape.Start, gap), nil
+	RegisterPattern("staggered", func(arg int64, hasArg bool, start int64) (adversary.Generator, error) {
+		return adversary.Staggered(start, argOr(arg, hasArg, 7)), nil
 	})
-	RegisterPattern("uniform", func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error) {
-		width := shape.Width
-		if hasArg {
-			width = arg
-		}
-		return adversary.UniformWindow(shape.Start, width), nil
+	RegisterPattern("uniform", func(arg int64, hasArg bool, start int64) (adversary.Generator, error) {
+		return adversary.UniformWindow(start, argOr(arg, hasArg, 64)), nil
 	})
-	RegisterPattern("bursts", func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error) {
-		gap := shape.Gap
-		if hasArg {
-			gap = arg
-		}
-		return adversary.Bursts(shape.Start, 4, gap), nil
+	RegisterPattern("bursts", func(arg int64, hasArg bool, start int64) (adversary.Generator, error) {
+		return adversary.Bursts(start, 4, argOr(arg, hasArg, 7)), nil
 	})
-	RegisterPattern("spoiler", func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error) {
+	RegisterPattern("spoiler", func(arg int64, hasArg bool, _ int64) (adversary.Generator, error) {
 		if hasArg {
 			return adversary.Generator{}, fmt.Errorf("sweep: pattern \"spoiler\" takes no argument")
 		}
 		return adversary.SpoilerPattern(), nil
 	})
-	RegisterPattern("swap", func(arg int64, hasArg bool, shape PatternShape) (adversary.Generator, error) {
+	RegisterPattern("swap", func(arg int64, hasArg bool, _ int64) (adversary.Generator, error) {
 		if hasArg && arg != 0 && arg != 1 {
 			return adversary.Generator{}, fmt.Errorf("sweep: bad swap argument %d (swap:1 selects the greedy search; swap:0 or no argument the plain one)", arg)
 		}

@@ -31,7 +31,7 @@ func TestRegistryNamesResolve(t *testing.T) {
 		}
 	}
 	for _, name := range sweep.PatternNames() {
-		if _, err := sweep.ResolvePattern(name, sweep.DefaultPatternShape()); err != nil {
+		if _, err := sweep.ResolvePattern(name, 0); err != nil {
 			t.Errorf("pattern %q does not resolve argless: %v", name, err)
 		}
 	}

@@ -36,7 +36,7 @@ func TestRegisterChecksNameGrammar(t *testing.T) {
 			RegisterCase(name, func(int64, bool) (Case, error) { return Case{}, nil })
 		}},
 		{"RegisterPattern", func(name string) {
-			RegisterPattern(name, func(int64, bool, PatternShape) (adversary.Generator, error) {
+			RegisterPattern(name, func(int64, bool, int64) (adversary.Generator, error) {
 				return adversary.Generator{}, nil
 			})
 		}},

@@ -153,14 +153,6 @@ func skipSummary(skipped []string) string {
 	return b.String()
 }
 
-// Skipped returns a human-readable line per dropped cell, so callers can
-// surface grids that are smaller than what the axes requested (no silent
-// truncation at the CLI).
-func (s Spec) Skipped() []string {
-	_, _, skipped := s.enumerate()
-	return skipped
-}
-
 // Grid compiles the spec's cross product into an executable Grid. The cell
 // order — cases outermost, then patterns, channels, ns, ks — is part of the
 // output contract: it fixes both seeds and row order.
@@ -171,8 +163,8 @@ func (s Spec) Grid() (Grid, error) {
 
 // Compile compiles the spec in a single cross-product walk, returning both
 // the executable grid and the human-readable skip lines for every dropped
-// combination. Callers that surface skips (the CLIs) use this instead of the
-// Grid + Skipped pair, which would enumerate the cross product twice.
+// combination. Callers that surface skips (the CLIs) use this instead of
+// Grid.
 func (s Spec) Compile() (Grid, []string, error) {
 	if len(s.Cases) == 0 {
 		return Grid{}, nil, fmt.Errorf("sweep: spec %q has no algorithm cases", s.Name)

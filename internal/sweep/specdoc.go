@@ -101,7 +101,7 @@ func (d SpecDoc) Resolve() (Spec, error) {
 			patterns = append(patterns, adversary.Suite()...)
 			continue
 		}
-		g, err := ResolvePattern(entry, DefaultPatternShape())
+		g, err := ResolvePattern(entry, 0)
 		if err != nil {
 			return Spec{}, err
 		}

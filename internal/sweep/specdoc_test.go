@@ -238,7 +238,7 @@ func TestRegistryExtension(t *testing.T) {
 			Horizon: func(n, k int) int64 { return 400 },
 		}, nil
 	})
-	sweep.RegisterPattern("testpat", func(arg int64, hasArg bool, shape sweep.PatternShape) (adversary.Generator, error) {
+	sweep.RegisterPattern("testpat", func(arg int64, hasArg bool, start int64) (adversary.Generator, error) {
 		return adversary.Generator{
 			Name: "testpat",
 			Generate: func(_ model.WakePattern, n, k int, seed uint64) model.WakePattern {
@@ -246,7 +246,7 @@ func TestRegistryExtension(t *testing.T) {
 				for i := range ids {
 					ids[i] = i + 1
 				}
-				return model.Simultaneous(ids, shape.Start)
+				return model.Simultaneous(ids, start)
 			},
 		}, nil
 	})

@@ -55,8 +55,6 @@ type (
 	Case = isweep.Case
 	// CaseFactory builds a registered case from its optional entry argument.
 	CaseFactory = isweep.CaseFactory
-	// PatternShape carries the default entry shape parameters.
-	PatternShape = isweep.PatternShape
 	// PatternFactory builds a registered pattern family from its entry.
 	PatternFactory = isweep.PatternFactory
 	// ChannelFactory builds a registered channel model from its entry.
@@ -112,9 +110,9 @@ func ResolveCase(entry string) (Case, error) { return isweep.ResolveCase(entry) 
 func ResolveChannel(entry string) (ChannelModel, error) { return isweep.ResolveChannel(entry) }
 
 // ResolvePattern resolves one pattern entry (`name[:arg][@start]`) against
-// the registry with the given shape defaults.
-func ResolvePattern(entry string, shape PatternShape) (Generator, error) {
-	return isweep.ResolvePattern(entry, shape)
+// the registry; start is the first wake slot of an entry without "@start".
+func ResolvePattern(entry string, start int64) (Generator, error) {
+	return isweep.ResolvePattern(entry, start)
 }
 
 // CaseNames returns every registered case name in registration order.
@@ -128,10 +126,6 @@ func ChannelNames() []string { return isweep.ChannelNames() }
 
 // StandardCaseNames returns the canonical algorithm name list ("all").
 func StandardCaseNames() []string { return isweep.StandardCaseNames() }
-
-// DefaultPatternShape returns the documented pattern entry defaults: start
-// slot 0, gap 7, window width 64.
-func DefaultPatternShape() PatternShape { return isweep.DefaultPatternShape() }
 
 // ParseInts parses a comma-separated positive integer axis ("256,1024").
 func ParseInts(list string) ([]int, error) { return isweep.ParseInts(list) }
